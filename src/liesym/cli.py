@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import random
 import sys
@@ -52,21 +53,25 @@ from .reduction import (
 CSV_HEADER = ("x", "y", "in_domain", "u", "residual")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def emit_csv(field: ResidualField, sink) -> None:
-    """Write a residual field as CSV, row-major by y then x; masked nodes
-    leave u and residual empty."""
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for node in field.nodes:
-        if node.in_domain:
-            writer.writerow((_fmt(node.x), _fmt(node.y), "1",
-                             _fmt(node.u), _fmt(node.residual)))
-        else:
-            writer.writerow((_fmt(node.x), _fmt(node.y), "0", "", ""))
+    """Write a residual field as CSV, row-major by y then x, numbers with
+    17 significant digits; masked nodes leave u and residual empty.
+
+    No field ever needs quoting, so rows are formatted directly: each
+    coordinate once, one write per grid row.
+    """
+    sink.write(",".join(CSV_HEADER) + "\n")
+    xs = [f"{x:.17g}" for x in field.grid.xs()]
+    nx = len(xs)
+    start = 0
+    for y in field.grid.ys():
+        masked = f",{y:.17g},0,,\n"
+        inside = f",{y:.17g},1,"
+        stop = start + nx
+        sink.write("".join(
+            x + masked if u is None else f"{x}{inside}{u:.17g},{r:.17g}\n"
+            for x, u, r in zip(xs, field.us[start:stop], field.residuals[start:stop])))
+        start = stop
 
 
 def read_csv_sup_norm(source) -> float | None:
@@ -90,7 +95,7 @@ def _timestamp() -> str:
 
 def _print_report(report: dict, out, path: str | None) -> None:
     report["timestamp"] = _timestamp()
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report, indent=2, allow_nan=False)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -103,6 +108,16 @@ def _decimal(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}")
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _instance_from_args(args) -> tuple[object, str]:
@@ -144,14 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     p.add_argument("--field", choices=sorted(NAMED_FIELDS), default="X")
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite, default=1e-9)
     _common_flags(p)
 
     p = sub.add_parser("transform", help="finite group action on the power solution")
     p.add_argument("--a", type=_decimal, default=Fraction(-1))
     p.add_argument("--lambda", dest="lam", type=_decimal, required=True)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--y", type=float, default=None)
+    p.add_argument("--x", type=_finite, default=None)
+    p.add_argument("--y", type=_finite, default=None)
     p.add_argument("--samples", type=int, default=64)
     _common_flags(p)
 
@@ -159,19 +174,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     p.add_argument("--solution", choices=("base", "family"), default="base")
     p.add_argument("--lambda", dest="lam", type=_decimal, default=Fraction(1))
-    p.add_argument("--x-min", type=float, default=None)
-    p.add_argument("--x-max", type=float, default=None)
-    p.add_argument("--y-min", type=float, default=None)
-    p.add_argument("--y-max", type=float, default=None)
+    p.add_argument("--x-min", type=_finite, default=None)
+    p.add_argument("--x-max", type=_finite, default=None)
+    p.add_argument("--y-min", type=_finite, default=None)
+    p.add_argument("--y-max", type=_finite, default=None)
     p.add_argument("--nx", type=int, default=50)
     p.add_argument("--ny", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite, default=1e-9)
     _common_flags(p)
 
     p = sub.add_parser("region", help="two-disk validity region geometry")
     p.add_argument("--lambda", dest="lam", type=_decimal, required=True)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--y", type=float, default=None)
+    p.add_argument("--x", type=_finite, default=None)
+    p.add_argument("--y", type=_finite, default=None)
     p.add_argument("--samples", type=int, default=0,
                    help="check the algebraic membership against the disk "
                         "description on this many random points")

@@ -730,33 +730,53 @@ def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
 
     Same real-power semantics as ``eval_at`` (raises DomainError off
     domain); used on hot paths such as grid evaluation.
+
+    The body is straight-line code with one assignment per distinct
+    compound subexpression, in the order a left-to-right walk of the tree
+    first meets them, so a subtree that occurs many times is computed
+    once.  Each assignment keeps its node's operand order and its
+    ``_pow``/``_log`` call, so results are bit-identical to evaluating
+    the tree and the first DomainError is raised on the same inputs.
     """
     names = list(arg_names)
     missing = e.free_symbols() - set(names)
     if missing:
         raise UnboundSymbolError(f"unbound symbols {sorted(missing)}")
-    src = _emit(e)
-    code = compile(f"lambda {', '.join(names)}: {src}" if names else f"lambda: {src}",
-                   "<liesym>", "eval")
-    return eval(code, {"_pow": _real_pow, "_log": _real_log})  # noqa: S307
+    prefix = "_t"
+    while any(n.startswith(prefix) for n in names):
+        prefix += "_"
+    slots: dict[Expr, str] = {}  # structural hash/eq: equal subtrees share a slot
+    lines = [f"def _f({', '.join(names)}):"]
 
+    def ref(node: Expr) -> str:
+        if isinstance(node, Num):
+            return f"({float(node.value)!r})"
+        if isinstance(node, Sym):
+            return node.name
+        slot = slots.get(node)
+        if slot is not None:
+            return slot
+        if isinstance(node, Sum):
+            rhs = " + ".join(ref(t) for t in node.terms)
+        elif isinstance(node, Product):
+            rhs = " * ".join(ref(f) for f in node.factors)
+        elif isinstance(node, Power):
+            if isinstance(node.exponent, Num) and node.exponent.value.denominator == 1:
+                rhs = f"_pow({ref(node.base)}, {float(node.exponent.value)!r})"
+            else:
+                rhs = f"_pow({ref(node.base)}, {ref(node.exponent)})"
+        elif isinstance(node, Log):
+            rhs = f"_log({ref(node.arg)})"
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+        slot = slots[node] = f"{prefix}{len(slots)}"
+        lines.append(f"    {slot} = {rhs}")
+        return slot
 
-def _emit(e: Expr) -> str:
-    if isinstance(e, Num):
-        return f"({float(e.value)!r})"
-    if isinstance(e, Sym):
-        return e.name
-    if isinstance(e, Sum):
-        return "(" + " + ".join(_emit(t) for t in e.terms) + ")"
-    if isinstance(e, Product):
-        return "(" + " * ".join(_emit(f) for f in e.factors) + ")"
-    if isinstance(e, Power):
-        if isinstance(e.exponent, Num) and e.exponent.value.denominator == 1:
-            return f"_pow({_emit(e.base)}, {float(e.exponent.value)!r})"
-        return f"_pow({_emit(e.base)}, {_emit(e.exponent)})"
-    if isinstance(e, Log):
-        return f"_log({_emit(e.arg)})"
-    raise TypeError(f"not an expression: {e!r}")
+    lines.append(f"    return {ref(e)}")
+    namespace = {"_pow": _real_pow, "_log": _real_log}
+    exec(compile("\n".join(lines), "<liesym>", "exec"), namespace)  # noqa: S102
+    return namespace["_f"]
 
 
 # ---------------------------------------------------------------------------

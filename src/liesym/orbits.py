@@ -258,27 +258,21 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 @dataclass(frozen=True)
-class GridNode:
-    x: float
-    y: float
-    in_domain: bool
-    u: float | None
-    residual: float | None
-
-
-@dataclass(frozen=True)
 class ResidualField:
     """Pointwise residual of an instance on a solution over a grid.
 
-    ``residual`` at each in-domain node is the residual value divided by
-    (1 + magnitude of its largest single term): the terms cancel to zero
-    on a true solution but grow without bound toward the region
-    boundary, so the raw difference alone is not meaningful there.
-    Nodes outside the solution's domain are masked.
+    ``us`` and ``residuals`` hold one entry per node, row-major (y outer,
+    then x, over ``grid.ys()`` and ``grid.xs()``).  ``residual`` at each
+    in-domain node is the residual value divided by (1 + magnitude of its
+    largest single term): the terms cancel to zero on a true solution but
+    grow without bound toward the region boundary, so the raw difference
+    alone is not meaningful there.  Nodes outside the solution's domain
+    are masked: both entries are None.
     """
 
     grid: GridSpec
-    nodes: tuple[GridNode, ...]  # row-major, y outer then x
+    us: list[float | None]
+    residuals: list[float | None]
     sup_norm: float | None
     n_in_domain: int
 
@@ -294,21 +288,26 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec) ->
     terms = substituted.terms if isinstance(substituted, Sum) else (substituted,)
     term_fns = [to_callable(t, ("x", "y")) for t in terms]
     u_fn = to_callable(sol.expr, ("x", "y"))
+    domain = sol.domain
+    xs = grid.xs()
 
-    nodes: list[GridNode] = []
+    us: list[float | None] = []
+    residuals: list[float | None] = []
     sup = None
     count = 0
     for y in grid.ys():
-        for x in grid.xs():
-            if not sol.domain(x, y):
-                nodes.append(GridNode(x, y, False, None, None))
+        for x in xs:
+            if not domain(x, y):
+                us.append(None)
+                residuals.append(None)
                 continue
             try:
                 u_val = u_fn(x, y)
                 values = [fn(x, y) for fn in term_fns]
             except DomainError:
                 # numerically outside the real domain (boundary roundoff)
-                nodes.append(GridNode(x, y, False, None, None))
+                us.append(None)
+                residuals.append(None)
                 continue
             total = 0.0
             scale = 0.0
@@ -316,11 +315,12 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec) ->
                 total += value
                 scale = max(scale, abs(value))
             res = total / (1.0 + scale)
-            nodes.append(GridNode(x, y, True, u_val, res))
+            us.append(u_val)
+            residuals.append(res)
             count += 1
             if sup is None or abs(res) > sup:
                 sup = abs(res)
-    return ResidualField(grid, tuple(nodes), sup, count)
+    return ResidualField(grid, us, residuals, sup, count)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI surface: reports, exit codes, determinism, CSV artifacts."""
 
+import hashlib
 import io
 import json
 import os
@@ -7,7 +8,7 @@ import os
 import pytest
 
 from liesym import GridSpec, base_solution, gss_preset, residual_grid
-from liesym.cli import emit_csv, read_csv_sup_norm, run
+from liesym.cli import _print_report, emit_csv, read_csv_sup_norm, run
 
 
 def run_cli(argv, env_seed=None):
@@ -145,7 +146,7 @@ class TestResidualGrid:
         sink = io.StringIO()
         emit_csv(field, sink)
         row = sink.getvalue().splitlines()[1].split(",")
-        assert float(row[3]) == field.nodes[0].u  # round-trips exactly
+        assert float(row[3]) == field.us[0]  # round-trips exactly
 
 
 class TestRegion:
@@ -242,6 +243,22 @@ class TestContract:
             ["check-symmetry", "--preset", "gss"], env_seed="not-a-number")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["residual-grid", "--preset", "gss", "--solution", "family", "--x-min", "1",
+         "--x-max", "inf", "--y-min", "-0.5", "--y-max", "0.5", "--nx", "3", "--ny", "2"],
+        ["transform", "--lambda", "1", "--x", "nan", "--y", "0", "--samples", "0"],
+        ["check-symmetry", "--preset", "gss", "--samples", "10", "--tol=-inf"],
+    ], ids=["x-max-inf", "x-nan", "tol-inf"])
+    def test_non_finite_flags_exit_two(self, argv, capsys):
+        code, out, _ = run_cli(argv)
+        assert code == 2
+        assert "NaN" not in out and "inf" not in out
+        assert "not a finite number" in capsys.readouterr().err  # argparse's own message
+
+    def test_report_refuses_non_json_numbers(self):
+        with pytest.raises(ValueError):
+            _print_report({"command": "probe", "value": float("nan")}, io.StringIO(), None)
+
     def test_output_file_receives_report(self, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -249,3 +266,36 @@ class TestContract:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["c1"] == -7.0
+
+
+class TestGoldenBytes:
+    """sha256 of the CSV and of the report (minus its timestamp line) of
+    three grids, recorded before the compiled evaluator shared its
+    subexpressions and the CSV writer formatted rows directly; both
+    changes must keep every byte.  The third grid exits 1 because the
+    canonical residual is a single product, so its per-term normalization
+    sees one term (ROADMAP defect (a)): fixing that changes the residual
+    column and the sup, so it changes these digests by design."""
+
+    CASES = [
+        (["residual-grid", "--preset", "gss", "--solution", "family", "--lambda", "1",
+          "--nx", "120", "--ny", "120"], 0,
+         "7fc1fe10adb87ad639e23eac2fb44fe45eb56be3251290b758c4e689dacbd0ce",
+         "a52fb260a1dd5af4034f70cefe3f497989d85275bfa1f6a0f450447ed5a4f26d"),
+        (["residual-grid", "--preset", "gss", "--solution", "base", "--nx", "90", "--ny", "90"], 0,
+         "1aa92a3ffa0a535aae7e1b79a2fdfa2e330d9ec737da03f9b771e7472f6dc47f",
+         "dadd209ace620bf436c7eb7f0d0f352909eb885b884d4f920c2a6ed929cec353"),
+        (["residual-grid", "--a=7/2", "--r=2", "--c1=23/7", "--c2=15/7", "--gamma1=105/8",
+          "--gamma2=-203/16", "--solution", "family", "--lambda=1/3", "--nx", "24", "--ny", "24"], 1,
+         "2cc366bbfd03b50e524ffcc770a188f91c6fbfd51e15884ccbe1eb915148257e",
+         "95ca82290fb2ff18c1f16ed9fd2ad1a6469d59190a105d1293bb9b547f4fa9c1"),
+    ]
+
+    @pytest.mark.parametrize("argv,code,csv_sha,report_sha", CASES,
+                             ids=["gss-family-120", "gss-base-90", "a7_2-family-24"])
+    def test_csv_and_report_bytes(self, argv, code, csv_sha, report_sha):
+        got, out, _ = run_cli(argv)
+        cut = out.index('{\n  "command"')
+        assert got == code
+        assert hashlib.sha256(out[:cut].encode()).hexdigest() == csv_sha
+        assert hashlib.sha256(strip_timestamp(out[cut:]).encode()).hexdigest() == report_sha

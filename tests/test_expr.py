@@ -19,10 +19,13 @@ from liesym import (
     equiv_numeric,
     eval_at,
     expand,
+    family_solution,
+    gss_preset,
     mul,
     num,
     parse,
     pow_,
+    sample_in_region,
     simplify,
     substitute,
     sym,
@@ -315,7 +318,45 @@ class TestEval:
                 with pytest.raises(DomainError):
                     fn(*(env[n] for n in names))
                 continue
-            assert fn(*(env[n] for n in names)) == pytest.approx(expected, rel=1e-14)
+            assert fn(*(env[n] for n in names)) == expected
+
+    def test_compiled_gss_family_residual_matches_interpreter(self):
+        res = substitute(gss_preset().delta, family_solution(-1, 1).jet())
+        fn = to_callable(res, ("x", "y"))
+        for x, y in sample_in_region(1.0, 300, seed=11):
+            try:
+                expected = eval_at(res, {"x": x, "y": y})
+            except DomainError:
+                with pytest.raises(DomainError):
+                    fn(x, y)
+                continue
+            assert fn(x, y) == expected
+
+    def test_compiled_shares_repeated_subexpressions(self):
+        # the GSS family residual is a 150-node tree with 6 distinct
+        # powers among 33 occurrences; each distinct power is computed once
+        res = substitute(gss_preset().delta, family_solution(-1, 1).jet())
+        powers = set()
+        stack = [res]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Power):
+                powers.add(node)
+                stack += [node.base, node.exponent]
+            elif isinstance(node, (Sum, Product)):
+                stack += node.terms if isinstance(node, Sum) else node.factors
+        fn = to_callable(res, ("x", "y"))
+        real_pow = fn.__globals__["_pow"]
+        calls = []
+
+        def counting_pow(b, p):
+            calls.append((b, p))
+            return real_pow(b, p)
+
+        fn.__globals__["_pow"] = counting_pow
+        fn(0.6, -0.4)
+        assert len(powers) == 6
+        assert len(calls) == len(powers)
 
 
 class TestEquivNumeric:

@@ -298,13 +298,15 @@ class TestResidualGrid:
         field = residual_grid(gss_preset(), sol, GridSpec(0.1, 0.4, 1.0, 2.0, 3, 3))
         assert field.n_in_domain == 0
         assert field.sup_norm is None
-        assert all(not node.in_domain for node in field.nodes)
+        assert field.us == [None] * 9 and field.residuals == [None] * 9
 
     def test_row_major_order(self):
-        field = residual_grid(gss_preset(), base_solution(-1),
-                              GridSpec(1.0, 2.0, -0.5, 0.5, 2, 2))
-        coords = [(n.x, n.y) for n in field.nodes]
+        sol = base_solution(-1)
+        field = residual_grid(gss_preset(), sol, GridSpec(1.0, 2.0, -0.5, 0.5, 2, 2))
+        coords = [(x, y) for y in field.grid.ys() for x in field.grid.xs()]
         assert coords == [(1.0, -0.5), (2.0, -0.5), (1.0, 0.5), (2.0, 0.5)]
+        assert field.us == [eval_at(sol.expr, {"x": x, "y": y}) for x, y in coords]
+        assert len(field.residuals) == 4 and None not in field.residuals
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
