@@ -70,7 +70,6 @@ from .orbits import (
     ClosedFormSolution,
     FlowCheck,
     GridSpec,
-    OrbitParams,
     RegionGeometry,
     ResidualField,
     base_solution,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import LiesymError
-from .expr import SampleSpec, equiv_numeric, eval_at, is_zero, to_text
+from .expr import SampleSpec, clear_memo, equiv_numeric, eval_at, is_zero, to_text
 from .family import (
     NAMED_FIELDS,
     PRESETS,
@@ -120,6 +121,19 @@ def _finite(text: str) -> float:
     return value
 
 
+def _at_least(low: int):
+    """Argparse type for an integer count no smaller than ``low``."""
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return count
+
+
 def _instance_from_args(args) -> tuple[object, str]:
     if args.preset:
         try:
@@ -141,6 +155,7 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{name}", type=_decimal, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liesym",
@@ -158,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-symmetry", help="on-shell symmetry verdict")
     _add_instance_flags(p)
     p.add_argument("--field", choices=sorted(NAMED_FIELDS), default="X")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--tol", type=_finite, default=1e-9)
     _common_flags(p)
 
@@ -167,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_decimal, required=True)
     p.add_argument("--x", type=_finite, default=None)
     p.add_argument("--y", type=_finite, default=None)
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=_at_least(0), default=64)
     _common_flags(p)
 
     p = sub.add_parser("residual-grid", help="residual of a closed-form solution on a grid")
@@ -178,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", type=_finite, default=None)
     p.add_argument("--y-min", type=_finite, default=None)
     p.add_argument("--y-max", type=_finite, default=None)
-    p.add_argument("--nx", type=int, default=50)
-    p.add_argument("--ny", type=int, default=50)
+    p.add_argument("--nx", type=_at_least(1), default=50)
+    p.add_argument("--ny", type=_at_least(1), default=50)
     p.add_argument("--tol", type=_finite, default=1e-9)
     _common_flags(p)
 
@@ -187,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_decimal, required=True)
     p.add_argument("--x", type=_finite, default=None)
     p.add_argument("--y", type=_finite, default=None)
-    p.add_argument("--samples", type=int, default=0,
+    p.add_argument("--samples", type=_at_least(0), default=0,
                    help="check the algebraic membership against the disk "
                         "description on this many random points")
     _common_flags(p)
@@ -198,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weak-cs", help="weak conditional symmetry chain")
     _add_instance_flags(p)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--consequences", action="store_true",
                    help="also impose the differential consequences of the "
                         "invariance condition in the last stage")
@@ -441,7 +456,11 @@ _HANDLERS = {
 
 
 def run(argv: list[str], out=None, err=None) -> int:
-    """Entry point used by both the console script and the tests."""
+    """Entry point used by both the console script and the tests.
+
+    Expressions memoized by the kernel while a command runs are dropped
+    when it ends, however it ends.
+    """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = build_parser()
@@ -467,6 +486,8 @@ def run(argv: list[str], out=None, err=None) -> int:
     except ValueError as exc:
         err.write(f"error: {exc}\n")
         return 2
+    finally:
+        clear_memo()  # only the handler builds expressions
 
 
 def main() -> None:

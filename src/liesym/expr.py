@@ -296,10 +296,32 @@ ZERO = Num(Fraction(0))
 ONE = Num(Fraction(1))
 _MINUS_ONE = Num(Fraction(-1))
 
+# Results of the pure canonicalizing functions (pow_, mul, _add_terms,
+# _diff), keyed by a tag and the arguments after as_expr, so a float never
+# becomes a key: 0.1 equals the Fraction of its binary value, num(0.1) is
+# 1/10.  The key holds every input, so a hit returns what the body would
+# build.  The table grows for as long as nobody clears it; the CLI clears
+# it after each command, library callers call clear_memo() between
+# unrelated workloads.
+_MEMO: dict[tuple, Expr] = {}
+
+
+def clear_memo() -> None:
+    """Drop every memoized constructor and derivative result."""
+    _MEMO.clear()
+
 
 def pow_(base, exponent) -> Expr:
     b = as_expr(base)
     p = as_expr(exponent)
+    key = ("pow", b, p)
+    out = _MEMO.get(key)
+    if out is None:
+        out = _MEMO[key] = _canonical_pow(b, p)
+    return out
+
+
+def _canonical_pow(b: Expr, p: Expr) -> Expr:
     if isinstance(p, Num):
         if p.value == 0:
             return ONE
@@ -336,9 +358,16 @@ def log_(arg) -> Expr:
 
 
 def mul(*factors) -> Expr:
+    key = ("mul", *map(as_expr, factors))
+    out = _MEMO.get(key)
+    if out is None:
+        out = _MEMO[key] = _canonical_product(key[1:])
+    return out
+
+
+def _canonical_product(factors: tuple[Expr, ...]) -> Expr:
     flat: list[Expr] = []
-    for f in factors:
-        e = as_expr(f)
+    for e in factors:
         if isinstance(e, Product):
             flat.extend(e.factors)
         else:
@@ -475,9 +504,16 @@ def add(*terms) -> Expr:
 
 
 def _add_terms(terms, factor: bool) -> Expr:
+    key = ("add", factor, *map(as_expr, terms))
+    out = _MEMO.get(key)
+    if out is None:
+        out = _MEMO[key] = _canonical_sum(key[2:], factor)
+    return out
+
+
+def _canonical_sum(terms: tuple[Expr, ...], factor: bool) -> Expr:
     flat: list[Expr] = []
-    for t in terms:
-        e = as_expr(t)
+    for e in terms:
         if isinstance(e, Sum):
             flat.extend(e.terms)
         else:
@@ -550,6 +586,14 @@ def diff(e: Expr, wrt) -> Expr:
 
 
 def _diff(e: Expr, name: str) -> Expr:
+    key = ("diff", e, name)
+    out = _MEMO.get(key)
+    if out is None:
+        out = _MEMO[key] = _derivative(e, name)
+    return out
+
+
+def _derivative(e: Expr, name: str) -> Expr:
     if name not in e.free_symbols():
         return ZERO
     if isinstance(e, Sym):

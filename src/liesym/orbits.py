@@ -77,20 +77,6 @@ def map_point_exprs(lam) -> tuple[Expr, Expr]:
 
 
 @dataclass(frozen=True)
-class OrbitParams:
-    """Group parameter and instance exponent for one orbit; lam > 0 is
-    assumed wherever the two-disk geometry is used (negative lam is the
-    mirror image in y)."""
-
-    lam: float
-    a: Fraction
-
-    def __post_init__(self):
-        if self.a == 0:
-            raise ValueError("parameter a must be nonzero")
-
-
-@dataclass(frozen=True)
 class RegionGeometry:
     """Validity region of the transformed solution: union of two open
     disks minus their closed intersection (inside exactly one)."""

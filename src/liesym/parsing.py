@@ -21,9 +21,9 @@ from typing import Iterable
 
 from .errors import ParseError
 from .expr import (
+    _MINUS_ONE,
     RESERVED_NAMES,
     Expr,
-    Num,
     Sym,
     add,
     log_,
@@ -31,8 +31,6 @@ from .expr import (
     num,
     pow_,
 )
-
-_MINUS_ONE = Num(Fraction(-1))
 
 
 class _Parser:

@@ -7,8 +7,9 @@ import os
 
 import pytest
 
-from liesym import GridSpec, base_solution, gss_preset, residual_grid
-from liesym.cli import _print_report, emit_csv, read_csv_sup_norm, run
+from liesym import GridSpec, base_solution, expr, gss_preset, mul, residual_grid, sym
+from liesym import cli
+from liesym.cli import _print_report, build_parser, emit_csv, read_csv_sup_norm, run
 
 
 def run_cli(argv, env_seed=None):
@@ -259,6 +260,84 @@ class TestContract:
         with pytest.raises(ValueError):
             _print_report({"command": "probe", "value": float("nan")}, io.StringIO(), None)
 
+    @pytest.mark.parametrize("argv", [
+        ["check-symmetry", "--preset", "gss", "--samples", "0"],
+        ["weak-cs", "--preset", "gss", "--samples", "0"],
+        ["weak-cs", "--preset", "gss", "--samples", "-1"],
+        ["region", "--lambda", "1", "--samples", "-3"],
+        ["transform", "--lambda", "1", "--samples", "-2"],
+        ["residual-grid", "--preset", "gss", "--nx", "0"],
+        ["residual-grid", "--preset", "gss", "--ny", "-1"],
+    ], ids=["check-symmetry-0", "weak-cs-0", "weak-cs-neg", "region-neg", "transform-neg",
+            "nx-0", "ny-neg"])
+    def test_counts_out_of_range_exit_two(self, argv, capsys):
+        code, out, _ = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "error:" in err and "must be at least" in err
+
+    def test_counts_not_integers_exit_two(self, capsys):
+        code, _, _ = run_cli(["region", "--lambda", "1", "--samples", "1.5"])
+        assert code == 2
+        assert "not an integer" in capsys.readouterr().err
+
+    def test_zero_samples_skips_sampling(self):
+        code, out, _ = run_cli(["region", "--lambda", "1", "--samples", "0"])
+        assert code == 0
+        assert "xor_check" not in json.loads(out)
+        code, out, _ = run_cli(["transform", "--lambda", "1", "--samples", "0"])
+        assert code == 0
+        assert json.loads(out)["equiv"] is None
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["check-first", "transform-first"])
+    def test_consecutive_commands_match_lone_runs(self, order):
+        commands = (["check-symmetry", "--preset", "gss", "--samples", "40"],
+                    ["transform", "--a", "-1", "--lambda", "1", "--samples", "16"])
+        expected = {}
+        for i, argv in enumerate(commands):
+            build_parser.cache_clear()
+            code, out, _ = run_cli(argv)
+            expected[i] = (code, strip_timestamp(out))
+        build_parser.cache_clear()
+        for i in order:
+            code, out, _ = run_cli(commands[i])
+            assert (code, strip_timestamp(out)) == expected[i]
+
+    @pytest.mark.parametrize("argv,code", [
+        (["reduce", "--preset", "gss"], 0),
+        (["reduce", "--a", "-1", "--r", "2", "--c1", "-7", "--c2", "-3",
+          "--gamma1", "1", "--gamma2", "1"], 1),
+        (["residual-grid", "--preset", "gss", "--solution", "family", "--x-min", "1",
+          "--x-max", "0", "--y-min", "0", "--y-max", "1"], 2),
+    ], ids=["exit-0", "exit-1", "exit-2"])
+    def test_memo_empty_after_command(self, argv, code, monkeypatch):
+        sizes = []
+        real_clear = cli.clear_memo
+
+        def clear():
+            sizes.append(len(expr._MEMO))
+            real_clear()
+
+        monkeypatch.setattr(cli, "clear_memo", clear)
+        assert run_cli(argv)[0] == code
+        assert sizes and sizes[-1] > 0  # the command did memoize something
+        assert len(expr._MEMO) == 0
+
+    def test_memo_empty_after_escaping_exception(self, monkeypatch):
+        def boom(args, out):
+            mul(sym("x"), sym("y"))
+            assert expr._MEMO
+            raise RuntimeError("handler failed")
+
+        monkeypatch.setitem(cli._HANDLERS, "reduce", boom)
+        with pytest.raises(RuntimeError):
+            run_cli(["reduce", "--preset", "gss"])
+        assert len(expr._MEMO) == 0
+
     def test_output_file_receives_report(self, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -275,7 +354,9 @@ class TestGoldenBytes:
     changes must keep every byte.  The third grid exits 1 because the
     canonical residual is a single product, so its per-term normalization
     sees one term (ROADMAP defect (a)): fixing that changes the residual
-    column and the sup, so it changes these digests by design."""
+    column and the sup, so it changes these digests by design.  The same
+    bytes must come out after another command ran in the same process:
+    nothing memoized or parsed for one command may leak into the next."""
 
     CASES = [
         (["residual-grid", "--preset", "gss", "--solution", "family", "--lambda", "1",
@@ -294,6 +375,16 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("argv,code,csv_sha,report_sha", CASES,
                              ids=["gss-family-120", "gss-base-90", "a7_2-family-24"])
     def test_csv_and_report_bytes(self, argv, code, csv_sha, report_sha):
+        self._check(argv, code, csv_sha, report_sha)
+
+    @pytest.mark.parametrize("argv,code,csv_sha,report_sha", CASES,
+                             ids=["gss-family-120", "gss-base-90", "a7_2-family-24"])
+    def test_bytes_after_unrelated_command(self, argv, code, csv_sha, report_sha):
+        assert run_cli(["weak-cs", "--preset", "gss", "--samples", "60"])[0] == 0
+        self._check(argv, code, csv_sha, report_sha)
+
+    @staticmethod
+    def _check(argv, code, csv_sha, report_sha):
         got, out, _ = run_cli(argv)
         cut = out.index('{\n  "command"')
         assert got == code

@@ -6,6 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # optional test dependency, like sympy in test_cross_check.py
+    st = None
+
 from liesym import (
     DomainError,
     Num,
@@ -15,6 +21,7 @@ from liesym import (
     SampleSpec,
     Sum,
     UnboundSymbolError,
+    add,
     diff,
     equiv_numeric,
     eval_at,
@@ -32,6 +39,8 @@ from liesym import (
     to_callable,
     to_text,
 )
+from liesym import expr
+from liesym.expr import clear_memo
 
 X, Y, U, A, LAM = sym("x"), sym("y"), sym("u"), sym("a"), sym("lam")
 
@@ -379,3 +388,115 @@ class TestEquivNumeric:
     def test_acceptance_predicate(self):
         spec = SampleSpec(count=8, seed=1, accept=lambda env: env["x"] > 1.0)
         assert equiv_numeric(parse("x"), parse("x"), spec).equivalent
+
+
+_BODIES = ("_canonical_pow", "_canonical_product", "_canonical_sum", "_derivative")
+
+
+def _record_body_runs(monkeypatch):
+    """Swap each memoized function's body for one that logs its arguments."""
+    runs = []
+    for name in _BODIES:
+        def logged(*args, _body=getattr(expr, name), _name=name):
+            runs.append((_name, args))
+            return _body(*args)
+        monkeypatch.setattr(expr, name, logged)
+    return runs
+
+
+def _values(e, points):
+    fn = to_callable(e, ("x", "y"))
+    out = []
+    for x, y in points:
+        try:
+            out.append(fn(x, y))
+        except DomainError:
+            out.append("DomainError")
+    return out
+
+
+class TestMemo:
+    @staticmethod
+    def _gss_family():
+        jet = family_solution(-1, 1).jet()
+        return jet, substitute(gss_preset().delta, jet)
+
+    def test_cold_and_warm_construction_agree(self):
+        clear_memo()
+        cold_jet, cold_res = self._gss_family()
+        clear_memo()
+        # warm the table with neighbouring work before building again
+        family_solution(-1, 2).jet()
+        substitute(gss_preset().delta, family_solution(Fraction(-1, 2), 1).jet())
+        warm_jet, warm_res = self._gss_family()
+        clear_memo()
+        assert warm_jet == cold_jet
+        assert warm_res == cold_res
+        assert to_text(warm_res) == to_text(cold_res)
+        points = sample_in_region(1.0, 200, seed=5)
+        for name in cold_jet:
+            assert _values(warm_jet[name], points) == _values(cold_jet[name], points)
+        assert _values(warm_res, points) == _values(cold_res, points)
+
+    def test_second_jet_runs_no_constructor_body(self, monkeypatch):
+        sol = family_solution(Fraction(-5, 3), Fraction(2, 3))
+        clear_memo()
+        first = sol.jet()
+        runs = _record_body_runs(monkeypatch)
+        second = sol.jet()
+        clear_memo()
+        assert runs == []
+        assert all(second[k] is first[k] for k in first)
+
+    def test_jet_runs_each_body_once_per_distinct_call(self, monkeypatch):
+        sol = family_solution(Fraction(-5, 3), Fraction(2, 3))
+        clear_memo()
+        runs = _record_body_runs(monkeypatch)
+        sol.jet()
+        clear_memo()
+        assert {name for name, _ in runs} == set(_BODIES)
+        assert len(runs) == len(set(runs))
+
+    def test_clear_memo_empties_the_table(self):
+        mul(X, pow_(Y, 2))
+        assert expr._MEMO
+        clear_memo()
+        assert not expr._MEMO
+
+    def test_float_arguments_key_as_their_decimal(self):
+        clear_memo()
+        assert mul(0.1, X) == mul(Fraction(1, 10), X)
+        assert mul(Fraction(0.1), X) != mul(0.1, X)
+        clear_memo()
+
+    @pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+    def test_cold_and_warm_agree_on_generated_trees(self):
+        leaf = st.one_of(
+            st.sampled_from([X, Y, U, A]),
+            st.builds(lambda n, d: Num(Fraction(n, d)),
+                      st.integers(-6, 6), st.integers(1, 4)))
+        exponents = st.sampled_from([-2, -1, 2, 3, Fraction(1, 2), Fraction(-1, 2)]).map(num)
+        trees = st.recursive(leaf, lambda kids: st.one_of(
+            st.builds(mul, kids, kids),
+            st.builds(add, kids, kids),
+            st.builds(pow_, kids, exponents)), max_leaves=8)
+
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(trees, trees, exponents)
+        def check(e1, e2, p):
+            ops = (lambda: mul(e1, e2), lambda: add(e1, e2), lambda: pow_(e1, p),
+                   lambda: pow_(e1, e2), lambda: diff(e1, "x"),
+                   lambda: diff(mul(e1, e2), "y"))
+            cold = []
+            for op in ops:
+                clear_memo()
+                cold.append(op())
+            clear_memo()
+            simplify(e1), simplify(e2), diff(e2, "x"), diff(add(e1, e2), "y")
+            for _ in range(2):
+                warm = [op() for op in ops]
+                assert warm == cold
+                assert [to_text(w) for w in warm] == [to_text(c) for c in cold]
+            clear_memo()
+
+        check()

@@ -39,15 +39,6 @@ def _itoi(x, y, lam):
     return x1 / r2, y1 / r2
 
 
-class TestOrbitParams:
-    def test_zero_a_rejected(self):
-        from liesym import OrbitParams
-
-        with pytest.raises(ValueError):
-            OrbitParams(1.0, Fraction(0))
-        assert OrbitParams(0.5, Fraction(-1)).lam == 0.5
-
-
 class TestConformalFactor:
     def test_identity_at_zero(self):
         assert conformal_factor(1.0, 1.0, 0.0) == 1.0
