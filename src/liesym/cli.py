@@ -17,14 +17,21 @@ import functools
 import json
 import math
 import os
-import random
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
 from .errors import LiesymError
-from .expr import SampleSpec, clear_memo, equiv_numeric, eval_at, is_zero, to_text
+from .expr import (
+    RejectionSampler,
+    SampleSpec,
+    clear_memo,
+    equiv_numeric,
+    eval_at,
+    is_zero,
+    to_text,
+)
 from .family import (
     NAMED_FIELDS,
     PRESETS,
@@ -258,7 +265,7 @@ def _cmd_check_symmetry(args, out) -> int:
     report = {
         "command": "check-symmetry",
         "instance": label,
-        "parameters": {k: str(v) for k, v in inst.params().items()},
+        "parameters": inst.params_text(),
         "is_exceptional": inst.is_exceptional,
         "field": args.field,
         "samples": args.samples,
@@ -281,12 +288,10 @@ def _cmd_transform(args, out) -> int:
     equiv_report = None
     if args.samples > 0 and float(lam) > 0:
         geo = region(float(lam))
+        x_lo, x_hi, y_lo, y_hi = geo.bounding_box()
         spec = SampleSpec(
             count=args.samples, rel_tol=1e-12, seed=seed,
-            intervals={
-                "x": (geo.center2[0] - geo.radius, geo.center1[0] + geo.radius),
-                "y": (geo.center1[1] - geo.radius, geo.center1[1] + geo.radius),
-            },
+            intervals={"x": (x_lo, x_hi), "y": (y_lo, y_hi)},
             accept=lambda env: geo.membership(env["x"], env["y"]),
         )
         res = equiv_numeric(pushed.expr, family.expr, spec)
@@ -325,11 +330,7 @@ def _default_grid(args, solution_kind: str, lam: float) -> GridSpec:
                         args.nx, args.ny)
     if solution_kind == "base":
         return GridSpec(1.0, 2.0, -0.5, 0.5, args.nx, args.ny)
-    geo = region(lam)
-    return GridSpec(
-        geo.center2[0] - geo.radius, geo.center1[0] + geo.radius,
-        geo.center1[1] - geo.radius, geo.center1[1] + geo.radius,
-        args.nx, args.ny)
+    return GridSpec(*region(lam).bounding_box(), args.nx, args.ny)
 
 
 def _cmd_residual_grid(args, out) -> int:
@@ -345,7 +346,7 @@ def _cmd_residual_grid(args, out) -> int:
     report = {
         "command": "residual-grid",
         "instance": label,
-        "parameters": {k: str(v) for k, v in inst.params().items()},
+        "parameters": inst.params_text(),
         "solution": sol.label,
         "grid": {
             "x_min": grid.x_min, "x_max": grid.x_max,
@@ -385,15 +386,12 @@ def _cmd_region(args, out) -> int:
             "member": geo.membership(args.x, args.y),
         }
     if args.samples > 0:
-        rng = random.Random(_effective_seed(args))
         span = 1.2 * (geo.center1[0] + geo.radius)
-        mismatches = 0
-        for _ in range(args.samples):
-            x = rng.uniform(-span, span)
-            y = rng.uniform(geo.center1[1] - 1.2 * geo.radius,
-                            geo.center1[1] + 1.2 * geo.radius)
-            if geo.membership(x, y) != geo.xor_disks(x, y):
-                mismatches += 1
+        y_lo, y_hi = geo.center1[1] - 1.2 * geo.radius, geo.center1[1] + 1.2 * geo.radius
+        mismatches = sum(RejectionSampler(
+            args.samples, _effective_seed(args),
+            lambda rng: (rng.uniform(-span, span), rng.uniform(y_lo, y_hi)),
+            lambda point: geo.membership(*point) != geo.xor_disks(*point)))
         report["xor_check"] = {"samples": args.samples, "mismatches": mismatches}
         ok = mismatches == 0
     _print_report(report, out, args.output)
@@ -411,7 +409,7 @@ def _cmd_reduce(args, out) -> int:
     report = {
         "command": "reduce",
         "instance": label,
-        "parameters": {k: str(v) for k, v in inst.params().items()},
+        "parameters": inst.params_text(),
         "reduced": to_text(reduced.expr),
         "ode_a": to_text(ode_a),
         "ode_b": to_text(ode_b),

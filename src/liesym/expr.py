@@ -824,7 +824,63 @@ def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
 
 
 # ---------------------------------------------------------------------------
-# randomized equivalence testing
+# randomized identity testing
+
+
+@dataclass
+class RejectionSampler:
+    """Seeded rejection sampling behind every sampled verdict: iterating
+    yields ``evaluate(draw(rng))`` for ``count`` accepted points, in draw
+    order, so a caller may stop early.  None or DomainError from
+    ``evaluate`` redraws the point; ``resampled`` counts the redraws of
+    the last iteration, and redraw number ``10 * count`` raises
+    SamplingError."""
+
+    count: int
+    seed: int
+    draw: Callable[[random.Random], object]
+    evaluate: Callable[[object], object]
+    resampled: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError("need at least one sample")
+
+    def __iter__(self):
+        rng = random.Random(self.seed)
+        self.resampled = 0
+        accepted = 0
+        while accepted < self.count:
+            try:
+                value = self.evaluate(self.draw(rng))
+            except DomainError:
+                value = None
+            if value is None:
+                self.resampled += 1
+                if self.resampled >= 10 * self.count:
+                    raise SamplingError(f"exceeded retry budget ({10 * self.count}) "
+                                        f"after {accepted}/{self.count} samples")
+                continue
+            accepted += 1
+            yield value
+
+
+def cancellation_terms(e: Expr) -> tuple[Expr, ...]:
+    """The top-level terms of a residual, whose values ``normalized_sum`` takes."""
+    return e.terms if isinstance(e, Sum) else (e,)
+
+
+def normalized_sum(values: Iterable[float]) -> float:
+    """Signed sum of term values over (1 + the largest term magnitude)."""
+    total = 0.0
+    scale = 0.0
+    for value in values:
+        total += value
+        scale = max(scale, abs(value))
+    return total / (1.0 + scale)
+
+
+_DEFAULT_INTERVAL = (0.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -840,13 +896,8 @@ class SampleSpec:
     count: int = 64
     rel_tol: float = 1e-9
     seed: int = 0
-    default_interval: tuple[float, float] = (0.5, 2.0)
     intervals: Mapping[str, tuple[float, float]] = field(default_factory=dict)
     accept: Callable[[dict[str, float]], bool] | None = None
-    max_attempts_factor: int = 10
-
-    def interval(self, name: str) -> tuple[float, float]:
-        return self.intervals.get(name, self.default_interval)
 
 
 @dataclass(frozen=True)
@@ -865,32 +916,24 @@ def equiv_numeric(e1: Expr, e2: Expr, spec: SampleSpec | None = None) -> EquivRe
 
     True iff |e1 - e2| <= tol * (1 + max(|e1|, |e2|)) at every sampled
     point; the first failing environment is returned as a witness.
-    Domain errors trigger a resample, up to ``max_attempts_factor * count``
-    attempts in total.
+    Points outside ``accept`` or the real domain are redrawn.
     """
     spec = spec or SampleSpec()
     names = sorted(e1.free_symbols() | e2.free_symbols())
-    rng = random.Random(spec.seed)
-    good = 0
-    attempts = 0
-    budget = spec.max_attempts_factor * spec.count
-    while good < spec.count and attempts < budget:
-        attempts += 1
-        env = {n: rng.uniform(*spec.interval(n)) for n in names}
+
+    def draw(rng):
+        return {n: rng.uniform(*spec.intervals.get(n, _DEFAULT_INTERVAL)) for n in names}
+
+    def evaluate(env):
         if spec.accept is not None and not spec.accept(env):
-            continue
-        try:
-            v1 = eval_at(e1, env)
-            v2 = eval_at(e2, env)
-        except DomainError:
-            continue
-        good += 1
+            return None
+        return env, eval_at(e1, env), eval_at(e2, env)
+
+    samples = RejectionSampler(spec.count, spec.seed, draw, evaluate)
+    for good, (env, v1, v2) in enumerate(samples, 1):
         if abs(v1 - v2) > spec.rel_tol * (1.0 + max(abs(v1), abs(v2))):
             return EquivResult(False, good, env, (v1, v2))
-    if good < spec.count:
-        raise SamplingError(
-            f"only {good}/{spec.count} valid samples in {attempts} attempts")
-    return EquivResult(True, good)
+    return EquivResult(True, spec.count)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,23 @@ is the Grad-Schlueter-Shafranov form used as the "gss" preset.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, SamplingError
-from .expr import Expr, Num, Sum, add, as_expr, eval_at, mul, num, pow_, sym
+from .expr import (
+    Expr,
+    Num,
+    RejectionSampler,
+    add,
+    as_expr,
+    cancellation_terms,
+    eval_at,
+    mul,
+    normalized_sum,
+    num,
+    pow_,
+    sym,
+)
 from .jets import (
     JetPoint,
     VectorField,
@@ -33,19 +44,6 @@ _UX = sym("ux")
 _UXX = sym("uxx")
 _UYY = sym("uyy")
 _A = sym("a")
-
-
-def as_fraction(value) -> Fraction:
-    """Exact rational from int/Fraction/decimal string/float literal."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
 def family_residual(a, r, c1, c2, gamma1, gamma2) -> Expr:
@@ -64,8 +62,8 @@ def family_residual(a, r, c1, c2, gamma1, gamma2) -> Expr:
 def exceptional_exponents(a, r) -> tuple[Fraction, Fraction]:
     """Exponent pair admitting the exceptional symmetry, exact in
     rational arithmetic: c1 = 1 + 2(r+2)/a and c2 = 1 + 4/a."""
-    a = as_fraction(a)
-    r = as_fraction(r)
+    a = num(a).value
+    r = num(r).value
     if a == 0:
         raise ValueError("parameter a must be nonzero")
     return 1 + 2 * (r + 2) / a, 1 + Fraction(4) / a
@@ -86,18 +84,17 @@ class PDEInstance:
         ec1, ec2 = exceptional_exponents(self.a, self.r)
         return self.c1 == ec1 and self.c2 == ec2
 
-    def params(self) -> dict[str, Fraction]:
-        return {
-            "a": self.a, "r": self.r, "c1": self.c1, "c2": self.c2,
-            "gamma1": self.gamma1, "gamma2": self.gamma2,
-        }
+    def params_text(self) -> dict[str, str]:
+        """The parameters as exact strings, in the order reports print them."""
+        return {name: str(getattr(self, name))
+                for name in ("a", "r", "c1", "c2", "gamma1", "gamma2")}
 
 
 def build_instance(a, r, c1, c2, gamma1, gamma2) -> PDEInstance:
-    a = as_fraction(a)
+    a = num(a).value
     if a == 0:
         raise ValueError("parameter a must be nonzero")
-    r, c1, c2, gamma1, gamma2 = map(as_fraction, (r, c1, c2, gamma1, gamma2))
+    r, c1, c2, gamma1, gamma2 = (num(v).value for v in (r, c1, c2, gamma1, gamma2))
     delta = family_residual(a, r, c1, c2, gamma1, gamma2)
     return PDEInstance(a, r, c1, c2, gamma1, gamma2, delta)
 
@@ -184,44 +181,24 @@ def check_onshell_symmetry(
 
     At each seeded random jet point, uyy is eliminated through the
     residual and the prolonged field applied to the residual is
-    evaluated there.  Each value is normalized by the magnitude of the
-    largest single term, since the terms cancel catastrophically when
-    the symmetry holds.  All samples below ``tol`` means admitted; at
-    least one above ``refute_threshold`` means refuted; anything in
-    between is reported as inconclusive.
+    evaluated there as the ``normalized_sum`` of its terms, since they
+    cancel catastrophically when the symmetry holds.  All samples below
+    ``tol`` means admitted; at least one above ``refute_threshold``
+    means refuted; anything in between is reported as inconclusive.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
     bound = vf.bind(a=inst.a) if "a" in (
         vf.xi1.free_symbols() | vf.xi2.free_symbols() | vf.phi.free_symbols()
     ) else vf
-    applied = apply_prolonged(prolong2(bound), inst.delta)
-    terms = applied.terms if isinstance(applied, Sum) else (applied,)
+    terms = cancellation_terms(apply_prolonged(prolong2(bound), inst.delta))
 
-    rng = random.Random(seed)
+    def evaluate(env):
+        env["uyy"] = solve_uyy(inst, env)
+        return env, abs(normalized_sum([eval_at(t, env) for t in terms]))
+
+    samples = RejectionSampler(n_samples, seed, sample_jet_env, evaluate)
     worst = None
     worst_val = -1.0
-    good = 0
-    resampled = 0
-    budget = 10 * n_samples
-    while good < n_samples:
-        if resampled >= budget:
-            raise SamplingError(
-                f"exceeded retry budget ({budget}) while sampling jet points")
-        env = sample_jet_env(rng)
-        try:
-            env["uyy"] = solve_uyy(inst, env)
-            values = [eval_at(t, env) for t in terms]
-        except DomainError:
-            resampled += 1
-            continue
-        good += 1
-        total = 0.0
-        scale = 0.0
-        for value in values:
-            total += value
-            scale = max(scale, abs(value))
-        rel = abs(total) / (1.0 + scale)
+    for env, rel in samples:
         if rel > worst_val:
             worst_val = rel
             worst = JetPoint(**env)
@@ -235,7 +212,7 @@ def check_onshell_symmetry(
         admitted=status == "admitted",
         status=status,
         max_onshell_residual=worst_val,
-        sample_count=good,
+        sample_count=n_samples,
         worst_point=worst,
-        resampled=resampled,
+        resampled=samples.resampled,
     )

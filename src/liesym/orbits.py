@@ -16,7 +16,6 @@ centered at (+-1/(2 lam), -1/(2 lam)).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -25,19 +24,21 @@ from .errors import DomainError, SingularPointError
 from .expr import (
     Expr,
     Num,
-    Sum,
+    RejectionSampler,
     add,
     as_expr,
+    cancellation_terms,
     diff,
     eval_at,
     mul,
+    normalized_sum,
     num,
     pow_,
     substitute,
     sym,
     to_callable,
 )
-from .family import PDEInstance, as_fraction, scaling_vf
+from .family import PDEInstance, scaling_vf
 from .jets import characteristic
 
 _X = sym("x")
@@ -96,6 +97,11 @@ class RegionGeometry:
         in2 = math.hypot(x - self.center2[0], y - self.center2[1]) < self.radius
         return in1 != in2
 
+    def bounding_box(self) -> tuple[float, float, float, float]:
+        """(x_min, x_max, y_min, y_max) of the two disks, in GridSpec order."""
+        return (self.center2[0] - self.radius, self.center1[0] + self.radius,
+                self.center1[1] - self.radius, self.center1[1] + self.radius)
+
 
 def region(lam: float) -> RegionGeometry:
     if not lam > 0:
@@ -140,17 +146,17 @@ def base_solution(a, extended: bool = False) -> ClosedFormSolution:
     to widen the domain to the whole plane (positive integer exponent)
     or the plane minus the lines x = +-y (negative integer exponent).
     """
-    if not isinstance(a, Expr) and as_fraction(a) == 0:
+    if not isinstance(a, Expr) and num(a).value == 0:
         raise ValueError("parameter a must be nonzero")
     expr = pow_(add(pow_(_X, num(2)), mul(num(-1), pow_(_Y, num(2)))), _power_exponent(a))
     domain: Callable[[float, float], bool] = lambda x, y: x * x - y * y > 0.0
     if extended and not isinstance(a, Expr):
-        exponent = -as_fraction(a) / 4
+        exponent = -num(a).value / 4
         if exponent.denominator == 1 and exponent > 0:
             domain = lambda x, y: True
         elif exponent.denominator == 1:
             domain = lambda x, y: x * x != y * y
-    return ClosedFormSolution(expr, domain, "base", a if isinstance(a, Expr) else as_fraction(a))
+    return ClosedFormSolution(expr, domain, "base", a if isinstance(a, Expr) else num(a).value)
 
 
 def family_solution(a, lam) -> ClosedFormSolution:
@@ -160,7 +166,7 @@ def family_solution(a, lam) -> ClosedFormSolution:
     algebraic membership test (the geometry is the lam > 0 picture
     mirrored in y).
     """
-    if not isinstance(a, Expr) and as_fraction(a) == 0:
+    if not isinstance(a, Expr) and num(a).value == 0:
         raise ValueError("parameter a must be nonzero")
     lam_expr = as_expr(lam)
     b = substitute(_B_EXPR, {"lam": lam_expr})
@@ -175,7 +181,7 @@ def family_solution(a, lam) -> ClosedFormSolution:
             bb = y + _l * (x * x + y * y)
             return (x - bb) * (x + bb) > 0.0
     return ClosedFormSolution(expr, domain, f"family(lam={lam_f})",
-                              a if isinstance(a, Expr) else as_fraction(a))
+                              a if isinstance(a, Expr) else num(a).value)
 
 
 def transform_solution(sol: ClosedFormSolution, lam, a=None) -> ClosedFormSolution:
@@ -207,7 +213,7 @@ def transform_solution(sol: ClosedFormSolution, lam, a=None) -> ClosedFormSoluti
         return old_domain(x / c, (y + _l * (x * x + y * y)) / c)
 
     return ClosedFormSolution(expr, domain, f"pushforward(lam={lam_f}) of {sol.label}",
-                              a if isinstance(a, Expr) else as_fraction(a))
+                              a if isinstance(a, Expr) else num(a).value)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +255,10 @@ class ResidualField:
 
     ``us`` and ``residuals`` hold one entry per node, row-major (y outer,
     then x, over ``grid.ys()`` and ``grid.xs()``).  ``residual`` at each
-    in-domain node is the residual value divided by (1 + magnitude of its
-    largest single term): the terms cancel to zero on a true solution but
-    grow without bound toward the region boundary, so the raw difference
-    alone is not meaningful there.  Nodes outside the solution's domain
-    are masked: both entries are None.
+    in-domain node is the ``normalized_sum`` of the residual's terms,
+    which cancel on a true solution but grow without bound toward the
+    region boundary.  Nodes outside the solution's domain are masked:
+    both entries are None.
     """
 
     grid: GridSpec
@@ -270,8 +275,7 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec) ->
     residual is a genuine failure of the solution, not discretization
     error.
     """
-    substituted = substitute(inst.delta, sol.jet())
-    terms = substituted.terms if isinstance(substituted, Sum) else (substituted,)
+    terms = cancellation_terms(substitute(inst.delta, sol.jet()))
     term_fns = [to_callable(t, ("x", "y")) for t in terms]
     u_fn = to_callable(sol.expr, ("x", "y"))
     domain = sol.domain
@@ -295,12 +299,7 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec) ->
                 us.append(None)
                 residuals.append(None)
                 continue
-            total = 0.0
-            scale = 0.0
-            for value in values:
-                total += value
-                scale = max(scale, abs(value))
-            res = total / (1.0 + scale)
+            res = normalized_sum(values)
             us.append(u_val)
             residuals.append(res)
             count += 1
@@ -386,7 +385,7 @@ def scaling_invariance_residual(a) -> Expr:
     """Characteristic of the scaling field evaluated on the jet of the
     power solution; identically zero (structurally, after explicit
     expansion) for symbolic a."""
-    vf = scaling_vf() if isinstance(a, Expr) else scaling_vf().bind(a=as_fraction(a))
+    vf = scaling_vf() if isinstance(a, Expr) else scaling_vf().bind(a=num(a).value)
     q = characteristic(vf)
     jet = base_solution(a).jet()
     return substitute(q, {"u": jet["u"], "ux": jet["ux"], "uy": jet["uy"]})
@@ -395,19 +394,8 @@ def scaling_invariance_residual(a) -> Expr:
 def sample_in_region(lam: float, count: int, seed: int) -> list[tuple[float, float]]:
     """Seeded rejection sampling of points inside the two-disk region."""
     geo = region(lam)
-    rng = random.Random(seed)
-    x_lo = geo.center2[0] - geo.radius
-    x_hi = geo.center1[0] + geo.radius
-    y_lo = geo.center1[1] - geo.radius
-    y_hi = geo.center1[1] + geo.radius
-    out: list[tuple[float, float]] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 1000 * count:
-            raise RuntimeError("region sampling failed to converge")
-        x = rng.uniform(x_lo, x_hi)
-        y = rng.uniform(y_lo, y_hi)
-        if geo.membership(x, y):
-            out.append((x, y))
-    return out
+    x_lo, x_hi, y_lo, y_hi = geo.bounding_box()
+    return list(RejectionSampler(
+        count, seed,
+        lambda rng: (rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)),
+        lambda point: point if geo.membership(*point) else None))

@@ -17,16 +17,16 @@ symmetry, and reports the two routes together.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ReductionError, SamplingError
+from .errors import ReductionError
 from .expr import (
     Expr,
     Num,
     Power,
     Product,
+    RejectionSampler,
     Sum,
     Sym,
     add,
@@ -41,7 +41,7 @@ from .expr import (
     sym,
     to_text,
 )
-from .family import PDEInstance, as_fraction, exceptional_vf, rotation_like_vf
+from .family import PDEInstance, exceptional_vf, rotation_like_vf
 from .jets import UX, UY, X, Y, apply_prolonged, prolong2, sample_jet_env
 
 _S = sym("s")
@@ -151,7 +151,7 @@ def candidate_profile(a) -> tuple[Expr, object, object]:
         g1 = mul(Num(Fraction(1, 2)), a, add(a, num(4)))
         g2 = mul(Num(Fraction(-1, 4)), a, add(mul(num(3), a), num(4)))
         return v, g1, g2
-    a = as_fraction(a)
+    a = num(a).value
     if a == 0:
         raise ValueError("parameter a must be nonzero")
     v = pow_(_S, Num(-a / 4))
@@ -267,30 +267,20 @@ def restricted_eval(
     to a joint linear solve, needed when the constraints are coupled in
     their elimination symbols.
     """
-    rng = random.Random(seed)
     solver = _solve_simultaneous if simultaneous else _solve_sequential
-    good = 0
-    resampled = 0
-    budget = 10 * n_samples
+
+    def evaluate(env):
+        if not solver(system, env, coeff_floor):
+            return None
+        return abs(eval_at(target, env))
+
+    samples = RejectionSampler(n_samples, seed, sample_jet_env, evaluate)
     max_abs = 0.0
     total = 0.0
-    while good < n_samples:
-        if resampled >= budget:
-            raise SamplingError(
-                f"exceeded retry budget ({budget}) during restricted evaluation")
-        env = sample_jet_env(rng)
-        try:
-            if not solver(system, env, coeff_floor):
-                resampled += 1
-                continue
-            value = abs(eval_at(target, env))
-        except DomainError:
-            resampled += 1
-            continue
-        good += 1
+    for value in samples:
         total += value
         max_abs = max(max_abs, value)
-    return RestrictedEvalResult(max_abs, total / good, good, resampled)
+    return RestrictedEvalResult(max_abs, total / n_samples, n_samples, samples.resampled)
 
 
 def invariance_condition() -> Expr:
@@ -368,7 +358,7 @@ class WeakCSReport:
 
     def to_dict(self) -> dict:
         return {
-            "instance": {k: str(val) for k, val in self.instance.params().items()},
+            "instance": self.instance.params_text(),
             "is_exceptional": self.instance.is_exceptional,
             "exceptional_field_onshell_max": self.exceptional_onshell.max_abs,
             "stages": [s.to_dict() for s in self.stages],

@@ -383,6 +383,33 @@ class TestGoldenBytes:
         assert run_cli(["weak-cs", "--preset", "gss", "--samples", "60"])[0] == 0
         self._check(argv, code, csv_sha, report_sha)
 
+    # sha256 of the report minus its timestamp line for the commands that
+    # sample, recorded before the sampling loops shared one sampler: each
+    # must keep its draw order, accumulation order and resample counts
+    SAMPLING_CASES = [
+        (["check-symmetry", "--preset", "gss", "--field", "X"], 0,
+         "f736fd2a3a76c88d3fd2401e231db0b8c4f5bce38ddefe0d27abc220263fa383"),
+        (["check-symmetry", "--a", "-1", "--r", "2", "--c1", "-6.9", "--c2", "-3",
+          "--gamma1", "-1.5", "--gamma2", "0.25"], 1,
+         "04de4286a0b9c30ddb4a84784295392a5a0e3e309a5308696b304d15e5f46a1b"),
+        (["transform", "--a", "-1", "--lambda", "1", "--x", "0.5", "--y", "-0.5"], 0,
+         "5784efbe5ddb57b4169db1852131dfa5a5b381bfda33022cfe1c819ed348d29c"),
+        (["region", "--lambda", "1", "--samples", "10000"], 0,
+         "d9f46cdf8d0380b1cfcc64a0fac151d3ade40e9818bf66083c522b7f406e01d4"),
+        (["weak-cs", "--preset", "gss"], 0,
+         "3d9fa3688a180217e90b17166481e87549676064c1eff9d183a5dd4dcb6d64a0"),
+        (["weak-cs", "--preset", "gss", "--consequences"], 0,
+         "8b01bffe76fdcba112a0d684ecb7c2aceaf0c5df4174fbf90f7ff04671847371"),
+    ]
+
+    @pytest.mark.parametrize("argv,code,report_sha", SAMPLING_CASES, ids=[
+        "check-symmetry-gss", "check-symmetry-refuted", "transform", "region",
+        "weak-cs", "weak-cs-consequences"])
+    def test_sampling_report_bytes(self, argv, code, report_sha):
+        got, out, _ = run_cli(argv)
+        assert got == code
+        assert hashlib.sha256(strip_timestamp(out).encode()).hexdigest() == report_sha
+
     @staticmethod
     def _check(argv, code, csv_sha, report_sha):
         got, out, _ = run_cli(argv)

@@ -1,0 +1,183 @@
+"""The one seeded rejection sampler behind every sampled verdict: its
+redraw budget, its refusal of empty sample counts, the error every
+exhausted budget raises, and a guard that no second sampling loop
+creeps back into the package."""
+
+import ast
+import random
+from pathlib import Path
+
+import pytest
+
+from liesym import (
+    ConstraintSystem,
+    DomainError,
+    SampleSpec,
+    SamplingError,
+    equiv_numeric,
+    exceptional_vf,
+    gss_preset,
+    parse,
+    restricted_eval,
+    check_onshell_symmetry,
+    family,
+    orbits,
+    reduction,
+    sample_in_region,
+)
+from liesym.expr import RejectionSampler
+
+from test_cli import run_cli
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "liesym"
+
+
+class TestRejectionSampler:
+    def test_yields_accepted_values_in_draw_order(self):
+        sampler = RejectionSampler(5, 3, lambda rng: rng.random(),
+                                   lambda v: v if v > 0.5 else None)
+        rng = random.Random(3)
+        draws = [rng.random() for _ in range(100)]
+        expected = [v for v in draws if v > 0.5][:5]
+        assert list(sampler) == expected
+        assert sampler.resampled == draws.index(expected[-1]) + 1 - 5
+
+    def test_domain_error_redraws(self):
+        calls = []
+
+        def evaluate(v):
+            calls.append(v)
+            if len(calls) % 2:
+                raise DomainError("outside")
+            return v
+
+        sampler = RejectionSampler(3, 0, lambda rng: rng.random(), evaluate)
+        assert len(list(sampler)) == 3
+        assert sampler.resampled == 3
+
+    def test_caller_may_stop_early(self):
+        draws = []
+
+        def draw(rng):
+            draws.append(rng.random())
+            return draws[-1]
+
+        for _ in zip(range(4), RejectionSampler(1000, 1, draw, lambda v: v)):
+            pass
+        assert len(draws) == 4
+
+    def test_budget_is_ten_times_count_in_redraws(self):
+        def rejecting_first(n):
+            seen = []
+
+            def evaluate(v):
+                seen.append(v)
+                return v if len(seen) > n else None
+            return evaluate
+
+        ok = RejectionSampler(2, 0, lambda rng: 1.0, rejecting_first(19))
+        assert list(ok) == [1.0, 1.0]
+        assert ok.resampled == 19
+        exhausted = RejectionSampler(2, 0, lambda rng: 1.0, rejecting_first(20))
+        with pytest.raises(SamplingError, match=r"retry budget \(20\)"):
+            list(exhausted)
+        assert exhausted.resampled == 20
+
+
+def _onshell(n):
+    return check_onshell_symmetry(exceptional_vf(), gss_preset(), n_samples=n)
+
+
+def _restricted(n, coeff_floor=1e-6):
+    gss = gss_preset()
+    return restricted_eval(gss.delta, ConstraintSystem((gss.delta,), ("uyy",)),
+                           n_samples=n, coeff_floor=coeff_floor)
+
+
+def _equiv(n, accept=None):
+    return equiv_numeric(parse("x"), parse("x + 1"), SampleSpec(count=n, accept=accept))
+
+
+ENTRY_POINTS = {
+    "sampler": lambda n: list(RejectionSampler(n, 0, lambda rng: 1.0, lambda v: v)),
+    "check_onshell_symmetry": _onshell,
+    "restricted_eval": _restricted,
+    "equiv_numeric": _equiv,
+    "sample_in_region": lambda n: sample_in_region(1.0, n, seed=0),
+}
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_counts_below_one_are_refused(entry, count):
+    # no samples is no evidence: equiv_numeric used to call x and x+1 equal
+    # and restricted_eval divided by zero
+    with pytest.raises(ValueError, match="at least one sample"):
+        ENTRY_POINTS[entry](count)
+
+
+def _x_at_zero(monkeypatch, module):
+    real = module.sample_jet_env
+    monkeypatch.setattr(module, "sample_jet_env", lambda rng: {**real(rng), "x": 0.0})
+
+
+class TestExhaustedBudget:
+    """An acceptance test that never holds ends in SamplingError, a
+    LiesymError the CLI reports with exit 1."""
+
+    def test_check_onshell_symmetry(self, monkeypatch):
+        _x_at_zero(monkeypatch, family)  # a/x leaves the real domain
+        with pytest.raises(SamplingError):
+            _onshell(5)
+
+    def test_restricted_eval(self):
+        with pytest.raises(SamplingError):
+            _restricted(5, coeff_floor=float("inf"))
+
+    def test_equiv_numeric(self):
+        with pytest.raises(SamplingError):
+            _equiv(5, accept=lambda env: False)
+
+    def test_sample_in_region(self, monkeypatch):
+        monkeypatch.setattr(orbits.RegionGeometry, "membership", lambda self, x, y: False)
+        with pytest.raises(SamplingError):
+            sample_in_region(1.0, 5, seed=0)
+
+    @pytest.mark.parametrize("argv,module", [
+        (["check-symmetry", "--preset", "gss", "--samples", "5"], family),
+        (["weak-cs", "--preset", "gss", "--samples", "5"], reduction),
+    ], ids=["check-symmetry", "weak-cs"])
+    def test_cli_exits_one(self, argv, module, monkeypatch):
+        _x_at_zero(monkeypatch, module)
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert "retry budget" in err
+
+    def test_cli_transform_exits_one(self, monkeypatch):
+        monkeypatch.setattr(orbits.RegionGeometry, "membership", lambda self, x, y: False)
+        code, out, err = run_cli(["transform", "--lambda", "1", "--samples", "5"])
+        assert (code, out) == (1, "")
+        assert "retry budget" in err
+
+
+def test_one_seeded_generator_in_the_package():
+    """random.Random is built in one place, the shared sampler, so every
+    sampled verdict has the same redraw rule and budget."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                scopes[child] = node
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                    "random.Random", "Random"):
+                owner = []
+                parent = scopes.get(node)
+                while parent is not None:
+                    if isinstance(parent, (ast.FunctionDef, ast.ClassDef)):
+                        owner.append(parent.name)
+                    parent = scopes.get(parent)
+                sites.append((path.name, ".".join(reversed(owner))))
+    assert sites == [("expr.py", "RejectionSampler.__iter__")]
