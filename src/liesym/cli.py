@@ -286,13 +286,18 @@ def _cmd_transform(args, out) -> int:
     structural = pushed.expr == family.expr
 
     equiv_report = None
-    if args.samples > 0 and float(lam) > 0:
-        geo = region(float(lam))
+    if args.samples > 0 and lam != 0:
+        # the lam < 0 region is the |lam| region mirrored in y
+        geo = region(abs(float(lam)))
         x_lo, x_hi, y_lo, y_hi = geo.bounding_box()
+        mirror = 1.0
+        if lam < 0:
+            mirror = -1.0
+            y_lo, y_hi = -y_hi, -y_lo
         spec = SampleSpec(
             count=args.samples, rel_tol=1e-12, seed=seed,
             intervals={"x": (x_lo, x_hi), "y": (y_lo, y_hi)},
-            accept=lambda env: geo.membership(env["x"], env["y"]),
+            accept=lambda env: geo.membership(env["x"], mirror * env["y"]),
         )
         res = equiv_numeric(pushed.expr, family.expr, spec)
         equiv_report = {"equivalent": res.equivalent, "samples": res.samples}

@@ -772,15 +772,23 @@ def eval_at(e: Expr, env: Mapping[str, float]) -> float:
 def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     """Compile to a positional-argument Python function.
 
-    Same real-power semantics as ``eval_at`` (raises DomainError off
-    domain); used on hot paths such as grid evaluation.
+    Used wherever one expression is evaluated at many points: residual
+    grids and every sampled verdict.
 
     The body is straight-line code with one assignment per distinct
     compound subexpression, in the order a left-to-right walk of the tree
     first meets them, so a subtree that occurs many times is computed
     once.  Each assignment keeps its node's operand order and its
-    ``_pow``/``_log`` call, so results are bit-identical to evaluating
-    the tree and the first DomainError is raised on the same inputs.
+    ``_pow``/``_log`` call, so every finite result is bit-identical to
+    ``eval_at``.  Off the real domain (a fractional power of a negative
+    base, 0 to a negative power, the log of a non-positive value, an
+    overflowing power) it raises DomainError as ``eval_at`` does.  A
+    product that overflows is the one difference: ``eval_at`` raises
+    DomainError, the compiled product is ``inf`` (and whatever the
+    sums and powers above it make of that).  So every consumer of a
+    compiled value treats a non-finite value as off the domain:
+    ``normalized_sum`` raises DomainError for one, and the sampled
+    verdicts redraw the point.
     """
     names = list(arg_names)
     missing = e.free_symbols() - set(names)
@@ -871,13 +879,19 @@ def cancellation_terms(e: Expr) -> tuple[Expr, ...]:
 
 
 def normalized_sum(values: Iterable[float]) -> float:
-    """Signed sum of term values over (1 + the largest term magnitude)."""
+    """Signed sum of term values over (1 + the largest term magnitude).
+
+    A non-finite result (an infinite or NaN term, or a sum that
+    overflows) raises DomainError: the point is off the domain."""
     total = 0.0
     scale = 0.0
     for value in values:
         total += value
         scale = max(scale, abs(value))
-    return total / (1.0 + scale)
+    result = total / (1.0 + scale)
+    if not math.isfinite(result):
+        raise DomainError("non-finite cancellation sum")
+    return result
 
 
 _DEFAULT_INTERVAL = (0.5, 2.0)
@@ -916,10 +930,13 @@ def equiv_numeric(e1: Expr, e2: Expr, spec: SampleSpec | None = None) -> EquivRe
 
     True iff |e1 - e2| <= tol * (1 + max(|e1|, |e2|)) at every sampled
     point; the first failing environment is returned as a witness.
-    Points outside ``accept`` or the real domain are redrawn.
+    Points outside ``accept`` or the real domain, and points where
+    either side is not finite, are redrawn.
     """
     spec = spec or SampleSpec()
     names = sorted(e1.free_symbols() | e2.free_symbols())
+    f1 = to_callable(e1, names)
+    f2 = to_callable(e2, names)
 
     def draw(rng):
         return {n: rng.uniform(*spec.intervals.get(n, _DEFAULT_INTERVAL)) for n in names}
@@ -927,7 +944,12 @@ def equiv_numeric(e1: Expr, e2: Expr, spec: SampleSpec | None = None) -> EquivRe
     def evaluate(env):
         if spec.accept is not None and not spec.accept(env):
             return None
-        return env, eval_at(e1, env), eval_at(e2, env)
+        point = [env[n] for n in names]
+        v1 = f1(*point)
+        v2 = f2(*point)
+        if not (math.isfinite(v1) and math.isfinite(v2)):
+            return None
+        return env, v1, v2
 
     samples = RejectionSampler(spec.count, spec.seed, draw, evaluate)
     for good, (env, v1, v2) in enumerate(samples, 1):

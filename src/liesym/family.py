@@ -12,6 +12,7 @@ is the Grad-Schlueter-Shafranov form used as the "gss" preset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,8 +29,10 @@ from .expr import (
     num,
     pow_,
     sym,
+    to_callable,
 )
 from .jets import (
+    JET_NAMES,
     JetPoint,
     VectorField,
     apply_prolonged,
@@ -180,9 +183,11 @@ def check_onshell_symmetry(
     manifold of an instance.
 
     At each seeded random jet point, uyy is eliminated through the
-    residual and the prolonged field applied to the residual is
-    evaluated there as the ``normalized_sum`` of its terms, since they
-    cancel catastrophically when the symmetry holds.  All samples below
+    residual (as in ``solve_uyy``) and the prolonged field applied to
+    the residual is evaluated there as the ``normalized_sum`` of its
+    terms, since they cancel catastrophically when the symmetry holds.
+    The residual and the terms are compiled once; a point where the
+    solved uyy or the sum is not finite is redrawn.  All samples below
     ``tol`` means admitted; at least one above ``refute_threshold``
     means refuted; anything in between is reported as inconclusive.
     """
@@ -190,10 +195,18 @@ def check_onshell_symmetry(
         vf.xi1.free_symbols() | vf.xi2.free_symbols() | vf.phi.free_symbols()
     ) else vf
     terms = cancellation_terms(apply_prolonged(prolong2(bound), inst.delta))
+    delta_fn = to_callable(inst.delta, JET_NAMES)
+    term_fns = [to_callable(t, JET_NAMES) for t in terms]
+    uyy_slot = JET_NAMES.index("uyy")
 
     def evaluate(env):
-        env["uyy"] = solve_uyy(inst, env)
-        return env, abs(normalized_sum([eval_at(t, env) for t in terms]))
+        point = [env[n] for n in JET_NAMES]
+        point[uyy_slot] = 0.0
+        uyy = -delta_fn(*point)
+        if not math.isfinite(uyy):
+            return None
+        env["uyy"] = point[uyy_slot] = uyy
+        return env, abs(normalized_sum([fn(*point) for fn in term_fns]))
 
     samples = RejectionSampler(n_samples, seed, sample_jet_env, evaluate)
     worst = None

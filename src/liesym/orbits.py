@@ -257,8 +257,9 @@ class ResidualField:
     then x, over ``grid.ys()`` and ``grid.xs()``).  ``residual`` at each
     in-domain node is the ``normalized_sum`` of the residual's terms,
     which cancel on a true solution but grow without bound toward the
-    region boundary.  Nodes outside the solution's domain are masked:
-    both entries are None.
+    region boundary.  Nodes outside the solution's domain, and nodes
+    where u or the residual leaves the real domain or is not finite,
+    are masked: both entries are None.
     """
 
     grid: GridSpec
@@ -293,13 +294,13 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec) ->
                 continue
             try:
                 u_val = u_fn(x, y)
-                values = [fn(x, y) for fn in term_fns]
+                res = normalized_sum([fn(x, y) for fn in term_fns])
             except DomainError:
-                # numerically outside the real domain (boundary roundoff)
+                # numerically outside the real domain (boundary roundoff),
+                # or a term too large to be finite
                 us.append(None)
                 residuals.append(None)
                 continue
-            res = normalized_sum(values)
             us.append(u_val)
             residuals.append(res)
             count += 1

@@ -17,6 +17,7 @@ symmetry, and reports the two routes together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from .expr import (
     Sym,
     add,
     diff,
-    eval_at,
+    eval_at,  # noqa: F401  (unused: perfbench/tracing.py patches reduction.eval_at)
     expand,
     is_zero,
     mul,
@@ -39,10 +40,11 @@ from .expr import (
     pow_,
     substitute,
     sym,
+    to_callable,
     to_text,
 )
 from .family import PDEInstance, exceptional_vf, rotation_like_vf
-from .jets import UX, UY, X, Y, apply_prolonged, prolong2, sample_jet_env
+from .jets import JET_NAMES, UX, UY, X, Y, apply_prolonged, prolong2, sample_jet_env
 
 _S = sym("s")
 _V = sym("v")
@@ -203,36 +205,37 @@ class RestrictedEvalResult:
         }
 
 
-def _solve_sequential(system: ConstraintSystem, env, coeff_floor) -> bool:
-    for constraint, name in zip(system.constraints, system.eliminations):
-        env0 = dict(env)
-        env0[name] = 0.0
-        b = eval_at(constraint, env0)
-        env0[name] = 1.0
-        coeff = eval_at(constraint, env0) - b
-        if abs(coeff) < coeff_floor:
+def _solve_sequential(fns, slots, point, coeff_floor) -> bool:
+    for fn, i in zip(fns, slots):
+        point[i] = 0.0
+        b = fn(*point)
+        point[i] = 1.0
+        coeff = fn(*point) - b
+        # coeff is finite only if b is, and a nonzero float difference
+        # with b is at least ~2^-54 |b|, so -b / coeff is finite too
+        if not math.isfinite(coeff) or abs(coeff) < coeff_floor:
             return False
-        env[name] = -b / coeff
+        point[i] = -b / coeff
     return True
 
 
-def _solve_simultaneous(system: ConstraintSystem, env, coeff_floor) -> bool:
+def _solve_simultaneous(fns, slots, point, coeff_floor) -> bool:
     """Joint affine solve (Gaussian elimination with partial pivoting) for
     constraint systems that no elimination order can triangularize."""
-    names = list(system.eliminations)
-    k = len(names)
-    zero = dict(env)
-    for n in names:
-        zero[n] = 0.0
+    k = len(slots)
+    for i in slots:
+        point[i] = 0.0
     rows = []
-    for constraint in system.constraints:
-        b = eval_at(constraint, zero)
+    for fn in fns:
+        b = fn(*point)
         row = []
-        for n in names:
-            probe = dict(zero)
-            probe[n] = 1.0
-            row.append(eval_at(constraint, probe) - b)
+        for i in slots:
+            point[i] = 1.0
+            row.append(fn(*point) - b)
+            point[i] = 0.0
         row.append(-b)
+        if not all(map(math.isfinite, row)):
+            return False
         rows.append(row)
     for col in range(k):
         pivot = max(range(col, k), key=lambda i: abs(rows[i][col]))
@@ -245,8 +248,10 @@ def _solve_simultaneous(system: ConstraintSystem, env, coeff_floor) -> bool:
             f = rows[i][col] / rows[col][col]
             if f != 0.0:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    for i, n in enumerate(names):
-        env[n] = rows[i][k] / rows[i][i]
+    for r, i in enumerate(slots):
+        point[i] = rows[r][k] / rows[r][r]
+        if not math.isfinite(point[i]):
+            return False
     return True
 
 
@@ -265,14 +270,24 @@ def restricted_eval(
     than ``coeff_floor`` discards the point).  Statistics of |target|
     over the surviving points are returned.  ``simultaneous`` switches
     to a joint linear solve, needed when the constraints are coupled in
-    their elimination symbols.
+    their elimination symbols.  The constraints and the target are
+    compiled once; a point where a solved symbol, a coefficient or the
+    target is not finite is discarded too.
     """
     solver = _solve_simultaneous if simultaneous else _solve_sequential
+    # elimination symbols outside jet space start unsolved (NaN)
+    extra = tuple(dict.fromkeys(n for n in system.eliminations if n not in JET_NAMES))
+    names = JET_NAMES + extra
+    fns = [to_callable(c, names) for c in system.constraints]
+    slots = [names.index(n) for n in system.eliminations]
+    target_fn = to_callable(target, names)
 
     def evaluate(env):
-        if not solver(system, env, coeff_floor):
+        point = [env[n] for n in JET_NAMES] + [math.nan] * len(extra)
+        if not solver(fns, slots, point, coeff_floor):
             return None
-        return abs(eval_at(target, env))
+        value = abs(target_fn(*point))
+        return value if math.isfinite(value) else None
 
     samples = RejectionSampler(n_samples, seed, sample_jet_env, evaluate)
     max_abs = 0.0

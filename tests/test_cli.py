@@ -410,6 +410,35 @@ class TestGoldenBytes:
         assert got == code
         assert hashlib.sha256(strip_timestamp(out).encode()).hexdigest() == report_sha
 
+    # sha256 of the report minus its timestamp line where eval_at raised
+    # DomainError on an overflowing product at some draws, recorded
+    # before the sampled verdicts evaluated compiled expressions (whose
+    # products overflow to inf instead): redrawing every point with a
+    # non-finite value must redraw exactly those points
+    OVERFLOW_INSTANCE = ["--a=-1", "--r=665", "--c1=1340", "--c2=2", "--gamma1=1", "--gamma2=1"]
+    OVERFLOW_CASES = [
+        (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "X"], 1,
+         "0147419c69f450ab5b57682459a30d48fd46895ba30edf58e56f9fec4d4a5091"),
+        (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "Xprime"], 1,
+         "b850ce6c10621602c03d5236e312febc0e5aca1e1b4893f96998ddeb72c8a10d"),
+        (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "Y"], 1,
+         "2ca056de53ddf45659420464a76b574bad51b1e2cad32dd006a251d5dde54701"),
+        (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "dy"], 0,
+         "802626aff2e5f1271171b887d3a12f90949b1fa3fd3b970049d2be372196e8f4"),
+        (["weak-cs", "--a=-1", "--r=2", "--c1=1340", "--c2=900", "--gamma1=1", "--gamma2=1",
+          "--samples", "40"], 1,
+         "bffe8cb5f10371913283240c17979a980bdea3fbddea4982b46bfe0df6bdd9a7"),
+    ]
+
+    @pytest.mark.parametrize("argv,code,report_sha", OVERFLOW_CASES, ids=[
+        "check-symmetry-X", "check-symmetry-Xprime", "check-symmetry-Y",
+        "check-symmetry-dy", "weak-cs"])
+    def test_overflow_report_bytes(self, argv, code, report_sha):
+        got, out, _ = run_cli(argv)
+        assert got == code
+        assert '"resampled": 0' not in out  # each run redraws overflowing points
+        assert hashlib.sha256(strip_timestamp(out).encode()).hexdigest() == report_sha
+
     @staticmethod
     def _check(argv, code, csv_sha, report_sha):
         got, out, _ = run_cli(argv)
