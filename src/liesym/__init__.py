@@ -58,7 +58,6 @@ from .family import (
     y_translation_vf,
 )
 from .jets import (
-    JetPoint,
     ProlongedVF,
     VectorField,
     apply_prolonged,
@@ -87,7 +86,6 @@ from .orbits import (
 from .parsing import parse
 from .reduction import (
     ConstraintSystem,
-    ReducedExpr,
     RestrictedEvalResult,
     WeakCSReport,
     auxiliary_constraint,

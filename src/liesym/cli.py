@@ -41,6 +41,7 @@ from .family import (
 )
 from .orbits import (
     GridSpec,
+    RegionGeometry,
     ResidualField,
     base_solution,
     conformal_factor,
@@ -234,79 +235,69 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None)
 
 
-def _effective_seed(args) -> int:
-    env = os.environ.get("LIESYM_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
-
-
 def _frac_fields(name: str, value: Fraction) -> dict:
     return {name: float(value), f"{name}_exact": str(value)}
 
 
-def _cmd_exponents(args, out) -> int:
+# Each handler takes the parsed arguments and the stdout sink and returns
+# the report fields after "command" together with whether the checked
+# property holds; ``run`` prints the report and picks the exit code.
+
+def _cmd_exponents(args, out) -> tuple[dict, bool]:
     c1, c2 = exceptional_exponents(args.a, args.r)
-    report = {"command": "exponents"}
-    report.update(_frac_fields("a", args.a))
-    report.update(_frac_fields("r", args.r))
-    report.update(_frac_fields("c1", c1))
-    report.update(_frac_fields("c2", c2))
-    _print_report(report, out, args.output)
-    return 0
+    return {**_frac_fields("a", args.a), **_frac_fields("r", args.r),
+            **_frac_fields("c1", c1), **_frac_fields("c2", c2)}, True
 
 
-def _cmd_check_symmetry(args, out) -> int:
+def _cmd_check_symmetry(args, out) -> tuple[dict, bool]:
     inst, label = _instance_from_args(args)
-    seed = _effective_seed(args)
     verdict = check_onshell_symmetry(
         NAMED_FIELDS[args.field](), inst,
-        n_samples=args.samples, tol=args.tol, seed=seed)
-    report = {
-        "command": "check-symmetry",
+        n_samples=args.samples, tol=args.tol, seed=args.seed)
+    return {
         "instance": label,
         "parameters": inst.params_text(),
         "is_exceptional": inst.is_exceptional,
         "field": args.field,
         "samples": args.samples,
-        "seed": seed,
+        "seed": args.seed,
         "tolerance": args.tol,
-    }
-    report.update(verdict.to_dict())
-    _print_report(report, out, args.output)
-    return 0 if verdict.admitted else 1
+        **verdict.to_dict(),
+    }, verdict.admitted
 
 
-def _cmd_transform(args, out) -> int:
-    seed = _effective_seed(args)
+def _family_region(lam: Fraction) -> tuple[RegionGeometry, float, tuple]:
+    """Where the family lives at lam != 0: the two-disk geometry of |lam|,
+    the sign that maps y into it (the lam < 0 region is the |lam| region
+    mirrored in y) and the bounding box of the family's own region."""
+    geo = region(abs(float(lam)))
+    x_lo, x_hi, y_lo, y_hi = geo.bounding_box()
+    if lam < 0:
+        return geo, -1.0, (x_lo, x_hi, -y_hi, -y_lo)
+    return geo, 1.0, (x_lo, x_hi, y_lo, y_hi)
+
+
+def _cmd_transform(args, out) -> tuple[dict, bool]:
     lam = args.lam
-    base = base_solution(args.a)
-    pushed = transform_solution(base, lam)
+    pushed = transform_solution(base_solution(args.a), lam)
     family = family_solution(args.a, lam)
     structural = pushed.expr == family.expr
 
     equiv_report = None
     if args.samples > 0 and lam != 0:
-        # the lam < 0 region is the |lam| region mirrored in y
-        geo = region(abs(float(lam)))
-        x_lo, x_hi, y_lo, y_hi = geo.bounding_box()
-        mirror = 1.0
-        if lam < 0:
-            mirror = -1.0
-            y_lo, y_hi = -y_hi, -y_lo
+        geo, mirror, (x_lo, x_hi, y_lo, y_hi) = _family_region(lam)
         spec = SampleSpec(
-            count=args.samples, rel_tol=1e-12, seed=seed,
+            count=args.samples, rel_tol=1e-12, seed=args.seed,
             intervals={"x": (x_lo, x_hi), "y": (y_lo, y_hi)},
             accept=lambda env: geo.membership(env["x"], mirror * env["y"]),
         )
         res = equiv_numeric(pushed.expr, family.expr, spec)
         equiv_report = {"equivalent": res.equivalent, "samples": res.samples}
 
-    report = {
-        "command": "transform",
+    fields = {
         "a": str(args.a),
         "lambda": str(lam),
-        "seed": seed,
+        "seed": args.seed,
         "transformed_expr": to_text(pushed.expr),
         "family_expr": to_text(family.expr),
         "structural_match": structural,
@@ -323,33 +314,35 @@ def _cmd_transform(args, out) -> int:
         }
         if in_dom:
             point["u"] = eval_at(pushed.expr, {"x": args.x, "y": args.y})
-        report["point"] = point
-    _print_report(report, out, args.output)
-    ok = structural and (equiv_report is None or equiv_report["equivalent"])
-    return 0 if ok else 1
+        fields["point"] = point
+    return fields, structural and (equiv_report is None or equiv_report["equivalent"])
 
 
-def _default_grid(args, solution_kind: str, lam: float) -> GridSpec:
+def _default_grid(args) -> GridSpec:
     if None not in (args.x_min, args.x_max, args.y_min, args.y_max):
         return GridSpec(args.x_min, args.x_max, args.y_min, args.y_max,
                         args.nx, args.ny)
-    if solution_kind == "base":
+    if args.solution == "base" or args.lam == 0:  # the family at lam = 0 is the base
         return GridSpec(1.0, 2.0, -0.5, 0.5, args.nx, args.ny)
-    return GridSpec(*region(lam).bounding_box(), args.nx, args.ny)
+    return GridSpec(*_family_region(args.lam)[2], args.nx, args.ny)
 
 
-def _cmd_residual_grid(args, out) -> int:
+def _cmd_residual_grid(args, out) -> tuple[dict, bool]:
     inst, label = _instance_from_args(args)
-    lam = float(args.lam)
     if args.solution == "base":
         sol = base_solution(inst.a)
     else:
         sol = family_solution(inst.a, args.lam)
-    grid = _default_grid(args, args.solution, lam)
+    grid = _default_grid(args)
     field = residual_grid(inst, sol, grid)
+    if args.output:
+        with open(args.output, "w") as fh:
+            emit_csv(field, fh)
+    else:
+        emit_csv(field, out)
 
-    report = {
-        "command": "residual-grid",
+    within = field.sup_norm is not None and field.sup_norm <= args.tol
+    return {
         "instance": label,
         "parameters": inst.params_text(),
         "solution": sol.label,
@@ -361,49 +354,37 @@ def _cmd_residual_grid(args, out) -> int:
         "in_domain_nodes": field.n_in_domain,
         "sup_residual": field.sup_norm,
         "tolerance": args.tol,
-        "within_tolerance": field.sup_norm is not None and field.sup_norm <= args.tol,
+        "within_tolerance": within,
         "csv_path": args.output,
-    }
-    if args.output:
-        with open(args.output, "w") as fh:
-            emit_csv(field, fh)
-        _print_report(report, out, None)
-    else:
-        emit_csv(field, out)
-        _print_report(report, out, None)
-    return 0 if report["within_tolerance"] else 1
+    }, within
 
 
-def _cmd_region(args, out) -> int:
-    lam = float(args.lam)
-    geo = region(lam)
-    report = {
-        "command": "region",
+def _cmd_region(args, out) -> tuple[dict, bool]:
+    geo = region(float(args.lam))
+    fields = {
         "lambda": str(args.lam),
         "center1": list(geo.center1),
         "center2": list(geo.center2),
         "radius": geo.radius,
     }
-    ok = True
     if args.x is not None and args.y is not None:
-        report["point"] = {
+        fields["point"] = {
             "x": args.x, "y": args.y,
             "member": geo.membership(args.x, args.y),
         }
+    mismatches = 0
     if args.samples > 0:
         span = 1.2 * (geo.center1[0] + geo.radius)
         y_lo, y_hi = geo.center1[1] - 1.2 * geo.radius, geo.center1[1] + 1.2 * geo.radius
         mismatches = sum(RejectionSampler(
-            args.samples, _effective_seed(args),
+            args.samples, args.seed,
             lambda rng: (rng.uniform(-span, span), rng.uniform(y_lo, y_hi)),
             lambda point: geo.membership(*point) != geo.xor_disks(*point)))
-        report["xor_check"] = {"samples": args.samples, "mismatches": mismatches}
-        ok = mismatches == 0
-    _print_report(report, out, args.output)
-    return 0 if ok else 1
+        fields["xor_check"] = {"samples": args.samples, "mismatches": mismatches}
+    return fields, mismatches == 0
 
 
-def _cmd_reduce(args, out) -> int:
+def _cmd_reduce(args, out) -> tuple[dict, bool]:
     inst, label = _instance_from_args(args)
     reduced = reduce_to_invariant(inst)
     ode_a, ode_b = split_by_x2(reduced)
@@ -411,11 +392,10 @@ def _cmd_reduce(args, out) -> int:
     res_a = verify_ode(ode_a, profile)
     res_b = verify_ode(ode_b, profile)
     verified = is_zero(res_a) and is_zero(res_b)
-    report = {
-        "command": "reduce",
+    return {
         "instance": label,
         "parameters": inst.params_text(),
-        "reduced": to_text(reduced.expr),
+        "reduced": to_text(reduced),
         "ode_a": to_text(ode_a),
         "ode_b": to_text(ode_b),
         "profile": to_text(profile),
@@ -425,26 +405,21 @@ def _cmd_reduce(args, out) -> int:
         "residual_a": to_text(res_a),
         "residual_b": to_text(res_b),
         "profile_solves_both": verified,
-    }
-    _print_report(report, out, args.output)
-    return 0 if verified else 1
+    }, verified
 
 
-def _cmd_weak_cs(args, out) -> int:
+def _cmd_weak_cs(args, out) -> tuple[dict, bool]:
     inst, label = _instance_from_args(args)
-    seed = _effective_seed(args)
-    rep = weak_cs_report(inst, n_samples=args.samples, seed=seed,
+    rep = weak_cs_report(inst, n_samples=args.samples, seed=args.seed,
                          include_consequences=args.consequences)
-    report = {
-        "command": "weak-cs",
+    # the report's own "instance" (the parameter mapping) replaces the label
+    return {
         "instance": label,
         "samples": args.samples,
-        "seed": seed,
+        "seed": args.seed,
         "include_consequences": args.consequences,
-    }
-    report.update(rep.to_dict())
-    _print_report(report, out, args.output)
-    return 0 if rep.confirmed else 1
+        **rep.to_dict(),
+    }, rep.confirmed
 
 
 _HANDLERS = {
@@ -474,12 +449,16 @@ def run(argv: list[str], out=None, err=None) -> int:
     env_seed = os.environ.get("LIESYM_SEED")
     if env_seed is not None:
         try:
-            int(env_seed)
+            args.seed = int(env_seed)
         except ValueError:
             err.write(f"error: LIESYM_SEED must be an integer, got {env_seed!r}\n")
             return 2
     try:
-        return _HANDLERS[args.command](args, out)
+        fields, ok = _HANDLERS[args.command](args, out)
+        # residual-grid's --output is its CSV; its report stays on stdout
+        path = None if args.command == "residual-grid" else args.output
+        _print_report({"command": args.command, **fields}, out, path)
+        return 0 if ok else 1
     except argparse.ArgumentTypeError as exc:
         err.write(f"error: {exc}\n")
         return 2

@@ -373,6 +373,36 @@ def _canonical_product(factors: tuple[Expr, ...]) -> Expr:
         else:
             flat.append(e)
 
+    coeff, rebuilt = _merge_powers(flat)
+    if len({f.base if isinstance(f, Power) else f for f in rebuilt}) < len(rebuilt):
+        # sign normalization turned a bare sum into the base of another
+        # factor ((1+2y) next to (-1-2y)); merge once more.  That pass
+        # meets only normalized sums, so it cannot repeat a base again.
+        extra, rebuilt = _merge_powers(rebuilt)
+        coeff *= extra
+    if coeff == 0:
+        return ZERO
+    if not rebuilt:
+        return Num(coeff)
+    # a lone sum scaled by a constant absorbs the constant termwise, so the
+    # two ways of writing -(p + q) canonicalize identically
+    if len(rebuilt) == 1 and isinstance(rebuilt[0], Sum) and coeff != 1:
+        c = Num(coeff)
+        return add(*[mul(c, t) for t in rebuilt[0].terms])
+    if len(rebuilt) == 1 and coeff == 1:
+        return rebuilt[0]
+    rebuilt.sort(key=lambda e: e.sort_key())
+    if coeff != 1:
+        rebuilt.insert(0, Num(coeff))
+    return Product(tuple(rebuilt))
+
+
+def _merge_powers(flat: list[Expr]) -> tuple[Fraction, list[Expr]]:
+    """Collect the exponents of each base of a flat factor list.
+
+    Returns the numeric coefficient and the non-numeric factors, one per
+    base in first-met order, with bare sums sign-normalized.
+    """
     coeff = Fraction(1)
     bases: list[Expr] = []
     exps: dict[Expr, list[Expr]] = {}
@@ -390,7 +420,7 @@ def _canonical_product(factors: tuple[Expr, ...]) -> Expr:
             exps[b] = [e]
             bases.append(b)
     if coeff == 0:
-        return ZERO
+        return coeff, []
 
     rebuilt: list[Expr] = []
     for b in bases:
@@ -415,21 +445,7 @@ def _canonical_product(factors: tuple[Expr, ...]) -> Expr:
             rebuilt.append(f)
         else:
             rebuilt.append(f)
-    if coeff == 0:
-        return ZERO
-    if not rebuilt:
-        return Num(coeff)
-    # a lone sum scaled by a constant absorbs the constant termwise, so the
-    # two ways of writing -(p + q) canonicalize identically
-    if len(rebuilt) == 1 and isinstance(rebuilt[0], Sum) and coeff != 1:
-        c = Num(coeff)
-        return add(*[mul(c, t) for t in rebuilt[0].terms])
-    if len(rebuilt) == 1 and coeff == 1:
-        return rebuilt[0]
-    rebuilt.sort(key=lambda e: e.sort_key())
-    if coeff != 1:
-        rebuilt.insert(0, Num(coeff))
-    return Product(tuple(rebuilt))
+    return coeff, rebuilt
 
 
 def _strip_coeff(term: Expr) -> tuple[Fraction, Expr]:
@@ -962,10 +978,20 @@ def equiv_numeric(e1: Expr, e2: Expr, spec: SampleSpec | None = None) -> EquivRe
 # printing (the parser in parsing.py reads this format back)
 
 
+def _digits(n: int) -> str:
+    """str(n), also for integers longer than the interpreter's default
+    limit on int-to-str conversion (4300 digits): 2^46656 is a Num."""
+    try:
+        return str(n)
+    except ValueError:
+        high, low = divmod(abs(n), 10 ** 4000)
+        return ("-" if n < 0 else "") + _digits(high) + f"{low:04000d}"
+
+
 def _format_fraction(v: Fraction) -> str:
     if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+        return _digits(v.numerator)
+    return f"{_digits(v.numerator)}/{_digits(v.denominator)}"
 
 
 def _paren_base(e: Expr) -> str:
@@ -973,13 +999,14 @@ def _paren_base(e: Expr) -> str:
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Num) and e.value.denominator == 1 and e.value >= 0:
-        return str(e.value.numerator)
+        return _digits(e.value.numerator)
     return f"({to_text(e)})"
 
 
 def _paren_exponent(e: Expr) -> str:
     if isinstance(e, Num) and e.value.denominator == 1:
-        return str(e.value.numerator) if e.value >= 0 else f"({e.value.numerator})"
+        text = _digits(e.value.numerator)
+        return text if e.value >= 0 else f"({text})"
     return f"({to_text(e)})"
 
 

@@ -33,7 +33,6 @@ from .expr import (
 )
 from .jets import (
     JET_NAMES,
-    JetPoint,
     VectorField,
     apply_prolonged,
     prolong2,
@@ -149,7 +148,7 @@ class SymmetryVerdict:
     status: str  # "admitted" | "refuted" | "inconclusive"
     max_onshell_residual: float
     sample_count: int
-    worst_point: JetPoint
+    worst_point: dict[str, float]  # the jet point, in JET_NAMES order
     resampled: int
 
     def to_dict(self) -> dict:
@@ -159,7 +158,7 @@ class SymmetryVerdict:
             "max_onshell_residual": self.max_onshell_residual,
             "sample_count": self.sample_count,
             "resampled": self.resampled,
-            "worst_point": self.worst_point.as_env(),
+            "worst_point": self.worst_point,
         }
 
 
@@ -191,10 +190,7 @@ def check_onshell_symmetry(
     ``tol`` means admitted; at least one above ``refute_threshold``
     means refuted; anything in between is reported as inconclusive.
     """
-    bound = vf.bind(a=inst.a) if "a" in (
-        vf.xi1.free_symbols() | vf.xi2.free_symbols() | vf.phi.free_symbols()
-    ) else vf
-    terms = cancellation_terms(apply_prolonged(prolong2(bound), inst.delta))
+    terms = cancellation_terms(apply_prolonged(prolong2(vf.bind(a=inst.a)), inst.delta))
     delta_fn = to_callable(inst.delta, JET_NAMES)
     term_fns = [to_callable(t, JET_NAMES) for t in terms]
     uyy_slot = JET_NAMES.index("uyy")
@@ -214,7 +210,7 @@ def check_onshell_symmetry(
     for env, rel in samples:
         if rel > worst_val:
             worst_val = rel
-            worst = JetPoint(**env)
+            worst = env
     if worst_val <= tol:
         status = "admitted"
     elif worst_val >= refute_threshold:

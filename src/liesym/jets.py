@@ -23,32 +23,8 @@ UXY = sym("uxy")
 UYY = sym("uyy")
 
 JET_NAMES = ("x", "y", "u", "ux", "uy", "uxx", "uxy", "uyy")
-FIRST_ORDER_NAMES = frozenset(("x", "y", "u", "ux", "uy"))
 SECOND_ORDER_NAMES = frozenset(("uxx", "uxy", "uyy"))
 DERIVATIVE_NAMES = frozenset(("ux", "uy", "uxx", "uxy", "uyy"))
-
-
-@dataclass(frozen=True)
-class JetPoint:
-    """Numeric point in second-order jet space.  x must stay away from 0
-    (the residual carries a 1/x factor) and u positive when fractional
-    exponents are in play."""
-
-    x: float
-    y: float
-    u: float
-    ux: float
-    uy: float
-    uxx: float
-    uxy: float
-    uyy: float
-
-    def as_env(self) -> dict[str, float]:
-        return {
-            "x": self.x, "y": self.y, "u": self.u,
-            "ux": self.ux, "uy": self.uy,
-            "uxx": self.uxx, "uxy": self.uxy, "uyy": self.uyy,
-        }
 
 
 # Sampling box used by every randomized jet-space check: x away from the

@@ -51,10 +51,6 @@ _C_EXPR = add(num(1), mul(pow_(_LAM, num(2)), _RHO2), mul(num(2), _LAM, _Y))
 _B_EXPR = add(_Y, mul(_LAM, _RHO2))  # y + lam (x^2 + y^2)
 
 
-def conformal_factor_expr() -> Expr:
-    return _C_EXPR
-
-
 def conformal_factor(x: float, y: float, lam: float) -> float:
     return 1.0 + lam * lam * (x * x + y * y) + 2.0 * lam * y
 
@@ -184,7 +180,7 @@ def family_solution(a, lam) -> ClosedFormSolution:
                               a if isinstance(a, Expr) else num(a).value)
 
 
-def transform_solution(sol: ClosedFormSolution, lam, a=None) -> ClosedFormSolution:
+def transform_solution(sol: ClosedFormSolution, lam) -> ClosedFormSolution:
     """Push a solution along the finite group action.
 
     Returns C^(-a/2) * u(x~, y~) simplified; for the base power solution
@@ -192,12 +188,10 @@ def transform_solution(sol: ClosedFormSolution, lam, a=None) -> ClosedFormSoluti
     domain is the preimage of the old one under the point map, inside
     C > 0.
     """
-    if a is None:
-        a = sol.a
     xt, yt = map_point_exprs(lam)
     prefactor = pow_(
         substitute(_C_EXPR, {"lam": as_expr(lam)}),
-        mul(Num(Fraction(-1, 2)), as_expr(a)),
+        mul(Num(Fraction(-1, 2)), as_expr(sol.a)),
     )
     expr = mul(prefactor, substitute(sol.expr, {"x": xt, "y": yt}))
 
@@ -212,8 +206,7 @@ def transform_solution(sol: ClosedFormSolution, lam, a=None) -> ClosedFormSoluti
             return False
         return old_domain(x / c, (y + _l * (x * x + y * y)) / c)
 
-    return ClosedFormSolution(expr, domain, f"pushforward(lam={lam_f}) of {sol.label}",
-                              a if isinstance(a, Expr) else num(a).value)
+    return ClosedFormSolution(expr, domain, f"pushforward(lam={lam_f}) of {sol.label}", sol.a)
 
 
 # ---------------------------------------------------------------------------

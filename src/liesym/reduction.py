@@ -63,13 +63,6 @@ _JET_SUBSTITUTION = {
 }
 
 
-@dataclass(frozen=True)
-class ReducedExpr:
-    """Residual in (s, v, vs, vss, x); linear in x^2 by construction."""
-
-    expr: Expr
-
-
 def _replace_even_y(e: Expr, replacement: Expr) -> Expr:
     """Rewrite y^(2k) -> replacement^k; any odd power of y is an error."""
     if "y" not in e.free_symbols():
@@ -91,28 +84,32 @@ def _replace_even_y(e: Expr, replacement: Expr) -> Expr:
     raise ReductionError(f"cannot rewrite y inside {to_text(e)}")
 
 
-def reduce_residual(delta: Expr) -> ReducedExpr:
-    """Substitute u = v(x^2 - y^2), rewrite y^2 = x^2 - s, expand."""
+def reduce_residual(delta: Expr) -> Expr:
+    """Substitute u = v(x^2 - y^2), rewrite y^2 = x^2 - s, expand.
+
+    The result is in (s, v, vs, vss, x), linear in x^2 for the family's
+    residuals.
+    """
     e = substitute(delta, _JET_SUBSTITUTION)
     e = _replace_even_y(e, add(pow_(_X, num(2)), mul(num(-1), _S)))
-    return ReducedExpr(expand(e))
+    return expand(e)
 
 
-def reduce_to_invariant(inst: PDEInstance) -> ReducedExpr:
+def reduce_to_invariant(inst: PDEInstance) -> Expr:
     """Reduction of an r = 2 instance to the invariant variable."""
     if inst.r != 2:
         raise ReductionError(f"reduction requires r = 2, got r = {inst.r}")
     return reduce_residual(inst.delta)
 
 
-def split_by_x2(red: ReducedExpr) -> tuple[Expr, Expr]:
+def split_by_x2(red: Expr) -> tuple[Expr, Expr]:
     """Collect the reduced residual by powers of w = x^2.
 
     Returns (ode_a, ode_b) with  reduced = ode_a + x^2 * ode_b.  Any
     x-power other than 0 or 2 in a term means the residual is not
     linear in w and the split fails.
     """
-    terms = red.expr.terms if isinstance(red.expr, Sum) else (red.expr,)
+    terms = red.terms if isinstance(red, Sum) else (red,)
     part_a: list[Expr] = []
     part_b: list[Expr] = []
     for t in terms:
@@ -360,7 +357,7 @@ class WeakCSReport:
     instance: PDEInstance
     stages: tuple[StageResult, ...]
     exceptional_onshell: RestrictedEvalResult
-    reduced: ReducedExpr
+    reduced: Expr
     ode_a: Expr
     ode_b: Expr
     profile: Expr
@@ -378,7 +375,7 @@ class WeakCSReport:
             "exceptional_field_onshell_max": self.exceptional_onshell.max_abs,
             "stages": [s.to_dict() for s in self.stages],
             "anti_reduction": {
-                "reduced": to_text(self.reduced.expr),
+                "reduced": to_text(self.reduced),
                 "ode_a": to_text(self.ode_a),
                 "ode_b": to_text(self.ode_b),
                 "profile": to_text(self.profile),
@@ -445,7 +442,7 @@ def weak_cs_report(
     profile, _g1, _g2 = candidate_profile(inst.a)
     residual_a = verify_ode(ode_a, profile)
     residual_b = verify_ode(ode_b, profile)
-    split_exact = expand(add(ode_a, mul(pow_(_X, num(2)), ode_b))) == reduced.expr
+    split_exact = expand(add(ode_a, mul(pow_(_X, num(2)), ode_b))) == reduced
     degenerate = inst.gamma1 == 0
 
     verdicts = []

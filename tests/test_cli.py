@@ -4,10 +4,11 @@ import hashlib
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from liesym import GridSpec, base_solution, expr, gss_preset, mul, residual_grid, sym
+from liesym import GridSpec, base_solution, expr, gss_preset, mul, region, residual_grid, sym
 from liesym import cli
 from liesym.cli import _print_report, build_parser, emit_csv, read_csv_sup_norm, run
 
@@ -123,6 +124,34 @@ class TestResidualGrid:
         assert out.startswith("x,y,in_domain,u,residual\n")
         report = json_report(out)
         assert report["in_domain_nodes"] == 25
+
+    def test_exceptional_family_at_a_two(self):
+        # a canonical product that repeated a base made uyy wrong here:
+        # sup ~1 and exit 1 at every lambda
+        code, out, _ = run_cli(
+            ["residual-grid", "--a=2", "--r=2", "--c1=5", "--c2=3", "--gamma1=6",
+             "--gamma2=-5", "--solution", "family", "--lambda", "1",
+             "--nx", "24", "--ny", "24"])
+        assert code == 0
+        report = json_report(out)
+        assert report["in_domain_nodes"] > 0
+        assert report["sup_residual"] <= 1e-9
+
+    @pytest.mark.parametrize("lam", ["-1", "-1/3", "0"])
+    def test_family_default_grid_at_nonpositive_lambda(self, lam):
+        code, out, err = run_cli(
+            ["residual-grid", "--preset", "gss", "--solution", "family",
+             f"--lambda={lam}", "--nx", "24", "--ny", "24"])
+        assert code == 0, err
+        report = json_report(out)
+        assert report["in_domain_nodes"] > 0
+        grid = report["grid"]
+        box = (grid["x_min"], grid["x_max"], grid["y_min"], grid["y_max"])
+        if lam == "0":  # the family at lambda = 0 is the base solution
+            assert box == (1.0, 2.0, -0.5, 0.5)
+        else:  # the |lambda| region mirrored in y
+            x_lo, x_hi, y_lo, y_hi = region(-float(Fraction(lam))).bounding_box()
+            assert box == (x_lo, x_hi, -y_hi, -y_lo)
 
     def test_masked_nodes_empty_fields(self):
         field = residual_grid(gss_preset(), base_solution(-1),
@@ -338,13 +367,30 @@ class TestContract:
             run_cli(["reduce", "--preset", "gss"])
         assert len(expr._MEMO) == 0
 
-    def test_output_file_receives_report(self, tmp_path):
-        path = tmp_path / "report.json"
-        code, out, _ = run_cli(
-            ["exponents", "--a", "-1", "--r", "2", "--output", str(path)])
+    @pytest.mark.parametrize("argv,key,value", [
+        (["exponents", "--a", "-1", "--r", "2"], "c1", -7.0),
+        (["check-symmetry", "--preset", "gss", "--samples", "10"], "admitted", True),
+        (["transform", "--lambda", "1", "--samples", "4"], "structural_match", True),
+        (["residual-grid", "--preset", "gss", "--nx", "3", "--ny", "3"],
+         "within_tolerance", True),
+        (["region", "--lambda", "1", "--samples", "10"], "radius", pytest.approx(2 ** -0.5)),
+        (["reduce", "--preset", "gss"], "profile_solves_both", True),
+        (["weak-cs", "--preset", "gss", "--samples", "10"], "confirmed", True),
+    ], ids=["exponents", "check-symmetry", "transform", "residual-grid", "region",
+            "reduce", "weak-cs"])
+    def test_output_file_receives_report(self, argv, key, value, tmp_path):
+        path = tmp_path / "output"
+        code, out, _ = run_cli([*argv, "--output", str(path)])
         assert code == 0
-        assert out == ""
-        assert json.loads(path.read_text())["c1"] == -7.0
+        if argv[0] == "residual-grid":
+            # --output is the CSV; stdout holds the report and nothing else
+            assert path.read_text().startswith("x,y,in_domain,u,residual\n")
+            report = json.loads(out)
+        else:
+            assert out == ""
+            report = json.loads(path.read_text())  # one JSON document only
+        assert report["command"] == argv[0]
+        assert report[key] == value
 
 
 class TestGoldenBytes:

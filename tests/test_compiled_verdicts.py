@@ -52,7 +52,7 @@ class TestNoTreeWalkPerSample:
     def test_compiled_uyy_is_solve_uyy(self):
         # the tree-walking solve_uyy is the reference for the compiled one
         gss = gss_preset()
-        env = check_onshell_symmetry(exceptional_vf(), gss, n_samples=30).worst_point.as_env()
+        env = check_onshell_symmetry(exceptional_vf(), gss, n_samples=30).worst_point
         assert env["uyy"] == solve_uyy(gss, env)
 
     @pytest.mark.parametrize("simultaneous", [False, True], ids=["sequential", "simultaneous"])

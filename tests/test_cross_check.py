@@ -152,7 +152,7 @@ class TestAgainstSympy:
 
         from liesym import reduce_to_invariant
 
-        red = reduce_to_invariant(gss_preset()).expr
+        red = reduce_to_invariant(gss_preset())
         rng = random.Random(29)
         for _ in range(25):
             px = rng.uniform(0.8, 1.8)

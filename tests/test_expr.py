@@ -125,6 +125,60 @@ class TestCanonical:
         right = mul(uy, parse("x^2 - y^2"))
         assert left == right
 
+    def test_sum_and_its_negation_merge_into_one_factor(self):
+        # sign normalization turns (1+2y) into (-1-2y): the two must then
+        # merge, or diff sees one factor where there are two
+        assert to_text(mul(parse("-1-2*y"), parse("1+2*y"))) == "-(-1 - 2*y)^2"
+        assert mul(pow_(parse("-1+2*x"), -1), parse("1-2*x")) == num(-1)
+
+    @pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+    def test_products_of_linear_forms_repeat_no_base(self):
+        coeff = st.integers(-3, 3)
+        forms = st.tuples(coeff, coeff, coeff).filter(lambda c: c[1] or c[2])
+        # (which form, negated, exponent) per factor; two forms at most, so
+        # a form and its negation meet often
+        factors = st.tuples(st.integers(0, 1), st.booleans(),
+                            st.sampled_from([-2, -1, 1, 2, 3]))
+        coords = st.floats(0.3, 1.7)
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(st.lists(forms, min_size=1, max_size=2),
+               st.lists(factors, min_size=2, max_size=4), coords, coords)
+        def check(form_list, factor_list, x, y):
+            values = []
+            parts = []
+            for which, negated, k in factor_list:
+                c0, c1, c2 = form_list[which % len(form_list)]
+                s = -1 if negated else 1
+                values.append(s * (c0 + c1 * x + c2 * y))
+                form = add(num(s * c0), mul(num(s * c1), X), mul(num(s * c2), Y))
+                parts.append(pow_(form, k))
+            e = mul(*parts)
+            if isinstance(e, Product):
+                bases = [f.base if isinstance(f, Power) else f
+                         for f in e.factors if not isinstance(f, Num)]
+                assert len(set(bases)) == len(bases), to_text(e)
+            if min(map(abs, values)) < 0.5:
+                return  # too close to a pole for central differences
+            env = {"x": x, "y": y}
+
+            def check_derivative(f, name):
+                d = diff(f, name)
+                h = 1e-6
+                approx = (eval_at(f, dict(env, **{name: env[name] + h}))
+                          - eval_at(f, dict(env, **{name: env[name] - h}))) / (2 * h)
+                exact = eval_at(d, env)
+                scale = 1 + abs(exact) + abs(eval_at(f, env))
+                assert abs(exact - approx) <= 1e-5 * scale, (to_text(f), name)
+                return d
+
+            for first in ("x", "y"):
+                d = check_derivative(e, first)
+                for second in ("x", "y"):
+                    check_derivative(d, second)
+
+        check()
+
     def test_no_automatic_expansion(self):
         e = parse("lam^2*(x^2+y^2)")
         assert isinstance(e, Product)
@@ -186,6 +240,14 @@ class TestPrintRoundTrip:
         for _ in range(300):
             e = _random_expr(rng, depth=4)
             assert parse(to_text(e)) == e
+
+    def test_prints_constants_past_the_int_str_digit_limit(self):
+        # 2^46656 has 14045 digits; str() refuses past 4300 by default
+        big = 2 ** 46656
+        text = to_text(pow_(num(2), 46656))
+        assert len(text) == 14045 and text.endswith(str(big % 10 ** 30).zfill(30))
+        assert to_text(pow_(num(-2), -46656)) == "1/" + text
+        assert to_text(pow_(X, num(big))).startswith("x^")
 
 
 def _random_expr(rng, depth):

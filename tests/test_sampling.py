@@ -1,10 +1,12 @@
 """The one seeded rejection sampler behind every sampled verdict: its
 redraw budget, its refusal of empty sample counts, the error every
 exhausted budget raises, and a guard that no second sampling loop
-creeps back into the package."""
+creeps back into the package; next to it, a guard that every public
+name of the package has a reader."""
 
 import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -181,3 +183,31 @@ def test_one_seeded_generator_in_the_package():
                     parent = scopes.get(parent)
                 sites.append((path.name, ".".join(reversed(owner))))
     assert sites == [("expr.py", "RejectionSampler.__iter__")]
+
+
+def test_every_public_name_is_used():
+    """Each public top-level name of the package is read somewhere other
+    than its own definition: by another definition in the package, by a
+    test or by the README.  Re-exporting it from __init__ does not count."""
+
+    def defined(stmt):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            return {stmt.name}
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [getattr(stmt, "target", None)])
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+
+    def read(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    public, used = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = defined(stmt)
+            public |= {(path.stem, name) for name in own if not name.startswith("_")}
+            used |= read(stmt) - own
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        used |= read(ast.parse(path.read_text()))
+    used |= set(re.findall(r"\w+", (SRC.parents[1] / "README.md").read_text()))
+    assert sorted(f"{m}.{name}" for m, name in public if name not in used) == []
