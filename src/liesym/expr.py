@@ -785,27 +785,15 @@ def eval_at(e: Expr, env: Mapping[str, float]) -> float:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
-    """Compile to a positional-argument Python function.
-
-    Used wherever one expression is evaluated at many points: residual
-    grids and every sampled verdict.
-
-    The body is straight-line code with one assignment per distinct
-    compound subexpression, in the order a left-to-right walk of the tree
-    first meets them, so a subtree that occurs many times is computed
-    once.  Each assignment keeps its node's operand order and its
-    ``_pow``/``_log`` call, so every finite result is bit-identical to
-    ``eval_at``.  Off the real domain (a fractional power of a negative
-    base, 0 to a negative power, the log of a non-positive value, an
-    overflowing power) it raises DomainError as ``eval_at`` does.  A
-    product that overflows is the one difference: ``eval_at`` raises
-    DomainError, the compiled product is ``inf`` (and whatever the
-    sums and powers above it make of that).  So every consumer of a
-    compiled value treats a non-finite value as off the domain:
-    ``normalized_sum`` raises DomainError for one, and the sampled
-    verdicts redraw the point.
-    """
+def _compile(e: Expr, arg_names: Iterable[str], body) -> Callable[..., float]:
+    """A Python function of ``arg_names`` (positional) returning ``body(ref,
+    let)``: ``ref(node)`` is the text of a subexpression's value, and
+    ``let(rhs)`` assigns the text ``rhs`` to a new slot.  The body is
+    straight-line code with one slot per distinct compound subexpression,
+    in the order a left-to-right walk first meets them, so a repeated
+    subtree is computed once.  Each slot keeps its node's operand order
+    and ``_pow``/``_log`` call: every finite value is bit-identical to
+    ``eval_at``."""
     names = list(arg_names)
     missing = e.free_symbols() - set(names)
     if missing:
@@ -816,14 +804,18 @@ def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     slots: dict[Expr, str] = {}  # structural hash/eq: equal subtrees share a slot
     lines = [f"def _f({', '.join(names)}):"]
 
+    def let(rhs: str) -> str:
+        slot = f"{prefix}{len(lines) - 1}"
+        lines.append(f"    {slot} = {rhs}")
+        return slot
+
     def ref(node: Expr) -> str:
         if isinstance(node, Num):
             return f"({float(node.value)!r})"
         if isinstance(node, Sym):
             return node.name
-        slot = slots.get(node)
-        if slot is not None:
-            return slot
+        if node in slots:
+            return slots[node]
         if isinstance(node, Sum):
             rhs = " + ".join(ref(t) for t in node.terms)
         elif isinstance(node, Product):
@@ -837,14 +829,47 @@ def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
             rhs = f"_log({ref(node.arg)})"
         else:
             raise TypeError(f"not an expression: {node!r}")
-        slot = slots[node] = f"{prefix}{len(slots)}"
-        lines.append(f"    {slot} = {rhs}")
-        return slot
+        return slots.setdefault(node, let(rhs))
 
-    lines.append(f"    return {ref(e)}")
-    namespace = {"_pow": _real_pow, "_log": _real_log}
+    lines.append(f"    return {body(ref, let)}")
+    namespace = {"_pow": _real_pow, "_log": _real_log,
+                 "_isfinite": math.isfinite, "_nonfinite": _nonfinite}
     exec(compile("\n".join(lines), "<liesym>", "exec"), namespace)  # noqa: S102
     return namespace["_f"]
+
+
+def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
+    """Compile to a positional-argument Python function (see ``_compile``).
+
+    Off the real domain (a fractional power of a negative base, 0 to a
+    negative power, the log of a non-positive value, an overflowing
+    power) it raises DomainError as ``eval_at`` does.  An overflowing
+    product is the one difference: ``eval_at`` raises DomainError, the
+    compiled product is ``inf``.  So every consumer treats a non-finite
+    value as off the domain: ``to_cancellation`` raises DomainError, and
+    the sampled verdicts redraw the point."""
+    return _compile(e, arg_names, lambda ref, let: ref(e))
+
+
+def _nonfinite():
+    raise DomainError("non-finite cancellation sum")
+
+
+def to_cancellation(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
+    """Compile a residual's cancellation measure, which residual grids and
+    ``check_onshell_symmetry`` evaluate: the signed sum of its terms (those
+    of a Sum, else the residual itself) from 0.0 in term order, over (1 +
+    the largest term magnitude), the scale of the roundoff in the sum.  A
+    non-finite result (an infinite or NaN term, or a sum that overflows)
+    raises DomainError: the point is off the domain."""
+    def body(ref, let):
+        values = [ref(t) for t in (e.terms if isinstance(e, Sum) else (e,))]
+        total = let(" + ".join(["0.0", *values]))
+        scale = let(f"max(0.0, {', '.join(f'abs({v})' for v in values)})")
+        result = let(f"{total} / (1.0 + {scale})")
+        return f"{result} if _isfinite({result}) else _nonfinite()"
+
+    return _compile(e, arg_names, body)
 
 
 # ---------------------------------------------------------------------------
@@ -887,27 +912,6 @@ class RejectionSampler:
                 continue
             accepted += 1
             yield value
-
-
-def cancellation_terms(e: Expr) -> tuple[Expr, ...]:
-    """The top-level terms of a residual, whose values ``normalized_sum`` takes."""
-    return e.terms if isinstance(e, Sum) else (e,)
-
-
-def normalized_sum(values: Iterable[float]) -> float:
-    """Signed sum of term values over (1 + the largest term magnitude).
-
-    A non-finite result (an infinite or NaN term, or a sum that
-    overflows) raises DomainError: the point is off the domain."""
-    total = 0.0
-    scale = 0.0
-    for value in values:
-        total += value
-        scale = max(scale, abs(value))
-    result = total / (1.0 + scale)
-    if not math.isfinite(result):
-        raise DomainError("non-finite cancellation sum")
-    return result
 
 
 _DEFAULT_INTERVAL = (0.5, 2.0)

@@ -22,14 +22,13 @@ from .expr import (
     RejectionSampler,
     add,
     as_expr,
-    cancellation_terms,
     eval_at,
     mul,
-    normalized_sum,
     num,
     pow_,
     sym,
     to_callable,
+    to_cancellation,
 )
 from .jets import (
     JET_NAMES,
@@ -183,16 +182,15 @@ def check_onshell_symmetry(
 
     At each seeded random jet point, uyy is eliminated through the
     residual (as in ``solve_uyy``) and the prolonged field applied to
-    the residual is evaluated there as the ``normalized_sum`` of its
-    terms, since they cancel catastrophically when the symmetry holds.
-    The residual and the terms are compiled once; a point where the
-    solved uyy or the sum is not finite is redrawn.  All samples below
-    ``tol`` means admitted; at least one above ``refute_threshold``
-    means refuted; anything in between is reported as inconclusive.
+    the residual is evaluated there by ``to_cancellation``, since its
+    terms cancel catastrophically when the symmetry holds.  Both are
+    compiled once; a point where the solved uyy or the measure is not
+    finite is redrawn.  All samples below ``tol`` means admitted; at
+    least one above ``refute_threshold`` means refuted; anything in
+    between is reported as inconclusive.
     """
-    terms = cancellation_terms(apply_prolonged(prolong2(vf.bind(a=inst.a)), inst.delta))
+    measure = to_cancellation(apply_prolonged(prolong2(vf.bind(a=inst.a)), inst.delta), JET_NAMES)
     delta_fn = to_callable(inst.delta, JET_NAMES)
-    term_fns = [to_callable(t, JET_NAMES) for t in terms]
     uyy_slot = JET_NAMES.index("uyy")
 
     def evaluate(env):
@@ -202,7 +200,7 @@ def check_onshell_symmetry(
         if not math.isfinite(uyy):
             return None
         env["uyy"] = point[uyy_slot] = uyy
-        return env, abs(normalized_sum([fn(*point) for fn in term_fns]))
+        return env, abs(measure(*point))
 
     samples = RejectionSampler(n_samples, seed, sample_jet_env, evaluate)
     worst = None

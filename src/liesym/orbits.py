@@ -27,16 +27,15 @@ from .expr import (
     RejectionSampler,
     add,
     as_expr,
-    cancellation_terms,
     diff,
     eval_at,
     mul,
-    normalized_sum,
     num,
     pow_,
     substitute,
     sym,
     to_callable,
+    to_cancellation,
 )
 from .family import PDEInstance, scaling_vf
 from .jets import characteristic
@@ -248,8 +247,8 @@ class ResidualField:
 
     ``us`` and ``residuals`` hold one entry per node, row-major (y outer,
     then x, over ``grid.ys()`` and ``grid.xs()``).  ``residual`` at each
-    in-domain node is the ``normalized_sum`` of the residual's terms,
-    which cancel on a true solution but grow without bound toward the
+    in-domain node is the residual's ``to_cancellation`` measure: its
+    terms cancel on a true solution but grow without bound toward the
     region boundary.  Nodes outside the solution's domain, and nodes
     where u or the residual leaves the real domain or is not finite,
     are masked: both entries are None.
@@ -269,8 +268,7 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec) ->
     residual is a genuine failure of the solution, not discretization
     error.
     """
-    terms = cancellation_terms(substitute(inst.delta, sol.jet()))
-    term_fns = [to_callable(t, ("x", "y")) for t in terms]
+    measure = to_cancellation(substitute(inst.delta, sol.jet()), ("x", "y"))
     u_fn = to_callable(sol.expr, ("x", "y"))
     domain = sol.domain
     xs = grid.xs()
@@ -287,7 +285,7 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec) ->
                 continue
             try:
                 u_val = u_fn(x, y)
-                res = normalized_sum([fn(x, y) for fn in term_fns])
+                res = measure(x, y)
             except DomainError:
                 # numerically outside the real domain (boundary roundoff),
                 # or a term too large to be finite

@@ -44,5 +44,5 @@ def test_residual_grid_compiles_one_root_at_a_time(monkeypatch):
     monkeypatch.setattr(orbits, "to_callable", spy)
     sol = base_solution(-1)
     orbits.residual_grid(gss_preset(), sol, GridSpec(1.0, 2.0, -0.5, 0.5, 2, 2))
-    assert sol.expr in roots and len(roots) >= 2
-    assert all(isinstance(e, orbits.Expr) for e in roots)
+    # the residual's terms go through to_cancellation, not to_callable
+    assert roots == [sol.expr]
