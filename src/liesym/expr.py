@@ -857,13 +857,22 @@ def _nonfinite():
 
 def to_cancellation(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     """Compile a residual's cancellation measure, which residual grids and
-    ``check_onshell_symmetry`` evaluate: the signed sum of its terms (those
-    of a Sum, else the residual itself) from 0.0 in term order, over (1 +
-    the largest term magnitude), the scale of the roundoff in the sum.  A
-    non-finite result (an infinite or NaN term, or a sum that overflows)
-    raises DomainError: the point is off the domain."""
+    ``check_onshell_symmetry`` evaluate: the signed sum of its terms from
+    0.0 in term order, over (1 + the largest term magnitude), the scale of
+    the roundoff in the sum.  The terms are those of a Sum; canonical
+    factoring makes many residuals a Product, and one with exactly one Sum
+    factor has as terms (the other factors) x (each term of that sum).
+    Any other residual is its own term.  A non-finite result (an infinite
+    or NaN term, or a sum that overflows) raises DomainError: the point is
+    off the domain."""
     def body(ref, let):
-        values = [ref(t) for t in (e.terms if isinstance(e, Sum) else (e,))]
+        sums = [f for f in e.factors if isinstance(f, Sum)] if isinstance(e, Product) else []
+        if len(sums) == 1:
+            others = [ref(f) for f in e.factors if f is not sums[0]]
+            scale = let(" * ".join(others)) if len(others) > 1 else others[0]
+            values = [let(f"{scale} * {ref(t)}") for t in sums[0].terms]
+        else:
+            values = [ref(t) for t in (e.terms if isinstance(e, Sum) else (e,))]
         total = let(" + ".join(["0.0", *values]))
         scale = let(f"max(0.0, {', '.join(f'abs({v})' for v in values)})")
         result = let(f"{total} / (1.0 + {scale})")

@@ -137,6 +137,30 @@ class TestResidualGrid:
         assert report["in_domain_nodes"] > 0
         assert report["sup_residual"] <= 1e-9
 
+    def test_gss_family_grid_at_200(self):
+        # the residual is one product with one sum factor; measured as a
+        # single term its roundoff read 1.99e-8, above the tolerance
+        code, out, _ = run_cli(["residual-grid", "--preset", "gss", "--solution", "family",
+                                "--nx", "200", "--ny", "200"])
+        assert code == 0
+        assert json_report(out)["sup_residual"] <= 1e-14
+
+    @pytest.mark.parametrize("a", ["1/3", "1/2", "1", "3/2", "2", "5/2", "3", "4", "6",
+                                   "-1", "-2", "-5/3"])
+    def test_exceptional_family_grids(self, a):
+        # the base solution's instance at r = 2: c1 = 1 + 8/a, c2 = 1 + 4/a,
+        # gamma1 = 8k(k - 1) and gamma2 = 2ak - 4k(k - 1) with k = -a/4
+        a = Fraction(a)
+        k = -a / 4
+        instance = [f"--a={a}", "--r=2", f"--c1={1 + 8 / a}", f"--c2={1 + 4 / a}",
+                    f"--gamma1={8 * k * (k - 1)}", f"--gamma2={2 * a * k - 4 * k * (k - 1)}"]
+        for lam in ("1/3", "1/2", "1", "2", "3"):
+            code, out, _ = run_cli(["residual-grid", *instance, "--solution", "family",
+                                    f"--lambda={lam}", "--nx", "24", "--ny", "24"])
+            report = json_report(out)
+            assert code == 0, (lam, report["sup_residual"])
+            assert report["in_domain_nodes"] > 0 and report["sup_residual"] <= 1e-14
+
     @pytest.mark.parametrize("lam", ["-1", "-1/3", "0"])
     def test_family_default_grid_at_nonpositive_lambda(self, lam):
         code, out, err = run_cli(
@@ -397,25 +421,25 @@ class TestGoldenBytes:
     """sha256 of the CSV and of the report (minus its timestamp line) of
     three grids, recorded before the compiled evaluator shared its
     subexpressions and the CSV writer formatted rows directly; both
-    changes must keep every byte.  The third grid exits 1 because the
-    canonical residual is a single product, so its per-term normalization
-    sees one term (ROADMAP defect (a)): fixing that changes the residual
-    column and the sup, so it changes these digests by design.  The same
+    changes must keep every byte.  The two family grids were re-recorded
+    when the cancellation measure began to split a residual that is a
+    product with one sum factor over that sum: their residual column and
+    sup changed, and the third grid went from exit 1 to exit 0.  The same
     bytes must come out after another command ran in the same process:
     nothing memoized or parsed for one command may leak into the next."""
 
     CASES = [
         (["residual-grid", "--preset", "gss", "--solution", "family", "--lambda", "1",
           "--nx", "120", "--ny", "120"], 0,
-         "7fc1fe10adb87ad639e23eac2fb44fe45eb56be3251290b758c4e689dacbd0ce",
-         "a52fb260a1dd5af4034f70cefe3f497989d85275bfa1f6a0f450447ed5a4f26d"),
+         "bd7dde82afeeb2ec4a0691c6085849f508b1457beecefd90a67f658009e9e7bd",
+         "c06c7ab719b827124f3e4ecc431f4f8f9aeb1c2c211b9efd709eaf5f0abf3794"),
         (["residual-grid", "--preset", "gss", "--solution", "base", "--nx", "90", "--ny", "90"], 0,
          "1aa92a3ffa0a535aae7e1b79a2fdfa2e330d9ec737da03f9b771e7472f6dc47f",
          "dadd209ace620bf436c7eb7f0d0f352909eb885b884d4f920c2a6ed929cec353"),
         (["residual-grid", "--a=7/2", "--r=2", "--c1=23/7", "--c2=15/7", "--gamma1=105/8",
-          "--gamma2=-203/16", "--solution", "family", "--lambda=1/3", "--nx", "24", "--ny", "24"], 1,
-         "2cc366bbfd03b50e524ffcc770a188f91c6fbfd51e15884ccbe1eb915148257e",
-         "95ca82290fb2ff18c1f16ed9fd2ad1a6469d59190a105d1293bb9b547f4fa9c1"),
+          "--gamma2=-203/16", "--solution", "family", "--lambda=1/3", "--nx", "24", "--ny", "24"], 0,
+         "1ce375ba61c8e15587508b51ac488224f28c62528aa78e50640b1da8797b9b3f",
+         "d10c2ee3e396cd9d0ebaad7fe5986028e21efdf8d772bba1190bdd20913e2e18"),
     ]
 
     @pytest.mark.parametrize("argv,code,csv_sha,report_sha", CASES,

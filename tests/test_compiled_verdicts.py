@@ -29,9 +29,9 @@ from liesym import (
     weak_cs_report,
 )
 from liesym import cli, expr, reduction
-from liesym.expr import add, sym, to_cancellation
-from liesym.family import solve_uyy
-from liesym.jets import sample_jet_env
+from liesym.expr import Product, Sum, add, sym, to_cancellation
+from liesym.family import NAMED_FIELDS, build_instance, solve_uyy
+from liesym.jets import JET_NAMES, apply_prolonged, prolong2, sample_jet_env
 
 from test_cli import run_cli
 
@@ -135,6 +135,89 @@ class TestNonFiniteRule:
         assert res.mean_abs == sum(values) / 40
 
 
+def normalized_sum(values):
+    """The loop that ``to_cancellation`` compiles, kept as its reference."""
+    total = 0.0
+    scale = 0.0
+    for value in values:
+        total += value
+        scale = max(scale, abs(value))
+    result = total / (1.0 + scale)
+    if not math.isfinite(result):
+        raise DomainError("non-finite cancellation sum")
+    return result
+
+
+def term_values(e, point):
+    """The residual's terms, each compiled on its own: those of a Sum, or
+    of a product with one sum factor (the other factors) x (each term of
+    that sum), else the residual itself."""
+    def value(t):
+        return to_callable(t, JET_NAMES)(*point)
+
+    sums = [f for f in e.factors if isinstance(f, Sum)] if isinstance(e, Product) else []
+    if len(sums) == 1:
+        scale = math.prod(value(f) for f in e.factors if f is not sums[0])
+        return [scale * value(t) for t in sums[0].terms]
+    return [value(t) for t in (e.terms if isinstance(e, Sum) else (e,))]
+
+
+class TestCancellationMeasure:
+    # (a, r, c1, c2, gamma1, gamma2), field: the X and Xprime residuals at
+    # a = -2 and a = -4, r = 1 are products with one sum factor
+    CASES = [
+        ((-1, 2, -7, -3, "-3/2", "1/4"), "X"),
+        ((-1, 2, -7, -3, "-3/2", "1/4"), "Xprime"),
+        ((-1, 2, -7, -3, "-3/2", "1/4"), "Y"),
+        ((-1, 2, "-69/10", -3, "-3/2", "1/4"), "X"),
+        ((-2, 2, -3, -1, 1, 1), "X"),
+        ((-2, 2, "-29/10", -1, 1, 1), "X"),
+        ((-4, 1, "-1/2", 0, 1, 1), "Xprime"),
+        ((-4, 1, "-2/5", 0, 1, 1), "Xprime"),
+        ((-1, 665, 1340, 2, 1, 1), "X"),
+    ]
+
+    @pytest.mark.parametrize("params,field", CASES)
+    def test_is_the_reference_loop_bit_for_bit(self, params, field):
+        inst = build_instance(*params)
+        residual = apply_prolonged(prolong2(NAMED_FIELDS[field]().bind(a=inst.a)), inst.delta)
+        measure = to_cancellation(residual, JET_NAMES)
+        delta = to_callable(inst.delta, JET_NAMES)
+        uyy = JET_NAMES.index("uyy")
+        rng = random.Random(5)
+        compared = 0
+        for _ in range(40):
+            point = [sample_jet_env(rng)[n] for n in JET_NAMES]
+            point[uyy] = 0.0
+            try:
+                point[uyy] = -delta(*point)  # on shell, as check_onshell_symmetry samples
+            except DomainError:
+                continue
+            try:
+                want = normalized_sum(term_values(residual, point))
+            except DomainError:
+                with pytest.raises(DomainError):
+                    measure(*point)
+                continue
+            assert measure(*point) == want
+            compared += 1
+        assert compared >= 10
+
+    @pytest.mark.parametrize("params,field,status", [
+        ((-2, 2, -3, -1, 1, 1), "X", "admitted"),
+        ((-2, 2, "-29/10", -1, 1, 1), "X", "refuted"),
+        ((-4, 1, "-1/2", 0, 1, 1), "Xprime", "admitted"),
+        ((-4, 1, "-2/5", 0, 1, 1), "Xprime", "refuted"),
+    ])
+    def test_product_shaped_residuals_keep_their_verdicts(self, params, field, status):
+        verdict = check_onshell_symmetry(NAMED_FIELDS[field](), build_instance(*params))
+        assert verdict.status == status
+        if status == "admitted":
+            assert verdict.max_onshell_residual <= 5e-16
+        else:
+            assert verdict.max_onshell_residual >= 0.025
+
+
 class TestResidualGridMasksNonFinite:
     ARGV = ["residual-grid", "--a=-1", "--r=665", "--c1=1340", "--c2=2", "--gamma1=1",
             "--gamma2=1", "--solution", "base", "--nx", "4", "--ny", "3"]
@@ -150,7 +233,9 @@ class TestResidualGridMasksNonFinite:
         assert [r.split(",")[2] for r in rows] == ["1", "1", "1", "0"] * 3
         assert all(r.startswith("2,") for r in rows if r.split(",")[2] == "0")
         assert '"in_domain_nodes": 9' in out[cut:]
-        assert '"sup_residual": 1.0' in out[cut:]
+        # the r = 665 base residual is a product with one sum factor,
+        # measured term by term over that sum
+        assert '"sup_residual": 1.4444444444444444' in out[cut:]
 
 
 class TestTransformNegativeLambda:
