@@ -211,6 +211,10 @@ def transform_solution(sol: ClosedFormSolution, lam) -> ClosedFormSolution:
 # ---------------------------------------------------------------------------
 # residual grids
 
+# a residual field holds every node in memory and writes one CSV row per
+# node, so GridSpec refuses larger grids
+MAX_GRID_NODES = 1_000_000
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -226,6 +230,9 @@ class GridSpec:
             raise ValueError("grid extents must have positive span")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid needs at least one node per axis")
+        if self.nx * self.ny > MAX_GRID_NODES:
+            raise ValueError(f"grid of {self.nx} x {self.ny} nodes exceeds "
+                             f"{MAX_GRID_NODES} nodes")
 
     def xs(self) -> list[float]:
         return _linspace(self.x_min, self.x_max, self.nx)

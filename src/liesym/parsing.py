@@ -33,6 +33,17 @@ from .expr import (
 )
 
 
+def _read_int(digits: str) -> int:
+    """int(digits), also past the interpreter's limit on str-to-int
+    conversion (4300 digits), read in the 4000-digit chunks in which
+    ``expr._digits`` prints such integers."""
+    value = 0
+    for i in range(0, len(digits), 4000):
+        chunk = digits[i:i + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 class _Parser:
     def __init__(self, text: str, strict: bool, declared: frozenset[str]):
         self.text = text
@@ -138,9 +149,10 @@ class _Parser:
         lit = self.text[start:self.pos]
         if lit in ("", "."):
             self.error("expected a number", start)
+        whole, _, frac = lit.partition(".")
         try:
-            return num(Fraction(lit))
-        except (ValueError, ZeroDivisionError):
+            return num(Fraction(_read_int(whole + frac), 10 ** len(frac)))
+        except ValueError:
             self.error(f"bad number literal {lit!r}", start)
 
     def symbol(self) -> Expr:

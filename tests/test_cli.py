@@ -161,6 +161,19 @@ class TestResidualGrid:
             assert code == 0, (lam, report["sup_residual"])
             assert report["in_domain_nodes"] > 0 and report["sup_residual"] <= 1e-14
 
+    def test_node_count_is_bounded(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the grid was evaluated")
+
+        monkeypatch.setattr(cli, "residual_grid", refuse)
+        code, out, err = run_cli(["residual-grid", "--preset", "gss",
+                                  "--nx", "100000", "--ny", "100000"])
+        assert code == 2 and out == ""
+        assert err == "error: grid of 100000 x 100000 nodes exceeds 1000000 nodes\n"
+        with pytest.raises(ValueError):
+            GridSpec(1.0, 2.0, -0.5, 0.5, 1001, 1000)
+        assert GridSpec(1.0, 2.0, -0.5, 0.5, 1000, 1000).nx == 1000
+
     @pytest.mark.parametrize("lam", ["-1", "-1/3", "0"])
     def test_family_default_grid_at_nonpositive_lambda(self, lam):
         code, out, err = run_cli(

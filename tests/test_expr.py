@@ -248,6 +248,7 @@ class TestPrintRoundTrip:
         assert len(text) == 14045 and text.endswith(str(big % 10 ** 30).zfill(30))
         assert to_text(pow_(num(-2), -46656)) == "1/" + text
         assert to_text(pow_(X, num(big))).startswith("x^")
+        assert parse(text) == pow_(num(2), 46656)
 
 
 def _random_expr(rng, depth):
