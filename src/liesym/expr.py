@@ -869,8 +869,8 @@ def to_cancellation(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
         sums = [f for f in e.factors if isinstance(f, Sum)] if isinstance(e, Product) else []
         if len(sums) == 1:
             others = [ref(f) for f in e.factors if f is not sums[0]]
-            scale = let(" * ".join(others)) if len(others) > 1 else others[0]
-            values = [let(f"{scale} * {ref(t)}") for t in sums[0].terms]
+            rest = let(" * ".join(others)) if len(others) > 1 else others[0]
+            values = [let(f"{rest} * {ref(t)}") for t in sums[0].terms]
         else:
             values = [ref(t) for t in (e.terms if isinstance(e, Sum) else (e,))]
         total = let(" + ".join(["0.0", *values]))

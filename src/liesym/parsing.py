@@ -35,8 +35,8 @@ from .expr import (
 
 def _read_int(digits: str) -> int:
     """int(digits), also past the interpreter's limit on str-to-int
-    conversion (4300 digits), read in the 4000-digit chunks in which
-    ``expr._digits`` prints such integers."""
+    conversion (4300 digits), which ``expr._digits`` prints past: the
+    digits are read in 4000-digit chunks."""
     value = 0
     for i in range(0, len(digits), 4000):
         chunk = digits[i:i + 4000]
