@@ -113,6 +113,21 @@ def _print_report(report: dict, out, path: str | None) -> None:
 
 
 def _decimal(text: str) -> Fraction:
+    """Argparse type for an exact number, a decimal literal or ``p/q``.  A
+    decimal literal must lie in the double range: its float may be neither
+    infinite nor 0.0 while its digits are not all zero.  That is checked
+    on ``float(text)`` before the exact value is built, which for a
+    literal like ``1e10000000`` takes seconds."""
+    try:
+        approx = float(text)
+    except ValueError:
+        approx = None  # p/q, or not a number: Fraction decides
+    if approx is not None and any(ch.isdigit() for ch in text):  # not inf or nan
+        mantissa = text.lower().partition("e")[0]
+        if math.isinf(approx) or approx == 0.0 and any(ch in mantissa for ch in "123456789"):
+            raise argparse.ArgumentTypeError(f"outside the double range: {text!r}")
+        if approx == 0.0:
+            return Fraction(0)  # without building the exponent's power of ten
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -467,6 +482,9 @@ def run(argv: list[str], out=None, err=None) -> int:
         return 1
     except ValueError as exc:
         err.write(f"error: {exc}\n")
+        return 2
+    except OverflowError as exc:  # a derived exact value past the double range
+        err.write(f"error: a value is outside the double range ({exc})\n")
         return 2
     finally:
         clear_memo()  # only the handler builds expressions

@@ -785,28 +785,34 @@ def eval_at(e: Expr, env: Mapping[str, float]) -> float:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _compile(e: Expr, arg_names: Iterable[str], body) -> Callable[..., float]:
+def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body) -> Callable:
     """A Python function of ``arg_names`` (positional) returning ``body(ref,
-    let)``: ``ref(node)`` is the text of a subexpression's value, and
+    let)``, where every free symbol of ``roots`` must be an argument:
+    ``ref(node)`` is the text of a subexpression's value, and
     ``let(rhs)`` assigns the text ``rhs`` to a new slot.  The body is
     straight-line code with one slot per distinct compound subexpression,
     in the order a left-to-right walk first meets them, so a repeated
     subtree is computed once.  Each slot keeps its node's operand order
     and ``_pow``/``_log`` call: every finite value is bit-identical to
-    ``eval_at``."""
+    ``eval_at``.  A positive even integer power calls ``math.pow``
+    directly as ``_mpow``: for every double base it gives what
+    ``_real_pow`` gives, and the one overflow it can raise is turned into
+    DomainError by a handler around the whole body (float ``+ * /``,
+    ``abs`` and ``max`` give inf rather than raise).  Odd and negative
+    powers keep ``_pow``, which differs from ``math.pow`` at -0.0 and 0.0."""
     names = list(arg_names)
-    missing = e.free_symbols() - set(names)
+    missing = frozenset().union(*(r.free_symbols() for r in roots)) - set(names)
     if missing:
         raise UnboundSymbolError(f"unbound symbols {sorted(missing)}")
     prefix = "_t"
     while any(n.startswith(prefix) for n in names):
         prefix += "_"
     slots: dict[Expr, str] = {}  # structural hash/eq: equal subtrees share a slot
-    lines = [f"def _f({', '.join(names)}):"]
+    lines: list[str] = []
 
     def let(rhs: str) -> str:
-        slot = f"{prefix}{len(lines) - 1}"
-        lines.append(f"    {slot} = {rhs}")
+        slot = f"{prefix}{len(lines)}"
+        lines.append(f"        {slot} = {rhs}")
         return slot
 
     def ref(node: Expr) -> str:
@@ -821,20 +827,31 @@ def _compile(e: Expr, arg_names: Iterable[str], body) -> Callable[..., float]:
         elif isinstance(node, Product):
             rhs = " * ".join(ref(f) for f in node.factors)
         elif isinstance(node, Power):
-            if isinstance(node.exponent, Num) and node.exponent.value.denominator == 1:
-                rhs = f"_pow({ref(node.base)}, {float(node.exponent.value)!r})"
+            p = node.exponent
+            if isinstance(p, Num) and p.value.denominator == 1:
+                even = p.value > 0 and p.value.numerator % 2 == 0
+                rhs = f"{'_mpow' if even else '_pow'}({ref(node.base)}, {float(p.value)!r})"
             else:
-                rhs = f"_pow({ref(node.base)}, {ref(node.exponent)})"
+                rhs = f"_pow({ref(node.base)}, {ref(p)})"
         elif isinstance(node, Log):
             rhs = f"_log({ref(node.arg)})"
         else:
             raise TypeError(f"not an expression: {node!r}")
         return slots.setdefault(node, let(rhs))
 
-    lines.append(f"    return {body(ref, let)}")
-    namespace = {"_pow": _real_pow, "_log": _real_log,
-                 "_isfinite": math.isfinite, "_nonfinite": _nonfinite}
-    exec(compile("\n".join(lines), "<liesym>", "exec"), namespace)  # noqa: S102
+    result = body(ref, let)
+    source = "\n".join([
+        f"def _f({', '.join(names)}):",
+        "    try:",
+        *lines,
+        f"        return {result}",
+        "    except OverflowError as exc:",
+        "        raise _DomainError('overflow in an even power') from exc",
+    ])
+    namespace = {"_pow": _real_pow, "_mpow": math.pow, "_log": _real_log,
+                 "_isfinite": math.isfinite, "_nonfinite": _nonfinite,
+                 "_DomainError": DomainError}
+    exec(compile(source, "<liesym>", "exec"), namespace)  # noqa: S102
     return namespace["_f"]
 
 
@@ -848,14 +865,14 @@ def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     compiled product is ``inf``.  So every consumer treats a non-finite
     value as off the domain: ``to_cancellation`` raises DomainError, and
     the sampled verdicts redraw the point."""
-    return _compile(e, arg_names, lambda ref, let: ref(e))
+    return _compile((e,), arg_names, lambda ref, let: ref(e))
 
 
 def _nonfinite():
     raise DomainError("non-finite cancellation sum")
 
 
-def to_cancellation(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
+def to_cancellation(e: Expr, arg_names: Iterable[str], *values: Expr) -> Callable:
     """Compile a residual's cancellation measure, which residual grids and
     ``check_onshell_symmetry`` evaluate: the signed sum of its terms from
     0.0 in term order, over (1 + the largest term magnitude), the scale of
@@ -864,21 +881,29 @@ def to_cancellation(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     factor has as terms (the other factors) x (each term of that sum).
     Any other residual is its own term.  A non-finite result (an infinite
     or NaN term, or a sum that overflows) raises DomainError: the point is
-    off the domain."""
+    off the domain.
+
+    With ``values``, the function returns ``(measure, *values)`` from one
+    body, so a subexpression the roots share is computed once per call;
+    each value is what ``to_callable`` would give, and DomainError from
+    any root is raised."""
     def body(ref, let):
         sums = [f for f in e.factors if isinstance(f, Sum)] if isinstance(e, Product) else []
         if len(sums) == 1:
             others = [ref(f) for f in e.factors if f is not sums[0]]
             rest = let(" * ".join(others)) if len(others) > 1 else others[0]
-            values = [let(f"{rest} * {ref(t)}") for t in sums[0].terms]
+            terms = [let(f"{rest} * {ref(t)}") for t in sums[0].terms]
         else:
-            values = [ref(t) for t in (e.terms if isinstance(e, Sum) else (e,))]
-        total = let(" + ".join(["0.0", *values]))
-        scale = let(f"max(0.0, {', '.join(f'abs({v})' for v in values)})")
+            terms = [ref(t) for t in (e.terms if isinstance(e, Sum) else (e,))]
+        total = let(" + ".join(["0.0", *terms]))
+        scale = let(f"max(0.0, {', '.join(f'abs({t})' for t in terms)})")
         result = let(f"{total} / (1.0 + {scale})")
-        return f"{result} if _isfinite({result}) else _nonfinite()"
+        measure = f"{result} if _isfinite({result}) else _nonfinite()"
+        if not values:
+            return measure
+        return f"({measure}, {', '.join(ref(v) for v in values)})"
 
-    return _compile(e, arg_names, body)
+    return _compile((e, *values), arg_names, body)
 
 
 # ---------------------------------------------------------------------------

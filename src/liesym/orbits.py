@@ -34,7 +34,7 @@ from .expr import (
     pow_,
     substitute,
     sym,
-    to_callable,
+    to_callable,  # noqa: F401  (unused: perfbench/tracing.py patches orbits.to_callable)
     to_cancellation,
 )
 from .family import PDEInstance, scaling_vf
@@ -257,8 +257,8 @@ class ResidualField:
     in-domain node is the residual's ``to_cancellation`` measure: its
     terms cancel on a true solution but grow without bound toward the
     region boundary.  Nodes outside the solution's domain, and nodes
-    where u or the residual leaves the real domain or is not finite,
-    are masked: both entries are None.
+    where u or the residual leaves the real domain or the residual is
+    not finite, are masked: both entries are None.
     """
 
     grid: GridSpec
@@ -275,8 +275,9 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec) ->
     residual is a genuine failure of the solution, not discretization
     error.
     """
-    measure = to_cancellation(substitute(inst.delta, sol.jet()), ("x", "y"))
-    u_fn = to_callable(sol.expr, ("x", "y"))
+    # one body returns (measure, u): the slots u shares with the residual
+    # are computed once per node
+    measure_and_u = to_cancellation(substitute(inst.delta, sol.jet()), ("x", "y"), sol.expr)
     domain = sol.domain
     xs = grid.xs()
 
@@ -291,8 +292,7 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec) ->
                 residuals.append(None)
                 continue
             try:
-                u_val = u_fn(x, y)
-                res = measure(x, y)
+                res, u_val = measure_and_u(x, y)
             except DomainError:
                 # numerically outside the real domain (boundary roundoff),
                 # or a term too large to be finite

@@ -322,6 +322,24 @@ class TestContract:
         assert "NaN" not in out and "inf" not in out
         assert "not a finite number" in capsys.readouterr().err  # argparse's own message
 
+    @pytest.mark.parametrize("argv", [
+        ["exponents", "--a=1e400", "--r=2"],
+        ["exponents", "--a=1e-400", "--r=2"],
+        ["check-symmetry", "--a=-1", "--r=2", "--c1=-7", "--c2=-3", "--gamma1=1e400",
+         "--gamma2=1", "--samples", "5"],
+        ["residual-grid", "--preset", "gss", "--solution", "family", "--lambda=1e400",
+         "--nx", "3", "--ny", "3"],
+        ["exponents", "--a=1e10000000", "--r=2"],  # refused before Fraction builds it
+        ["exponents", "--a=1e-320", "--r=2"],  # a is subnormal, c1 ~ 8e320 is not a double
+    ], ids=["a-huge", "a-tiny", "gamma1-huge", "lambda-huge", "a-ten-million-digits",
+            "c1-overflows"])
+    def test_decimals_past_the_double_range_exit_two(self, argv, capsys):
+        # an uncaught OverflowError used to exit 1, which reads as "refuted"
+        code, out, err = run_cli(argv)
+        err += capsys.readouterr().err  # argparse writes its own errors to sys.stderr
+        assert code == 2 and out == ""
+        assert "error:" in err and "Traceback" not in err
+
     def test_report_refuses_non_json_numbers(self):
         with pytest.raises(ValueError):
             _print_report({"command": "probe", "value": float("nan")}, io.StringIO(), None)

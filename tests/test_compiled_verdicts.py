@@ -5,12 +5,14 @@ product."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from liesym import (
     ConstraintSystem,
     DomainError,
+    GridSpec,
     SampleSpec,
     SamplingError,
     auxiliary_constraint,
@@ -25,6 +27,7 @@ from liesym import (
     parse,
     region,
     restricted_eval,
+    substitute,
     to_callable,
     weak_cs_report,
 )
@@ -216,6 +219,44 @@ class TestCancellationMeasure:
             assert verdict.max_onshell_residual <= 5e-16
         else:
             assert verdict.max_onshell_residual >= 0.025
+
+
+class TestResidualGridSharedBody:
+    # residual_grid evaluates (measure, u) from one compiled body; over the
+    # 60 grids of test_cli's TestResidualGrid::test_exceptional_family_grids
+    # it must give what separately compiled u and measure give, node by node
+    @pytest.mark.parametrize("a", ["1/3", "1/2", "1", "3/2", "2", "5/2", "3", "4", "6",
+                                   "-1", "-2", "-5/3"])
+    def test_is_u_and_measure_compiled_apart(self, a):
+        a = Fraction(a)
+        k = -a / 4
+        inst = build_instance(a, 2, 1 + 8 / a, 1 + 4 / a, 8 * k * (k - 1),
+                              2 * a * k - 4 * k * (k - 1))
+
+        def outcome(fn, *point):
+            try:
+                return fn(*point)
+            except DomainError:
+                return DomainError
+
+        for lam in ("1/3", "1/2", "1", "2", "3"):
+            sol = family_solution(inst.a, Fraction(lam))
+            residual = substitute(inst.delta, sol.jet())
+            shared = to_cancellation(residual, ("x", "y"), sol.expr)
+            u_fn = to_callable(sol.expr, ("x", "y"))
+            measure = to_cancellation(residual, ("x", "y"))
+            grid = GridSpec(*region(float(Fraction(lam))).bounding_box(), 24, 24)
+            in_domain = 0
+            for y in grid.ys():
+                for x in grid.xs():
+                    want = outcome(measure, x, y)
+                    u = outcome(u_fn, x, y)
+                    if DomainError in (want, u):
+                        assert outcome(shared, x, y) is DomainError, (lam, x, y)
+                        continue
+                    assert shared(x, y) == (want, u), (lam, x, y)
+                    in_domain += sol.domain(x, y)
+            assert in_domain > 0
 
 
 class TestResidualGridMasksNonFinite:

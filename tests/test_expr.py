@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -406,7 +407,8 @@ class TestEval:
 
     def test_compiled_shares_repeated_subexpressions(self):
         # the GSS family residual is a 150-node tree with 6 distinct
-        # powers among 33 occurrences; each distinct power is computed once
+        # powers among 33 occurrences; each distinct power is computed
+        # once, and its 5 squares call math.pow directly as _mpow
         res = substitute(gss_preset().delta, family_solution(-1, 1).jet())
         powers = set()
         stack = [res]
@@ -418,17 +420,49 @@ class TestEval:
             elif isinstance(node, (Sum, Product)):
                 stack += node.terms if isinstance(node, Sum) else node.factors
         fn = to_callable(res, ("x", "y"))
-        real_pow = fn.__globals__["_pow"]
         calls = []
 
-        def counting_pow(b, p):
-            calls.append((b, p))
-            return real_pow(b, p)
+        def counting(name):
+            real = fn.__globals__[name]
 
-        fn.__globals__["_pow"] = counting_pow
+            def counted(b, p):
+                calls.append((name, p))
+                return real(b, p)
+            return counted
+
+        for name in ("_pow", "_mpow"):
+            fn.__globals__[name] = counting(name)
         fn(0.6, -0.4)
         assert len(powers) == 6
         assert len(calls) == len(powers)
+        assert [c for c in calls if c[0] == "_mpow"] == [("_mpow", 2.0)] * 5
+
+
+class TestEvenPowers:
+    # a positive even integer power compiles to math.pow itself, with one
+    # OverflowError handler around the body; it must be _real_pow bit for bit
+    POINTS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-200, -1e-200, 3.7, -3.7]
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_is_real_pow_bit_for_bit(self, n):
+        fn = to_callable(pow_(X, num(n)), ("x",))
+        assert fn.__globals__["_mpow"] is math.pow
+        for x in self.POINTS:
+            got, want = fn(x), expr._real_pow(x, float(n))
+            assert struct.pack("<d", got) == struct.pack("<d", want), (x, got, want)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_overflow_is_a_domain_error(self, n):
+        with pytest.raises(DomainError):
+            expr._real_pow(1e200, float(n))
+        with pytest.raises(DomainError):
+            to_callable(pow_(X, num(n)), ("x",))(1e200)
+
+    def test_odd_and_negative_powers_keep_real_pow(self):
+        # math.pow(-0.0, 3.0) is -0.0 and math.pow(0.0, -2.0) raises ValueError
+        assert math.copysign(1.0, to_callable(pow_(X, num(3)), ("x",))(-0.0)) == 1.0
+        with pytest.raises(DomainError):
+            to_callable(pow_(X, num(-2)), ("x",))(0.0)
 
 
 class TestEquivNumeric:
