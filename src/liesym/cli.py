@@ -389,11 +389,10 @@ def _cmd_region(args, out) -> tuple[dict, bool]:
         }
     mismatches = 0
     if args.samples > 0:
-        span = 1.2 * (geo.center1[0] + geo.radius)
-        y_lo, y_hi = geo.center1[1] - 1.2 * geo.radius, geo.center1[1] + 1.2 * geo.radius
+        x_lo, x_hi, y_lo, y_hi = geo.xor_check_box()
         mismatches = sum(RejectionSampler(
             args.samples, args.seed,
-            lambda rng: (rng.uniform(-span, span), rng.uniform(y_lo, y_hi)),
+            lambda rng: (rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)),
             lambda point: geo.membership(*point) != geo.xor_disks(*point)))
         fields["xor_check"] = {"samples": args.samples, "mismatches": mismatches}
     return fields, mismatches == 0

@@ -35,7 +35,7 @@ from .jets import (
     VectorField,
     apply_prolonged,
     prolong2,
-    sample_jet_env,
+    sample_jet_point,
 )
 
 _X = sym("x")
@@ -193,22 +193,21 @@ def check_onshell_symmetry(
     delta_fn = to_callable(inst.delta, JET_NAMES)
     uyy_slot = JET_NAMES.index("uyy")
 
-    def evaluate(env):
-        point = [env[n] for n in JET_NAMES]
+    def evaluate(point):
         point[uyy_slot] = 0.0
         uyy = -delta_fn(*point)
         if not math.isfinite(uyy):
             return None
-        env["uyy"] = point[uyy_slot] = uyy
-        return env, abs(measure(*point))
+        point[uyy_slot] = uyy
+        return point, abs(measure(*point))
 
-    samples = RejectionSampler(n_samples, seed, sample_jet_env, evaluate)
+    samples = RejectionSampler(n_samples, seed, sample_jet_point, evaluate)
     worst = None
     worst_val = -1.0
-    for env, rel in samples:
+    for point, rel in samples:
         if rel > worst_val:
             worst_val = rel
-            worst = env
+            worst = point
     if worst_val <= tol:
         status = "admitted"
     elif worst_val >= refute_threshold:
@@ -220,6 +219,6 @@ def check_onshell_symmetry(
         status=status,
         max_onshell_residual=worst_val,
         sample_count=n_samples,
-        worst_point=worst,
+        worst_point=dict(zip(JET_NAMES, worst)),
         resampled=samples.resampled,
     )

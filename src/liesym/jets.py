@@ -7,11 +7,12 @@ target expression in jet coordinates.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
 from .errors import OrderOverflowError
-from .expr import Expr, add, as_expr, diff, mul, substitute, sym
+from .expr import Expr, add, as_expr, diff, is_zero, mul, substitute, sym
 
 X = sym("x")
 Y = sym("y")
@@ -41,8 +42,21 @@ JET_RANGES = {
 }
 
 
+_JET_BOXES = tuple((lo, hi - lo) for lo, hi in (JET_RANGES[n] for n in JET_NAMES))
+
+
+def sample_jet_point(rng: random.Random) -> list[float]:
+    """One jet point as an argument list in JET_NAMES order.
+
+    Each coordinate is ``lo + (hi - lo) * rng.random()``, the formula of
+    ``random.Random.uniform``, so the draws and the generator state match
+    ``rng.uniform`` over the same ranges bit for bit."""
+    return [lo + span * rng.random() for lo, span in _JET_BOXES]
+
+
 def sample_jet_env(rng: random.Random) -> dict[str, float]:
-    return {name: rng.uniform(*JET_RANGES[name]) for name in JET_NAMES}
+    """The same draw as ``sample_jet_point``, keyed by jet name."""
+    return dict(zip(JET_NAMES, sample_jet_point(rng)))
 
 
 @dataclass(frozen=True)
@@ -134,8 +148,14 @@ def characteristic(vf: VectorField) -> Expr:
     return add(vf.phi, -mul(vf.xi1, UX), -mul(vf.xi2, UY))
 
 
+# Every command that checks a named field prolongs it again after the
+# expression memo was emptied.  A field is frozen and hashed by structure
+# and the result is immutable, so a hit returns what the body would
+# build; 8 entries hold X and X' at two values of a next to Y and dy.
+@functools.lru_cache(maxsize=8)
 def prolong2(vf: VectorField) -> ProlongedVF:
-    """Second prolongation via the recursive total-derivative formulas."""
+    """Second prolongation via the recursive total-derivative formulas
+    (Olver 1986, ch. 2); the last 8 results are kept."""
     dx, dy = (lambda e: total_derivative(e, "x")), (lambda e: total_derivative(e, "y"))
     phi_x = add(dx(vf.phi), -mul(UX, dx(vf.xi1)), -mul(UY, dx(vf.xi2)))
     phi_y = add(dy(vf.phi), -mul(UX, dy(vf.xi1)), -mul(UY, dy(vf.xi2)))
@@ -147,9 +167,13 @@ def prolong2(vf: VectorField) -> ProlongedVF:
 
 
 def apply_prolonged(pvf: ProlongedVF, target: Expr) -> Expr:
-    """Apply the prolonged field to an expression in jet coordinates."""
+    """Apply the prolonged field to an expression in jet coordinates.
+
+    A name whose coefficient is zero is not differentiated: its term
+    would be zero, which the sum drops anyway."""
     parts = [
         mul(coeff, diff(target, name))
         for name, coeff in pvf.coefficients().items()
+        if not is_zero(coeff)
     ]
     return add(*parts)

@@ -97,17 +97,34 @@ class RegionGeometry:
         return (self.center2[0] - self.radius, self.center1[0] + self.radius,
                 self.center1[1] - self.radius, self.center1[1] + self.radius)
 
+    def xor_check_box(self) -> tuple[float, float, float, float]:
+        """(x_min, x_max, y_min, y_max) of the box ``region --samples``
+        draws from: the bounding box widened by a fifth, symmetric in x."""
+        span = 1.2 * (self.center1[0] + self.radius)
+        return (-span, span,
+                self.center1[1] - 1.2 * self.radius, self.center1[1] + 1.2 * self.radius)
+
 
 def region(lam: float) -> RegionGeometry:
+    """The two-disk geometry of lam > 0.
+
+    Raises ValueError where x^2 + y^2 overflows at the far corner of the
+    xor-check box (lam below about 1.5e-154): ``membership`` would read
+    inf there and disagree with the two disks, which do not overflow."""
     if not lam > 0:
         raise ValueError(f"region geometry needs lam > 0, got {lam!r}")
     half = 1.0 / (2.0 * lam)
-    return RegionGeometry(
+    geo = RegionGeometry(
         lam=lam,
         center1=(half, -half),
         center2=(-half, -half),
         radius=1.0 / (math.sqrt(2.0) * lam),
     )
+    x_far, _, y_far, _ = geo.xor_check_box()
+    if math.isinf(x_far * x_far + y_far * y_far):
+        raise ValueError(f"region geometry needs lam of at least about 1.5e-154, "
+                         f"got {lam!r}: x^2 + y^2 overflows inside the region's box")
+    return geo
 
 
 @dataclass(frozen=True)

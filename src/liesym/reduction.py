@@ -44,7 +44,7 @@ from .expr import (
     to_text,
 )
 from .family import PDEInstance, exceptional_vf, rotation_like_vf
-from .jets import JET_NAMES, UX, UY, X, Y, apply_prolonged, prolong2, sample_jet_env
+from .jets import JET_NAMES, UX, UY, X, Y, apply_prolonged, prolong2, sample_jet_point
 
 _S = sym("s")
 _V = sym("v")
@@ -279,14 +279,16 @@ def restricted_eval(
     slots = [names.index(n) for n in system.eliminations]
     target_fn = to_callable(target, names)
 
-    def evaluate(env):
-        point = [env[n] for n in JET_NAMES] + [math.nan] * len(extra)
+    unsolved = [math.nan] * len(extra)
+
+    def evaluate(point):
+        point.extend(unsolved)
         if not solver(fns, slots, point, coeff_floor):
             return None
         value = abs(target_fn(*point))
         return value if math.isfinite(value) else None
 
-    samples = RejectionSampler(n_samples, seed, sample_jet_env, evaluate)
+    samples = RejectionSampler(n_samples, seed, sample_jet_point, evaluate)
     max_abs = 0.0
     total = 0.0
     for value in samples:

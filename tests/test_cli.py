@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from liesym import GridSpec, base_solution, expr, gss_preset, mul, region, residual_grid, sym
+from liesym import (GridSpec, base_solution, exceptional_exponents, expr, gss_preset, mul, region,
+                    residual_grid, sym)
 from liesym import cli
 from liesym.cli import _print_report, build_parser, emit_csv, read_csv_sup_norm, run
 
@@ -340,6 +341,28 @@ class TestContract:
         assert code == 2 and out == ""
         assert "error:" in err and "Traceback" not in err
 
+    TINY_LAMBDA_COMMANDS = {
+        "region": ["region", "--samples", "2000"],
+        "transform": ["transform", "--samples", "64"],
+        "residual-grid": ["residual-grid", "--preset", "gss", "--solution", "family",
+                          "--nx", "20", "--ny", "20"],
+    }
+
+    @pytest.mark.parametrize("lam,code", [("1e-154", 2), ("1e-200", 2), ("1e-320", 2),
+                                          ("3e-154", 0)])
+    @pytest.mark.parametrize("command", sorted(TINY_LAMBDA_COMMANDS))
+    def test_lambda_too_small_for_the_region_exits_two(self, command, lam, code):
+        # where x^2 + y^2 overflows inside the region's box, membership
+        # reads inf: region would count mismatches of a true identity,
+        # transform run out of redraws and the grid mask every node, each
+        # exiting 1 as if refuted
+        got, out, err = run_cli([*self.TINY_LAMBDA_COMMANDS[command], f"--lambda={lam}"])
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error:") and f"got {lam}" in err
+            assert "Traceback" not in err
+
     def test_report_refuses_non_json_numbers(self):
         with pytest.raises(ValueError):
             _print_report({"command": "probe", "value": float("nan")}, io.StringIO(), None)
@@ -510,6 +533,24 @@ class TestGoldenBytes:
         got, out, _ = run_cli(argv)
         assert got == code
         assert hashlib.sha256(strip_timestamp(out).encode()).hexdigest() == report_sha
+
+    # prolong2 keeps its last results across commands: fill it with the
+    # exceptional field at nine other values of a first, then the case
+    # runs past those entries and, the second time, hits its own
+    WARM_UP_A = ["-3", "-2", "-5/3", "-1/2", "1/2", "2/3", "1", "2", "3"]
+
+    @pytest.mark.parametrize("argv,code,report_sha", SAMPLING_CASES, ids=[
+        "check-symmetry-gss", "check-symmetry-refuted", "transform", "region",
+        "weak-cs", "weak-cs-consequences"])
+    def test_sampling_report_bytes_after_warm_up(self, argv, code, report_sha):
+        for a in self.WARM_UP_A:
+            c1, c2 = exceptional_exponents(Fraction(a), 2)
+            assert run_cli(["check-symmetry", f"--a={a}", "--r=2", f"--c1={c1}", f"--c2={c2}",
+                            "--gamma1=1", "--gamma2=1", "--samples", "20"])[0] == 0
+        for _ in range(2):
+            got, out, _ = run_cli(argv)
+            assert got == code
+            assert hashlib.sha256(strip_timestamp(out).encode()).hexdigest() == report_sha
 
     # sha256 of the report minus its timestamp line where eval_at raised
     # DomainError on an overflowing product at some draws, recorded

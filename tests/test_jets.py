@@ -1,13 +1,21 @@
-"""Total derivatives, second prolongation, characteristic."""
+"""Total derivatives, second prolongation, characteristic, and the jet
+point draw."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from liesym import (
     OrderOverflowError,
     VectorField,
+    add,
+    build_instance,
+    diff,
+    exceptional_exponents,
     expand,
+    is_zero,
+    mul,
     apply_prolonged,
     characteristic,
     eval_at,
@@ -22,7 +30,25 @@ from liesym import (
     total_derivative,
     y_translation_vf,
 )
-from liesym.jets import JET_NAMES, sample_jet_env
+from liesym import jets
+from liesym.expr import clear_memo
+from liesym.jets import JET_NAMES, JET_RANGES, sample_jet_env, sample_jet_point
+
+
+class TestSampleJetPoint:
+    def test_matches_uniform_draw_for_draw(self):
+        # the reports' bytes rest on this: the argument-list draw replaced
+        # one rng.uniform call per jet name, in JET_NAMES order
+        fast, reference = random.Random(77), random.Random(77)
+        for _ in range(10_000):
+            expected = [reference.uniform(*JET_RANGES[n]) for n in JET_NAMES]
+            assert sample_jet_point(fast) == expected
+        assert fast.getstate() == reference.getstate()
+
+    def test_env_is_the_same_draw_by_name(self):
+        env = sample_jet_env(random.Random(5))
+        assert list(env) == list(JET_NAMES)
+        assert list(env.values()) == sample_jet_point(random.Random(5))
 
 
 class TestTotalDerivative:
@@ -101,6 +127,13 @@ class TestProlong2:
         with pytest.raises(ValueError):
             VectorField(parse("ux"), parse("0"), parse("0"))
 
+    def test_equal_field_gets_the_kept_result(self):
+        first = prolong2(exceptional_vf().bind(a=Fraction(-5, 3)))
+        clear_memo()  # as between two commands
+        again = prolong2(exceptional_vf().bind(a=Fraction(-5, 3)))
+        assert again is first
+        assert prolong2(exceptional_vf().bind(a=Fraction(2, 3))) is not first
+
 
 class TestCharacteristic:
     def test_rotation(self):
@@ -118,7 +151,55 @@ class TestCharacteristic:
         assert characteristic(scaling_vf()) == parse("-(a/2)*u - x*ux - y*uy")
 
 
+def _every_name(pvf, target):
+    """Reference: one term for each of the eight names, zero or not."""
+    return add(*[mul(coeff, diff(target, name))
+                 for name, coeff in pvf.coefficients().items()])
+
+
+_FIELDS = {
+    "X": exceptional_vf,
+    "Xprime": scaling_vf,
+    "Y": rotation_like_vf,
+    "dy": y_translation_vf,
+    "zero-xi2": lambda: VectorField(parse("x*y"), num(0), parse("a*u")),
+}
+
+
+def _exceptional_instance(a, r=1):
+    return build_instance(a, r, *exceptional_exponents(a, r), Fraction(-3, 2), Fraction(1, 4))
+
+
 class TestApplyProlonged:
+    @pytest.mark.parametrize("a", [Fraction(-1), Fraction(-5, 3), Fraction(2, 3), Fraction(3)],
+                             ids=["-1", "-5/3", "2/3", "3"])
+    @pytest.mark.parametrize("field", sorted(_FIELDS))
+    def test_skipping_zero_coefficients_keeps_the_expression(self, field, a):
+        pvf = prolong2(_FIELDS[field]().bind(a=a))
+        delta = _exceptional_instance(a).delta
+        applied = apply_prolonged(pvf, delta)
+        clear_memo()
+        assert applied == _every_name(pvf, delta)
+
+    @pytest.mark.parametrize("field", sorted(_FIELDS))
+    def test_only_nonzero_coefficients_are_differentiated(self, field, monkeypatch):
+        pvf = prolong2(_FIELDS[field]().bind(a=Fraction(-5, 3)))
+        delta = _exceptional_instance(Fraction(-5, 3)).delta
+        names = []
+
+        def logged(e, wrt):
+            names.append(wrt)
+            return diff(e, wrt)
+
+        monkeypatch.setattr(jets, "diff", logged)
+        apply_prolonged(pvf, delta)
+        expected = [n for n, c in pvf.coefficients().items() if not is_zero(c)]
+        assert names == expected
+        if field == "dy":
+            assert names == ["y"]
+        if field == "Y":
+            assert "u" not in names and len(names) == 7
+
     def test_y_translation_annihilates_y_free_residual(self):
         delta = family_residual(-1, 2, -7, -3, parse("-3/2"), parse("1/4"))
         assert apply_prolonged(prolong2(y_translation_vf()), delta) == num(0)

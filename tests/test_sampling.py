@@ -119,8 +119,13 @@ def test_counts_below_one_are_refused(entry, count):
 
 
 def _x_at_zero(monkeypatch, module):
-    real = module.sample_jet_env
-    monkeypatch.setattr(module, "sample_jet_env", lambda rng: {**real(rng), "x": 0.0})
+    real = module.sample_jet_point
+
+    def draw(rng):
+        point = real(rng)
+        point[0] = 0.0  # x
+        return point
+    monkeypatch.setattr(module, "sample_jet_point", draw)
 
 
 class TestExhaustedBudget:
