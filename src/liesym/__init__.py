@@ -15,6 +15,7 @@ from .errors import (
     SamplingError,
     SingularPointError,
     UnboundSymbolError,
+    WorkerError,
 )
 from .expr import (
     EquivResult,

@@ -3,7 +3,8 @@
 Every subcommand prints a JSON report (stdout, or ``--output`` for most
 commands; ``residual-grid`` sends the CSV field to ``--output`` and the
 JSON summary to stdout).  Exit codes: 0 when the checked property is
-verified, 1 when it is refuted or inconclusive, 2 on usage errors.
+verified, 1 when it is refuted or inconclusive, 2 on usage errors and
+when ``--output`` cannot be written.
 Reports are deterministic for a fixed seed; the timestamp field sits on
 its own line so two runs can be compared modulo that line.  The
 environment variable LIESYM_SEED, when set, overrides ``--seed``.
@@ -46,6 +47,7 @@ from .orbits import (
     base_solution,
     conformal_factor,
     family_solution,
+    in_row_blocks,
     map_point,
     region,
     residual_grid,
@@ -60,6 +62,7 @@ from .reduction import (
 )
 
 CSV_HEADER = ("x", "y", "in_domain", "u", "residual")
+SPOOL_CHUNK = 1 << 16  # bytes of a row block's CSV copied to the sink at a time
 
 
 def emit_csv(field: ResidualField, sink) -> None:
@@ -67,20 +70,32 @@ def emit_csv(field: ResidualField, sink) -> None:
     17 significant digits; masked nodes leave u and residual empty.
 
     No field ever needs quoting, so rows are formatted directly: each
-    coordinate once, one write per grid row.
+    coordinate once, one write per grid row.  A large field is written in
+    row blocks (``in_row_blocks``); the bytes are the same for any block
+    count.
     """
     sink.write(",".join(CSV_HEADER) + "\n")
     xs = [f"{x:.17g}" for x in field.grid.xs()]
+    ys = field.grid.ys()
     nx = len(xs)
-    start = 0
-    for y in field.grid.ys():
-        masked = f",{y:.17g},0,,\n"
-        inside = f",{y:.17g},1,"
-        stop = start + nx
-        sink.write("".join(
-            x + masked if u is None else f"{x}{inside}{u:.17g},{r:.17g}\n"
-            for x, u, r in zip(xs, field.us[start:stop], field.residuals[start:stop])))
-        start = stop
+
+    def write_rows(rows: range, write) -> None:
+        for j in rows:
+            start = j * nx
+            masked = f",{ys[j]:.17g},0,,\n"
+            inside = f",{ys[j]:.17g},1,"
+            write("".join(
+                x + masked if u is None else f"{x}{inside}{u:.17g},{r:.17g}\n"
+                for x, u, r in zip(xs, field.us[start:start + nx],
+                                   field.residuals[start:start + nx])))
+
+    def unspool(fh) -> None:
+        while chunk := fh.read(SPOOL_CHUNK):
+            sink.write(chunk.decode("ascii"))
+
+    in_row_blocks(len(ys), len(field.us), lambda rows: write_rows(rows, sink.write),
+                  lambda rows, fh: write_rows(rows, lambda text: fh.write(text.encode("ascii"))),
+                  unspool)
 
 
 def read_csv_sup_norm(source) -> float | None:
@@ -349,12 +364,14 @@ def _cmd_residual_grid(args, out) -> tuple[dict, bool]:
     else:
         sol = family_solution(inst.a, args.lam)
     grid = _default_grid(args)
-    field = residual_grid(inst, sol, grid)
-    if args.output:
-        with open(args.output, "w") as fh:
-            emit_csv(field, fh)
-    else:
-        emit_csv(field, out)
+    # opened before the grid is evaluated, so a bad path costs no evaluation
+    sink = open(args.output, "w") if args.output else out
+    try:
+        field = residual_grid(inst, sol, grid)
+        emit_csv(field, sink)
+    finally:
+        if sink is not out:
+            sink.close()
 
     within = field.sup_norm is not None and field.sup_norm <= args.tol
     return {
@@ -484,6 +501,9 @@ def run(argv: list[str], out=None, err=None) -> int:
         return 2
     except OverflowError as exc:  # a derived exact value past the double range
         err.write(f"error: a value is outside the double range ({exc})\n")
+        return 2
+    except OSError as exc:  # --output cannot be opened or written
+        err.write(f"error: {exc}\n")
         return 2
     finally:
         clear_memo()  # only the handler builds expressions

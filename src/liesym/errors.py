@@ -40,3 +40,7 @@ class SingularPointError(LiesymError):
 
 class ReductionError(LiesymError):
     """Invariant-variable reduction or the x^2 split is not applicable."""
+
+
+class WorkerError(LiesymError):
+    """A forked process working part of a residual grid failed."""

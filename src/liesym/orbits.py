@@ -15,12 +15,14 @@ centered at (+-1/(2 lam), -1/(2 lam)).
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import BinaryIO, Callable, NoReturn
 
-from .errors import DomainError, SingularPointError
+from .errors import DomainError, SingularPointError, WorkerError
 from .expr import (
     Expr,
     Num,
@@ -290,38 +292,177 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec) ->
 
     Derivatives of the solution are taken symbolically, so any nonzero
     residual is a genuine failure of the solution, not discretization
-    error.
+    error.  A grid of FORK_MIN_NODES nodes or more is evaluated in row
+    blocks (``in_row_blocks``); the field is the same for any block count.
     """
     # one body returns (measure, u): the slots u shares with the residual
     # are computed once per node
     measure_and_u = to_cancellation(substitute(inst.delta, sol.jet()), ("x", "y"), sol.expr)
     domain = sol.domain
     xs = grid.xs()
+    ys = grid.ys()
+
+    def evaluate(rows: range, us: list, residuals: list) -> tuple[float | None, int]:
+        """Append the nodes of ``rows`` to the two lists; return the sup of
+        |residual| over their in-domain nodes and the count of those."""
+        sup = None
+        count = 0
+        for j in rows:
+            y = ys[j]
+            for x in xs:
+                if not domain(x, y):
+                    us.append(None)
+                    residuals.append(None)
+                    continue
+                try:
+                    res, u_val = measure_and_u(x, y)
+                except DomainError:
+                    # numerically outside the real domain (boundary roundoff),
+                    # or a term too large to be finite
+                    us.append(None)
+                    residuals.append(None)
+                    continue
+                us.append(u_val)
+                residuals.append(res)
+                count += 1
+                if sup is None or abs(res) > sup:
+                    sup = abs(res)
+        return sup, count
 
     us: list[float | None] = []
     residuals: list[float | None] = []
     sup = None
     count = 0
-    for y in grid.ys():
-        for x in xs:
-            if not domain(x, y):
-                us.append(None)
-                residuals.append(None)
-                continue
-            try:
-                res, u_val = measure_and_u(x, y)
-            except DomainError:
-                # numerically outside the real domain (boundary roundoff),
-                # or a term too large to be finite
-                us.append(None)
-                residuals.append(None)
-                continue
-            us.append(u_val)
-            residuals.append(res)
-            count += 1
-            if sup is None or abs(res) > sup:
-                sup = abs(res)
+
+    def merge(block_sup: float | None, block_count: int) -> None:
+        nonlocal sup, count
+        count += block_count
+        if block_sup is not None and (sup is None or block_sup > sup):
+            sup = block_sup
+
+    # a child's block goes through its file as one marshal record per row
+    # (marshal keeps every float bit for bit), each after its length, so
+    # this process holds one row of it at a time
+    def spool(rows: range, fh) -> None:
+        for j in rows:
+            row_us: list[float | None] = []
+            row_residuals: list[float | None] = []
+            row_sup, row_count = evaluate(range(j, j + 1), row_us, row_residuals)
+            record = marshal.dumps((row_us, row_residuals, row_sup, row_count))
+            fh.write(len(record).to_bytes(4, "little") + record)
+
+    def unspool(fh) -> None:
+        while size := fh.read(4):
+            row_us, row_residuals, row_sup, row_count = marshal.loads(
+                fh.read(int.from_bytes(size, "little")))
+            us.extend(row_us)
+            residuals.extend(row_residuals)
+            merge(row_sup, row_count)
+
+    in_row_blocks(grid.ny, grid.nx * grid.ny,
+                  lambda rows: merge(*evaluate(rows, us, residuals)), spool, unspool)
     return ResidualField(grid, us, residuals, sup, count)
+
+
+# Grids of at least this many nodes are worked in row blocks, one per CPU
+# this process may use.  On a 2-core host forking a child breaks even at
+# about 5,000 to 10,000 nodes, depending on the other core's load; the
+# margin keeps the README's 100x100 grid and every small grid in one
+# process.
+FORK_MIN_NODES = 20_000
+# the block count of such a grid: one where this process cannot fork
+ROW_BLOCKS = (len(os.sched_getaffinity(0))
+              if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+
+
+def in_row_blocks(ny: int, nodes: int, own: Callable[[range], None],
+                  spool: Callable[[range, BinaryIO], None],
+                  unspool: Callable[[BinaryIO], None]) -> None:
+    """Work the rows ``range(ny)`` of a grid of ``nodes`` nodes, in
+    contiguous blocks and in row order.
+
+    ``own(rows)`` works a block in this process.  A grid below
+    FORK_MIN_NODES nodes is one block, ``own(range(ny))``.  A larger one
+    is split into ROW_BLOCKS blocks (at most one per row): this process
+    works the first while each later block runs in a forked child as
+    ``spool(rows, fh)``, which writes into an unlinked temporary file.
+    ``unspool(fh)`` then reads each file back here, in block order, from
+    its start.  A block whose child cannot be started is worked by
+    ``own`` in its turn.  A child that fails raises WorkerError.  However
+    this returns, every child has been reaped and every file closed.
+    """
+    n = 1 if nodes < FORK_MIN_NODES else min(ROW_BLOCKS, ny)
+    bounds = [ny * i // n for i in range(n + 1)]
+    blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if n == 1:
+        own(blocks[0])
+        return
+    children = []  # [rows, pid, spool file]; pid None once reaped or never forked
+    try:
+        for rows in blocks[1:]:
+            children.append([rows, *_fork_block(rows, spool)])
+        own(blocks[0])
+        for child in children:
+            rows, pid, fh = child
+            if pid is None:
+                own(rows)
+                continue
+            _, status = os.waitpid(pid, 0)
+            child[1] = None
+            code = os.waitstatus_to_exitcode(status)
+            fh.seek(0)
+            if code != 0:
+                why = fh.read(2000).decode(errors="replace") if code == 1 else f"exit status {code}"
+                raise WorkerError(f"rows {rows.start}-{rows.stop - 1} of the grid failed "
+                                  f"in a worker process: {why}")
+            unspool(fh)
+    finally:
+        for child in children:
+            _, pid, fh = child
+            if pid is not None:  # left unread after an error here or in another block
+                import signal
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            if fh is not None:
+                fh.close()
+
+
+def _fork_block(rows: range, spool) -> tuple[int | None, BinaryIO | None]:
+    """Start a child working ``rows`` into a fresh spool file; (pid, file),
+    or (None, None) where the file or the child cannot be made."""
+    import tempfile  # only grids that fork pay for the import
+
+    try:
+        fh = tempfile.TemporaryFile()
+    except OSError:
+        return None, None
+    try:
+        pid = os.fork()
+    except OSError:
+        fh.close()
+        return None, None
+    if pid == 0:
+        _child(rows, spool, fh)
+    return pid, fh
+
+
+def _child(rows: range, spool, fh: BinaryIO) -> NoReturn:
+    """Work one block in a forked child and leave through os._exit, never
+    by unwinding: that would run the parent's ``finally`` blocks and flush
+    the buffers it holds.  A failure is reported as the spool's text with
+    exit status 1."""
+    status = 1
+    try:
+        spool(rows, fh)
+        fh.flush()
+        status = 0
+    except BaseException as exc:  # anything, KeyboardInterrupt too, ends in os._exit
+        fh.seek(0)
+        fh.truncate()
+        fh.write(f"{type(exc).__name__}: {exc}".encode(errors="replace"))
+        fh.flush()
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------

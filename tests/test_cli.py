@@ -363,6 +363,37 @@ class TestContract:
             assert err.startswith("error:") and f"got {lam}" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,target,reason", [
+        (["residual-grid", "--preset", "gss", "--solution", "family", "--nx", "20",
+          "--ny", "20"], "missing/field.csv", "No such file or directory"),
+        (["residual-grid", "--preset", "gss", "--nx", "20", "--ny", "20"], ".",
+         "Is a directory"),
+        (["check-symmetry", "--preset", "gss", "--samples", "10"], "missing/report.json",
+         "No such file or directory"),
+    ], ids=["grid-missing-directory", "grid-directory", "check-symmetry-missing-directory"])
+    def test_unwritable_output_exits_two(self, command, target, reason, tmp_path, monkeypatch):
+        # an OSError escaped as a traceback with exit 1, which reads as
+        # "refuted"; the grid was evaluated before its CSV file was opened
+        def refuse(*args):
+            raise AssertionError("the grid was evaluated")
+
+        monkeypatch.setattr(cli, "residual_grid", refuse)
+        path = tmp_path / target
+        code, out, err = run_cli([*command, "--output", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and reason in err and repr(str(path)) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+    @pytest.mark.parametrize("argv", [
+        ["residual-grid", "--preset", "gss", "--nx", "5", "--ny", "5"],
+        ["exponents", "--a", "-1", "--r", "2"],
+    ], ids=["residual-grid", "exponents"])
+    def test_failed_output_write_exits_two(self, argv):
+        code, out, err = run_cli([*argv, "--output", "/dev/full"])
+        assert code == 2 and out == ""
+        assert err == "error: [Errno 28] No space left on device\n"
+
     def test_report_refuses_non_json_numbers(self):
         with pytest.raises(ValueError):
             _print_report({"command": "probe", "value": float("nan")}, io.StringIO(), None)
