@@ -253,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--consequences", action="store_true",
-                   help="also impose the differential consequences of the "
-                        "invariance condition in the last stage")
+                   help="echoed as include_consequences; adds nothing: the invariance "
+                        "condition Q, D_x Q and D_y Q vanish on the last stage's jet")
     _common_flags(p)
 
     return parser
@@ -364,11 +364,23 @@ def _cmd_residual_grid(args, out) -> tuple[dict, bool]:
     else:
         sol = family_solution(inst.a, args.lam)
     grid = _default_grid(args)
-    # opened before the grid is evaluated, so a bad path costs no evaluation
-    sink = open(args.output, "w") if args.output else out
+    # opened before the grid is evaluated, so a bad path costs no evaluation;
+    # a file this run created is removed again when the command fails
+    sink, created = out, False
+    if args.output:
+        try:
+            sink, created = open(args.output, "x"), True
+        except FileExistsError:
+            sink = open(args.output, "w")
     try:
         field = residual_grid(inst, sol, grid)
         emit_csv(field, sink)
+        if sink is not out:
+            sink.close()  # inside the try: a failed final flush fails the command
+    except BaseException:
+        if created:
+            os.unlink(args.output)
+        raise
     finally:
         if sink is not out:
             sink.close()
@@ -441,8 +453,7 @@ def _cmd_reduce(args, out) -> tuple[dict, bool]:
 
 def _cmd_weak_cs(args, out) -> tuple[dict, bool]:
     inst, label = _instance_from_args(args)
-    rep = weak_cs_report(inst, n_samples=args.samples, seed=args.seed,
-                         include_consequences=args.consequences)
+    rep = weak_cs_report(inst, n_samples=args.samples, seed=args.seed)
     # the report's own "instance" (the parameter mapping) replaces the label
     return {
         "instance": label,

@@ -231,13 +231,14 @@ class Product(Expr):
 
 
 class Sum(Expr):
-    __slots__ = ("terms", "_key")
+    __slots__ = ("terms", "_key", "_signed")
 
     def __init__(self, terms: tuple[Expr, ...]):
         self.terms = terms
         self._hash = hash((_KIND_SUM, terms))
         self._free = None
         self._key = None
+        self._signed = None
 
     def sort_key(self):
         if self._key is None:
@@ -374,10 +375,9 @@ def _canonical_product(factors: tuple[Expr, ...]) -> Expr:
             flat.append(e)
 
     coeff, rebuilt = _merge_powers(flat)
-    if len({f.base if isinstance(f, Power) else f for f in rebuilt}) < len(rebuilt):
-        # sign normalization turned a bare sum into the base of another
-        # factor ((1+2y) next to (-1-2y)); merge once more.  That pass
-        # meets only normalized sums, so it cannot repeat a base again.
+    while len({f.base if isinstance(f, Power) else f for f in rebuilt}) < len(rebuilt):
+        # a sign-normalized or aligned sum became the base of another factor
+        # ((1+2y) next to (-1-2y)); merge again until no base repeats
         extra, rebuilt = _merge_powers(rebuilt)
         coeff *= extra
     if coeff == 0:
@@ -401,7 +401,8 @@ def _merge_powers(flat: list[Expr]) -> tuple[Fraction, list[Expr]]:
     """Collect the exponents of each base of a flat factor list.
 
     Returns the numeric coefficient and the non-numeric factors, one per
-    base in first-met order, with bare sums sign-normalized.
+    base in first-met order, with bare sums sign-normalized and negated
+    sum bases aligned (``_align_negated_sums``).
     """
     coeff = Fraction(1)
     bases: list[Expr] = []
@@ -423,6 +424,7 @@ def _merge_powers(flat: list[Expr]) -> tuple[Fraction, list[Expr]]:
         return coeff, []
 
     rebuilt: list[Expr] = []
+    sums: list[int] = []  # where the factors with a sum base are
     for b in bases:
         elist = exps[b]
         f = pow_(b, elist[0] if len(elist) == 1 else add(*elist))
@@ -434,6 +436,8 @@ def _merge_powers(flat: list[Expr]) -> tuple[Fraction, list[Expr]]:
                 if isinstance(g, Num):
                     coeff *= g.value
                 else:
+                    if isinstance(g, Sum) or isinstance(g, Power) and isinstance(g.base, Sum):
+                        sums.append(len(rebuilt))
                     rebuilt.append(g)
         elif isinstance(f, Sum):
             # sign-normalize bare sum factors so that s and -s cannot both
@@ -442,10 +446,59 @@ def _merge_powers(flat: list[Expr]) -> tuple[Fraction, list[Expr]]:
             if isinstance(flipped, Sum) and flipped.sort_key() < f.sort_key():
                 coeff = -coeff
                 f = flipped
+            sums.append(len(rebuilt))
             rebuilt.append(f)
         else:
+            if isinstance(b, Sum):
+                sums.append(len(rebuilt))
             rebuilt.append(f)
+    if len(sums) > 1 and _align_negated_sums(rebuilt, sums):
+        coeff = -coeff
     return coeff, rebuilt
+
+
+def _align_negated_sums(factors: list[Expr], sums: list[int]) -> bool:
+    """Rewrite in place a factor (-b)^n with an integer n as b^n where b is
+    the sum base of another factor, for ``_canonical_product`` to merge;
+    return whether the signs (-1)^n taken out multiply to -1.  ``sums``
+    are the positions of the factors with a sum base.  Of two integer
+    powers, the base with the smaller sort key stays, as for a bare sum."""
+    odd = False
+    seen: dict[int, int] = {}
+    for i in sums:
+        bi = factors[i].base if isinstance(factors[i], Power) else factors[i]
+        terms, negated = bi._signed or _signed_hashes(bi)
+        j = seen.get(negated)
+        bj = None if j is None else factors[j].base if isinstance(factors[j], Power) else factors[j]
+        if bj is None or set(_term_pairs(bj)) != {(t, -c) for t, c in _term_pairs(bi)}:
+            seen[terms] = i
+            continue
+        ni, nj = (f.exponent if isinstance(f, Power) else ONE for f in (factors[i], factors[j]))
+        int_i, int_j = (isinstance(n, Num) and n.value.denominator == 1 for n in (ni, nj))
+        if int_j and not (int_i and bi.sort_key() > bj.sort_key()):
+            flip, n, keep = j, nj, bi
+        elif int_i:
+            flip, n, keep = i, ni, bj
+        else:
+            continue
+        factors[flip] = pow_(keep, n)
+        odd ^= n.value.numerator % 2 == 1
+    return odd
+
+
+def _term_pairs(b: Sum) -> list[tuple[Expr, Fraction]]:
+    """(the term without its coefficient, the coefficient) for each term
+    of a sum, the constant under ONE."""
+    return [(ONE, t.value) if isinstance(t, Num) else _strip_coeff(t)[::-1] for t in b.terms]
+
+
+def _signed_hashes(b: Sum) -> tuple[int, int]:
+    """Hashes of the sets of ``_term_pairs`` of b and of -b, kept on the sum
+    (two ints: keeping the sets themselves raised the peak RSS of large
+    grids by about 1 MB)."""
+    pairs = _term_pairs(b)
+    b._signed = hash(frozenset(pairs)), hash(frozenset((t, -c) for t, c in pairs))
+    return b._signed
 
 
 def _strip_coeff(term: Expr) -> tuple[Fraction, Expr]:

@@ -8,10 +8,10 @@ one power of x^2 behind:
 so the hyperbolic rotation Y is not a proper conditional symmetry; but
 collecting powers of x^2 splits the equation into two ODEs that share
 the profile v = s^(-a/4) when g1 = (a/2)(a+4) and g2 = -(a/4)(3a+4).
-The module also evaluates the prolonged rotation applied to the residual
-on nested constraint manifolds (residual alone; plus the invariance
-condition; plus the auxiliary constraint), reproducing the
-nonzero / nonzero / zero pattern that defines the weak conditional
+The module also restricts the prolonged rotation applied to the residual
+exactly to three constraint manifolds (the residual alone; plus the
+invariance condition; the jet of the invariant solution), reproducing
+the nonzero / nonzero / zero pattern that defines the weak conditional
 symmetry, and reports the two routes together.
 """
 
@@ -185,9 +185,28 @@ class ConstraintSystem:
             for c, s in zip(self.constraints, self.eliminations)
         ]
 
+    def restrict(self, target: Expr) -> Expr:
+        """The target on the manifold, exactly.  In order, each constraint
+        with the earlier solutions substituted in is solved for its symbol
+        s as ``s = -c|_{s=0} * (dc/ds)^(-1)``; the solutions, free of every
+        solved symbol, are substituted into the target, which is expanded
+        once.  A coefficient dc/ds that is 0 or still holds s raises
+        ReductionError: the constraint is not affine in s."""
+        solved: dict[str, Expr] = {}
+        for c, s in zip(self.constraints, self.eliminations):
+            c = substitute(c, solved)
+            coeff = diff(c, s)
+            if is_zero(coeff) or s in coeff.free_symbols():
+                raise ReductionError(f"constraint {to_text(c)} is not affine in {s}")
+            value = mul(num(-1), substitute(c, {s: num(0)}), pow_(coeff, num(-1)))
+            solved = {k: substitute(v, {s: value}) for k, v in solved.items()}
+            solved[s] = value
+        return expand(substitute(target, solved))
+
 
 @dataclass(frozen=True)
 class RestrictedEvalResult:
+    remainder: Expr
     max_abs: float
     mean_abs: float
     samples: int
@@ -195,6 +214,7 @@ class RestrictedEvalResult:
 
     def to_dict(self) -> dict:
         return {
+            "remainder": to_text(self.remainder),
             "max_abs": self.max_abs,
             "mean_abs": self.mean_abs,
             "samples": self.samples,
@@ -202,90 +222,21 @@ class RestrictedEvalResult:
         }
 
 
-def _solve_sequential(fns, slots, point, coeff_floor) -> bool:
-    for fn, i in zip(fns, slots):
-        point[i] = 0.0
-        b = fn(*point)
-        point[i] = 1.0
-        coeff = fn(*point) - b
-        # coeff is finite only if b is, and a nonzero float difference
-        # with b is at least ~2^-54 |b|, so -b / coeff is finite too
-        if not math.isfinite(coeff) or abs(coeff) < coeff_floor:
-            return False
-        point[i] = -b / coeff
-    return True
-
-
-def _solve_simultaneous(fns, slots, point, coeff_floor) -> bool:
-    """Joint affine solve (Gaussian elimination with partial pivoting) for
-    constraint systems that no elimination order can triangularize."""
-    k = len(slots)
-    for i in slots:
-        point[i] = 0.0
-    rows = []
-    for fn in fns:
-        b = fn(*point)
-        row = []
-        for i in slots:
-            point[i] = 1.0
-            row.append(fn(*point) - b)
-            point[i] = 0.0
-        row.append(-b)
-        if not all(map(math.isfinite, row)):
-            return False
-        rows.append(row)
-    for col in range(k):
-        pivot = max(range(col, k), key=lambda i: abs(rows[i][col]))
-        if abs(rows[pivot][col]) < coeff_floor:
-            return False
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for i in range(k):
-            if i == col:
-                continue
-            f = rows[i][col] / rows[col][col]
-            if f != 0.0:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    for r, i in enumerate(slots):
-        point[i] = rows[r][k] / rows[r][r]
-        if not math.isfinite(point[i]):
-            return False
-    return True
-
-
-def restricted_eval(
-    target: Expr,
-    system: ConstraintSystem,
-    n_samples: int = 200,
-    seed: int = 42,
-    coeff_floor: float = 1e-6,
-    simultaneous: bool = False,
-) -> RestrictedEvalResult:
+def restricted_eval(target: Expr, system: ConstraintSystem, n_samples: int = 200,
+                    seed: int = 42) -> RestrictedEvalResult:
     """Evaluate a target on the manifold cut out by the constraints.
 
-    Jet points are drawn at random; each constraint is solved for its
-    elimination symbol in order (affine solve; a coefficient smaller
-    than ``coeff_floor`` discards the point).  Statistics of |target|
-    over the surviving points are returned.  ``simultaneous`` switches
-    to a joint linear solve, needed when the constraints are coupled in
-    their elimination symbols.  The constraints and the target are
-    compiled once; a point where a solved symbol, a coefficient or the
-    target is not finite is discarded too.
+    The exact remainder (``ConstraintSystem.restrict``) is compiled once
+    over the jet coordinates and |remainder| is sampled at random jet
+    points; a point where the value is not finite or off the real domain
+    is redrawn.  Returns the remainder with the statistics of the
+    accepted values.
     """
-    solver = _solve_simultaneous if simultaneous else _solve_sequential
-    # elimination symbols outside jet space start unsolved (NaN)
-    extra = tuple(dict.fromkeys(n for n in system.eliminations if n not in JET_NAMES))
-    names = JET_NAMES + extra
-    fns = [to_callable(c, names) for c in system.constraints]
-    slots = [names.index(n) for n in system.eliminations]
-    target_fn = to_callable(target, names)
-
-    unsolved = [math.nan] * len(extra)
+    remainder = system.restrict(target)
+    fn = to_callable(remainder, JET_NAMES)
 
     def evaluate(point):
-        point.extend(unsolved)
-        if not solver(fns, slots, point, coeff_floor):
-            return None
-        value = abs(target_fn(*point))
+        value = abs(fn(*point))
         return value if math.isfinite(value) else None
 
     samples = RejectionSampler(n_samples, seed, sample_jet_point, evaluate)
@@ -294,7 +245,8 @@ def restricted_eval(
     for value in samples:
         total += value
         max_abs = max(max_abs, value)
-    return RestrictedEvalResult(max_abs, total / n_samples, n_samples, samples.resampled)
+    return RestrictedEvalResult(remainder, max_abs, total / n_samples, n_samples,
+                                samples.resampled)
 
 
 def invariance_condition() -> Expr:
@@ -308,19 +260,16 @@ def auxiliary_constraint(inst: PDEInstance) -> Expr:
     return apply_prolonged(prolong2(rotation_like_vf()), inst.delta)
 
 
-def differential_consequences() -> tuple[tuple[Expr, str], ...]:
-    """D_x and D_y of the invariance condition, with elimination symbols.
-
-    Available as optional extra constraints; the reported chain leaves
-    them out by default.
-    """
-    from .jets import total_derivative
-
-    cond = invariance_condition()
-    return (
-        (total_derivative(cond, "x"), "uxx"),
-        (total_derivative(cond, "y"), "ux"),
-    )
+def invariant_solution_jet(profile: Expr) -> ConstraintSystem:
+    """The 2-jet of the invariant solution u0 = v(x^2 - y^2) of a profile
+    v(s): the constraints ``name - (the derivative of u0)``, each solved
+    for its jet name."""
+    u0 = substitute(profile, {"s": add(pow_(_X, num(2)), mul(num(-1), pow_(_Y, num(2))))})
+    ux, uy = diff(u0, "x"), diff(u0, "y")
+    jet = {"u": u0, "ux": ux, "uy": uy,
+           "uxx": diff(ux, "x"), "uxy": diff(ux, "y"), "uyy": diff(uy, "y")}
+    return ConstraintSystem(tuple(add(sym(n), mul(num(-1), v)) for n, v in jet.items()),
+                            tuple(jet))
 
 
 # ---------------------------------------------------------------------------
@@ -391,57 +340,41 @@ class WeakCSReport:
         }
 
 
-def weak_cs_report(
-    inst: PDEInstance,
-    n_samples: int = 200,
-    seed: int = 42,
-    include_consequences: bool = False,
-) -> WeakCSReport:
+def weak_cs_report(inst: PDEInstance, n_samples: int = 200, seed: int = 42) -> WeakCSReport:
     """Run the full weak-conditional-symmetry argument on an instance.
 
-    Three restricted evaluations of the prolonged rotation applied to
-    the residual (on the residual manifold, then adding the invariance
-    condition, then the auxiliary constraint), followed by the
-    anti-reduction route: reduce, split by powers of x^2, and verify
-    the power profile against both separated ODEs.
+    The auxiliary constraint A, the prolonged rotation applied to the
+    residual, is restricted exactly to three manifolds: the residual
+    manifold, then adding the invariance condition, then the 2-jet of the
+    invariant solution (x^2 - y^2)^(-a/4), where A vanishes when the
+    system {residual, invariance, A} is compatible.  Each remainder is
+    sampled for its verdict.  The anti-reduction route follows: reduce,
+    split by powers of x^2, and verify the power profile against both
+    separated ODEs.
     """
     if inst.r != 2:
         raise ReductionError(f"the reduction chain requires r = 2, got {inst.r}")
 
     delta = inst.delta
-    cond = invariance_condition()
     target = auxiliary_constraint(inst)
-
-    base = [(delta, "uyy")]
-    with_cond = base + [(cond, "uy")]
-    with_aux = with_cond + [(target, "uxy")]
-    if include_consequences:
-        with_aux = with_aux + list(differential_consequences())
-    systems = [
-        ("residual", base),
-        ("residual+invariance", with_cond),
-        ("residual+invariance+auxiliary", with_aux),
-    ]
+    profile, _g1, _g2 = candidate_profile(inst.a)
+    residual = ConstraintSystem((delta,), ("uyy",))
+    systems = {
+        "residual": residual,
+        "residual+invariance": ConstraintSystem((delta, invariance_condition()), ("uyy", "uy")),
+        "invariant-solution": invariant_solution_jet(profile),
+    }
     stages = []
-    for name, pairs in systems:
-        system = ConstraintSystem(
-            tuple(c for c, _ in pairs), tuple(s for _, s in pairs))
-        # the consequence-augmented system is coupled: the auxiliary
-        # constraint reads symbols the consequences solve, so no
-        # sequential order exists and the joint solve is required
-        stats = restricted_eval(target, system, n_samples=n_samples, seed=seed,
-                                simultaneous=include_consequences and len(pairs) > 3)
+    for name, system in systems.items():
+        stats = restricted_eval(target, system, n_samples=n_samples, seed=seed)
         stages.append(StageResult(name, system, stats, _stage_verdict(stats)))
 
     # context: the exceptional field on the same residual manifold
     x_target = apply_prolonged(prolong2(exceptional_vf().bind(a=inst.a)), delta)
-    x_stats = restricted_eval(
-        x_target, ConstraintSystem((delta,), ("uyy",)),
-        n_samples=n_samples, seed=seed)
+    x_stats = restricted_eval(x_target, residual, n_samples=n_samples, seed=seed)
 
     reduced = reduce_to_invariant(inst)
     ode_a, ode_b = split_by_x2(reduced)
-    profile, _g1, _g2 = candidate_profile(inst.a)
     residual_a = verify_ode(ode_a, profile)
     residual_b = verify_ode(ode_b, profile)
     split_exact = expand(add(ode_a, mul(pow_(_X, num(2)), ode_b))) == reduced

@@ -102,6 +102,15 @@ class TestTransform:
         assert report["point"]["u"] == pytest.approx(0.25 ** 0.25)
         assert report["point"]["mapped"] == [pytest.approx(1.0), pytest.approx(0.0)]
 
+    def test_a_two_matches_structurally(self):
+        # the pushforward holds C^(-1) next to the bare factor -C; the two
+        # bases are negations of each other and must merge
+        code, out, _ = run_cli(["transform", "--a=2", "--lambda=1"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["structural_match"] is True
+        assert report["transformed_expr"] == report["family_expr"]
+
 
 class TestResidualGrid:
     def test_csv_artifact_and_round_trip(self, tmp_path):
@@ -271,6 +280,27 @@ class TestWeakCS:
         assert code == 1
         assert json.loads(out)["anti_reduction"]["degenerate_split"] is True
 
+    def test_wrong_gammas_fail_in_stage_three(self):
+        # the exceptional exponents of a = -1 with gammas off the profile's
+        code, out, _ = run_cli(
+            ["weak-cs", "--a=-1", "--r=2", "--c1=-7", "--c2=-3", "--gamma1=7",
+             "--gamma2=-3", "--samples", "60"])
+        report = json.loads(out)
+        assert code == 1
+        assert report["is_exceptional"] is True
+        assert report["stages"][2]["verdict"] == "nonzero"
+        assert report["stages"][2]["remainder"] != "0"
+        assert report["confirmed"] is False
+
+    def test_consequences_flag_changes_only_its_echo(self):
+        argv = ["weak-cs", "--preset", "gss", "--samples", "60"]
+        plain = json.loads(run_cli(argv)[1])
+        flagged = json.loads(run_cli(argv + ["--consequences"])[1])
+        assert (plain.pop("include_consequences"), flagged.pop("include_consequences")) == (
+            False, True)
+        plain.pop("timestamp"), flagged.pop("timestamp")
+        assert plain == flagged
+
 
 class TestContract:
     SUBCOMMANDS = (
@@ -393,6 +423,7 @@ class TestContract:
         code, out, err = run_cli([*argv, "--output", "/dev/full"])
         assert code == 2 and out == ""
         assert err == "error: [Errno 28] No space left on device\n"
+        assert os.path.exists("/dev/full")  # a failed run removes only a file it created
 
     def test_report_refuses_non_json_numbers(self):
         with pytest.raises(ValueError):
@@ -540,7 +571,10 @@ class TestGoldenBytes:
 
     # sha256 of the report minus its timestamp line for the commands that
     # sample, recorded before the sampling loops shared one sampler: each
-    # must keep its draw order, accumulation order and resample counts
+    # must keep its draw order, accumulation order and resample counts.
+    # The two weak-cs digests were re-recorded when the stages became exact
+    # remainders: each stage reports its remainder, stage 3 is the jet of
+    # the invariant solution, and --consequences adds nothing but its echo
     SAMPLING_CASES = [
         (["check-symmetry", "--preset", "gss", "--field", "X"], 0,
          "f736fd2a3a76c88d3fd2401e231db0b8c4f5bce38ddefe0d27abc220263fa383"),
@@ -552,9 +586,9 @@ class TestGoldenBytes:
         (["region", "--lambda", "1", "--samples", "10000"], 0,
          "d9f46cdf8d0380b1cfcc64a0fac151d3ade40e9818bf66083c522b7f406e01d4"),
         (["weak-cs", "--preset", "gss"], 0,
-         "3d9fa3688a180217e90b17166481e87549676064c1eff9d183a5dd4dcb6d64a0"),
+         "67c437730dd77aba63d4583c6ad5150405cb3faf51cdec4085ae9d5b3a09f21c"),
         (["weak-cs", "--preset", "gss", "--consequences"], 0,
-         "8b01bffe76fdcba112a0d684ecb7c2aceaf0c5df4174fbf90f7ff04671847371"),
+         "5b82d907e7075100828833de86205c56bf37a993cbc9153534a83e0f66a52548"),
     ]
 
     @pytest.mark.parametrize("argv,code,report_sha", SAMPLING_CASES, ids=[
@@ -587,7 +621,9 @@ class TestGoldenBytes:
     # DomainError on an overflowing product at some draws, recorded
     # before the sampled verdicts evaluated compiled expressions (whose
     # products overflow to inf instead): redrawing every point with a
-    # non-finite value must redraw exactly those points
+    # non-finite value must redraw exactly those points.  The weak-cs
+    # digest was re-recorded with the exact stages: the remainder is finite
+    # at draws where the residual itself overflowed, so fewer are redrawn
     OVERFLOW_INSTANCE = ["--a=-1", "--r=665", "--c1=1340", "--c2=2", "--gamma1=1", "--gamma2=1"]
     OVERFLOW_CASES = [
         (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "X"], 1,
@@ -600,7 +636,7 @@ class TestGoldenBytes:
          "802626aff2e5f1271171b887d3a12f90949b1fa3fd3b970049d2be372196e8f4"),
         (["weak-cs", "--a=-1", "--r=2", "--c1=1340", "--c2=900", "--gamma1=1", "--gamma2=1",
           "--samples", "40"], 1,
-         "bffe8cb5f10371913283240c17979a980bdea3fbddea4982b46bfe0df6bdd9a7"),
+         "cd4f29ecd5227adb98dd5a71f1b22239d9f5af7e1fee9e6142c09af938061ea2"),
     ]
 
     @pytest.mark.parametrize("argv,code,report_sha", OVERFLOW_CASES, ids=[

@@ -58,23 +58,22 @@ class TestNoTreeWalkPerSample:
         env = check_onshell_symmetry(exceptional_vf(), gss, n_samples=30).worst_point
         assert env["uyy"] == solve_uyy(gss, env)
 
-    @pytest.mark.parametrize("simultaneous", [False, True], ids=["sequential", "simultaneous"])
-    def test_restricted_eval(self, no_tree_walks, simultaneous):
+    def test_restricted_eval(self, no_tree_walks):
         gss = gss_preset()
         system = ConstraintSystem((gss.delta, invariance_condition()), ("uyy", "uy"))
-        res = restricted_eval(auxiliary_constraint(gss), system, n_samples=30,
-                              simultaneous=simultaneous)
+        res = restricted_eval(auxiliary_constraint(gss), system, n_samples=30)
         assert res.samples == 30 and res.max_abs >= 1e-2
 
-    @pytest.mark.parametrize("simultaneous", [False, True], ids=["sequential", "simultaneous"])
-    def test_restricted_eval_solves_symbols_outside_jet_space(self, no_tree_walks, simultaneous):
+    def test_restricted_eval_solves_symbols_outside_jet_space(self, no_tree_walks):
         res = restricted_eval(parse("s"), ConstraintSystem((parse("s - x^2"),), ("s",)),
-                              n_samples=30, simultaneous=simultaneous)
+                              n_samples=30)
+        assert res.remainder == parse("x^2")
         assert 0.25 <= res.mean_abs <= res.max_abs <= 4.0
 
     def test_weak_cs_report_with_consequences(self, no_tree_walks):
-        rep = weak_cs_report(gss_preset(), n_samples=20, include_consequences=True)
-        assert rep.confirmed
+        code, out, _ = run_cli(["weak-cs", "--preset", "gss", "--samples", "20",
+                                "--consequences"])
+        assert code == 0 and '"include_consequences": true' in out
 
     def test_equiv_numeric(self, no_tree_walks):
         assert equiv_numeric(parse("(x + y)^2"), parse("x^2 + 2*x*y + y^2"),
@@ -108,29 +107,24 @@ class TestNonFiniteRule:
         with pytest.raises(SamplingError):
             equiv_numeric(parse("x + y"), parse("x + y + z"), spec)
 
-    @pytest.mark.parametrize("simultaneous", [False, True], ids=["sequential", "simultaneous"])
     @pytest.mark.parametrize("target,constraint", [
         # x^665 and u^1340 are finite on the jet box, their product often
         # is not: compiled it is inf, eval_at raises DomainError
         ("x^665 * u^1340", "uyy - ux"),   # in the target
         ("uyy + 1", "uyy * x^665 * u^1340 + ux"),  # in the coefficient of uyy
     ], ids=["target", "coefficient"])
-    def test_restricted_eval_redraws_where_the_tree_walk_raises(
-            self, target, constraint, simultaneous):
+    def test_restricted_eval_redraws_where_the_tree_walk_raises(self, target, constraint):
         target, constraint = parse(target), parse(constraint)
-        res = restricted_eval(target, ConstraintSystem((constraint,), ("uyy",)),
-                              n_samples=40, seed=5, simultaneous=simultaneous)
+        system = ConstraintSystem((constraint,), ("uyy",))
+        res = restricted_eval(target, system, n_samples=40, seed=5)
 
+        remainder = system.restrict(target)
         rng = random.Random(5)
         values, redraws = [], 0
         while len(values) < 40:
             env = sample_jet_env(rng)
             try:
-                b = eval_at(constraint, {**env, "uyy": 0.0})
-                coeff = eval_at(constraint, {**env, "uyy": 1.0}) - b
-                if abs(coeff) < 1e-6:
-                    raise DomainError("singular")
-                values.append(abs(eval_at(target, {**env, "uyy": -b / coeff})))
+                values.append(abs(eval_at(remainder, env)))
             except DomainError:
                 redraws += 1
         assert redraws > 0

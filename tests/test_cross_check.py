@@ -25,6 +25,7 @@ from liesym import (  # noqa: E402
     eval_at,
     expand,
     gss_preset,
+    is_zero,
     mul,
     num,
     parse,
@@ -177,3 +178,30 @@ class TestAgainstSympy:
             bridged = sympy.sympify(
                 text.replace("^", "**"), locals=dict(syms))
             assert sympy.simplify(to_sympy(e, syms) - bridged) == 0
+
+    @pytest.mark.parametrize("a", ["-1", "1/3"], ids=["gss", "a=1/3"])
+    def test_stage_remainders_are_sympys_elimination(self, a):
+        # stage 1 solves the residual for uyy, stage 2 also the invariance
+        # condition for uy; sympy solves the same equations on its own
+        from liesym import (ConstraintSystem, auxiliary_constraint, build_instance,
+                            invariance_condition)
+
+        a = Fraction(a)
+        k = -a / 4  # the profile gammas in the form the grid tests use
+        inst = build_instance(a, 2, 1 + 8 / a, 1 + 4 / a, 8 * k * (k - 1),
+                              2 * a * k - 4 * k * (k - 1))
+        target = auxiliary_constraint(inst)
+        cond = invariance_condition()
+        names = ("x", "y", "u", "ux", "uy", "uxx", "uxy", "uyy")
+        syms = {n: sympy.Symbol(n, positive=n in ("x", "u")) for n in names}
+        uyy = sympy.solve(to_sympy(inst.delta, syms), syms["uyy"])
+        uy = sympy.solve(to_sympy(cond, syms), syms["uy"])
+        assert len(uyy) == 1 and len(uy) == 1
+        stage1 = to_sympy(target, syms).subs(syms["uyy"], uyy[0])
+        stage2 = stage1.subs(syms["uy"], uy[0])
+        for system, theirs in (
+                (ConstraintSystem((inst.delta,), ("uyy",)), stage1),
+                (ConstraintSystem((inst.delta, cond), ("uyy", "uy")), stage2)):
+            mine = to_sympy(system.restrict(target), syms)
+            assert sympy.simplify(mine - theirs) == 0
+            assert not is_zero(system.restrict(target))

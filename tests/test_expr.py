@@ -29,6 +29,7 @@ from liesym import (
     expand,
     family_solution,
     gss_preset,
+    is_zero,
     mul,
     num,
     parse,
@@ -177,6 +178,45 @@ class TestCanonical:
                 d = check_derivative(e, first)
                 for second in ("x", "y"):
                     check_derivative(d, second)
+
+        check()
+
+    @pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+    def test_no_two_bases_negate_each_other_at_an_integer_exponent(self):
+        # b^m (-b)^n with an integer exponent is (-1)^n b^(m+n) (or, at an
+        # integer m, (-1)^m (-b)^(m+n)): a canonical product keeps one base
+        coeff = st.integers(-3, 3)
+        forms = st.tuples(coeff, coeff, coeff).filter(lambda c: c[1] or c[2])
+        exponents = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-1, 2),
+                                     Fraction(3, 2), Fraction(1, 3)])
+        factors = st.tuples(st.integers(0, 1), st.booleans(), exponents)
+        coords = st.floats(0.3, 1.7)
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(st.lists(forms, min_size=1, max_size=2),
+               st.lists(factors, min_size=2, max_size=4), coords, coords)
+        def check(form_list, factor_list, x, y):
+            parts, values = [], []
+            for which, negated, k in factor_list:
+                c0, c1, c2 = form_list[which % len(form_list)]
+                s = -1 if negated else 1
+                values.append((s * (c0 + c1 * x + c2 * y), Fraction(k)))
+                form = add(num(s * c0), mul(num(s * c1), X), mul(num(s * c2), Y))
+                parts.append(pow_(form, num(k)))
+            e = mul(*parts)
+            powers = [(f.base, f.exponent) if isinstance(f, Power) else (f, num(1))
+                      for f in (e.factors if isinstance(e, Product) else (e,))
+                      if not isinstance(f, Num)]
+            for i, (b1, p1) in enumerate(powers):
+                for b2, p2 in powers[i + 1:]:
+                    integral = any(p.value.denominator == 1 for p in (p1, p2))
+                    if isinstance(b1, Sum) and integral:
+                        assert not is_zero(add(b1, b2)), to_text(e)
+            if any(abs(v) < 0.3 or (v < 0 and k.denominator != 1) for v, k in values):
+                return  # near a pole, or off the real domain
+            want = math.prod(v ** k for v, k in values)
+            got = eval_at(e, {"x": x, "y": y})
+            assert abs(got - want) <= 1e-9 * (1 + abs(want)), to_text(e)
 
         check()
 

@@ -218,13 +218,47 @@ class TestRestrictedEval:
         assert forward.mean_abs == pytest.approx(swapped.mean_abs, rel=1e-9)
 
     def test_singular_coefficient_resamples(self):
-        # x*uxx is affine in uxx with coefficient x >= 0.5, never singular;
-        # y*uxx has coefficient y which crosses zero and forces resampling
-        res = restricted_eval(sym("u"), ConstraintSystem(
-            (parse("y*uxx + ux"),), ("uxx",)), n_samples=50, seed=2,
-            coeff_floor=0.5)
+        # y^(1/2)*uxx + ux is affine in uxx, but its coefficient y^(1/2)
+        # leaves the real domain at y < 0, and so does the solved uxx:
+        # those draws are redrawn
+        system = ConstraintSystem((parse("y^(1/2)*uxx + ux"),), ("uxx",))
+        assert system.restrict(sym("uxx")) == parse("-ux*y^(-1/2)")
+        res = restricted_eval(sym("uxx"), system, n_samples=50, seed=2)
         assert res.resampled > 0
         assert res.samples == 50
+
+    def test_stage_remainders_are_exact(self):
+        gss = gss_preset()
+        target = auxiliary_constraint(gss)
+        cond = invariance_condition()
+        stage1 = ConstraintSystem((gss.delta,), ("uyy",)).restrict(target)
+        stage2 = ConstraintSystem((gss.delta, cond), ("uyy", "uy")).restrict(target)
+        assert stage1 == parse("-4*uxy + 3*x*y*u^(-7) + ux*y*x^(-2) + uy*x^(-1)")
+        assert stage2 == parse("-4*uxy + 3*x*y*u^(-7)")
+
+    def test_elimination_order_immaterial_exactly(self):
+        gss = gss_preset()
+        target = auxiliary_constraint(gss)
+        cond = invariance_condition()
+        forward = ConstraintSystem((gss.delta, cond), ("uyy", "uy"))
+        swapped = ConstraintSystem((cond, gss.delta), ("uy", "uyy"))
+        assert forward.restrict(target) == swapped.restrict(target)
+
+    def test_later_constraint_sees_earlier_solution(self):
+        # the second constraint holds ux, solved by the first; the first
+        # solution holds uy, solved by the second
+        system = ConstraintSystem((parse("ux - uy"), parse("ux + uy - 2*x")), ("ux", "uy"))
+        assert system.restrict(parse("ux*uy")) == parse("x^2")
+
+    @pytest.mark.parametrize("constraint,symbol", [
+        ("uyy^2 - ux", "uyy"),
+        ("uyy*uxx + uyy^(1/2)", "uyy"),
+        ("ux - uy", "uxx"),  # no uxx at all: the coefficient is 0
+    ])
+    def test_constraint_not_affine_in_its_symbol_rejected(self, constraint, symbol):
+        system = ConstraintSystem((parse(constraint),), (symbol,))
+        with pytest.raises(ReductionError):
+            restricted_eval(sym("u"), system, n_samples=5)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -261,11 +295,27 @@ class TestWeakCSReport:
         assert not rep.instance.is_exceptional
 
     def test_differential_consequences_flag(self):
-        rep = weak_cs_report(gss_preset(), n_samples=60, seed=8,
-                             include_consequences=True)
-        # stricter manifold, same conclusion
+        # the CLI's --consequences adds nothing: the last stage is the jet
+        # of an invariant solution, where the invariance condition and its
+        # total derivatives vanish identically
+        from liesym import total_derivative
+
+        rep = weak_cs_report(gss_preset(), n_samples=60, seed=8)
         assert rep.stages[2].verdict == "zero"
-        assert len(rep.stages[2].system.constraints) == 5
+        assert len(rep.stages[2].system.constraints) == 6
+        cond = invariance_condition()
+        for q in (cond, total_derivative(cond, "x"), total_derivative(cond, "y")):
+            assert is_zero(rep.stages[2].system.restrict(q))
+
+    def test_wrong_gammas_fail_in_stage_three(self):
+        # exceptional exponents, but gammas off the profile's: the ODEs
+        # are not solved and the invariant-solution jet leaves A nonzero
+        inst = build_instance(-1, 2, -7, -3, 7, -3)
+        rep = weak_cs_report(inst, n_samples=60, seed=3)
+        assert inst.is_exceptional
+        assert [s.verdict for s in rep.stages] == ["nonzero", "nonzero", "nonzero"]
+        assert rep.stages[2].stats.remainder == parse("-17*x*y*(x^2 - y^2)^(-7/4)")
+        assert not rep.confirmed
 
     def test_wrong_r_rejected(self):
         with pytest.raises(ReductionError):

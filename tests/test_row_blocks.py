@@ -208,6 +208,26 @@ class TestFailures:
                        "RuntimeError: block failed\n")
         assert len(forks) == 1
 
+    def test_failing_child_removes_the_csv_file_it_created(self, monkeypatch, blocks, forks,
+                                                          tmp_path):
+        blocks(2)
+        failing_measure(monkeypatch, failing_in_children)
+        path = tmp_path / "field.csv"
+        code, out, err = run_cli(["residual-grid", "--preset", "gss", "--solution", "family",
+                                  "--nx", "6", "--ny", "6", "--output", str(path)])
+        assert code == 1 and out == "" and "failed in a worker process" in err
+        assert not path.exists()
+
+    def test_failing_child_keeps_a_file_that_existed(self, monkeypatch, blocks, forks, tmp_path):
+        blocks(2)
+        failing_measure(monkeypatch, failing_in_children)
+        path = tmp_path / "field.csv"
+        path.write_text("x,y\n")
+        code, _, _ = run_cli(["residual-grid", "--preset", "gss", "--solution", "family",
+                              "--nx", "6", "--ny", "6", "--output", str(path)])
+        assert code == 1
+        assert path.exists()
+
     @pytest.mark.parametrize("count", (2, 3))
     def test_failing_child_while_writing_csv(self, count, blocks, forks):
         parent = os.getpid()
