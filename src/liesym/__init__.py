@@ -59,6 +59,7 @@ from .family import (
     y_translation_vf,
 )
 from .jets import (
+    ConstraintSystem,
     ProlongedVF,
     VectorField,
     apply_prolonged,
@@ -68,14 +69,13 @@ from .jets import (
 )
 from .orbits import (
     ClosedFormSolution,
-    FlowCheck,
     GridSpec,
     RegionGeometry,
     ResidualField,
     base_solution,
     conformal_factor,
     family_solution,
-    flow_generator_check,
+    generator_remainder,
     map_point,
     map_point_exprs,
     region,
@@ -86,7 +86,6 @@ from .orbits import (
 )
 from .parsing import parse
 from .reduction import (
-    ConstraintSystem,
     RestrictedEvalResult,
     WeakCSReport,
     auxiliary_constraint,

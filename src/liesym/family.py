@@ -12,7 +12,6 @@ is the Grad-Schlueter-Shafranov form used as the "gss" preset.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,16 +21,16 @@ from .expr import (
     RejectionSampler,
     add,
     as_expr,
-    eval_at,
+    eval_at,  # noqa: F401  (unused: perfbench/tracing.py patches family.eval_at)
     mul,
     num,
     pow_,
     sym,
-    to_callable,
     to_cancellation,
 )
 from .jets import (
     JET_NAMES,
+    ConstraintSystem,
     VectorField,
     apply_prolonged,
     prolong2,
@@ -147,8 +146,9 @@ class SymmetryVerdict:
     status: str  # "admitted" | "refuted" | "inconclusive"
     max_onshell_residual: float
     sample_count: int
-    worst_point: dict[str, float]  # the jet point, in JET_NAMES order
+    worst_point: dict[str, float]  # the jet point but uyy, in JET_NAMES order
     resampled: int
+    remainder: Expr  # the field applied to the residual, on the residual manifold
 
     def to_dict(self) -> dict:
         return {
@@ -161,12 +161,9 @@ class SymmetryVerdict:
         }
 
 
-def solve_uyy(inst: PDEInstance, env: dict[str, float]) -> float:
-    """uyy has unit coefficient in the residual, so solving delta = 0 for
-    it is division-free: uyy = -(delta with uyy set to 0)."""
-    probe = dict(env)
-    probe["uyy"] = 0.0
-    return -eval_at(inst.delta, probe)
+# a sample whose measure reaches this refutes; one between the tolerance
+# and this leaves the verdict inconclusive
+REFUTE_THRESHOLD = 1e-3
 
 
 def check_onshell_symmetry(
@@ -175,33 +172,25 @@ def check_onshell_symmetry(
     n_samples: int = 200,
     tol: float = 1e-9,
     seed: int = 42,
-    refute_threshold: float = 1e-3,
 ) -> SymmetryVerdict:
-    """Decide numerically whether a field is a symmetry on the solution
-    manifold of an instance.
+    """Decide whether a field is a symmetry on the solution manifold of an
+    instance.
 
-    At each seeded random jet point, uyy is eliminated through the
-    residual (as in ``solve_uyy``) and the prolonged field applied to
-    the residual is evaluated there by ``to_cancellation``, since its
-    terms cancel catastrophically when the symmetry holds.  Both are
-    compiled once; a point where the solved uyy or the measure is not
-    finite is redrawn.  All samples below ``tol`` means admitted; at
-    least one above ``refute_threshold`` means refuted; anything in
-    between is reported as inconclusive.
+    The prolonged field applied to the residual is restricted exactly to
+    the residual manifold: ``ConstraintSystem.restrict`` solves the
+    residual for uyy and substitutes the solution.  The remainder's
+    ``to_cancellation`` measure is compiled once and sampled at seeded
+    random jet points; a point where it is not finite is redrawn.  All
+    samples below ``tol`` means admitted; at least one at or above
+    REFUTE_THRESHOLD means refuted; anything in between is reported as
+    inconclusive.  The remainder holds no uyy, so the worst point is
+    reported without it.
     """
-    measure = to_cancellation(apply_prolonged(prolong2(vf.bind(a=inst.a)), inst.delta), JET_NAMES)
-    delta_fn = to_callable(inst.delta, JET_NAMES)
-    uyy_slot = JET_NAMES.index("uyy")
-
-    def evaluate(point):
-        point[uyy_slot] = 0.0
-        uyy = -delta_fn(*point)
-        if not math.isfinite(uyy):
-            return None
-        point[uyy_slot] = uyy
-        return point, abs(measure(*point))
-
-    samples = RejectionSampler(n_samples, seed, sample_jet_point, evaluate)
+    target = apply_prolonged(prolong2(vf.bind(a=inst.a)), inst.delta)
+    remainder = ConstraintSystem((inst.delta,), ("uyy",)).restrict(target)
+    measure = to_cancellation(remainder, JET_NAMES)
+    samples = RejectionSampler(n_samples, seed, sample_jet_point,
+                               lambda point: (point, abs(measure(*point))))
     worst = None
     worst_val = -1.0
     for point, rel in samples:
@@ -210,7 +199,7 @@ def check_onshell_symmetry(
             worst = point
     if worst_val <= tol:
         status = "admitted"
-    elif worst_val >= refute_threshold:
+    elif worst_val >= REFUTE_THRESHOLD:
         status = "refuted"
     else:
         status = "inconclusive"
@@ -219,6 +208,7 @@ def check_onshell_symmetry(
         status=status,
         max_onshell_residual=worst_val,
         sample_count=n_samples,
-        worst_point=dict(zip(JET_NAMES, worst)),
+        worst_point={n: v for n, v in zip(JET_NAMES, worst) if n != "uyy"},
         resampled=samples.resampled,
+        remainder=remainder,
     )

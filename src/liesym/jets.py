@@ -1,8 +1,9 @@
 """Second-order jet space over one dependent variable u(x, y).
 
 Provides total derivatives, the second prolongation of point vector
-fields, the characteristic, and application of a prolonged field to a
-target expression in jet coordinates.
+fields, the characteristic, application of a prolonged field to a
+target expression in jet coordinates, and the exact restriction of an
+expression to a constraint manifold.
 """
 
 from __future__ import annotations
@@ -11,8 +12,21 @@ import functools
 import random
 from dataclasses import dataclass
 
-from .errors import OrderOverflowError
-from .expr import Expr, add, as_expr, diff, is_zero, mul, substitute, sym
+from .errors import OrderOverflowError, ReductionError
+from .expr import (
+    Expr,
+    add,
+    as_expr,
+    diff,
+    expand,
+    is_zero,
+    mul,
+    num,
+    pow_,
+    substitute,
+    sym,
+    to_text,
+)
 
 X = sym("x")
 Y = sym("y")
@@ -177,3 +191,39 @@ def apply_prolonged(pvf: ProlongedVF, target: Expr) -> Expr:
         if not is_zero(coeff)
     ]
     return add(*parts)
+
+
+@dataclass(frozen=True)
+class ConstraintSystem:
+    """Ordered constraints, each affine in its elimination symbol."""
+
+    constraints: tuple[Expr, ...]
+    eliminations: tuple[str, ...]
+
+    def __post_init__(self):
+        if len(self.constraints) != len(self.eliminations):
+            raise ValueError("one elimination symbol per constraint")
+
+    def describe(self) -> list[dict[str, str]]:
+        return [
+            {"constraint": to_text(c), "solve_for": s}
+            for c, s in zip(self.constraints, self.eliminations)
+        ]
+
+    def restrict(self, target: Expr) -> Expr:
+        """The target on the manifold, exactly.  In order, each constraint
+        with the earlier solutions substituted in is solved for its symbol
+        s as ``s = -c|_{s=0} * (dc/ds)^(-1)``; the solutions, free of every
+        solved symbol, are substituted into the target, which is expanded
+        once.  A coefficient dc/ds that is 0 or still holds s raises
+        ReductionError: the constraint is not affine in s."""
+        solved: dict[str, Expr] = {}
+        for c, s in zip(self.constraints, self.eliminations):
+            c = substitute(c, solved)
+            coeff = diff(c, s)
+            if is_zero(coeff) or s in coeff.free_symbols():
+                raise ReductionError(f"constraint {to_text(c)} is not affine in {s}")
+            value = mul(num(-1), substitute(c, {s: num(0)}), pow_(coeff, num(-1)))
+            solved = {k: substitute(v, {s: value}) for k, v in solved.items()}
+            solved[s] = value
+        return expand(substitute(target, solved))

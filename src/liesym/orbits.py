@@ -30,7 +30,8 @@ from .expr import (
     add,
     as_expr,
     diff,
-    eval_at,
+    eval_at,  # noqa: F401  (unused: perfbench/tracing.py patches orbits.eval_at)
+    expand,
     mul,
     num,
     pow_,
@@ -39,7 +40,7 @@ from .expr import (
     to_callable,  # noqa: F401  (unused: perfbench/tracing.py patches orbits.to_callable)
     to_cancellation,
 )
-from .family import PDEInstance, scaling_vf
+from .family import PDEInstance, exceptional_vf, scaling_vf
 from .jets import characteristic
 
 _X = sym("x")
@@ -198,6 +199,16 @@ def family_solution(a, lam) -> ClosedFormSolution:
                               a if isinstance(a, Expr) else num(a).value)
 
 
+def _pushed_expr(sol: ClosedFormSolution, lam) -> Expr:
+    """C^(-a/2) * u(x~, y~); lam may be numeric or symbolic."""
+    xt, yt = map_point_exprs(lam)
+    prefactor = pow_(
+        substitute(_C_EXPR, {"lam": as_expr(lam)}),
+        mul(Num(Fraction(-1, 2)), as_expr(sol.a)),
+    )
+    return mul(prefactor, substitute(sol.expr, {"x": xt, "y": yt}))
+
+
 def transform_solution(sol: ClosedFormSolution, lam) -> ClosedFormSolution:
     """Push a solution along the finite group action.
 
@@ -206,15 +217,9 @@ def transform_solution(sol: ClosedFormSolution, lam) -> ClosedFormSolution:
     domain is the preimage of the old one under the point map, inside
     C > 0.
     """
-    xt, yt = map_point_exprs(lam)
-    prefactor = pow_(
-        substitute(_C_EXPR, {"lam": as_expr(lam)}),
-        mul(Num(Fraction(-1, 2)), as_expr(sol.a)),
-    )
-    expr = mul(prefactor, substitute(sol.expr, {"x": xt, "y": yt}))
-
     if isinstance(lam, Expr):
         raise TypeError("transform_solution needs a numeric lam for its domain")
+    expr = _pushed_expr(sol, lam)
     lam_f = float(lam)
     old_domain = sol.domain
 
@@ -469,73 +474,17 @@ def _child(rows: range, spool, fh: BinaryIO) -> NoReturn:
 # infinitesimal consistency of the finite action
 
 
-@dataclass(frozen=True)
-class FlowCheck:
-    point: tuple[float, float]
-    h: float
-    dx_fd: float
-    dx_exact: float
-    dy_fd: float
-    dy_exact: float
-    du_fd: float | None
-    du_exact: float | None
-    max_error: float
-
-    def passed(self, tol: float = 1e-6) -> bool:
-        return self.max_error <= tol
-
-
-def flow_generator_check(
-    point: tuple[float, float],
-    sol: ClosedFormSolution | None = None,
-    h: float = 1e-5,
-) -> FlowCheck:
-    """Differentiate the finite action in lam at lam = 0 and compare with
-    the generator.
-
-    Base points flow with d(x~)/dlam = -2xy and d(y~)/dlam = x^2 - y^2;
-    the value of the pushed-forward solution at a fixed point moves with
-    the characteristic Q = -a y u - 2xy ux + (x^2 - y^2) uy evaluated on
-    the solution jet.
-    """
-    if not 0.0 < h <= 1e-3:
-        raise ValueError("step h must lie in (0, 1e-3]")
-    x, y = point
-    xp, yp = map_point(x, y, h)
-    xm, ym = map_point(x, y, -h)
-    dx_fd = (xp - xm) / (2.0 * h)
-    dy_fd = (yp - ym) / (2.0 * h)
-    dx_exact = -2.0 * x * y
-    dy_exact = x * x - y * y
-    errors = [abs(dx_fd - dx_exact), abs(dy_fd - dy_exact)]
-
-    du_fd = du_exact = None
-    if sol is not None:
-        if isinstance(sol.a, Expr):
-            raise TypeError("flow check needs a solution with numeric a")
-        a = float(sol.a)
-
-        def pushed(lam: float) -> float:
-            c = conformal_factor(x, y, lam)
-            xt, yt = map_point(x, y, lam)
-            return c ** (-a / 2.0) * eval_at(sol.expr, {"x": xt, "y": yt})
-
-        du_fd = (pushed(h) - pushed(-h)) / (2.0 * h)
-        jet = sol.jet()
-        env = {"x": x, "y": y}
-        u_val = eval_at(jet["u"], env)
-        ux_val = eval_at(jet["ux"], env)
-        uy_val = eval_at(jet["uy"], env)
-        du_exact = -a * y * u_val - 2.0 * x * y * ux_val + (x * x - y * y) * uy_val
-        errors.append(abs(du_fd - du_exact))
-
-    return FlowCheck(
-        point=(x, y), h=h,
-        dx_fd=dx_fd, dx_exact=dx_exact,
-        dy_fd=dy_fd, dy_exact=dy_exact,
-        du_fd=du_fd, du_exact=du_exact,
-        max_error=max(errors),
-    )
+def generator_remainder(sol: ClosedFormSolution) -> Expr:
+    """d/dlam at lam = 0 of the pushed solution C^(-a/2) u(x~, y~), minus
+    the characteristic Q = -a y u - 2xy ux + (x^2 - y^2) uy of the
+    exceptional field on the solution's jet, expanded.  The finite action
+    differentiates to its generator exactly when this is zero; a
+    structural 0 proves it."""
+    rate = substitute(diff(_pushed_expr(sol, _LAM), "lam"), {"lam": num(0)})
+    jet = sol.jet()
+    q = substitute(characteristic(exceptional_vf().bind(a=sol.a)),
+                   {"u": jet["u"], "ux": jet["ux"], "uy": jet["uy"]})
+    return expand(add(rate, mul(num(-1), q)))
 
 
 def scaling_invariance_residual(a) -> Expr:

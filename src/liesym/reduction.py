@@ -44,7 +44,17 @@ from .expr import (
     to_text,
 )
 from .family import PDEInstance, exceptional_vf, rotation_like_vf
-from .jets import JET_NAMES, UX, UY, X, Y, apply_prolonged, prolong2, sample_jet_point
+from .jets import (
+    JET_NAMES,
+    UX,
+    UY,
+    X,
+    Y,
+    ConstraintSystem,
+    apply_prolonged,
+    prolong2,
+    sample_jet_point,
+)
 
 _S = sym("s")
 _V = sym("v")
@@ -166,42 +176,6 @@ def verify_ode(ode: Expr, v_expr: Expr) -> Expr:
 
 # ---------------------------------------------------------------------------
 # restricted evaluation on constraint manifolds
-
-
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Ordered constraints, each affine in its elimination symbol."""
-
-    constraints: tuple[Expr, ...]
-    eliminations: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.constraints) != len(self.eliminations):
-            raise ValueError("one elimination symbol per constraint")
-
-    def describe(self) -> list[dict[str, str]]:
-        return [
-            {"constraint": to_text(c), "solve_for": s}
-            for c, s in zip(self.constraints, self.eliminations)
-        ]
-
-    def restrict(self, target: Expr) -> Expr:
-        """The target on the manifold, exactly.  In order, each constraint
-        with the earlier solutions substituted in is solved for its symbol
-        s as ``s = -c|_{s=0} * (dc/ds)^(-1)``; the solutions, free of every
-        solved symbol, are substituted into the target, which is expanded
-        once.  A coefficient dc/ds that is 0 or still holds s raises
-        ReductionError: the constraint is not affine in s."""
-        solved: dict[str, Expr] = {}
-        for c, s in zip(self.constraints, self.eliminations):
-            c = substitute(c, solved)
-            coeff = diff(c, s)
-            if is_zero(coeff) or s in coeff.free_symbols():
-                raise ReductionError(f"constraint {to_text(c)} is not affine in {s}")
-            value = mul(num(-1), substitute(c, {s: num(0)}), pow_(coeff, num(-1)))
-            solved = {k: substitute(v, {s: value}) for k, v in solved.items()}
-            solved[s] = value
-        return expand(substitute(target, solved))
 
 
 @dataclass(frozen=True)

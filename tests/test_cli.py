@@ -80,6 +80,15 @@ class TestCheckSymmetry:
         assert report["status"] == "refuted"
         assert report["max_onshell_residual"] >= 1e-3
 
+    def test_claims_draw_refutation_at_r_zero(self):
+        # read inconclusive (6.3e-4) before the check restricted the field
+        # applied to the residual exactly to the residual manifold
+        code, out, _ = run_cli(
+            ["check-symmetry", "--a=1/3", "--r=0", "--c1=131/10", "--c2=13",
+             "--gamma1=-2/3", "--gamma2=-8", "--field=X", "--seed=313694"])
+        assert code == 1
+        assert json.loads(out)["status"] == "refuted"
+
     def test_rotation_field_refuted(self):
         code, out, _ = run_cli(
             ["check-symmetry", "--preset", "gss", "--field", "Y"])
@@ -574,13 +583,16 @@ class TestGoldenBytes:
     # must keep its draw order, accumulation order and resample counts.
     # The two weak-cs digests were re-recorded when the stages became exact
     # remainders: each stage reports its remainder, stage 3 is the jet of
-    # the invariant solution, and --consequences adds nothing but its echo
+    # the invariant solution, and --consequences adds nothing but its echo.
+    # The two check-symmetry digests were re-recorded when the check began
+    # to sample the exact on-shell remainder: an admitted field reads 0.0,
+    # a refuted one its remainder's measure, and worst_point has no uyy
     SAMPLING_CASES = [
         (["check-symmetry", "--preset", "gss", "--field", "X"], 0,
-         "f736fd2a3a76c88d3fd2401e231db0b8c4f5bce38ddefe0d27abc220263fa383"),
+         "b5c958593599c0196d9d46a730778d4d793db9aa2a6590c5d2f614c646890340"),
         (["check-symmetry", "--a", "-1", "--r", "2", "--c1", "-6.9", "--c2", "-3",
           "--gamma1", "-1.5", "--gamma2", "0.25"], 1,
-         "04de4286a0b9c30ddb4a84784295392a5a0e3e309a5308696b304d15e5f46a1b"),
+         "40f215cdc1d5cdae5e742dca58d70cd3c8f8245fcae4b8cce76a474e29560b02"),
         (["transform", "--a", "-1", "--lambda", "1", "--x", "0.5", "--y", "-0.5"], 0,
          "5784efbe5ddb57b4169db1852131dfa5a5b381bfda33022cfe1c819ed348d29c"),
         (["region", "--lambda", "1", "--samples", "10000"], 0,
@@ -623,29 +635,32 @@ class TestGoldenBytes:
     # products overflow to inf instead): redrawing every point with a
     # non-finite value must redraw exactly those points.  The weak-cs
     # digest was re-recorded with the exact stages: the remainder is finite
-    # at draws where the residual itself overflowed, so fewer are redrawn
+    # at draws where the residual itself overflowed, so fewer are redrawn.
+    # The check-symmetry digests were re-recorded with the exact on-shell
+    # remainder, which dy makes 0: it redraws no point (it redrew 20)
     OVERFLOW_INSTANCE = ["--a=-1", "--r=665", "--c1=1340", "--c2=2", "--gamma1=1", "--gamma2=1"]
+    # (argv, exit code, whether any point is redrawn, report digest)
     OVERFLOW_CASES = [
-        (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "X"], 1,
-         "0147419c69f450ab5b57682459a30d48fd46895ba30edf58e56f9fec4d4a5091"),
-        (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "Xprime"], 1,
-         "b850ce6c10621602c03d5236e312febc0e5aca1e1b4893f96998ddeb72c8a10d"),
-        (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "Y"], 1,
-         "2ca056de53ddf45659420464a76b574bad51b1e2cad32dd006a251d5dde54701"),
-        (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "dy"], 0,
-         "802626aff2e5f1271171b887d3a12f90949b1fa3fd3b970049d2be372196e8f4"),
+        (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "X"], 1, True,
+         "9930fdb325368c0a826469538f3695f9214db2ddaafed3f0456f124baf8db729"),
+        (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "Xprime"], 1, True,
+         "4989b085d550539c1512468958dbaa2f93cb89c8f8859ebbee426a136fea9330"),
+        (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "Y"], 1, True,
+         "4262a346ac9b454602e654cbb91fe2d1cbb469abb4cac5176d02664cd41f2cb0"),
+        (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "dy"], 0, False,
+         "70f8dfc9940fa9a2646e1f3179e0a79d8875c9200509a7444127a393c2bc10ee"),
         (["weak-cs", "--a=-1", "--r=2", "--c1=1340", "--c2=900", "--gamma1=1", "--gamma2=1",
-          "--samples", "40"], 1,
+          "--samples", "40"], 1, True,
          "cd4f29ecd5227adb98dd5a71f1b22239d9f5af7e1fee9e6142c09af938061ea2"),
     ]
 
-    @pytest.mark.parametrize("argv,code,report_sha", OVERFLOW_CASES, ids=[
+    @pytest.mark.parametrize("argv,code,redraws,report_sha", OVERFLOW_CASES, ids=[
         "check-symmetry-X", "check-symmetry-Xprime", "check-symmetry-Y",
         "check-symmetry-dy", "weak-cs"])
-    def test_overflow_report_bytes(self, argv, code, report_sha):
+    def test_overflow_report_bytes(self, argv, code, redraws, report_sha):
         got, out, _ = run_cli(argv)
         assert got == code
-        assert '"resampled": 0' not in out  # each run redraws overflowing points
+        assert ('"resampled": 0' not in out) == redraws
         assert hashlib.sha256(strip_timestamp(out).encode()).hexdigest() == report_sha
 
     @staticmethod

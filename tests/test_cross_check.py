@@ -205,3 +205,22 @@ class TestAgainstSympy:
             mine = to_sympy(system.restrict(target), syms)
             assert sympy.simplify(mine - theirs) == 0
             assert not is_zero(system.restrict(target))
+
+    @pytest.mark.parametrize("field", ["X", "Xprime"])
+    def test_onshell_remainder_is_sympys_substitution(self, field):
+        # the perturbed r = 0 instance of the claims draw: check-symmetry's
+        # exact remainder against sympy's own uyy substitution and expand
+        from liesym import (NAMED_FIELDS, apply_prolonged, build_instance,
+                            check_onshell_symmetry, prolong2)
+
+        inst = build_instance(Fraction(1, 3), 0, Fraction(131, 10), 13, Fraction(-2, 3), -8)
+        vf = NAMED_FIELDS[field]()
+        mine = check_onshell_symmetry(vf, inst, n_samples=1).remainder
+        target = apply_prolonged(prolong2(vf.bind(a=inst.a)), inst.delta)
+        names = ("x", "y", "u", "ux", "uy", "uxx", "uxy", "uyy")
+        syms = {n: sympy.Symbol(n, positive=n in ("x", "u")) for n in names}
+        uyy = sympy.solve(to_sympy(inst.delta, syms), syms["uyy"])
+        assert len(uyy) == 1
+        theirs = sympy.expand(to_sympy(target, syms).subs(syms["uyy"], uyy[0]))
+        assert sympy.expand(to_sympy(mine, syms) - theirs) == 0
+        assert theirs != 0

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from liesym import (
+    NAMED_FIELDS,
+    ConstraintSystem,
     build_instance,
     check_onshell_symmetry,
     eval_at,
@@ -13,12 +15,13 @@ from liesym import (
     exceptional_vf,
     family_residual,
     gss_preset,
+    is_zero,
     parse,
     rotation_like_vf,
     scaling_vf,
     y_translation_vf,
 )
-from liesym.family import solve_uyy
+from liesym import family
 from liesym.jets import sample_jet_env
 
 
@@ -120,12 +123,9 @@ class TestNamedFields:
 
 class TestOnShell:
     def test_uyy_elimination_consistency(self):
+        # the residual restricted to its own manifold is exactly zero
         gss = gss_preset()
-        rng = random.Random(11)
-        for _ in range(50):
-            env = sample_jet_env(rng)
-            env["uyy"] = solve_uyy(gss, env)
-            assert abs(eval_at(gss.delta, env)) <= 1e-12
+        assert is_zero(ConstraintSystem((gss.delta,), ("uyy",)).restrict(gss.delta))
 
     def test_exceptional_field_admitted_on_gss(self):
         verdict = check_onshell_symmetry(exceptional_vf(), gss_preset(),
@@ -175,13 +175,13 @@ class TestOnShell:
                 assert verdict.max_onshell_residual >= 1e-3
                 assert not verdict.admitted
 
-    def test_inconclusive_band(self):
+    def test_inconclusive_band(self, monkeypatch):
         # a refuted instance looks inconclusive when the refutation
         # threshold is pushed above the observed residual
+        monkeypatch.setattr(family, "REFUTE_THRESHOLD", 1e6)
         bad = build_instance(-1, 2, "-6.9", -3, -1.5, 0.25)
         verdict = check_onshell_symmetry(exceptional_vf(), bad, n_samples=50,
-                                         seed=42, tol=1e-12,
-                                         refute_threshold=1e6)
+                                         seed=42, tol=1e-12)
         assert verdict.status == "inconclusive"
         assert not verdict.admitted
 
@@ -190,3 +190,36 @@ class TestOnShell:
         v2 = check_onshell_symmetry(exceptional_vf(), gss_preset(), 50, seed=9)
         assert v1.max_onshell_residual == v2.max_onshell_residual
         assert v1.worst_point == v2.worst_point
+
+
+class TestExactRemainders:
+    """The on-shell remainder of every named field over the benchmark's
+    exceptional instances: a in p/q with p in +-1..8 and q in 1..3, and
+    r in {0, 1/2, 1, 2, 3}.  X, X' and dy are admitted exactly, Y is not."""
+
+    A_VALUES = sorted({Fraction(p, q) for p in (*range(-8, 0), *range(1, 9)) for q in (1, 2, 3)})
+    R_VALUES = (0, Fraction(1, 2), 1, 2, 3)
+
+    def test_named_fields_over_the_benchmark_instances(self):
+        assert len(self.A_VALUES) == 36
+        for a in self.A_VALUES:
+            for r in self.R_VALUES:
+                inst = build_instance(a, r, *exceptional_exponents(a, r), Fraction(-3, 2), 7)
+                for name, vf in NAMED_FIELDS.items():
+                    remainder = check_onshell_symmetry(vf(), inst, n_samples=1).remainder
+                    assert is_zero(remainder) == (name != "Y"), (a, r, name)
+
+    def test_admitted_field_reads_exactly_zero(self):
+        verdict = check_onshell_symmetry(exceptional_vf(), gss_preset())
+        assert is_zero(verdict.remainder)
+        assert (verdict.max_onshell_residual, verdict.resampled) == (0.0, 0)
+        assert "uyy" not in verdict.worst_point
+
+    def test_refuted_instance_of_the_claims_draw(self):
+        # a perturbed c1 at r = 0.  Measured as the unrestricted residual
+        # at a point with uyy solved on shell, it read 6.3e-4 (inconclusive):
+        # the terms that cancel on the manifold set that measure's scale
+        inst = build_instance(Fraction(1, 3), 0, Fraction(131, 10), 13, Fraction(-2, 3), -8)
+        verdict = check_onshell_symmetry(exceptional_vf(), inst, seed=313694)
+        assert verdict.remainder == parse("-1/45*y*u^(131/10)")
+        assert verdict.status == "refuted" and verdict.max_onshell_residual > 0.9

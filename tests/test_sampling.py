@@ -17,10 +17,10 @@ from liesym import (
     SampleSpec,
     SamplingError,
     equiv_numeric,
-    exceptional_vf,
     gss_preset,
     parse,
     restricted_eval,
+    rotation_like_vf,
     check_onshell_symmetry,
     family,
     orbits,
@@ -87,7 +87,8 @@ class TestRejectionSampler:
 
 
 def _onshell(n):
-    return check_onshell_symmetry(exceptional_vf(), gss_preset(), n_samples=n)
+    # Y's remainder on GSS holds x^(-1); X's is 0, defined everywhere
+    return check_onshell_symmetry(rotation_like_vf(), gss_preset(), n_samples=n)
 
 
 def _restricted(n, target=None):
@@ -152,7 +153,7 @@ class TestExhaustedBudget:
             sample_in_region(1.0, 5, seed=0)
 
     @pytest.mark.parametrize("argv,module", [
-        (["check-symmetry", "--preset", "gss", "--samples", "5"], family),
+        (["check-symmetry", "--preset", "gss", "--field", "Y", "--samples", "5"], family),
         (["weak-cs", "--preset", "gss", "--samples", "5"], reduction),
     ], ids=["check-symmetry", "weak-cs"])
     def test_cli_exits_one(self, argv, module, monkeypatch):
