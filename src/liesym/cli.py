@@ -36,18 +36,19 @@ from .expr import (
 from .family import (
     NAMED_FIELDS,
     PRESETS,
+    REFUTE_THRESHOLD,
     build_instance,
     check_onshell_symmetry,
     exceptional_exponents,
 )
 from .orbits import (
+    CSV_HEADER,
     GridSpec,
     RegionGeometry,
     ResidualField,
     base_solution,
     conformal_factor,
     family_solution,
-    in_row_blocks,
     map_point,
     region,
     residual_grid,
@@ -61,41 +62,11 @@ from .reduction import (
     weak_cs_report,
 )
 
-CSV_HEADER = ("x", "y", "in_domain", "u", "residual")
-SPOOL_CHUNK = 1 << 16  # bytes of a row block's CSV copied to the sink at a time
-
-
-def emit_csv(field: ResidualField, sink) -> None:
-    """Write a residual field as CSV, row-major by y then x, numbers with
-    17 significant digits; masked nodes leave u and residual empty.
-
-    No field ever needs quoting, so rows are formatted directly: each
-    coordinate once, one write per grid row.  A large field is written in
-    row blocks (``in_row_blocks``); the bytes are the same for any block
-    count.
-    """
-    sink.write(",".join(CSV_HEADER) + "\n")
-    xs = [f"{x:.17g}" for x in field.grid.xs()]
-    ys = field.grid.ys()
-    nx = len(xs)
-
-    def write_rows(rows: range, write) -> None:
-        for j in rows:
-            start = j * nx
-            masked = f",{ys[j]:.17g},0,,\n"
-            inside = f",{ys[j]:.17g},1,"
-            write("".join(
-                x + masked if u is None else f"{x}{inside}{u:.17g},{r:.17g}\n"
-                for x, u, r in zip(xs, field.us[start:start + nx],
-                                   field.residuals[start:start + nx])))
-
-    def unspool(fh) -> None:
-        while chunk := fh.read(SPOOL_CHUNK):
-            sink.write(chunk.decode("ascii"))
-
-    in_row_blocks(len(ys), len(field.us), lambda rows: write_rows(rows, sink.write),
-                  lambda rows, fh: write_rows(rows, lambda text: fh.write(text.encode("ascii"))),
-                  unspool)
+def emit_csv(inst, sol, grid: GridSpec, sink) -> ResidualField:
+    """Write the residual field of ``sol`` for ``inst`` over ``grid`` to
+    ``sink`` as CSV and return its summary: the command's CSV stage, under
+    the name that perfbench/tracing.py times."""
+    return residual_grid(inst, sol, grid, sink)
 
 
 def read_csv_sup_norm(source) -> float | None:
@@ -159,6 +130,27 @@ def _finite(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """Argparse type for ``--tol``: a tolerance at or above the refutation
+    threshold would read a refuting measure as within tolerance."""
+    value = _finite(text)
+    if not 0 <= value < REFUTE_THRESHOLD:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 0 and below {REFUTE_THRESHOLD:g}, got {text}")
+    return value
+
+
+def _given_together(args, *names: str) -> bool:
+    """Whether every flag of ``names`` (argparse dests) was given; some but
+    not all is a usage error naming the missing ones."""
+    flags = {f"--{name.replace('_', '-')}": getattr(args, name) is None for name in names}
+    given = ", ".join(flag for flag, absent in flags.items() if not absent)
+    missing = ", ".join(flag for flag, absent in flags.items() if absent)
+    if given and missing:
+        raise argparse.ArgumentTypeError(f"{given} given without {missing}")
+    return not missing
+
+
 def _at_least(low: int):
     """Argparse type for an integer count no smaller than ``low``."""
     def count(text: str) -> int:
@@ -212,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     p.add_argument("--field", choices=sorted(NAMED_FIELDS), default="X")
     p.add_argument("--samples", type=_at_least(1), default=200)
-    p.add_argument("--tol", type=_finite, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     _common_flags(p)
 
     p = sub.add_parser("transform", help="finite group action on the power solution")
@@ -233,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-max", type=_finite, default=None)
     p.add_argument("--nx", type=_at_least(1), default=50)
     p.add_argument("--ny", type=_at_least(1), default=50)
-    p.add_argument("--tol", type=_finite, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     _common_flags(p)
 
     p = sub.add_parser("region", help="two-disk validity region geometry")
@@ -308,6 +300,7 @@ def _family_region(lam: Fraction) -> tuple[RegionGeometry, float, tuple]:
 
 
 def _cmd_transform(args, out) -> tuple[dict, bool]:
+    at_point = _given_together(args, "x", "y")
     lam = args.lam
     pushed = transform_solution(base_solution(args.a), lam)
     family = family_solution(args.a, lam)
@@ -333,7 +326,7 @@ def _cmd_transform(args, out) -> tuple[dict, bool]:
         "structural_match": structural,
         "equiv": equiv_report,
     }
-    if args.x is not None and args.y is not None:
+    if at_point:
         c = conformal_factor(args.x, args.y, float(lam))
         mapped = map_point(args.x, args.y, float(lam)) if c != 0.0 else None
         in_dom = pushed.domain(args.x, args.y)
@@ -349,7 +342,7 @@ def _cmd_transform(args, out) -> tuple[dict, bool]:
 
 
 def _default_grid(args) -> GridSpec:
-    if None not in (args.x_min, args.x_max, args.y_min, args.y_max):
+    if _given_together(args, "x_min", "x_max", "y_min", "y_max"):
         return GridSpec(args.x_min, args.x_max, args.y_min, args.y_max,
                         args.nx, args.ny)
     if args.solution == "base" or args.lam == 0:  # the family at lam = 0 is the base
@@ -373,8 +366,7 @@ def _cmd_residual_grid(args, out) -> tuple[dict, bool]:
         except FileExistsError:
             sink = open(args.output, "w")
     try:
-        field = residual_grid(inst, sol, grid)
-        emit_csv(field, sink)
+        field = emit_csv(inst, sol, grid, sink)
         if sink is not out:
             sink.close()  # inside the try: a failed final flush fails the command
     except BaseException:
@@ -404,6 +396,7 @@ def _cmd_residual_grid(args, out) -> tuple[dict, bool]:
 
 
 def _cmd_region(args, out) -> tuple[dict, bool]:
+    at_point = _given_together(args, "x", "y")
     geo = region(float(args.lam))
     fields = {
         "lambda": str(args.lam),
@@ -411,7 +404,7 @@ def _cmd_region(args, out) -> tuple[dict, bool]:
         "center2": list(geo.center2),
         "radius": geo.radius,
     }
-    if args.x is not None and args.y is not None:
+    if at_point:
         fields["point"] = {
             "x": args.x, "y": args.y,
             "member": geo.membership(args.x, args.y),

@@ -184,8 +184,11 @@ def check_onshell_symmetry(
     samples below ``tol`` means admitted; at least one at or above
     REFUTE_THRESHOLD means refuted; anything in between is reported as
     inconclusive.  The remainder holds no uyy, so the worst point is
-    reported without it.
+    reported without it.  ``tol`` must lie in [0, REFUTE_THRESHOLD):
+    a larger one would admit a field that a sample refutes.
     """
+    if not 0 <= tol < REFUTE_THRESHOLD:
+        raise ValueError(f"tol must be at least 0 and below {REFUTE_THRESHOLD:g}, got {tol!r}")
     target = apply_prolonged(prolong2(vf.bind(a=inst.a)), inst.delta)
     remainder = ConstraintSystem((inst.delta,), ("uyy",)).restrict(target)
     measure = to_cancellation(remainder, JET_NAMES)

@@ -15,9 +15,9 @@ centered at (+-1/(2 lam), -1/(2 lam)).
 
 from __future__ import annotations
 
-import marshal
 import math
 import os
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import BinaryIO, Callable, NoReturn
@@ -235,8 +235,8 @@ def transform_solution(sol: ClosedFormSolution, lam) -> ClosedFormSolution:
 # ---------------------------------------------------------------------------
 # residual grids
 
-# a residual field holds every node in memory and writes one CSV row per
-# node, so GridSpec refuses larger grids
+# this process holds the CSV text of the rows it works until every block
+# is done, so GridSpec refuses larger grids
 MAX_GRID_NODES = 1_000_000
 
 
@@ -272,101 +272,82 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
+CSV_HEADER = ("x", "y", "in_domain", "u", "residual")
+
+
 @dataclass(frozen=True)
 class ResidualField:
-    """Pointwise residual of an instance on a solution over a grid.
-
-    ``us`` and ``residuals`` hold one entry per node, row-major (y outer,
-    then x, over ``grid.ys()`` and ``grid.xs()``).  ``residual`` at each
-    in-domain node is the residual's ``to_cancellation`` measure: its
-    terms cancel on a true solution but grow without bound toward the
-    region boundary.  Nodes outside the solution's domain, and nodes
-    where u or the residual leaves the real domain or the residual is
-    not finite, are masked: both entries are None.
-    """
+    """Summary of an instance's pointwise residual on a solution over a
+    grid: the largest |residual| over the in-domain nodes (None when there
+    are none) and their count.  The nodes themselves go to
+    ``residual_grid``'s sink as CSV rows."""
 
     grid: GridSpec
-    us: list[float | None]
-    residuals: list[float | None]
     sup_norm: float | None
     n_in_domain: int
 
 
-def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec) -> ResidualField:
-    """Evaluate the instance residual on a closed-form solution.
+def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
+                  sink=None) -> ResidualField:
+    """Evaluate the instance residual on a closed-form solution and write
+    it to the text stream ``sink`` (by default the text is dropped) as
+    CSV: the CSV_HEADER line, then one row per node, row-major by y then
+    x over ``grid.ys()`` and ``grid.xs()``, numbers with 17 significant
+    digits.
 
     Derivatives of the solution are taken symbolically, so any nonzero
     residual is a genuine failure of the solution, not discretization
-    error.  A grid of FORK_MIN_NODES nodes or more is evaluated in row
-    blocks (``in_row_blocks``); the field is the same for any block count.
+    error.  ``residual`` at each in-domain node is the residual's
+    ``to_cancellation`` measure: its terms cancel on a true solution but
+    grow without bound toward the region boundary.  Nodes outside the
+    solution's domain, and nodes where u or the residual leaves the real
+    domain or the residual is not finite, are masked: ``in_domain`` is 0
+    and u and residual are empty.  A grid of FORK_MIN_NODES nodes or more
+    is worked in row blocks (``in_row_blocks``); the field and every byte
+    are the same for any block count, and nothing reaches the sink when a
+    block fails.
     """
     # one body returns (measure, u): the slots u shares with the residual
     # are computed once per node
     measure_and_u = to_cancellation(substitute(inst.delta, sol.jet()), ("x", "y"), sol.expr)
     domain = sol.domain
-    xs = grid.xs()
+    columns = [(x, f"{x:.17g}") for x in grid.xs()]
     ys = grid.ys()
 
-    def evaluate(rows: range, us: list, residuals: list) -> tuple[float | None, int]:
-        """Append the nodes of ``rows`` to the two lists; return the sup of
-        |residual| over their in-domain nodes and the count of those."""
-        sup = None
+    def work(rows: range, write: Callable[[str], object]) -> tuple[float, int]:
+        """Pass the CSV text of ``rows`` to ``write``, one call per row and
+        the header first with row 0; return the sup of |residual| over
+        their in-domain nodes (-1.0 where there are none) and their count."""
+        if rows.start == 0:
+            write(",".join(CSV_HEADER) + "\n")
+        sup = -1.0
         count = 0
         for j in rows:
             y = ys[j]
-            for x in xs:
-                if not domain(x, y):
-                    us.append(None)
-                    residuals.append(None)
-                    continue
-                try:
-                    res, u_val = measure_and_u(x, y)
-                except DomainError:
-                    # numerically outside the real domain (boundary roundoff),
-                    # or a term too large to be finite
-                    us.append(None)
-                    residuals.append(None)
-                    continue
-                us.append(u_val)
-                residuals.append(res)
-                count += 1
-                if sup is None or abs(res) > sup:
-                    sup = abs(res)
+            masked = f",{y:.17g},0,,\n"
+            inside = f",{y:.17g},1,"
+            parts = []
+            for x, x_text in columns:
+                if domain(x, y):
+                    try:
+                        res, u = measure_and_u(x, y)
+                    except DomainError:
+                        # numerically outside the real domain (boundary
+                        # roundoff), or a term too large to be finite
+                        pass
+                    else:
+                        parts.append(f"{x_text}{inside}{u:.17g},{res:.17g}\n")
+                        count += 1
+                        if abs(res) > sup:
+                            sup = abs(res)
+                        continue
+                parts.append(x_text + masked)
+            write("".join(parts))
         return sup, count
 
-    us: list[float | None] = []
-    residuals: list[float | None] = []
-    sup = None
-    count = 0
-
-    def merge(block_sup: float | None, block_count: int) -> None:
-        nonlocal sup, count
-        count += block_count
-        if block_sup is not None and (sup is None or block_sup > sup):
-            sup = block_sup
-
-    # a child's block goes through its file as one marshal record per row
-    # (marshal keeps every float bit for bit), each after its length, so
-    # this process holds one row of it at a time
-    def spool(rows: range, fh) -> None:
-        for j in rows:
-            row_us: list[float | None] = []
-            row_residuals: list[float | None] = []
-            row_sup, row_count = evaluate(range(j, j + 1), row_us, row_residuals)
-            record = marshal.dumps((row_us, row_residuals, row_sup, row_count))
-            fh.write(len(record).to_bytes(4, "little") + record)
-
-    def unspool(fh) -> None:
-        while size := fh.read(4):
-            row_us, row_residuals, row_sup, row_count = marshal.loads(
-                fh.read(int.from_bytes(size, "little")))
-            us.extend(row_us)
-            residuals.extend(row_residuals)
-            merge(row_sup, row_count)
-
-    in_row_blocks(grid.ny, grid.nx * grid.ny,
-                  lambda rows: merge(*evaluate(rows, us, residuals)), spool, unspool)
-    return ResidualField(grid, us, residuals, sup, count)
+    sup, count = in_row_blocks(grid.ny, grid.nx * grid.ny, work,
+                               sink.write if sink is not None else lambda text: None)
+    return ResidualField(grid, sup if count else None, count)
 
 
 # Grids of at least this many nodes are worked in row blocks, one per CPU
@@ -378,49 +359,61 @@ FORK_MIN_NODES = 20_000
 # the block count of such a grid: one where this process cannot fork
 ROW_BLOCKS = (len(os.sched_getaffinity(0))
               if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+SPOOL_CHUNK = 1 << 16  # bytes of a child's text copied to the sink at a time
+_TRAILER = struct.Struct("<dq")  # ends a child's spool file: its block's (sup, count)
 
 
-def in_row_blocks(ny: int, nodes: int, own: Callable[[range], None],
-                  spool: Callable[[range, BinaryIO], None],
-                  unspool: Callable[[BinaryIO], None]) -> None:
-    """Work the rows ``range(ny)`` of a grid of ``nodes`` nodes, in
-    contiguous blocks and in row order.
+def in_row_blocks(ny: int, nodes: int, work: Callable[[range, Callable], tuple[float, int]],
+                  write: Callable[[str], object]) -> tuple[float, int]:
+    """Work the rows ``range(ny)`` of a grid of ``nodes`` nodes in
+    contiguous blocks, pass their text to ``write`` in row order, and
+    return the largest sup and the summed count of the blocks.
 
-    ``own(rows)`` works a block in this process.  A grid below
-    FORK_MIN_NODES nodes is one block, ``own(range(ny))``.  A larger one
-    is split into ROW_BLOCKS blocks (at most one per row): this process
-    works the first while each later block runs in a forked child as
-    ``spool(rows, fh)``, which writes into an unlinked temporary file.
-    ``unspool(fh)`` then reads each file back here, in block order, from
-    its start.  A block whose child cannot be started is worked by
-    ``own`` in its turn.  A child that fails raises WorkerError.  However
-    this returns, every child has been reaped and every file closed.
+    ``work(rows, write)`` works one block: it passes the block's text to
+    its ``write`` and returns the block's (sup, count).  A grid below
+    FORK_MIN_NODES nodes is one block.  A larger one is split into
+    ROW_BLOCKS blocks (at most one per row): this process works the first
+    while each later block runs in a forked child, which writes its text
+    and then its (sup, count) into an unlinked temporary file.  A block
+    whose child cannot be started is worked here in its turn.  This
+    process keeps the text of the blocks it works and writes nothing
+    until every child has exited 0; then it writes the blocks in order,
+    each child's file SPOOL_CHUNK bytes at a time.  A child that fails
+    raises WorkerError.  However this returns, every child has been
+    reaped and every file closed.
     """
     n = 1 if nodes < FORK_MIN_NODES else min(ROW_BLOCKS, ny)
     bounds = [ny * i // n for i in range(n + 1)]
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    if n == 1:
-        own(blocks[0])
-        return
     children = []  # [rows, pid, spool file]; pid None once reaped or never forked
     try:
         for rows in blocks[1:]:
-            children.append([rows, *_fork_block(rows, spool)])
-        own(blocks[0])
+            children.append([rows, *_fork_block(rows, work)])
+        held: list = []  # in row order: text worked here, and each child's spool file
+        results = [work(blocks[0], held.append)]
         for child in children:
             rows, pid, fh = child
             if pid is None:
-                own(rows)
+                results.append(work(rows, held.append))
                 continue
             _, status = os.waitpid(pid, 0)
             child[1] = None
             code = os.waitstatus_to_exitcode(status)
-            fh.seek(0)
             if code != 0:
+                fh.seek(0)
                 why = fh.read(2000).decode(errors="replace") if code == 1 else f"exit status {code}"
                 raise WorkerError(f"rows {rows.start}-{rows.stop - 1} of the grid failed "
                                   f"in a worker process: {why}")
-            unspool(fh)
+            held.append(fh)
+        for part in held:
+            if isinstance(part, str):
+                write(part)
+                continue
+            size = part.seek(-_TRAILER.size, os.SEEK_END)
+            results.append(_TRAILER.unpack(part.read()))
+            part.seek(0)
+            for start in range(0, size, SPOOL_CHUNK):
+                write(part.read(min(SPOOL_CHUNK, size - start)).decode("ascii"))
     finally:
         for child in children:
             _, pid, fh = child
@@ -430,9 +423,10 @@ def in_row_blocks(ny: int, nodes: int, own: Callable[[range], None],
                 os.waitpid(pid, 0)
             if fh is not None:
                 fh.close()
+    return max(sup for sup, _ in results), sum(count for _, count in results)
 
 
-def _fork_block(rows: range, spool) -> tuple[int | None, BinaryIO | None]:
+def _fork_block(rows: range, work) -> tuple[int | None, BinaryIO | None]:
     """Start a child working ``rows`` into a fresh spool file; (pid, file),
     or (None, None) where the file or the child cannot be made."""
     import tempfile  # only grids that fork pay for the import
@@ -447,18 +441,18 @@ def _fork_block(rows: range, spool) -> tuple[int | None, BinaryIO | None]:
         fh.close()
         return None, None
     if pid == 0:
-        _child(rows, spool, fh)
+        _child(rows, work, fh)
     return pid, fh
 
 
-def _child(rows: range, spool, fh: BinaryIO) -> NoReturn:
+def _child(rows: range, work, fh: BinaryIO) -> NoReturn:
     """Work one block in a forked child and leave through os._exit, never
     by unwinding: that would run the parent's ``finally`` blocks and flush
     the buffers it holds.  A failure is reported as the spool's text with
     exit status 1."""
     status = 1
     try:
-        spool(rows, fh)
+        fh.write(_TRAILER.pack(*work(rows, lambda text: fh.write(text.encode("ascii")))))
         fh.flush()
         status = 0
     except BaseException as exc:  # anything, KeyboardInterrupt too, ends in os._exit

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from liesym import (GridSpec, base_solution, exceptional_exponents, expr, gss_preset, mul, region,
-                    residual_grid, sym)
+from liesym import (GridSpec, base_solution, eval_at, exceptional_exponents, expr, gss_preset,
+                    mul, region, sym)
 from liesym import cli
 from liesym.cli import _print_report, build_parser, emit_csv, read_csv_sup_norm, run
 
@@ -210,29 +210,29 @@ class TestResidualGrid:
             assert box == (x_lo, x_hi, -y_hi, -y_lo)
 
     def test_masked_nodes_empty_fields(self):
-        field = residual_grid(gss_preset(), base_solution(-1),
-                              GridSpec(0.5, 2.0, 0.0, 1.8, 4, 4))
         sink = io.StringIO()
-        emit_csv(field, sink)
+        emit_csv(gss_preset(), base_solution(-1), GridSpec(0.5, 2.0, 0.0, 1.8, 4, 4), sink)
         lines = sink.getvalue().splitlines()
         assert lines[0] == "x,y,in_domain,u,residual"
         masked = [ln for ln in lines[1:] if ",0,," in ln]
         assert masked and all(ln.endswith(",0,,") for ln in masked)
 
     def test_two_by_two_grid_rows(self):
-        field = residual_grid(gss_preset(), base_solution(-1),
-                              GridSpec(1.0, 2.0, -0.4, 0.4, 2, 2))
         sink = io.StringIO()
-        emit_csv(field, sink)
+        field = emit_csv(gss_preset(), base_solution(-1), GridSpec(1.0, 2.0, -0.4, 0.4, 2, 2),
+                         sink)
         assert len(sink.getvalue().splitlines()) == 5  # header + 4 nodes
+        assert field.n_in_domain == 4
 
     def test_seventeen_significant_digits(self):
-        field = residual_grid(gss_preset(), base_solution(-1),
-                              GridSpec(1.0, 2.0, -0.4, 0.4, 2, 2))
+        sol = base_solution(-1)
         sink = io.StringIO()
-        emit_csv(field, sink)
-        row = sink.getvalue().splitlines()[1].split(",")
-        assert float(row[3]) == field.us[0]  # round-trips exactly
+        field = emit_csv(gss_preset(), sol, GridSpec(1.0, 2.0, -0.4, 0.4, 2, 2), sink)
+        rows = [line.split(",") for line in sink.getvalue().splitlines()[1:]]
+        # every number round-trips exactly
+        assert [float(row[3]) for row in rows] == [
+            eval_at(sol.expr, {"x": float(row[0]), "y": float(row[1])}) for row in rows]
+        assert max(abs(float(row[4])) for row in rows) == field.sup_norm
 
 
 class TestRegion:
@@ -361,6 +361,43 @@ class TestContract:
         assert code == 2
         assert "NaN" not in out and "inf" not in out
         assert "not a finite number" in capsys.readouterr().err  # argparse's own message
+
+    @pytest.mark.parametrize("tol", ["10", "1e-3", "-1e-12"])
+    @pytest.mark.parametrize("argv", [
+        ["check-symmetry", "--preset", "gss", "--field", "Y", "--samples", "10"],
+        ["residual-grid", "--a=-1", "--r=2", "--c1=-7", "--c2=-3", "--gamma1=7",
+         "--gamma2=-3", "--nx", "5", "--ny", "5"],
+    ], ids=["check-symmetry", "residual-grid"])
+    def test_tolerance_at_the_refutation_threshold_exits_two(self, argv, tol, capsys):
+        # --tol 10 read Y, which is no symmetry of GSS, as admitted (max
+        # 1.62), and passed the grid of a wrong instance (sup 1.04)
+        code, out, _ = run_cli([*argv, f"--tol={tol}"])
+        assert code == 2 and out == ""
+        assert "must be at least 0 and below 0.001" in capsys.readouterr().err
+
+    def test_tolerance_just_below_the_refutation_threshold(self):
+        assert run_cli(["check-symmetry", "--preset", "gss", "--samples", "10",
+                        "--tol=9.99e-4"])[0] == 0
+        assert run_cli(["check-symmetry", "--preset", "gss", "--field", "Y", "--samples", "10",
+                        "--tol=0"])[0] == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["residual-grid", "--preset", "gss", "--x-min", "1.5"],
+         "--x-min given without --x-max, --y-min, --y-max"),
+        (["residual-grid", "--preset", "gss", "--x-min", "1", "--x-max", "2", "--y-max", "1"],
+         "--x-min, --x-max, --y-max given without --y-min"),
+        (["transform", "--lambda", "1", "--x", "0.5", "--samples", "0"],
+         "--x given without --y"),
+        (["region", "--lambda", "1", "--y", "0.2"], "--y given without --x"),
+    ], ids=["grid-one-bound", "grid-three-bounds", "transform-x", "region-y"])
+    def test_partial_flag_set_exits_two(self, argv, message, monkeypatch):
+        # the given flags were dropped without a word: the grid took its
+        # default box, transform and region reported no point
+        def refuse(*args):
+            raise AssertionError("the grid was evaluated")
+
+        monkeypatch.setattr(cli, "residual_grid", refuse)
+        assert run_cli(argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ["exponents", "--a=1e400", "--r=2"],

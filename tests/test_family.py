@@ -185,6 +185,12 @@ class TestOnShell:
         assert verdict.status == "inconclusive"
         assert not verdict.admitted
 
+    @pytest.mark.parametrize("tol", [1e-3, 10.0, -1e-12, float("nan"), float("inf")])
+    def test_tolerance_must_lie_below_the_refutation_threshold(self, tol):
+        # a tolerance of 10 admitted Y, which is no symmetry (max 1.62)
+        with pytest.raises(ValueError, match="tol must be at least 0 and below 0.001"):
+            check_onshell_symmetry(rotation_like_vf(), gss_preset(), n_samples=5, tol=tol)
+
     def test_deterministic_for_fixed_seed(self):
         v1 = check_onshell_symmetry(exceptional_vf(), gss_preset(), 50, seed=9)
         v2 = check_onshell_symmetry(exceptional_vf(), gss_preset(), 50, seed=9)

@@ -1,5 +1,6 @@
 """Finite group action, closed-form solutions, region geometry, grids."""
 
+import io
 import math
 import random
 from fractions import Fraction
@@ -293,18 +294,23 @@ class TestResidualGrid:
 
     def test_masking_and_empty_domain(self):
         sol = base_solution(-1)
-        field = residual_grid(gss_preset(), sol, GridSpec(0.1, 0.4, 1.0, 2.0, 3, 3))
+        sink = io.StringIO()
+        field = residual_grid(gss_preset(), sol, GridSpec(0.1, 0.4, 1.0, 2.0, 3, 3), sink)
         assert field.n_in_domain == 0
         assert field.sup_norm is None
-        assert field.us == [None] * 9 and field.residuals == [None] * 9
+        rows = sink.getvalue().splitlines()[1:]
+        assert len(rows) == 9 and all(row.endswith(",0,,") for row in rows)
 
     def test_row_major_order(self):
         sol = base_solution(-1)
-        field = residual_grid(gss_preset(), sol, GridSpec(1.0, 2.0, -0.5, 0.5, 2, 2))
-        coords = [(x, y) for y in field.grid.ys() for x in field.grid.xs()]
+        sink = io.StringIO()
+        residual_grid(gss_preset(), sol, GridSpec(1.0, 2.0, -0.5, 0.5, 2, 2), sink)
+        rows = [line.split(",") for line in sink.getvalue().splitlines()[1:]]
+        coords = [(float(row[0]), float(row[1])) for row in rows]
         assert coords == [(1.0, -0.5), (2.0, -0.5), (1.0, 0.5), (2.0, 0.5)]
-        assert field.us == [eval_at(sol.expr, {"x": x, "y": y}) for x, y in coords]
-        assert len(field.residuals) == 4 and None not in field.residuals
+        assert [float(row[3]) for row in rows] == [
+            eval_at(sol.expr, {"x": x, "y": y}) for x, y in coords]
+        assert all(row[2] == "1" and row[4] != "" for row in rows)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 """Row-block evaluation of large grids (``orbits.in_row_blocks``).
 
 A grid of ``orbits.FORK_MIN_NODES`` nodes or more is split into
-``orbits.ROW_BLOCKS`` blocks of rows; every block after the first runs in
-a forked child that spools into a temporary file.  The tests set both
-constants to force a block count on small grids: every count must give
-the field and the CSV bytes of one block, and leave no child process and
-no open spool file behind, whatever happens in a block.
+``orbits.ROW_BLOCKS`` blocks of rows; every block after the first is
+evaluated and formatted in a forked child that spools its CSV text into a
+temporary file.  The tests set both constants to force a block count on
+small grids: every count must give the summary and the CSV bytes of one
+block, and leave no child process and no open spool file behind, whatever
+happens in a block.
 """
 
 import errno
@@ -20,7 +21,6 @@ import pytest
 
 from liesym import (GridSpec, WorkerError, base_solution, cli, family_solution, gss_preset,
                     orbits, residual_grid)
-from liesym.cli import emit_csv
 from liesym.orbits import in_row_blocks
 
 import test_cli
@@ -92,17 +92,12 @@ def forks(monkeypatch):
     return pids
 
 
-def csv_text(field):
-    sink = io.StringIO()
-    emit_csv(field, sink)
-    return sink.getvalue()
-
-
-def evaluated(name):
+def evaluated(name, sink=None):
+    """The summary and the CSV text of a sample grid."""
     lam, grid = GRIDS[name]
     sol = base_solution(GSS.a) if lam is None else family_solution(GSS.a, lam)
-    field = residual_grid(GSS, sol, grid)
-    return field, csv_text(field)
+    sink = io.StringIO() if sink is None else sink
+    return residual_grid(GSS, sol, grid, sink), sink.getvalue()
 
 
 def failing_in_children(measure_and_u):
@@ -130,21 +125,25 @@ class TestSameResultForAnyBlockCount:
         for count in BLOCK_COUNTS:
             blocks(count)
             field, csv = evaluated(name)
-            assert field.us == ref_field.us
-            assert field.residuals == ref_field.residuals
-            assert field.sup_norm == ref_field.sup_norm
-            assert field.n_in_domain == ref_field.n_in_domain
+            assert field == ref_field
             assert csv == ref_csv
         grid = GRIDS[name][1]
-        # per field and per CSV, min(count, ny) - 1 children for each count
-        assert len(forks) == 2 * sum(min(c, grid.ny) - 1 for c in BLOCK_COUNTS)
+        # one pass evaluates and formats: min(count, ny) - 1 children per count
+        assert len(forks) == sum(min(c, grid.ny) - 1 for c in BLOCK_COUNTS)
 
     def test_sample_grids_hold_the_cases(self):
-        fields = {name: evaluated(name)[0] for name in GRIDS}
-        assert fields["nothing-in-domain"].sup_norm is None
-        empty = fields["empty-outer-rows"]
-        assert empty.n_in_domain > 0 and empty.us[:5] == [None] * 5 and empty.us[-5:] == [None] * 5
-        assert fields["family-13x11"].n_in_domain > 0
+        fields = {name: evaluated(name) for name in GRIDS}
+        assert fields["nothing-in-domain"][0].sup_norm is None
+        empty, text = fields["empty-outer-rows"]
+        flags = [row.split(",")[2] for row in text.splitlines()[1:]]
+        assert empty.n_in_domain > 0 and flags[:5] == ["0"] * 5 and flags[-5:] == ["0"] * 5
+        assert fields["family-13x11"][0].n_in_domain > 0
+
+    def test_sink_changes_no_summary(self, blocks):
+        blocks(3)
+        for name, (lam, grid) in GRIDS.items():
+            sol = base_solution(GSS.a) if lam is None else family_solution(GSS.a, lam)
+            assert residual_grid(GSS, sol, grid) == evaluated(name)[0], name
 
     @pytest.mark.parametrize("count", BLOCK_COUNTS)
     @pytest.mark.parametrize("argv,code,csv_sha,report_sha", test_cli.TestGoldenBytes.CASES,
@@ -152,7 +151,7 @@ class TestSameResultForAnyBlockCount:
     def test_golden_bytes(self, argv, code, csv_sha, report_sha, count, blocks, forks):
         blocks(count)
         test_cli.TestGoldenBytes._check(argv, code, csv_sha, report_sha)
-        assert len(forks) == 2 * (count - 1)
+        assert len(forks) == count - 1
 
     @pytest.mark.parametrize("count", BLOCK_COUNTS)
     def test_csv_file_and_report(self, count, blocks, tmp_path):
@@ -182,19 +181,18 @@ class TestThreshold:
 
     def test_threshold_is_inclusive(self, monkeypatch, forks):
         monkeypatch.setattr(orbits, "ROW_BLOCKS", 2)
-        worked = []
 
-        def spool(rows, fh):
-            fh.write(b"x" * len(rows))
+        def work(rows, write):
+            write(f"{rows.start}-{rows.stop};")
+            return float(rows.stop), len(rows)
 
-        def unspool(fh):
-            worked.append(("spooled", len(fh.read())))
-
-        in_row_blocks(4, orbits.FORK_MIN_NODES - 1, worked.append, spool, unspool)
-        assert worked == [range(0, 4)] and forks == []
-        worked.clear()
-        in_row_blocks(4, orbits.FORK_MIN_NODES, worked.append, spool, unspool)
-        assert worked == [range(0, 2), ("spooled", 2)] and len(forks) == 1
+        texts = []
+        assert in_row_blocks(4, orbits.FORK_MIN_NODES - 1, work, texts.append) == (4.0, 4)
+        assert texts == ["0-4;"] and forks == []
+        texts.clear()
+        # the child's text and its (sup, count) trailer come back through its file
+        assert in_row_blocks(4, orbits.FORK_MIN_NODES, work, texts.append) == (4.0, 4)
+        assert "".join(texts) == "0-2;2-4;" and len(forks) == 1
 
 
 class TestFailures:
@@ -229,22 +227,14 @@ class TestFailures:
         assert path.exists()
 
     @pytest.mark.parametrize("count", (2, 3))
-    def test_failing_child_while_writing_csv(self, count, blocks, forks):
-        parent = os.getpid()
-
-        class Bomb(float):
-            def __format__(self, spec):
-                if os.getpid() != parent:
-                    raise RuntimeError("format failed")
-                return float.__format__(self, spec)
-
-        blocks(1)
-        field, _ = evaluated("family-13x11")
-        us = [None if u is None else Bomb(u) for u in field.us]
+    def test_failing_child_leaves_the_sink_empty(self, count, monkeypatch, blocks, forks):
+        # this process writes its own rows only after every child exited 0
         blocks(count)
-        with pytest.raises(WorkerError, match="RuntimeError: format failed"):
-            emit_csv(orbits.ResidualField(field.grid, us, field.residuals, field.sup_norm,
-                                          field.n_in_domain), io.StringIO())
+        failing_measure(monkeypatch, failing_in_children)
+        sink = io.StringIO()
+        with pytest.raises(WorkerError, match="RuntimeError: block failed"):
+            evaluated("family-13x11", sink)
+        assert sink.getvalue() == ""
         assert len(forks) == count - 1
 
     def test_failing_parent_block_reaps_children(self, monkeypatch, blocks, forks):
@@ -271,9 +261,9 @@ class TestFailures:
         calls = []
         real_fork = os.fork
 
-        def fork():  # the field, then the CSV, each forks for blocks 2 and 3
+        def fork():  # for blocks 2 and 3
             calls.append(None)
-            if (len(calls) - 1) % 2 in failing:
+            if len(calls) - 1 in failing:
                 raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
             return real_fork()
 
@@ -281,7 +271,7 @@ class TestFailures:
         field, csv = evaluated("family-13x11")
         assert field == ref_field
         assert csv == ref_csv
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     def test_spool_file_error_works_the_block_here(self, monkeypatch, blocks, forks):
         blocks(1)
@@ -325,7 +315,7 @@ class TestChildExit:
             pending.close()
             os.close(log)
         assert code == (1 if fail else 0)
-        assert len(forks) == (2 if fail else 4)
+        assert len(forks) == 2
         assert (tmp_path / "pending.txt").read_text() == "written once\n"
         assert (tmp_path / "clear_memo.log").read_text() == f"{os.getpid()}\n"
         if not fail:
