@@ -55,6 +55,7 @@ from .jets import (
     prolong2,
     sample_jet_point,
 )
+from .orbits import base_solution
 
 _S = sym("s")
 _V = sym("v")
@@ -234,18 +235,6 @@ def auxiliary_constraint(inst: PDEInstance) -> Expr:
     return apply_prolonged(prolong2(rotation_like_vf()), inst.delta)
 
 
-def invariant_solution_jet(profile: Expr) -> ConstraintSystem:
-    """The 2-jet of the invariant solution u0 = v(x^2 - y^2) of a profile
-    v(s): the constraints ``name - (the derivative of u0)``, each solved
-    for its jet name."""
-    u0 = substitute(profile, {"s": add(pow_(_X, num(2)), mul(num(-1), pow_(_Y, num(2))))})
-    ux, uy = diff(u0, "x"), diff(u0, "y")
-    jet = {"u": u0, "ux": ux, "uy": uy,
-           "uxx": diff(ux, "x"), "uxy": diff(ux, "y"), "uyy": diff(uy, "y")}
-    return ConstraintSystem(tuple(add(sym(n), mul(num(-1), v)) for n, v in jet.items()),
-                            tuple(jet))
-
-
 # ---------------------------------------------------------------------------
 # the combined report
 
@@ -333,10 +322,12 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = 200, seed: int = 42) -> W
     target = auxiliary_constraint(inst)
     profile, _g1, _g2 = candidate_profile(inst.a)
     residual = ConstraintSystem((delta,), ("uyy",))
+    jet = base_solution(inst.a).jet()
     systems = {
         "residual": residual,
         "residual+invariance": ConstraintSystem((delta, invariance_condition()), ("uyy", "uy")),
-        "invariant-solution": invariant_solution_jet(profile),
+        "invariant-solution": ConstraintSystem(
+            tuple(add(sym(n), mul(num(-1), v)) for n, v in jet.items()), tuple(jet)),
     }
     stages = []
     for name, system in systems.items():
