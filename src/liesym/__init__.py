@@ -61,10 +61,12 @@ from .family import (
 from .jets import (
     ConstraintSystem,
     ProlongedVF,
+    SampledRemainder,
     VectorField,
     apply_prolonged,
     characteristic,
     prolong2,
+    sample_remainder,
     total_derivative,
 )
 from .orbits import (
@@ -86,7 +88,6 @@ from .orbits import (
 )
 from .parsing import parse
 from .reduction import (
-    RestrictedEvalResult,
     WeakCSReport,
     auxiliary_constraint,
     candidate_profile,

@@ -13,6 +13,7 @@ environment variable LIESYM_SEED, when set, overrides ``--seed``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -478,7 +479,8 @@ def run(argv: list[str], out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stderr(err):  # argparse writes usage errors there
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     env_seed = os.environ.get("LIESYM_SEED")

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .expr import (
     Expr,
     Num,
-    RejectionSampler,
     add,
     as_expr,
     eval_at,  # noqa: F401  (unused: perfbench/tracing.py patches family.eval_at)
@@ -26,15 +25,15 @@ from .expr import (
     num,
     pow_,
     sym,
-    to_cancellation,
 )
 from .jets import (
     JET_NAMES,
+    REFUTE_THRESHOLD,
     ConstraintSystem,
     VectorField,
     apply_prolonged,
     prolong2,
-    sample_jet_point,
+    sample_remainder,
 )
 
 _X = sym("x")
@@ -161,9 +160,7 @@ class SymmetryVerdict:
         }
 
 
-# a sample whose measure reaches this refutes; one between the tolerance
-# and this leaves the verdict inconclusive
-REFUTE_THRESHOLD = 1e-3
+_STATUS = {"zero": "admitted", "nonzero": "refuted", "inconclusive": "inconclusive"}
 
 
 def check_onshell_symmetry(
@@ -178,40 +175,27 @@ def check_onshell_symmetry(
 
     The prolonged field applied to the residual is restricted exactly to
     the residual manifold: ``ConstraintSystem.restrict`` solves the
-    residual for uyy and substitutes the solution.  The remainder's
-    ``to_cancellation`` measure is compiled once and sampled at seeded
-    random jet points; a point where it is not finite is redrawn.  All
-    samples below ``tol`` means admitted; at least one at or above
-    REFUTE_THRESHOLD means refuted; anything in between is reported as
-    inconclusive.  The remainder holds no uyy, so the worst point is
-    reported without it.  ``tol`` must lie in [0, REFUTE_THRESHOLD):
-    a larger one would admit a field that a sample refutes.
+    residual for uyy and substitutes the solution.  ``sample_remainder``
+    samples the remainder's cancellation measure; a remainder that reads
+    zero (every sample at most ``tol``) admits the field, one that reads
+    nonzero (a sample at or above REFUTE_THRESHOLD) refutes it, and
+    anything in between is inconclusive.  The remainder holds no uyy, so
+    the worst point is reported without it.  ``tol`` must lie in
+    [0, REFUTE_THRESHOLD): a larger one would admit a field that a sample
+    refutes.
     """
     if not 0 <= tol < REFUTE_THRESHOLD:
         raise ValueError(f"tol must be at least 0 and below {REFUTE_THRESHOLD:g}, got {tol!r}")
     target = apply_prolonged(prolong2(vf.bind(a=inst.a)), inst.delta)
-    remainder = ConstraintSystem((inst.delta,), ("uyy",)).restrict(target)
-    measure = to_cancellation(remainder, JET_NAMES)
-    samples = RejectionSampler(n_samples, seed, sample_jet_point,
-                               lambda point: (point, abs(measure(*point))))
-    worst = None
-    worst_val = -1.0
-    for point, rel in samples:
-        if rel > worst_val:
-            worst_val = rel
-            worst = point
-    if worst_val <= tol:
-        status = "admitted"
-    elif worst_val >= REFUTE_THRESHOLD:
-        status = "refuted"
-    else:
-        status = "inconclusive"
+    sampled = sample_remainder(ConstraintSystem((inst.delta,), ("uyy",)).restrict(target),
+                               n_samples, seed)
+    status = _STATUS[sampled.classify(tol)]
     return SymmetryVerdict(
         admitted=status == "admitted",
         status=status,
-        max_onshell_residual=worst_val,
-        sample_count=n_samples,
-        worst_point={n: v for n, v in zip(JET_NAMES, worst) if n != "uyy"},
-        resampled=samples.resampled,
-        remainder=remainder,
+        max_onshell_residual=sampled.max_abs,
+        sample_count=sampled.samples,
+        worst_point={n: v for n, v in zip(JET_NAMES, sampled.worst_point) if n != "uyy"},
+        resampled=sampled.resampled,
+        remainder=sampled.remainder,
     )

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .errors import OrderOverflowError, ReductionError
 from .expr import (
     Expr,
+    RejectionSampler,
     add,
     as_expr,
     diff,
@@ -25,6 +26,7 @@ from .expr import (
     pow_,
     substitute,
     sym,
+    to_cancellation,
     to_text,
 )
 
@@ -227,3 +229,51 @@ class ConstraintSystem:
             solved = {k: substitute(v, {s: value}) for k, v in solved.items()}
             solved[s] = value
         return expand(substitute(target, solved))
+
+
+# a sample whose measure reaches this reads nonzero; one between the
+# tolerance and this leaves the remainder inconclusive
+REFUTE_THRESHOLD = 1e-3
+
+
+@dataclass(frozen=True)
+class SampledRemainder:
+    """A remainder and the statistics of its sampled cancellation measure."""
+
+    remainder: Expr
+    max_abs: float
+    mean_abs: float
+    worst_point: list[float]  # in JET_NAMES order
+    samples: int
+    resampled: int
+
+    def classify(self, tol: float = 1e-9) -> str:
+        """The remainder's reading: "zero" when every sample is at most
+        ``tol``, "nonzero" when one reaches REFUTE_THRESHOLD, else
+        "inconclusive"."""
+        if self.max_abs <= tol:
+            return "zero"
+        if self.max_abs >= REFUTE_THRESHOLD:
+            return "nonzero"
+        return "inconclusive"
+
+
+def sample_remainder(remainder: Expr, n_samples: int = 200, seed: int = 42) -> SampledRemainder:
+    """Sample a remainder in jet coordinates, such as the result of
+    ``ConstraintSystem.restrict``.  Its ``to_cancellation`` measure is
+    compiled once and |measure| is taken at ``n_samples`` seeded jet
+    points; a point off the real domain or where the measure is not
+    finite is redrawn."""
+    measure = to_cancellation(remainder, JET_NAMES)
+    samples = RejectionSampler(n_samples, seed, sample_jet_point,
+                               lambda point: (point, abs(measure(*point))))
+    worst = None
+    max_abs = -1.0
+    total = 0.0
+    for point, value in samples:
+        total += value
+        if value > max_abs:
+            max_abs = value
+            worst = point
+    return SampledRemainder(remainder, max_abs, total / n_samples, worst, n_samples,
+                            samples.resampled)

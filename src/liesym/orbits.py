@@ -153,25 +153,13 @@ def _power_exponent(a) -> Expr:
     return mul(Num(Fraction(-1, 4)), as_expr(a))
 
 
-def base_solution(a, extended: bool = False) -> ClosedFormSolution:
-    """The power solution (x^2 - y^2)^(-a/4).
-
-    Default domain is the open wedge |x| > |y|.  When -a/4 is an
-    integer the expression continues analytically: pass ``extended``
-    to widen the domain to the whole plane (positive integer exponent)
-    or the plane minus the lines x = +-y (negative integer exponent).
-    """
+def base_solution(a) -> ClosedFormSolution:
+    """The power solution (x^2 - y^2)^(-a/4) on the open wedge |x| > |y|."""
     if not isinstance(a, Expr) and num(a).value == 0:
         raise ValueError("parameter a must be nonzero")
     expr = pow_(add(pow_(_X, num(2)), mul(num(-1), pow_(_Y, num(2)))), _power_exponent(a))
-    domain: Callable[[float, float], bool] = lambda x, y: x * x - y * y > 0.0
-    if extended and not isinstance(a, Expr):
-        exponent = -num(a).value / 4
-        if exponent.denominator == 1 and exponent > 0:
-            domain = lambda x, y: True
-        elif exponent.denominator == 1:
-            domain = lambda x, y: x * x != y * y
-    return ClosedFormSolution(expr, domain, "base", a if isinstance(a, Expr) else num(a).value)
+    return ClosedFormSolution(expr, lambda x, y: x * x - y * y > 0.0, "base",
+                              a if isinstance(a, Expr) else num(a).value)
 
 
 def family_solution(a, lam) -> ClosedFormSolution:

@@ -17,7 +17,6 @@ symmetry, and reports the two routes together.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +26,6 @@ from .expr import (
     Num,
     Power,
     Product,
-    RejectionSampler,
     Sum,
     Sym,
     add,
@@ -40,20 +38,25 @@ from .expr import (
     pow_,
     substitute,
     sym,
-    to_callable,
     to_text,
 )
-from .family import PDEInstance, exceptional_vf, rotation_like_vf
+from .family import (
+    PDEInstance,
+    SymmetryVerdict,
+    check_onshell_symmetry,
+    exceptional_vf,
+    rotation_like_vf,
+)
 from .jets import (
-    JET_NAMES,
     UX,
     UY,
     X,
     Y,
     ConstraintSystem,
+    SampledRemainder,
     apply_prolonged,
     prolong2,
-    sample_jet_point,
+    sample_remainder,
 )
 from .orbits import base_solution
 
@@ -179,49 +182,12 @@ def verify_ode(ode: Expr, v_expr: Expr) -> Expr:
 # restricted evaluation on constraint manifolds
 
 
-@dataclass(frozen=True)
-class RestrictedEvalResult:
-    remainder: Expr
-    max_abs: float
-    mean_abs: float
-    samples: int
-    resampled: int
-
-    def to_dict(self) -> dict:
-        return {
-            "remainder": to_text(self.remainder),
-            "max_abs": self.max_abs,
-            "mean_abs": self.mean_abs,
-            "samples": self.samples,
-            "resampled": self.resampled,
-        }
-
-
 def restricted_eval(target: Expr, system: ConstraintSystem, n_samples: int = 200,
-                    seed: int = 42) -> RestrictedEvalResult:
-    """Evaluate a target on the manifold cut out by the constraints.
-
-    The exact remainder (``ConstraintSystem.restrict``) is compiled once
-    over the jet coordinates and |remainder| is sampled at random jet
-    points; a point where the value is not finite or off the real domain
-    is redrawn.  Returns the remainder with the statistics of the
-    accepted values.
-    """
-    remainder = system.restrict(target)
-    fn = to_callable(remainder, JET_NAMES)
-
-    def evaluate(point):
-        value = abs(fn(*point))
-        return value if math.isfinite(value) else None
-
-    samples = RejectionSampler(n_samples, seed, sample_jet_point, evaluate)
-    max_abs = 0.0
-    total = 0.0
-    for value in samples:
-        total += value
-        max_abs = max(max_abs, value)
-    return RestrictedEvalResult(remainder, max_abs, total / n_samples, n_samples,
-                                samples.resampled)
+                    seed: int = 42) -> SampledRemainder:
+    """Sample a target on the manifold cut out by the constraints: its
+    exact remainder (``ConstraintSystem.restrict``) goes to
+    ``sample_remainder``."""
+    return sample_remainder(system.restrict(target), n_samples, seed)
 
 
 def invariance_condition() -> Expr:
@@ -238,30 +204,23 @@ def auxiliary_constraint(inst: PDEInstance) -> Expr:
 # ---------------------------------------------------------------------------
 # the combined report
 
-_NONZERO_FLOOR = 1e-2
-_ZERO_CEILING = 1e-9
-
-
-def _stage_verdict(result: RestrictedEvalResult) -> str:
-    if result.max_abs >= _NONZERO_FLOOR:
-        return "nonzero"
-    if result.max_abs <= _ZERO_CEILING:
-        return "zero"
-    return "inconclusive"
-
 
 @dataclass(frozen=True)
 class StageResult:
     name: str
     system: ConstraintSystem
-    stats: RestrictedEvalResult
+    stats: SampledRemainder
     verdict: str
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "constraints": self.system.describe(),
-            **self.stats.to_dict(),
+            "remainder": to_text(self.stats.remainder),
+            "max_abs": self.stats.max_abs,
+            "mean_abs": self.stats.mean_abs,
+            "samples": self.stats.samples,
+            "resampled": self.stats.resampled,
             "verdict": self.verdict,
         }
 
@@ -270,7 +229,7 @@ class StageResult:
 class WeakCSReport:
     instance: PDEInstance
     stages: tuple[StageResult, ...]
-    exceptional_onshell: RestrictedEvalResult
+    exceptional_onshell: SymmetryVerdict
     reduced: Expr
     ode_a: Expr
     ode_b: Expr
@@ -286,7 +245,7 @@ class WeakCSReport:
         return {
             "instance": self.instance.params_text(),
             "is_exceptional": self.instance.is_exceptional,
-            "exceptional_field_onshell_max": self.exceptional_onshell.max_abs,
+            "exceptional_field_onshell_max": self.exceptional_onshell.max_onshell_residual,
             "stages": [s.to_dict() for s in self.stages],
             "anti_reduction": {
                 "reduced": to_text(self.reduced),
@@ -321,10 +280,9 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = 200, seed: int = 42) -> W
     delta = inst.delta
     target = auxiliary_constraint(inst)
     profile, _g1, _g2 = candidate_profile(inst.a)
-    residual = ConstraintSystem((delta,), ("uyy",))
     jet = base_solution(inst.a).jet()
     systems = {
-        "residual": residual,
+        "residual": ConstraintSystem((delta,), ("uyy",)),
         "residual+invariance": ConstraintSystem((delta, invariance_condition()), ("uyy", "uy")),
         "invariant-solution": ConstraintSystem(
             tuple(add(sym(n), mul(num(-1), v)) for n, v in jet.items()), tuple(jet)),
@@ -332,11 +290,10 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = 200, seed: int = 42) -> W
     stages = []
     for name, system in systems.items():
         stats = restricted_eval(target, system, n_samples=n_samples, seed=seed)
-        stages.append(StageResult(name, system, stats, _stage_verdict(stats)))
+        stages.append(StageResult(name, system, stats, stats.classify()))
 
     # context: the exceptional field on the same residual manifold
-    x_target = apply_prolonged(prolong2(exceptional_vf().bind(a=inst.a)), delta)
-    x_stats = restricted_eval(x_target, residual, n_samples=n_samples, seed=seed)
+    x_check = check_onshell_symmetry(exceptional_vf(), inst, n_samples, seed=seed)
 
     reduced = reduce_to_invariant(inst)
     ode_a, ode_b = split_by_x2(reduced)
@@ -357,7 +314,7 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = 200, seed: int = 42) -> W
     return WeakCSReport(
         instance=inst,
         stages=tuple(stages),
-        exceptional_onshell=x_stats,
+        exceptional_onshell=x_check,
         reduced=reduced,
         ode_a=ode_a,
         ode_b=ode_b,

@@ -301,6 +301,26 @@ class TestWeakCS:
         assert report["stages"][2]["remainder"] != "0"
         assert report["confirmed"] is False
 
+    @pytest.mark.parametrize("instance", [
+        ["--preset", "gss"],
+        # not exceptional, and its terms overflow at some draws
+        ["--a=-1", "--r=2", "--c1=1340", "--c2=900", "--gamma1=1", "--gamma2=1"],
+    ], ids=["gss", "overflow"])
+    def test_reads_what_check_symmetry_reads(self, instance):
+        # stage 1 restricts Y applied to the residual to the residual
+        # manifold, as check-symmetry --field Y does, and both sample it
+        # with the same sampler; the context line is check-symmetry of X
+        tail = ["--samples", "40", "--seed", "9"]
+        weak = json.loads(run_cli(["weak-cs", *instance, *tail])[1])
+        y_code, y_out, _ = run_cli(["check-symmetry", *instance, "--field", "Y", *tail])
+        x_out = run_cli(["check-symmetry", *instance, "--field", "X", *tail])[1]
+        y, x = json.loads(y_out), json.loads(x_out)
+        stage = weak["stages"][0]
+        assert (y_code, y["status"], stage["verdict"]) == (1, "refuted", "nonzero")
+        assert (stage["max_abs"], stage["samples"], stage["resampled"]) == (
+            y["max_onshell_residual"], y["sample_count"], y["resampled"])
+        assert weak["exceptional_field_onshell_max"] == x["max_onshell_residual"]
+
     def test_consequences_flag_changes_only_its_echo(self):
         argv = ["weak-cs", "--preset", "gss", "--samples", "60"]
         plain = json.loads(run_cli(argv)[1])
@@ -356,11 +376,11 @@ class TestContract:
         ["transform", "--lambda", "1", "--x", "nan", "--y", "0", "--samples", "0"],
         ["check-symmetry", "--preset", "gss", "--samples", "10", "--tol=-inf"],
     ], ids=["x-max-inf", "x-nan", "tol-inf"])
-    def test_non_finite_flags_exit_two(self, argv, capsys):
-        code, out, _ = run_cli(argv)
+    def test_non_finite_flags_exit_two(self, argv):
+        code, out, err = run_cli(argv)
         assert code == 2
         assert "NaN" not in out and "inf" not in out
-        assert "not a finite number" in capsys.readouterr().err  # argparse's own message
+        assert "not a finite number" in err  # argparse's own message
 
     @pytest.mark.parametrize("tol", ["10", "1e-3", "-1e-12"])
     @pytest.mark.parametrize("argv", [
@@ -368,12 +388,12 @@ class TestContract:
         ["residual-grid", "--a=-1", "--r=2", "--c1=-7", "--c2=-3", "--gamma1=7",
          "--gamma2=-3", "--nx", "5", "--ny", "5"],
     ], ids=["check-symmetry", "residual-grid"])
-    def test_tolerance_at_the_refutation_threshold_exits_two(self, argv, tol, capsys):
+    def test_tolerance_at_the_refutation_threshold_exits_two(self, argv, tol):
         # --tol 10 read Y, which is no symmetry of GSS, as admitted (max
         # 1.62), and passed the grid of a wrong instance (sup 1.04)
-        code, out, _ = run_cli([*argv, f"--tol={tol}"])
+        code, out, err = run_cli([*argv, f"--tol={tol}"])
         assert code == 2 and out == ""
-        assert "must be at least 0 and below 0.001" in capsys.readouterr().err
+        assert "must be at least 0 and below 0.001" in err
 
     def test_tolerance_just_below_the_refutation_threshold(self):
         assert run_cli(["check-symmetry", "--preset", "gss", "--samples", "10",
@@ -410,10 +430,9 @@ class TestContract:
         ["exponents", "--a=1e-320", "--r=2"],  # a is subnormal, c1 ~ 8e320 is not a double
     ], ids=["a-huge", "a-tiny", "gamma1-huge", "lambda-huge", "a-ten-million-digits",
             "c1-overflows"])
-    def test_decimals_past_the_double_range_exit_two(self, argv, capsys):
+    def test_decimals_past_the_double_range_exit_two(self, argv):
         # an uncaught OverflowError used to exit 1, which reads as "refuted"
         code, out, err = run_cli(argv)
-        err += capsys.readouterr().err  # argparse writes its own errors to sys.stderr
         assert code == 2 and out == ""
         assert "error:" in err and "Traceback" not in err
 
@@ -485,17 +504,29 @@ class TestContract:
         ["residual-grid", "--preset", "gss", "--ny", "-1"],
     ], ids=["check-symmetry-0", "weak-cs-0", "weak-cs-neg", "region-neg", "transform-neg",
             "nx-0", "ny-neg"])
-    def test_counts_out_of_range_exit_two(self, argv, capsys):
-        code, out, _ = run_cli(argv)
+    def test_counts_out_of_range_exit_two(self, argv):
+        code, out, err = run_cli(argv)
         assert code == 2
         assert out == ""
-        err = capsys.readouterr().err
         assert "error:" in err and "must be at least" in err
 
-    def test_counts_not_integers_exit_two(self, capsys):
-        code, _, _ = run_cli(["region", "--lambda", "1", "--samples", "1.5"])
+    def test_counts_not_integers_exit_two(self):
+        code, _, err = run_cli(["region", "--lambda", "1", "--samples", "1.5"])
         assert code == 2
-        assert "not an integer" in capsys.readouterr().err
+        assert "not an integer" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check-symmetry", "--preset", "gss", "--tol", "10"],
+        ["check-symmetry", "--preset", "gss", "--no-such-flag"],
+        ["no-such-command"],
+    ], ids=["bad-tol", "unknown-flag", "unknown-command"])
+    def test_usage_errors_go_to_the_err_stream(self, argv, capsys):
+        # run(argv, out, err) wrote argparse's usage errors to sys.stderr,
+        # so a caller that passed err got exit 2 with no error text
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: liesym") and "error:" in err
+        assert capsys.readouterr() == ("", "")
 
     def test_zero_samples_skips_sampling(self):
         code, out, _ = run_cli(["region", "--lambda", "1", "--samples", "0"])
@@ -635,9 +666,9 @@ class TestGoldenBytes:
         (["region", "--lambda", "1", "--samples", "10000"], 0,
          "d9f46cdf8d0380b1cfcc64a0fac151d3ade40e9818bf66083c522b7f406e01d4"),
         (["weak-cs", "--preset", "gss"], 0,
-         "67c437730dd77aba63d4583c6ad5150405cb3faf51cdec4085ae9d5b3a09f21c"),
+         "e348bc67afd96ca07a6384d923bd8dc410fce92ccf656c121da18f1b56faf7f7"),
         (["weak-cs", "--preset", "gss", "--consequences"], 0,
-         "5b82d907e7075100828833de86205c56bf37a993cbc9153534a83e0f66a52548"),
+         "ec28ab84d55d06bea237d3c2e1505f6766c51e55f540b8c2fcf2844c5b7f91e9"),
     ]
 
     @pytest.mark.parametrize("argv,code,report_sha", SAMPLING_CASES, ids=[
@@ -674,7 +705,10 @@ class TestGoldenBytes:
     # digest was re-recorded with the exact stages: the remainder is finite
     # at draws where the residual itself overflowed, so fewer are redrawn.
     # The check-symmetry digests were re-recorded with the exact on-shell
-    # remainder, which dy makes 0: it redraws no point (it redrew 20)
+    # remainder, which dy makes 0: it redraws no point (it redrew 20).
+    # The weak-cs digest was re-recorded again with the cancellation
+    # measure, which reads about 1 where |remainder| read up to 3.5e298;
+    # the same points are redrawn
     OVERFLOW_INSTANCE = ["--a=-1", "--r=665", "--c1=1340", "--c2=2", "--gamma1=1", "--gamma2=1"]
     # (argv, exit code, whether any point is redrawn, report digest)
     OVERFLOW_CASES = [
@@ -688,7 +722,7 @@ class TestGoldenBytes:
          "70f8dfc9940fa9a2646e1f3179e0a79d8875c9200509a7444127a393c2bc10ee"),
         (["weak-cs", "--a=-1", "--r=2", "--c1=1340", "--c2=900", "--gamma1=1", "--gamma2=1",
           "--samples", "40"], 1, True,
-         "cd4f29ecd5227adb98dd5a71f1b22239d9f5af7e1fee9e6142c09af938061ea2"),
+         "4bdc2c628edba0225ae24468420ab882cb56e4a2bfddf48124c22ecb8b3c5abb"),
     ]
 
     @pytest.mark.parametrize("argv,code,redraws,report_sha", OVERFLOW_CASES, ids=[

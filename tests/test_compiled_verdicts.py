@@ -112,13 +112,16 @@ class TestNonFiniteRule:
         system = ConstraintSystem((constraint,), ("uyy",))
         res = restricted_eval(target, system, n_samples=40, seed=5)
 
+        # the reference walks each term's tree: the cancellation measure of
+        # the remainder, at the same draws
         remainder = system.restrict(target)
         rng = random.Random(5)
         values, redraws = [], 0
         while len(values) < 40:
             env = sample_jet_env(rng)
             try:
-                values.append(abs(eval_at(remainder, env)))
+                values.append(abs(normalized_sum(term_values(
+                    remainder, lambda t: eval_at(t, env)))))
             except DomainError:
                 redraws += 1
         assert redraws > 0
@@ -139,13 +142,10 @@ def normalized_sum(values):
     return result
 
 
-def term_values(e, point):
-    """The residual's terms, each compiled on its own: those of a Sum, or
-    of a product with one sum factor (the other factors) x (each term of
-    that sum), else the residual itself."""
-    def value(t):
-        return to_callable(t, JET_NAMES)(*point)
-
+def term_values(e, value):
+    """The residual's terms, each evaluated on its own by ``value``: those
+    of a Sum, or of a product with one sum factor (the other factors) x
+    (each term of that sum), else the residual itself."""
     sums = [f for f in e.factors if isinstance(f, Sum)] if isinstance(e, Product) else []
     if len(sums) == 1:
         scale = math.prod(value(f) for f in e.factors if f is not sums[0])
@@ -185,7 +185,8 @@ class TestCancellationMeasure:
             except DomainError:
                 continue
             try:
-                want = normalized_sum(term_values(residual, point))
+                want = normalized_sum(term_values(
+                    residual, lambda t: to_callable(t, JET_NAMES)(*point)))
             except DomainError:
                 with pytest.raises(DomainError):
                     measure(*point)

@@ -21,7 +21,7 @@ from liesym import (
     scaling_vf,
     y_translation_vf,
 )
-from liesym import family
+from liesym import jets
 from liesym.jets import sample_jet_env
 
 
@@ -178,7 +178,7 @@ class TestOnShell:
     def test_inconclusive_band(self, monkeypatch):
         # a refuted instance looks inconclusive when the refutation
         # threshold is pushed above the observed residual
-        monkeypatch.setattr(family, "REFUTE_THRESHOLD", 1e6)
+        monkeypatch.setattr(jets, "REFUTE_THRESHOLD", 1e6)
         bad = build_instance(-1, 2, "-6.9", -3, -1.5, 0.25)
         verdict = check_onshell_symmetry(exceptional_vf(), bad, n_samples=50,
                                          seed=42, tol=1e-12)

@@ -1,6 +1,7 @@
-"""Total derivatives, second prolongation, characteristic, and the jet
-point draw."""
+"""Total derivatives, second prolongation, characteristic, the jet point
+draw and the sampled remainder."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -32,7 +33,15 @@ from liesym import (
 )
 from liesym import jets
 from liesym.expr import clear_memo
-from liesym.jets import JET_NAMES, JET_RANGES, sample_jet_env, sample_jet_point
+from liesym.jets import (
+    JET_NAMES,
+    JET_RANGES,
+    REFUTE_THRESHOLD,
+    SampledRemainder,
+    sample_jet_env,
+    sample_jet_point,
+    sample_remainder,
+)
 
 
 class TestSampleJetPoint:
@@ -49,6 +58,33 @@ class TestSampleJetPoint:
         env = sample_jet_env(random.Random(5))
         assert list(env) == list(JET_NAMES)
         assert list(env.values()) == sample_jet_point(random.Random(5))
+
+
+class TestSampleRemainder:
+    def test_statistics_of_the_cancellation_measure(self):
+        # x^2 alone is one term: its measure is x^2 / (1 + x^2)
+        def measure(x):
+            return math.pow(x, 2) / (1.0 + math.pow(x, 2))
+
+        got = sample_remainder(parse("x^2"), n_samples=30, seed=4)
+        rng = random.Random(4)
+        values = [measure(sample_jet_point(rng)[0]) for _ in range(30)]
+        assert (got.max_abs, got.samples, got.resampled) == (max(values), 30, 0)
+        assert got.mean_abs == sum(values) / 30
+        assert measure(got.worst_point[0]) == got.max_abs
+
+    @pytest.mark.parametrize("max_abs,tol,reading", [
+        (0.0, 1e-9, "zero"),
+        (1e-9, 1e-9, "zero"),
+        (2e-9, 1e-9, "inconclusive"),
+        (2e-9, 1e-8, "zero"),
+        (REFUTE_THRESHOLD * 0.999, 1e-9, "inconclusive"),
+        (REFUTE_THRESHOLD, 1e-9, "nonzero"),
+        (318.0, 1e-9, "nonzero"),
+    ])
+    def test_classify_bounds_are_inclusive(self, max_abs, tol, reading):
+        sampled = SampledRemainder(parse("x"), max_abs, max_abs, [1.0] * 8, 1, 0)
+        assert sampled.classify(tol) == reading
 
 
 class TestTotalDerivative:

@@ -123,16 +123,6 @@ class TestBaseSolution:
         assert not sol.domain(1.0, 2.0)
         assert not sol.domain(1.0, 1.0)  # boundary excluded
 
-    def test_integer_exponent_extends_to_plane(self):
-        sol = base_solution(-4, extended=True)
-        assert sol.expr == parse("x^2 - y^2")
-        assert sol.domain(1.0, 2.0)
-
-    def test_negative_integer_exponent_avoids_lines(self):
-        sol = base_solution(4, extended=True)
-        assert sol.domain(1.0, 2.0)
-        assert not sol.domain(1.0, 1.0)
-
     def test_zero_a_rejected(self):
         with pytest.raises(ValueError):
             base_solution(0)

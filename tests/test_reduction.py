@@ -11,8 +11,10 @@ from liesym import (
     auxiliary_constraint,
     build_instance,
     candidate_profile,
+    check_onshell_symmetry,
     diff,
     eval_at,
+    exceptional_vf,
     expand,
     family_residual,
     gss_preset,
@@ -25,6 +27,7 @@ from liesym import (
     reduce_residual,
     reduce_to_invariant,
     restricted_eval,
+    rotation_like_vf,
     split_by_x2,
     sym,
     verify_ode,
@@ -279,7 +282,22 @@ class TestWeakCSReport:
         assert not rep.degenerate_split
         assert is_zero(rep.residual_a) and is_zero(rep.residual_b)
         # the exceptional field context line: admitted on the residual manifold
-        assert rep.exceptional_onshell.max_abs <= 1e-9
+        assert rep.exceptional_onshell.max_onshell_residual <= 1e-9
+
+    @pytest.mark.parametrize("params", [
+        (-1, 2, -7, -3, Fraction(-3, 2), Fraction(1, 4)),
+        (-1, 2, 1340, 900, 1, 1),  # not exceptional; terms overflow at some draws
+    ], ids=["gss", "overflow"])
+    def test_stage_one_is_the_check_of_y(self, params):
+        inst = build_instance(*params)
+        rep = weak_cs_report(inst, n_samples=40, seed=9)
+        y_check = check_onshell_symmetry(rotation_like_vf(), inst, n_samples=40, seed=9)
+        stage = rep.stages[0].stats
+        assert stage.remainder == y_check.remainder
+        assert (stage.max_abs, stage.resampled) == (y_check.max_onshell_residual,
+                                                    y_check.resampled)
+        assert rep.exceptional_onshell == check_onshell_symmetry(
+            exceptional_vf(), inst, n_samples=40, seed=9)
 
     def test_degenerate_gamma1(self):
         inst = build_instance(-1, 2, -7, -3, 0, Fraction(1, 4))
@@ -291,7 +309,7 @@ class TestWeakCSReport:
     def test_non_exceptional_context(self):
         bad = build_instance(-1, 2, "-6.9", -3, Fraction(-3, 2), Fraction(1, 4))
         rep = weak_cs_report(bad, n_samples=60, seed=3)
-        assert rep.exceptional_onshell.max_abs >= 1e-3
+        assert rep.exceptional_onshell.max_onshell_residual >= 1e-3
         assert not rep.instance.is_exceptional
 
     def test_differential_consequences_flag(self):

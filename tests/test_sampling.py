@@ -22,9 +22,8 @@ from liesym import (
     restricted_eval,
     rotation_like_vf,
     check_onshell_symmetry,
-    family,
+    jets,
     orbits,
-    reduction,
     sample_in_region,
 )
 from liesym.expr import RejectionSampler
@@ -119,14 +118,15 @@ def test_counts_below_one_are_refused(entry, count):
         ENTRY_POINTS[entry](count)
 
 
-def _x_at_zero(monkeypatch, module):
-    real = module.sample_jet_point
+def _x_at_zero(monkeypatch):
+    # every sampled remainder draws its jet points in jets.sample_remainder
+    real = jets.sample_jet_point
 
     def draw(rng):
         point = real(rng)
         point[0] = 0.0  # x
         return point
-    monkeypatch.setattr(module, "sample_jet_point", draw)
+    monkeypatch.setattr(jets, "sample_jet_point", draw)
 
 
 class TestExhaustedBudget:
@@ -134,7 +134,7 @@ class TestExhaustedBudget:
     LiesymError the CLI reports with exit 1."""
 
     def test_check_onshell_symmetry(self, monkeypatch):
-        _x_at_zero(monkeypatch, family)  # a/x leaves the real domain
+        _x_at_zero(monkeypatch)  # a/x leaves the real domain
         with pytest.raises(SamplingError):
             _onshell(5)
 
@@ -152,12 +152,12 @@ class TestExhaustedBudget:
         with pytest.raises(SamplingError):
             sample_in_region(1.0, 5, seed=0)
 
-    @pytest.mark.parametrize("argv,module", [
-        (["check-symmetry", "--preset", "gss", "--field", "Y", "--samples", "5"], family),
-        (["weak-cs", "--preset", "gss", "--samples", "5"], reduction),
+    @pytest.mark.parametrize("argv", [
+        ["check-symmetry", "--preset", "gss", "--field", "Y", "--samples", "5"],
+        ["weak-cs", "--preset", "gss", "--samples", "5"],
     ], ids=["check-symmetry", "weak-cs"])
-    def test_cli_exits_one(self, argv, module, monkeypatch):
-        _x_at_zero(monkeypatch, module)
+    def test_cli_exits_one(self, argv, monkeypatch):
+        _x_at_zero(monkeypatch)
         code, out, err = run_cli(argv)
         assert (code, out) == (1, "")
         assert "retry budget" in err
