@@ -54,6 +54,7 @@ from .family import (
     exceptional_vf,
     family_residual,
     gss_preset,
+    onshell_remainder,
     rotation_like_vf,
     scaling_vf,
     y_translation_vf,

@@ -293,6 +293,11 @@ def as_expr(value) -> Expr:
     return num(value)
 
 
+# A constant integer power folds to one Num only while the result has at
+# most this many bits (about 19,700 decimal digits): pow_(num(2), 10**9)
+# would otherwise build a billion-bit integer.
+FOLD_BITS = 1 << 16
+
 ZERO = Num(Fraction(0))
 ONE = Num(Fraction(1))
 _MINUS_ONE = Num(Fraction(-1))
@@ -336,7 +341,14 @@ def _canonical_pow(b: Expr, p: Expr) -> Expr:
                 return ZERO
             return Power(b, p)  # 0^negative / 0^symbolic: error at eval time
         if isinstance(p, Num) and p.value.denominator == 1:
-            return Num(b.value ** p.value.numerator)
+            v, n = b.value, abs(p.value.numerator)
+            # n log2 of the larger of |numerator| and denominator is about
+            # the bits of the folded value, and at least n for a base other
+            # than -1, so a huge n never reaches float arithmetic; past the
+            # bound the power stays
+            mag = max(abs(v.numerator), v.denominator)
+            if mag == 1 or n <= FOLD_BITS and n * math.log2(mag) <= FOLD_BITS:
+                return Num(v ** p.value.numerator)
     if isinstance(b, Power):
         return pow_(b.base, mul(b.exponent, p))
     if isinstance(b, Product):

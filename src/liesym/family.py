@@ -12,6 +12,7 @@ is the Grad-Schlueter-Shafranov form used as the "gss" preset.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,9 +22,11 @@ from .expr import (
     add,
     as_expr,
     eval_at,  # noqa: F401  (unused: perfbench/tracing.py patches family.eval_at)
+    expand,
     mul,
     num,
     pow_,
+    substitute,
     sym,
 )
 from .jets import (
@@ -43,6 +46,10 @@ _UX = sym("ux")
 _UXX = sym("uxx")
 _UYY = sym("uyy")
 _A = sym("a")
+
+PARAMETERS = ("a", "r", "c1", "c2", "gamma1", "gamma2")
+# the symbols a named field may hold: a point of (x, y, u) and the parameter a
+_FIELD_SYMBOLS = frozenset(("x", "y", "u", "a"))
 
 
 def family_residual(a, r, c1, c2, gamma1, gamma2) -> Expr:
@@ -85,8 +92,7 @@ class PDEInstance:
 
     def params_text(self) -> dict[str, str]:
         """The parameters as exact strings, in the order reports print them."""
-        return {name: str(getattr(self, name))
-                for name in ("a", "r", "c1", "c2", "gamma1", "gamma2")}
+        return {name: str(getattr(self, name)) for name in PARAMETERS}
 
 
 def build_instance(a, r, c1, c2, gamma1, gamma2) -> PDEInstance:
@@ -163,6 +169,30 @@ class SymmetryVerdict:
 _STATUS = {"zero": "admitted", "nonzero": "refuted", "inconclusive": "inconclusive"}
 
 
+def _onshell(vf: VectorField, delta: Expr) -> Expr:
+    """The prolonged field applied to a residual, restricted exactly to the
+    residual manifold: ``ConstraintSystem.restrict`` solves the residual
+    for uyy and substitutes the solution."""
+    target = apply_prolonged(prolong2(vf), delta)
+    return ConstraintSystem((delta,), ("uyy",)).restrict(target)
+
+
+# Every check of a named field restricts the same field again, and only the
+# numbers of the instance differ.  The field is frozen and hashed by
+# structure and the remainder is immutable, so a hit returns what the body
+# would build; the CLI's four named fields take four entries whatever a is.
+@functools.lru_cache(maxsize=8)
+def onshell_remainder(vf: VectorField) -> Expr:
+    """The field's on-shell remainder over symbolic parameters: the
+    prolonged field applied to delta and restricted to delta = 0, with
+    delta the family residual in the symbols a, r, c1, c2, gamma1, gamma2.
+    For X it is, expanded,
+    ``y*gamma1*u^c1*x^r*(a*c1 - a - 2*r - 4) + y*gamma2*u^c2*(a*c2 - a - 4)``.
+    A symbol of the field named like a parameter is that parameter.  The
+    last 8 results are kept."""
+    return _onshell(vf, family_residual(*map(sym, PARAMETERS)))
+
+
 def check_onshell_symmetry(
     vf: VectorField,
     inst: PDEInstance,
@@ -174,21 +204,26 @@ def check_onshell_symmetry(
     instance.
 
     The prolonged field applied to the residual is restricted exactly to
-    the residual manifold: ``ConstraintSystem.restrict`` solves the
-    residual for uyy and substitutes the solution.  ``sample_remainder``
-    samples the remainder's cancellation measure; a remainder that reads
-    zero (every sample at most ``tol``) admits the field, one that reads
-    nonzero (a sample at or above REFUTE_THRESHOLD) refutes it, and
-    anything in between is inconclusive.  The remainder holds no uyy, so
-    the worst point is reported without it.  ``tol`` must lie in
-    [0, REFUTE_THRESHOLD): a larger one would admit a field that a sample
-    refutes.
+    the residual manifold.  A field in x, y, u and a takes its symbolic
+    ``onshell_remainder`` with the instance's six numbers substituted and
+    expanded once; any other field is restricted on the instance's own
+    residual, so that a symbol of the field is never bound to a parameter
+    of the same name.  ``sample_remainder`` samples the remainder's
+    cancellation measure; a remainder that reads zero (every sample at
+    most ``tol``) admits the field, one that reads nonzero (a sample at or
+    above REFUTE_THRESHOLD) refutes it, and anything in between is
+    inconclusive.  The remainder holds no uyy, so the worst point is
+    reported without it.  ``tol`` must lie in [0, REFUTE_THRESHOLD): a
+    larger one would admit a field that a sample refutes.
     """
     if not 0 <= tol < REFUTE_THRESHOLD:
         raise ValueError(f"tol must be at least 0 and below {REFUTE_THRESHOLD:g}, got {tol!r}")
-    target = apply_prolonged(prolong2(vf.bind(a=inst.a)), inst.delta)
-    sampled = sample_remainder(ConstraintSystem((inst.delta,), ("uyy",)).restrict(target),
-                               n_samples, seed)
+    if (vf.xi1.free_symbols() | vf.xi2.free_symbols() | vf.phi.free_symbols()) <= _FIELD_SYMBOLS:
+        remainder = expand(substitute(onshell_remainder(vf),
+                                      {name: getattr(inst, name) for name in PARAMETERS}))
+    else:
+        remainder = _onshell(vf.bind(a=inst.a), inst.delta)
+    sampled = sample_remainder(remainder, n_samples, seed)
     status = _STATUS[sampled.classify(tol)]
     return SymmetryVerdict(
         admitted=status == "admitted",

@@ -8,7 +8,6 @@ expression to a constraint manifold.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 
@@ -164,14 +163,9 @@ def characteristic(vf: VectorField) -> Expr:
     return add(vf.phi, -mul(vf.xi1, UX), -mul(vf.xi2, UY))
 
 
-# Every command that checks a named field prolongs it again after the
-# expression memo was emptied.  A field is frozen and hashed by structure
-# and the result is immutable, so a hit returns what the body would
-# build; 8 entries hold X and X' at two values of a next to Y and dy.
-@functools.lru_cache(maxsize=8)
 def prolong2(vf: VectorField) -> ProlongedVF:
     """Second prolongation via the recursive total-derivative formulas
-    (Olver 1986, ch. 2); the last 8 results are kept."""
+    (Olver 1986, ch. 2)."""
     dx, dy = (lambda e: total_derivative(e, "x")), (lambda e: total_derivative(e, "y"))
     phi_x = add(dx(vf.phi), -mul(UX, dx(vf.xi1)), -mul(UY, dx(vf.xi2)))
     phi_y = add(dy(vf.phi), -mul(UX, dy(vf.xi1)), -mul(UY, dy(vf.xi2)))

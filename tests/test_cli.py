@@ -679,9 +679,10 @@ class TestGoldenBytes:
         assert got == code
         assert hashlib.sha256(strip_timestamp(out).encode()).hexdigest() == report_sha
 
-    # prolong2 keeps its last results across commands: fill it with the
-    # exceptional field at nine other values of a first, then the case
-    # runs past those entries and, the second time, hits its own
+    # family.onshell_remainder keeps each named field's symbolic remainder
+    # across commands: check X at nine other values of a first, so a case
+    # that checks X (check-symmetry, weak-cs) binds its own numbers into
+    # the remainder kept from those commands, and its second run again
     WARM_UP_A = ["-3", "-2", "-5/3", "-1/2", "1/2", "2/3", "1", "2", "3"]
 
     @pytest.mark.parametrize("argv,code,report_sha", SAMPLING_CASES, ids=[

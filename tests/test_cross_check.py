@@ -224,3 +224,40 @@ class TestAgainstSympy:
         theirs = sympy.expand(to_sympy(target, syms).subs(syms["uyy"], uyy[0]))
         assert sympy.expand(to_sympy(mine, syms) - theirs) == 0
         assert theirs != 0
+
+
+class TestSymbolicRemainderDerivesThePair:
+    """The kept on-shell remainder over symbolic a, r, c1, c2, gamma1,
+    gamma2 shows where the exceptional pair comes from: X and X' leave one
+    coefficient on y·gamma1·u^c1·x^r and one on y·gamma2·u^c2 (without the
+    y for X'), and solving them for c1 and c2 gives the pair."""
+
+    @pytest.mark.parametrize("field", ["X", "Xprime"])
+    def test_coefficients_solve_to_the_exceptional_pair(self, field):
+        from liesym import NAMED_FIELDS, exceptional_exponents, onshell_remainder
+
+        remainder = onshell_remainder(NAMED_FIELDS[field]())
+        syms = {n: sympy.Symbol(n) for n in remainder.free_symbols()}
+        x, y, u, a, r, c1, c2, g1, g2 = sympy.symbols("x y u a r c1 c2 gamma1 gamma2")
+        theirs = sympy.expand(to_sympy(remainder, syms))
+        scale = y if field == "X" else 1
+        m1, m2 = scale * g1 * u ** c1 * x ** r, scale * g2 * u ** c2
+        k1, k2 = theirs.coeff(m1), theirs.coeff(m2)
+        assert sympy.expand(theirs - k1 * m1 - k2 * m2) == 0
+        assert k1.free_symbols == {a, r, c1} and k2.free_symbols == {a, c2}
+        (root1,), (root2,) = sympy.solve(k1, c1), sympy.solve(k2, c2)
+        assert sympy.simplify(root1 - (1 + 2 * (r + 2) / a)) == 0
+        assert sympy.simplify(root2 - (1 + 4 / a)) == 0
+        for av, rv in ((-1, 2), (Fraction(1, 3), 0), (3, Fraction(1, 2)), (Fraction(-8, 3), 3)):
+            pair = tuple(Fraction(str(root.subs({a: sympy.Rational(str(av)),
+                                                 r: sympy.Rational(str(rv))})))
+                         for root in (root1, root2))
+            assert pair == exceptional_exponents(av, rv)
+
+    def test_rotation_remainder_holds_uxy(self):
+        # Y leaves -4*uxy whatever the parameters are, so it is never zero
+        from liesym import diff, onshell_remainder, rotation_like_vf
+
+        remainder = onshell_remainder(rotation_like_vf())
+        assert "uxy" in remainder.free_symbols()
+        assert diff(remainder, "uxy") == num(-4)

@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+import time
 from fractions import Fraction
 
 import pytest
@@ -290,6 +291,37 @@ class TestPrintRoundTrip:
         assert to_text(pow_(num(-2), -46656)) == "1/" + text
         assert to_text(pow_(X, num(big))).startswith("x^")
         assert parse(text) == pow_(num(2), 46656)
+
+
+class TestConstantPowerBound:
+    """A constant integer power folds to one Num only up to FOLD_BITS bits."""
+
+    @pytest.mark.parametrize("base,exponent", [
+        (2, 10 ** 9), (-3, -10 ** 9), (Fraction(2, 3), 10 ** 400), (2, expr.FOLD_BITS + 1)])
+    def test_large_power_returns_at_once_unfolded(self, base, exponent):
+        t0 = time.perf_counter()
+        e = pow_(num(base), exponent)
+        assert time.perf_counter() - t0 < 0.5
+        assert isinstance(e, Power) and e.base == num(base) and e.exponent == num(exponent)
+
+    @pytest.mark.parametrize("base,exponent", [
+        (2, 10 ** 9), (-3, -10 ** 9), (Fraction(2, 3), 10 ** 400), (2, expr.FOLD_BITS + 1)])
+    def test_unfolded_power_is_a_fixed_point_and_round_trips(self, base, exponent):
+        e = pow_(num(base), exponent)
+        assert simplify(e) == e
+        assert parse(to_text(e)) == e
+        assert to_text(parse(to_text(e))) == to_text(e)
+
+    def test_folds_up_to_the_bound(self):
+        assert pow_(num(2), expr.FOLD_BITS) == num(2 ** expr.FOLD_BITS)
+        assert pow_(num(Fraction(1, 2)), -expr.FOLD_BITS) == num(2 ** expr.FOLD_BITS)
+        assert pow_(num(-1), 10 ** 9 + 1) == num(-1)
+        assert pow_(num(-1), -10 ** 400) == num(1)
+
+    def test_unfolded_powers_merge_by_base(self):
+        big = pow_(num(2), 10 ** 9)
+        assert mul(big, pow_(num(2), -10 ** 9)) == num(1)
+        assert mul(big, big) == pow_(num(2), 2 * 10 ** 9)
 
 
 def _random_expr(rng, depth):

@@ -1,13 +1,26 @@
 """Residual family, exceptional exponent gate, on-shell verdicts."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # optional test dependency, as in test_expr.py
+    st = None
 
 from liesym import (
     NAMED_FIELDS,
     ConstraintSystem,
+    UnboundSymbolError,
+    VectorField,
+    apply_prolonged,
     build_instance,
     check_onshell_symmetry,
     eval_at,
@@ -16,12 +29,17 @@ from liesym import (
     family_residual,
     gss_preset,
     is_zero,
+    num,
+    onshell_remainder,
     parse,
+    prolong2,
     rotation_like_vf,
     scaling_vf,
+    sym,
     y_translation_vf,
 )
 from liesym import jets
+from liesym.expr import clear_memo
 from liesym.jets import sample_jet_env
 
 
@@ -229,3 +247,97 @@ class TestExactRemainders:
         verdict = check_onshell_symmetry(exceptional_vf(), inst, seed=313694)
         assert verdict.remainder == parse("-1/45*y*u^(131/10)")
         assert verdict.status == "refuted" and verdict.max_onshell_residual > 0.9
+
+
+def _per_instance_remainder(vf, inst):
+    """The route check-symmetry took before the symbolic remainder was kept:
+    prolong the field bound at the instance's a, apply it to the
+    instance's residual and restrict that to the residual manifold."""
+    target = apply_prolonged(prolong2(vf.bind(a=inst.a)), inst.delta)
+    return ConstraintSystem((inst.delta,), ("uyy",)).restrict(target)
+
+
+def _assert_routes_agree(inst):
+    for name, vf in NAMED_FIELDS.items():
+        kept = check_onshell_symmetry(vf(), inst, n_samples=1).remainder
+        assert kept == _per_instance_remainder(vf(), inst), (name, inst.params_text())
+
+
+class TestSymbolicRemainder:
+    """check-symmetry substitutes an instance's numbers into the field's
+    remainder over symbolic parameters; that must be, node for node, the
+    remainder the per-instance restriction builds."""
+
+    A_VALUES = TestExactRemainders.A_VALUES
+    R_VALUES = TestExactRemainders.R_VALUES
+
+    def test_benchmark_instances_and_perturbations(self):
+        for a in self.A_VALUES:
+            for r in self.R_VALUES:
+                c1, c2 = exceptional_exponents(a, r)
+                for shift in (0, Fraction(1, 10)):
+                    _assert_routes_agree(build_instance(a, r, c1 + shift, c2, Fraction(-3, 2), 7))
+            clear_memo()
+
+    @pytest.mark.parametrize("params", [
+        (-1, 2, -7, -3, Fraction(-3, 2), Fraction(1, 4)),  # GSS
+        (-1, 665, 1340, 2, 1, 1),  # powers that overflow at most draws
+        (-1, 2, -7, -3, 0, Fraction(1, 4)),
+        (-1, 2, -7, -3, Fraction(-3, 2), 0),
+        (3, 1, 0, 1, 2, 5),
+        (3, 1, 1, 0, 2, 5),
+        (Fraction(2, 3), 0, 1, 1, -1, 1),
+        (Fraction(2, 3), 0, 7, 7, -1, 1),
+        (4, 0, 2, 2, 1, 1),
+        (-5, 0, Fraction(1, 5), Fraction(1, 5), 1, 0),
+        (Fraction(-7, 2), Fraction(1, 2), Fraction(3, 7), Fraction(-1, 7), 0, 0),
+    ], ids=["gss", "overflow", "gamma1-zero", "gamma2-zero", "c1-zero-c2-one",
+            "c1-one-c2-zero", "c-one", "c1-equals-c2", "exceptional-c1-equals-c2",
+            "c1-equals-c2-gamma2-zero", "both-gammas-zero"])
+    def test_named_instances(self, params):
+        _assert_routes_agree(build_instance(*params))
+
+    if st is not None:
+        rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+        @settings(max_examples=60, deadline=None)
+        @given(rationals.filter(bool), rationals, rationals, rationals, rationals, rationals)
+        def test_random_rationals(self, a, r, c1, c2, g1, g2):
+            _assert_routes_agree(build_instance(a, r, c1, c2, g1, g2))
+
+    @pytest.mark.parametrize("name", ["r", "c1", "c2", "gamma1", "gamma2", "b"])
+    def test_a_field_symbol_is_never_bound_to_a_parameter(self, name):
+        # only a is a parameter of a named field: any other symbol of the
+        # field stays unbound, as it did before the remainder was kept
+        field = VectorField(sym(name), num(0), num(0))
+        with pytest.raises(UnboundSymbolError, match=name):
+            check_onshell_symmetry(field, gss_preset(), n_samples=5)
+
+
+class TestRemainderCache:
+    """The symbolic remainders are kept across commands, one per field."""
+
+    def test_empty_after_import(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import liesym.cli; from liesym.family import onshell_remainder; "
+                "print(onshell_remainder.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "0\n"
+
+    def test_one_entry_per_field_whatever_a_is(self):
+        onshell_remainder.cache_clear()
+        for a in ("-3", "-2", "-5/3", "-1/2", "1/2", "2/3", "1", "2", "3"):
+            inst = build_instance(Fraction(a), 2, *exceptional_exponents(Fraction(a), 2), 1, 1)
+            for vf in NAMED_FIELDS.values():
+                check_onshell_symmetry(vf(), inst, n_samples=5)
+            clear_memo()  # as between two commands
+        info = onshell_remainder.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (4, 4, 32)
+
+    def test_equal_field_gets_the_kept_result(self):
+        first = onshell_remainder(exceptional_vf())
+        clear_memo()  # as between two commands
+        assert onshell_remainder(exceptional_vf()) is first
+        assert onshell_remainder(scaling_vf()) is not first

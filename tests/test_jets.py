@@ -163,13 +163,6 @@ class TestProlong2:
         with pytest.raises(ValueError):
             VectorField(parse("ux"), parse("0"), parse("0"))
 
-    def test_equal_field_gets_the_kept_result(self):
-        first = prolong2(exceptional_vf().bind(a=Fraction(-5, 3)))
-        clear_memo()  # as between two commands
-        again = prolong2(exceptional_vf().bind(a=Fraction(-5, 3)))
-        assert again is first
-        assert prolong2(exceptional_vf().bind(a=Fraction(2, 3))) is not first
-
 
 class TestCharacteristic:
     def test_rotation(self):
