@@ -57,6 +57,7 @@ from .family import (
     onshell_remainder,
     rotation_like_vf,
     scaling_vf,
+    symbolic_residual,
     y_translation_vf,
 )
 from .jets import (
@@ -97,6 +98,9 @@ from .reduction import (
     reduce_to_invariant,
     restricted_eval,
     split_by_x2,
+    symbolic_auxiliary,
+    symbolic_invariance_remainder,
+    symbolic_reduction,
     verify_ode,
     weak_cs_report,
 )

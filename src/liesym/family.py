@@ -65,6 +65,12 @@ def family_residual(a, r, c1, c2, gamma1, gamma2) -> Expr:
     )
 
 
+def symbolic_residual() -> Expr:
+    """The family residual in the symbols of PARAMETERS, from which the
+    kept derivations are built once for every instance."""
+    return family_residual(*map(sym, PARAMETERS))
+
+
 def exceptional_exponents(a, r) -> tuple[Fraction, Fraction]:
     """Exponent pair admitting the exceptional symmetry, exact in
     rational arithmetic: c1 = 1 + 2(r+2)/a and c2 = 1 + 4/a."""
@@ -83,7 +89,17 @@ class PDEInstance:
     c2: Fraction
     gamma1: Fraction
     gamma2: Fraction
-    delta: Expr
+
+    @functools.cached_property
+    def delta(self) -> Expr:
+        """The instance's residual, assembled on first read: a check of a
+        named field binds a kept remainder and never reads it."""
+        return family_residual(self.a, self.r, self.c1, self.c2, self.gamma1, self.gamma2)
+
+    def bind(self, e: Expr) -> Expr:
+        """Substitute the instance's six numbers for the symbols of
+        PARAMETERS in an expression derived over ``symbolic_residual()``."""
+        return substitute(e, {name: getattr(self, name) for name in PARAMETERS})
 
     @property
     def is_exceptional(self) -> bool:
@@ -100,8 +116,7 @@ def build_instance(a, r, c1, c2, gamma1, gamma2) -> PDEInstance:
     if a == 0:
         raise ValueError("parameter a must be nonzero")
     r, c1, c2, gamma1, gamma2 = (num(v).value for v in (r, c1, c2, gamma1, gamma2))
-    delta = family_residual(a, r, c1, c2, gamma1, gamma2)
-    return PDEInstance(a, r, c1, c2, gamma1, gamma2, delta)
+    return PDEInstance(a, r, c1, c2, gamma1, gamma2)
 
 
 def gss_preset() -> PDEInstance:
@@ -190,7 +205,7 @@ def onshell_remainder(vf: VectorField) -> Expr:
     ``y*gamma1*u^c1*x^r*(a*c1 - a - 2*r - 4) + y*gamma2*u^c2*(a*c2 - a - 4)``.
     A symbol of the field named like a parameter is that parameter.  The
     last 8 results are kept."""
-    return _onshell(vf, family_residual(*map(sym, PARAMETERS)))
+    return _onshell(vf, symbolic_residual())
 
 
 def check_onshell_symmetry(
@@ -219,8 +234,7 @@ def check_onshell_symmetry(
     if not 0 <= tol < REFUTE_THRESHOLD:
         raise ValueError(f"tol must be at least 0 and below {REFUTE_THRESHOLD:g}, got {tol!r}")
     if (vf.xi1.free_symbols() | vf.xi2.free_symbols() | vf.phi.free_symbols()) <= _FIELD_SYMBOLS:
-        remainder = expand(substitute(onshell_remainder(vf),
-                                      {name: getattr(inst, name) for name in PARAMETERS}))
+        remainder = expand(inst.bind(onshell_remainder(vf)))
     else:
         remainder = _onshell(vf.bind(a=inst.a), inst.delta)
     sampled = sample_remainder(remainder, n_samples, seed)

@@ -257,7 +257,15 @@ def sample_remainder(remainder: Expr, n_samples: int = 200, seed: int = 42) -> S
     ``ConstraintSystem.restrict``.  Its ``to_cancellation`` measure is
     compiled once and |measure| is taken at ``n_samples`` seeded jet
     points; a point off the real domain or where the measure is not
-    finite is redrawn."""
+    finite is redrawn.
+
+    A structural ``0`` measures ``0.0`` at every point, so it is neither
+    compiled nor sampled: its statistics are all ``0.0``, with no redraw,
+    and its worst point is the first draw, the point where a sampled
+    maximum of ``0.0`` is first reached."""
+    if is_zero(remainder):
+        first = next(iter(RejectionSampler(n_samples, seed, sample_jet_point, lambda p: p)))
+        return SampledRemainder(remainder, 0.0, 0.0, first, n_samples, 0)
     measure = to_cancellation(remainder, JET_NAMES)
     samples = RejectionSampler(n_samples, seed, sample_jet_point,
                                lambda point: (point, abs(measure(*point))))

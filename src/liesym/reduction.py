@@ -17,6 +17,7 @@ symmetry, and reports the two routes together.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +46,9 @@ from .family import (
     SymmetryVerdict,
     check_onshell_symmetry,
     exceptional_vf,
+    onshell_remainder,
     rotation_like_vf,
+    symbolic_residual,
 )
 from .jets import (
     UX,
@@ -109,11 +112,43 @@ def reduce_residual(delta: Expr) -> Expr:
     return expand(e)
 
 
+# The kept derivations below serve every weak-cs and reduce command, and
+# only the numbers of the instance differ between two of them.  Each is
+# built once over the symbols of family.PARAMETERS, takes no argument and so
+# keeps one entry, and is bound to an instance by substitution, as
+# family.onshell_remainder is for check-symmetry; nothing is derived at
+# import.  The invariant-solution stage is not kept: restricted over symbolic
+# a, its remainder is structurally different from the per-instance one
+# (expand leaves an integer power above 16 of a sum alone, so a kept
+# remainder bound at c1 = 1340 reads -2*x*y*(x^2 - y^2)^335, where the
+# instance's own restriction gives two terms).
+@functools.cache
+def symbolic_reduction() -> Expr:
+    """``reduce_residual`` of the symbolic family residual."""
+    return reduce_residual(symbolic_residual())
+
+
+@functools.cache
+def symbolic_auxiliary() -> Expr:
+    """The prolonged rotation applied to the symbolic family residual."""
+    return apply_prolonged(prolong2(rotation_like_vf()), symbolic_residual())
+
+
+@functools.cache
+def symbolic_invariance_remainder() -> Expr:
+    """``symbolic_auxiliary()`` restricted exactly to the symbolic residual
+    and the invariance condition, solved for uyy and uy."""
+    return ConstraintSystem((symbolic_residual(), invariance_condition()),
+                            ("uyy", "uy")).restrict(symbolic_auxiliary())
+
+
 def reduce_to_invariant(inst: PDEInstance) -> Expr:
-    """Reduction of an r = 2 instance to the invariant variable."""
+    """Reduction of an r = 2 instance to the invariant variable: the kept
+    ``symbolic_reduction()`` with the instance's numbers bound and expanded
+    once."""
     if inst.r != 2:
         raise ReductionError(f"reduction requires r = 2, got r = {inst.r}")
-    return reduce_residual(inst.delta)
+    return expand(inst.bind(symbolic_reduction()))
 
 
 def split_by_x2(red: Expr) -> tuple[Expr, Expr]:
@@ -197,8 +232,9 @@ def invariance_condition() -> Expr:
 
 def auxiliary_constraint(inst: PDEInstance) -> Expr:
     """The prolonged rotation applied to the residual (the constraint
-    added on top of the invariance condition)."""
-    return apply_prolonged(prolong2(rotation_like_vf()), inst.delta)
+    added on top of the invariance condition): the kept
+    ``symbolic_auxiliary()`` with the instance's numbers bound."""
+    return inst.bind(symbolic_auxiliary())
 
 
 # ---------------------------------------------------------------------------
@@ -269,27 +305,31 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = 200, seed: int = 42) -> W
     residual, is restricted exactly to three manifolds: the residual
     manifold, then adding the invariance condition, then the 2-jet of the
     invariant solution (x^2 - y^2)^(-a/4), where A vanishes when the
-    system {residual, invariance, A} is compatible.  Each remainder is
-    sampled for its verdict.  The anti-reduction route follows: reduce,
-    split by powers of x^2, and verify the power profile against both
-    separated ODEs.
+    system {residual, invariance, A} is compatible.  The first two
+    remainders are kept derivations bound to the instance (the first is
+    what ``check-symmetry --field Y`` samples); the third restricts the
+    bound A on the instance's jet.  Each remainder is sampled for its
+    verdict.  The anti-reduction route follows: reduce, split by powers of
+    x^2, and verify the power profile against both separated ODEs.
     """
     if inst.r != 2:
         raise ReductionError(f"the reduction chain requires r = 2, got {inst.r}")
 
     delta = inst.delta
-    target = auxiliary_constraint(inst)
     profile, _g1, _g2 = candidate_profile(inst.a)
     jet = base_solution(inst.a).jet()
-    systems = {
-        "residual": ConstraintSystem((delta,), ("uyy",)),
-        "residual+invariance": ConstraintSystem((delta, invariance_condition()), ("uyy", "uy")),
-        "invariant-solution": ConstraintSystem(
-            tuple(add(sym(n), mul(num(-1), v)) for n, v in jet.items()), tuple(jet)),
-    }
+    solution = ConstraintSystem(
+        tuple(add(sym(n), mul(num(-1), v)) for n, v in jet.items()), tuple(jet))
+    stage_systems = (
+        ("residual", ConstraintSystem((delta,), ("uyy",)),
+         expand(inst.bind(onshell_remainder(rotation_like_vf())))),
+        ("residual+invariance", ConstraintSystem((delta, invariance_condition()), ("uyy", "uy")),
+         expand(inst.bind(symbolic_invariance_remainder()))),
+        ("invariant-solution", solution, solution.restrict(auxiliary_constraint(inst))),
+    )
     stages = []
-    for name, system in systems.items():
-        stats = restricted_eval(target, system, n_samples=n_samples, seed=seed)
+    for name, system, remainder in stage_systems:
+        stats = sample_remainder(remainder, n_samples, seed)
         stages.append(StageResult(name, system, stats, stats.classify()))
 
     # context: the exceptional field on the same residual manifold

@@ -1,5 +1,6 @@
 """Residual family, exceptional exponent gate, on-shell verdicts."""
 
+import io
 import os
 import random
 import subprocess
@@ -22,6 +23,7 @@ from liesym import (
     VectorField,
     apply_prolonged,
     build_instance,
+    candidate_profile,
     check_onshell_symmetry,
     eval_at,
     exceptional_exponents,
@@ -36,9 +38,14 @@ from liesym import (
     rotation_like_vf,
     scaling_vf,
     sym,
+    symbolic_auxiliary,
+    symbolic_invariance_remainder,
+    symbolic_reduction,
+    weak_cs_report,
     y_translation_vf,
 )
-from liesym import jets
+from liesym import family, jets
+from liesym.cli import run
 from liesym.expr import clear_memo
 from liesym.jets import sample_jet_env
 
@@ -315,16 +322,33 @@ class TestSymbolicRemainder:
 
 
 class TestRemainderCache:
-    """The symbolic remainders are kept across commands, one per field."""
+    """The symbolic derivations are kept across commands: one remainder
+    per field, and one entry each for the derivations of weak-cs and
+    reduce."""
+
+    KEPT = ("family.onshell_remainder", "reduction.symbolic_auxiliary",
+            "reduction.symbolic_invariance_remainder", "reduction.symbolic_reduction")
 
     def test_empty_after_import(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
-        code = ("import liesym.cli; from liesym.family import onshell_remainder; "
-                "print(onshell_remainder.cache_info().currsize)")
+        code = ("import liesym.cli; from liesym import family, reduction; "
+                + "; ".join(f"print({name}.cache_info().currsize)" for name in self.KEPT))
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out == "0\n"
+        assert out == "0\n" * len(self.KEPT)
+
+    def test_one_entry_each_for_weak_cs_whatever_a_is(self):
+        kept = (symbolic_auxiliary, symbolic_invariance_remainder, symbolic_reduction)
+        for fn in kept:
+            fn.cache_clear()
+        for a in TestExactRemainders.A_VALUES:
+            _, g1, g2 = candidate_profile(a)
+            weak_cs_report(build_instance(a, 2, *exceptional_exponents(a, 2), g1, g2),
+                           n_samples=1)
+            clear_memo()  # as between two commands
+        assert [fn.cache_info().currsize for fn in kept] == [1, 1, 1]
+        assert [fn.cache_info().misses for fn in kept] == [1, 1, 1]
 
     def test_one_entry_per_field_whatever_a_is(self):
         onshell_remainder.cache_clear()
@@ -341,3 +365,35 @@ class TestRemainderCache:
         clear_memo()  # as between two commands
         assert onshell_remainder(exceptional_vf()) is first
         assert onshell_remainder(scaling_vf()) is not first
+
+
+class TestLazyResidual:
+    """An instance assembles its numeric residual only when it is read."""
+
+    def test_check_of_a_named_field_never_reads_the_residual(self, monkeypatch):
+        for vf in NAMED_FIELDS.values():
+            onshell_remainder(vf())  # the kept remainders are built from a residual
+        calls = []
+
+        def counted(*params):
+            calls.append(params)
+            return family_residual(*params)
+
+        monkeypatch.setattr(family, "family_residual", counted)
+        instance_flags = (["--preset", "gss"],
+                          ["--a=3", "--r=1", "--c1=7/3", "--c2=7/3", "--gamma1=2", "--gamma2=5"])
+        for flags in instance_flags:
+            for name in NAMED_FIELDS:
+                code = run(["check-symmetry", *flags, "--field", name, "--samples", "5"],
+                           out=io.StringIO(), err=io.StringIO())
+                assert code in (0, 1), (flags, name)
+        assert calls == []
+        assert gss_preset().delta is not None
+        assert len(calls) == 1
+
+    def test_residual_is_built_once_from_the_six_numbers(self):
+        params = (Fraction(-5, 3), Fraction(1, 2), Fraction(16, 5), Fraction(-7, 5), 2, -1)
+        inst = build_instance(*params)
+        first = inst.delta
+        assert first == family_residual(*params)
+        assert inst.delta is first

@@ -32,7 +32,7 @@ from liesym import (
     y_translation_vf,
 )
 from liesym import jets
-from liesym.expr import clear_memo
+from liesym.expr import ZERO, RejectionSampler, clear_memo, to_cancellation
 from liesym.jets import (
     JET_NAMES,
     JET_RANGES,
@@ -72,6 +72,34 @@ class TestSampleRemainder:
         assert (got.max_abs, got.samples, got.resampled) == (max(values), 30, 0)
         assert got.mean_abs == sum(values) / 30
         assert measure(got.worst_point[0]) == got.max_abs
+
+    @pytest.mark.parametrize("seed", [0, 42, 913])
+    @pytest.mark.parametrize("n", [1, 2, 200])
+    def test_structural_zero_reads_what_its_samples_read(self, monkeypatch, n, seed):
+        # the full loop over the compiled measure of 0, as every remainder
+        # was sampled before a structural 0 skipped the compile and draws
+        measure = to_cancellation(ZERO, JET_NAMES)
+        samples = RejectionSampler(n, seed, sample_jet_point,
+                                   lambda point: (point, abs(measure(*point))))
+        worst, max_abs, total = None, -1.0, 0.0
+        for point, value in samples:
+            total += value
+            if value > max_abs:
+                max_abs, worst = value, point
+        expected = SampledRemainder(ZERO, max_abs, total / n, worst, n, samples.resampled)
+
+        def compile_refused(*args, **kwargs):
+            raise AssertionError("a structural 0 was compiled")
+
+        monkeypatch.setattr(jets, "to_cancellation", compile_refused)
+        got = sample_remainder(num(0), n_samples=n, seed=seed)
+        assert got == expected
+        assert (got.max_abs, got.mean_abs, got.resampled) == (0.0, 0.0, 0)
+        assert got.classify() == "zero"
+
+    def test_structural_zero_needs_a_sample(self):
+        with pytest.raises(ValueError):
+            sample_remainder(num(0), n_samples=0)
 
     @pytest.mark.parametrize("max_abs,tol,reading", [
         (0.0, 1e-9, "zero"),

@@ -5,15 +5,25 @@ from fractions import Fraction
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # optional test dependency, as in test_expr.py
+    st = None
+
 from liesym import (
     ConstraintSystem,
     ReductionError,
+    add,
+    apply_prolonged,
     auxiliary_constraint,
+    base_solution,
     build_instance,
     candidate_profile,
     check_onshell_symmetry,
     diff,
     eval_at,
+    exceptional_exponents,
     exceptional_vf,
     expand,
     family_residual,
@@ -24,15 +34,19 @@ from liesym import (
     num,
     parse,
     pow_,
+    prolong2,
     reduce_residual,
     reduce_to_invariant,
     restricted_eval,
     rotation_like_vf,
     split_by_x2,
     sym,
+    symbolic_auxiliary,
+    to_text,
     verify_ode,
     weak_cs_report,
 )
+from liesym.expr import clear_memo
 
 
 def _symbolic_exceptional_residual():
@@ -345,3 +359,86 @@ class TestWeakCSReport:
         rep = weak_cs_report(gss_preset(), n_samples=40, seed=1)
         text = json.dumps(rep.to_dict())
         assert "weak conditional symmetry confirmed" in text
+
+
+def _solution_system(a):
+    jet = base_solution(a).jet()
+    return ConstraintSystem(tuple(add(sym(n), mul(num(-1), v)) for n, v in jet.items()),
+                            tuple(jet))
+
+
+def _per_instance_routes(inst):
+    """The routes weak-cs and reduce took before their derivations were
+    kept: prolong the rotation, apply it to the instance's residual,
+    restrict that on each stage's constraints, and reduce the instance's
+    residual."""
+    target = apply_prolonged(prolong2(rotation_like_vf()), inst.delta)
+    return (
+        target,
+        ConstraintSystem((inst.delta,), ("uyy",)).restrict(target),
+        ConstraintSystem((inst.delta, invariance_condition()), ("uyy", "uy")).restrict(target),
+        _solution_system(inst.a).restrict(target),
+        reduce_residual(inst.delta),
+    )
+
+
+def _assert_routes_agree(inst):
+    rep = weak_cs_report(inst, n_samples=3, seed=5)
+    kept = (auxiliary_constraint(inst), *(s.stats.remainder for s in rep.stages),
+            reduce_to_invariant(inst))
+    names = ("A", "residual", "residual+invariance", "invariant-solution", "reduced")
+    for name, got, want in zip(names, kept, _per_instance_routes(inst)):
+        assert got == want, (name, inst.params_text())
+    assert rep.reduced == kept[-1]
+
+
+class TestKeptDerivations:
+    """weak-cs and reduce bind derivations kept over symbolic parameters;
+    node for node, that must be what the per-instance routes build.  The
+    invariant-solution stage restricts the bound A on the instance's own
+    jet: restricted over symbolic a instead and then bound, it is not the
+    same expression (see test_stage_three_is_not_kept)."""
+
+    A_VALUES = sorted({Fraction(p, q) for p in (*range(-8, 0), *range(1, 9)) for q in (1, 2, 3)})
+
+    def test_every_a_with_profile_perturbed_and_random_gammas(self):
+        assert len(self.A_VALUES) == 36
+        rng = random.Random(16)
+        for a in self.A_VALUES:
+            c1, c2 = exceptional_exponents(a, 2)
+            _, g1, g2 = candidate_profile(a)
+            random_gammas = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+                             for _ in range(2)]
+            for params in ((c1, c2, g1, g2), (c1 + Fraction(1, 10), c2, g1, g2),
+                           (c1, c2, *random_gammas)):
+                _assert_routes_agree(build_instance(a, 2, *params))
+            clear_memo()  # as between two commands
+
+    @pytest.mark.parametrize("params", [
+        (-1, 2, -7, -3, Fraction(-3, 2), Fraction(1, 4)),  # GSS
+        (-1, 2, 1340, 900, 1, 1),  # the overflow golden; expand leaves x^1340 alone
+        (Fraction(1, 10), 2, 81, 41, Fraction(41, 200), Fraction(-43, 400)),
+    ], ids=["gss", "overflow", "c1-81"])
+    def test_named_instances(self, params):
+        _assert_routes_agree(build_instance(*params))
+
+    if st is not None:
+        rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+        @settings(max_examples=40, deadline=None)
+        @given(rationals.filter(bool), rationals, rationals, rationals, rationals)
+        def test_random_rationals(self, a, c1, c2, g1, g2):
+            _assert_routes_agree(build_instance(a, 2, c1, c2, g1, g2))
+
+    def test_stage_three_is_not_kept(self):
+        # expand distributes an integer power of a sum only up to 16, so a
+        # stage-3 remainder restricted over symbolic a and then bound keeps
+        # (x^2 - y^2)^335 whole, where the instance's jet gives two terms
+        # in (x^2 - y^2)^334
+        inst = build_instance(-1, 2, 1340, 900, 1, 1)
+        symbolic = _solution_system(sym("a")).restrict(symbolic_auxiliary())
+        bound = expand(inst.bind(symbolic))
+        per_instance = weak_cs_report(inst, n_samples=3).stages[2].stats.remainder
+        assert to_text(bound) == "-3*x*y*(x^2 - y^2)^(-7/4) - 2*x*y*(x^2 - y^2)^335"
+        assert to_text(per_instance) == ("-3*x*y*(x^2 - y^2)^(-7/4) - 2*y*x^3*(x^2 - y^2)^334"
+                                         " + 2*x*y^3*(x^2 - y^2)^334")
