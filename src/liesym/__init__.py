@@ -78,6 +78,7 @@ from .orbits import (
     ResidualField,
     base_solution,
     conformal_factor,
+    family_expr,
     family_solution,
     generator_remainder,
     map_point,
@@ -86,6 +87,8 @@ from .orbits import (
     residual_grid,
     sample_in_region,
     scaling_invariance_residual,
+    solution_residual,
+    symbolic_family_residual,
     transform_solution,
 )
 from .parsing import parse

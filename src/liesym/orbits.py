@@ -15,6 +15,7 @@ centered at (+-1/(2 lam), -1/(2 lam)).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -40,12 +41,15 @@ from .expr import (
     to_callable,  # noqa: F401  (unused: perfbench/tracing.py patches orbits.to_callable)
     to_cancellation,
 )
-from .family import PDEInstance, exceptional_vf, scaling_vf
+from .family import PARAMETERS, PDEInstance, exceptional_vf, scaling_vf, symbolic_residual
 from .jets import characteristic
 
 _X = sym("x")
 _Y = sym("y")
 _LAM = sym("lam")
+# the exponent parameter of the solution in symbolic_family_residual, apart
+# from the residual's own a
+_A_SOL = sym("a_sol")
 
 # x^2 + y^2 and the conformal factor as expressions (lam symbolic)
 _RHO2 = add(pow_(_X, num(2)), pow_(_Y, num(2)))
@@ -132,59 +136,76 @@ def region(lam: float) -> RegionGeometry:
 
 @dataclass(frozen=True)
 class ClosedFormSolution:
-    """Solution expression in (x, y) with an explicit membership test."""
+    """Solution expression in (x, y) with an explicit membership test.
+
+    ``lam`` is set where ``expr`` is ``family_expr(a, lam)``: the family
+    and, at lam = 0, the base solution."""
 
     expr: Expr
     domain: Callable[[float, float], bool]
     label: str
     a: object  # Fraction for numeric instances, Expr when kept symbolic
+    lam: Fraction | None = None
 
     def jet(self) -> dict[str, Expr]:
         """u and its derivatives up to second order, symbolically."""
-        u = self.expr
-        ux, uy = diff(u, "x"), diff(u, "y")
-        return {
-            "u": u, "ux": ux, "uy": uy,
-            "uxx": diff(ux, "x"), "uxy": diff(ux, "y"), "uyy": diff(uy, "y"),
-        }
+        return _jet(self.expr)
 
 
-def _power_exponent(a) -> Expr:
-    return mul(Num(Fraction(-1, 4)), as_expr(a))
+def _jet(u: Expr) -> dict[str, Expr]:
+    ux, uy = diff(u, "x"), diff(u, "y")
+    return {
+        "u": u, "ux": ux, "uy": uy,
+        "uxx": diff(ux, "x"), "uxy": diff(ux, "y"), "uyy": diff(uy, "y"),
+    }
+
+
+def family_expr(a, lam) -> Expr:
+    """[x^2 - (y + lam (x^2 + y^2))^2]^(-a/4); a and lam may be numeric or
+    symbolic.  At lam = 0 it is the power solution (x^2 - y^2)^(-a/4)."""
+    b = substitute(_B_EXPR, {"lam": as_expr(lam)})
+    return pow_(add(pow_(_X, num(2)), mul(num(-1), pow_(b, num(2)))),
+                mul(Num(Fraction(-1, 4)), as_expr(a)))
+
+
+def _solution_a(a):
+    if isinstance(a, Expr):
+        return a
+    if num(a).value == 0:
+        raise ValueError("parameter a must be nonzero")
+    return num(a).value
+
+
+def _wedge(x: float, y: float) -> bool:
+    return x * x - y * y > 0.0
 
 
 def base_solution(a) -> ClosedFormSolution:
     """The power solution (x^2 - y^2)^(-a/4) on the open wedge |x| > |y|."""
-    if not isinstance(a, Expr) and num(a).value == 0:
-        raise ValueError("parameter a must be nonzero")
-    expr = pow_(add(pow_(_X, num(2)), mul(num(-1), pow_(_Y, num(2)))), _power_exponent(a))
-    return ClosedFormSolution(expr, lambda x, y: x * x - y * y > 0.0, "base",
-                              a if isinstance(a, Expr) else num(a).value)
+    a = _solution_a(a)
+    return ClosedFormSolution(family_expr(a, 0), _wedge, "base", a, Fraction(0))
 
 
 def family_solution(a, lam) -> ClosedFormSolution:
-    """[x^2 - (y + lam (x^2 + y^2))^2]^(-a/4) on its two-disk region.
+    """``family_expr(a, lam)`` on its two-disk region.
 
     lam = 0 degenerates to the base solution; lam < 0 keeps the
     algebraic membership test (the geometry is the lam > 0 picture
     mirrored in y).
     """
-    if not isinstance(a, Expr) and num(a).value == 0:
-        raise ValueError("parameter a must be nonzero")
-    lam_expr = as_expr(lam)
-    b = substitute(_B_EXPR, {"lam": lam_expr})
-    expr = pow_(add(pow_(_X, num(2)), mul(num(-1), pow_(b, num(2)))), _power_exponent(a))
+    a = _solution_a(a)
     if isinstance(lam, Expr):
-        raise TypeError("family_solution needs a numeric lam for its domain")
+        raise TypeError("family_solution needs a numeric lam for its domain; "
+                        "family_expr builds the expression alone")
     lam_f = float(lam)
     if lam_f == 0.0:
-        domain = base_solution(a).domain
+        domain = _wedge
     else:
         def domain(x, y, _l=lam_f):
             bb = y + _l * (x * x + y * y)
             return (x - bb) * (x + bb) > 0.0
-    return ClosedFormSolution(expr, domain, f"family(lam={lam_f})",
-                              a if isinstance(a, Expr) else num(a).value)
+    return ClosedFormSolution(family_expr(a, lam), domain, f"family(lam={lam_f})",
+                              a, num(lam).value)
 
 
 def _pushed_expr(sol: ClosedFormSolution, lam) -> Expr:
@@ -275,6 +296,27 @@ class ResidualField:
     n_in_domain: int
 
 
+@functools.cache
+def symbolic_family_residual() -> Expr:
+    """The family residual, in the symbols of PARAMETERS, on the jet of
+    ``family_expr(a_sol, lam)`` with lam symbolic and the solution's own
+    exponent parameter a_sol apart from the residual's a: derived once, so
+    a grid binds numbers instead of differentiating its solution again."""
+    return substitute(symbolic_residual(), _jet(family_expr(_A_SOL, _LAM)))
+
+
+def solution_residual(inst: PDEInstance, sol: ClosedFormSolution) -> Expr:
+    """The instance's residual on the solution's jet.  A solution with a
+    ``lam`` binds the instance's six numbers, its a and its lam into
+    ``symbolic_family_residual()`` in one substitution; any other one (a
+    pushforward) has its jet substituted into ``inst.delta``."""
+    if sol.lam is None:
+        return substitute(inst.delta, sol.jet())
+    bindings = {name: getattr(inst, name) for name in PARAMETERS}
+    return substitute(symbolic_family_residual(),
+                      {**bindings, _A_SOL.name: sol.a, _LAM.name: sol.lam})
+
+
 def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
                   sink=None) -> ResidualField:
     """Evaluate the instance residual on a closed-form solution and write
@@ -283,9 +325,11 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
     x over ``grid.ys()`` and ``grid.xs()``, numbers with 17 significant
     digits.
 
-    Derivatives of the solution are taken symbolically, so any nonzero
-    residual is a genuine failure of the solution, not discretization
-    error.  ``residual`` at each in-domain node is the residual's
+    The residual is exact, ``solution_residual(inst, sol)``: for the
+    family and the base solution it is bound from the kept residual
+    ``symbolic_family_residual()``, so any nonzero residual is a genuine
+    failure of the solution, not discretization error.  ``residual`` at
+    each in-domain node is the residual's
     ``to_cancellation`` measure: its terms cancel on a true solution but
     grow without bound toward the region boundary.  Nodes outside the
     solution's domain, and nodes where u or the residual leaves the real
@@ -297,7 +341,7 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
     """
     # one body returns (measure, u): the slots u shares with the residual
     # are computed once per node
-    measure_and_u = to_cancellation(substitute(inst.delta, sol.jet()), ("x", "y"), sol.expr)
+    measure_and_u = to_cancellation(solution_residual(inst, sol), ("x", "y"), sol.expr)
     domain = sol.domain
     columns = [(x, f"{x:.17g}") for x in grid.xs()]
     ys = grid.ys()

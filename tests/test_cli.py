@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from liesym import (GridSpec, base_solution, eval_at, exceptional_exponents, expr, gss_preset,
-                    mul, region, sym)
+from liesym import (GridSpec, base_solution, candidate_profile, eval_at, exceptional_exponents,
+                    expr, gss_preset, mul, region, sym)
 from liesym import cli
 from liesym.cli import _print_report, build_parser, emit_csv, read_csv_sup_norm, run
 
@@ -645,6 +645,27 @@ class TestGoldenBytes:
     def test_bytes_after_unrelated_command(self, argv, code, csv_sha, report_sha):
         assert run_cli(["weak-cs", "--preset", "gss", "--samples", "60"])[0] == 0
         self._check(argv, code, csv_sha, report_sha)
+
+    # orbits.symbolic_family_residual keeps the family residual across
+    # commands: grid other instances at the cases' lam first, so each case
+    # binds its own numbers into the residual kept from those grids, and
+    # its second run again.  (a, lam, gamma1 shifted off the profile)
+    WARM_UP_GRIDS = [("-5/3", "1", False), ("2/3", "1/3", False), ("7/2", "1", True),
+                     ("-1", "0", True), ("3", "0", False), ("1", "-1", True)]
+
+    @pytest.mark.parametrize("argv,code,csv_sha,report_sha", CASES,
+                             ids=["gss-family-120", "gss-base-90", "a7_2-family-24"])
+    def test_bytes_after_family_grid_warm_up(self, argv, code, csv_sha, report_sha):
+        for a, lam, shifted in self.WARM_UP_GRIDS:
+            c1, c2 = exceptional_exponents(Fraction(a), 2)
+            _, g1, g2 = candidate_profile(Fraction(a))
+            if shifted:
+                g1 += 1
+            assert run_cli(["residual-grid", f"--a={a}", "--r=2", f"--c1={c1}", f"--c2={c2}",
+                            f"--gamma1={g1}", f"--gamma2={g2}", "--solution", "family",
+                            f"--lambda={lam}", "--nx", "8", "--ny", "8"])[0] == int(shifted)
+        for _ in range(2):
+            self._check(argv, code, csv_sha, report_sha)
 
     # sha256 of the report minus its timestamp line for the commands that
     # sample, recorded before the sampling loops shared one sampler: each

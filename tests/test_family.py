@@ -39,6 +39,7 @@ from liesym import (
     scaling_vf,
     sym,
     symbolic_auxiliary,
+    symbolic_family_residual,
     symbolic_invariance_remainder,
     symbolic_reduction,
     weak_cs_report,
@@ -323,15 +324,16 @@ class TestSymbolicRemainder:
 
 class TestRemainderCache:
     """The symbolic derivations are kept across commands: one remainder
-    per field, and one entry each for the derivations of weak-cs and
-    reduce."""
+    per field, one entry each for the derivations of weak-cs and reduce,
+    and one family residual for every family and base grid."""
 
     KEPT = ("family.onshell_remainder", "reduction.symbolic_auxiliary",
-            "reduction.symbolic_invariance_remainder", "reduction.symbolic_reduction")
+            "reduction.symbolic_invariance_remainder", "reduction.symbolic_reduction",
+            "orbits.symbolic_family_residual")
 
     def test_empty_after_import(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
-        code = ("import liesym.cli; from liesym import family, reduction; "
+        code = ("import liesym.cli; from liesym import family, orbits, reduction; "
                 + "; ".join(f"print({name}.cache_info().currsize)" for name in self.KEPT))
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -359,6 +361,22 @@ class TestRemainderCache:
             clear_memo()  # as between two commands
         info = onshell_remainder.cache_info()
         assert (info.currsize, info.misses, info.hits) == (4, 4, 32)
+
+    def test_one_family_residual_whatever_a_and_lam(self):
+        symbolic_family_residual.cache_clear()
+        for a in ("-3", "-5/3", "-1", "1/2", "2", "7/2"):
+            c1, c2 = exceptional_exponents(Fraction(a), 2)
+            _, g1, g2 = candidate_profile(Fraction(a))
+            flags = [f"--a={a}", "--r=2", f"--c1={c1}", f"--c2={c2}",
+                     f"--gamma1={g1}", f"--gamma2={g2}", "--nx", "4", "--ny", "4"]
+            for solution in (["--solution", "base"],
+                             *(["--solution", "family", f"--lambda={lam}"]
+                               for lam in ("1/3", "1", "-2", "0"))):
+                code = run(["residual-grid", *flags, *solution],
+                           out=io.StringIO(), err=io.StringIO())
+                assert code == 0, (a, solution)
+        info = symbolic_family_residual.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 29)
 
     def test_equal_field_gets_the_kept_result(self):
         first = onshell_remainder(exceptional_vf())

@@ -7,17 +7,27 @@ from fractions import Fraction
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # optional test dependency, as in test_expr.py
+    st = None
+
 from liesym import (
     GridSpec,
     SampleSpec,
     SingularPointError,
+    Sym,
     base_solution,
     build_instance,
+    candidate_profile,
     conformal_factor,
     diff,
     equiv_numeric,
     eval_at,
+    exceptional_exponents,
     expand,
+    family_expr,
     family_solution,
     generator_remainder,
     gss_preset,
@@ -31,11 +41,14 @@ from liesym import (
     sample_in_region,
     scaling_invariance_residual,
     scaling_vf,
+    solution_residual,
     substitute,
     sym,
+    symbolic_family_residual,
     transform_solution,
 )
 from liesym import orbits
+from liesym.expr import clear_memo
 
 
 def _itoi(x, y, lam):
@@ -307,6 +320,157 @@ class TestResidualGrid:
             GridSpec(2.0, 1.0, 0.0, 1.0, 5, 5)
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 0.0, 1.0, 0, 5)
+
+
+def _profile_instance(a):
+    """r = 2 with the exceptional pair and the profile gammas: the
+    instances the family solves."""
+    _, g1, g2 = candidate_profile(a)
+    return build_instance(a, 2, *exceptional_exponents(a, 2), g1, g2)
+
+
+def _solution(a, lam):
+    return base_solution(a) if lam is None else family_solution(a, lam)
+
+
+def _per_instance_residual(inst, sol):
+    """The oracle: the solution's own jet, derived for this solution alone,
+    substituted into the instance's residual."""
+    return substitute(inst.delta, sol.jet())
+
+
+def _grid_for(lam, n):
+    """The CLI's default grid: the wedge box for the base solution (lam
+    None or 0), else the bounding box of the two disks, mirrored in y for
+    lam < 0."""
+    if not lam:
+        return GridSpec(1.0, 2.0, -0.5, 0.5, n, n)
+    x_lo, x_hi, y_lo, y_hi = region(abs(float(lam))).bounding_box()
+    if lam < 0:
+        y_lo, y_hi = -y_hi, -y_lo
+    return GridSpec(x_lo, x_hi, y_lo, y_hi, n, n)
+
+
+def _grid_rows(inst, sol, grid, per_instance=False):
+    """(field, CSV rows) of a grid; with ``per_instance``, the grid compiles
+    the per-instance residual instead of the kept one."""
+    sink = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        if per_instance:
+            mp.setattr(orbits, "solution_residual", _per_instance_residual)
+        field = residual_grid(inst, sol, grid, sink)
+    return field, [row.split(",") for row in sink.getvalue().splitlines()[1:]]
+
+
+def _assert_grids_agree(inst, sol, grid):
+    """The kept and the per-instance residual give the same verdict at the
+    CLI's tolerance, the same mask and the same u, and residuals within
+    1e-12 relative at every node; (kept, per-instance) sup norms."""
+    field, rows = _grid_rows(inst, sol, grid)
+    oracle_field, oracle_rows = _grid_rows(inst, sol, grid, per_instance=True)
+    within = [f.sup_norm is not None and f.sup_norm <= 1e-9 for f in (field, oracle_field)]
+    assert within[0] == within[1]
+    assert field.n_in_domain == oracle_field.n_in_domain
+    for row, oracle_row in zip(rows, oracle_rows, strict=True):
+        assert row[:4] == oracle_row[:4]  # x, y, in_domain and u
+        if row[2] == "1":
+            assert math.isclose(float(row[4]), float(oracle_row[4]), rel_tol=1e-12), row
+    return field.sup_norm, oracle_field.sup_norm
+
+
+class TestKeptFamilyResidual:
+    """``solution_residual`` binds one residual derived over symbolic a and
+    lam.  Where the family solves the instance it is structurally the
+    residual of the solution's own jet, so every grid byte is kept;
+    elsewhere it may differ in the last digits of the residual column."""
+
+    A_VALUES = sorted({Fraction(p, q) for p in (*range(-8, 0), *range(1, 9)) for q in (1, 2, 3)})
+    LAMBDAS = sorted({Fraction(p, q) for p in range(1, 7) for q in range(1, 7)})
+
+    def test_every_profile_instance_and_lambda(self):
+        assert (len(self.A_VALUES), len(self.LAMBDAS)) == (36, 23)
+        for a in self.A_VALUES:
+            inst = _profile_instance(a)
+            for lam in self.LAMBDAS:
+                sol = family_solution(a, lam)
+                assert solution_residual(inst, sol) == _per_instance_residual(inst, sol), (a, lam)
+            clear_memo()
+
+    @pytest.mark.parametrize("lam", [None, 0, -1, Fraction(-1, 3), 20])
+    def test_gss(self, lam):
+        sol = _solution(-1, lam)
+        assert solution_residual(gss_preset(), sol) == _per_instance_residual(gss_preset(), sol)
+
+    @pytest.mark.parametrize("a", [-1, Fraction(-5, 3), Fraction(7, 2), sym("a")])
+    def test_base_is_the_family_at_lambda_zero(self, a):
+        base, family = base_solution(a), family_solution(a, 0)
+        assert base.expr == family.expr == family_expr(a, 0)
+        assert base.lam == family.lam == 0
+        inst = gss_preset() if isinstance(a, Sym) else _profile_instance(a)
+        assert solution_residual(inst, base) == solution_residual(inst, family)
+        assert solution_residual(inst, base) == _per_instance_residual(inst, base)
+
+    if st is not None:
+        rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+        @settings(max_examples=60, deadline=None)
+        @given(rationals.filter(bool),
+               st.fractions(min_value=-40, max_value=40, max_denominator=9))
+        def test_random_profile_rationals(self, a, lam):
+            inst = _profile_instance(a)
+            sol = family_solution(a, lam)
+            assert solution_residual(inst, sol) == _per_instance_residual(inst, sol)
+            clear_memo()
+
+    def test_pushforward_keeps_its_own_jet(self):
+        pushed = transform_solution(base_solution(-1), Fraction(1, 2))
+        assert pushed.lam is None
+        assert solution_residual(gss_preset(), pushed) == _per_instance_residual(
+            gss_preset(), pushed)
+
+    def test_the_instance_of_the_changed_digits(self):
+        # the family does not solve this instance: its kept residual is a
+        # different expression, with the same mask and verdict, and the sup
+        # the README quotes
+        inst = build_instance(Fraction(1, 3), 2, Fraction(251, 10), 13,
+                              Fraction(13, 18), Fraction(-5, 12))
+        sol = family_solution(inst.a, 1)
+        assert solution_residual(inst, sol) != _per_instance_residual(inst, sol)
+        assert _assert_grids_agree(inst, sol, _grid_for(1, 24)) == (
+            0.05555774840367236, 0.05555774840367221)
+
+    def test_random_non_profile_instances(self):
+        rng = random.Random(2024)
+        values = [Fraction(p, q) for p in range(-9, 10) for q in (1, 2, 3, 10)]
+        for _ in range(40):
+            a = rng.choice([v for v in values if v])
+            c1, c2 = exceptional_exponents(a, 2)
+            if rng.random() < 0.5:  # the exceptional pair, other gammas
+                params = (a, 2, c1, c2, rng.choice(values), rng.choice(values))
+            else:  # a perturbed pair, or another r
+                params = (a, rng.choice((0, 1, 2, 3)), c1 + rng.choice(values), c2,
+                          rng.choice(values), rng.choice(values))
+            lam = rng.choice((None, 0, Fraction(1, 2), 1, Fraction(-1, 3), 4))
+            inst = build_instance(*params)
+            _assert_grids_agree(inst, _solution(a, lam), _grid_for(lam, 12))
+            clear_memo()
+
+    @pytest.mark.parametrize("sol_a,lam", [(2, Fraction(1, 2)), (Fraction(-5, 3), None),
+                                           (Fraction(1, 3), -1), (-1, 3)])
+    def test_solution_a_apart_from_instance_a(self, sol_a, lam):
+        # the kept residual gives the solution's exponent its own symbol, so
+        # a library call still grids the solution it is handed
+        inst = gss_preset()
+        sol = _solution(sol_a, lam)
+        field, _ = _grid_rows(inst, sol, _grid_for(lam, 12))
+        if sol_a != -1:
+            assert field.sup_norm > 1e-3
+        _assert_grids_agree(inst, sol, _grid_for(lam, 12))
+
+    def test_symbolic_residual_is_over_a_lam_and_the_solution_a(self):
+        free = symbolic_family_residual().free_symbols()
+        assert {"a", "a_sol", "lam", "x", "y"} <= free
+        assert not free & {"u", "ux", "uy", "uxx", "uxy", "uyy"}
 
 
 class TestFlowGenerator:
