@@ -36,6 +36,7 @@ from .expr import (
 )
 from .family import (
     NAMED_FIELDS,
+    PARAMETERS,
     PRESETS,
     REFUTE_THRESHOLD,
     build_instance,
@@ -171,18 +172,16 @@ def _instance_from_args(args) -> tuple[object, str]:
             return PRESETS[args.preset](), args.preset
         except KeyError:
             raise argparse.ArgumentTypeError(f"unknown preset {args.preset!r}")
-    required = ("a", "r", "c1", "c2", "gamma1", "gamma2")
-    missing = [name for name in required if getattr(args, name) is None]
+    missing = [name for name in PARAMETERS if getattr(args, name) is None]
     if missing:
         raise argparse.ArgumentTypeError(
             f"--preset or all of {', '.join('--' + m for m in missing)} required")
-    return build_instance(args.a, args.r, args.c1, args.c2,
-                          args.gamma1, args.gamma2), "custom"
+    return build_instance(*(getattr(args, name) for name in PARAMETERS)), "custom"
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    for name in ("a", "r", "c1", "c2", "gamma1", "gamma2"):
+    for name in PARAMETERS:
         p.add_argument(f"--{name}", type=_decimal, default=None)
 
 

@@ -1038,7 +1038,6 @@ class EquivResult:
     equivalent: bool
     samples: int
     witness: dict[str, float] | None = None
-    witness_values: tuple[float, float] | None = None
 
     def __bool__(self):
         return self.equivalent
@@ -1073,7 +1072,7 @@ def equiv_numeric(e1: Expr, e2: Expr, spec: SampleSpec | None = None) -> EquivRe
     samples = RejectionSampler(spec.count, spec.seed, draw, evaluate)
     for good, (env, v1, v2) in enumerate(samples, 1):
         if abs(v1 - v2) > spec.rel_tol * (1.0 + max(abs(v1), abs(v2))):
-            return EquivResult(False, good, env, (v1, v2))
+            return EquivResult(False, good, env)
     return EquivResult(True, spec.count)
 
 

@@ -16,6 +16,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import UnboundSymbolError
 from .expr import (
     Expr,
     Num,
@@ -32,6 +33,12 @@ from .expr import (
 from .jets import (
     JET_NAMES,
     REFUTE_THRESHOLD,
+    U,
+    UX,
+    UXX,
+    UYY,
+    X,
+    Y,
     ConstraintSystem,
     VectorField,
     apply_prolonged,
@@ -39,17 +46,9 @@ from .jets import (
     sample_remainder,
 )
 
-_X = sym("x")
-_Y = sym("y")
-_U = sym("u")
-_UX = sym("ux")
-_UXX = sym("uxx")
-_UYY = sym("uyy")
 _A = sym("a")
 
 PARAMETERS = ("a", "r", "c1", "c2", "gamma1", "gamma2")
-# the symbols a named field may hold: a point of (x, y, u) and the parameter a
-_FIELD_SYMBOLS = frozenset(("x", "y", "u", "a"))
 
 
 def family_residual(a, r, c1, c2, gamma1, gamma2) -> Expr:
@@ -57,11 +56,11 @@ def family_residual(a, r, c1, c2, gamma1, gamma2) -> Expr:
     so the same builder serves numeric instances and symbolic work."""
     a, r, c1, c2, gamma1, gamma2 = map(as_expr, (a, r, c1, c2, gamma1, gamma2))
     return add(
-        _UXX,
-        _UYY,
-        mul(a, pow_(_X, num(-1)), _UX),
-        mul(num(-1), gamma1, pow_(_X, r), pow_(_U, c1)),
-        mul(num(-1), gamma2, pow_(_U, c2)),
+        UXX,
+        UYY,
+        mul(a, pow_(X, num(-1)), UX),
+        mul(num(-1), gamma1, pow_(X, r), pow_(U, c1)),
+        mul(num(-1), gamma2, pow_(U, c2)),
     )
 
 
@@ -96,10 +95,12 @@ class PDEInstance:
         named field binds a kept remainder and never reads it."""
         return family_residual(self.a, self.r, self.c1, self.c2, self.gamma1, self.gamma2)
 
-    def bind(self, e: Expr) -> Expr:
+    def bind(self, e: Expr, **more) -> Expr:
         """Substitute the instance's six numbers for the symbols of
-        PARAMETERS in an expression derived over ``symbolic_residual()``."""
-        return substitute(e, {name: getattr(self, name) for name in PARAMETERS})
+        PARAMETERS in an expression derived over ``symbolic_residual()``,
+        and each value of ``more`` for the symbol its keyword names, in one
+        substitution."""
+        return substitute(e, {**{name: getattr(self, name) for name in PARAMETERS}, **more})
 
     @property
     def is_exceptional(self) -> bool:
@@ -132,20 +133,20 @@ PRESETS = {"gss": gss_preset}
 def exceptional_vf() -> VectorField:
     """X = 2xy d/dx + (y^2 - x^2) d/dy - a y u d/du, with a symbolic."""
     return VectorField(
-        mul(num(2), _X, _Y),
-        add(pow_(_Y, num(2)), mul(num(-1), pow_(_X, num(2)))),
-        mul(num(-1), _A, _Y, _U),
+        mul(num(2), X, Y),
+        add(pow_(Y, num(2)), mul(num(-1), pow_(X, num(2)))),
+        mul(num(-1), _A, Y, U),
     )
 
 
 def scaling_vf() -> VectorField:
     """X' = x d/dx + y d/dy - (a/2) u d/du, with a symbolic."""
-    return VectorField(_X, _Y, mul(Num(Fraction(-1, 2)), _A, _U))
+    return VectorField(X, Y, mul(Num(Fraction(-1, 2)), _A, U))
 
 
 def rotation_like_vf() -> VectorField:
     """Y = y d/dx + x d/dy, the hyperbolic rotation annihilating x^2 - y^2."""
-    return VectorField(_Y, _X, Num(Fraction(0)))
+    return VectorField(Y, X, Num(Fraction(0)))
 
 
 def y_translation_vf() -> VectorField:
@@ -184,14 +185,6 @@ class SymmetryVerdict:
 _STATUS = {"zero": "admitted", "nonzero": "refuted", "inconclusive": "inconclusive"}
 
 
-def _onshell(vf: VectorField, delta: Expr) -> Expr:
-    """The prolonged field applied to a residual, restricted exactly to the
-    residual manifold: ``ConstraintSystem.restrict`` solves the residual
-    for uyy and substitutes the solution."""
-    target = apply_prolonged(prolong2(vf), delta)
-    return ConstraintSystem((delta,), ("uyy",)).restrict(target)
-
-
 # Every check of a named field restricts the same field again, and only the
 # numbers of the instance differ.  The field is frozen and hashed by
 # structure and the remainder is immutable, so a hit returns what the body
@@ -203,9 +196,11 @@ def onshell_remainder(vf: VectorField) -> Expr:
     delta the family residual in the symbols a, r, c1, c2, gamma1, gamma2.
     For X it is, expanded,
     ``y*gamma1*u^c1*x^r*(a*c1 - a - 2*r - 4) + y*gamma2*u^c2*(a*c2 - a - 4)``.
-    A symbol of the field named like a parameter is that parameter.  The
-    last 8 results are kept."""
-    return _onshell(vf, symbolic_residual())
+    ``ConstraintSystem.restrict`` solves delta for uyy and substitutes the
+    solution.  A symbol of the field named like a parameter is that
+    parameter.  The last 8 results are kept."""
+    delta = symbolic_residual()
+    return ConstraintSystem((delta,), ("uyy",)).restrict(apply_prolonged(prolong2(vf), delta))
 
 
 def check_onshell_symmetry(
@@ -218,25 +213,29 @@ def check_onshell_symmetry(
     """Decide whether a field is a symmetry on the solution manifold of an
     instance.
 
-    The prolonged field applied to the residual is restricted exactly to
-    the residual manifold.  A field in x, y, u and a takes its symbolic
-    ``onshell_remainder`` with the instance's six numbers substituted and
-    expanded once; any other field is restricted on the instance's own
-    residual, so that a symbol of the field is never bound to a parameter
-    of the same name.  ``sample_remainder`` samples the remainder's
-    cancellation measure; a remainder that reads zero (every sample at
-    most ``tol``) admits the field, one that reads nonzero (a sample at or
-    above REFUTE_THRESHOLD) refutes it, and anything in between is
-    inconclusive.  The remainder holds no uyy, so the worst point is
+    The field's symbolic ``onshell_remainder``, the prolonged field
+    applied to the residual and restricted exactly to the residual
+    manifold, is bound to the instance's six numbers and expanded once.
+    Of the parameters only a may be a symbol of the field: one named r,
+    c1, c2, gamma1 or gamma2 raises UnboundSymbolError before anything is
+    bound, so that it never takes the instance's number.  Any other extra
+    symbol stays unbound, and compiling the remainder raises
+    UnboundSymbolError unless the remainder is a structural 0.
+    ``sample_remainder`` samples the remainder's cancellation measure; a
+    remainder that reads zero (every sample at most ``tol``) admits the
+    field, one that reads nonzero (a sample at or above REFUTE_THRESHOLD)
+    refutes it, and anything in between is inconclusive.  The remainder holds no uyy, so the worst point is
     reported without it.  ``tol`` must lie in [0, REFUTE_THRESHOLD): a
     larger one would admit a field that a sample refutes.
     """
     if not 0 <= tol < REFUTE_THRESHOLD:
         raise ValueError(f"tol must be at least 0 and below {REFUTE_THRESHOLD:g}, got {tol!r}")
-    if (vf.xi1.free_symbols() | vf.xi2.free_symbols() | vf.phi.free_symbols()) <= _FIELD_SYMBOLS:
-        remainder = expand(inst.bind(onshell_remainder(vf)))
-    else:
-        remainder = _onshell(vf.bind(a=inst.a), inst.delta)
+    field_symbols = vf.xi1.free_symbols() | vf.xi2.free_symbols() | vf.phi.free_symbols()
+    clash = sorted(field_symbols.intersection(PARAMETERS[1:]))
+    if clash:
+        raise UnboundSymbolError(f"field symbols {clash} name parameters other than a "
+                                 f"and are not bound")
+    remainder = expand(inst.bind(onshell_remainder(vf)))
     sampled = sample_remainder(remainder, n_samples, seed)
     status = _STATUS[sampled.classify(tol)]
     return SymmetryVerdict(

@@ -19,6 +19,7 @@ import functools
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import BinaryIO, Callable, NoReturn
@@ -41,20 +42,18 @@ from .expr import (
     to_callable,  # noqa: F401  (unused: perfbench/tracing.py patches orbits.to_callable)
     to_cancellation,
 )
-from .family import PARAMETERS, PDEInstance, exceptional_vf, scaling_vf, symbolic_residual
-from .jets import characteristic
+from .family import PDEInstance, exceptional_vf, scaling_vf, symbolic_residual
+from .jets import X, Y, characteristic
 
-_X = sym("x")
-_Y = sym("y")
 _LAM = sym("lam")
 # the exponent parameter of the solution in symbolic_family_residual, apart
 # from the residual's own a
 _A_SOL = sym("a_sol")
 
 # x^2 + y^2 and the conformal factor as expressions (lam symbolic)
-_RHO2 = add(pow_(_X, num(2)), pow_(_Y, num(2)))
-_C_EXPR = add(num(1), mul(pow_(_LAM, num(2)), _RHO2), mul(num(2), _LAM, _Y))
-_B_EXPR = add(_Y, mul(_LAM, _RHO2))  # y + lam (x^2 + y^2)
+_RHO2 = add(pow_(X, num(2)), pow_(Y, num(2)))
+_C_EXPR = add(num(1), mul(pow_(_LAM, num(2)), _RHO2), mul(num(2), _LAM, Y))
+_B_EXPR = add(Y, mul(_LAM, _RHO2))  # y + lam (x^2 + y^2)
 
 
 def conformal_factor(x: float, y: float, lam: float) -> float:
@@ -74,7 +73,7 @@ def map_point_exprs(lam) -> tuple[Expr, Expr]:
     table = {"lam": as_expr(lam)}
     c_inv = pow_(substitute(_C_EXPR, table), num(-1))
     return (
-        mul(_X, c_inv),
+        mul(X, c_inv),
         mul(substitute(_B_EXPR, table), c_inv),
     )
 
@@ -117,7 +116,10 @@ def region(lam: float) -> RegionGeometry:
 
     Raises ValueError where x^2 + y^2 overflows at the far corner of the
     xor-check box (lam below about 1.5e-154): ``membership`` would read
-    inf there and disagree with the two disks, which do not overflow."""
+    inf there and disagree with the two disks, which do not overflow.
+    Raises ValueError too where the radius squared is subnormal (lam above
+    about 4.7e153): x^2 + y^2 underflows across the box, and
+    ``membership`` would lose the digits the disks keep."""
     if not lam > 0:
         raise ValueError(f"region geometry needs lam > 0, got {lam!r}")
     half = 1.0 / (2.0 * lam)
@@ -131,6 +133,9 @@ def region(lam: float) -> RegionGeometry:
     if math.isinf(x_far * x_far + y_far * y_far):
         raise ValueError(f"region geometry needs lam of at least about 1.5e-154, "
                          f"got {lam!r}: x^2 + y^2 overflows inside the region's box")
+    if geo.radius * geo.radius < sys.float_info.min:
+        raise ValueError(f"region geometry needs lam of at most about 4.7e153, "
+                         f"got {lam!r}: x^2 + y^2 underflows inside the region's box")
     return geo
 
 
@@ -164,7 +169,7 @@ def family_expr(a, lam) -> Expr:
     """[x^2 - (y + lam (x^2 + y^2))^2]^(-a/4); a and lam may be numeric or
     symbolic.  At lam = 0 it is the power solution (x^2 - y^2)^(-a/4)."""
     b = substitute(_B_EXPR, {"lam": as_expr(lam)})
-    return pow_(add(pow_(_X, num(2)), mul(num(-1), pow_(b, num(2)))),
+    return pow_(add(pow_(X, num(2)), mul(num(-1), pow_(b, num(2)))),
                 mul(Num(Fraction(-1, 4)), as_expr(a)))
 
 
@@ -291,7 +296,6 @@ class ResidualField:
     are none) and their count.  The nodes themselves go to
     ``residual_grid``'s sink as CSV rows."""
 
-    grid: GridSpec
     sup_norm: float | None
     n_in_domain: int
 
@@ -312,9 +316,7 @@ def solution_residual(inst: PDEInstance, sol: ClosedFormSolution) -> Expr:
     pushforward) has its jet substituted into ``inst.delta``."""
     if sol.lam is None:
         return substitute(inst.delta, sol.jet())
-    bindings = {name: getattr(inst, name) for name in PARAMETERS}
-    return substitute(symbolic_family_residual(),
-                      {**bindings, _A_SOL.name: sol.a, _LAM.name: sol.lam})
+    return inst.bind(symbolic_family_residual(), a_sol=sol.a, lam=sol.lam)
 
 
 def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
@@ -379,7 +381,7 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
 
     sup, count = in_row_blocks(grid.ny, grid.nx * grid.ny, work,
                                sink.write if sink is not None else lambda text: None)
-    return ResidualField(grid, sup if count else None, count)
+    return ResidualField(sup if count else None, count)
 
 
 # Grids of at least this many nodes are worked in row blocks, one per CPU

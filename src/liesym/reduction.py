@@ -67,16 +67,14 @@ _S = sym("s")
 _V = sym("v")
 _VS = sym("vs")
 _VSS = sym("vss")
-_X = X
-_Y = Y
 
 # chain rule for u = v(x^2 - y^2)
 _JET_SUBSTITUTION = {
     "u": _V,
-    "ux": mul(num(2), _X, _VS),
-    "uy": mul(num(-2), _Y, _VS),
-    "uxx": add(mul(num(2), _VS), mul(num(4), pow_(_X, num(2)), _VSS)),
-    "uyy": add(mul(num(-2), _VS), mul(num(4), pow_(_Y, num(2)), _VSS)),
+    "ux": mul(num(2), X, _VS),
+    "uy": mul(num(-2), Y, _VS),
+    "uxx": add(mul(num(2), _VS), mul(num(4), pow_(X, num(2)), _VSS)),
+    "uyy": add(mul(num(-2), _VS), mul(num(4), pow_(Y, num(2)), _VSS)),
 }
 
 
@@ -87,7 +85,7 @@ def _replace_even_y(e: Expr, replacement: Expr) -> Expr:
     if isinstance(e, Sym):
         raise ReductionError("odd power of y survives the reduction")
     if isinstance(e, Power):
-        if e.base == _Y:
+        if e.base == Y:
             p = e.exponent
             if isinstance(p, Num) and p.value.denominator == 1 and p.value.numerator % 2 == 0:
                 return pow_(replacement, Num(p.value / 2))
@@ -108,7 +106,7 @@ def reduce_residual(delta: Expr) -> Expr:
     residuals.
     """
     e = substitute(delta, _JET_SUBSTITUTION)
-    e = _replace_even_y(e, add(pow_(_X, num(2)), mul(num(-1), _S)))
+    e = _replace_even_y(e, add(pow_(X, num(2)), mul(num(-1), _S)))
     return expand(e)
 
 
@@ -166,9 +164,9 @@ def split_by_x2(red: Expr) -> tuple[Expr, Expr]:
         x_power = Fraction(0)
         rest: list[Expr] = []
         for f in factors:
-            if isinstance(f, Power) and f.base == _X and isinstance(f.exponent, Num):
+            if isinstance(f, Power) and f.base == X and isinstance(f.exponent, Num):
                 x_power = f.exponent.value
-            elif f == _X:
+            elif f == X:
                 x_power = Fraction(1)
             else:
                 rest.append(f)
@@ -227,7 +225,7 @@ def restricted_eval(target: Expr, system: ConstraintSystem, n_samples: int = 200
 
 def invariance_condition() -> Expr:
     """First-order invariance condition of the rotation field: y ux + x uy."""
-    return add(mul(_Y, UX), mul(_X, UY))
+    return add(mul(Y, UX), mul(X, UY))
 
 
 def auxiliary_constraint(inst: PDEInstance) -> Expr:
@@ -339,7 +337,7 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = 200, seed: int = 42) -> W
     ode_a, ode_b = split_by_x2(reduced)
     residual_a = verify_ode(ode_a, profile)
     residual_b = verify_ode(ode_b, profile)
-    split_exact = expand(add(ode_a, mul(pow_(_X, num(2)), ode_b))) == reduced
+    split_exact = expand(add(ode_a, mul(pow_(X, num(2)), ode_b))) == reduced
     degenerate = inst.gamma1 == 0
 
     verdicts = []

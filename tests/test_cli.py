@@ -436,7 +436,7 @@ class TestContract:
         assert code == 2 and out == ""
         assert "error:" in err and "Traceback" not in err
 
-    TINY_LAMBDA_COMMANDS = {
+    REGION_COMMANDS = {
         "region": ["region", "--samples", "2000"],
         "transform": ["transform", "--samples", "64"],
         "residual-grid": ["residual-grid", "--preset", "gss", "--solution", "family",
@@ -445,13 +445,31 @@ class TestContract:
 
     @pytest.mark.parametrize("lam,code", [("1e-154", 2), ("1e-200", 2), ("1e-320", 2),
                                           ("3e-154", 0)])
-    @pytest.mark.parametrize("command", sorted(TINY_LAMBDA_COMMANDS))
+    @pytest.mark.parametrize("command", sorted(REGION_COMMANDS))
     def test_lambda_too_small_for_the_region_exits_two(self, command, lam, code):
         # where x^2 + y^2 overflows inside the region's box, membership
         # reads inf: region would count mismatches of a true identity,
         # transform run out of redraws and the grid mask every node, each
         # exiting 1 as if refuted
-        got, out, err = run_cli([*self.TINY_LAMBDA_COMMANDS[command], f"--lambda={lam}"])
+        self._assert_region_exit(command, lam, code)
+
+    # each lam is written as its float's repr, which the error line prints
+    @pytest.mark.parametrize("lam", ["5e+153", "1e+160", "1e+200"])
+    @pytest.mark.parametrize("command", sorted(REGION_COMMANDS))
+    def test_lambda_too_large_for_the_region_exits_two(self, command, lam):
+        # where the region's radius squared is subnormal, x^2 + y^2
+        # underflows inside its box: region counted mismatches of a true
+        # identity and transform ran out of redraws, each exiting 1
+        self._assert_region_exit(command, lam, 2)
+
+    # not residual-grid: from lam of about 1e87 on, the terms of the GSS
+    # family residual overflow at every node, so the grid masks them all
+    @pytest.mark.parametrize("command", ["region", "transform"])
+    def test_lambda_just_below_the_underflow_keeps_the_region(self, command):
+        self._assert_region_exit(command, "4.7e+153", 0)
+
+    def _assert_region_exit(self, command, lam, code):
+        got, out, err = run_cli([*self.REGION_COMMANDS[command], f"--lambda={lam}"])
         assert got == code
         if code == 2:
             assert out == ""

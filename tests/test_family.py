@@ -321,6 +321,15 @@ class TestSymbolicRemainder:
         with pytest.raises(UnboundSymbolError, match=name):
             check_onshell_symmetry(field, gss_preset(), n_samples=5)
 
+    @pytest.mark.parametrize("name", ["r", "c1", "c2", "gamma1", "gamma2"])
+    def test_a_field_symbol_naming_a_parameter_raises_before_binding(self, name):
+        # name * d/dy leaves the residual, which holds no y, unchanged: bound
+        # to the instance's number the remainder would be a structural 0
+        # and admit the field
+        field = VectorField(num(0), sym(name), num(0))
+        with pytest.raises(UnboundSymbolError, match=name):
+            check_onshell_symmetry(field, gss_preset(), n_samples=5)
+
 
 class TestRemainderCache:
     """The symbolic derivations are kept across commands: one remainder
