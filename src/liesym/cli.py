@@ -168,10 +168,11 @@ def _at_least(low: int):
 
 def _instance_from_args(args) -> tuple[object, str]:
     if args.preset:
-        try:
-            return PRESETS[args.preset](), args.preset
-        except KeyError:
-            raise argparse.ArgumentTypeError(f"unknown preset {args.preset!r}")
+        given = [name for name in PARAMETERS if getattr(args, name) is not None]
+        if given:
+            raise argparse.ArgumentTypeError(
+                f"--preset given with {', '.join('--' + g for g in given)}")
+        return PRESETS[args.preset](), args.preset  # argparse's choices are PRESETS
     missing = [name for name in PARAMETERS if getattr(args, name) is None]
     if missing:
         raise argparse.ArgumentTypeError(

@@ -32,13 +32,6 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import DomainError, SamplingError, UnboundSymbolError
 
-# Reserved alphabet: jet coordinates, reduction variables, parameters.
-RESERVED_NAMES = (
-    "x", "y", "u", "ux", "uy", "uxx", "uxy", "uyy",
-    "s", "v", "vs", "vss",
-    "a", "r", "c1", "c2", "g1", "g2", "lam",
-)
-
 _KIND_NUM = 0
 _KIND_SYM = 1
 _KIND_POW = 2
@@ -475,16 +468,20 @@ def _align_negated_sums(factors: list[Expr], sums: list[int]) -> bool:
     return whether the signs (-1)^n taken out multiply to -1.  ``sums``
     are the positions of the factors with a sum base.  Of two integer
     powers, the base with the smaller sort key stays, as for a bare sum."""
+    def base(k: int) -> Expr:
+        return factors[k].base if isinstance(factors[k], Power) else factors[k]
+
     odd = False
-    seen: dict[int, int] = {}
+    seen: dict[int, list[int]] = {}  # every position by hash: hash(-1) == hash(-2)
     for i in sums:
-        bi = factors[i].base if isinstance(factors[i], Power) else factors[i]
+        bi = base(i)
         terms, negated = bi._signed or _signed_hashes(bi)
-        j = seen.get(negated)
-        bj = None if j is None else factors[j].base if isinstance(factors[j], Power) else factors[j]
-        if bj is None or set(_term_pairs(bj)) != {(t, -c) for t, c in _term_pairs(bi)}:
-            seen[terms] = i
+        want = {(t, -c) for t, c in _term_pairs(bi)} if negated in seen else None
+        j = next((k for k in seen.get(negated, ()) if set(_term_pairs(base(k))) == want), None)
+        if j is None:
+            seen.setdefault(terms, []).append(i)
             continue
+        bj = base(j)
         ni, nj = (f.exponent if isinstance(f, Power) else ONE for f in (factors[i], factors[j]))
         int_i, int_j = (isinstance(n, Num) and n.value.denominator == 1 for n in (ni, nj))
         if int_j and not (int_i and bi.sort_key() > bj.sort_key()):

@@ -70,13 +70,20 @@ def symbolic_residual() -> Expr:
     return family_residual(*map(sym, PARAMETERS))
 
 
+def nonzero_a(a) -> Fraction:
+    """A numeric parameter a as an exact rational; a = 0 raises ValueError,
+    as the family, its exponent pair and its solutions all need a != 0."""
+    a = num(a).value
+    if a == 0:
+        raise ValueError("parameter a must be nonzero")
+    return a
+
+
 def exceptional_exponents(a, r) -> tuple[Fraction, Fraction]:
     """Exponent pair admitting the exceptional symmetry, exact in
     rational arithmetic: c1 = 1 + 2(r+2)/a and c2 = 1 + 4/a."""
-    a = num(a).value
+    a = nonzero_a(a)
     r = num(r).value
-    if a == 0:
-        raise ValueError("parameter a must be nonzero")
     return 1 + 2 * (r + 2) / a, 1 + Fraction(4) / a
 
 
@@ -113,9 +120,7 @@ class PDEInstance:
 
 
 def build_instance(a, r, c1, c2, gamma1, gamma2) -> PDEInstance:
-    a = num(a).value
-    if a == 0:
-        raise ValueError("parameter a must be nonzero")
+    a = nonzero_a(a)
     r, c1, c2, gamma1, gamma2 = (num(v).value for v in (r, c1, c2, gamma1, gamma2))
     return PDEInstance(a, r, c1, c2, gamma1, gamma2)
 

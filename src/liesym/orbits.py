@@ -42,7 +42,7 @@ from .expr import (
     to_callable,  # noqa: F401  (unused: perfbench/tracing.py patches orbits.to_callable)
     to_cancellation,
 )
-from .family import PDEInstance, exceptional_vf, scaling_vf, symbolic_residual
+from .family import PDEInstance, exceptional_vf, nonzero_a, scaling_vf, symbolic_residual
 from .jets import X, Y, characteristic
 
 _LAM = sym("lam")
@@ -174,11 +174,7 @@ def family_expr(a, lam) -> Expr:
 
 
 def _solution_a(a):
-    if isinstance(a, Expr):
-        return a
-    if num(a).value == 0:
-        raise ValueError("parameter a must be nonzero")
-    return num(a).value
+    return a if isinstance(a, Expr) else nonzero_a(a)
 
 
 def _wedge(x: float, y: float) -> bool:

@@ -10,19 +10,16 @@ Grammar (whitespace insignificant)::
 
 Numbers are unsigned decimal literals and parse to exact rationals
 (``1.5`` becomes 3/2).  Symbols match ``[A-Za-z][A-Za-z0-9_]*``; ``log``
-is reserved for the logarithm.  In strict mode any symbol outside the
-reserved alphabet (plus explicitly declared extras) is rejected.
+is reserved for the logarithm; every other name is a symbol.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import ParseError
 from .expr import (
     _MINUS_ONE,
-    RESERVED_NAMES,
     Expr,
     Sym,
     add,
@@ -45,11 +42,9 @@ def _read_int(digits: str) -> int:
 
 
 class _Parser:
-    def __init__(self, text: str, strict: bool, declared: frozenset[str]):
+    def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.strict = strict
-        self.declared = declared
 
     def error(self, message: str, offset: int | None = None):
         raise ParseError(message, self.pos if offset is None else offset)
@@ -168,15 +163,12 @@ class _Parser:
             e = self.expr()
             self.expect(")")
             return log_(e)
-        if self.strict and name not in RESERVED_NAMES and name not in self.declared:
-            self.error(f"unknown symbol {name!r}", start)
         return Sym(name)
 
 
-def parse(text: str, strict: bool = False, declared: Iterable[str] = ()) -> Expr:
+def parse(text: str) -> Expr:
     """Parse expression text into a canonical expression tree.
 
-    Raises ParseError (with byte offset) on malformed input, and on
-    undeclared symbols when ``strict`` is set.
+    Raises ParseError (with byte offset) on malformed input.
     """
-    return _Parser(text, strict, frozenset(declared)).parse()
+    return _Parser(text).parse()

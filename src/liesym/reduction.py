@@ -9,7 +9,7 @@ so the hyperbolic rotation Y is not a proper conditional symmetry; but
 collecting powers of x^2 splits the equation into two ODEs that share
 the profile v = s^(-a/4) when g1 = (a/2)(a+4) and g2 = -(a/4)(3a+4).
 The module also restricts the prolonged rotation applied to the residual
-exactly to three constraint manifolds (the residual alone; plus the
+exactly to three nested constraint manifolds (the residual alone; plus the
 invariance condition; the jet of the invariant solution), reproducing
 the nonzero / nonzero / zero pattern that defines the weak conditional
 symmetry, and reports the two routes together.
@@ -30,6 +30,7 @@ from .expr import (
     Sum,
     Sym,
     add,
+    as_expr,
     diff,
     eval_at,  # noqa: F401  (unused: perfbench/tracing.py patches reduction.eval_at)
     expand,
@@ -46,6 +47,7 @@ from .family import (
     SymmetryVerdict,
     check_onshell_symmetry,
     exceptional_vf,
+    nonzero_a,
     onshell_remainder,
     rotation_like_vf,
     symbolic_residual,
@@ -115,14 +117,17 @@ def reduce_residual(delta: Expr) -> Expr:
 # built once over the symbols of family.PARAMETERS, takes no argument and so
 # keeps one entry, and is bound to an instance by substitution, as
 # family.onshell_remainder is for check-symmetry; nothing is derived at
-# import.  The invariant-solution stage is not kept: restricted over symbolic
-# a, its remainder is structurally different from the per-instance one
-# (expand leaves an integer power above 16 of a sum alone, so a kept
-# remainder bound at c1 = 1340 reads -2*x*y*(x^2 - y^2)^335, where the
-# instance's own restriction gives two terms).
+# import.  The reduction and the stage-2 remainder are sums of monomials
+# with no base common to every term, so binding them leaves them expanded.
+# The invariant-solution stage is not kept: restricted over symbolic a, its
+# remainder is structurally different from the per-instance one (expand
+# leaves an integer power above 16 of a sum alone, so a kept remainder
+# bound at c1 = 1340 reads -2*x*y*(x^2 - y^2)^335, where substituting the
+# instance's own jet gives two terms).
 @functools.cache
 def symbolic_reduction() -> Expr:
-    """``reduce_residual`` of the symbolic family residual."""
+    """``reduce_residual`` of the symbolic family residual:
+    ``-4*s*vss - gamma1*v^(c1)*x^(r) - gamma2*v^(c2) + 2*a*vs + 8*vss*x^2``."""
     return reduce_residual(symbolic_residual())
 
 
@@ -134,19 +139,20 @@ def symbolic_auxiliary() -> Expr:
 
 @functools.cache
 def symbolic_invariance_remainder() -> Expr:
-    """``symbolic_auxiliary()`` restricted exactly to the symbolic residual
-    and the invariance condition, solved for uyy and uy."""
-    return ConstraintSystem((symbolic_residual(), invariance_condition()),
-                            ("uyy", "uy")).restrict(symbolic_auxiliary())
+    """The stage-1 remainder ``onshell_remainder(Y)`` restricted by the
+    invariance condition alone, solved for uy:
+    ``-4*uxy - gamma1*r*y*u^(c1)*x^(-1 + r)``, the restriction of
+    ``symbolic_auxiliary()`` to the residual and the invariance condition."""
+    return ConstraintSystem((invariance_condition(),), ("uy",)).restrict(
+        onshell_remainder(rotation_like_vf()))
 
 
 def reduce_to_invariant(inst: PDEInstance) -> Expr:
     """Reduction of an r = 2 instance to the invariant variable: the kept
-    ``symbolic_reduction()`` with the instance's numbers bound and expanded
-    once."""
+    ``symbolic_reduction()`` with the instance's numbers bound."""
     if inst.r != 2:
         raise ReductionError(f"reduction requires r = 2, got r = {inst.r}")
-    return expand(inst.bind(symbolic_reduction()))
+    return inst.bind(symbolic_reduction())
 
 
 def split_by_x2(red: Expr) -> tuple[Expr, Expr]:
@@ -192,16 +198,12 @@ def candidate_profile(a) -> tuple[Expr, object, object]:
     Numeric ``a`` gives exact rational strengths; a symbolic ``a`` gives
     them as expressions.
     """
-    if isinstance(a, Expr):
-        v = pow_(_S, mul(Num(Fraction(-1, 4)), a))
-        g1 = mul(Num(Fraction(1, 2)), a, add(a, num(4)))
-        g2 = mul(Num(Fraction(-1, 4)), a, add(mul(num(3), a), num(4)))
-        return v, g1, g2
-    a = num(a).value
-    if a == 0:
-        raise ValueError("parameter a must be nonzero")
-    v = pow_(_S, Num(-a / 4))
-    return v, (a / 2) * (a + 4), (-a / 4) * (3 * a + 4)
+    symbolic = isinstance(a, Expr)
+    a = as_expr(a if symbolic else nonzero_a(a))
+    v = pow_(_S, mul(Num(Fraction(-1, 4)), a))
+    g1 = mul(Num(Fraction(1, 2)), a, add(a, num(4)))
+    g2 = mul(Num(Fraction(-1, 4)), a, add(mul(num(3), a), num(4)))
+    return (v, g1, g2) if symbolic else (v, g1.value, g2.value)
 
 
 def verify_ode(ode: Expr, v_expr: Expr) -> Expr:
@@ -300,15 +302,18 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = 200, seed: int = 42) -> W
     """Run the full weak-conditional-symmetry argument on an instance.
 
     The auxiliary constraint A, the prolonged rotation applied to the
-    residual, is restricted exactly to three manifolds: the residual
+    residual, is restricted exactly to three nested manifolds: the residual
     manifold, then adding the invariance condition, then the 2-jet of the
     invariant solution (x^2 - y^2)^(-a/4), where A vanishes when the
     system {residual, invariance, A} is compatible.  The first two
     remainders are kept derivations bound to the instance (the first is
-    what ``check-symmetry --field Y`` samples); the third restricts the
-    bound A on the instance's jet.  Each remainder is sampled for its
-    verdict.  The anti-reduction route follows: reduce, split by powers of
-    x^2, and verify the power profile against both separated ODEs.
+    what ``check-symmetry --field Y`` samples, the second restricts it by
+    the invariance condition); the third substitutes the instance's jet
+    into the bound A and expands, which is the restriction to the jet's
+    constraints ``u - u(x, y)``, ..., each solved with coefficient 1.
+    Each remainder is sampled for its verdict.  The anti-reduction route
+    follows: reduce, split by powers of x^2, and verify the power profile
+    against both separated ODEs.
     """
     if inst.r != 2:
         raise ReductionError(f"the reduction chain requires r = 2, got {inst.r}")
@@ -322,8 +327,8 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = 200, seed: int = 42) -> W
         ("residual", ConstraintSystem((delta,), ("uyy",)),
          expand(inst.bind(onshell_remainder(rotation_like_vf())))),
         ("residual+invariance", ConstraintSystem((delta, invariance_condition()), ("uyy", "uy")),
-         expand(inst.bind(symbolic_invariance_remainder()))),
-        ("invariant-solution", solution, solution.restrict(auxiliary_constraint(inst))),
+         inst.bind(symbolic_invariance_remainder())),
+        ("invariant-solution", solution, expand(substitute(auxiliary_constraint(inst), jet))),
     )
     stages = []
     for name, system, remainder in stage_systems:

@@ -419,6 +419,19 @@ class TestContract:
         monkeypatch.setattr(cli, "residual_grid", refuse)
         assert run_cli(argv) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("command", ["check-symmetry", "residual-grid", "reduce",
+                                         "weak-cs"])
+    @pytest.mark.parametrize("flags,named", [
+        (["--c1=5"], "--c1"),
+        (["--gamma2=1", "--a=2"], "--a, --gamma2"),
+    ], ids=["c1", "a-and-gamma2"])
+    def test_preset_with_parameter_flags_exits_two(self, command, flags, named):
+        # the preset silently won: check-symmetry --preset gss --c1=5
+        # reported "c1": "-7" as admitted, a verdict on an instance the
+        # flags did not ask for
+        assert run_cli([command, "--preset", "gss", *flags]) == (
+            2, "", f"error: --preset given with {named}\n")
+
     @pytest.mark.parametrize("argv", [
         ["exponents", "--a=1e400", "--r=2"],
         ["exponents", "--a=1e-400", "--r=2"],

@@ -42,11 +42,13 @@ from liesym import (
     split_by_x2,
     sym,
     symbolic_auxiliary,
+    symbolic_invariance_remainder,
+    symbolic_residual,
     to_text,
     verify_ode,
     weak_cs_report,
 )
-from liesym.expr import clear_memo
+from liesym.expr import clear_memo, substitute
 
 
 def _symbolic_exceptional_residual():
@@ -395,9 +397,9 @@ def _assert_routes_agree(inst):
 class TestKeptDerivations:
     """weak-cs and reduce bind derivations kept over symbolic parameters;
     node for node, that must be what the per-instance routes build.  The
-    invariant-solution stage restricts the bound A on the instance's own
-    jet: restricted over symbolic a instead and then bound, it is not the
-    same expression (see test_stage_three_is_not_kept)."""
+    invariant-solution stage substitutes the instance's own jet into the
+    bound A: restricted over symbolic a instead and then bound, it is not
+    the same expression (see test_stage_three_is_not_kept)."""
 
     A_VALUES = sorted({Fraction(p, q) for p in (*range(-8, 0), *range(1, 9)) for q in (1, 2, 3)})
 
@@ -442,3 +444,107 @@ class TestKeptDerivations:
         assert to_text(bound) == "-3*x*y*(x^2 - y^2)^(-7/4) - 2*x*y*(x^2 - y^2)^335"
         assert to_text(per_instance) == ("-3*x*y*(x^2 - y^2)^(-7/4) - 2*y*x^3*(x^2 - y^2)^334"
                                          " + 2*x*y^3*(x^2 - y^2)^334")
+
+
+A_VALUES = TestKeptDerivations.A_VALUES
+
+
+def _profile_instance(a):
+    """The exceptional r = 2 instance at a with the profile's source strengths."""
+    return build_instance(a, 2, *exceptional_exponents(a, 2), *candidate_profile(a)[1:])
+
+
+class TestRestrictionShortcuts:
+    """weak-cs and reduce restrict nothing per op.  Each shortcut below
+    must build, node for node, what the general restriction builds."""
+
+    @staticmethod
+    def _assert_stage_three_substitutes(inst):
+        # each jet constraint is s - v with v free of every jet symbol, so
+        # restrict solves s = v with coefficient 1 and its re-substitution
+        # changes nothing: substituting the jet is the restriction
+        rep = weak_cs_report(inst, n_samples=3, seed=5)
+        stage = rep.stages[2]
+        assert stage.system == _solution_system(inst.a)
+        assert stage.stats.remainder == stage.system.restrict(auxiliary_constraint(inst)), \
+            inst.params_text()
+
+    def test_stage_three_on_every_workload_a(self):
+        assert len(A_VALUES) == 36
+        for a in A_VALUES:
+            self._assert_stage_three_substitutes(_profile_instance(a))
+            clear_memo()
+
+    @pytest.mark.parametrize("params", [
+        (-1, 2, 1340, 900, 1, 1),  # the large-exponent instance of test_stage_three_is_not_kept
+        (-4, 2, -1, 0, 0, -8),  # c2 = 0 and gamma1 = 0
+        (-8, 2, 0, Fraction(1, 2), 12, -40),  # c1 = 0
+        (-1, 2, -7, -3, 0, Fraction(1, 4)),  # gamma1 = 0
+        (-1, 2, -7, -3, 7, -3),  # off-profile gammas
+    ], ids=["c1-1340", "a-4", "a-8", "gamma1-0", "off-profile"])
+    def test_stage_three_on_named_instances(self, params):
+        self._assert_stage_three_substitutes(build_instance(*params))
+
+    if st is not None:
+        rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+        @settings(max_examples=40, deadline=None)
+        @given(st.sampled_from([*A_VALUES, Fraction(-4), Fraction(-8)]), rationals,
+               rationals, rationals.filter(bool), rationals, st.booleans())
+        def test_stage_three_on_random_instances(self, a, c1, c2, g1, g2, zero_gamma1):
+            self._assert_stage_three_substitutes(
+                build_instance(a, 2, c1, c2, 0 if zero_gamma1 else g1, g2))
+
+    def test_stage_two_chains_from_stage_one(self):
+        # the oracle: the symbolic A restricted by the residual and the
+        # invariance condition together, as stage 2 was derived before
+        oracle = ConstraintSystem((symbolic_residual(), invariance_condition()),
+                                  ("uyy", "uy")).restrict(symbolic_auxiliary())
+        assert symbolic_invariance_remainder() == oracle
+        assert to_text(oracle) == "-4*uxy - gamma1*r*y*u^(c1)*x^(-1 + r)"
+
+    if st is not None:
+        @settings(max_examples=60, deadline=None)
+        @given(rationals.filter(bool), rationals, rationals, rationals, rationals, rationals)
+        def test_bound_derivations_are_expanded(self, a, r, c1, c2, g1, g2):
+            inst = build_instance(a, r, c1, c2, g1, g2)
+            stage_two = inst.bind(symbolic_invariance_remainder())
+            assert expand(stage_two) == stage_two
+            at_r_two = build_instance(a, 2, c1, c2, g1, g2)
+            reduced = reduce_to_invariant(at_r_two)
+            assert expand(reduced) == reduced
+
+    def test_no_restriction_per_op(self, monkeypatch):
+        weak_cs_report(gss_preset(), n_samples=3)  # derives what is kept
+        calls = []
+        restrict = ConstraintSystem.restrict
+
+        def counting(self, target):
+            calls.append(self)
+            return restrict(self, target)
+
+        monkeypatch.setattr(ConstraintSystem, "restrict", counting)
+        inst = _profile_instance(Fraction(5, 3))
+        for field in (rotation_like_vf(), exceptional_vf()):
+            check_onshell_symmetry(field, inst, n_samples=3)
+        assert weak_cs_report(inst, n_samples=3).confirmed
+        reduce_to_invariant(inst)
+        assert calls == []
+
+    @staticmethod
+    def _assert_profile_binds(a):
+        symbolic = candidate_profile(sym("a"))
+        v, g1, g2 = candidate_profile(a)
+        assert v == substitute(symbolic[0], {"a": a})
+        assert [num(g1), num(g2)] == [substitute(g, {"a": a}) for g in symbolic[1:]]
+        assert isinstance(g1, Fraction) and isinstance(g2, Fraction)
+
+    def test_numeric_profile_is_the_symbolic_one_bound(self):
+        for a in (*A_VALUES, Fraction(-4), Fraction(-8), Fraction(-4, 3)):
+            self._assert_profile_binds(a)
+
+    if st is not None:
+        @settings(max_examples=60, deadline=None)
+        @given(st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool))
+        def test_numeric_profile_on_random_a(self, a):
+            self._assert_profile_binds(a)
