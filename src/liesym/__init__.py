@@ -20,7 +20,6 @@ from .errors import (
 from .expr import (
     EquivResult,
     Expr,
-    Log,
     Num,
     Power,
     Product,

@@ -6,8 +6,7 @@ JSON summary to stdout).  Exit codes: 0 when the checked property is
 verified, 1 when it is refuted or inconclusive, 2 on usage errors and
 when ``--output`` cannot be written.
 Reports are deterministic for a fixed seed; the timestamp field sits on
-its own line so two runs can be compared modulo that line.  The
-environment variable LIESYM_SEED, when set, overrides ``--seed``.
+its own line so two runs can be compared modulo that line.
 """
 
 from __future__ import annotations
@@ -38,11 +37,11 @@ from .family import (
     NAMED_FIELDS,
     PARAMETERS,
     PRESETS,
-    REFUTE_THRESHOLD,
     build_instance,
     check_onshell_symmetry,
     exceptional_exponents,
 )
+from .jets import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL, REFUTE_THRESHOLD
 from .orbits import (
     CSV_HEADER,
     GridSpec,
@@ -204,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-symmetry", help="on-shell symmetry verdict")
     _add_instance_flags(p)
     p.add_argument("--field", choices=sorted(NAMED_FIELDS), default="X")
-    p.add_argument("--samples", type=_at_least(1), default=200)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--samples", type=_at_least(1), default=DEFAULT_SAMPLES)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     _common_flags(p)
 
     p = sub.add_parser("transform", help="finite group action on the power solution")
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-max", type=_finite, default=None)
     p.add_argument("--nx", type=_at_least(1), default=50)
     p.add_argument("--ny", type=_at_least(1), default=50)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     _common_flags(p)
 
     p = sub.add_parser("region", help="two-disk validity region geometry")
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weak-cs", help="weak conditional symmetry chain")
     _add_instance_flags(p)
-    p.add_argument("--samples", type=_at_least(1), default=200)
+    p.add_argument("--samples", type=_at_least(1), default=DEFAULT_SAMPLES)
     p.add_argument("--consequences", action="store_true",
                    help="echoed as include_consequences; adds nothing: the invariance "
                         "condition Q, D_x Q and D_y Q vanish on the last stage's jet")
@@ -254,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
 
 
@@ -483,13 +482,6 @@ def run(argv: list[str], out=None, err=None) -> int:
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    env_seed = os.environ.get("LIESYM_SEED")
-    if env_seed is not None:
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            err.write(f"error: LIESYM_SEED must be an integer, got {env_seed!r}\n")
-            return 2
     try:
         fields, ok = _HANDLERS[args.command](args, out)
         # residual-grid's --output is its CSV; its report stays on stdout

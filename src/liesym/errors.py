@@ -22,8 +22,7 @@ class UnboundSymbolError(LiesymError):
 
 class DomainError(LiesymError):
     """Evaluation left the real domain (fractional power of a non-positive
-    base, log of a non-positive argument, 0 raised to a negative power,
-    or floating-point overflow)."""
+    base, 0 raised to a negative power, or floating-point overflow)."""
 
 
 class OrderOverflowError(LiesymError):

@@ -1,7 +1,7 @@
 """Minimal symbolic kernel: expression trees with canonical forms.
 
 Nodes are immutable; every constructor (``num``, ``sym``, ``add``, ``mul``,
-``pow_``, ``log_``) returns a canonicalized tree, so any two expressions
+``pow_``) returns a canonicalized tree, so any two expressions
 built from the same mathematical content through these constructors compare
 structurally equal.  Canonical form means:
 
@@ -35,7 +35,6 @@ from .errors import DomainError, SamplingError, UnboundSymbolError
 _KIND_NUM = 0
 _KIND_SYM = 1
 _KIND_POW = 2
-_KIND_LOG = 3
 _KIND_PRODUCT = 4
 _KIND_SUM = 5
 
@@ -163,32 +162,6 @@ class Power(Expr):
             and self.base == other.base
             and self.exponent == other.exponent
         )
-
-    __hash__ = Expr.__hash__
-
-
-class Log(Expr):
-    """Natural logarithm; only produced by differentiating symbolic
-    exponents, and accepted back by the parser as ``log(...)``."""
-
-    __slots__ = ("arg", "_key")
-
-    def __init__(self, arg: Expr):
-        self.arg = arg
-        self._hash = hash((_KIND_LOG, arg))
-        self._free = None
-        self._key = None
-
-    def sort_key(self):
-        if self._key is None:
-            self._key = (_KIND_LOG, self.arg.sort_key())
-        return self._key
-
-    def _compute_free(self):
-        return self.arg.free_symbols()
-
-    def __eq__(self, other):
-        return isinstance(other, Log) and self.arg == other.arg
 
     __hash__ = Expr.__hash__
 
@@ -354,13 +327,6 @@ def _canonical_pow(b: Expr, p: Expr) -> Expr:
         ):
             return mul(*[pow_(f, p) for f in b.factors])
     return Power(b, p)
-
-
-def log_(arg) -> Expr:
-    a = as_expr(arg)
-    if a == ONE:
-        return ZERO
-    return Log(a)
 
 
 def mul(*factors) -> Expr:
@@ -644,8 +610,6 @@ def simplify(e: Expr) -> Expr:
         return mul(*[simplify(f) for f in e.factors])
     if isinstance(e, Power):
         return pow_(simplify(e.base), simplify(e.exponent))
-    if isinstance(e, Log):
-        return log_(simplify(e.arg))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -688,18 +652,10 @@ def _derivative(e: Expr, name: str) -> Expr:
         return add(*parts)
     if isinstance(e, Power):
         b, p = e.base, e.exponent
-        if name not in p.free_symbols():
-            return mul(p, pow_(b, add(p, _MINUS_ONE)), _diff(b, name))
-        # exponent depends on the variable: d(b^p) = b^p (p' log b + p b'/b)
-        return mul(
-            e,
-            add(
-                mul(_diff(p, name), log_(b)),
-                mul(p, _diff(b, name), pow_(b, _MINUS_ONE)),
-            ),
-        )
-    if isinstance(e, Log):
-        return mul(_diff(e.arg, name), pow_(e.arg, _MINUS_ONE))
+        if name in p.free_symbols():
+            # its derivative needs log b, which is not in the language
+            raise ValueError(f"exponent {to_text(p)} depends on {name}")
+        return mul(p, pow_(b, add(p, _MINUS_ONE)), _diff(b, name))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -727,8 +683,6 @@ def _substitute(e: Expr, table: dict[str, Expr]) -> Expr:
         return mul(*[_substitute(f, table) for f in e.factors])
     if isinstance(e, Power):
         return pow_(_substitute(e.base, table), _substitute(e.exponent, table))
-    if isinstance(e, Log):
-        return log_(_substitute(e.arg, table))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -746,8 +700,6 @@ def expand(e: Expr) -> Expr:
         return e
     if isinstance(e, Sum):
         return _add_terms([expand(t) for t in e.terms], factor=False)
-    if isinstance(e, Log):
-        return log_(expand(e.arg))
     if isinstance(e, Product):
         buckets: list[list[Expr]] = [[]]
         for f in e.factors:
@@ -804,12 +756,6 @@ def _real_pow(b: float, p: float) -> float:
     raise DomainError(f"fractional power of negative base {b!r}")
 
 
-def _real_log(v: float) -> float:
-    if v <= 0.0:
-        raise DomainError(f"log of non-positive value {v!r}")
-    return math.log(v)
-
-
 def eval_at(e: Expr, env: Mapping[str, float]) -> float:
     """Evaluate to an IEEE double.  Every free symbol must be bound."""
     if isinstance(e, Num):
@@ -842,8 +788,6 @@ def eval_at(e: Expr, env: Mapping[str, float]) -> float:
             except OverflowError as exc:
                 raise DomainError(f"overflow in {b!r}^{n}") from exc
         return _real_pow(b, eval_at(e.exponent, env))
-    if isinstance(e, Log):
-        return _real_log(eval_at(e.arg, env))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -855,7 +799,7 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body) -> Callabl
     straight-line code with one slot per distinct compound subexpression,
     in the order a left-to-right walk first meets them, so a repeated
     subtree is computed once.  Each slot keeps its node's operand order
-    and ``_pow``/``_log`` call: every finite value is bit-identical to
+    and ``_pow`` call: every finite value is bit-identical to
     ``eval_at``.  A positive even integer power calls ``math.pow``
     directly as ``_mpow``: for every double base it gives what
     ``_real_pow`` gives, and the one overflow it can raise is turned into
@@ -895,8 +839,6 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body) -> Callabl
                 rhs = f"{'_mpow' if even else '_pow'}({ref(node.base)}, {float(p.value)!r})"
             else:
                 rhs = f"_pow({ref(node.base)}, {ref(p)})"
-        elif isinstance(node, Log):
-            rhs = f"_log({ref(node.arg)})"
         else:
             raise TypeError(f"not an expression: {node!r}")
         return slots.setdefault(node, let(rhs))
@@ -910,9 +852,8 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body) -> Callabl
         "    except OverflowError as exc:",
         "        raise _DomainError('overflow in an even power') from exc",
     ])
-    namespace = {"_pow": _real_pow, "_mpow": math.pow, "_log": _real_log,
-                 "_isfinite": math.isfinite, "_nonfinite": _nonfinite,
-                 "_DomainError": DomainError}
+    namespace = {"_pow": _real_pow, "_mpow": math.pow, "_isfinite": math.isfinite,
+                 "_nonfinite": _nonfinite, "_DomainError": DomainError}
     exec(compile(source, "<liesym>", "exec"), namespace)  # noqa: S102
     return namespace["_f"]
 
@@ -921,12 +862,12 @@ def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     """Compile to a positional-argument Python function (see ``_compile``).
 
     Off the real domain (a fractional power of a negative base, 0 to a
-    negative power, the log of a non-positive value, an overflowing
-    power) it raises DomainError as ``eval_at`` does.  An overflowing
-    product is the one difference: ``eval_at`` raises DomainError, the
-    compiled product is ``inf``.  So every consumer treats a non-finite
-    value as off the domain: ``to_cancellation`` raises DomainError, and
-    the sampled verdicts redraw the point."""
+    negative power, an overflowing power) it raises DomainError as
+    ``eval_at`` does.  An overflowing product is the one difference:
+    ``eval_at`` raises DomainError, the compiled product is ``inf``.  So
+    every consumer treats a non-finite value as off the domain:
+    ``to_cancellation`` raises DomainError, and the sampled verdicts
+    redraw the point."""
     return _compile((e,), arg_names, lambda ref, let: ref(e))
 
 
@@ -1127,8 +1068,6 @@ def to_text(e: Expr) -> str:
         return e.name
     if isinstance(e, Power):
         return f"{_paren_base(e.base)}^{_paren_exponent(e.exponent)}"
-    if isinstance(e, Log):
-        return f"log({to_text(e.arg)})"
     if isinstance(e, Product):
         coeff, rest = _strip_coeff(e)
         factors = rest.factors if isinstance(rest, Product) else (rest,)

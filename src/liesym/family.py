@@ -31,6 +31,9 @@ from .expr import (
     sym,
 )
 from .jets import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    DEFAULT_TOL,
     JET_NAMES,
     REFUTE_THRESHOLD,
     U,
@@ -211,9 +214,9 @@ def onshell_remainder(vf: VectorField) -> Expr:
 def check_onshell_symmetry(
     vf: VectorField,
     inst: PDEInstance,
-    n_samples: int = 200,
-    tol: float = 1e-9,
-    seed: int = 42,
+    n_samples: int = DEFAULT_SAMPLES,
+    tol: float = DEFAULT_TOL,
+    seed: int = DEFAULT_SEED,
 ) -> SymmetryVerdict:
     """Decide whether a field is a symmetry on the solution manifold of an
     instance.

@@ -229,6 +229,11 @@ class ConstraintSystem:
 # tolerance and this leaves the remainder inconclusive
 REFUTE_THRESHOLD = 1e-3
 
+# the defaults of every sampled verdict, in the library and the CLI
+DEFAULT_SAMPLES = 200
+DEFAULT_SEED = 42
+DEFAULT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SampledRemainder:
@@ -241,7 +246,7 @@ class SampledRemainder:
     samples: int
     resampled: int
 
-    def classify(self, tol: float = 1e-9) -> str:
+    def classify(self, tol: float = DEFAULT_TOL) -> str:
         """The remainder's reading: "zero" when every sample is at most
         ``tol``, "nonzero" when one reaches REFUTE_THRESHOLD, else
         "inconclusive"."""
@@ -252,7 +257,8 @@ class SampledRemainder:
         return "inconclusive"
 
 
-def sample_remainder(remainder: Expr, n_samples: int = 200, seed: int = 42) -> SampledRemainder:
+def sample_remainder(remainder: Expr, n_samples: int = DEFAULT_SAMPLES,
+                     seed: int = DEFAULT_SEED) -> SampledRemainder:
     """Sample a remainder in jet coordinates, such as the result of
     ``ConstraintSystem.restrict``.  Its ``to_cancellation`` measure is
     compiled once and |measure| is taken at ``n_samples`` seeded jet

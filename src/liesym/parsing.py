@@ -5,12 +5,12 @@ Grammar (whitespace insignificant)::
     expr     := term (('+'|'-') term)*
     term     := factor (('*'|'/') factor)*
     factor   := base ('^' exponent)?
-    base     := number | symbol | '(' expr ')' | '-' factor | 'log' '(' expr ')'
+    base     := number | symbol | '(' expr ')' | '-' factor
     exponent := ('-')? number | '(' expr ')'
 
 Numbers are unsigned decimal literals and parse to exact rationals
-(``1.5`` becomes 3/2).  Symbols match ``[A-Za-z][A-Za-z0-9_]*``; ``log``
-is reserved for the logarithm; every other name is a symbol.
+(``1.5`` becomes 3/2).  Symbols match ``[A-Za-z][A-Za-z0-9_]*``; no
+name is reserved.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .expr import (
     Expr,
     Sym,
     add,
-    log_,
     mul,
     num,
     pow_,
@@ -157,13 +156,7 @@ class _Parser:
             self.text[self.pos].isalnum() or self.text[self.pos] == "_"
         ):
             self.pos += 1
-        name = self.text[start:self.pos]
-        if name == "log":
-            self.expect("(")
-            e = self.expr()
-            self.expect(")")
-            return log_(e)
-        return Sym(name)
+        return Sym(self.text[start:self.pos])
 
 
 def parse(text: str) -> Expr:

@@ -53,6 +53,8 @@ from .family import (
     symbolic_residual,
 )
 from .jets import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     UX,
     UY,
     X,
@@ -149,9 +151,10 @@ def symbolic_invariance_remainder() -> Expr:
 
 def reduce_to_invariant(inst: PDEInstance) -> Expr:
     """Reduction of an r = 2 instance to the invariant variable: the kept
-    ``symbolic_reduction()`` with the instance's numbers bound."""
+    ``symbolic_reduction()`` with the instance's numbers bound.  Another r
+    raises ValueError: the reduction is not defined there."""
     if inst.r != 2:
-        raise ReductionError(f"reduction requires r = 2, got r = {inst.r}")
+        raise ValueError(f"reduction requires r = 2, got r = {inst.r}")
     return inst.bind(symbolic_reduction())
 
 
@@ -217,8 +220,8 @@ def verify_ode(ode: Expr, v_expr: Expr) -> Expr:
 # restricted evaluation on constraint manifolds
 
 
-def restricted_eval(target: Expr, system: ConstraintSystem, n_samples: int = 200,
-                    seed: int = 42) -> SampledRemainder:
+def restricted_eval(target: Expr, system: ConstraintSystem, n_samples: int = DEFAULT_SAMPLES,
+                    seed: int = DEFAULT_SEED) -> SampledRemainder:
     """Sample a target on the manifold cut out by the constraints: its
     exact remainder (``ConstraintSystem.restrict``) goes to
     ``sample_remainder``."""
@@ -298,7 +301,8 @@ class WeakCSReport:
         }
 
 
-def weak_cs_report(inst: PDEInstance, n_samples: int = 200, seed: int = 42) -> WeakCSReport:
+def weak_cs_report(inst: PDEInstance, n_samples: int = DEFAULT_SAMPLES,
+                   seed: int = DEFAULT_SEED) -> WeakCSReport:
     """Run the full weak-conditional-symmetry argument on an instance.
 
     The auxiliary constraint A, the prolonged rotation applied to the
@@ -313,10 +317,11 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = 200, seed: int = 42) -> W
     constraints ``u - u(x, y)``, ..., each solved with coefficient 1.
     Each remainder is sampled for its verdict.  The anti-reduction route
     follows: reduce, split by powers of x^2, and verify the power profile
-    against both separated ODEs.
+    against both separated ODEs.  An instance with r other than 2 raises
+    ValueError.
     """
     if inst.r != 2:
-        raise ReductionError(f"the reduction chain requires r = 2, got {inst.r}")
+        raise ValueError(f"the reduction chain requires r = 2, got {inst.r}")
 
     delta = inst.delta
     profile, _g1, _g2 = candidate_profile(inst.a)

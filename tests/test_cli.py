@@ -14,17 +14,9 @@ from liesym import cli
 from liesym.cli import _print_report, build_parser, emit_csv, read_csv_sup_norm, run
 
 
-def run_cli(argv, env_seed=None):
+def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
-    old = os.environ.pop("LIESYM_SEED", None)
-    if env_seed is not None:
-        os.environ["LIESYM_SEED"] = env_seed
-    try:
-        code = run(argv, out=out, err=err)
-    finally:
-        os.environ.pop("LIESYM_SEED", None)
-        if old is not None:
-            os.environ["LIESYM_SEED"] = old
+    code = run(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -358,18 +350,6 @@ class TestContract:
         code, _, _ = run_cli(["no-such-command"])
         assert code == 2
 
-    def test_env_seed_overrides_flag(self):
-        code, out, _ = run_cli(
-            ["check-symmetry", "--preset", "gss", "--samples", "40",
-             "--seed", "1"], env_seed="999")
-        assert code == 0
-        assert json.loads(out)["seed"] == 999
-
-    def test_bad_env_seed_is_usage_error(self):
-        code, _, err = run_cli(
-            ["check-symmetry", "--preset", "gss"], env_seed="not-a-number")
-        assert code == 2
-
     @pytest.mark.parametrize("argv", [
         ["residual-grid", "--preset", "gss", "--solution", "family", "--x-min", "1",
          "--x-max", "inf", "--y-min", "-0.5", "--y-max", "0.5", "--nx", "3", "--ny", "2"],
@@ -418,6 +398,18 @@ class TestContract:
 
         monkeypatch.setattr(cli, "residual_grid", refuse)
         assert run_cli(argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command,message", [
+        ("reduce", "reduction requires r = 2, got r = {r}"),
+        ("weak-cs", "the reduction chain requires r = 2, got {r}"),
+    ], ids=["reduce", "weak-cs"])
+    @pytest.mark.parametrize("r,c1", [("3", "11"), ("0", "5")], ids=["r3", "r0"])
+    def test_reduction_off_r_two_exits_two(self, command, message, r, c1):
+        # the reduction is defined at r = 2 only, so another r is a usage
+        # error, as a = 0 is; it exited 1, the refuted/inconclusive code
+        argv = [command, "--a=1", f"--r={r}", f"--c1={c1}", "--c2=5", "--gamma1=1",
+                "--gamma2=1"]
+        assert run_cli(argv) == (2, "", f"error: {message.format(r=r)}\n")
 
     @pytest.mark.parametrize("command", ["check-symmetry", "residual-grid", "reduce",
                                          "weak-cs"])

@@ -15,7 +15,6 @@ sympy = pytest.importorskip("sympy")
 
 from liesym import (  # noqa: E402
     DomainError,
-    Log,
     Num,
     Power,
     Product,
@@ -46,8 +45,6 @@ def to_sympy(e, syms):
         return sympy.Mul(*[to_sympy(f, syms) for f in e.factors])
     if isinstance(e, Power):
         return sympy.Pow(to_sympy(e.base, syms), to_sympy(e.exponent, syms))
-    if isinstance(e, Log):
-        return sympy.log(to_sympy(e.arg, syms))
     raise TypeError(e)
 
 

@@ -80,7 +80,7 @@ class TestReduce:
 
     def test_wrong_r_rejected(self):
         inst = build_instance(-1, 1, -5, -3, 1, 1)
-        with pytest.raises(ReductionError):
+        with pytest.raises(ValueError, match="requires r = 2"):
             reduce_to_invariant(inst)
 
     def test_matches_direct_substitution_numerically(self):
@@ -352,7 +352,7 @@ class TestWeakCSReport:
         assert not rep.confirmed
 
     def test_wrong_r_rejected(self):
-        with pytest.raises(ReductionError):
+        with pytest.raises(ValueError, match="requires r = 2"):
             weak_cs_report(build_instance(1, 0, 5, 5, 1, 1))
 
     def test_report_serializes(self):
