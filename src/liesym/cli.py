@@ -388,6 +388,7 @@ def _cmd_residual_grid(args, out) -> tuple[dict, bool]:
             "nx": grid.nx, "ny": grid.ny,
         },
         "in_domain_nodes": field.n_in_domain,
+        "masked_off_real_nodes": field.n_masked_off_real,
         "sup_residual": field.sup_norm,
         "tolerance": args.tol,
         "within_tolerance": within,

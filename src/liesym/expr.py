@@ -306,15 +306,10 @@ def _canonical_pow(b: Expr, p: Expr) -> Expr:
             if isinstance(p, Num) and p.value > 0:
                 return ZERO
             return Power(b, p)  # 0^negative / 0^symbolic: error at eval time
-        if isinstance(p, Num) and p.value.denominator == 1:
-            v, n = b.value, abs(p.value.numerator)
-            # n log2 of the larger of |numerator| and denominator is about
-            # the bits of the folded value, and at least n for a base other
-            # than -1, so a huge n never reaches float arithmetic; past the
-            # bound the power stays
-            mag = max(abs(v.numerator), v.denominator)
-            if mag == 1 or n <= FOLD_BITS and n * math.log2(mag) <= FOLD_BITS:
-                return Num(v ** p.value.numerator)
+        if isinstance(p, Num):
+            folded = _int_power(b.value, p.value)
+            if folded is not None:
+                return Num(folded)
     if isinstance(b, Power):
         return pow_(b.base, mul(b.exponent, p))
     if isinstance(b, Product):
@@ -327,6 +322,21 @@ def _canonical_pow(b: Expr, p: Expr) -> Expr:
         ):
             return mul(*[pow_(f, p) for f in b.factors])
     return Power(b, p)
+
+
+def _int_power(v: Fraction, p: Fraction) -> Fraction | None:
+    """v^p exactly for an integer p, or None: for a fractional p, for 0 to
+    a negative power, and for a result of more than about FOLD_BITS bits."""
+    if p.denominator != 1 or v == 0 and p < 0:
+        return None
+    n = abs(p.numerator)
+    # n log2 of the larger of |numerator| and denominator is about the bits
+    # of the folded value, and at least n for a base other than -1 or 0, so
+    # a huge n never reaches float arithmetic; past the bound the power stays
+    mag = max(abs(v.numerator), v.denominator)
+    if mag <= 1 or n <= FOLD_BITS and n * math.log2(mag) <= FOLD_BITS:
+        return v ** p.numerator
+    return None
 
 
 def mul(*factors) -> Expr:
@@ -791,57 +801,139 @@ def eval_at(e: Expr, env: Mapping[str, float]) -> float:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body) -> Callable:
+def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
+             constants: Mapping[str, Fraction] | None = None) -> Callable:
     """A Python function of ``arg_names`` (positional) returning ``body(ref,
-    let)``, where every free symbol of ``roots`` must be an argument:
-    ``ref(node)`` is the text of a subexpression's value, and
-    ``let(rhs)`` assigns the text ``rhs`` to a new slot.  The body is
-    straight-line code with one slot per distinct compound subexpression,
-    in the order a left-to-right walk first meets them, so a repeated
-    subtree is computed once.  Each slot keeps its node's operand order
-    and ``_pow`` call: every finite value is bit-identical to
-    ``eval_at``.  A positive even integer power calls ``math.pow``
-    directly as ``_mpow``: for every double base it gives what
-    ``_real_pow`` gives, and the one overflow it can raise is turned into
-    DomainError by a handler around the whole body (float ``+ * /``,
-    ``abs`` and ``max`` give inf rather than raise).  Odd and negative
-    powers keep ``_pow``, which differs from ``math.pow`` at -0.0 and 0.0."""
+    let)``, where every free symbol of ``roots`` must be an argument or a
+    name of ``constants``, a table of exact values: ``ref(node)`` is the
+    text of a subexpression's value, and ``let(rhs)`` assigns the text
+    ``rhs`` to a slot, reusing the slot of an identical ``rhs``.  The body
+    is straight-line code with one slot per distinct compound
+    subexpression, in the order a left-to-right walk first meets them.
+
+    A subtree free of the arguments is a constant: a Sum, a Product or an
+    integer Power of constants folds exactly, in Fraction arithmetic, to
+    one float literal (unless that literal would overflow).  The folded
+    factors of a Product become one leading coefficient, left out where it
+    is 1; a Product with a 0 factor is 0 and drops out of its Sum, as
+    under ``substitute``.  A Power whose exponent folds to a positive even
+    integer calls ``math.pow`` directly as ``_mpow``, which gives what
+    ``_real_pow`` gives for every double base; its one overflow becomes
+    DomainError through a handler around the whole body (float ``+ * /``,
+    ``abs`` and ``max`` give inf rather than raise).  Every other power
+    calls ``_real_pow`` as ``_pow``, which differs from ``math.pow`` at
+    -0.0 and 0.0.
+
+    Where no compound subtree folds and each Product's number leads, as in
+    canonical form, each slot keeps its node's operand order and power
+    call, so every finite value is ``eval_at``'s (bit for bit, but for the
+    sign of a zero sum: ``eval_at`` sums from 0.0).  Folding
+    gives the values of the tree with the constants substituted, up to the
+    rounding of another operation order."""
     names = list(arg_names)
-    missing = frozenset().union(*(r.free_symbols() for r in roots)) - set(names)
+    table = {name: Fraction(v) for name, v in (constants or {}).items()}
+    missing = (frozenset().union(*(r.free_symbols() for r in roots))
+               - set(names) - set(table))
     if missing:
         raise UnboundSymbolError(f"unbound symbols {sorted(missing)}")
+    args = frozenset(names)
     prefix = "_t"
     while any(n.startswith(prefix) for n in names):
         prefix += "_"
     slots: dict[Expr, str] = {}  # structural hash/eq: equal subtrees share a slot
+    by_rhs: dict[str, str] = {}  # equal text shares a slot: subtrees that fold alike
+    folds: dict[Expr, Fraction | None] = {}
+    zeros: set[Expr] = set()  # subtrees whose text is a folded 0: their Sum drops them
     lines: list[str] = []
 
     def let(rhs: str) -> str:
-        slot = f"{prefix}{len(lines)}"
-        lines.append(f"        {slot} = {rhs}")
+        slot = by_rhs.get(rhs)
+        if slot is None:
+            slot = by_rhs[rhs] = f"{prefix}{len(lines)}"
+            lines.append(f"        {slot} = {rhs}")
         return slot
 
+    def literal(value: Fraction) -> str | None:
+        try:
+            return f"({float(value)!r})"
+        except OverflowError:
+            return None
+
+    def constant(node: Expr) -> Fraction | None:
+        """The exact value of a subtree free of the arguments, or None where
+        Fraction arithmetic does not reach it or its float would overflow."""
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Sym):
+            return table[node.name]
+        if node in folds:
+            return folds[node]
+        out = None
+        if isinstance(node, Power):
+            b, p = constant(node.base), constant(node.exponent)
+            if b is not None and p is not None:
+                out = _int_power(b, p)
+        else:
+            values = [constant(t) for t in (node.terms if isinstance(node, Sum) else node.factors)]
+            if not any(v is None for v in values):
+                out = (sum(values, Fraction(0)) if isinstance(node, Sum)
+                       else math.prod(values, start=Fraction(1)))
+        if out is not None and literal(out) is None:
+            out = None
+        folds[node] = out
+        return out
+
+    # the check for missing symbols above has computed ``_free`` on every
+    # node of the roots, so the walk reads it directly
     def ref(node: Expr) -> str:
         if isinstance(node, Num):
             return f"({float(node.value)!r})"
         if isinstance(node, Sym):
-            return node.name
-        if node in slots:
-            return slots[node]
-        if isinstance(node, Sum):
-            rhs = " + ".join(ref(t) for t in node.terms)
-        elif isinstance(node, Product):
-            rhs = " * ".join(ref(f) for f in node.factors)
+            return node.name if node.name in args else f"({float(table[node.name])!r})"
+        text = slots.get(node)
+        if text is not None:
+            return text
+        value = constant(node) if args.isdisjoint(node._free) else None
+        if value is not None:
+            text = literal(value)
+            if not value:
+                zeros.add(node)
         elif isinstance(node, Power):
-            p = node.exponent
-            if isinstance(p, Num) and p.value.denominator == 1:
-                even = p.value > 0 and p.value.numerator % 2 == 0
-                rhs = f"{'_mpow' if even else '_pow'}({ref(node.base)}, {float(p.value)!r})"
+            p = constant(node.exponent) if args.isdisjoint(node.exponent._free) else None
+            if p is None:
+                text = let(f"_pow({ref(node.base)}, {ref(node.exponent)})")
             else:
-                rhs = f"_pow({ref(node.base)}, {ref(p)})"
+                even = p.denominator == 1 and p > 0 and p.numerator % 2 == 0
+                text = let(f"{'_mpow' if even else '_pow'}({ref(node.base)}, {float(p)!r})")
+        elif isinstance(node, Sum):
+            parts = [ref(t) for t in node.terms]
+            if zeros:
+                parts = [text for t, text in zip(node.terms, parts) if t not in zeros]
+            if not parts:
+                text = "(0.0)"
+                zeros.add(node)
+            else:  # a Sum or Product left with one part is that part: no new slot
+                text = parts[0] if len(parts) == 1 else let(" + ".join(parts))
+        elif isinstance(node, Product):
+            values = [constant(f) if args.isdisjoint(f._free) else None for f in node.factors]
+            folded = [v for v in values if v is not None]
+            coeff = folded[0] if len(folded) == 1 else math.prod(folded)
+            if not folded:
+                parts = [ref(f) for f in node.factors]
+            elif not coeff:
+                parts = ["(0.0)"]
+                zeros.add(node)
+            elif (lead := literal(coeff)) is None:
+                # folded factors that overflow together are multiplied per call
+                parts = [ref(f) for f in node.factors]
+            else:
+                parts = [lead] if coeff != 1 else []
+                parts += [ref(f) for f, v in zip(node.factors, values) if v is None]
+            text = parts[0] if len(parts) == 1 else let(" * ".join(parts))
         else:
             raise TypeError(f"not an expression: {node!r}")
-        return slots.setdefault(node, let(rhs))
+        slots[node] = text
+        return text
 
     result = body(ref, let)
     source = "\n".join([
@@ -875,7 +967,8 @@ def _nonfinite():
     raise DomainError("non-finite cancellation sum")
 
 
-def to_cancellation(e: Expr, arg_names: Iterable[str], *values: Expr) -> Callable:
+def to_cancellation(e: Expr, arg_names: Iterable[str], *values: Expr,
+                    constants: Mapping[str, Fraction] | None = None) -> Callable:
     """Compile a residual's cancellation measure, which residual grids and
     ``check_onshell_symmetry`` evaluate: the signed sum of its terms from
     0.0 in term order, over (1 + the largest term magnitude), the scale of
@@ -889,7 +982,13 @@ def to_cancellation(e: Expr, arg_names: Iterable[str], *values: Expr) -> Callabl
     With ``values``, the function returns ``(measure, *values)`` from one
     body, so a subexpression the roots share is computed once per call;
     each value is what ``to_callable`` would give, and DomainError from
-    any root is raised."""
+    any root is raised.
+
+    ``constants`` gives exact values to symbols that are not arguments;
+    ``_compile`` folds what they make constant.  The terms are still those
+    of ``e`` as it stands, so a residual kept over symbolic parameters is
+    measured over the terms of its symbolic form, whatever the numbers
+    would make of it under ``substitute``."""
     def body(ref, let):
         sums = [f for f in e.factors if isinstance(f, Sum)] if isinstance(e, Product) else []
         if len(sums) == 1:
@@ -906,7 +1005,7 @@ def to_cancellation(e: Expr, arg_names: Iterable[str], *values: Expr) -> Callabl
             return measure
         return f"({measure}, {', '.join(ref(v) for v in values)})"
 
-    return _compile((e, *values), arg_names, body)
+    return _compile((e, *values), arg_names, body, constants)
 
 
 # ---------------------------------------------------------------------------

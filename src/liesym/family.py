@@ -105,12 +105,16 @@ class PDEInstance:
         named field binds a kept remainder and never reads it."""
         return family_residual(self.a, self.r, self.c1, self.c2, self.gamma1, self.gamma2)
 
+    def numbers(self) -> dict[str, Fraction]:
+        """The instance's six numbers, keyed by the symbols of PARAMETERS."""
+        return {name: getattr(self, name) for name in PARAMETERS}
+
     def bind(self, e: Expr, **more) -> Expr:
         """Substitute the instance's six numbers for the symbols of
         PARAMETERS in an expression derived over ``symbolic_residual()``,
         and each value of ``more`` for the symbol its keyword names, in one
         substitution."""
-        return substitute(e, {**{name: getattr(self, name) for name in PARAMETERS}, **more})
+        return substitute(e, {**self.numbers(), **more})
 
     @property
     def is_exceptional(self) -> bool:
@@ -119,7 +123,7 @@ class PDEInstance:
 
     def params_text(self) -> dict[str, str]:
         """The parameters as exact strings, in the order reports print them."""
-        return {name: str(getattr(self, name)) for name in PARAMETERS}
+        return {name: str(v) for name, v in self.numbers().items()}
 
 
 def build_instance(a, r, c1, c2, gamma1, gamma2) -> PDEInstance:

@@ -289,11 +289,21 @@ CSV_HEADER = ("x", "y", "in_domain", "u", "residual")
 class ResidualField:
     """Summary of an instance's pointwise residual on a solution over a
     grid: the largest |residual| over the in-domain nodes (None when there
-    are none) and their count.  The nodes themselves go to
-    ``residual_grid``'s sink as CSV rows."""
+    are none), their count, and the count of nodes the solution's domain
+    admits but that were masked all the same, because u or the residual
+    left the real domain or was not finite there.  The nodes themselves go
+    to ``residual_grid``'s sink as CSV rows."""
 
     sup_norm: float | None
     n_in_domain: int
+    n_masked_off_real: int
+
+
+@functools.cache
+def symbolic_family_solution() -> Expr:
+    """``family_expr(a_sol, lam)``, kept: the u that residual grids compile
+    with ``symbolic_family_residual()``."""
+    return family_expr(_A_SOL, _LAM)
 
 
 @functools.cache
@@ -301,15 +311,21 @@ def symbolic_family_residual() -> Expr:
     """The family residual, in the symbols of PARAMETERS, on the jet of
     ``family_expr(a_sol, lam)`` with lam symbolic and the solution's own
     exponent parameter a_sol apart from the residual's a: derived once, so
-    a grid binds numbers instead of differentiating its solution again."""
-    return substitute(symbolic_residual(), _jet(family_expr(_A_SOL, _LAM)))
+    a grid compiles it with numbers instead of differentiating its
+    solution again.  It is a Sum of the five terms of the PDE, uxx, uyy,
+    (a/x) ux, -g1 x^r u^c1 and -g2 u^c2, each on that jet."""
+    return substitute(symbolic_residual(), _jet(symbolic_family_solution()))
 
 
 def solution_residual(inst: PDEInstance, sol: ClosedFormSolution) -> Expr:
-    """The instance's residual on the solution's jet.  A solution with a
-    ``lam`` binds the instance's six numbers, its a and its lam into
-    ``symbolic_family_residual()`` in one substitution; any other one (a
-    pushforward) has its jet substituted into ``inst.delta``."""
+    """The instance's residual on the solution's jet, as an expression in x
+    and y.  A solution with a ``lam`` binds the instance's six numbers, its
+    a and its lam into ``symbolic_family_residual()`` in one substitution;
+    any other one (a pushforward) has its jet substituted into
+    ``inst.delta``.  ``residual_grid`` reads it for a pushforward only: it
+    compiles the kept residual of a solution with a ``lam`` with the
+    numbers folded in, and this bound form is the reference that folding
+    is tested against."""
     if sol.lam is None:
         return substitute(inst.delta, sol.jet())
     return inst.bind(symbolic_family_residual(), a_sol=sol.a, lam=sol.lam)
@@ -323,35 +339,47 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
     x over ``grid.ys()`` and ``grid.xs()``, numbers with 17 significant
     digits.
 
-    The residual is exact, ``solution_residual(inst, sol)``: for the
-    family and the base solution it is bound from the kept residual
-    ``symbolic_family_residual()``, so any nonzero residual is a genuine
-    failure of the solution, not discretization error.  ``residual`` at
-    each in-domain node is the residual's
-    ``to_cancellation`` measure: its terms cancel on a true solution but
-    grow without bound toward the region boundary.  Nodes outside the
-    solution's domain, and nodes where u or the residual leaves the real
-    domain or the residual is not finite, are masked: ``in_domain`` is 0
-    and u and residual are empty.  A grid of FORK_MIN_NODES nodes or more
-    is worked in row blocks (``in_row_blocks``); the field and every byte
-    are the same for any block count, and nothing reaches the sink when a
-    block fails.
+    The residual is exact, so any nonzero residual is a genuine failure of
+    the solution, not discretization error.  For the family and the base
+    solution (a solution with a ``lam``) the kept
+    ``symbolic_family_residual()`` and ``symbolic_family_solution()`` are
+    compiled in x and y with the instance's six numbers, the solution's a
+    and its lam as constants: nothing is substituted or rebuilt per grid,
+    and ``residual`` is the ``to_cancellation`` measure over the five
+    terms of the PDE, a scale fixed by the equation.  A pushforward
+    compiles ``solution_residual(inst, sol)`` and its own u, and its
+    measure is over the terms of that bound residual.  The terms cancel on
+    a true solution but grow without bound toward the region boundary.
+    Nodes outside the solution's domain, and nodes where u or the residual
+    leaves the real domain or the residual is not finite, are masked:
+    ``in_domain`` is 0 and u and residual are empty; the field counts the
+    second kind apart.  A grid of FORK_MIN_NODES nodes or more is worked
+    in row blocks (``in_row_blocks``); the field and every byte are the
+    same for any block count, and nothing reaches the sink when a block
+    fails.
     """
     # one body returns (measure, u): the slots u shares with the residual
     # are computed once per node
-    measure_and_u = to_cancellation(solution_residual(inst, sol), ("x", "y"), sol.expr)
+    if sol.lam is None:
+        measure_and_u = to_cancellation(solution_residual(inst, sol), ("x", "y"), sol.expr)
+    else:
+        numbers = {**inst.numbers(), "a_sol": sol.a, "lam": sol.lam}
+        measure_and_u = to_cancellation(symbolic_family_residual(), ("x", "y"),
+                                        symbolic_family_solution(), constants=numbers)
     domain = sol.domain
     columns = [(x, f"{x:.17g}") for x in grid.xs()]
     ys = grid.ys()
 
-    def work(rows: range, write: Callable[[str], object]) -> tuple[float, int]:
+    def work(rows: range, write: Callable[[str], object]) -> tuple[float, int, int]:
         """Pass the CSV text of ``rows`` to ``write``, one call per row and
         the header first with row 0; return the sup of |residual| over
-        their in-domain nodes (-1.0 where there are none) and their count."""
+        their in-domain nodes (-1.0 where there are none), their count and
+        the count of nodes masked off the real domain."""
         if rows.start == 0:
             write(",".join(CSV_HEADER) + "\n")
         sup = -1.0
         count = 0
+        off_real = 0
         for j in rows:
             y = ys[j]
             masked = f",{y:.17g},0,,\n"
@@ -364,7 +392,7 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
                     except DomainError:
                         # numerically outside the real domain (boundary
                         # roundoff), or a term too large to be finite
-                        pass
+                        off_real += 1
                     else:
                         parts.append(f"{x_text}{inside}{u:.17g},{res:.17g}\n")
                         count += 1
@@ -373,11 +401,11 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
                         continue
                 parts.append(x_text + masked)
             write("".join(parts))
-        return sup, count
+        return sup, count, off_real
 
-    sup, count = in_row_blocks(grid.ny, grid.nx * grid.ny, work,
-                               sink.write if sink is not None else lambda text: None)
-    return ResidualField(sup if count else None, count)
+    sup, count, off_real = in_row_blocks(grid.ny, grid.nx * grid.ny, work,
+                                         sink.write if sink is not None else lambda text: None)
+    return ResidualField(sup if count else None, count, off_real)
 
 
 # Grids of at least this many nodes are worked in row blocks, one per CPU
@@ -390,22 +418,24 @@ FORK_MIN_NODES = 20_000
 ROW_BLOCKS = (len(os.sched_getaffinity(0))
               if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
 SPOOL_CHUNK = 1 << 16  # bytes of a child's text copied to the sink at a time
-_TRAILER = struct.Struct("<dq")  # ends a child's spool file: its block's (sup, count)
+# ends a child's spool file: its block's (sup, count, off_real)
+_TRAILER = struct.Struct("<dqq")
 
 
-def in_row_blocks(ny: int, nodes: int, work: Callable[[range, Callable], tuple[float, int]],
-                  write: Callable[[str], object]) -> tuple[float, int]:
+def in_row_blocks(ny: int, nodes: int,
+                  work: Callable[[range, Callable], tuple[float, int, int]],
+                  write: Callable[[str], object]) -> tuple[float, int, int]:
     """Work the rows ``range(ny)`` of a grid of ``nodes`` nodes in
     contiguous blocks, pass their text to ``write`` in row order, and
-    return the largest sup and the summed count of the blocks.
+    return the largest sup and the summed counts of the blocks.
 
     ``work(rows, write)`` works one block: it passes the block's text to
-    its ``write`` and returns the block's (sup, count).  A grid below
-    FORK_MIN_NODES nodes is one block.  A larger one is split into
+    its ``write`` and returns the block's (sup, count, off_real).  A grid
+    below FORK_MIN_NODES nodes is one block.  A larger one is split into
     ROW_BLOCKS blocks (at most one per row): this process works the first
     while each later block runs in a forked child, which writes its text
-    and then its (sup, count) into an unlinked temporary file.  A block
-    whose child cannot be started is worked here in its turn.  This
+    and then its (sup, count, off_real) into an unlinked temporary file.
+    A block whose child cannot be started is worked here in its turn.  This
     process keeps the text of the blocks it works and writes nothing
     until every child has exited 0; then it writes the blocks in order,
     each child's file SPOOL_CHUNK bytes at a time.  A child that fails
@@ -453,7 +483,8 @@ def in_row_blocks(ny: int, nodes: int, work: Callable[[range, Callable], tuple[f
                 os.waitpid(pid, 0)
             if fh is not None:
                 fh.close()
-    return max(sup for sup, _ in results), sum(count for _, count in results)
+    sups, counts, off_real = zip(*results)
+    return max(sups), sum(counts), sum(off_real)
 
 
 def _fork_block(rows: range, work) -> tuple[int | None, BinaryIO | None]:

@@ -172,6 +172,23 @@ class TestResidualGrid:
             assert code == 0, (lam, report["sup_residual"])
             assert report["in_domain_nodes"] > 0 and report["sup_residual"] <= 1e-14
 
+    def test_overflow_masks_are_counted(self):
+        # from lambda of about 1e87 the terms of the GSS family residual
+        # overflow at every node the region admits: the report counts those
+        # nodes apart, and the exit code stays that of a grid with no
+        # in-domain node
+        argv = ["residual-grid", "--preset", "gss", "--solution", "family",
+                "--nx", "20", "--ny", "20"]
+        code, out, _ = run_cli([*argv, "--lambda", "1e88"])
+        report = json_report(out)
+        assert code == 1
+        assert report["in_domain_nodes"] == 0 and report["sup_residual"] is None
+        assert report["masked_off_real_nodes"] == 256
+        code, out, _ = run_cli([*argv, "--lambda", "1e85"])
+        report = json_report(out)
+        assert code == 0
+        assert (report["in_domain_nodes"], report["masked_off_real_nodes"]) == (256, 0)
+
     def test_node_count_is_bounded(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the grid was evaluated")
@@ -640,22 +657,29 @@ class TestGoldenBytes:
     changes must keep every byte.  The two family grids were re-recorded
     when the cancellation measure began to split a residual that is a
     product with one sum factor over that sum: their residual column and
-    sup changed, and the third grid went from exit 1 to exit 0.  The same
-    bytes must come out after another command ran in the same process:
-    nothing memoized or parsed for one command may leak into the next."""
+    sup changed, and the third grid went from exit 1 to exit 0.  All three
+    were re-recorded when grids began to compile the kept family residual
+    with the numbers folded in and to measure it over the five terms of
+    the PDE, and reports began to count the nodes masked off the real
+    domain: the mask is the same, the residual column changed at roundoff
+    level, the family grids' u column in its last digits, and the GSS
+    base grid's sup went from 0.0 (its bound residual had collapsed to a
+    structural 0) to 1.4e-16.  The same bytes must come out
+    after another command ran in the same process: nothing memoized or
+    parsed for one command may leak into the next."""
 
     CASES = [
         (["residual-grid", "--preset", "gss", "--solution", "family", "--lambda", "1",
           "--nx", "120", "--ny", "120"], 0,
-         "bd7dde82afeeb2ec4a0691c6085849f508b1457beecefd90a67f658009e9e7bd",
-         "c06c7ab719b827124f3e4ecc431f4f8f9aeb1c2c211b9efd709eaf5f0abf3794"),
+         "8be25dfdcce0a700d6b6e8104d6b3c37e4a74b9dc75adcd44fc2aad262c32f67",
+         "eeb2dd5231649ab386dd78b56b8894faff965645d866727c8f43c14e59791120"),
         (["residual-grid", "--preset", "gss", "--solution", "base", "--nx", "90", "--ny", "90"], 0,
-         "1aa92a3ffa0a535aae7e1b79a2fdfa2e330d9ec737da03f9b771e7472f6dc47f",
-         "dadd209ace620bf436c7eb7f0d0f352909eb885b884d4f920c2a6ed929cec353"),
+         "1e09bf41aa30efe38dbf282e9a300136869c4071852e77ac031077d5b9abfb6b",
+         "a16922a929b493237d774d6da7e64ebf13b4f364fc0a24491933c13208b425f5"),
         (["residual-grid", "--a=7/2", "--r=2", "--c1=23/7", "--c2=15/7", "--gamma1=105/8",
           "--gamma2=-203/16", "--solution", "family", "--lambda=1/3", "--nx", "24", "--ny", "24"], 0,
-         "1ce375ba61c8e15587508b51ac488224f28c62528aa78e50640b1da8797b9b3f",
-         "d10c2ee3e396cd9d0ebaad7fe5986028e21efdf8d772bba1190bdd20913e2e18"),
+         "03a2310103fdd45bf8abadad40c73a8adee301b7fe06e19e1071c952e6f80a17",
+         "4ab6c2e1711699a0ae0e66a570c7b1fe93bb33ed0791589645bc707556df3190"),
     ]
 
     @pytest.mark.parametrize("argv,code,csv_sha,report_sha", CASES,
@@ -671,7 +695,7 @@ class TestGoldenBytes:
 
     # orbits.symbolic_family_residual keeps the family residual across
     # commands: grid other instances at the cases' lam first, so each case
-    # binds its own numbers into the residual kept from those grids, and
+    # folds its own numbers into the residual kept from those grids, and
     # its second run again.  (a, lam, gamma1 shifted off the profile)
     WARM_UP_GRIDS = [("-5/3", "1", False), ("2/3", "1/3", False), ("7/2", "1", True),
                      ("-1", "0", True), ("3", "0", False), ("1", "-1", True)]

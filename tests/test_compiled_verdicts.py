@@ -263,9 +263,11 @@ class TestResidualGridMasksNonFinite:
         assert [r.split(",")[2] for r in rows] == ["1", "1", "1", "0"] * 3
         assert all(r.startswith("2,") for r in rows if r.split(",")[2] == "0")
         assert '"in_domain_nodes": 9' in out[cut:]
-        # the r = 665 base residual is a product with one sum factor,
-        # measured term by term over that sum
-        assert '"sup_residual": 1.4444444444444444' in out[cut:]
+        # the wedge admits the three masked nodes: they left the real
+        # domain by overflow
+        assert '"masked_off_real_nodes": 3' in out[cut:]
+        # measured over the five terms of the PDE
+        assert '"sup_residual": 1.625' in out[cut:]
 
 
 class TestTransformNegativeLambda:

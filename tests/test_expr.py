@@ -537,6 +537,153 @@ class TestEvenPowers:
             to_callable(pow_(X, num(-2)), ("x",))(0.0)
 
 
+def _compiled(e, names, constants=None):
+    """``e`` compiled alone, with ``constants`` folded in."""
+    return expr._compile((e,), names, lambda ref, let: ref(e), constants)
+
+
+def _outcome(fn, *args):
+    """The bits of fn(*args), or DomainError."""
+    try:
+        return struct.pack("<d", fn(*args))
+    except DomainError:
+        return DomainError
+
+
+if st is not None:
+    # the trees of TestFoldedConstants: over the arguments x and y and the
+    # constants k and j, every leaf positive; plain trees hold no constant
+    _FOLD_NUM_EXPONENTS = st.sampled_from([-2, -1, 2, 3, Fraction(1, 2), Fraction(-1, 2)]).map(num)
+    _FOLD_TREES = st.recursive(
+        st.one_of(st.sampled_from([X, Y, sym("k"), sym("j")]),
+                  st.builds(lambda n, d: Num(Fraction(n, d)),
+                            st.integers(1, 6), st.integers(1, 4))),
+        lambda kids: st.one_of(
+            st.builds(mul, kids, kids),
+            st.builds(add, kids, kids),
+            st.builds(pow_, kids, st.one_of(_FOLD_NUM_EXPONENTS, st.sampled_from([
+                sym("k"), mul(num(-1), sym("k")), add(sym("k"), sym("j")),
+                mul(sym("k"), sym("j")), add(sym("j"), num(1))])))),
+        max_leaves=8)
+    _FOLD_PLAIN_TREES = st.recursive(
+        st.one_of(st.sampled_from([X, Y]),
+                  st.builds(lambda n, d: Num(Fraction(n, d)),
+                            st.integers(-6, 6), st.integers(1, 4))),
+        lambda kids: st.one_of(
+            st.builds(mul, kids, kids),
+            st.builds(add, kids, kids),
+            st.builds(pow_, kids, _FOLD_NUM_EXPONENTS)),
+        max_leaves=8)
+    _FOLD_VALUES = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+    _FOLD_COORDS = st.floats(0.5, 2.0)
+
+
+class TestFoldedConstants:
+    """``_compile`` with a table of exact values folds the subtrees free of
+    its arguments."""
+
+    K = sym("k")
+
+    def test_constant_subtrees_fold_to_literals(self):
+        fn = _compiled(parse("(k + 1)^2 * x + k^(1/2) * y"), ("x", "y"), {"k": Fraction(1, 4)})
+        assert fn(1.0, 2.0) == 1.5625 * 1.0 + math.pow(0.25, 0.5) * 2.0
+
+    def test_folded_exponent_takes_the_numeric_path(self):
+        # x^(2k) at k = 1 is a square: math.pow, with no _real_pow call
+        fn = _compiled(pow_(X, mul(num(2), self.K)), ("x",), {"k": 1})
+        fn.__globals__["_pow"] = None
+        assert fn(-3.0) == 9.0
+        assert "_mpow" in fn.__code__.co_names and "_pow" not in fn.__code__.co_names
+
+    def test_zero_coefficient_drops_the_term(self):
+        # at k = 0 the term k * x^(-1) is gone, as substitute would drop it,
+        # so x = 0 is no longer off the domain
+        e = add(Y, mul(self.K, pow_(X, num(-1))))
+        assert _compiled(e, ("x", "y"), {"k": 0})(0.0, 2.0) == 2.0
+        with pytest.raises(DomainError):
+            _compiled(e, ("x", "y"), {"k": 1})(0.0, 2.0)
+
+    def test_unit_coefficient_is_left_out(self):
+        fn = _compiled(mul(self.K, X, Y), ("x", "y"), {"k": 1})
+        assert fn(0.1, 0.3) == 0.1 * 0.3
+
+    def test_a_literal_that_would_overflow_stays_unfolded(self):
+        # 10^200 * 10^200 folds to no float: the product is formed per call,
+        # and an infinite value is off the domain for every consumer
+        e = add(X, mul(self.K, sym("j")))
+        fn = _compiled(e, ("x",), {"k": 10 ** 200, "j": 10 ** 200})
+        assert math.isinf(fn(1.0))
+        with pytest.raises(DomainError):
+            expr.to_cancellation(e, ("x",), constants={"k": 10 ** 200, "j": 10 ** 200})(1.0)
+
+    def test_unbound_symbol_is_named(self):
+        with pytest.raises(UnboundSymbolError, match="'m'"):
+            _compiled(parse("x + k*m"), ("x",), {"k": 2})
+
+    def test_equal_text_shares_a_slot(self):
+        # x^(k+1) and x^(2j) fold to the same power at k = 1, j = 1: one
+        # math.pow call computes both
+        e = add(pow_(X, add(self.K, num(1))), mul(num(3), pow_(X, mul(num(2), sym("j")))))
+        calls = []
+        fn = _compiled(e, ("x",), {"k": 1, "j": 1})
+        fn.__globals__["_mpow"] = lambda b, p: calls.append(p) or math.pow(b, p)
+        assert fn(1.5) == 2.25 + 3.0 * 2.25
+        assert calls == [2.0]
+
+    if st is not None:
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(_FOLD_TREES, _FOLD_VALUES, _FOLD_VALUES, _FOLD_COORDS, _FOLD_COORDS)
+        def test_agrees_with_the_substituted_tree(self, e, k, j, x, y):
+            # every leaf, coefficient and point is positive, so no sum
+            # cancels and the two operation orders agree to a few ulps
+            table = {"k": k, "j": j}
+            folded = _compiled(e, ("x", "y"), table)
+            bound = to_callable(substitute(e, table), ("x", "y"))
+            try:
+                got, want = folded(x, y), bound(x, y)
+            except DomainError:
+                return
+            if math.isfinite(got) and math.isfinite(want):
+                assert math.isclose(got, want, rel_tol=1e-12), (to_text(e), k, j, x, y)
+            clear_memo()
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(_FOLD_PLAIN_TREES, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+        def test_bit_identical_where_nothing_folds(self, e, x, y):
+            # a table of symbols the tree does not hold folds nothing: the
+            # body is the one compiled without it, bit for bit, and each
+            # finite value is eval_at's (eval_at sums from 0.0, so a zero
+            # sum may differ in sign)
+            names = ("x", "y")
+            folded = _outcome(_compiled(e, names, {"k": 2, "j": 3}), x, y)
+            assert folded == _outcome(to_callable(e, names), x, y)
+            try:
+                want = eval_at(e, {"x": x, "y": y})
+            except DomainError:
+                return
+            if folded is not DomainError and math.isfinite(want):
+                assert struct.unpack("<d", folded)[0] == want
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(_FOLD_TREES, _FOLD_VALUES, _FOLD_COORDS, _FOLD_COORDS)
+        def test_a_shared_slot_keeps_every_value(self, e, k, x, y):
+            # with k = j, each subtree of e holding k folds to the text of
+            # its copy with j: compiled in one body they share those slots,
+            # and each root's value is the one it has compiled alone
+            twin = substitute(e, {"k": sym("j")})
+            table = {"k": k, "j": k}
+            shared = expr.to_cancellation(e, ("x", "y"), twin, e, constants=table)
+            alone = [expr.to_cancellation(e, ("x", "y"), constants=table),
+                     _compiled(twin, ("x", "y"), table), _compiled(e, ("x", "y"), table)]
+            outcomes = [_outcome(fn, x, y) for fn in alone]
+            if DomainError in outcomes:
+                with pytest.raises(DomainError):
+                    shared(x, y)
+            else:
+                assert [struct.pack("<d", v) for v in shared(x, y)] == outcomes
+            clear_memo()
+
+
 class TestEquivNumeric:
     def test_difference_of_squares_identity(self):
         assert equiv_numeric(parse("x^2 - y^2"), parse("(x-y)*(x+y)"))

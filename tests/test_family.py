@@ -40,6 +40,7 @@ from liesym import (
     sym,
     symbolic_auxiliary,
     symbolic_family_residual,
+    symbolic_family_solution,
     symbolic_invariance_remainder,
     symbolic_reduction,
     weak_cs_report,
@@ -334,11 +335,11 @@ class TestSymbolicRemainder:
 class TestRemainderCache:
     """The symbolic derivations are kept across commands: one remainder
     per field, one entry each for the derivations of weak-cs and reduce,
-    and one family residual for every family and base grid."""
+    and one family residual and solution for every family and base grid."""
 
     KEPT = ("family.onshell_remainder", "reduction.symbolic_auxiliary",
             "reduction.symbolic_invariance_remainder", "reduction.symbolic_reduction",
-            "orbits.symbolic_family_residual")
+            "orbits.symbolic_family_residual", "orbits.symbolic_family_solution")
 
     def test_empty_after_import(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -373,6 +374,7 @@ class TestRemainderCache:
 
     def test_one_family_residual_whatever_a_and_lam(self):
         symbolic_family_residual.cache_clear()
+        symbolic_family_solution.cache_clear()
         for a in ("-3", "-5/3", "-1", "1/2", "2", "7/2"):
             c1, c2 = exceptional_exponents(Fraction(a), 2)
             _, g1, g2 = candidate_profile(Fraction(a))
@@ -386,6 +388,8 @@ class TestRemainderCache:
                 assert code == 0, (a, solution)
         info = symbolic_family_residual.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 29)
+        info = symbolic_family_solution.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 30)
 
     def test_equal_field_gets_the_kept_result(self):
         first = onshell_remainder(exceptional_vf())

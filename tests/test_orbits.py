@@ -14,6 +14,7 @@ except ImportError:  # optional test dependency, as in test_expr.py
     st = None
 
 from liesym import (
+    DomainError,
     GridSpec,
     SampleSpec,
     SingularPointError,
@@ -34,8 +35,10 @@ from liesym import (
     is_zero,
     map_point,
     map_point_exprs,
+    mul,
     num,
     parse,
+    pow_,
     region,
     residual_grid,
     sample_in_region,
@@ -45,10 +48,11 @@ from liesym import (
     substitute,
     sym,
     symbolic_family_residual,
+    to_callable,
     transform_solution,
 )
 from liesym import orbits
-from liesym.expr import clear_memo
+from liesym.expr import clear_memo, to_cancellation
 
 
 def _itoi(x, y, lam):
@@ -351,38 +355,64 @@ def _grid_for(lam, n):
     return GridSpec(x_lo, x_hi, y_lo, y_hi, n, n)
 
 
-def _grid_rows(inst, sol, grid, per_instance=False):
-    """(field, CSV rows) of a grid; with ``per_instance``, the grid compiles
-    the per-instance residual instead of the kept one."""
+def _grid_rows(inst, sol, grid):
+    """(field, CSV rows) of a grid."""
     sink = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        if per_instance:
-            mp.setattr(orbits, "solution_residual", _per_instance_residual)
-        field = residual_grid(inst, sol, grid, sink)
+    field = residual_grid(inst, sol, grid, sink)
     return field, [row.split(",") for row in sink.getvalue().splitlines()[1:]]
 
 
+def _node_oracle(inst, sol):
+    """(measure, u) at a node, or None where the node is masked off the
+    real domain, from the solution's own jet: each of the five PDE terms
+    is substituted and compiled on its own, and the measure is their sum
+    over 1 + the largest, as a grid measures the kept residual."""
+    jet = sol.jet()
+    a, r, c1, c2, g1, g2 = map(num, inst.numbers().values())
+    terms = [jet["uxx"], jet["uyy"], mul(a, pow_(sym("x"), num(-1)), jet["ux"]),
+             mul(num(-1), g1, pow_(sym("x"), r), pow_(jet["u"], c1)),
+             mul(num(-1), g2, pow_(jet["u"], c2))]
+    fns = [to_callable(e, ("x", "y")) for e in (sol.expr, *terms)]
+
+    def node(x, y):
+        try:
+            u, *values = (fn(x, y) for fn in fns)
+        except DomainError:
+            return None
+        measure = sum(values, 0.0) / (1.0 + max(map(abs, values)))
+        return (measure, u) if math.isfinite(measure) and math.isfinite(u) else None
+
+    return node
+
+
 def _assert_grids_agree(inst, sol, grid):
-    """The kept and the per-instance residual give the same verdict at the
-    CLI's tolerance, the same mask and the same u, and residuals within
-    1e-12 relative at every node; (kept, per-instance) sup norms."""
+    """The grid, compiled from the kept residual with the numbers folded
+    in, and the node oracle from the solution's own jet give the same
+    verdict at the CLI's tolerance, the same mask, u within 1e-12 relative
+    and residuals within 1e-12 at every node; (grid, oracle) sup norms."""
     field, rows = _grid_rows(inst, sol, grid)
-    oracle_field, oracle_rows = _grid_rows(inst, sol, grid, per_instance=True)
-    within = [f.sup_norm is not None and f.sup_norm <= 1e-9 for f in (field, oracle_field)]
+    oracle = _node_oracle(inst, sol)
+    oracle_sup = None
+    for row in rows:
+        x, y = float(row[0]), float(row[1])
+        want = oracle(x, y) if sol.domain(x, y) else None
+        assert row[2] == ("0" if want is None else "1"), row
+        if want is None:
+            continue
+        assert math.isclose(float(row[3]), want[1], rel_tol=1e-12), row
+        assert abs(float(row[4]) - want[0]) <= 1e-12, (row, want)
+        oracle_sup = max(abs(want[0]), oracle_sup or 0.0)
+    within = [sup is not None and sup <= 1e-9 for sup in (field.sup_norm, oracle_sup)]
     assert within[0] == within[1]
-    assert field.n_in_domain == oracle_field.n_in_domain
-    for row, oracle_row in zip(rows, oracle_rows, strict=True):
-        assert row[:4] == oracle_row[:4]  # x, y, in_domain and u
-        if row[2] == "1":
-            assert math.isclose(float(row[4]), float(oracle_row[4]), rel_tol=1e-12), row
-    return field.sup_norm, oracle_field.sup_norm
+    return field.sup_norm, oracle_sup
 
 
 class TestKeptFamilyResidual:
     """``solution_residual`` binds one residual derived over symbolic a and
-    lam.  Where the family solves the instance it is structurally the
-    residual of the solution's own jet, so every grid byte is kept;
-    elsewhere it may differ in the last digits of the residual column."""
+    lam; where the family solves the instance it is structurally the
+    residual of the solution's own jet.  A grid compiles that kept
+    residual with the numbers folded in, and measures it over the five
+    terms of the PDE."""
 
     A_VALUES = sorted({Fraction(p, q) for p in (*range(-8, 0), *range(1, 9)) for q in (1, 2, 3)})
     LAMBDAS = sorted({Fraction(p, q) for p in range(1, 7) for q in range(1, 7)})
@@ -437,7 +467,30 @@ class TestKeptFamilyResidual:
         sol = family_solution(inst.a, 1)
         assert solution_residual(inst, sol) != _per_instance_residual(inst, sol)
         assert _assert_grids_agree(inst, sol, _grid_for(1, 24)) == (
-            0.05555774840367236, 0.05555774840367221)
+            0.05555774840367221, 0.055557748403672114)
+
+    def test_folded_grid_against_the_bound_path(self):
+        # every profile a at lam 0, 1/2, 1 and 3: the grid compiled with the
+        # numbers folded in masks the nodes that the bound residual of
+        # solution_residual masks, its u is within 1e-12 of the bound u,
+        # and its sup is at roundoff
+        for a in self.A_VALUES:
+            inst = _profile_instance(a)
+            for lam in (0, Fraction(1, 2), 1, 3):
+                sol = family_solution(a, lam)
+                field, rows = _grid_rows(inst, sol, _grid_for(lam, 24))
+                bound = to_cancellation(solution_residual(inst, sol), ("x", "y"), sol.expr)
+                for row in rows:
+                    x, y = float(row[0]), float(row[1])
+                    try:
+                        want = bound(x, y) if sol.domain(x, y) else None
+                    except DomainError:
+                        want = None
+                    assert row[2] == ("0" if want is None else "1"), (a, lam, row)
+                    if want is not None:
+                        assert math.isclose(float(row[3]), want[1], rel_tol=1e-12), (a, lam, row)
+                assert field.n_in_domain > 0 and field.sup_norm <= 1e-13, (a, lam)
+            clear_memo()
 
     def test_random_non_profile_instances(self):
         rng = random.Random(2024)

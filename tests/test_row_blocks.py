@@ -33,13 +33,15 @@ THREADED_FORK = r".*is multi-threaded, use of fork\(\)"
 # (lambda of the family solution, or None for the base solution; grid):
 # row counts that 2, 3 and 7 do not all divide; a box whose outer rows
 # hold no in-domain node (|y| > |x| there); a box with none at all; a
-# single column; a single row
+# single column; a single row; a region where every node the domain
+# admits overflows
 GRIDS = {
     "family-13x11": (Fraction(1), GridSpec(-1.3, 1.3, -1.3, 0.3, 13, 11)),
     "empty-outer-rows": (None, GridSpec(0.1, 1.0, -3.0, 3.0, 5, 7)),
     "nothing-in-domain": (None, GridSpec(0.0, 0.5, 1.0, 2.0, 4, 5)),
     "one-column": (Fraction(1), GridSpec(0.4, 0.6, -1.0, 0.0, 1, 9)),
     "one-row": (None, GridSpec(1.0, 2.0, -0.5, 0.5, 9, 1)),
+    "overflowing": (Fraction(10 ** 88), GridSpec(*orbits.region(1e88).bounding_box(), 6, 9)),
 }
 
 
@@ -114,7 +116,8 @@ def failing_in_children(measure_and_u):
 
 def failing_measure(monkeypatch, wrap):
     real = orbits.to_cancellation
-    monkeypatch.setattr(orbits, "to_cancellation", lambda *args: wrap(real(*args)))
+    monkeypatch.setattr(orbits, "to_cancellation",
+                        lambda *args, **kwargs: wrap(real(*args, **kwargs)))
 
 
 class TestSameResultForAnyBlockCount:
@@ -138,6 +141,10 @@ class TestSameResultForAnyBlockCount:
         flags = [row.split(",")[2] for row in text.splitlines()[1:]]
         assert empty.n_in_domain > 0 and flags[:5] == ["0"] * 5 and flags[-5:] == ["0"] * 5
         assert fields["family-13x11"][0].n_in_domain > 0
+        overflowing = fields["overflowing"][0]
+        assert overflowing.n_in_domain == 0 and overflowing.n_masked_off_real > 0
+        assert all(fields[name][0].n_masked_off_real == 0
+                   for name in GRIDS if name != "overflowing")
 
     def test_sink_changes_no_summary(self, blocks):
         blocks(3)
@@ -184,14 +191,15 @@ class TestThreshold:
 
         def work(rows, write):
             write(f"{rows.start}-{rows.stop};")
-            return float(rows.stop), len(rows)
+            return float(rows.stop), len(rows), rows.start
 
         texts = []
-        assert in_row_blocks(4, orbits.FORK_MIN_NODES - 1, work, texts.append) == (4.0, 4)
+        assert in_row_blocks(4, orbits.FORK_MIN_NODES - 1, work, texts.append) == (4.0, 4, 0)
         assert texts == ["0-4;"] and forks == []
         texts.clear()
-        # the child's text and its (sup, count) trailer come back through its file
-        assert in_row_blocks(4, orbits.FORK_MIN_NODES, work, texts.append) == (4.0, 4)
+        # the child's text and its (sup, count, off_real) trailer come back
+        # through its file
+        assert in_row_blocks(4, orbits.FORK_MIN_NODES, work, texts.append) == (4.0, 4, 2)
         assert "".join(texts) == "0-2;2-4;" and len(forks) == 1
 
 
