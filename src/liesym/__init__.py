@@ -88,7 +88,6 @@ from .orbits import (
     scaling_invariance_residual,
     solution_residual,
     symbolic_family_residual,
-    symbolic_family_solution,
     transform_solution,
 )
 from .parsing import parse

@@ -40,13 +40,12 @@ from liesym import (
     sym,
     symbolic_auxiliary,
     symbolic_family_residual,
-    symbolic_family_solution,
     symbolic_invariance_remainder,
     symbolic_reduction,
     weak_cs_report,
     y_translation_vf,
 )
-from liesym import family, jets
+from liesym import family, jets, orbits
 from liesym.cli import run
 from liesym.expr import clear_memo
 from liesym.jets import sample_jet_env
@@ -374,7 +373,7 @@ class TestRemainderCache:
 
     def test_one_family_residual_whatever_a_and_lam(self):
         symbolic_family_residual.cache_clear()
-        symbolic_family_solution.cache_clear()
+        orbits.symbolic_family_solution.cache_clear()
         for a in ("-3", "-5/3", "-1", "1/2", "2", "7/2"):
             c1, c2 = exceptional_exponents(Fraction(a), 2)
             _, g1, g2 = candidate_profile(Fraction(a))
@@ -388,7 +387,7 @@ class TestRemainderCache:
                 assert code == 0, (a, solution)
         info = symbolic_family_residual.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 29)
-        info = symbolic_family_solution.cache_info()
+        info = orbits.symbolic_family_solution.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 30)
 
     def test_equal_field_gets_the_kept_result(self):

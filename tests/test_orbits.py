@@ -389,7 +389,8 @@ def _assert_grids_agree(inst, sol, grid):
     """The grid, compiled from the kept residual with the numbers folded
     in, and the node oracle from the solution's own jet give the same
     verdict at the CLI's tolerance, the same mask, u within 1e-12 relative
-    and residuals within 1e-12 at every node; (grid, oracle) sup norms."""
+    and residuals within 1e-12 relative (1e-14 absolute at roundoff-level
+    nodes) at every node; (grid, oracle) sup norms."""
     field, rows = _grid_rows(inst, sol, grid)
     oracle = _node_oracle(inst, sol)
     oracle_sup = None
@@ -400,7 +401,7 @@ def _assert_grids_agree(inst, sol, grid):
         if want is None:
             continue
         assert math.isclose(float(row[3]), want[1], rel_tol=1e-12), row
-        assert abs(float(row[4]) - want[0]) <= 1e-12, (row, want)
+        assert math.isclose(float(row[4]), want[0], rel_tol=1e-12, abs_tol=1e-14), (row, want)
         oracle_sup = max(abs(want[0]), oracle_sup or 0.0)
     within = [sup is not None and sup <= 1e-9 for sup in (field.sup_norm, oracle_sup)]
     assert within[0] == within[1]
