@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
 
 from . import __version__
@@ -43,7 +42,6 @@ from .family import (
 )
 from .jets import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL, REFUTE_THRESHOLD
 from .orbits import (
-    CSV_HEADER,
     GridSpec,
     RegionGeometry,
     ResidualField,
@@ -70,23 +68,13 @@ def emit_csv(inst, sol, grid: GridSpec, sink) -> ResidualField:
     return residual_grid(inst, sol, grid, sink)
 
 
-def read_csv_sup_norm(source) -> float | None:
-    """Recompute the sup-norm from an emitted CSV stream."""
-    reader = csv.reader(source)
-    header = next(reader)
-    if tuple(header) != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    sup = None
-    for row in reader:
-        if row[2] == "1":
-            r = abs(float(row[4]))
-            if sup is None or r > sup:
-                sup = r
-    return sup
-
-
 def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+    """The current time in UTC as ISO 8601, the text that
+    ``datetime.now(timezone.utc).isoformat()`` gives: the microseconds are
+    left out when they are 0."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    text = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{text}.{micros:06d}+00:00" if micros else f"{text}+00:00"
 
 
 def _print_report(report: dict, out, path: str | None) -> None:

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, SamplingError, UnboundSymbolError
 
@@ -884,7 +883,10 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
         return out
 
     # the check for missing symbols above has computed ``_free`` on every
-    # node of the roots, so the walk reads it directly
+    # node of the roots, so the walk reads it directly.  With no table it
+    # calls no ``constant``: the constructors have folded every subtree free
+    # of symbols that it would fold, and a Product's number leads, so the
+    # code is the same as with a table of symbols the roots do not hold
     def ref(node: Expr) -> str:
         if isinstance(node, Num):
             return f"({float(node.value)!r})"
@@ -893,13 +895,15 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
         text = slots.get(node)
         if text is not None:
             return text
-        value = constant(node) if args.isdisjoint(node._free) else None
+        value = constant(node) if table and args.isdisjoint(node._free) else None
         if value is not None:
             text = literal(value)
             if not value:
                 zeros.add(node)
         elif isinstance(node, Power):
-            p = constant(node.exponent) if args.isdisjoint(node.exponent._free) else None
+            e = node.exponent
+            p = (e.value if isinstance(e, Num)
+                 else constant(e) if table and args.isdisjoint(e._free) else None)
             if p is None:
                 text = let(f"_pow({ref(node.base)}, {ref(node.exponent)})")
             else:
@@ -915,7 +919,8 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
             else:  # a Sum or Product left with one part is that part: no new slot
                 text = parts[0] if len(parts) == 1 else let(" + ".join(parts))
         elif isinstance(node, Product):
-            values = [constant(f) if args.isdisjoint(f._free) else None for f in node.factors]
+            values = ([constant(f) if args.isdisjoint(f._free) else None for f in node.factors]
+                      if table else ())
             folded = [v for v in values if v is not None]
             coeff = folded[0] if len(folded) == 1 else math.prod(folded)
             if not folded:
@@ -1012,7 +1017,6 @@ def to_cancellation(e: Expr, arg_names: Iterable[str], *values: Expr,
 # randomized identity testing
 
 
-@dataclass
 class RejectionSampler:
     """Seeded rejection sampling behind every sampled verdict: iterating
     yields ``evaluate(draw(rng))`` for ``count`` accepted points, in draw
@@ -1021,15 +1025,17 @@ class RejectionSampler:
     the last iteration, and redraw number ``10 * count`` raises
     SamplingError."""
 
-    count: int
-    seed: int
-    draw: Callable[[random.Random], object]
-    evaluate: Callable[[object], object]
-    resampled: int = field(default=0, init=False)
+    __slots__ = ("count", "seed", "draw", "evaluate", "resampled")
 
-    def __post_init__(self):
-        if self.count < 1:
+    def __init__(self, count: int, seed: int, draw: Callable[[random.Random], object],
+                 evaluate: Callable[[object], object]):
+        if count < 1:
             raise ValueError("need at least one sample")
+        self.count = count
+        self.seed = seed
+        self.draw = draw
+        self.evaluate = evaluate
+        self.resampled = 0
 
     def __iter__(self):
         rng = random.Random(self.seed)
@@ -1053,7 +1059,6 @@ class RejectionSampler:
 _DEFAULT_INTERVAL = (0.5, 2.0)
 
 
-@dataclass(frozen=True)
 class SampleSpec:
     """How to sample environments for randomized identity testing.
 
@@ -1063,15 +1068,19 @@ class SampleSpec:
     against the retry budget, like a domain error).
     """
 
-    count: int = 64
-    rel_tol: float = 1e-9
-    seed: int = 0
-    intervals: Mapping[str, tuple[float, float]] = field(default_factory=dict)
-    accept: Callable[[dict[str, float]], bool] | None = None
+    __slots__ = ("count", "rel_tol", "seed", "intervals", "accept")
+
+    def __init__(self, count: int = 64, rel_tol: float = 1e-9, seed: int = 0,
+                 intervals: Mapping[str, tuple[float, float]] | None = None,
+                 accept: Callable[[dict[str, float]], bool] | None = None):
+        self.count = count
+        self.rel_tol = rel_tol
+        self.seed = seed
+        self.intervals = {} if intervals is None else intervals
+        self.accept = accept
 
 
-@dataclass(frozen=True)
-class EquivResult:
+class EquivResult(NamedTuple):
     equivalent: bool
     samples: int
     witness: dict[str, float] | None = None

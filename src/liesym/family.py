@@ -13,8 +13,8 @@ is the Grad-Schlueter-Shafranov form used as the "gss" preset.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import UnboundSymbolError
 from .expr import (
@@ -90,14 +90,27 @@ def exceptional_exponents(a, r) -> tuple[Fraction, Fraction]:
     return 1 + 2 * (r + 2) / a, 1 + Fraction(4) / a
 
 
-@dataclass(frozen=True)
 class PDEInstance:
-    a: Fraction
-    r: Fraction
-    c1: Fraction
-    c2: Fraction
-    gamma1: Fraction
-    gamma2: Fraction
+    """One member of the family: its six exact numbers.  Two instances
+    with the same numbers are equal and hash alike."""
+
+    def __init__(self, a: Fraction, r: Fraction, c1: Fraction, c2: Fraction,
+                 gamma1: Fraction, gamma2: Fraction):
+        self.a = a
+        self.r = r
+        self.c1 = c1
+        self.c2 = c2
+        self.gamma1 = gamma1
+        self.gamma2 = gamma2
+
+    def __eq__(self, other):
+        return isinstance(other, PDEInstance) and self.numbers() == other.numbers()
+
+    def __hash__(self):
+        return hash(tuple(self.numbers().values()))
+
+    def __repr__(self):
+        return f"PDEInstance({', '.join(f'{k}={v!r}' for k, v in self.numbers().items())})"
 
     @functools.cached_property
     def delta(self) -> Expr:
@@ -173,8 +186,7 @@ NAMED_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class SymmetryVerdict:
+class SymmetryVerdict(NamedTuple):
     admitted: bool
     status: str  # "admitted" | "refuted" | "inconclusive"
     max_onshell_residual: float

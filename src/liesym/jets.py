@@ -9,7 +9,7 @@ expression to a constraint manifold.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OrderOverflowError, ReductionError
 from .expr import (
@@ -74,25 +74,36 @@ def sample_jet_env(rng: random.Random) -> dict[str, float]:
     return dict(zip(JET_NAMES, sample_jet_point(rng)))
 
 
-@dataclass(frozen=True)
 class VectorField:
     """Point vector field xi1 d/dx + xi2 d/dy + phi d/du.
 
     Components are expressions in (x, y, u) and instance parameters;
-    jet derivative symbols are not allowed.
+    jet derivative symbols are not allowed.  Fields are equal, and hash
+    alike, by their components.
     """
 
-    xi1: Expr
-    xi2: Expr
-    phi: Expr
+    __slots__ = ("xi1", "xi2", "phi")
 
-    def __post_init__(self):
-        for comp in (self.xi1, self.xi2, self.phi):
+    def __init__(self, xi1: Expr, xi2: Expr, phi: Expr):
+        for comp in (xi1, xi2, phi):
             bad = comp.free_symbols() & DERIVATIVE_NAMES
             if bad:
                 raise ValueError(
                     f"not a point vector field: component {comp!r} "
                     f"contains jet symbols {sorted(bad)}")
+        self.xi1 = xi1
+        self.xi2 = xi2
+        self.phi = phi
+
+    def __eq__(self, other):
+        return (isinstance(other, VectorField)
+                and (self.xi1, self.xi2, self.phi) == (other.xi1, other.xi2, other.phi))
+
+    def __hash__(self):
+        return hash((self.xi1, self.xi2, self.phi))
+
+    def __repr__(self):
+        return f"VectorField({self.xi1!r}, {self.xi2!r}, {self.phi!r})"
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(
@@ -111,8 +122,7 @@ class VectorField:
         )
 
 
-@dataclass(frozen=True)
-class ProlongedVF:
+class ProlongedVF(NamedTuple):
     """Second prolongation: coefficients on ux, uy, uxx, uxy, uyy."""
 
     base: VectorField
@@ -189,16 +199,24 @@ def apply_prolonged(pvf: ProlongedVF, target: Expr) -> Expr:
     return add(*parts)
 
 
-@dataclass(frozen=True)
 class ConstraintSystem:
-    """Ordered constraints, each affine in its elimination symbol."""
+    """Ordered constraints, each affine in its elimination symbol.  Systems
+    are equal, and hash alike, by both tuples."""
 
-    constraints: tuple[Expr, ...]
-    eliminations: tuple[str, ...]
+    __slots__ = ("constraints", "eliminations")
 
-    def __post_init__(self):
-        if len(self.constraints) != len(self.eliminations):
+    def __init__(self, constraints: tuple[Expr, ...], eliminations: tuple[str, ...]):
+        if len(constraints) != len(eliminations):
             raise ValueError("one elimination symbol per constraint")
+        self.constraints = constraints
+        self.eliminations = eliminations
+
+    def __eq__(self, other):
+        return (isinstance(other, ConstraintSystem) and self.constraints == other.constraints
+                and self.eliminations == other.eliminations)
+
+    def __hash__(self):
+        return hash((self.constraints, self.eliminations))
 
     def describe(self) -> list[dict[str, str]]:
         return [
@@ -235,8 +253,7 @@ DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SampledRemainder:
+class SampledRemainder(NamedTuple):
     """A remainder and the statistics of its sampled cancellation measure."""
 
     remainder: Expr

@@ -20,9 +20,8 @@ import math
 import os
 import struct
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import BinaryIO, Callable, NoReturn
+from typing import BinaryIO, Callable, NamedTuple, NoReturn
 
 from .errors import DomainError, SingularPointError, WorkerError
 from .expr import (
@@ -78,8 +77,7 @@ def map_point_exprs(lam) -> tuple[Expr, Expr]:
     )
 
 
-@dataclass(frozen=True)
-class RegionGeometry:
+class RegionGeometry(NamedTuple):
     """Validity region of the transformed solution: union of two open
     disks minus their closed intersection (inside exactly one)."""
 
@@ -139,8 +137,7 @@ def region(lam: float) -> RegionGeometry:
     return geo
 
 
-@dataclass(frozen=True)
-class ClosedFormSolution:
+class ClosedFormSolution(NamedTuple):
     """Solution expression in (x, y) with an explicit membership test.
 
     ``lam`` is set where ``expr`` is ``family_expr(a, lam)``: the family
@@ -250,23 +247,23 @@ def transform_solution(sol: ClosedFormSolution, lam) -> ClosedFormSolution:
 MAX_GRID_NODES = 1_000_000
 
 
-@dataclass(frozen=True)
 class GridSpec:
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    nx: int
-    ny: int
+    __slots__ = ("x_min", "x_max", "y_min", "y_max", "nx", "ny")
 
-    def __post_init__(self):
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
+    def __init__(self, x_min: float, x_max: float, y_min: float, y_max: float,
+                 nx: int, ny: int):
+        if not (x_max > x_min and y_max > y_min):
             raise ValueError("grid extents must have positive span")
-        if self.nx < 1 or self.ny < 1:
+        if nx < 1 or ny < 1:
             raise ValueError("grid needs at least one node per axis")
-        if self.nx * self.ny > MAX_GRID_NODES:
-            raise ValueError(f"grid of {self.nx} x {self.ny} nodes exceeds "
-                             f"{MAX_GRID_NODES} nodes")
+        if nx * ny > MAX_GRID_NODES:
+            raise ValueError(f"grid of {nx} x {ny} nodes exceeds {MAX_GRID_NODES} nodes")
+        self.x_min = x_min
+        self.x_max = x_max
+        self.y_min = y_min
+        self.y_max = y_max
+        self.nx = nx
+        self.ny = ny
 
     def xs(self) -> list[float]:
         return _linspace(self.x_min, self.x_max, self.nx)
@@ -285,8 +282,7 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 CSV_HEADER = ("x", "y", "in_domain", "u", "residual")
 
 
-@dataclass(frozen=True)
-class ResidualField:
+class ResidualField(NamedTuple):
     """Summary of an instance's pointwise residual on a solution over a
     grid: the largest |residual| over the in-domain nodes (None when there
     are none), their count, and the count of nodes the solution's domain

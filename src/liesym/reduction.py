@@ -18,8 +18,8 @@ symmetry, and reports the two routes together.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ReductionError
 from .expr import (
@@ -244,8 +244,7 @@ def auxiliary_constraint(inst: PDEInstance) -> Expr:
 # the combined report
 
 
-@dataclass(frozen=True)
-class StageResult:
+class StageResult(NamedTuple):
     name: str
     system: ConstraintSystem
     stats: SampledRemainder
@@ -264,8 +263,7 @@ class StageResult:
         }
 
 
-@dataclass(frozen=True)
-class WeakCSReport:
+class WeakCSReport(NamedTuple):
     instance: PDEInstance
     stages: tuple[StageResult, ...]
     exceptional_onshell: SymmetryVerdict

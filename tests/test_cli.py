@@ -1,17 +1,24 @@
 """CLI surface: reports, exit codes, determinism, CSV artifacts."""
 
+import csv
 import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
+import time
+from datetime import datetime, timezone
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from liesym import (GridSpec, base_solution, candidate_profile, eval_at, exceptional_exponents,
                     expr, gss_preset, mul, region, sym)
 from liesym import cli
-from liesym.cli import _print_report, build_parser, emit_csv, read_csv_sup_norm, run
+from liesym.cli import _print_report, build_parser, emit_csv, run
+from liesym.orbits import CSV_HEADER
 
 
 def run_cli(argv):
@@ -29,6 +36,21 @@ def json_report(text):
 def strip_timestamp(text):
     return "\n".join(
         line for line in text.splitlines() if '"timestamp"' not in line)
+
+
+def read_csv_sup_norm(source):
+    """Recompute the sup-norm from an emitted CSV stream."""
+    reader = csv.reader(source)
+    header = next(reader)
+    if tuple(header) != CSV_HEADER:
+        raise ValueError(f"unexpected CSV header {header!r}")
+    sup = None
+    for row in reader:
+        if row[2] == "1":
+            r = abs(float(row[4]))
+            if sup is None or r > sup:
+                sup = r
+    return sup
 
 
 class TestExponents:
@@ -358,6 +380,41 @@ class TestContract:
         assert code1 == code2
         assert strip_timestamp(out1) == strip_timestamp(out2)
         assert out1.count('"timestamp"') == 1
+
+    def test_import_loads_no_module_a_command_does_not_use(self):
+        # every command starts a fresh process: the records are plain
+        # classes, the timestamp comes from time, and the CSV reader is a
+        # test helper, so none of these is loaded
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys, liesym.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'datetime', 'csv'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"
+
+    def test_timestamp_is_utc_iso_8601(self):
+        _, out, _ = run_cli(["exponents", "--a", "-1", "--r", "2"])
+        stamp = json.loads(out)["timestamp"]
+        assert stamp.endswith("+00:00")
+        assert datetime.fromisoformat(stamp).utcoffset().total_seconds() == 0
+
+    @pytest.mark.parametrize("ns,text", [
+        (1_760_000_000_000_000_000, "2025-10-09T08:53:20+00:00"),
+        (1_760_000_000_000_000_999, "2025-10-09T08:53:20+00:00"),
+        (1_760_000_000_000_001_000, "2025-10-09T08:53:20.000001+00:00"),
+        (1_760_000_000_123_456_789, "2025-10-09T08:53:20.123456+00:00"),
+        (1_760_000_059_999_999_999, "2025-10-09T08:54:19.999999+00:00"),
+    ], ids=["whole-second", "below-a-microsecond", "one-microsecond", "fraction", "last"])
+    def test_timestamp_leaves_out_a_zero_fraction(self, monkeypatch, ns, text):
+        # what datetime's isoformat gives for the same UTC time
+        monkeypatch.setattr(time, "time_ns", lambda: ns)
+        _, out, _ = run_cli(["exponents", "--a", "-1", "--r", "2"])
+        stamp = json.loads(out)["timestamp"]
+        assert stamp == text
+        seconds, micros = divmod(ns // 1000, 10 ** 6)
+        assert stamp == datetime.fromtimestamp(seconds, timezone.utc).replace(
+            microsecond=micros).isoformat()
 
     def test_unknown_flag_exits_two(self):
         code, _, _ = run_cli(["exponents", "--a", "-1", "--r", "2", "--bogus"])

@@ -665,6 +665,14 @@ class TestFoldedConstants:
                 assert struct.unpack("<d", folded)[0] == want
 
         @settings(max_examples=200, deadline=None, database=None)
+        @given(_FOLD_PLAIN_TREES)
+        def test_no_table_compiles_what_an_unused_table_compiles(self, e):
+            # with no table the fold walk is skipped; a table of symbols the
+            # tree does not hold walks it, and the code must be the same
+            names = ("x", "y")
+            assert _compiled(e, names).__code__ == _compiled(e, names, {"k": 2, "j": 3}).__code__
+
+        @settings(max_examples=200, deadline=None, database=None)
         @given(_FOLD_TREES, _FOLD_VALUES, _FOLD_COORDS, _FOLD_COORDS)
         def test_a_shared_slot_keeps_every_value(self, e, k, x, y):
             # with k = j, each subtree of e holding k folds to the text of
