@@ -902,8 +902,10 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
                 zeros.add(node)
         elif isinstance(node, Power):
             e = node.exponent
-            p = (e.value if isinstance(e, Num)
-                 else constant(e) if table and args.isdisjoint(e._free) else None)
+            if isinstance(e, Num):
+                p = e.value
+            else:
+                p = constant(e) if table and args.isdisjoint(e._free) else None
             if p is None:
                 text = let(f"_pow({ref(node.base)}, {ref(node.exponent)})")
             else:

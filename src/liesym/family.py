@@ -210,8 +210,8 @@ _STATUS = {"zero": "admitted", "nonzero": "refuted", "inconclusive": "inconclusi
 
 
 # Every check of a named field restricts the same field again, and only the
-# numbers of the instance differ.  The field is frozen and hashed by
-# structure and the remainder is immutable, so a hit returns what the body
+# numbers of the instance differ.  The field is compared and hashed by its
+# components and the remainder is immutable, so a hit returns what the body
 # would build; the CLI's four named fields take four entries whatever a is.
 @functools.lru_cache(maxsize=8)
 def onshell_remainder(vf: VectorField) -> Expr:
