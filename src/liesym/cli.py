@@ -206,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("residual-grid", help="residual of a closed-form solution on a grid")
     _add_instance_flags(p)
     p.add_argument("--solution", choices=("base", "family"), default="base")
-    p.add_argument("--lambda", dest="lam", type=_decimal, default=Fraction(1))
+    p.add_argument("--lambda", dest="lam", type=_decimal, default=None,
+                   help="the family's lambda (default 1); the base solution takes none")
     p.add_argument("--x-min", type=_finite, default=None)
     p.add_argument("--x-max", type=_finite, default=None)
     p.add_argument("--y-min", type=_finite, default=None)
@@ -341,8 +342,12 @@ def _default_grid(args) -> GridSpec:
 def _cmd_residual_grid(args, out) -> tuple[dict, bool]:
     inst, label = _instance_from_args(args)
     if args.solution == "base":
+        if args.lam is not None:
+            raise argparse.ArgumentTypeError("--lambda given with --solution base")
         sol = base_solution(inst.a)
     else:
+        if args.lam is None:
+            args.lam = Fraction(1)
         sol = family_solution(inst.a, args.lam)
     grid = _default_grid(args)
     # opened before the grid is evaluated, so a bad path costs no evaluation;

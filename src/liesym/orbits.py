@@ -137,17 +137,35 @@ def region(lam: float) -> RegionGeometry:
     return geo
 
 
-class ClosedFormSolution(NamedTuple):
+class ClosedFormSolution:
     """Solution expression in (x, y) with an explicit membership test.
 
     ``lam`` is set where ``expr`` is ``family_expr(a, lam)``: the family
-    and, at lam = 0, the base solution."""
+    and, at lam = 0, the base solution.  Such a solution may be made with
+    ``expr`` None: it is built on first read, as ``PDEInstance.delta`` is,
+    so a residual grid, which compiles the kept family solution, never
+    builds it."""
 
-    expr: Expr
-    domain: Callable[[float, float], bool]
-    label: str
-    a: object  # Fraction for numeric instances, Expr when kept symbolic
-    lam: Fraction | None = None
+    __slots__ = ("_expr", "domain", "label", "a", "lam")
+
+    def __init__(self, expr: Expr | None, domain: Callable[[float, float], bool], label: str,
+                 a, lam: Fraction | None = None):
+        if expr is None and lam is None:
+            raise TypeError("a solution without a lam needs its expr")
+        self._expr = expr
+        self.domain = domain
+        self.label = label
+        self.a = a  # Fraction for numeric instances, Expr when kept symbolic
+        self.lam = lam
+
+    @property
+    def expr(self) -> Expr:
+        if self._expr is None:
+            self._expr = family_expr(self.a, self.lam)
+        return self._expr
+
+    def __repr__(self):
+        return f"ClosedFormSolution(label={self.label!r}, a={self.a!r}, lam={self.lam!r})"
 
     def jet(self) -> dict[str, Expr]:
         """u and its derivatives up to second order, symbolically."""
@@ -181,7 +199,7 @@ def _wedge(x: float, y: float) -> bool:
 def base_solution(a) -> ClosedFormSolution:
     """The power solution (x^2 - y^2)^(-a/4) on the open wedge |x| > |y|."""
     a = _solution_a(a)
-    return ClosedFormSolution(family_expr(a, 0), _wedge, "base", a, Fraction(0))
+    return ClosedFormSolution(None, _wedge, "base", a, Fraction(0))
 
 
 def family_solution(a, lam) -> ClosedFormSolution:
@@ -202,8 +220,7 @@ def family_solution(a, lam) -> ClosedFormSolution:
         def domain(x, y, _l=lam_f):
             bb = y + _l * (x * x + y * y)
             return (x - bb) * (x + bb) > 0.0
-    return ClosedFormSolution(family_expr(a, lam), domain, f"family(lam={lam_f})",
-                              a, num(lam).value)
+    return ClosedFormSolution(None, domain, f"family(lam={lam_f})", a, num(lam).value)
 
 
 def _pushed_expr(sol: ClosedFormSolution, lam) -> Expr:

@@ -240,6 +240,20 @@ class TestResidualGrid:
             x_lo, x_hi, y_lo, y_hi = region(-float(Fraction(lam))).bounding_box()
             assert box == (x_lo, x_hi, -y_hi, -y_lo)
 
+    def test_lambda_with_the_base_solution_is_a_usage_error(self):
+        # the base solution has no lambda: one given used to be ignored
+        for argv in (["--preset", "gss", "--solution", "base", "--lambda=2"],
+                     ["--preset", "gss", "--lambda=1"]):
+            code, out, err = run_cli(["residual-grid", *argv, "--nx", "4", "--ny", "4"])
+            assert (code, out) == (2, "")
+            assert err == "error: --lambda given with --solution base\n"
+
+    def test_family_lambda_defaults_to_one(self):
+        argv = ["residual-grid", "--preset", "gss", "--solution", "family", "--nx", "6", "--ny", "6"]
+        code, out, _ = run_cli(argv)
+        assert code == 0 and json_report(out)["solution"] == "family(lam=1.0)"
+        assert strip_timestamp(out) == strip_timestamp(run_cli([*argv, "--lambda=1"])[1])
+
     def test_masked_nodes_empty_fields(self):
         sink = io.StringIO()
         emit_csv(gss_preset(), base_solution(-1), GridSpec(0.5, 2.0, 0.0, 1.8, 4, 4), sink)
@@ -654,8 +668,9 @@ class TestContract:
         (["reduce", "--preset", "gss"], 0),
         (["reduce", "--a", "-1", "--r", "2", "--c1", "-7", "--c2", "-3",
           "--gamma1", "1", "--gamma2", "1"], 1),
-        (["residual-grid", "--preset", "gss", "--solution", "family", "--x-min", "1",
-          "--x-max", "0", "--y-min", "0", "--y-max", "1"], 2),
+        # builds the pushed and the family solution, then fails in the region
+        # check: a residual grid builds no expression before its usage error
+        (["transform", "--a=-1", "--lambda=1e-320", "--samples", "5"], 2),
     ], ids=["exit-0", "exit-1", "exit-2"])
     def test_memo_empty_after_command(self, argv, code, monkeypatch):
         sizes = []

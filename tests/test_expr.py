@@ -673,6 +673,24 @@ class TestFoldedConstants:
             assert _compiled(e, names).__code__ == _compiled(e, names, {"k": 2, "j": 3}).__code__
 
         @settings(max_examples=200, deadline=None, database=None)
+        @given(_FOLD_TREES, _FOLD_VALUES, _FOLD_VALUES, _FOLD_VALUES,
+               st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+        def test_cold_and_warm_code_agree(self, e, k, j, other, x, y):
+            # compiled code is kept by shape: the tree compiled from an empty
+            # cache, and again once the cache holds its shape (compiled with
+            # these numbers and with others) and other shapes, gives the
+            # same bits, or DomainError at both
+            names = ("x", "y")
+            table = {"k": k, "j": j}
+            expr._shape_code.cache_clear()
+            cold = _outcome(_compiled(e, names, table), x, y)
+            for warm_up in ({"k": other, "j": k}, table, {"k": j, "j": other}):
+                _compiled(e, names, warm_up)
+                _compiled(pow_(e, num(-1)), names, warm_up)
+            assert _outcome(_compiled(e, names, table), x, y) == cold
+            clear_memo()
+
+        @settings(max_examples=200, deadline=None, database=None)
         @given(_FOLD_TREES, _FOLD_VALUES, _FOLD_COORDS, _FOLD_COORDS)
         def test_a_shared_slot_keeps_every_value(self, e, k, x, y):
             # with k = j, each subtree of e holding k folds to the text of

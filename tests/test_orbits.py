@@ -527,6 +527,59 @@ class TestKeptFamilyResidual:
         assert not free & {"u", "ux", "uy", "uxx", "uxy", "uyy"}
 
 
+class TestLazyClosedForm:
+    """The family and the base solution build ``family_expr(a, lam)`` on
+    the first read of ``expr``; a residual grid compiles the kept family
+    solution and never reads it."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        real = orbits.family_expr
+
+        def counted(a, lam):
+            calls.append((a, lam))
+            return real(a, lam)
+
+        monkeypatch.setattr(orbits, "family_expr", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["--solution", "family", "--lambda=1/3"],
+        ["--solution", "family"],
+        ["--solution", "family", "--lambda=-2"],
+        ["--solution", "base"],
+    ], ids=["family-third", "family-default", "family-negative", "base"])
+    def test_a_grid_never_builds_it(self, argv, monkeypatch):
+        from test_cli import run_cli
+
+        symbolic_family_residual()  # kept for the process, built before counting
+        calls = self._counting(monkeypatch)
+        code, _, err = run_cli(["residual-grid", "--preset", "gss", *argv,
+                                "--nx", "12", "--ny", "12"])
+        assert code == 0, err
+        assert calls == []
+
+    @pytest.mark.parametrize("a,lam", [(-1, 1), (Fraction(7, 2), Fraction(1, 3)),
+                                       (Fraction(-5, 3), -2), (sym("a"), 2)])
+    def test_first_read_builds_family_expr(self, a, lam, monkeypatch):
+        calls = self._counting(monkeypatch)
+        sols = [family_solution(a, lam), base_solution(a)]
+        assert calls == []
+        first = [s.expr for s in sols]
+        assert calls == [(sols[0].a, sols[0].lam), (sols[1].a, 0)]
+        assert first == [family_expr(a, lam), family_expr(a, 0)]
+        assert all(s.expr is e for s, e in zip(sols, first))
+        assert sols[0].jet()["u"] is first[0]
+        assert len(calls) == 2  # later reads build nothing
+
+    def test_a_pushforward_needs_its_expr(self):
+        pushed = transform_solution(base_solution(-1), 2)
+        assert pushed.lam is None and pushed.expr == family_expr(-1, 2)
+        with pytest.raises(TypeError):
+            orbits.ClosedFormSolution(None, lambda x, y: True, "bare", -1)
+
+
 class TestFlowGenerator:
     """d/dlam at lam = 0 of the finite action against its generator X,
     exactly."""
