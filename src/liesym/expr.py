@@ -197,14 +197,13 @@ class Product(Expr):
 
 
 class Sum(Expr):
-    __slots__ = ("terms", "_key", "_signed")
+    __slots__ = ("terms", "_key")
 
     def __init__(self, terms: tuple[Expr, ...]):
         self.terms = terms
         self._hash = hash((_KIND_SUM, terms))
         self._free = None
         self._key = None
-        self._signed = None
 
     def sort_key(self):
         if self._key is None:
@@ -423,8 +422,8 @@ def _merge_powers(flat: list[Expr]) -> tuple[Fraction, list[Expr]]:
         elif isinstance(f, Sum):
             # sign-normalize bare sum factors so that s and -s cannot both
             # appear as canonical factors (e.g. (y^2-x^2) vs (x^2-y^2))
-            flipped = add(*[mul(_MINUS_ONE, t) for t in f.terms])
-            if isinstance(flipped, Sum) and flipped.sort_key() < f.sort_key():
+            flipped = _negated(f)
+            if flipped.sort_key() < f.sort_key():
                 coeff = -coeff
                 f = flipped
             sums.append(len(rebuilt))
@@ -448,14 +447,14 @@ def _align_negated_sums(factors: list[Expr], sums: list[int]) -> bool:
         return factors[k].base if isinstance(factors[k], Power) else factors[k]
 
     odd = False
-    seen: dict[int, list[int]] = {}  # every position by hash: hash(-1) == hash(-2)
+    unmatched: list[int] = []
     for i in sums:
         bi = base(i)
-        terms, negated = bi._signed or _signed_hashes(bi)
-        want = {(t, -c) for t, c in _term_pairs(bi)} if negated in seen else None
-        j = next((k for k in seen.get(negated, ()) if set(_term_pairs(base(k))) == want), None)
+        same = [k for k in unmatched if len(base(k).terms) == len(bi.terms)]
+        negated = _negated(bi) if same else None
+        j = next((k for k in same if base(k) == negated), None)
         if j is None:
-            seen.setdefault(terms, []).append(i)
+            unmatched.append(i)
             continue
         bj = base(j)
         ni, nj = (f.exponent if isinstance(f, Power) else ONE for f in (factors[i], factors[j]))
@@ -471,19 +470,9 @@ def _align_negated_sums(factors: list[Expr], sums: list[int]) -> bool:
     return odd
 
 
-def _term_pairs(b: Sum) -> list[tuple[Expr, Fraction]]:
-    """(the term without its coefficient, the coefficient) for each term
-    of a sum, the constant under ONE."""
-    return [(ONE, t.value) if isinstance(t, Num) else _strip_coeff(t)[::-1] for t in b.terms]
-
-
-def _signed_hashes(b: Sum) -> tuple[int, int]:
-    """Hashes of the sets of ``_term_pairs`` of b and of -b, kept on the sum
-    (two ints: keeping the sets themselves raised the peak RSS of large
-    grids by about 1 MB)."""
-    pairs = _term_pairs(b)
-    b._signed = hash(frozenset(pairs)), hash(frozenset((t, -c) for t, c in pairs))
-    return b._signed
+def _negated(b: Sum) -> Sum:
+    """-b term by term, with no common factor pulled out."""
+    return _add_terms([mul(_MINUS_ONE, t) for t in b.terms], factor=False)
 
 
 def _strip_coeff(term: Expr) -> tuple[Fraction, Expr]:

@@ -91,8 +91,7 @@ def exceptional_exponents(a, r) -> tuple[Fraction, Fraction]:
 
 
 class PDEInstance:
-    """One member of the family: its six exact numbers.  Two instances
-    with the same numbers are equal and hash alike."""
+    """One member of the family: its six exact numbers."""
 
     def __init__(self, a: Fraction, r: Fraction, c1: Fraction, c2: Fraction,
                  gamma1: Fraction, gamma2: Fraction):
@@ -102,12 +101,6 @@ class PDEInstance:
         self.c2 = c2
         self.gamma1 = gamma1
         self.gamma2 = gamma2
-
-    def __eq__(self, other):
-        return isinstance(other, PDEInstance) and self.numbers() == other.numbers()
-
-    def __hash__(self):
-        return hash(tuple(self.numbers().values()))
 
     def __repr__(self):
         return f"PDEInstance({', '.join(f'{k}={v!r}' for k, v in self.numbers().items())})"

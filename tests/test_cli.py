@@ -171,8 +171,9 @@ class TestResidualGrid:
         assert report["sup_residual"] <= 1e-9
 
     def test_gss_family_grid_at_200(self):
-        # the residual is one product with one sum factor; measured as a
-        # single term its roundoff read 1.99e-8, above the tolerance
+        # the grid measures the residual over the five terms of the PDE;
+        # measured as a single term its roundoff read 1.99e-8, above the
+        # tolerance
         code, out, _ = run_cli(["residual-grid", "--preset", "gss", "--solution", "family",
                                 "--nx", "200", "--ny", "200"])
         assert code == 0
