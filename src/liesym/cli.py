@@ -43,7 +43,6 @@ from .family import (
 from .jets import DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL, REFUTE_THRESHOLD
 from .orbits import (
     GridSpec,
-    RegionGeometry,
     ResidualField,
     base_solution,
     conformal_factor,
@@ -277,15 +276,11 @@ def _cmd_check_symmetry(args, out) -> tuple[dict, bool]:
     }, verdict.admitted
 
 
-def _family_region(lam: Fraction) -> tuple[RegionGeometry, float, tuple]:
-    """Where the family lives at lam != 0: the two-disk geometry of |lam|,
-    the sign that maps y into it (the lam < 0 region is the |lam| region
-    mirrored in y) and the bounding box of the family's own region."""
-    geo = region(abs(float(lam)))
-    x_lo, x_hi, y_lo, y_hi = geo.bounding_box()
-    if lam < 0:
-        return geo, -1.0, (x_lo, x_hi, -y_hi, -y_lo)
-    return geo, 1.0, (x_lo, x_hi, y_lo, y_hi)
+def _family_box(lam: Fraction) -> tuple[float, float, float, float]:
+    """The bounding box of the family's region at lam != 0: the box of the
+    two disks of |lam|, mirrored in y where lam < 0."""
+    x_lo, x_hi, y_lo, y_hi = region(abs(float(lam))).bounding_box()
+    return (x_lo, x_hi, -y_hi, -y_lo) if lam < 0 else (x_lo, x_hi, y_lo, y_hi)
 
 
 def _cmd_transform(args, out) -> tuple[dict, bool]:
@@ -297,11 +292,11 @@ def _cmd_transform(args, out) -> tuple[dict, bool]:
 
     equiv_report = None
     if args.samples > 0 and lam != 0:
-        geo, mirror, (x_lo, x_hi, y_lo, y_hi) = _family_region(lam)
+        x_lo, x_hi, y_lo, y_hi = _family_box(lam)
         spec = SampleSpec(
             count=args.samples, rel_tol=1e-12, seed=args.seed,
             intervals={"x": (x_lo, x_hi), "y": (y_lo, y_hi)},
-            accept=lambda env: geo.membership(env["x"], mirror * env["y"]),
+            accept=lambda env: family.domain(env["x"], env["y"]),
         )
         res = equiv_numeric(pushed.expr, family.expr, spec)
         equiv_report = {"equivalent": res.equivalent, "samples": res.samples}
@@ -336,7 +331,7 @@ def _default_grid(args) -> GridSpec:
                         args.nx, args.ny)
     if args.solution == "base" or args.lam == 0:  # the family at lam = 0 is the base
         return GridSpec(1.0, 2.0, -0.5, 0.5, args.nx, args.ny)
-    return GridSpec(*_family_region(args.lam)[2], args.nx, args.ny)
+    return GridSpec(*_family_box(args.lam), args.nx, args.ny)
 
 
 def _cmd_residual_grid(args, out) -> tuple[dict, bool]:

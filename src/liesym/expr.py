@@ -813,7 +813,9 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
     subexpression, in the order a left-to-right walk first meets them.
 
     The text holds no number of the roots: each reaches the body as a
-    name bound to its float.  A coefficient, a Num leaf and a constant
+    name bound to its float, and a number past the double range to the
+    infinity of its sign, so the tree with the constants substituted and
+    the folded tree compile alike.  A coefficient, a Num leaf and a constant
     symbol take a name of their own wherever the walk meets them, and a
     numeric exponent takes one name per distinct value, so equal powers
     still have equal text.  The text is the function's shape: the code of
@@ -823,17 +825,17 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
 
     A subtree free of the arguments is a constant: a Sum, a Product or an
     integer Power of constants folds exactly, in Fraction arithmetic, to
-    one number (unless its float would overflow).  The folded factors of
-    a Product become one leading coefficient, left out where it is 1; a
-    Product with a 0 factor is 0 and drops out of its Sum, as under
-    ``substitute``.  A Power whose exponent folds to a positive even
-    integer calls ``math.pow`` directly as ``_mpow``, which gives what
-    ``_real_pow`` gives for every double base; its one overflow becomes
-    DomainError through a handler around the whole body (float ``+ * /``,
-    ``abs`` and ``max`` give inf rather than raise).  Every other power
-    calls ``_real_pow`` as ``_pow``, which differs from ``math.pow`` at
-    -0.0 and 0.0.  So a zero, a unit coefficient, an even power and equal
-    exponents shape the text; other numbers do not.
+    one number.  The folded factors of a Product become one leading
+    coefficient, left out where it is 1; a Product with a 0 factor is 0
+    and drops out of its Sum, as under ``substitute``.  A Power whose
+    exponent folds to a positive even integer calls ``math.pow`` directly
+    as ``_mpow``, which gives what ``_real_pow`` gives for every double
+    base; its one overflow becomes DomainError through a handler around
+    the whole body (float ``+ * /``, ``abs`` and ``max`` give inf rather
+    than raise).  Every other power calls ``_real_pow`` as ``_pow``,
+    which differs from ``math.pow`` at -0.0 and 0.0.  So a zero, a unit
+    coefficient, an even power and equal exponents shape the text; other
+    numbers do not.
 
     Where no compound subtree folds and each Product's number leads, as in
     canonical form, each slot keeps its node's operand order and power
@@ -867,9 +869,12 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
         return slot
 
     def number(value) -> str:
-        """A new name bound to ``float(value)``, which may raise
-        OverflowError."""
-        bound.append(float(value))
+        """A new name bound to ``float(value)``, or to the infinity of its
+        sign where the value is past the double range."""
+        try:
+            bound.append(float(value))
+        except OverflowError:
+            bound.append(math.inf if value > 0 else -math.inf)
         return f"{prefix}k{len(bound) - 1}"
 
     def exponent(p: Fraction) -> str:
@@ -878,16 +883,9 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
             name = powers[p] = number(p)
         return name
 
-    def finite(value: Fraction) -> bool:
-        try:
-            float(value)
-        except OverflowError:
-            return False
-        return True
-
     def constant(node: Expr) -> Fraction | None:
         """The exact value of a subtree free of the arguments, or None where
-        Fraction arithmetic does not reach it or its float would overflow."""
+        Fraction arithmetic does not reach it."""
         if isinstance(node, Num):
             return node.value
         if isinstance(node, Sym):
@@ -904,8 +902,6 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
             if not any(v is None for v in values):
                 out = (sum(values, Fraction(0)) if isinstance(node, Sum)
                        else math.prod(values, start=Fraction(1)))
-        if out is not None and not finite(out):
-            out = None
         folds[node] = out
         return out
 
@@ -957,9 +953,6 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
             elif not coeff:
                 parts = ["(0.0)"]
                 zeros.add(node)
-            elif not finite(coeff):
-                # folded factors that overflow together are multiplied per call
-                parts = [ref(f) for f in node.factors]
             else:
                 parts = [number(coeff)] if coeff != 1 else []
                 parts += [ref(f) for f, v in zip(node.factors, values) if v is None]
@@ -988,14 +981,14 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
 
 def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     """Compile to a positional-argument Python function (see ``_compile``).
+    No pipeline calls it: each compiles ``to_cancellation``.
 
     Off the real domain (a fractional power of a negative base, 0 to a
     negative power, an overflowing power) it raises DomainError as
-    ``eval_at`` does.  An overflowing product is the one difference:
-    ``eval_at`` raises DomainError, the compiled product is ``inf``.  So
-    every consumer treats a non-finite value as off the domain:
-    ``to_cancellation`` raises DomainError, and the sampled verdicts
-    redraw the point."""
+    ``eval_at`` does.  It differs from ``eval_at`` past the double range:
+    an overflowing product is ``inf`` where ``eval_at`` raises
+    DomainError, and a constant past the range is bound as an infinity
+    where ``eval_at`` raises."""
     return _compile((e,), arg_names, lambda ref, let: ref(e))
 
 
@@ -1123,15 +1116,16 @@ class EquivResult(NamedTuple):
 def equiv_numeric(e1: Expr, e2: Expr, spec: SampleSpec | None = None) -> EquivResult:
     """Decide equality of two expressions on random samples.
 
-    True iff |e1 - e2| <= tol * (1 + max(|e1|, |e2|)) at every sampled
-    point; the first failing environment is returned as a witness.
-    Points outside ``accept`` or the real domain, and points where
-    either side is not finite, are redrawn.
+    True iff the cancellation measure (``to_cancellation``) of e1 - e2 is
+    at most ``rel_tol`` in magnitude at every sampled point; the first
+    failing environment is returned as a witness.  Points outside
+    ``accept`` or the real domain, and points where the measure is not
+    finite, are redrawn.  A difference that is structurally 0 is neither
+    compiled nor sampled.
     """
     spec = spec or SampleSpec()
     names = sorted(e1.free_symbols() | e2.free_symbols())
-    f1 = to_callable(e1, names)
-    f2 = to_callable(e2, names)
+    difference = add(e1, mul(_MINUS_ONE, e2))
 
     def draw(rng):
         return {n: rng.uniform(*spec.intervals.get(n, _DEFAULT_INTERVAL)) for n in names}
@@ -1139,16 +1133,14 @@ def equiv_numeric(e1: Expr, e2: Expr, spec: SampleSpec | None = None) -> EquivRe
     def evaluate(env):
         if spec.accept is not None and not spec.accept(env):
             return None
-        point = [env[n] for n in names]
-        v1 = f1(*point)
-        v2 = f2(*point)
-        if not (math.isfinite(v1) and math.isfinite(v2)):
-            return None
-        return env, v1, v2
+        return env, measure(*[env[n] for n in names])
 
-    samples = RejectionSampler(spec.count, spec.seed, draw, evaluate)
-    for good, (env, v1, v2) in enumerate(samples, 1):
-        if abs(v1 - v2) > spec.rel_tol * (1.0 + max(abs(v1), abs(v2))):
+    samples = RejectionSampler(spec.count, spec.seed, draw, evaluate)  # refuses a count below 1
+    if is_zero(difference):
+        return EquivResult(True, spec.count)
+    measure = to_cancellation(difference, names)
+    for good, (env, value) in enumerate(samples, 1):
+        if abs(value) > spec.rel_tol:
             return EquivResult(False, good, env)
     return EquivResult(True, spec.count)
 

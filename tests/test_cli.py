@@ -112,6 +112,16 @@ class TestCheckSymmetry:
         code, _, err = run_cli(["check-symmetry", "--field", "X"])
         assert code == 2
 
+    def test_a_coefficient_past_the_double_range_is_off_the_domain(self):
+        # every flag is a double, but the remainder holds a coefficient of
+        # about -1e310: it is bound as -inf, every point is redrawn and the
+        # budget runs out, which is exit 1, not a usage error
+        code, out, err = run_cli(
+            ["check-symmetry", "--a=-1", "--r=2", "--c1=10000000000", "--c2=-3",
+             "--gamma1=1e300", "--gamma2=1", "--samples=20"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "retry budget" in err
+
 
 class TestTransform:
     def test_structural_and_numeric_match(self):
@@ -133,6 +143,16 @@ class TestTransform:
         report = json.loads(out)
         assert report["structural_match"] is True
         assert report["transformed_expr"] == report["family_expr"]
+
+    def test_a_structural_match_compiles_nothing(self, monkeypatch):
+        # the difference of the two sides is 0, so nothing is sampled
+        def refuse(*args, **kwargs):
+            raise AssertionError("compiled a structural match")
+
+        monkeypatch.setattr(expr, "_compile", refuse)
+        code, out, _ = run_cli(["transform", "--a=-1", "--lambda=1"])
+        assert code == 0
+        assert json.loads(out)["equiv"] == {"equivalent": True, "samples": 64}
 
 
 class TestResidualGrid:

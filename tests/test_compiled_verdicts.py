@@ -94,12 +94,19 @@ class TestNonFiniteRule:
             measure(*values)
 
     def test_equiv_numeric_redraws_infinite_sides(self):
-        # both sides overflow to inf at every draw: without the rule the
-        # comparison inf - inf never fails and x+y "equals" x+y+z
+        # x + y overflows to inf at every draw, but the difference of the
+        # two sides cancels to -z before any sampling: its measure is about
+        # -1 at the first draw, which is the witness
         x, y, z = (1e308, 1.5e308), (1e308, 1.5e308), (1e300, 2e300)
         spec = SampleSpec(count=20, intervals={"x": x, "y": y, "z": z})
+        res = equiv_numeric(parse("x + y"), parse("x + y + z"), spec)
+        assert (res.equivalent, res.samples, sorted(res.witness)) == (False, 1, ["x", "y", "z"])
+        # a difference that does not cancel: its terms overflow at every
+        # draw, so every point is redrawn until the budget runs out
+        big = (1e200, 1.5e200)
+        spec = SampleSpec(count=20, intervals={"x": big, "y": big})
         with pytest.raises(SamplingError):
-            equiv_numeric(parse("x + y"), parse("x + y + z"), spec)
+            equiv_numeric(parse("(x + y)^2"), parse("x^2 + 2*x*y + y^2"), spec)
 
     @pytest.mark.parametrize("target,constraint", [
         # x^665 and u^1340 are finite on the jet box, their product often

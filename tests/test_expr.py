@@ -633,14 +633,25 @@ class TestFoldedConstants:
         fn = _compiled(mul(self.K, X, Y), ("x", "y"), {"k": 1})
         assert fn(0.1, 0.3) == 0.1 * 0.3
 
-    def test_a_literal_that_would_overflow_stays_unfolded(self):
-        # 10^200 * 10^200 folds to no float: the product is formed per call,
-        # and an infinite value is off the domain for every consumer
+    def test_a_literal_past_the_double_range_is_bound_as_inf(self):
+        # 10^200 * 10^200 folds to no float: it is bound as inf, and an
+        # infinite value is off the domain for every consumer
         e = add(X, mul(self.K, sym("j")))
         fn = _compiled(e, ("x",), {"k": 10 ** 200, "j": 10 ** 200})
         assert math.isinf(fn(1.0))
         with pytest.raises(DomainError):
             expr.to_cancellation(e, ("x",), constants={"k": 10 ** 200, "j": 10 ** 200})(1.0)
+
+    def test_a_constant_past_the_double_range_is_off_the_domain_on_both_paths(self):
+        # k^(j^2 k^2) at k = 4, j = 6 is 2^1152: substituted, it is a Num the
+        # compile binds as inf; folded, the measure is not finite at any point
+        e = pow_(self.K, mul(pow_(sym("j"), num(2)), pow_(self.K, num(2))))
+        table = {"k": Fraction(4), "j": Fraction(6)}
+        assert to_callable(substitute(e, table), ("x",))(1.0) == math.inf
+        measure = expr.to_cancellation(e, ("x",), constants=table)
+        for x in (0.5, 1.0, 2.0):
+            with pytest.raises(DomainError):
+                measure(x)
 
     def test_unbound_symbol_is_named(self):
         with pytest.raises(UnboundSymbolError, match="'m'"):
@@ -664,15 +675,7 @@ class TestFoldedConstants:
             # cancels and the two operation orders agree to a few ulps
             table = {"k": k, "j": j}
             folded = _compiled(e, ("x", "y"), table)
-            try:
-                bound = to_callable(substitute(e, table), ("x", "y"))
-            except OverflowError:
-                # substitute folded a constant past the double range, which
-                # to_callable refuses; the folded tree forms it per call,
-                # where it is off the domain
-                got = _outcome(folded, x, y)
-                assert got is DomainError or not math.isfinite(struct.unpack("<d", got)[0])
-                return
+            bound = to_callable(substitute(e, table), ("x", "y"))
             try:
                 got, want = folded(x, y), bound(x, y)
             except DomainError:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from liesym import (
+    ClosedFormSolution,
     ConstraintSystem,
     DomainError,
     SampleSpec,
@@ -22,6 +23,8 @@ from liesym import (
     restricted_eval,
     rotation_like_vf,
     check_onshell_symmetry,
+    cli,
+    family_expr,
     jets,
     orbits,
     sample_in_region,
@@ -163,7 +166,12 @@ class TestExhaustedBudget:
         assert "retry budget" in err
 
     def test_cli_transform_exits_one(self, monkeypatch):
-        monkeypatch.setattr(orbits.RegionGeometry, "membership", lambda self, x, y: False)
+        # a structural match is not sampled, so the family is moved to 2 lam,
+        # where the difference is not 0, on a domain that holds nowhere
+        def moved(a, lam):
+            return ClosedFormSolution(family_expr(a, 2 * lam), lambda x, y: False, "moved", a)
+
+        monkeypatch.setattr(cli, "family_solution", moved)
         code, out, err = run_cli(["transform", "--lambda", "1", "--samples", "5"])
         assert (code, out) == (1, "")
         assert "retry budget" in err
