@@ -747,7 +747,7 @@ def _real_pow(b: float, p: float) -> float:
         if p == 0.0:
             return 1.0
         raise DomainError("0 raised to a negative power")
-    if p == int(p):
+    if float(p).is_integer():  # an infinite or NaN exponent is not
         try:
             return math.pow(b, p)
         except OverflowError as exc:
@@ -784,8 +784,13 @@ def eval_at(e: Expr, env: Mapping[str, float]) -> float:
                 raise DomainError("0 raised to a negative power")
             try:
                 return float(b) ** n
-            except OverflowError as exc:
-                raise DomainError(f"overflow in {b!r}^{n}") from exc
+            except OverflowError:
+                # the value overflows, or n is past the double range: then
+                # |b|^n is 0, 1 or too large, as at an infinite exponent
+                value = math.pow(abs(b), math.inf if n > 0 else -math.inf)
+            if math.isinf(value):
+                raise DomainError(f"overflow in {b!r}^{n}")
+            return math.copysign(value, b) if n % 2 else value
         return _real_pow(b, eval_at(e.exponent, env))
     raise TypeError(f"not an expression: {e!r}")
 
@@ -802,47 +807,16 @@ def _shape_code(source: str):
     return compile(source, "<liesym>", "exec")
 
 
-def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
-             constants: Mapping[str, Fraction] | None = None) -> Callable:
-    """A Python function of ``arg_names`` (positional) returning ``body(ref,
-    let)``, where every free symbol of ``roots`` must be an argument or a
-    name of ``constants``, a table of exact values: ``ref(node)`` is the
-    text of a subexpression's value, and ``let(rhs)`` assigns the text
-    ``rhs`` to a slot, reusing the slot of an identical ``rhs``.  The body
-    is straight-line code with one slot per distinct compound
-    subexpression, in the order a left-to-right walk first meets them.
-
-    The text holds no number of the roots: each reaches the body as a
-    name bound to its float, and a number past the double range to the
-    infinity of its sign, so the tree with the constants substituted and
-    the folded tree compile alike.  A coefficient, a Num leaf and a constant
-    symbol take a name of their own wherever the walk meets them, and a
-    numeric exponent takes one name per distinct value, so equal powers
-    still have equal text.  The text is the function's shape: the code of
-    each shape is compiled once per process and kept (COMPILED_SHAPES,
-    ``_shape_code``), and every function of that shape binds its own
-    numbers to it, with globals of its own.
-
-    A subtree free of the arguments is a constant: a Sum, a Product or an
-    integer Power of constants folds exactly, in Fraction arithmetic, to
-    one number.  The folded factors of a Product become one leading
-    coefficient, left out where it is 1; a Product with a 0 factor is 0
-    and drops out of its Sum, as under ``substitute``.  A Power whose
-    exponent folds to a positive even integer calls ``math.pow`` directly
-    as ``_mpow``, which gives what ``_real_pow`` gives for every double
-    base; its one overflow becomes DomainError through a handler around
-    the whole body (float ``+ * /``, ``abs`` and ``max`` give inf rather
-    than raise).  Every other power calls ``_real_pow`` as ``_pow``,
-    which differs from ``math.pow`` at -0.0 and 0.0.  So a zero, a unit
-    coefficient, an even power and equal exponents shape the text; other
-    numbers do not.
-
-    Where no compound subtree folds and each Product's number leads, as in
-    canonical form, each slot keeps its node's operand order and power
-    call, so every finite value is ``eval_at``'s (bit for bit, but for the
-    sign of a zero sum: ``eval_at`` sums from 0.0).  Folding
-    gives the values of the tree with the constants substituted, up to the
-    rounding of another operation order."""
+def _walk(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
+          constants: Mapping[str, Fraction] | None):
+    """The walk behind ``_compile`` and ``to_row_kernel``: ``(names,
+    prefix, lines, result, bound)``, where ``result`` is ``body(ref,
+    let)``, ``lines`` holds the slots in walk order as (name, rhs, bits,
+    parts), ``bits`` being the arguments the slot reads (bit i for
+    argument i), and ``bound`` holds the numbers in the order of their
+    names ``{prefix}k0``, ``{prefix}k1``, ...  ``let(rhs, *parts)``
+    takes the texts that ``rhs`` is made of, so each slot knows what it
+    reads."""
     names = list(arg_names)
     table = {name: Fraction(v) for name, v in (constants or {}).items()}
     missing = (frozenset().union(*(r.free_symbols() for r in roots))
@@ -855,17 +829,22 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
         prefix += "_"
     slots: dict[Expr, str] = {}  # structural hash/eq: equal subtrees share a slot
     by_rhs: dict[str, str] = {}  # equal text shares a slot: equal powers of a base
+    reads = {name: 1 << i for i, name in enumerate(names)}  # text -> bits of the arguments it reads
     folds: dict[Expr, Fraction | None] = {}
     zeros: set[Expr] = set()  # subtrees whose value is a folded 0: their Sum drops them
-    lines: list[str] = []
+    lines: list[tuple[str, str, int, tuple[str, ...]]] = []
     bound: list[float] = []  # the numbers, in the order of _make's parameters
     powers: dict[Fraction, str] = {}  # the name of each numeric exponent
 
-    def let(rhs: str) -> str:
+    def let(rhs: str, *parts: str) -> str:
         slot = by_rhs.get(rhs)
         if slot is None:
             slot = by_rhs[rhs] = f"{prefix}{len(lines)}"
-            lines.append(f"            {slot} = {rhs}")
+            bits = 0
+            for part in parts:
+                bits |= reads.get(part, 0)
+            reads[slot] = bits
+            lines.append((slot, rhs, bits, parts))
         return slot
 
     def number(value) -> str:
@@ -882,6 +861,11 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
         if name is None:
             name = powers[p] = number(p)
         return name
+
+    def power(base: str, p: str, even: bool) -> str:
+        if even:
+            return let(f"_mpow({base}, {p})", base, p)
+        return let(f"(_mpow({base}, {p}) if {base} > 0.0 else _pow({base}, {p}))", base, p)
 
     def constant(node: Expr) -> Fraction | None:
         """The exact value of a subtree free of the arguments, or None where
@@ -929,11 +913,12 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
                 p = e.value
             else:
                 p = constant(e) if table and args.isdisjoint(e._free) else None
+            base = ref(node.base)
             if p is None:
-                text = let(f"_pow({ref(node.base)}, {ref(node.exponent)})")
+                text = power(base, ref(e), False)
             else:
-                even = p.denominator == 1 and p > 0 and p.numerator % 2 == 0
-                text = let(f"{'_mpow' if even else '_pow'}({ref(node.base)}, {exponent(p)})")
+                text = power(base, exponent(p),
+                             p.denominator == 1 and p > 0 and p.numerator % 2 == 0)
         elif isinstance(node, Sum):
             parts = [ref(t) for t in node.terms]
             if zeros:
@@ -942,7 +927,7 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
                 text = "(0.0)"
                 zeros.add(node)
             else:  # a Sum or Product left with one part is that part: no new slot
-                text = parts[0] if len(parts) == 1 else let(" + ".join(parts))
+                text = parts[0] if len(parts) == 1 else let(" + ".join(parts), *parts)
         elif isinstance(node, Product):
             values = ([constant(f) if args.isdisjoint(f._free) else None for f in node.factors]
                       if table else ())
@@ -956,39 +941,98 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
             else:
                 parts = [number(coeff)] if coeff != 1 else []
                 parts += [ref(f) for f, v in zip(node.factors, values) if v is None]
-            text = parts[0] if len(parts) == 1 else let(" * ".join(parts))
+            text = parts[0] if len(parts) == 1 else let(" * ".join(parts), *parts)
         else:
             raise TypeError(f"not an expression: {node!r}")
         slots[node] = text
         return text
 
     result = body(ref, let)
-    source = "\n".join([
-        f"def _make({', '.join(f'{prefix}k{i}' for i in range(len(bound)))}):",
-        f"    def _f({', '.join(names)}):",
-        "        try:",
-        *lines,
-        f"            return {result}",
-        "        except OverflowError as exc:",
-        "            raise _DomainError('overflow in an even power') from exc",
-        "    return _f",
-    ])
+    return names, prefix, lines, result, bound
+
+
+def _bind(prefix: str, bound: list[float], code: list[str]):
+    """Run ``def _make(...)`` with the lines ``code`` as its body and the
+    names of ``bound`` as its parameters (its code compiled once per
+    shape), and return what ``_make(*bound)`` returns."""
+    source = "\n".join([f"def _make({', '.join(f'{prefix}k{i}' for i in range(len(bound)))}):",
+                        *code])
     namespace = {"_pow": _real_pow, "_mpow": math.pow, "_isfinite": math.isfinite,
                  "_nonfinite": _nonfinite, "_DomainError": DomainError}
     exec(_shape_code(source), namespace)  # noqa: S102
     return namespace["_make"](*bound)
 
 
+def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
+             constants: Mapping[str, Fraction] | None = None) -> Callable:
+    """A Python function of ``arg_names`` (positional) returning ``body(ref,
+    let)``, where every free symbol of ``roots`` must be an argument or a
+    name of ``constants``, a table of exact values: ``ref(node)`` is the
+    text of a subexpression's value, and ``let(rhs, *parts)`` assigns the
+    text ``rhs``, made of the texts ``parts``, to a slot, reusing the slot
+    of an identical ``rhs``.  The body is straight-line code with one slot
+    per distinct compound subexpression, in the order a left-to-right walk
+    first meets them.  ``to_row_kernel`` emits the same walk as a loop
+    over the nodes of a grid.
+
+    The text holds no number of the roots: each reaches the body as a
+    name bound to its float, and a number past the double range to the
+    infinity of its sign, so the tree with the constants substituted and
+    the folded tree compile alike.  A coefficient, a Num leaf and a constant
+    symbol take a name of their own wherever the walk meets them, and a
+    numeric exponent takes one name per distinct value, so equal powers
+    still have equal text.  The text is the function's shape: the code of
+    each shape is compiled once per process and kept (COMPILED_SHAPES,
+    ``_shape_code``), and every function of that shape binds its own
+    numbers to it, with globals of its own.
+
+    A subtree free of the arguments is a constant: a Sum, a Product or an
+    integer Power of constants folds exactly, in Fraction arithmetic, to
+    one number.  The folded factors of a Product become one leading
+    coefficient, left out where it is 1; a Product with a 0 factor is 0
+    and drops out of its Sum, as under ``substitute``.  A Power whose
+    exponent folds to a positive even integer calls ``math.pow`` directly
+    as ``_mpow``, which gives what ``_real_pow`` gives for every double
+    base.  Every other power is ``(_mpow(b, p) if b > 0.0 else _pow(b,
+    p))``, with ``_real_pow`` as ``_pow``: ``_real_pow`` itself calls
+    ``math.pow`` where b > 0, so this is ``_real_pow`` bit for bit with
+    one Python call less, and ``_real_pow`` differs from ``math.pow`` at
+    -0.0 and 0.0 and off the real domain.  ``math.pow`` raises
+    OverflowError where its value overflows, which becomes DomainError
+    through a handler around the whole body (float ``+ * /``, ``abs`` and
+    ``max`` give inf rather than raise).  So a zero, a unit coefficient,
+    an even power and equal exponents shape the text; other numbers do
+    not.
+
+    Where no compound subtree folds and each Product's number leads, as in
+    canonical form, each slot keeps its node's operand order and power
+    call, so every finite value is ``eval_at``'s (bit for bit, but for the
+    sign of a zero sum: ``eval_at`` sums from 0.0).  Folding
+    gives the values of the tree with the constants substituted, up to the
+    rounding of another operation order."""
+    names, prefix, lines, result, bound = _walk(roots, arg_names, body, constants)
+    return _bind(prefix, bound, [
+        f"    def _f({', '.join(names)}):",
+        "        try:",
+        *(f"            {slot} = {rhs}" for slot, rhs, _, _ in lines),
+        f"            return {result}",
+        "        except OverflowError as exc:",
+        "            raise _DomainError('overflow in a power') from exc",
+        "    return _f",
+    ])
+
+
 def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     """Compile to a positional-argument Python function (see ``_compile``).
-    No pipeline calls it: each compiles ``to_cancellation``.
+    No pipeline calls it: the sampled checks compile ``to_cancellation``
+    and residual grids ``to_row_kernel``.
 
     Off the real domain (a fractional power of a negative base, 0 to a
     negative power, an overflowing power) it raises DomainError as
     ``eval_at`` does.  It differs from ``eval_at`` past the double range:
     an overflowing product is ``inf`` where ``eval_at`` raises
-    DomainError, and a constant past the range is bound as an infinity
-    where ``eval_at`` raises."""
+    DomainError, and a constant past the range is bound as an infinity,
+    which loses the parity of an integer exponent."""
     return _compile((e,), arg_names, lambda ref, let: ref(e))
 
 
@@ -996,22 +1040,34 @@ def _nonfinite():
     raise DomainError("non-finite cancellation sum")
 
 
-def to_cancellation(e: Expr, arg_names: Iterable[str], *values: Expr,
-                    constants: Mapping[str, Fraction] | None = None) -> Callable:
-    """Compile a residual's cancellation measure, which residual grids and
-    ``check_onshell_symmetry`` evaluate: the signed sum of its terms from
-    0.0 in term order, over (1 + the largest term magnitude), the scale of
-    the roundoff in the sum.  The terms are those of a Sum; canonical
-    factoring makes many residuals a Product, and one with exactly one Sum
-    factor has as terms (the other factors) x (each term of that sum).
-    Any other residual is its own term.  A non-finite result (an infinite
-    or NaN term, or a sum that overflows) raises DomainError: the point is
-    off the domain.
+def _cancellation(e: Expr, ref, let) -> str:
+    """The slot of the cancellation measure of ``e`` (see ``to_cancellation``)."""
+    sums = [f for f in e.factors if isinstance(f, Sum)] if isinstance(e, Product) else []
+    if len(sums) == 1:
+        others = [ref(f) for f in e.factors if f is not sums[0]]
+        rest = let(" * ".join(others), *others) if len(others) > 1 else others[0]
+        terms = []
+        for t in sums[0].terms:
+            text = ref(t)
+            terms.append(let(f"{rest} * {text}", rest, text))
+    else:
+        terms = [ref(t) for t in (e.terms if isinstance(e, Sum) else (e,))]
+    total = let(" + ".join(["0.0", *terms]), *terms)
+    scale = let(f"max(0.0, {', '.join(f'abs({t})' for t in terms)})", *terms)
+    return let(f"{total} / (1.0 + {scale})", total, scale)
 
-    With ``values``, the function returns ``(measure, *values)`` from one
-    body, so a subexpression the roots share is computed once per call;
-    each value is what ``to_callable`` would give, and DomainError from
-    any root is raised.
+
+def to_cancellation(e: Expr, arg_names: Iterable[str],
+                    constants: Mapping[str, Fraction] | None = None) -> Callable:
+    """Compile a residual's cancellation measure, which the sampled checks
+    evaluate (residual grids evaluate it through ``to_row_kernel``): the
+    signed sum of its terms from 0.0 in term order, over (1 + the largest
+    term magnitude), the scale of the roundoff in the sum.  The terms are
+    those of a Sum; canonical factoring makes many residuals a Product,
+    and one with exactly one Sum factor has as terms (the other factors) x
+    (each term of that sum).  Any other residual is its own term.  A
+    non-finite result (an infinite or NaN term, or a sum that overflows)
+    raises DomainError: the point is off the domain.
 
     ``constants`` gives exact values to symbols that are not arguments;
     ``_compile`` folds what they make constant.  The terms are still those
@@ -1019,22 +1075,92 @@ def to_cancellation(e: Expr, arg_names: Iterable[str], *values: Expr,
     measured over the terms of its symbolic form, whatever the numbers
     would make of it under ``substitute``."""
     def body(ref, let):
-        sums = [f for f in e.factors if isinstance(f, Sum)] if isinstance(e, Product) else []
-        if len(sums) == 1:
-            others = [ref(f) for f in e.factors if f is not sums[0]]
-            rest = let(" * ".join(others)) if len(others) > 1 else others[0]
-            terms = [let(f"{rest} * {ref(t)}") for t in sums[0].terms]
-        else:
-            terms = [ref(t) for t in (e.terms if isinstance(e, Sum) else (e,))]
-        total = let(" + ".join(["0.0", *terms]))
-        scale = let(f"max(0.0, {', '.join(f'abs({t})' for t in terms)})")
-        result = let(f"{total} / (1.0 + {scale})")
-        measure = f"{result} if _isfinite({result}) else _nonfinite()"
-        if not values:
-            return measure
-        return f"({measure}, {', '.join(ref(v) for v in values)})"
+        measure = _cancellation(e, ref, let)
+        return f"{measure} if _isfinite({measure}) else _nonfinite()"
 
-    return _compile((e, *values), arg_names, body, constants)
+    return _compile((e,), arg_names, body, constants)
+
+
+def to_row_kernel(e: Expr, arg_names: tuple[str, str], *values: Expr,
+                  constants: Mapping[str, Fraction] | None = None) -> Callable:
+    """Compile the cancellation measure of ``e`` (as ``to_cancellation``)
+    and ``values`` for the nodes of a grid over the two arguments (x, y).
+    The result is ``kernel(xs, domain)``, which returns ``row(y)``;
+    ``row(y)`` works the nodes (x, y) for x in ``xs`` and returns
+    ``(numbers, keep, off_real)``.  A node is kept where ``domain(x, y)``
+    holds, every slot of the code has a value and the measure is finite.
+    ``numbers`` holds ``(*values, measure)`` of each kept node in column
+    order, ``keep[i]`` is 1 where the node of column i is kept and 0
+    elsewhere, and ``off_real`` counts the nodes the domain admits that
+    are not kept.  The code comes from ``_compile``'s walk, with the roots
+    in one body: each number is the double its root gives compiled alone,
+    and a slot the roots share is computed once.
+
+    Each slot is placed by the arguments it reads: a slot of x alone, or
+    of neither, is computed once per column, in ``kernel``; a slot of y
+    alone once per row; every other slot once per node the domain admits.
+    A DomainError or an overflow in a slot of x alone or of y alone
+    leaves unkept only the admitted nodes of its column or row, and in a
+    slot of neither every admitted node."""
+    def body(ref, let):
+        return _cancellation(e, ref, let), [ref(v) for v in values]
+
+    (x, y), p, lines, (measure, roots), bound = _walk((e, *values), arg_names, body, constants)
+    by_reads: dict[int, list[str]] = {1: [], 2: [], 3: []}
+    for slot, rhs, bits, _ in lines:  # a constant slot is worked with the columns
+        by_reads[bits or 1].append(f"{slot} = {rhs}")
+    read_per_node = {measure, *roots}.union(*(parts for _, _, bits, parts in lines if bits == 3))
+    column = ", ".join([f"{p}i", x, *(slot for slot, _, bits, _ in lines
+                                       if bits == 1 and slot in read_per_node)])
+
+    errors = "(_DomainError, OverflowError)"
+
+    def block(code: list[str], indent: int) -> list[str]:
+        return [" " * indent + line for line in code or ["pass"]]
+
+    return _bind(p, bound, [
+        f"    def _kernel({p}xs, {p}domain):",
+        f"        {p}n = len({p}xs)",
+        f"        {p}cols = []",
+        f"        {p}bad = []",
+        f"        for {p}i, {x} in enumerate({p}xs):",
+        "            try:",
+        *block(by_reads[1], 16),
+        f"            except {errors}:",
+        f"                {p}bad.append({x})",
+        "            else:",
+        f"                {p}cols.append(({column},))",
+        f"        def _row({y}):",
+        f"            {p}keep = [0] * {p}n",
+        f"            {p}out = []",
+        f"            {p}off = 0",
+        f"            for {x} in {p}bad:",
+        f"                if {p}domain({x}, {y}):",
+        f"                    {p}off += 1",
+        f"            if not {p}cols:",
+        f"                return {p}out, {p}keep, {p}off",
+        "            try:",
+        *block(by_reads[2], 16),
+        f"            except {errors}:",
+        f"                for {p}c in {p}cols:",
+        f"                    if {p}domain({p}c[1], {y}):",
+        f"                        {p}off += 1",
+        f"                return {p}out, {p}keep, {p}off",
+        f"            for {column} in {p}cols:",
+        f"                if {p}domain({x}, {y}):",
+        "                    try:",
+        *block(by_reads[3], 24),
+        f"                        if _isfinite({measure}):",
+        f"                            {p}out += ({', '.join([*roots, measure])},)",
+        f"                            {p}keep[{p}i] = 1",
+        "                            continue",
+        f"                    except {errors}:",
+        "                        pass",
+        f"                    {p}off += 1",
+        f"            return {p}out, {p}keep, {p}off",
+        "        return _row",
+        "    return _kernel",
+    ])
 
 
 # ---------------------------------------------------------------------------

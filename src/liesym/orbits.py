@@ -21,9 +21,10 @@ import os
 import struct
 import sys
 from fractions import Fraction
+from operator import getitem
 from typing import BinaryIO, Callable, NamedTuple, NoReturn
 
-from .errors import DomainError, SingularPointError, WorkerError
+from .errors import SingularPointError, WorkerError
 from .expr import (
     Expr,
     Num,
@@ -39,7 +40,7 @@ from .expr import (
     substitute,
     sym,
     to_callable,  # noqa: F401  (unused: perfbench/tracing.py patches orbits.to_callable)
-    to_cancellation,
+    to_row_kernel,
 )
 from .family import PDEInstance, exceptional_vf, nonzero_a, scaling_vf, symbolic_residual
 from .jets import X, Y, characteristic
@@ -361,26 +362,37 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
     and ``residual`` is the ``to_cancellation`` measure over the five
     terms of the PDE, a scale fixed by the equation.  A pushforward
     compiles ``solution_residual(inst, sol)`` and its own u, and its
-    measure is over the terms of that bound residual.  The terms cancel on
-    a true solution but grow without bound toward the region boundary.
-    Nodes outside the solution's domain, and nodes where u or the residual
-    leaves the real domain or the residual is not finite, are masked:
-    ``in_domain`` is 0 and u and residual are empty; the field counts the
-    second kind apart.  A grid of FORK_MIN_NODES nodes or more is worked
-    in row blocks (``in_row_blocks``); the field and every byte are the
-    same for any block count, and nothing reaches the sink when a block
-    fails.
+    measure is over the terms of that bound residual.  Either way the two
+    are compiled as one ``to_row_kernel``: what depends on x alone is
+    computed once per column, what depends on y alone once per row, and
+    each row's text is one format of the numbers of its kept nodes.  The
+    terms cancel on a true solution but grow without bound toward the
+    region boundary.  Nodes outside the solution's domain, and nodes where
+    u or the residual leaves the real domain or the residual is not
+    finite, are masked: ``in_domain`` is 0 and u and residual are empty;
+    the field counts the second kind apart.  A grid of FORK_MIN_NODES
+    nodes or more is worked in row blocks (``in_row_blocks``); the field
+    and every byte are the same for any block count, and nothing reaches
+    the sink when a block fails.
     """
-    # one body returns (measure, u): the slots u shares with the residual
-    # are computed once per node
     if sol.lam is None:
-        measure_and_u = to_cancellation(solution_residual(inst, sol), ("x", "y"), sol.expr)
+        kernel = to_row_kernel(solution_residual(inst, sol), ("x", "y"), sol.expr)
     else:
         numbers = {**inst.numbers(), "a_sol": sol.a, "lam": sol.lam}
-        measure_and_u = to_cancellation(symbolic_family_residual(), ("x", "y"),
-                                        symbolic_family_solution(), constants=numbers)
-    domain = sol.domain
-    columns = [(x, f"{x:.17g}") for x in grid.xs()]
+        kernel = to_row_kernel(symbolic_family_residual(), ("x", "y"),
+                               symbolic_family_solution(), constants=numbers)
+    return _grid_field(kernel, sol.domain, grid, sink)
+
+
+def _grid_field(kernel: Callable, domain: Callable[[float, float], bool], grid: GridSpec,
+                sink) -> ResidualField:
+    """``residual_grid`` past its compile: ``kernel`` is a ``to_row_kernel``
+    of the residual with u as its one value."""
+    xs = grid.xs()
+    row = kernel(xs, domain)
+    # the text of each column's node where it is masked and where it is
+    # kept, with NUL in place of the row's y
+    columns = [(f"{x:.17g},\0,0,,\n", f"{x:.17g},\0,1,%.17g,%.17g\n") for x in xs]
     ys = grid.ys()
 
     def work(rows: range, write: Callable[[str], object]) -> tuple[float, int, int]:
@@ -395,25 +407,13 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
         off_real = 0
         for j in rows:
             y = ys[j]
-            masked = f",{y:.17g},0,,\n"
-            inside = f",{y:.17g},1,"
-            parts = []
-            for x, x_text in columns:
-                if domain(x, y):
-                    try:
-                        res, u = measure_and_u(x, y)
-                    except DomainError:
-                        # numerically outside the real domain (boundary
-                        # roundoff), or a term too large to be finite
-                        off_real += 1
-                    else:
-                        parts.append(f"{x_text}{inside}{u:.17g},{res:.17g}\n")
-                        count += 1
-                        if abs(res) > sup:
-                            sup = abs(res)
-                        continue
-                parts.append(x_text + masked)
-            write("".join(parts))
+            numbers, keep, off = row(y)  # u, residual of each kept node
+            text = "".join(map(getitem, columns, keep)).replace("\0", f"{y:.17g}")
+            write(text % tuple(numbers))
+            if numbers:
+                count += len(numbers) // 2
+                sup = max(sup, max(map(abs, numbers[1::2])))
+            off_real += off
         return sup, count, off_real
 
     sup, count, off_real = in_row_blocks(grid.ny, grid.nx * grid.ny, work,

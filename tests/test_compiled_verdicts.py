@@ -32,7 +32,7 @@ from liesym import (
     weak_cs_report,
 )
 from liesym import cli, expr, reduction
-from liesym.expr import Product, Sum, add, sym, to_cancellation
+from liesym.expr import Product, Sum, add, sym, to_cancellation, to_row_kernel
 from liesym.family import NAMED_FIELDS, build_instance
 from liesym.jets import JET_NAMES, apply_prolonged, prolong2, sample_jet_env
 
@@ -218,7 +218,7 @@ class TestCancellationMeasure:
 
 
 class TestResidualGridSharedBody:
-    # residual_grid evaluates (measure, u) from one compiled body; over the
+    # residual_grid evaluates u and the measure in one row kernel; over the
     # 60 grids of test_cli's TestResidualGrid::test_exceptional_family_grids
     # it must give what separately compiled u and measure give, node by node
     @pytest.mark.parametrize("a", ["1/3", "1/2", "1", "3/2", "2", "5/2", "3", "4", "6",
@@ -238,20 +238,26 @@ class TestResidualGridSharedBody:
         for lam in ("1/3", "1/2", "1", "2", "3"):
             sol = family_solution(inst.a, Fraction(lam))
             residual = substitute(inst.delta, sol.jet())
-            shared = to_cancellation(residual, ("x", "y"), sol.expr)
             u_fn = to_callable(sol.expr, ("x", "y"))
             measure = to_cancellation(residual, ("x", "y"))
             grid = GridSpec(*region(float(Fraction(lam))).bounding_box(), 24, 24)
+            # a domain that admits every node: each one is compared
+            row = to_row_kernel(residual, ("x", "y"), sol.expr)(grid.xs(), lambda x, y: True)
             in_domain = 0
             for y in grid.ys():
-                for x in grid.xs():
+                numbers, keep, off_real = row(y)
+                kept = []
+                for x, flag in zip(grid.xs(), keep):
                     want = outcome(measure, x, y)
                     u = outcome(u_fn, x, y)
                     if DomainError in (want, u):
-                        assert outcome(shared, x, y) is DomainError, (lam, x, y)
+                        assert flag == 0, (lam, x, y)
                         continue
-                    assert shared(x, y) == (want, u), (lam, x, y)
+                    assert flag == 1, (lam, x, y)
+                    kept += [u, want]
                     in_domain += sol.domain(x, y)
+                assert numbers == kept, (lam, y)
+                assert off_real == len(keep) - sum(keep)
             assert in_domain > 0
 
 

@@ -1,5 +1,6 @@
 """Expression kernel: parsing, canonical forms, calculus, evaluation."""
 
+import io
 import math
 import random
 import struct
@@ -16,6 +17,7 @@ except ImportError:  # optional test dependency, like sympy in test_cross_check.
 
 from liesym import (
     DomainError,
+    GridSpec,
     Num,
     ParseError,
     Power,
@@ -42,7 +44,7 @@ from liesym import (
     to_callable,
     to_text,
 )
-from liesym import expr
+from liesym import expr, orbits
 from liesym.expr import clear_memo
 
 X, Y, U, A, LAM = sym("x"), sym("y"), sym("u"), sym("a"), sym("lam")
@@ -500,7 +502,8 @@ class TestEval:
     def test_compiled_shares_repeated_subexpressions(self):
         # the GSS family residual is a 150-node tree with 6 distinct
         # powers among 33 occurrences; each distinct power is computed
-        # once, and its 5 squares call math.pow directly as _mpow
+        # once, its 5 squares call math.pow directly as _mpow, and so does
+        # its other power where its base is positive
         res = substitute(gss_preset().delta, family_solution(-1, 1).jet())
         powers = set()
         stack = [res]
@@ -527,7 +530,8 @@ class TestEval:
         fn(0.6, -0.4)
         assert len(powers) == 6
         assert len(calls) == len(powers)
-        assert [c for c in calls if c[0] == "_mpow"] == [("_mpow", 2.0)] * 5
+        assert [c for c in calls if c[1] == 2.0] == [("_mpow", 2.0)] * 5
+        assert {name for name, _ in calls} == {"_mpow"}
 
 
 class TestEvenPowers:
@@ -549,6 +553,26 @@ class TestEvenPowers:
             expr._real_pow(1e200, float(n))
         with pytest.raises(DomainError):
             to_callable(pow_(X, num(n)), ("x",))(1e200)
+
+    @pytest.mark.parametrize("p", [3, -2, Fraction(1, 2), Fraction(-7, 4)])
+    def test_other_powers_are_real_pow_bit_for_bit(self, p):
+        # (_mpow(b, p) if b > 0.0 else _pow(b, p)): math.pow itself where
+        # the base is positive, _real_pow elsewhere
+        fn = to_callable(pow_(X, num(p)), ("x",))
+        calls = []
+        fn.__globals__["_pow"] = lambda b, q: calls.append(b) or expr._real_pow(b, q)
+        for x in self.POINTS:
+            want = _outcome(lambda v: expr._real_pow(v, float(p)), x)
+            assert _outcome(fn, x) == want, (x, p)
+        assert all(not b > 0.0 for b in calls)
+        assert len(calls) == sum(not x > 0.0 for x in self.POINTS)
+
+    def test_a_symbolic_exponent_takes_the_same_rule(self):
+        fn = to_callable(pow_(X, Y), ("x", "y"))
+        for x in self.POINTS:
+            for y in (0.5, -3.0, 2.0, math.inf):
+                want = _outcome(expr._real_pow, x, y)
+                assert _outcome(fn, x, y) == want, (x, y)
 
     def test_odd_and_negative_powers_keep_real_pow(self):
         # math.pow(-0.0, 3.0) is -0.0 and math.pow(0.0, -2.0) raises ValueError
@@ -653,6 +677,29 @@ class TestFoldedConstants:
             with pytest.raises(DomainError):
                 measure(x)
 
+    def test_eval_at_agrees_with_the_compile_past_the_double_range(self):
+        # x^(2^1152): the exponent is past the double range, the value is
+        # not, but where |x| > 1
+        e = substitute(pow_(X, pow_(self.K, mul(pow_(sym("j"), num(2)), pow_(self.K, num(2))))),
+                       {"k": 4, "j": 6})
+        fn = to_callable(e, ("x",))
+        for x, want in ((1.0, 1.0), (0.5, 0.0), (-0.5, 0.0), (-1.0, 1.0)):
+            assert eval_at(e, {"x": x}) == want == fn(x)
+        assert fn(2.0) == math.inf
+        with pytest.raises(DomainError, match="overflow"):
+            eval_at(e, {"x": 2.0})
+        # an odd exponent keeps the sign of the base
+        odd = add(e.exponent, num(1))
+        assert math.copysign(1.0, eval_at(pow_(X, odd), {"x": -0.5})) == -1.0
+        assert eval_at(pow_(X, odd), {"x": -1.0}) == -1.0
+        with pytest.raises(DomainError, match="overflow"):
+            eval_at(pow_(X, mul(num(-1), odd)), {"x": 0.5})
+
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+    def test_real_pow_of_a_negative_base_to_a_non_finite_exponent(self, p):
+        with pytest.raises(DomainError):
+            expr._real_pow(-0.5, p)
+
     def test_unbound_symbol_is_named(self):
         with pytest.raises(UnboundSymbolError, match="'m'"):
             _compiled(parse("x + k*m"), ("x",), {"k": 2})
@@ -731,19 +778,108 @@ class TestFoldedConstants:
         @given(_FOLD_TREES, _FOLD_VALUES, _FOLD_COORDS, _FOLD_COORDS)
         def test_a_shared_slot_keeps_every_value(self, e, k, x, y):
             # with k = j, each subtree of e holding k folds to the text of
-            # its copy with j: compiled in one body they share those slots,
-            # and each root's value is the one it has compiled alone
+            # its copy with j: compiled in one row kernel they share those
+            # slots, and each root's value is the one it has compiled alone
             twin = substitute(e, {"k": sym("j")})
             table = {"k": k, "j": k}
-            shared = expr.to_cancellation(e, ("x", "y"), twin, e, constants=table)
-            alone = [expr.to_cancellation(e, ("x", "y"), constants=table),
-                     _compiled(twin, ("x", "y"), table), _compiled(e, ("x", "y"), table)]
+            row = expr.to_row_kernel(e, ("x", "y"), twin, e, constants=table)([x], lambda *p: True)
+            alone = [_compiled(twin, ("x", "y"), table), _compiled(e, ("x", "y"), table),
+                     expr.to_cancellation(e, ("x", "y"), constants=table)]
             outcomes = [_outcome(fn, x, y) for fn in alone]
+            numbers, keep, off_real = row(y)
             if DomainError in outcomes:
-                with pytest.raises(DomainError):
-                    shared(x, y)
+                assert (numbers, keep, off_real) == ([], [0], 1)
             else:
-                assert [struct.pack("<d", v) for v in shared(x, y)] == outcomes
+                assert [struct.pack("<d", v) for v in numbers] == outcomes
+            clear_memo()
+
+
+def _reference_grid(e, u, table, domain, grid):
+    """The CSV text and the field of a grid, node by node: the measure of
+    ``e`` and ``u``, each compiled alone, at every node the domain admits."""
+    measure = expr.to_cancellation(e, ("x", "y"), constants=table)
+    u_fn = _compiled(u, ("x", "y"), table)
+    lines = [",".join(orbits.CSV_HEADER) + "\n"]
+    sup, count, off_real = -1.0, 0, 0
+    for y in grid.ys():
+        for x in grid.xs():
+            if domain(x, y):
+                try:
+                    res, value = measure(x, y), u_fn(x, y)
+                except DomainError:
+                    off_real += 1
+                else:
+                    lines.append(f"{x:.17g},{y:.17g},1,{value:.17g},{res:.17g}\n")
+                    count += 1
+                    sup = max(sup, abs(res))
+                    continue
+            lines.append(f"{x:.17g},{y:.17g},0,,\n")
+    return "".join(lines), orbits.ResidualField(sup if count else None, count, off_real)
+
+
+def _kernel_grid(e, u, table, domain, grid):
+    sink = io.StringIO()
+    kernel = expr.to_row_kernel(e, ("x", "y"), u, constants=table)
+    field = orbits._grid_field(kernel, domain, grid, sink)
+    return sink.getvalue(), field
+
+
+class TestRowKernel:
+    """``to_row_kernel``: slots of x alone are worked once per column, of y
+    alone once per row, the rest once per admitted node, and every node
+    reads as it does compiled alone."""
+
+    def test_slots_are_hoisted_by_the_arguments_they_read(self):
+        e = add(pow_(X, num(Fraction(1, 2))), pow_(Y, num(Fraction(1, 3))),
+                pow_(add(X, Y), num(Fraction(1, 5))))
+        kernel = expr.to_row_kernel(e, ("x", "y"), constants={})
+        calls = []
+        kernel.__globals__["_mpow"] = lambda b, p: calls.append(p) or math.pow(b, p)
+        xs, ys = [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0]
+        row = kernel(xs, lambda x, y: x != 2.0)
+        for y in ys:
+            row(y)
+        assert calls.count(0.5) == len(xs)
+        assert calls.count(1 / 3) == len(ys)
+        assert calls.count(0.2) == (len(xs) - 1) * len(ys)  # admitted nodes only
+
+    def test_a_hoisted_slot_off_the_domain_masks_its_column_or_row(self):
+        # x^(1/2) leaves the real domain at x < 0, (y - 1)^(-1) at y = 1:
+        # only the admitted nodes of that column or row are counted, and the
+        # others of the row are still worked
+        e = add(pow_(X, num(Fraction(1, 2))), pow_(add(Y, num(-1)), num(-1)), mul(X, Y))
+        row = expr.to_row_kernel(e, ("x", "y"), X)([-1.0, 1.0, 4.0], lambda x, y: x + y < 7.0)
+        measure = expr.to_cancellation(e, ("x", "y"))
+        assert row(2.0) == ([1.0, measure(1.0, 2.0), 4.0, measure(4.0, 2.0)], [0, 1, 1], 1)
+        assert row(1.0) == ([], [0, 0, 0], 3)
+        assert row(3.0) == ([1.0, measure(1.0, 3.0)], [0, 1, 0], 1)
+
+    def test_a_constant_slot_off_the_domain_masks_every_admitted_node(self):
+        e = add(X, Y, pow_(num(-2), num(Fraction(1, 2))))
+        row = expr.to_row_kernel(e, ("x", "y"))([1.0, 2.0, 3.0], lambda x, y: x < 3.0)
+        assert row(1.0) == ([], [0, 0, 0], 2)
+
+    if st is not None:
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(_FOLD_TREES, _FOLD_TREES, _FOLD_VALUES, _FOLD_VALUES,
+               st.sampled_from([pow_(X, num(Fraction(1, 2))), pow_(Y, num(Fraction(-1, 2))),
+                                pow_(add(X, num(Fraction(-1, 2))), num(-1)),
+                                pow_(mul(sym("k"), Y), sym("j"))]),
+               st.integers(1, 6), st.integers(1, 6), st.floats(-3.0, 4.0))
+        def test_matches_the_per_node_loop(self, e, u, k, j, leaving, nx, ny, cut):
+            # the leaving term reads x alone or y alone and leaves the real
+            # domain on some columns or rows of the grid; the domain masks
+            # the nodes with x - y >= cut
+            residual = add(e, leaving)
+            table = {"k": k, "j": j}
+            grid = GridSpec(-1.0, 2.0, -1.0, 2.0, nx, ny)
+
+            def domain(x, y):
+                return x - y < cut
+
+            assert (_kernel_grid(residual, u, table, domain, grid)
+                    == _reference_grid(residual, u, table, domain, grid)), (
+                to_text(residual), to_text(u), k, j, nx, ny, cut)
             clear_memo()
 
 

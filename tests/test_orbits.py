@@ -480,11 +480,12 @@ class TestKeptFamilyResidual:
             for lam in (0, Fraction(1, 2), 1, 3):
                 sol = family_solution(a, lam)
                 field, rows = _grid_rows(inst, sol, _grid_for(lam, 24))
-                bound = to_cancellation(solution_residual(inst, sol), ("x", "y"), sol.expr)
+                measure = to_cancellation(solution_residual(inst, sol), ("x", "y"))
+                u = to_callable(sol.expr, ("x", "y"))
                 for row in rows:
                     x, y = float(row[0]), float(row[1])
                     try:
-                        want = bound(x, y) if sol.domain(x, y) else None
+                        want = (measure(x, y), u(x, y)) if sol.domain(x, y) else None
                     except DomainError:
                         want = None
                     assert row[2] == ("0" if want is None else "1"), (a, lam, row)

@@ -102,22 +102,27 @@ def evaluated(name, sink=None):
     return residual_grid(GSS, sol, grid, sink), sink.getvalue()
 
 
-def failing_in_children(measure_and_u):
-    """Wrap a compiled measure to raise in any process but this one."""
+def failing_in_children(row):
+    """Wrap a compiled grid row to raise in any process but this one."""
     parent = os.getpid()
 
-    def measure(x, y):
+    def failing(y):
         if os.getpid() != parent:
             raise RuntimeError("block failed")
-        return measure_and_u(x, y)
+        return row(y)
 
-    return measure
+    return failing
 
 
-def failing_measure(monkeypatch, wrap):
-    real = orbits.to_cancellation
-    monkeypatch.setattr(orbits, "to_cancellation",
-                        lambda *args, **kwargs: wrap(real(*args, **kwargs)))
+def failing_rows(monkeypatch, wrap):
+    """Make ``residual_grid`` evaluate each row through ``wrap(row)``."""
+    real = orbits.to_row_kernel
+
+    def to_row_kernel(*args, **kwargs):
+        kernel = real(*args, **kwargs)
+        return lambda xs, domain: wrap(kernel(xs, domain))
+
+    monkeypatch.setattr(orbits, "to_row_kernel", to_row_kernel)
 
 
 class TestSameResultForAnyBlockCount:
@@ -206,7 +211,7 @@ class TestThreshold:
 class TestFailures:
     def test_failing_child_is_an_error_line(self, monkeypatch, blocks, forks):
         blocks(2)
-        failing_measure(monkeypatch, failing_in_children)
+        failing_rows(monkeypatch, failing_in_children)
         code, out, err = run_cli(["residual-grid", "--preset", "gss", "--solution", "family",
                                   "--nx", "10", "--ny", "10"])
         assert code not in (0, None) and out == ""
@@ -217,7 +222,7 @@ class TestFailures:
     def test_failing_child_removes_the_csv_file_it_created(self, monkeypatch, blocks, forks,
                                                           tmp_path):
         blocks(2)
-        failing_measure(monkeypatch, failing_in_children)
+        failing_rows(monkeypatch, failing_in_children)
         path = tmp_path / "field.csv"
         code, out, err = run_cli(["residual-grid", "--preset", "gss", "--solution", "family",
                                   "--nx", "6", "--ny", "6", "--output", str(path)])
@@ -226,7 +231,7 @@ class TestFailures:
 
     def test_failing_child_keeps_a_file_that_existed(self, monkeypatch, blocks, forks, tmp_path):
         blocks(2)
-        failing_measure(monkeypatch, failing_in_children)
+        failing_rows(monkeypatch, failing_in_children)
         path = tmp_path / "field.csv"
         path.write_text("x,y\n")
         code, _, _ = run_cli(["residual-grid", "--preset", "gss", "--solution", "family",
@@ -238,7 +243,7 @@ class TestFailures:
     def test_failing_child_leaves_the_sink_empty(self, count, monkeypatch, blocks, forks):
         # this process writes its own rows only after every child exited 0
         blocks(count)
-        failing_measure(monkeypatch, failing_in_children)
+        failing_rows(monkeypatch, failing_in_children)
         sink = io.StringIO()
         with pytest.raises(WorkerError, match="RuntimeError: block failed"):
             evaluated("family-13x11", sink)
@@ -249,14 +254,14 @@ class TestFailures:
         blocks(3)
         parent = os.getpid()
 
-        def failing_here(measure_and_u):
-            def measure(x, y):
+        def failing_here(row):
+            def failing(y):
                 if os.getpid() == parent:
                     raise KeyboardInterrupt
-                return measure_and_u(x, y)
-            return measure
+                return row(y)
+            return failing
 
-        failing_measure(monkeypatch, failing_here)
+        failing_rows(monkeypatch, failing_here)
         with pytest.raises(KeyboardInterrupt):
             evaluated("family-13x11")
         assert len(forks) == 2  # the fixture checks they were reaped
@@ -304,7 +309,7 @@ class TestChildExit:
     def test_child_runs_no_parent_cleanup(self, fail, monkeypatch, blocks, forks, tmp_path):
         blocks(3)
         if fail:
-            failing_measure(monkeypatch, failing_in_children)
+            failing_rows(monkeypatch, failing_in_children)
         log = os.open(tmp_path / "clear_memo.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         real_clear = cli.clear_memo
 

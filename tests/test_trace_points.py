@@ -44,6 +44,6 @@ def test_residual_grid_compiles_u_into_the_measure(monkeypatch):
     monkeypatch.setattr(orbits, "to_callable", spy)
     sol = base_solution(-1)
     orbits.residual_grid(gss_preset(), sol, GridSpec(1.0, 2.0, -0.5, 0.5, 2, 2))
-    # u is compiled into the measure's body by to_cancellation, so no
-    # root goes through to_callable
+    # u is compiled with the measure into one row kernel by to_row_kernel,
+    # so no root goes through to_callable
     assert roots == []
