@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -106,9 +107,6 @@ class Num(Expr):
     def sort_key(self):
         return (_KIND_NUM, self.value)
 
-    def _compute_free(self):
-        return frozenset()
-
     def __eq__(self, other):
         return isinstance(other, Num) and self.value == other.value
 
@@ -127,9 +125,6 @@ class Sym(Expr):
 
     def sort_key(self):
         return (_KIND_SYM, self.name)
-
-    def _compute_free(self):
-        return frozenset((self.name,))
 
     def __eq__(self, other):
         return isinstance(other, Sym) and self.name == other.name
@@ -859,7 +854,13 @@ def _walk(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
     def exponent(p: Fraction) -> str:
         name = powers.get(p)
         if name is None:
-            name = powers[p] = number(p)
+            value = p
+            if p.denominator == 1 and abs(p) > sys.float_info.max:
+                # an integer past the double range: the double of its sign and
+                # parity farthest from 0 (the largest double is even)
+                far = 2 ** 53 - 1 if p.numerator % 2 else sys.float_info.max
+                value = far if p > 0 else -far
+            name = powers[p] = number(value)
         return name
 
     def power(base: str, p: str, even: bool) -> str:
@@ -977,8 +978,9 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
 
     The text holds no number of the roots: each reaches the body as a
     name bound to its float, and a number past the double range to the
-    infinity of its sign, so the tree with the constants substituted and
-    the folded tree compile alike.  A coefficient, a Num leaf and a constant
+    infinity of its sign (an integer exponent to a double of its sign and
+    parity), so the tree with the constants substituted and the folded
+    tree compile alike.  A coefficient, a Num leaf and a constant
     symbol take a name of their own wherever the walk meets them, and a
     numeric exponent takes one name per distinct value, so equal powers
     still have equal text.  The text is the function's shape: the code of
@@ -1031,8 +1033,10 @@ def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     negative power, an overflowing power) it raises DomainError as
     ``eval_at`` does.  It differs from ``eval_at`` past the double range:
     an overflowing product is ``inf`` where ``eval_at`` raises
-    DomainError, and a constant past the range is bound as an infinity,
-    which loses the parity of an integer exponent."""
+    DomainError, a constant past the range is bound as an infinity, and
+    an odd integer exponent past it as 2^53 - 1 of its sign, which gives
+    ``eval_at``'s 0, 1 or overflow but for a base within about 1e-13 of
+    1 in magnitude."""
     return _compile((e,), arg_names, lambda ref, let: ref(e))
 
 
@@ -1042,16 +1046,7 @@ def _nonfinite():
 
 def _cancellation(e: Expr, ref, let) -> str:
     """The slot of the cancellation measure of ``e`` (see ``to_cancellation``)."""
-    sums = [f for f in e.factors if isinstance(f, Sum)] if isinstance(e, Product) else []
-    if len(sums) == 1:
-        others = [ref(f) for f in e.factors if f is not sums[0]]
-        rest = let(" * ".join(others), *others) if len(others) > 1 else others[0]
-        terms = []
-        for t in sums[0].terms:
-            text = ref(t)
-            terms.append(let(f"{rest} * {text}", rest, text))
-    else:
-        terms = [ref(t) for t in (e.terms if isinstance(e, Sum) else (e,))]
+    terms = [ref(t) for t in (e.terms if isinstance(e, Sum) else (e,))]
     total = let(" + ".join(["0.0", *terms]), *terms)
     scale = let(f"max(0.0, {', '.join(f'abs({t})' for t in terms)})", *terms)
     return let(f"{total} / (1.0 + {scale})", total, scale)
@@ -1063,11 +1058,12 @@ def to_cancellation(e: Expr, arg_names: Iterable[str],
     evaluate (residual grids evaluate it through ``to_row_kernel``): the
     signed sum of its terms from 0.0 in term order, over (1 + the largest
     term magnitude), the scale of the roundoff in the sum.  The terms are
-    those of a Sum; canonical factoring makes many residuals a Product,
-    and one with exactly one Sum factor has as terms (the other factors) x
-    (each term of that sum).  Any other residual is its own term.  A
-    non-finite result (an infinite or NaN term, or a sum that overflows)
-    raises DomainError: the point is off the domain.
+    those of a Sum, and any other residual is its own term: a Product
+    measures as one term, so a caller that wants its roundoff scaled by
+    the terms of its sums expands it first, as ``ConstraintSystem.restrict``
+    and ``equiv_numeric`` do.  A non-finite result (an infinite or NaN
+    term, or a sum that overflows) raises DomainError: the point is off
+    the domain.
 
     ``constants`` gives exact values to symbols that are not arguments;
     ``_compile`` folds what they make constant.  The terms are still those
@@ -1242,16 +1238,16 @@ class EquivResult(NamedTuple):
 def equiv_numeric(e1: Expr, e2: Expr, spec: SampleSpec | None = None) -> EquivResult:
     """Decide equality of two expressions on random samples.
 
-    True iff the cancellation measure (``to_cancellation``) of e1 - e2 is
-    at most ``rel_tol`` in magnitude at every sampled point; the first
-    failing environment is returned as a witness.  Points outside
-    ``accept`` or the real domain, and points where the measure is not
-    finite, are redrawn.  A difference that is structurally 0 is neither
-    compiled nor sampled.
+    True iff the cancellation measure (``to_cancellation``) of the
+    expanded e1 - e2 is at most ``rel_tol`` in magnitude at every sampled
+    point; the first failing environment is returned as a witness.
+    Points outside ``accept`` or the real domain, and points where the
+    measure is not finite, are redrawn.  A difference that expands to a
+    structural 0 is neither compiled nor sampled.
     """
     spec = spec or SampleSpec()
     names = sorted(e1.free_symbols() | e2.free_symbols())
-    difference = add(e1, mul(_MINUS_ONE, e2))
+    difference = expand(add(e1, mul(_MINUS_ONE, e2)))
 
     def draw(rng):
         return {n: rng.uniform(*spec.intervals.get(n, _DEFAULT_INTERVAL)) for n in names}

@@ -276,8 +276,9 @@ class SampledRemainder(NamedTuple):
 
 def sample_remainder(remainder: Expr, n_samples: int = DEFAULT_SAMPLES,
                      seed: int = DEFAULT_SEED) -> SampledRemainder:
-    """Sample a remainder in jet coordinates, such as the result of
-    ``ConstraintSystem.restrict``.  Its ``to_cancellation`` measure is
+    """Sample a remainder in jet coordinates, such as the expanded result
+    of ``ConstraintSystem.restrict``.  Its ``to_cancellation`` measure,
+    over its terms if it is a Sum and else over it as one term, is
     compiled once and |measure| is taken at ``n_samples`` seeded jet
     points; a point off the real domain or where the measure is not
     finite is redrawn.

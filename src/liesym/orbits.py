@@ -78,6 +78,15 @@ def map_point_exprs(lam) -> tuple[Expr, Expr]:
     )
 
 
+def _two_disks(lam: float) -> Callable[[float, float], bool]:
+    """The algebraic membership test of lam's two-disk region:
+    (x - b) (x + b) > 0 with b = y + lam (x^2 + y^2)."""
+    def inside(x: float, y: float) -> bool:
+        b = y + lam * (x * x + y * y)
+        return (x - b) * (x + b) > 0.0
+    return inside
+
+
 class RegionGeometry(NamedTuple):
     """Validity region of the transformed solution: union of two open
     disks minus their closed intersection (inside exactly one)."""
@@ -88,9 +97,7 @@ class RegionGeometry(NamedTuple):
     radius: float
 
     def membership(self, x: float, y: float) -> bool:
-        # algebraic form: (x - (y + lam rho^2)) (x + (y + lam rho^2)) > 0
-        b = y + self.lam * (x * x + y * y)
-        return (x - b) * (x + b) > 0.0
+        return _two_disks(self.lam)(x, y)
 
     def xor_disks(self, x: float, y: float) -> bool:
         in1 = math.hypot(x - self.center1[0], y - self.center1[1]) < self.radius
@@ -215,12 +222,7 @@ def family_solution(a, lam) -> ClosedFormSolution:
         raise TypeError("family_solution needs a numeric lam for its domain; "
                         "family_expr builds the expression alone")
     lam_f = float(lam)
-    if lam_f == 0.0:
-        domain = _wedge
-    else:
-        def domain(x, y, _l=lam_f):
-            bb = y + _l * (x * x + y * y)
-            return (x - bb) * (x + bb) > 0.0
+    domain = _two_disks(lam_f) if lam_f else _wedge
     return ClosedFormSolution(None, domain, f"family(lam={lam_f})", a, num(lam).value)
 
 
@@ -331,18 +333,25 @@ def symbolic_family_residual() -> Expr:
     return substitute(symbolic_residual(), _jet(symbolic_family_solution()))
 
 
+def _kept_residual(sol: ClosedFormSolution) -> tuple[Expr, Expr, dict]:
+    """(residual, u, the solution's own numbers): a Sum of the five terms
+    of the PDE on u's jet, in the symbols of PARAMETERS.  A family or base
+    solution gives the kept ``symbolic_family_residual()`` and
+    ``symbolic_family_solution()`` with its a and lam for ``a_sol`` and
+    ``lam``; a pushforward its own jet in ``symbolic_residual()``."""
+    if sol.lam is None:
+        return substitute(symbolic_residual(), sol.jet()), sol.expr, {}
+    return symbolic_family_residual(), symbolic_family_solution(), {"a_sol": sol.a, "lam": sol.lam}
+
+
 def solution_residual(inst: PDEInstance, sol: ClosedFormSolution) -> Expr:
     """The instance's residual on the solution's jet, as an expression in x
-    and y.  A solution with a ``lam`` binds the instance's six numbers, its
-    a and its lam into ``symbolic_family_residual()`` in one substitution;
-    any other one (a pushforward) has its jet substituted into
-    ``inst.delta``.  ``residual_grid`` reads it for a pushforward only: it
-    compiles the kept residual of a solution with a ``lam`` with the
-    numbers folded in, and this bound form is the reference that folding
-    is tested against."""
-    if sol.lam is None:
-        return substitute(inst.delta, sol.jet())
-    return inst.bind(symbolic_family_residual(), a_sol=sol.a, lam=sol.lam)
+    and y: the instance's numbers and the solution's own bound into its
+    kept residual in one substitution.  ``residual_grid`` compiles that
+    residual with the same numbers folded in; this bound form is the
+    reference that folding is tested against."""
+    residual, _, own = _kept_residual(sol)
+    return inst.bind(residual, **own)
 
 
 def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
@@ -354,33 +363,24 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
     digits.
 
     The residual is exact, so any nonzero residual is a genuine failure of
-    the solution, not discretization error.  For the family and the base
-    solution (a solution with a ``lam``) the kept
-    ``symbolic_family_residual()`` and ``symbolic_family_solution()`` are
-    compiled in x and y with the instance's six numbers, the solution's a
-    and its lam as constants: nothing is substituted or rebuilt per grid,
-    and ``residual`` is the ``to_cancellation`` measure over the five
-    terms of the PDE, a scale fixed by the equation.  A pushforward
-    compiles ``solution_residual(inst, sol)`` and its own u, and its
-    measure is over the terms of that bound residual.  Either way the two
-    are compiled as one ``to_row_kernel``: what depends on x alone is
-    computed once per column, what depends on y alone once per row, and
-    each row's text is one format of the numbers of its kept nodes.  The
-    terms cancel on a true solution but grow without bound toward the
-    region boundary.  Nodes outside the solution's domain, and nodes where
-    u or the residual leaves the real domain or the residual is not
-    finite, are masked: ``in_domain`` is 0 and u and residual are empty;
-    the field counts the second kind apart.  A grid of FORK_MIN_NODES
-    nodes or more is worked in row blocks (``in_row_blocks``); the field
-    and every byte are the same for any block count, and nothing reaches
-    the sink when a block fails.
+    the solution, not discretization error.  The solution's kept residual
+    and its u (``_kept_residual``; a family or base grid substitutes and
+    rebuilds nothing) are compiled as one ``to_row_kernel`` in x and y,
+    with the instance's six numbers and the solution's own as constants.
+    ``residual`` is the ``to_cancellation`` measure over the five terms
+    of the PDE, a scale fixed by the equation.  What depends on x alone
+    is computed once per column, what depends on y alone once per row,
+    and each row's text is one format of the numbers of its kept nodes.  The terms cancel on a true solution but
+    grow without bound toward the region boundary.  Nodes outside the
+    solution's domain, and nodes where u or the residual leaves the real
+    domain or the residual is not finite, are masked: ``in_domain`` is 0
+    and u and residual are empty; the field counts the second kind apart.
+    A grid of FORK_MIN_NODES nodes or more is worked in row blocks
+    (``in_row_blocks``); the field and every byte are the same for any
+    block count, and nothing reaches the sink when a block fails.
     """
-    if sol.lam is None:
-        kernel = to_row_kernel(solution_residual(inst, sol), ("x", "y"), sol.expr)
-    else:
-        numbers = {**inst.numbers(), "a_sol": sol.a, "lam": sol.lam}
-        kernel = to_row_kernel(symbolic_family_residual(), ("x", "y"),
-                               symbolic_family_solution(), constants=numbers)
+    residual, u, own = _kept_residual(sol)
+    kernel = to_row_kernel(residual, ("x", "y"), u, constants={**inst.numbers(), **own})
     return _grid_field(kernel, sol.domain, grid, sink)
 
 

@@ -685,15 +685,30 @@ class TestFoldedConstants:
         fn = to_callable(e, ("x",))
         for x, want in ((1.0, 1.0), (0.5, 0.0), (-0.5, 0.0), (-1.0, 1.0)):
             assert eval_at(e, {"x": x}) == want == fn(x)
-        assert fn(2.0) == math.inf
-        with pytest.raises(DomainError, match="overflow"):
-            eval_at(e, {"x": 2.0})
+        for value in (fn, lambda x: eval_at(e, {"x": x})):
+            with pytest.raises(DomainError, match="overflow"):
+                value(2.0)
         # an odd exponent keeps the sign of the base
         odd = add(e.exponent, num(1))
         assert math.copysign(1.0, eval_at(pow_(X, odd), {"x": -0.5})) == -1.0
         assert eval_at(pow_(X, odd), {"x": -1.0}) == -1.0
         with pytest.raises(DomainError, match="overflow"):
             eval_at(pow_(X, mul(num(-1), odd)), {"x": 0.5})
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_an_exponent_past_the_double_range_keeps_its_parity(self, shift, sign):
+        # x^(+-(k^(j^2 k^2) + shift)) at k = 4, j = 6: the exponent is
+        # +-2^1152 or the odd +-(2^1152 + 1); the substituted and the folded
+        # compile read eval_at's bits (-0.0 for the odd one at x = -0.5), or
+        # its DomainError, at every point
+        big = pow_(self.K, mul(pow_(sym("j"), num(2)), pow_(self.K, num(2))))
+        e = pow_(X, mul(num(sign), add(big, num(shift))))
+        table = {"k": Fraction(4), "j": Fraction(6)}
+        bound = substitute(e, table)
+        for fn in (to_callable(bound, ("x",)), _compiled(e, ("x",), table)):
+            for x in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
+                assert _outcome(fn, x) == _outcome(lambda x: eval_at(bound, {"x": x}), x), x
 
     @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
     def test_real_pow_of_a_negative_base_to_a_non_finite_exponent(self, p):
@@ -903,6 +918,15 @@ class TestEquivNumeric:
     def test_acceptance_predicate(self):
         spec = SampleSpec(count=8, seed=1, accept=lambda env: env["x"] > 1.0)
         assert equiv_numeric(parse("x"), parse("x"), spec).equivalent
+
+    def test_an_expand_zero_difference_is_not_compiled(self, monkeypatch):
+        # (x+1)^2 - (x^2 + 2x + 1) is not a structural 0 until expanded
+        def refused(*args, **kwargs):
+            raise AssertionError("an expand-zero difference was compiled")
+
+        monkeypatch.setattr(expr, "to_cancellation", refused)
+        res = equiv_numeric(parse("(x+1)^2"), parse("x^2 + 2*x + 1"), SampleSpec(count=5))
+        assert (res.equivalent, res.samples, res.witness) == (True, 5, None)
 
 
 _BODIES = ("_canonical_pow", "_canonical_product", "_canonical_sum", "_derivative")

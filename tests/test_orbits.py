@@ -454,10 +454,29 @@ class TestKeptFamilyResidual:
             clear_memo()
 
     def test_pushforward_keeps_its_own_jet(self):
-        pushed = transform_solution(base_solution(-1), Fraction(1, 2))
-        assert pushed.lam is None
-        assert solution_residual(gss_preset(), pushed) == _per_instance_residual(
-            gss_preset(), pushed)
+        for lam in (Fraction(1, 2), 2, Fraction(1, 3)):
+            pushed = transform_solution(base_solution(-1), lam)
+            assert pushed.lam is None
+            assert solution_residual(gss_preset(), pushed) == _per_instance_residual(
+                gss_preset(), pushed), lam
+
+    @pytest.mark.parametrize("inst_a,a,lam,solves", [
+        (-1, -1, Fraction(1, 2), True),
+        (-1, -1, 2, True),
+        (Fraction(-5, 3), Fraction(-5, 3), Fraction(1, 3), True),
+        (Fraction(7, 2), Fraction(7, 2), 1, True),
+        (-1, Fraction(7, 2), 1, False),  # the solution's a apart from the instance's
+        (Fraction(7, 2), -1, Fraction(1, 2), False),
+    ])
+    def test_pushforward_grid(self, inst_a, a, lam, solves):
+        # a pushforward grid compiles its own jet in the symbolic residual
+        # with the numbers folded in: the five PDE terms, as the oracle
+        inst = gss_preset() if inst_a == -1 else _profile_instance(inst_a)
+        pushed = transform_solution(base_solution(a), lam)
+        grid = _grid_for(lam, 24)
+        sup, _ = _assert_grids_agree(inst, pushed, grid)
+        assert (sup <= 1e-13) == solves
+        assert residual_grid(inst, pushed, grid).n_in_domain > 100
 
     def test_the_instance_of_the_changed_digits(self):
         # the family does not solve this instance: its kept residual is a
