@@ -730,38 +730,58 @@ def expand(e: Expr) -> Expr:
 # numeric evaluation
 
 
+def _double(value) -> float:
+    """The double of an exact number, or the infinity of its sign past the
+    double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _exponent_double(p: Fraction) -> float:
+    """The double of an exact exponent.  An integer past the double range
+    maps to the double of its sign and parity farthest from 0 (the largest
+    double is even), so the power still reads 0, 1 or an overflow, with
+    the sign of an odd power."""
+    if p.denominator == 1 and abs(p) > sys.float_info.max:
+        far = 2 ** 53 - 1 if p.numerator % 2 else sys.float_info.max
+        return float(far if p > 0 else -far)
+    return _double(p)
+
+
 def _real_pow(b: float, p: float) -> float:
-    if b > 0.0:
+    """``math.pow`` on its real domain: a positive base, an integer
+    exponent, or a zero base to a positive exponent.  Anything else, 0 to
+    a negative power and an overflowing value raise DomainError."""
+    if b > 0.0 or float(p).is_integer() or (b == 0.0 and p > 0.0):
         try:
             return math.pow(b, p)
         except OverflowError as exc:
             raise DomainError(f"overflow in {b!r}^{p!r}") from exc
-    if b == 0.0:
-        if p > 0.0:
-            return 0.0
-        if p == 0.0:
-            return 1.0
-        raise DomainError("0 raised to a negative power")
-    if float(p).is_integer():  # an infinite or NaN exponent is not
-        try:
-            return math.pow(b, p)
-        except OverflowError as exc:
-            raise DomainError(f"overflow in {b!r}^{p!r}") from exc
-    raise DomainError(f"fractional power of negative base {b!r}")
+        except ValueError as exc:
+            raise DomainError("0 raised to a negative power") from exc
+    raise DomainError(f"no real value of {b!r}^{p!r}")
 
 
 def eval_at(e: Expr, env: Mapping[str, float]) -> float:
-    """Evaluate to an IEEE double.  Every free symbol must be bound."""
+    """Evaluate to an IEEE double.  Every free symbol must be bound.
+
+    Numbers, exponents and powers take the compiled code's rule
+    (``_double``, ``_exponent_double``, ``_real_pow``), and a Sum adds
+    from its first term, so every value is the compiled code's bit for
+    bit; the one difference is that a product that overflows raises
+    DomainError here and is ``inf`` there."""
     if isinstance(e, Num):
-        return float(e.value)
+        return _double(e.value)
     if isinstance(e, Sym):
         try:
             return float(env[e.name])
         except KeyError:
             raise UnboundSymbolError(f"symbol {e.name!r} not bound") from None
     if isinstance(e, Sum):
-        total = 0.0
-        for t in e.terms:
+        total = eval_at(e.terms[0], env)
+        for t in e.terms[1:]:
             total += eval_at(t, env)
         return total
     if isinstance(e, Product):
@@ -772,21 +792,9 @@ def eval_at(e: Expr, env: Mapping[str, float]) -> float:
             raise DomainError("overflow in product")
         return out
     if isinstance(e, Power):
-        b = eval_at(e.base, env)
-        if isinstance(e.exponent, Num) and e.exponent.value.denominator == 1:
-            n = e.exponent.value.numerator
-            if b == 0.0 and n < 0:
-                raise DomainError("0 raised to a negative power")
-            try:
-                return float(b) ** n
-            except OverflowError:
-                # the value overflows, or n is past the double range: then
-                # |b|^n is 0, 1 or too large, as at an infinite exponent
-                value = math.pow(abs(b), math.inf if n > 0 else -math.inf)
-            if math.isinf(value):
-                raise DomainError(f"overflow in {b!r}^{n}")
-            return math.copysign(value, b) if n % 2 else value
-        return _real_pow(b, eval_at(e.exponent, env))
+        p = e.exponent
+        return _real_pow(eval_at(e.base, env),
+                         _exponent_double(p.value) if isinstance(p, Num) else eval_at(p, env))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -843,28 +851,18 @@ def _walk(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
         return slot
 
     def number(value) -> str:
-        """A new name bound to ``float(value)``, or to the infinity of its
-        sign where the value is past the double range."""
-        try:
-            bound.append(float(value))
-        except OverflowError:
-            bound.append(math.inf if value > 0 else -math.inf)
+        """A new name bound to ``_double(value)``."""
+        bound.append(_double(value))
         return f"{prefix}k{len(bound) - 1}"
 
     def exponent(p: Fraction) -> str:
         name = powers.get(p)
         if name is None:
-            value = p
-            if p.denominator == 1 and abs(p) > sys.float_info.max:
-                # an integer past the double range: the double of its sign and
-                # parity farthest from 0 (the largest double is even)
-                far = 2 ** 53 - 1 if p.numerator % 2 else sys.float_info.max
-                value = far if p > 0 else -far
-            name = powers[p] = number(value)
+            name = powers[p] = number(_exponent_double(p))
         return name
 
-    def power(base: str, p: str, even: bool) -> str:
-        if even:
+    def power(base: str, p: str, integer: bool) -> str:
+        if integer:
             return let(f"_mpow({base}, {p})", base, p)
         return let(f"(_mpow({base}, {p}) if {base} > 0.0 else _pow({base}, {p}))", base, p)
 
@@ -918,8 +916,7 @@ def _walk(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
             if p is None:
                 text = power(base, ref(e), False)
             else:
-                text = power(base, exponent(p),
-                             p.denominator == 1 and p > 0 and p.numerator % 2 == 0)
+                text = power(base, exponent(p), p.denominator == 1)
         elif isinstance(node, Sum):
             parts = [ref(t) for t in node.terms]
             if zeros:
@@ -977,9 +974,8 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
     over the nodes of a grid.
 
     The text holds no number of the roots: each reaches the body as a
-    name bound to its float, and a number past the double range to the
-    infinity of its sign (an integer exponent to a double of its sign and
-    parity), so the tree with the constants substituted and the folded
+    name bound to its double (``_double``, and ``_exponent_double`` for an
+    exponent), so the tree with the constants substituted and the folded
     tree compile alike.  A coefficient, a Num leaf and a constant
     symbol take a name of their own wherever the walk meets them, and a
     numeric exponent takes one name per distinct value, so equal powers
@@ -993,25 +989,23 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
     one number.  The folded factors of a Product become one leading
     coefficient, left out where it is 1; a Product with a 0 factor is 0
     and drops out of its Sum, as under ``substitute``.  A Power whose
-    exponent folds to a positive even integer calls ``math.pow`` directly
-    as ``_mpow``, which gives what ``_real_pow`` gives for every double
-    base.  Every other power is ``(_mpow(b, p) if b > 0.0 else _pow(b,
-    p))``, with ``_real_pow`` as ``_pow``: ``_real_pow`` itself calls
-    ``math.pow`` where b > 0, so this is ``_real_pow`` bit for bit with
-    one Python call less, and ``_real_pow`` differs from ``math.pow`` at
-    -0.0 and 0.0 and off the real domain.  ``math.pow`` raises
-    OverflowError where its value overflows, which becomes DomainError
-    through a handler around the whole body (float ``+ * /``, ``abs`` and
+    exponent folds to an integer calls ``math.pow`` directly as ``_mpow``,
+    as ``_real_pow`` does for every base there.  Every other power is
+    ``(_mpow(b, p) if b > 0.0 else _pow(b, p))``, with ``_real_pow`` as
+    ``_pow``: ``_real_pow`` bit for bit with one Python call less where
+    b > 0.  ``math.pow`` raises OverflowError where its value overflows and
+    ValueError at 0 to a negative integer power, which become DomainError
+    through handlers around the whole body (float ``+ * /``, ``abs`` and
     ``max`` give inf rather than raise).  So a zero, a unit coefficient,
-    an even power and equal exponents shape the text; other numbers do
+    an integer power and equal exponents shape the text; other numbers do
     not.
 
     Where no compound subtree folds and each Product's number leads, as in
     canonical form, each slot keeps its node's operand order and power
-    call, so every finite value is ``eval_at``'s (bit for bit, but for the
-    sign of a zero sum: ``eval_at`` sums from 0.0).  Folding
-    gives the values of the tree with the constants substituted, up to the
-    rounding of another operation order."""
+    call, so every value is ``eval_at``'s bit for bit, or DomainError
+    where ``eval_at`` raises it, but for an overflowing product (see
+    ``eval_at``).  Folding gives the values of the tree with the constants
+    substituted, up to the rounding of another operation order."""
     names, prefix, lines, result, bound = _walk(roots, arg_names, body, constants)
     return _bind(prefix, bound, [
         f"    def _f({', '.join(names)}):",
@@ -1020,6 +1014,8 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
         f"            return {result}",
         "        except OverflowError as exc:",
         "            raise _DomainError('overflow in a power') from exc",
+        "        except ValueError as exc:",
+        "            raise _DomainError('0 raised to a negative power') from exc",
         "    return _f",
     ])
 
@@ -1031,12 +1027,9 @@ def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
 
     Off the real domain (a fractional power of a negative base, 0 to a
     negative power, an overflowing power) it raises DomainError as
-    ``eval_at`` does.  It differs from ``eval_at`` past the double range:
-    an overflowing product is ``inf`` where ``eval_at`` raises
-    DomainError, a constant past the range is bound as an infinity, and
-    an odd integer exponent past it as 2^53 - 1 of its sign, which gives
-    ``eval_at``'s 0, 1 or overflow but for a base within about 1e-13 of
-    1 in magnitude."""
+    ``eval_at`` does, and every other value is ``eval_at``'s bit for bit
+    but for an overflowing product, which is ``inf`` here where
+    ``eval_at`` raises DomainError."""
     return _compile((e,), arg_names, lambda ref, let: ref(e))
 
 
@@ -1095,9 +1088,9 @@ def to_row_kernel(e: Expr, arg_names: tuple[str, str], *values: Expr,
     Each slot is placed by the arguments it reads: a slot of x alone, or
     of neither, is computed once per column, in ``kernel``; a slot of y
     alone once per row; every other slot once per node the domain admits.
-    A DomainError or an overflow in a slot of x alone or of y alone
-    leaves unkept only the admitted nodes of its column or row, and in a
-    slot of neither every admitted node."""
+    A DomainError, an overflow or 0 to a negative power in a slot of x
+    alone or of y alone leaves unkept only the admitted nodes of its
+    column or row, and in a slot of neither every admitted node."""
     def body(ref, let):
         return _cancellation(e, ref, let), [ref(v) for v in values]
 
@@ -1109,7 +1102,7 @@ def to_row_kernel(e: Expr, arg_names: tuple[str, str], *values: Expr,
     column = ", ".join([f"{p}i", x, *(slot for slot, _, bits, _ in lines
                                        if bits == 1 and slot in read_per_node)])
 
-    errors = "(_DomainError, OverflowError)"
+    errors = "(_DomainError, OverflowError, ValueError)"
 
     def block(code: list[str], indent: int) -> list[str]:
         return [" " * indent + line for line in code or ["pass"]]

@@ -190,6 +190,23 @@ class TestResidualGrid:
         assert report["in_domain_nodes"] > 0
         assert report["sup_residual"] <= 1e-9
 
+    def test_a_column_at_x_zero_is_masked(self):
+        # the base solution's domain leaves out the column x = 0, and the
+        # kernel still works that column's slots of x alone (x^2 and a
+        # constant times it here) before the first row: the column is
+        # masked, not counted off the real domain, and the rest is written.
+        # A slot of x alone that takes 0 to a negative power there is
+        # tested in TestRowKernel
+        code, out, _ = run_cli(["residual-grid", "--preset", "gss", "--solution", "base",
+                                "--x-min=-1", "--x-max=1", "--y-min=-0.5", "--y-max=0.5",
+                                "--nx", "3", "--ny", "3"])
+        assert code == 0
+        cut = out.index('{\n  "command"')
+        assert hashlib.sha256(out[:cut].encode()).hexdigest() == (
+            "3d84cb9a3546f57feb247450026bdf28a048343eb9d23991d744932bb2ac14e8")
+        report = json_report(out)
+        assert (report["in_domain_nodes"], report["masked_off_real_nodes"]) == (6, 0)
+
     def test_gss_family_grid_at_200(self):
         # the grid measures the residual over the five terms of the PDE;
         # measured as a single term its roundoff read 1.99e-8, above the

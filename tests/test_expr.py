@@ -535,8 +535,8 @@ class TestEval:
 
 
 class TestEvenPowers:
-    # a positive even integer power compiles to math.pow itself, with one
-    # OverflowError handler around the body; it must be _real_pow bit for bit
+    # an integer power compiles to math.pow itself, with OverflowError and
+    # ValueError handlers around the body; it must be _real_pow bit for bit
     POINTS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-200, -1e-200, 3.7, -3.7]
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -556,8 +556,10 @@ class TestEvenPowers:
 
     @pytest.mark.parametrize("p", [3, -2, Fraction(1, 2), Fraction(-7, 4)])
     def test_other_powers_are_real_pow_bit_for_bit(self, p):
-        # (_mpow(b, p) if b > 0.0 else _pow(b, p)): math.pow itself where
-        # the base is positive, _real_pow elsewhere
+        # an odd or negative integer power is math.pow itself, as a positive
+        # even one; a fractional power is (_mpow(b, p) if b > 0.0 else
+        # _pow(b, p)): math.pow itself where the base is positive, _real_pow
+        # elsewhere
         fn = to_callable(pow_(X, num(p)), ("x",))
         calls = []
         fn.__globals__["_pow"] = lambda b, q: calls.append(b) or expr._real_pow(b, q)
@@ -565,7 +567,9 @@ class TestEvenPowers:
             want = _outcome(lambda v: expr._real_pow(v, float(p)), x)
             assert _outcome(fn, x) == want, (x, p)
         assert all(not b > 0.0 for b in calls)
-        assert len(calls) == sum(not x > 0.0 for x in self.POINTS)
+        integer = Fraction(p).denominator == 1
+        assert len(calls) == (0 if integer else sum(not x > 0.0 for x in self.POINTS))
+        assert ("_pow" in fn.__code__.co_names) != integer
 
     def test_a_symbolic_exponent_takes_the_same_rule(self):
         fn = to_callable(pow_(X, Y), ("x", "y"))
@@ -575,10 +579,14 @@ class TestEvenPowers:
                 assert _outcome(fn, x, y) == want, (x, y)
 
     def test_odd_and_negative_powers_keep_real_pow(self):
-        # math.pow(-0.0, 3.0) is -0.0 and math.pow(0.0, -2.0) raises ValueError
-        assert math.copysign(1.0, to_callable(pow_(X, num(3)), ("x",))(-0.0)) == 1.0
-        with pytest.raises(DomainError):
-            to_callable(pow_(X, num(-2)), ("x",))(0.0)
+        # math.pow(-0.0, 3.0) is -0.0, and math.pow(0.0, -2.0) raises
+        # ValueError, which is DomainError on both evaluators
+        inverse_square = pow_(X, num(-2))
+        assert math.copysign(1.0, to_callable(pow_(X, num(3)), ("x",))(-0.0)) == -1.0
+        with pytest.raises(DomainError, match="negative power"):
+            to_callable(inverse_square, ("x",))(0.0)
+        with pytest.raises(DomainError, match="negative power"):
+            eval_at(inverse_square, {"x": 0.0})
 
 
 def _compiled(e, names, constants=None):
@@ -710,6 +718,35 @@ class TestFoldedConstants:
             for x in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
                 assert _outcome(fn, x) == _outcome(lambda x: eval_at(bound, {"x": x}), x), x
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_constant_past_the_double_range_is_an_infinity_on_both_paths(self, sign):
+        # x + 10^400 reads inf, as the compile binds 10^400; x * 10^400 is
+        # the one difference: eval_at raises on the overflowing product
+        e = add(X, num(sign * 10 ** 400))
+        want = sign * math.inf
+        assert eval_at(e, {"x": 1.0}) == want == to_callable(e, ("x",))(1.0)
+        product = mul(num(sign * 10 ** 400), X)
+        assert to_callable(product, ("x",))(1.0) == want
+        with pytest.raises(DomainError, match="overflow in product"):
+            eval_at(product, {"x": 1.0})
+
+    def test_an_odd_power_keeps_the_sign_of_a_zero_on_every_evaluator(self):
+        # math.pow(-0.0, 3.0) is -0.0: eval_at, the compiled function and
+        # the row kernel read it
+        cube = pow_(X, num(3))
+        numbers, keep, off_real = expr.to_row_kernel(X, ("x", "y"), cube)(
+            [-0.0], lambda x, y: True)(1.0)
+        assert keep == [1] and off_real == 0
+        for value in (eval_at(cube, {"x": -0.0}), to_callable(cube, ("x",))(-0.0), numbers[0]):
+            assert struct.pack("<d", value) == struct.pack("<d", -0.0)
+
+    def test_a_zero_sum_keeps_its_sign_on_both_paths(self):
+        # -0.0 + -0.0 is -0.0: eval_at adds from the first term, as the
+        # compiled x + y does, not from 0.0
+        e = add(X, Y)
+        for value in (eval_at(e, {"x": -0.0, "y": -0.0}), to_callable(e, ("x", "y"))(-0.0, -0.0)):
+            assert struct.pack("<d", value) == struct.pack("<d", -0.0)
+
     @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
     def test_real_pow_of_a_negative_base_to_a_non_finite_exponent(self, p):
         with pytest.raises(DomainError):
@@ -750,18 +787,19 @@ class TestFoldedConstants:
         @given(_FOLD_PLAIN_TREES, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
         def test_bit_identical_where_nothing_folds(self, e, x, y):
             # a table of symbols the tree does not hold folds nothing: the
-            # body is the one compiled without it, bit for bit, and each
-            # finite value is eval_at's (eval_at sums from 0.0, so a zero
-            # sum may differ in sign)
+            # body is the one compiled without it, bit for bit, and that is
+            # eval_at's outcome, the sign of a zero and DomainError
+            # included, but where eval_at finds a product that overflows
             names = ("x", "y")
             folded = _outcome(_compiled(e, names, {"k": 2, "j": 3}), x, y)
             assert folded == _outcome(to_callable(e, names), x, y)
             try:
-                want = eval_at(e, {"x": x, "y": y})
-            except DomainError:
-                return
-            if folded is not DomainError and math.isfinite(want):
-                assert struct.unpack("<d", folded)[0] == want
+                want = struct.pack("<d", eval_at(e, {"x": x, "y": y}))
+            except DomainError as exc:
+                if str(exc) == "overflow in product":
+                    return  # the compiled product is inf
+                want = DomainError
+            assert folded == want, (to_text(e), x, y)
 
         @settings(max_examples=200, deadline=None, database=None)
         @given(_FOLD_PLAIN_TREES)
@@ -868,6 +906,17 @@ class TestRowKernel:
         assert row(2.0) == ([1.0, measure(1.0, 2.0), 4.0, measure(4.0, 2.0)], [0, 1, 1], 1)
         assert row(1.0) == ([], [0, 0, 0], 3)
         assert row(3.0) == ([1.0, measure(1.0, 3.0)], [0, 1, 0], 1)
+
+    def test_zero_to_a_negative_power_masks_its_column(self):
+        # x^(-1) at x = 0.0 is math.pow(0.0, -1.0), which raises ValueError:
+        # in a slot of x alone it masks the column, and (x + y)^(-1) in a
+        # slot of both arguments masks the node where x + y is 0
+        e = add(pow_(X, num(-1)), pow_(add(X, Y), num(-1)))
+        measure = expr.to_cancellation(e, ("x", "y"))
+        row = expr.to_row_kernel(e, ("x", "y"), X)([-1.0, 0.0, 1.0], lambda x, y: True)
+        assert row(2.0) == ([-1.0, measure(-1.0, 2.0), 1.0, measure(1.0, 2.0)], [1, 0, 1], 1)
+        assert row(1.0) == ([1.0, measure(1.0, 1.0)], [0, 0, 1], 2)
+        assert row(-1.0) == ([-1.0, measure(-1.0, -1.0)], [1, 0, 0], 2)
 
     def test_a_constant_slot_off_the_domain_masks_every_admitted_node(self):
         e = add(X, Y, pow_(num(-2), num(Fraction(1, 2))))

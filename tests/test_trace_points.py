@@ -5,11 +5,12 @@ the suite fail first."""
 
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from liesym import GridSpec, base_solution, gss_preset, orbits
+from liesym import GridSpec, base_solution, family_solution, gss_preset, orbits, transform_solution
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -32,18 +33,23 @@ def test_method_point_exists(module, cls, name):
 
 
 def test_residual_grid_compiles_u_into_the_measure(monkeypatch):
-    # the tracer counts the nodes of the first argument of each
-    # to_callable call made through the orbits namespace
-    roots = []
-    real = orbits.to_callable
+    # each grid compiles its residual with u as the one value of a single
+    # to_row_kernel call made through the orbits namespace; a family or
+    # base grid's u is the kept symbolic family solution, a pushforward's
+    # its own expression
+    values = []
+    real = orbits.to_row_kernel
 
-    def spy(e, arg_names):
-        roots.append(e)
-        return real(e, arg_names)
+    def spy(e, arg_names, *vals, constants=None):
+        values.append(vals)
+        return real(e, arg_names, *vals, constants=constants)
 
-    monkeypatch.setattr(orbits, "to_callable", spy)
-    sol = base_solution(-1)
-    orbits.residual_grid(gss_preset(), sol, GridSpec(1.0, 2.0, -0.5, 0.5, 2, 2))
-    # u is compiled with the measure into one row kernel by to_row_kernel,
-    # so no root goes through to_callable
-    assert roots == []
+    monkeypatch.setattr(orbits, "to_row_kernel", spy)
+    grid = GridSpec(1.0, 2.0, -0.5, 0.5, 2, 2)
+    pushed = transform_solution(base_solution(-1), Fraction(1, 2))
+    for sol, u in ((base_solution(-1), orbits.symbolic_family_solution()),
+                   (family_solution(-1, 1), orbits.symbolic_family_solution()),
+                   (pushed, pushed.expr)):
+        values.clear()
+        orbits.residual_grid(gss_preset(), sol, grid)
+        assert values == [(u,)], sol.label
