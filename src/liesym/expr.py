@@ -262,31 +262,26 @@ ZERO = Num(Fraction(0))
 ONE = Num(Fraction(1))
 _MINUS_ONE = Num(Fraction(-1))
 
-# Results of the pure canonicalizing functions (pow_, mul, _add_terms,
-# _diff), keyed by a tag and the arguments after as_expr, so a float never
-# becomes a key: 0.1 equals the Fraction of its binary value, num(0.1) is
-# 1/10.  The key holds every input, so a hit returns what the body would
-# build.  The table grows for as long as nobody clears it; the CLI clears
-# it after each command, library callers call clear_memo() between
-# unrelated workloads.
-_MEMO: dict[tuple, Expr] = {}
+# The pure canonicalizing bodies and _derivative are functools caches keyed
+# by their arguments after as_expr, so a float never becomes a key: 0.1
+# equals the Fraction of its binary value, num(0.1) is 1/10.  The key holds
+# every input, so a hit returns the object the body built, and a body that
+# raises stores nothing.  The caches grow for as long as nobody clears
+# them; the CLI clears them after each command, library callers call
+# clear_memo() between unrelated workloads.
 
 
 def clear_memo() -> None:
-    """Drop every memoized constructor and derivative result."""
-    _MEMO.clear()
+    """Empty the caches of the canonicalizing constructors and ``diff``."""
+    for body in (_canonical_pow, _canonical_product, _canonical_sum, _derivative):
+        body.cache_clear()
 
 
 def pow_(base, exponent) -> Expr:
-    b = as_expr(base)
-    p = as_expr(exponent)
-    key = ("pow", b, p)
-    out = _MEMO.get(key)
-    if out is None:
-        out = _MEMO[key] = _canonical_pow(b, p)
-    return out
+    return _canonical_pow(as_expr(base), as_expr(exponent))
 
 
+@functools.cache
 def _canonical_pow(b: Expr, p: Expr) -> Expr:
     if isinstance(p, Num):
         if p.value == 0:
@@ -334,14 +329,11 @@ def _int_power(v: Fraction, p: Fraction) -> Fraction | None:
 
 
 def mul(*factors) -> Expr:
-    key = ("mul", *map(as_expr, factors))
-    out = _MEMO.get(key)
-    if out is None:
-        out = _MEMO[key] = _canonical_product(key[1:])
-    return out
+    return _canonical_product(*map(as_expr, factors))
 
 
-def _canonical_product(factors: tuple[Expr, ...]) -> Expr:
+@functools.cache
+def _canonical_product(*factors: Expr) -> Expr:
     flat: list[Expr] = []
     for e in factors:
         if isinstance(e, Product):
@@ -542,14 +534,11 @@ def add(*terms) -> Expr:
 
 
 def _add_terms(terms, factor: bool) -> Expr:
-    key = ("add", factor, *map(as_expr, terms))
-    out = _MEMO.get(key)
-    if out is None:
-        out = _MEMO[key] = _canonical_sum(key[2:], factor)
-    return out
+    return _canonical_sum(factor, *map(as_expr, terms))
 
 
-def _canonical_sum(terms: tuple[Expr, ...], factor: bool) -> Expr:
+@functools.cache
+def _canonical_sum(factor: bool, *terms: Expr) -> Expr:
     flat: list[Expr] = []
     for e in terms:
         if isinstance(e, Sum):
@@ -617,39 +606,31 @@ def is_zero(e: Expr) -> bool:
 
 def diff(e: Expr, wrt) -> Expr:
     """Partial derivative; every other symbol is held constant."""
-    name = wrt.name if isinstance(wrt, Sym) else wrt
-    return _diff(e, name)
+    return _derivative(e, wrt.name if isinstance(wrt, Sym) else wrt)
 
 
-def _diff(e: Expr, name: str) -> Expr:
-    key = ("diff", e, name)
-    out = _MEMO.get(key)
-    if out is None:
-        out = _MEMO[key] = _derivative(e, name)
-    return out
-
-
+@functools.cache
 def _derivative(e: Expr, name: str) -> Expr:
     if name not in e.free_symbols():
         return ZERO
     if isinstance(e, Sym):
         return ONE
     if isinstance(e, Sum):
-        return add(*[_diff(t, name) for t in e.terms])
+        return add(*[_derivative(t, name) for t in e.terms])
     if isinstance(e, Product):
         parts = []
         for i, f in enumerate(e.factors):
             if name not in f.free_symbols():
                 continue
             rest = e.factors[:i] + e.factors[i + 1:]
-            parts.append(mul(_diff(f, name), *rest))
+            parts.append(mul(_derivative(f, name), *rest))
         return add(*parts)
     if isinstance(e, Power):
         b, p = e.base, e.exponent
         if name in p.free_symbols():
             # its derivative needs log b, which is not in the language
             raise ValueError(f"exponent {to_text(p)} depends on {name}")
-        return mul(p, pow_(b, add(p, _MINUS_ONE)), _diff(b, name))
+        return mul(p, pow_(b, add(p, _MINUS_ONE)), _derivative(b, name))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -771,14 +752,19 @@ def eval_at(e: Expr, env: Mapping[str, float]) -> float:
     (``_double``, ``_exponent_double``, ``_real_pow``), and a Sum adds
     from its first term, so every value is the compiled code's bit for
     bit; the one difference is that a product that overflows raises
-    DomainError here and is ``inf`` there."""
+    DomainError here and is ``inf`` there.  A value of ``env`` past the
+    double range raises DomainError."""
     if isinstance(e, Num):
         return _double(e.value)
     if isinstance(e, Sym):
         try:
-            return float(env[e.name])
+            value = env[e.name]
         except KeyError:
             raise UnboundSymbolError(f"symbol {e.name!r} not bound") from None
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise DomainError(f"overflow in the value of {e.name}") from exc
     if isinstance(e, Sum):
         total = eval_at(e.terms[0], env)
         for t in e.terms[1:]:
@@ -993,7 +979,8 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
     as ``_real_pow`` does for every base there.  Every other power is
     ``(_mpow(b, p) if b > 0.0 else _pow(b, p))``, with ``_real_pow`` as
     ``_pow``: ``_real_pow`` bit for bit with one Python call less where
-    b > 0.  ``math.pow`` raises OverflowError where its value overflows and
+    b > 0.  ``math.pow`` raises OverflowError where its value overflows, as
+    does an int argument past the double range where it meets a float, and
     ValueError at 0 to a negative integer power, which become DomainError
     through handlers around the whole body (float ``+ * /``, ``abs`` and
     ``max`` give inf rather than raise).  So a zero, a unit coefficient,
@@ -1013,7 +1000,7 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
         *(f"            {slot} = {rhs}" for slot, rhs, _, _ in lines),
         f"            return {result}",
         "        except OverflowError as exc:",
-        "            raise _DomainError('overflow in a power') from exc",
+        "            raise _DomainError('overflow past the double range') from exc",
         "        except ValueError as exc:",
         "            raise _DomainError('0 raised to a negative power') from exc",
         "    return _f",
@@ -1026,10 +1013,10 @@ def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     and residual grids ``to_row_kernel``.
 
     Off the real domain (a fractional power of a negative base, 0 to a
-    negative power, an overflowing power) it raises DomainError as
-    ``eval_at`` does, and every other value is ``eval_at``'s bit for bit
-    but for an overflowing product, which is ``inf`` here where
-    ``eval_at`` raises DomainError."""
+    negative power, an overflowing power, an argument past the double
+    range) it raises DomainError as ``eval_at`` does, and every other
+    value is ``eval_at``'s bit for bit but for an overflowing product,
+    which is ``inf`` here where ``eval_at`` raises DomainError."""
     return _compile((e,), arg_names, lambda ref, let: ref(e))
 
 

@@ -154,23 +154,20 @@ class ClosedFormSolution:
     so a residual grid, which compiles the kept family solution, never
     builds it."""
 
-    __slots__ = ("_expr", "domain", "label", "a", "lam")
-
     def __init__(self, expr: Expr | None, domain: Callable[[float, float], bool], label: str,
                  a, lam: Fraction | None = None):
         if expr is None and lam is None:
             raise TypeError("a solution without a lam needs its expr")
-        self._expr = expr
+        if expr is not None:
+            self.expr = expr
         self.domain = domain
         self.label = label
         self.a = a  # Fraction for numeric instances, Expr when kept symbolic
         self.lam = lam
 
-    @property
+    @functools.cached_property
     def expr(self) -> Expr:
-        if self._expr is None:
-            self._expr = family_expr(self.a, self.lam)
-        return self._expr
+        return family_expr(self.a, self.lam)
 
     def __repr__(self):
         return f"ClosedFormSolution(label={self.label!r}, a={self.a!r}, lam={self.lam!r})"

@@ -730,6 +730,15 @@ class TestFoldedConstants:
         with pytest.raises(DomainError, match="overflow in product"):
             eval_at(product, {"x": 1.0})
 
+    def test_an_argument_past_the_double_range_is_off_the_domain_on_both_paths(self):
+        # 10^400 is no double: eval_at converts it, the compiled x*y + 1
+        # meets it at its first float operation, where no power is taken
+        with pytest.raises(DomainError, match="overflow"):
+            eval_at(parse("x"), {"x": 10 ** 400})
+        with pytest.raises(DomainError, match="overflow") as caught:
+            to_callable(parse("x*y + 1"), ("x", "y"))(10 ** 400, 1)
+        assert "power" not in str(caught.value)
+
     def test_an_odd_power_keeps_the_sign_of_a_zero_on_every_evaluator(self):
         # math.pow(-0.0, 3.0) is -0.0: eval_at, the compiled function and
         # the row kernel read it
@@ -978,18 +987,11 @@ class TestEquivNumeric:
         assert (res.equivalent, res.samples, res.witness) == (True, 5, None)
 
 
-_BODIES = ("_canonical_pow", "_canonical_product", "_canonical_sum", "_derivative")
+_BODIES = (expr._canonical_pow, expr._canonical_product, expr._canonical_sum, expr._derivative)
 
 
-def _record_body_runs(monkeypatch):
-    """Swap each memoized function's body for one that logs its arguments."""
-    runs = []
-    for name in _BODIES:
-        def logged(*args, _body=getattr(expr, name), _name=name):
-            runs.append((_name, args))
-            return _body(*args)
-        monkeypatch.setattr(expr, name, logged)
-    return runs
+def _cache_infos():
+    return {body.__name__: body.cache_info() for body in _BODIES}
 
 
 def _values(e, points):
@@ -1026,30 +1028,50 @@ class TestMemo:
             assert _values(warm_jet[name], points) == _values(cold_jet[name], points)
         assert _values(warm_res, points) == _values(cold_res, points)
 
-    def test_second_jet_runs_no_constructor_body(self, monkeypatch):
+    def test_second_jet_runs_no_constructor_body(self):
         sol = family_solution(Fraction(-5, 3), Fraction(2, 3))
         clear_memo()
         first = sol.jet()
-        runs = _record_body_runs(monkeypatch)
+        misses = {name: info.misses for name, info in _cache_infos().items()}
         second = sol.jet()
+        after = {name: info.misses for name, info in _cache_infos().items()}
         clear_memo()
-        assert runs == []
+        assert after == misses
         assert all(second[k] is first[k] for k in first)
 
-    def test_jet_runs_each_body_once_per_distinct_call(self, monkeypatch):
+    def test_jet_runs_each_body_once_per_distinct_call(self):
         sol = family_solution(Fraction(-5, 3), Fraction(2, 3))
-        clear_memo()
-        runs = _record_body_runs(monkeypatch)
+        clear_memo()  # also zeroes the counts
         sol.jet()
+        infos = _cache_infos()
         clear_memo()
-        assert {name for name, _ in runs} == set(_BODIES)
-        assert len(runs) == len(set(runs))
+        # each run stores its one entry: no body ran twice on one key
+        assert all(info.misses == info.currsize > 0 for info in infos.values()), infos
 
     def test_clear_memo_empties_the_table(self):
-        mul(X, pow_(Y, 2))
-        assert expr._MEMO
+        diff(add(mul(X, pow_(Y, 2)), X), "x")
+        assert all(info.currsize for info in _cache_infos().values())
         clear_memo()
-        assert not expr._MEMO
+        assert not any(info.currsize for info in _cache_infos().values())
+
+    def test_a_body_that_raises_stores_nothing(self):
+        e = pow_(X, Y)  # the parser takes numeric exponents only
+        clear_memo()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                diff(e, "y")
+        info = expr._derivative.cache_info()
+        clear_memo()
+        assert (info.misses, info.currsize) == (2, 0)
+
+    def test_a_hit_returns_the_built_object(self):
+        clear_memo()
+        built = pow_(X, 2)
+        assert pow_(X, 2) is built
+        assert pow_(X, num(2)) is built  # the key is the argument after as_expr
+        info = expr._canonical_pow.cache_info()
+        clear_memo()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_float_arguments_key_as_their_decimal(self):
         clear_memo()
