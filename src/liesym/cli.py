@@ -24,7 +24,6 @@ from fractions import Fraction
 from . import __version__
 from .errors import LiesymError
 from .expr import (
-    RejectionSampler,
     SampleSpec,
     clear_memo,
     equiv_numeric,
@@ -400,11 +399,7 @@ def _cmd_region(args, out) -> tuple[dict, bool]:
         }
     mismatches = 0
     if args.samples > 0:
-        x_lo, x_hi, y_lo, y_hi = geo.xor_check_box()
-        mismatches = sum(RejectionSampler(
-            args.samples, args.seed,
-            lambda rng: (rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)),
-            lambda point: geo.membership(*point) != geo.xor_disks(*point)))
+        mismatches = geo.xor_mismatches(args.samples, args.seed)
         fields["xor_check"] = {"samples": args.samples, "mismatches": mismatches}
     return fields, mismatches == 0
 

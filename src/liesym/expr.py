@@ -1016,8 +1016,11 @@ def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     negative power, an overflowing power, an argument past the double
     range) it raises DomainError as ``eval_at`` does, and every other
     value is ``eval_at``'s bit for bit but for an overflowing product,
-    which is ``inf`` here where ``eval_at`` raises DomainError."""
-    return _compile((e,), arg_names, lambda ref, let: ref(e))
+    which is ``inf`` here where ``eval_at`` raises DomainError.  The value
+    is a double also where the body does no float operation on int
+    arguments: ``1.0 *`` changes no double and converts an int, or raises
+    OverflowError past the double range, inside the body's handlers."""
+    return _compile((e,), arg_names, lambda ref, let: f"1.0 * {ref(e)}")
 
 
 def _nonfinite():
@@ -1145,31 +1148,29 @@ def to_row_kernel(e: Expr, arg_names: tuple[str, str], *values: Expr,
 
 class RejectionSampler:
     """Seeded rejection sampling behind every sampled verdict: iterating
-    yields ``evaluate(draw(rng))`` for ``count`` accepted points, in draw
-    order, so a caller may stop early.  None or DomainError from
-    ``evaluate`` redraws the point; ``resampled`` counts the redraws of
-    the last iteration, and redraw number ``10 * count`` raises
-    SamplingError."""
+    yields ``sample(rng)`` for ``count`` accepted draws, in draw order, so
+    a caller may stop early.  A draw where ``sample`` returns None or
+    raises DomainError is redrawn; ``resampled`` counts the redraws of the
+    last iteration, and redraw number ``10 * count`` raises SamplingError."""
 
-    __slots__ = ("count", "seed", "draw", "evaluate", "resampled")
+    __slots__ = ("count", "seed", "sample", "resampled")
 
-    def __init__(self, count: int, seed: int, draw: Callable[[random.Random], object],
-                 evaluate: Callable[[object], object]):
+    def __init__(self, count: int, seed: int, sample: Callable[[random.Random], object]):
         if count < 1:
             raise ValueError("need at least one sample")
         self.count = count
         self.seed = seed
-        self.draw = draw
-        self.evaluate = evaluate
+        self.sample = sample
         self.resampled = 0
 
     def __iter__(self):
         rng = random.Random(self.seed)
+        sample = self.sample
         self.resampled = 0
         accepted = 0
         while accepted < self.count:
             try:
-                value = self.evaluate(self.draw(rng))
+                value = sample(rng)
             except DomainError:
                 value = None
             if value is None:
@@ -1229,15 +1230,13 @@ def equiv_numeric(e1: Expr, e2: Expr, spec: SampleSpec | None = None) -> EquivRe
     names = sorted(e1.free_symbols() | e2.free_symbols())
     difference = expand(add(e1, mul(_MINUS_ONE, e2)))
 
-    def draw(rng):
-        return {n: rng.uniform(*spec.intervals.get(n, _DEFAULT_INTERVAL)) for n in names}
-
-    def evaluate(env):
+    def sample(rng):
+        env = {n: rng.uniform(*spec.intervals.get(n, _DEFAULT_INTERVAL)) for n in names}
         if spec.accept is not None and not spec.accept(env):
             return None
         return env, measure(*[env[n] for n in names])
 
-    samples = RejectionSampler(spec.count, spec.seed, draw, evaluate)  # refuses a count below 1
+    samples = RejectionSampler(spec.count, spec.seed, sample)  # refuses a count below 1
     if is_zero(difference):
         return EquivResult(True, spec.count)
     measure = to_cancellation(difference, names)

@@ -288,11 +288,15 @@ def sample_remainder(remainder: Expr, n_samples: int = DEFAULT_SAMPLES,
     and its worst point is the first draw, the point where a sampled
     maximum of ``0.0`` is first reached."""
     if is_zero(remainder):
-        first = next(iter(RejectionSampler(n_samples, seed, sample_jet_point, lambda p: p)))
+        first = next(iter(RejectionSampler(n_samples, seed, sample_jet_point)))
         return SampledRemainder(remainder, 0.0, 0.0, first, n_samples, 0)
     measure = to_cancellation(remainder, JET_NAMES)
-    samples = RejectionSampler(n_samples, seed, sample_jet_point,
-                               lambda point: (point, abs(measure(*point))))
+
+    def sample(rng):
+        point = sample_jet_point(rng)
+        return point, abs(measure(*point))
+
+    samples = RejectionSampler(n_samples, seed, sample)
     worst = None
     max_abs = -1.0
     total = 0.0

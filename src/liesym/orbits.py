@@ -87,6 +87,17 @@ def _two_disks(lam: float) -> Callable[[float, float], bool]:
     return inside
 
 
+def _disk_xor(center1: tuple[float, float], center2: tuple[float, float],
+              radius: float) -> Callable[[float, float], bool]:
+    """The two-disk description of a region: inside exactly one of the
+    open disks of ``radius`` around ``center1`` and ``center2``."""
+    (x1, y1), (x2, y2) = center1, center2
+
+    def inside(x: float, y: float) -> bool:
+        return (math.hypot(x - x1, y - y1) < radius) != (math.hypot(x - x2, y - y2) < radius)
+    return inside
+
+
 class RegionGeometry(NamedTuple):
     """Validity region of the transformed solution: union of two open
     disks minus their closed intersection (inside exactly one)."""
@@ -100,9 +111,26 @@ class RegionGeometry(NamedTuple):
         return _two_disks(self.lam)(x, y)
 
     def xor_disks(self, x: float, y: float) -> bool:
-        in1 = math.hypot(x - self.center1[0], y - self.center1[1]) < self.radius
-        in2 = math.hypot(x - self.center2[0], y - self.center2[1]) < self.radius
-        return in1 != in2
+        return _disk_xor(self.center1, self.center2, self.radius)(x, y)
+
+    def xor_mismatches(self, samples: int, seed: int) -> int:
+        """How many of ``samples`` seeded points of ``xor_check_box`` the
+        algebraic membership test and the two disks disagree on.  Each
+        draw is x, then y, as ``lo + (hi - lo) * rng.random()``: the
+        formula of ``rng.uniform``, bit for bit.  Both tests are built once
+        per check, not once per point as ``membership`` and ``xor_disks``
+        build them."""
+        x_lo, x_hi, y_lo, y_hi = self.xor_check_box()
+        x_span, y_span = x_hi - x_lo, y_hi - y_lo
+        inside = _two_disks(self.lam)
+        xor_disks = _disk_xor(self.center1, self.center2, self.radius)
+
+        def sample(rng):
+            x = x_lo + x_span * rng.random()
+            y = y_lo + y_span * rng.random()
+            return inside(x, y) != xor_disks(x, y)
+
+        return sum(RejectionSampler(samples, seed, sample))
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(x_min, x_max, y_min, y_max) of the two disks, in GridSpec order."""
@@ -566,7 +594,9 @@ def sample_in_region(lam: float, count: int, seed: int) -> list[tuple[float, flo
     """Seeded rejection sampling of points inside the two-disk region."""
     geo = region(lam)
     x_lo, x_hi, y_lo, y_hi = geo.bounding_box()
-    return list(RejectionSampler(
-        count, seed,
-        lambda rng: (rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)),
-        lambda point: point if geo.membership(*point) else None))
+
+    def sample(rng):
+        point = rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)
+        return point if geo.membership(*point) else None
+
+    return list(RejectionSampler(count, seed, sample))

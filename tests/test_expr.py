@@ -739,6 +739,18 @@ class TestFoldedConstants:
             to_callable(parse("x*y + 1"), ("x", "y"))(10 ** 400, 1)
         assert "power" not in str(caught.value)
 
+    def test_the_compiled_value_is_a_double_for_int_arguments(self):
+        # x and x*y do no float operation on ints: the compiled x read 3 at
+        # 3 and the int 10^400 at 10^400, where eval_at reads 3.0 and
+        # raises DomainError
+        x = to_callable(parse("x"), ("x",))
+        xy = to_callable(parse("x*y"), ("x", "y"))
+        for value in (x(3), xy(3, 1), eval_at(parse("x"), {"x": 3})):
+            assert type(value) is float and value == 3.0
+        for fn, args in ((x, (10 ** 400,)), (xy, (10 ** 400, 1))):
+            with pytest.raises(DomainError, match="overflow past the double range"):
+                fn(*args)
+
     def test_an_odd_power_keeps_the_sign_of_a_zero_on_every_evaluator(self):
         # math.pow(-0.0, 3.0) is -0.0: eval_at, the compiled function and
         # the row kernel read it

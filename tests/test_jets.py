@@ -79,8 +79,12 @@ class TestSampleRemainder:
         # the full loop over the compiled measure of 0, as every remainder
         # was sampled before a structural 0 skipped the compile and draws
         measure = to_cancellation(ZERO, JET_NAMES)
-        samples = RejectionSampler(n, seed, sample_jet_point,
-                                   lambda point: (point, abs(measure(*point))))
+
+        def sample(rng):
+            point = sample_jet_point(rng)
+            return point, abs(measure(*point))
+
+        samples = RejectionSampler(n, seed, sample)
         worst, max_abs, total = None, -1.0, 0.0
         for point, value in samples:
             total += value

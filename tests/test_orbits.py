@@ -270,6 +270,23 @@ class TestRegion:
                 mismatches += 1
         assert mismatches == 0
 
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("lam", [1 / 3, 0.5, 1.0, 2.0])
+    def test_xor_mismatches_counts_the_draws_of_rng_uniform(self, lam, seed):
+        # the two descriptions agree on the true geometry, where the count
+        # reads 0 whatever the draws; widened disks disagree on a band of
+        # points, so the count sees the draw order and formula
+        geo = region(lam)
+        geo = geo._replace(radius=1.05 * geo.radius)
+        x_lo, x_hi, y_lo, y_hi = geo.xor_check_box()
+        rng = random.Random(seed)
+        expected = 0
+        for _ in range(2000):
+            x = rng.uniform(x_lo, x_hi)
+            y = rng.uniform(y_lo, y_hi)
+            expected += geo.membership(x, y) != geo.xor_disks(x, y)
+        assert geo.xor_mismatches(2000, seed) == expected > 0
+
     def test_sample_in_region_respects_membership(self):
         geo = region(1.0)
         for x, y in sample_in_region(1.0, 100, seed=3):

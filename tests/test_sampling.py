@@ -38,8 +38,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "liesym"
 
 class TestRejectionSampler:
     def test_yields_accepted_values_in_draw_order(self):
-        sampler = RejectionSampler(5, 3, lambda rng: rng.random(),
-                                   lambda v: v if v > 0.5 else None)
+        def sample(rng):
+            v = rng.random()
+            return v if v > 0.5 else None
+
+        sampler = RejectionSampler(5, 3, sample)
         rng = random.Random(3)
         draws = [rng.random() for _ in range(100)]
         expected = [v for v in draws if v > 0.5][:5]
@@ -49,24 +52,25 @@ class TestRejectionSampler:
     def test_domain_error_redraws(self):
         calls = []
 
-        def evaluate(v):
-            calls.append(v)
+        def sample(rng):
+            calls.append(rng.random())
             if len(calls) % 2:
                 raise DomainError("outside")
-            return v
+            return calls[-1]
 
-        sampler = RejectionSampler(3, 0, lambda rng: rng.random(), evaluate)
-        assert len(list(sampler)) == 3
+        sampler = RejectionSampler(3, 0, sample)
+        assert list(sampler) == calls[1::2]
+        assert len(calls) == 6
         assert sampler.resampled == 3
 
     def test_caller_may_stop_early(self):
         draws = []
 
-        def draw(rng):
+        def sample(rng):
             draws.append(rng.random())
             return draws[-1]
 
-        for _ in zip(range(4), RejectionSampler(1000, 1, draw, lambda v: v)):
+        for _ in zip(range(4), RejectionSampler(1000, 1, sample)):
             pass
         assert len(draws) == 4
 
@@ -74,15 +78,15 @@ class TestRejectionSampler:
         def rejecting_first(n):
             seen = []
 
-            def evaluate(v):
-                seen.append(v)
-                return v if len(seen) > n else None
-            return evaluate
+            def sample(rng):
+                seen.append(rng.random())
+                return 1.0 if len(seen) > n else None
+            return sample
 
-        ok = RejectionSampler(2, 0, lambda rng: 1.0, rejecting_first(19))
+        ok = RejectionSampler(2, 0, rejecting_first(19))
         assert list(ok) == [1.0, 1.0]
         assert ok.resampled == 19
-        exhausted = RejectionSampler(2, 0, lambda rng: 1.0, rejecting_first(20))
+        exhausted = RejectionSampler(2, 0, rejecting_first(20))
         with pytest.raises(SamplingError, match=r"retry budget \(20\)"):
             list(exhausted)
         assert exhausted.resampled == 20
@@ -104,7 +108,7 @@ def _equiv(n, accept=None):
 
 
 ENTRY_POINTS = {
-    "sampler": lambda n: list(RejectionSampler(n, 0, lambda rng: 1.0, lambda v: v)),
+    "sampler": lambda n: list(RejectionSampler(n, 0, lambda rng: 1.0)),
     "check_onshell_symmetry": _onshell,
     "restricted_eval": _restricted,
     "equiv_numeric": _equiv,
