@@ -86,7 +86,6 @@ from .orbits import (
     residual_grid,
     sample_in_region,
     scaling_invariance_residual,
-    solution_residual,
     symbolic_family_residual,
     transform_solution,
 )

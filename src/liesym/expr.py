@@ -941,8 +941,10 @@ def _bind(prefix: str, bound: list[float], code: list[str]):
     shape), and return what ``_make(*bound)`` returns."""
     source = "\n".join([f"def _make({', '.join(f'{prefix}k{i}' for i in range(len(bound)))}):",
                         *code])
-    namespace = {"_pow": _real_pow, "_mpow": math.pow, "_isfinite": math.isfinite,
-                 "_nonfinite": _nonfinite, "_DomainError": DomainError}
+    # the builtins the code calls go by names that no argument can take
+    namespace = {f"_{f.__name__}": f for f in (abs, max, len, enumerate, OverflowError, ValueError)}
+    namespace.update(_pow=_real_pow, _mpow=math.pow, _isfinite=math.isfinite,
+                     _nonfinite=_nonfinite, _DomainError=DomainError)
     exec(_shape_code(source), namespace)  # noqa: S102
     return namespace["_make"](*bound)
 
@@ -999,9 +1001,9 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
         "        try:",
         *(f"            {slot} = {rhs}" for slot, rhs, _, _ in lines),
         f"            return {result}",
-        "        except OverflowError as exc:",
+        "        except _OverflowError as exc:",
         "            raise _DomainError('overflow past the double range') from exc",
-        "        except ValueError as exc:",
+        "        except _ValueError as exc:",
         "            raise _DomainError('0 raised to a negative power') from exc",
         "    return _f",
     ])
@@ -1031,7 +1033,7 @@ def _cancellation(e: Expr, ref, let) -> str:
     """The slot of the cancellation measure of ``e`` (see ``to_cancellation``)."""
     terms = [ref(t) for t in (e.terms if isinstance(e, Sum) else (e,))]
     total = let(" + ".join(["0.0", *terms]), *terms)
-    scale = let(f"max(0.0, {', '.join(f'abs({t})' for t in terms)})", *terms)
+    scale = let(f"_max(0.0, {', '.join(f'_abs({t})' for t in terms)})", *terms)
     return let(f"{total} / (1.0 + {scale})", total, scale)
 
 
@@ -1060,80 +1062,112 @@ def to_cancellation(e: Expr, arg_names: Iterable[str],
     return _compile((e,), arg_names, body, constants)
 
 
+_ERRORS = "(_DomainError, _OverflowError, _ValueError)"  # what a slot without a value raises
+
+
+def _admit(names: Iterable[str], lines: list, tests: list[str]) -> tuple[list[str], str]:
+    """(the code of ``_admit(*names)``, its test): whether every text of
+    ``tests`` is > 0.0, False where a slot of ``lines`` has no value."""
+    test = " and ".join([f"{t} > 0.0" for t in tests]) or "True"
+    return [f"    def _admit({', '.join(names)}):", "        try:",
+            *(f"            {slot} = {rhs}" for slot, rhs, _, _ in lines),
+            f"            return {test}",
+            f"        except {_ERRORS}:", "            return False"], test
+
+
+def to_predicate(positive: tuple[Expr, ...], arg_names: Iterable[str],
+                 constants: Mapping[str, Fraction] | None = None) -> Callable[..., bool]:
+    """Compile ``_admit``: whether each of ``positive`` has a value > 0."""
+    names, p, lines, tests, bound = _walk(positive, arg_names,
+                                          lambda ref, let: [ref(c) for c in positive], constants)
+    return _bind(p, bound, [*_admit(names, lines, tests)[0], "    return _admit"])
+
+
 def to_row_kernel(e: Expr, arg_names: tuple[str, str], *values: Expr,
+                  positive: tuple[Expr, ...] = (),
                   constants: Mapping[str, Fraction] | None = None) -> Callable:
     """Compile the cancellation measure of ``e`` (as ``to_cancellation``)
     and ``values`` for the nodes of a grid over the two arguments (x, y).
-    The result is ``kernel(xs, domain)``, which returns ``row(y)``;
-    ``row(y)`` works the nodes (x, y) for x in ``xs`` and returns
-    ``(numbers, keep, off_real)``.  A node is kept where ``domain(x, y)``
-    holds, every slot of the code has a value and the measure is finite.
-    ``numbers`` holds ``(*values, measure)`` of each kept node in column
-    order, ``keep[i]`` is 1 where the node of column i is kept and 0
-    elsewhere, and ``off_real`` counts the nodes the domain admits that
-    are not kept.  The code comes from ``_compile``'s walk, with the roots
-    in one body: each number is the double its root gives compiled alone,
-    and a slot the roots share is computed once.
+    The result is ``kernel(xs)``, which returns ``row(y)``; ``row(y)``
+    works the nodes (x, y) for x in ``xs`` and returns ``(numbers, keep,
+    off_real)``.  A node is admitted where every expression of ``positive``
+    has a value > 0.0 (as ``to_predicate``), and kept where it is admitted,
+    every other slot has a value and the measure is finite.  ``numbers``
+    holds ``(*values, measure)`` of each kept node in column order,
+    ``keep[i]`` is 1 where the node of column i is kept and 0 elsewhere,
+    and ``off_real`` counts the admitted nodes that are not kept.  The
+    code comes from ``_compile``'s walk, with the roots in one body: each
+    number is the double its root gives compiled alone, and a slot the
+    roots share is computed once.
 
     Each slot is placed by the arguments it reads: a slot of x alone, or
     of neither, is computed once per column, in ``kernel``; a slot of y
-    alone once per row; every other slot once per node the domain admits.
-    A DomainError, an overflow or 0 to a negative power in a slot of x
-    alone or of y alone leaves unkept only the admitted nodes of its
-    column or row, and in a slot of neither every admitted node."""
+    alone once per row; every other slot once per node, the conditions'
+    first.  A DomainError, an overflow or 0 to a negative power in a slot
+    of x alone or of y alone leaves its column or row unkept, and in a
+    slot of neither every node; ``_admit`` tests those nodes alone."""
     def body(ref, let):
-        return _cancellation(e, ref, let), [ref(v) for v in values]
+        return _cancellation(e, ref, let), [ref(v) for v in values], [ref(c) for c in positive]
 
-    (x, y), p, lines, (measure, roots), bound = _walk((e, *values), arg_names, body, constants)
-    by_reads: dict[int, list[str]] = {1: [], 2: [], 3: []}
+    (x, y), p, lines, (measure, roots, tests), bound = _walk((e, *values, *positive), arg_names,
+                                                             body, constants)
+    need = set(tests)  # the slots the conditions read
+    for slot, _, _, parts in reversed(lines):
+        if slot in need:
+            need.update(parts)
+    by_reads: dict[int, list[str]] = {1: [], 2: [], 3: [], 4: []}  # 4: a condition's, per node
     for slot, rhs, bits, _ in lines:  # a constant slot is worked with the columns
-        by_reads[bits or 1].append(f"{slot} = {rhs}")
-    read_per_node = {measure, *roots}.union(*(parts for _, _, bits, parts in lines if bits == 3))
+        by_reads[4 if bits == 3 and slot in need else bits or 1].append(f"{slot} = {rhs}")
+    read_per_node = {measure, *roots, *tests}.union(*(parts for _, _, bits, parts in lines
+                                                      if bits == 3))
     column = ", ".join([f"{p}i", x, *(slot for slot, _, bits, _ in lines
                                        if bits == 1 and slot in read_per_node)])
-
-    errors = "(_DomainError, OverflowError, ValueError)"
 
     def block(code: list[str], indent: int) -> list[str]:
         return [" " * indent + line for line in code or ["pass"]]
 
+    admit, test = _admit((x, y), [line for line in lines if line[0] in need], tests)
     return _bind(p, bound, [
-        f"    def _kernel({p}xs, {p}domain):",
-        f"        {p}n = len({p}xs)",
+        *admit,
+        f"    def _kernel({p}xs):",
+        f"        {p}n = _len({p}xs)",
         f"        {p}cols = []",
         f"        {p}bad = []",
-        f"        for {p}i, {x} in enumerate({p}xs):",
+        f"        for {p}i, {x} in _enumerate({p}xs):",
         "            try:",
         *block(by_reads[1], 16),
-        f"            except {errors}:",
-        f"                {p}bad.append({x})",
-        "            else:",
         f"                {p}cols.append(({column},))",
+        f"            except {_ERRORS}:",
+        f"                {p}bad.append({x})",
         f"        def _row({y}):",
         f"            {p}keep = [0] * {p}n",
         f"            {p}out = []",
         f"            {p}off = 0",
         f"            for {x} in {p}bad:",
-        f"                if {p}domain({x}, {y}):",
+        f"                if _admit({x}, {y}):",
         f"                    {p}off += 1",
         f"            if not {p}cols:",
         f"                return {p}out, {p}keep, {p}off",
         "            try:",
         *block(by_reads[2], 16),
-        f"            except {errors}:",
+        f"            except {_ERRORS}:",
         f"                for {p}c in {p}cols:",
-        f"                    if {p}domain({p}c[1], {y}):",
+        f"                    if _admit({p}c[1], {y}):",
         f"                        {p}off += 1",
         f"                return {p}out, {p}keep, {p}off",
         f"            for {column} in {p}cols:",
-        f"                if {p}domain({x}, {y}):",
+        "                try:",
+        *block(by_reads[4], 20),
+        f"                except {_ERRORS}:",
+        "                    continue",
+        f"                if {test}:",
         "                    try:",
         *block(by_reads[3], 24),
         f"                        if _isfinite({measure}):",
         f"                            {p}out += ({', '.join([*roots, measure])},)",
         f"                            {p}keep[{p}i] = 1",
         "                            continue",
-        f"                    except {errors}:",
+        f"                    except {_ERRORS}:",
         "                        pass",
         f"                    {p}off += 1",
         f"            return {p}out, {p}keep, {p}off",

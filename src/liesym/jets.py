@@ -69,11 +69,6 @@ def sample_jet_point(rng: random.Random) -> list[float]:
     return [lo + span * rng.random() for lo, span in _JET_BOXES]
 
 
-def sample_jet_env(rng: random.Random) -> dict[str, float]:
-    """The same draw as ``sample_jet_point``, keyed by jet name."""
-    return dict(zip(JET_NAMES, sample_jet_point(rng)))
-
-
 class VectorField:
     """Point vector field xi1 d/dx + xi2 d/dy + phi d/du.
 

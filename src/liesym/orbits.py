@@ -40,6 +40,7 @@ from .expr import (
     substitute,
     sym,
     to_callable,  # noqa: F401  (unused: perfbench/tracing.py patches orbits.to_callable)
+    to_predicate,
     to_row_kernel,
 )
 from .family import PDEInstance, exceptional_vf, nonzero_a, scaling_vf, symbolic_residual
@@ -54,6 +55,8 @@ _A_SOL = sym("a_sol")
 _RHO2 = add(pow_(X, num(2)), pow_(Y, num(2)))
 _C_EXPR = add(num(1), mul(pow_(_LAM, num(2)), _RHO2), mul(num(2), _LAM, Y))
 _B_EXPR = add(Y, mul(_LAM, _RHO2))  # y + lam (x^2 + y^2)
+# x^2 - (y + lam (x^2 + y^2))^2, the family's base: its domain is where it is > 0
+_S_EXPR = add(pow_(X, num(2)), mul(num(-1), pow_(_B_EXPR, num(2))))
 
 
 def conformal_factor(x: float, y: float, lam: float) -> float:
@@ -78,15 +81,6 @@ def map_point_exprs(lam) -> tuple[Expr, Expr]:
     )
 
 
-def _two_disks(lam: float) -> Callable[[float, float], bool]:
-    """The algebraic membership test of lam's two-disk region:
-    (x - b) (x + b) > 0 with b = y + lam (x^2 + y^2)."""
-    def inside(x: float, y: float) -> bool:
-        b = y + lam * (x * x + y * y)
-        return (x - b) * (x + b) > 0.0
-    return inside
-
-
 def _disk_xor(center1: tuple[float, float], center2: tuple[float, float],
               radius: float) -> Callable[[float, float], bool]:
     """The two-disk description of a region: inside exactly one of the
@@ -96,6 +90,12 @@ def _disk_xor(center1: tuple[float, float], center2: tuple[float, float],
     def inside(x: float, y: float) -> bool:
         return (math.hypot(x - x1, y - y1) < radius) != (math.hypot(x - x2, y - y2) < radius)
     return inside
+
+
+@functools.lru_cache(maxsize=1)
+def _family_domain(lam: float) -> Callable[[float, float], bool]:
+    """The family's domain test, compiled once for the points of a region."""
+    return to_predicate((_S_EXPR,), ("x", "y"), {"lam": lam})
 
 
 class RegionGeometry(NamedTuple):
@@ -108,7 +108,7 @@ class RegionGeometry(NamedTuple):
     radius: float
 
     def membership(self, x: float, y: float) -> bool:
-        return _two_disks(self.lam)(x, y)
+        return _family_domain(self.lam)(x, y)
 
     def xor_disks(self, x: float, y: float) -> bool:
         return _disk_xor(self.center1, self.center2, self.radius)(x, y)
@@ -117,12 +117,10 @@ class RegionGeometry(NamedTuple):
         """How many of ``samples`` seeded points of ``xor_check_box`` the
         algebraic membership test and the two disks disagree on.  Each
         draw is x, then y, as ``lo + (hi - lo) * rng.random()``: the
-        formula of ``rng.uniform``, bit for bit.  Both tests are built once
-        per check, not once per point as ``membership`` and ``xor_disks``
-        build them."""
+        formula of ``rng.uniform``, bit for bit."""
         x_lo, x_hi, y_lo, y_hi = self.xor_check_box()
         x_span, y_span = x_hi - x_lo, y_hi - y_lo
-        inside = _two_disks(self.lam)
+        inside = _family_domain(self.lam)
         xor_disks = _disk_xor(self.center1, self.center2, self.radius)
 
         def sample(rng):
@@ -149,8 +147,8 @@ def region(lam: float) -> RegionGeometry:
     """The two-disk geometry of lam > 0.
 
     Raises ValueError where x^2 + y^2 overflows at the far corner of the
-    xor-check box (lam below about 1.5e-154): ``membership`` would read
-    inf there and disagree with the two disks, which do not overflow.
+    xor-check box (lam below about 1.5e-154): ``membership`` would have no
+    value there and disagree with the two disks, which do not overflow.
     Raises ValueError too where the radius squared is subnormal (lam above
     about 4.7e153): x^2 + y^2 underflows across the box, and
     ``membership`` would lose the digits the disks keep."""
@@ -174,7 +172,8 @@ def region(lam: float) -> RegionGeometry:
 
 
 class ClosedFormSolution:
-    """Solution expression in (x, y) with an explicit membership test.
+    """Solution expression in (x, y) on the domain where every expression
+    of ``positive``, in x, y and lam (bound to ``lam``), is > 0.
 
     ``lam`` is set where ``expr`` is ``family_expr(a, lam)``: the family
     and, at lam = 0, the base solution.  Such a solution may be made with
@@ -182,13 +181,13 @@ class ClosedFormSolution:
     so a residual grid, which compiles the kept family solution, never
     builds it."""
 
-    def __init__(self, expr: Expr | None, domain: Callable[[float, float], bool], label: str,
+    def __init__(self, expr: Expr | None, positive: tuple[Expr, ...], label: str,
                  a, lam: Fraction | None = None):
         if expr is None and lam is None:
             raise TypeError("a solution without a lam needs its expr")
         if expr is not None:
             self.expr = expr
-        self.domain = domain
+        self.positive = positive
         self.label = label
         self.a = a  # Fraction for numeric instances, Expr when kept symbolic
         self.lam = lam
@@ -196,6 +195,11 @@ class ClosedFormSolution:
     @functools.cached_property
     def expr(self) -> Expr:
         return family_expr(self.a, self.lam)
+
+    @functools.cached_property
+    def domain(self) -> Callable[[float, float], bool]:
+        """``domain(x, y)``: whether each of ``positive`` has a value > 0 there."""
+        return to_predicate(self.positive, ("x", "y"), {"lam": self.lam or 0})
 
     def __repr__(self):
         return f"ClosedFormSolution(label={self.label!r}, a={self.a!r}, lam={self.lam!r})"
@@ -216,49 +220,38 @@ def _jet(u: Expr) -> dict[str, Expr]:
 def family_expr(a, lam) -> Expr:
     """[x^2 - (y + lam (x^2 + y^2))^2]^(-a/4); a and lam may be numeric or
     symbolic.  At lam = 0 it is the power solution (x^2 - y^2)^(-a/4)."""
-    b = substitute(_B_EXPR, {"lam": as_expr(lam)})
-    return pow_(add(pow_(X, num(2)), mul(num(-1), pow_(b, num(2)))),
-                mul(Num(Fraction(-1, 4)), as_expr(a)))
+    return pow_(substitute(_S_EXPR, {"lam": as_expr(lam)}), mul(Num(Fraction(-1, 4)), as_expr(a)))
 
 
 def _solution_a(a):
     return a if isinstance(a, Expr) else nonzero_a(a)
 
 
-def _wedge(x: float, y: float) -> bool:
-    return x * x - y * y > 0.0
-
-
 def base_solution(a) -> ClosedFormSolution:
     """The power solution (x^2 - y^2)^(-a/4) on the open wedge |x| > |y|."""
     a = _solution_a(a)
-    return ClosedFormSolution(None, _wedge, "base", a, Fraction(0))
+    return ClosedFormSolution(None, (_S_EXPR,), "base", a, Fraction(0))
 
 
 def family_solution(a, lam) -> ClosedFormSolution:
     """``family_expr(a, lam)`` on its two-disk region.
 
-    lam = 0 degenerates to the base solution; lam < 0 keeps the
-    algebraic membership test (the geometry is the lam > 0 picture
-    mirrored in y).
+    lam = 0 degenerates to the base solution; at lam < 0 the region is
+    the lam > 0 picture mirrored in y.
     """
     a = _solution_a(a)
     if isinstance(lam, Expr):
         raise TypeError("family_solution needs a numeric lam for its domain; "
                         "family_expr builds the expression alone")
-    lam_f = float(lam)
-    domain = _two_disks(lam_f) if lam_f else _wedge
-    return ClosedFormSolution(None, domain, f"family(lam={lam_f})", a, num(lam).value)
+    return ClosedFormSolution(None, (_S_EXPR,), f"family(lam={float(lam)})", a, num(lam).value)
 
 
 def _pushed_expr(sol: ClosedFormSolution, lam) -> Expr:
     """C^(-a/2) * u(x~, y~); lam may be numeric or symbolic."""
     xt, yt = map_point_exprs(lam)
-    prefactor = pow_(
-        substitute(_C_EXPR, {"lam": as_expr(lam)}),
-        mul(Num(Fraction(-1, 2)), as_expr(sol.a)),
-    )
-    return mul(prefactor, substitute(sol.expr, {"x": xt, "y": yt}))
+    c = substitute(_C_EXPR, {"lam": as_expr(lam)})
+    return mul(pow_(c, mul(Num(Fraction(-1, 2)), as_expr(sol.a))),
+               substitute(sol.expr, {"x": xt, "y": yt}))
 
 
 def transform_solution(sol: ClosedFormSolution, lam) -> ClosedFormSolution:
@@ -266,22 +259,16 @@ def transform_solution(sol: ClosedFormSolution, lam) -> ClosedFormSolution:
 
     Returns C^(-a/2) * u(x~, y~) simplified; for the base power solution
     this collapses symbolically to the lam-family expression.  The new
-    domain is the preimage of the old one under the point map, inside
-    C > 0.
+    domain is C > 0 and the old conditions at (x~, y~), times C^2.
     """
     if isinstance(lam, Expr):
         raise TypeError("transform_solution needs a numeric lam for its domain")
-    expr = _pushed_expr(sol, lam)
-    lam_f = float(lam)
-    old_domain = sol.domain
-
-    def domain(x, y, _l=lam_f):
-        c = conformal_factor(x, y, _l)
-        if c <= 0.0:
-            return False
-        return old_domain(x / c, (y + _l * (x * x + y * y)) / c)
-
-    return ClosedFormSolution(expr, domain, f"pushforward(lam={lam_f}) of {sol.label}", sol.a)
+    u = _pushed_expr(sol, lam)  # first: the pull-back below reuses its constructions
+    xt, yt = map_point_exprs(lam)
+    c = substitute(_C_EXPR, {"lam": as_expr(lam)})
+    bound = (substitute(p, {"lam": sol.lam or 0}) for p in sol.positive)  # folds before x~, y~
+    positive = (c, *(mul(pow_(c, num(2)), substitute(p, {"x": xt, "y": yt})) for p in bound))
+    return ClosedFormSolution(u, positive, f"pushforward(lam={float(lam)}) of {sol.label}", sol.a)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +318,8 @@ class ResidualField(NamedTuple):
     """Summary of an instance's pointwise residual on a solution over a
     grid: the largest |residual| over the in-domain nodes (None when there
     are none), their count, and the count of nodes the solution's domain
-    admits but that were masked all the same, because u or the residual
-    left the real domain or was not finite there.  The nodes themselves go
-    to ``residual_grid``'s sink as CSV rows."""
+    admits but that were masked all the same, because a value had none
+    there or was not finite.  The nodes go to ``residual_grid``'s sink."""
 
     sup_norm: float | None
     n_in_domain: int
@@ -369,16 +355,6 @@ def _kept_residual(sol: ClosedFormSolution) -> tuple[Expr, Expr, dict]:
     return symbolic_family_residual(), symbolic_family_solution(), {"a_sol": sol.a, "lam": sol.lam}
 
 
-def solution_residual(inst: PDEInstance, sol: ClosedFormSolution) -> Expr:
-    """The instance's residual on the solution's jet, as an expression in x
-    and y: the instance's numbers and the solution's own bound into its
-    kept residual in one substitution.  ``residual_grid`` compiles that
-    residual with the same numbers folded in; this bound form is the
-    reference that folding is tested against."""
-    residual, _, own = _kept_residual(sol)
-    return inst.bind(residual, **own)
-
-
 def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
                   sink=None) -> ResidualField:
     """Evaluate the instance residual on a closed-form solution and write
@@ -388,33 +364,29 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
     digits.
 
     The residual is exact, so any nonzero residual is a genuine failure of
-    the solution, not discretization error.  The solution's kept residual
-    and its u (``_kept_residual``; a family or base grid substitutes and
-    rebuilds nothing) are compiled as one ``to_row_kernel`` in x and y,
-    with the instance's six numbers and the solution's own as constants.
-    ``residual`` is the ``to_cancellation`` measure over the five terms
-    of the PDE, a scale fixed by the equation.  What depends on x alone
-    is computed once per column, what depends on y alone once per row,
-    and each row's text is one format of the numbers of its kept nodes.  The terms cancel on a true solution but
-    grow without bound toward the region boundary.  Nodes outside the
-    solution's domain, and nodes where u or the residual leaves the real
-    domain or the residual is not finite, are masked: ``in_domain`` is 0
-    and u and residual are empty; the field counts the second kind apart.
-    A grid of FORK_MIN_NODES nodes or more is worked in row blocks
+    the solution, not discretization error.  The solution's kept residual,
+    its u and its ``positive`` (``_kept_residual``; a family or base grid
+    substitutes and rebuilds nothing) are compiled as one ``to_row_kernel``
+    in x and y, with the instance's six numbers and the solution's own as
+    constants.  ``residual`` is the ``to_cancellation`` measure over the
+    five terms of the PDE, which cancel on a true solution but grow without
+    bound toward the region boundary.  A node the kernel does not keep is
+    masked: ``in_domain`` is 0 and u and residual are empty; the field
+    counts the admitted ones apart.  A grid of FORK_MIN_NODES nodes or more is worked in row blocks
     (``in_row_blocks``); the field and every byte are the same for any
     block count, and nothing reaches the sink when a block fails.
     """
     residual, u, own = _kept_residual(sol)
-    kernel = to_row_kernel(residual, ("x", "y"), u, constants={**inst.numbers(), **own})
-    return _grid_field(kernel, sol.domain, grid, sink)
+    kernel = to_row_kernel(residual, ("x", "y"), u, positive=sol.positive,
+                           constants={**inst.numbers(), **own})
+    return _grid_field(kernel, grid, sink)
 
 
-def _grid_field(kernel: Callable, domain: Callable[[float, float], bool], grid: GridSpec,
-                sink) -> ResidualField:
+def _grid_field(kernel: Callable, grid: GridSpec, sink) -> ResidualField:
     """``residual_grid`` past its compile: ``kernel`` is a ``to_row_kernel``
     of the residual with u as its one value."""
     xs = grid.xs()
-    row = kernel(xs, domain)
+    row = kernel(xs)
     # the text of each column's node where it is masked and where it is
     # kept, with NUL in place of the row's y
     columns = [(f"{x:.17g},\0,0,,\n", f"{x:.17g},\0,1,%.17g,%.17g\n") for x in xs]

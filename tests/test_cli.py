@@ -255,6 +255,18 @@ class TestResidualGrid:
         assert code == 0
         assert (report["in_domain_nodes"], report["masked_off_real_nodes"]) == (256, 0)
 
+    def test_a_condition_without_a_value_admits_no_node(self):
+        # at |x| of 1e160, x^2 overflows in the base solution's condition
+        # x^2 - y^2: a node is admitted only where every condition has a
+        # value, so none is admitted and none is counted off the real
+        # domain (the float test x*x - y*y read inf > 0 and counted all 9)
+        code, out, _ = run_cli(["residual-grid", "--preset", "gss", "--solution", "base",
+                                "--x-min=1e160", "--x-max=2e160", "--y-min=-1", "--y-max=1",
+                                "--nx", "3", "--ny", "3"])
+        report = json_report(out)
+        assert code == 1
+        assert (report["in_domain_nodes"], report["masked_off_real_nodes"]) == (0, 0)
+
     def test_node_count_is_bounded(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the grid was evaluated")

@@ -755,8 +755,7 @@ class TestFoldedConstants:
         # math.pow(-0.0, 3.0) is -0.0: eval_at, the compiled function and
         # the row kernel read it
         cube = pow_(X, num(3))
-        numbers, keep, off_real = expr.to_row_kernel(X, ("x", "y"), cube)(
-            [-0.0], lambda x, y: True)(1.0)
+        numbers, keep, off_real = expr.to_row_kernel(X, ("x", "y"), cube)([-0.0])(1.0)
         assert keep == [1] and off_real == 0
         for value in (eval_at(cube, {"x": -0.0}), to_callable(cube, ("x",))(-0.0), numbers[0]):
             assert struct.pack("<d", value) == struct.pack("<d", -0.0)
@@ -856,7 +855,7 @@ class TestFoldedConstants:
             # slots, and each root's value is the one it has compiled alone
             twin = substitute(e, {"k": sym("j")})
             table = {"k": k, "j": k}
-            row = expr.to_row_kernel(e, ("x", "y"), twin, e, constants=table)([x], lambda *p: True)
+            row = expr.to_row_kernel(e, ("x", "y"), twin, e, constants=table)([x])
             alone = [_compiled(twin, ("x", "y"), table), _compiled(e, ("x", "y"), table),
                      expr.to_cancellation(e, ("x", "y"), constants=table)]
             outcomes = [_outcome(fn, x, y) for fn in alone]
@@ -868,16 +867,19 @@ class TestFoldedConstants:
             clear_memo()
 
 
-def _reference_grid(e, u, table, domain, grid):
+def _reference_grid(e, u, table, positive, grid):
     """The CSV text and the field of a grid, node by node: the measure of
-    ``e`` and ``u``, each compiled alone, at every node the domain admits."""
+    ``e`` and ``u``, each compiled alone, at every node where each
+    expression of ``positive``, compiled alone, has a value > 0."""
     measure = expr.to_cancellation(e, ("x", "y"), constants=table)
     u_fn = _compiled(u, ("x", "y"), table)
+    conditions = [_compiled(c, ("x", "y"), table) for c in positive]
     lines = [",".join(orbits.CSV_HEADER) + "\n"]
     sup, count, off_real = -1.0, 0, 0
     for y in grid.ys():
         for x in grid.xs():
-            if domain(x, y):
+            values = [_outcome(c, x, y) for c in conditions]
+            if DomainError not in values and all(struct.unpack("<d", v)[0] > 0.0 for v in values):
                 try:
                     res, value = measure(x, y), u_fn(x, y)
                 except DomainError:
@@ -891,10 +893,10 @@ def _reference_grid(e, u, table, domain, grid):
     return "".join(lines), orbits.ResidualField(sup if count else None, count, off_real)
 
 
-def _kernel_grid(e, u, table, domain, grid):
+def _kernel_grid(e, u, table, positive, grid):
     sink = io.StringIO()
-    kernel = expr.to_row_kernel(e, ("x", "y"), u, constants=table)
-    field = orbits._grid_field(kernel, domain, grid, sink)
+    kernel = expr.to_row_kernel(e, ("x", "y"), u, positive=positive, constants=table)
+    field = orbits._grid_field(kernel, grid, sink)
     return sink.getvalue(), field
 
 
@@ -906,11 +908,13 @@ class TestRowKernel:
     def test_slots_are_hoisted_by_the_arguments_they_read(self):
         e = add(pow_(X, num(Fraction(1, 2))), pow_(Y, num(Fraction(1, 3))),
                 pow_(add(X, Y), num(Fraction(1, 5))))
-        kernel = expr.to_row_kernel(e, ("x", "y"), constants={})
+        # (x - 2)^2 > 0 admits every column but x = 2
+        kernel = expr.to_row_kernel(e, ("x", "y"), positive=(pow_(add(X, num(-2)), num(2)),),
+                                    constants={})
         calls = []
         kernel.__globals__["_mpow"] = lambda b, p: calls.append(p) or math.pow(b, p)
         xs, ys = [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0]
-        row = kernel(xs, lambda x, y: x != 2.0)
+        row = kernel(xs)
         for y in ys:
             row(y)
         assert calls.count(0.5) == len(xs)
@@ -922,7 +926,8 @@ class TestRowKernel:
         # only the admitted nodes of that column or row are counted, and the
         # others of the row are still worked
         e = add(pow_(X, num(Fraction(1, 2))), pow_(add(Y, num(-1)), num(-1)), mul(X, Y))
-        row = expr.to_row_kernel(e, ("x", "y"), X)([-1.0, 1.0, 4.0], lambda x, y: x + y < 7.0)
+        below_seven = add(num(7), mul(num(-1), X), mul(num(-1), Y))  # x + y < 7
+        row = expr.to_row_kernel(e, ("x", "y"), X, positive=(below_seven,))([-1.0, 1.0, 4.0])
         measure = expr.to_cancellation(e, ("x", "y"))
         assert row(2.0) == ([1.0, measure(1.0, 2.0), 4.0, measure(4.0, 2.0)], [0, 1, 1], 1)
         assert row(1.0) == ([], [0, 0, 0], 3)
@@ -934,14 +939,15 @@ class TestRowKernel:
         # slot of both arguments masks the node where x + y is 0
         e = add(pow_(X, num(-1)), pow_(add(X, Y), num(-1)))
         measure = expr.to_cancellation(e, ("x", "y"))
-        row = expr.to_row_kernel(e, ("x", "y"), X)([-1.0, 0.0, 1.0], lambda x, y: True)
+        row = expr.to_row_kernel(e, ("x", "y"), X)([-1.0, 0.0, 1.0])
         assert row(2.0) == ([-1.0, measure(-1.0, 2.0), 1.0, measure(1.0, 2.0)], [1, 0, 1], 1)
         assert row(1.0) == ([1.0, measure(1.0, 1.0)], [0, 0, 1], 2)
         assert row(-1.0) == ([-1.0, measure(-1.0, -1.0)], [1, 0, 0], 2)
 
     def test_a_constant_slot_off_the_domain_masks_every_admitted_node(self):
         e = add(X, Y, pow_(num(-2), num(Fraction(1, 2))))
-        row = expr.to_row_kernel(e, ("x", "y"))([1.0, 2.0, 3.0], lambda x, y: x < 3.0)
+        row = expr.to_row_kernel(e, ("x", "y"), positive=(add(num(3), mul(num(-1), X)),))(
+            [1.0, 2.0, 3.0])
         assert row(1.0) == ([], [0, 0, 0], 2)
 
     if st is not None:
@@ -950,22 +956,47 @@ class TestRowKernel:
                st.sampled_from([pow_(X, num(Fraction(1, 2))), pow_(Y, num(Fraction(-1, 2))),
                                 pow_(add(X, num(Fraction(-1, 2))), num(-1)),
                                 pow_(mul(sym("k"), Y), sym("j"))]),
-               st.integers(1, 6), st.integers(1, 6), st.floats(-3.0, 4.0))
-        def test_matches_the_per_node_loop(self, e, u, k, j, leaving, nx, ny, cut):
+               st.integers(1, 6), st.integers(1, 6), st.floats(-3.0, 4.0),
+               st.sampled_from([(), (pow_(Y, num(Fraction(-1, 2))),),
+                                (pow_(add(X, num(Fraction(-1, 2))), num(-1)), X), None]))
+        def test_matches_the_per_node_loop(self, e, u, k, j, leaving, nx, ny, cut, more):
             # the leaving term reads x alone or y alone and leaves the real
-            # domain on some columns or rows of the grid; the domain masks
-            # the nodes with x - y >= cut
+            # domain on some columns or rows of the grid; the conditions
+            # mask the nodes with x - y >= cut, and the ones drawn into
+            # ``more`` have no value on some columns or rows, or are u
+            # itself (None), whose slots they share
             residual = add(e, leaving)
-            table = {"k": k, "j": j}
+            table = {"k": k, "j": j, "c": cut}
+            positive = (add(sym("c"), mul(num(-1), X), Y), *((u,) if more is None else more))
             grid = GridSpec(-1.0, 2.0, -1.0, 2.0, nx, ny)
-
-            def domain(x, y):
-                return x - y < cut
-
-            assert (_kernel_grid(residual, u, table, domain, grid)
-                    == _reference_grid(residual, u, table, domain, grid)), (
-                to_text(residual), to_text(u), k, j, nx, ny, cut)
+            assert (_kernel_grid(residual, u, table, positive, grid)
+                    == _reference_grid(residual, u, table, positive, grid)), (
+                to_text(residual), to_text(u), k, j, nx, ny, cut, more)
             clear_memo()
+
+
+class TestArgumentsNamedLikeBuiltins:
+    """The compiled code reaches every builtin it calls through a name of
+    its own, so an argument may be named like one: the parser takes any
+    name of letters, digits and underscores."""
+
+    NAMES = [("abs", "max"), ("len", "enumerate"), ("OverflowError", "ValueError")]
+
+    @pytest.mark.parametrize("names", NAMES, ids=["-".join(n) for n in NAMES])
+    def test_cancellation(self, names):
+        x, y = map(sym, names)
+        assert expr.to_cancellation(parse(f"{names[0]} + 1"), names[:1])(2.0) == 1.0
+        assert expr.to_cancellation(add(x, y), names)(2.0, -3.0) == -0.25
+        with pytest.raises(DomainError, match="overflow"):
+            expr.to_cancellation(pow_(x, num(2)), names)(1e200, 0.0)
+
+    @pytest.mark.parametrize("names", NAMES, ids=["-".join(n) for n in NAMES])
+    def test_row_kernel(self, names):
+        # x^(1/2) masks the column x = -1, which y > 0 admits
+        x, y = map(sym, names)
+        kernel = expr.to_row_kernel(add(pow_(x, num(Fraction(1, 2))), y), names, positive=(y,))
+        assert kernel([-1.0, 4.0])(1.0) == ([1.0], [0, 1], 1)
+        assert kernel([-1.0, 4.0])(-1.0) == ([], [0, 0], 0)
 
 
 class TestEquivNumeric:

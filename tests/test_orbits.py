@@ -44,7 +44,6 @@ from liesym import (
     sample_in_region,
     scaling_invariance_residual,
     scaling_vf,
-    solution_residual,
     substitute,
     sym,
     symbolic_family_residual,
@@ -354,6 +353,16 @@ def _solution(a, lam):
     return base_solution(a) if lam is None else family_solution(a, lam)
 
 
+def solution_residual(inst, sol):
+    """The instance's residual on the solution's jet, as an expression in x
+    and y: the instance's numbers and the solution's own bound into its
+    kept residual in one substitution.  ``residual_grid`` compiles that
+    residual with the same numbers folded in; this bound form is the
+    reference that folding is tested against."""
+    residual, _, own = orbits._kept_residual(sol)
+    return inst.bind(residual, **own)
+
+
 def _per_instance_residual(inst, sol):
     """The oracle: the solution's own jet, derived for this solution alone,
     substituted into the instance's residual."""
@@ -564,6 +573,109 @@ class TestKeptFamilyResidual:
         assert not free & {"u", "ux", "uy", "uxx", "uxy", "uyy"}
 
 
+def _closure_domain(lam):
+    """The reference: the family's domain as the float test liesym made
+    before its domain became expressions (the base solution's at 0)."""
+    lam = float(lam)
+
+    def inside(x, y):
+        b = y + lam * (x * x + y * y)
+        return (x - b) * (x + b) > 0.0
+
+    return inside
+
+
+# the instance and the lam (None: the base solution) of each grid of
+# tests/test_cli.py::TestGoldenBytes
+GOLDEN_GRIDS = [(gss_preset, 1, 120), (gss_preset, None, 90),
+                (lambda: _profile_instance(Fraction(7, 2)), Fraction(1, 3), 24)]
+# the lam of the benchmark's family grids: p/q with p, q in 1..6
+BENCHMARK_LAMBDAS = sorted({Fraction(p, q) for p in range(1, 7) for q in range(1, 7)})
+
+
+class TestDomainAsData:
+    """A solution's domain is where every expression of ``positive`` is
+    > 0: for the family and the base solution the kept base of the
+    family's power, with lam bound, for a pushforward C and the old
+    conditions pulled back."""
+
+    LAM = sym("lam")
+
+    def test_the_condition_is_the_kept_base(self):
+        base = orbits.symbolic_family_solution().base
+        for sol in (base_solution(-1), family_solution(Fraction(7, 2), Fraction(1, 3)),
+                    family_solution(sym("a"), -2)):
+            assert sol.positive == (base,)
+
+    def test_the_condition_is_the_two_disk_region(self):
+        # x^2 - (y + lam (x^2 + y^2))^2 = -lam^2 D1 D2, where D1 and D2 are
+        # < 0 inside the disks of radius^2 1/(2 lam^2) about
+        # (+-1/(2 lam), -1/(2 lam)): it is > 0 inside exactly one of them
+        s = orbits.symbolic_family_solution().base
+        d1, d2 = (parse(f"(x {sign} 1/(2*lam))^2 + (y + 1/(2*lam))^2 - 1/(2*lam^2)")
+                  for sign in "-+")
+        assert expand(s + self.LAM**2 * d1 * d2) == num(0)
+
+    def test_the_pulled_back_base_condition_is_the_family_condition(self):
+        # x~^2 - y~^2 = (x^2 - (y + lam (x^2 + y^2))^2) / C^2
+        xt, yt = map_point_exprs(self.LAM)
+        c = parse("1 + lam^2*(x^2 + y^2) + 2*lam*y")
+        pulled = substitute(parse("x^2 - y^2"), {"x": xt, "y": yt})
+        assert expand(c**2 * pulled - orbits.symbolic_family_solution().base) == num(0)
+
+    def test_a_pushforward_is_c_and_the_pulled_back_conditions(self):
+        pushed = transform_solution(base_solution(-1), Fraction(1, 2))
+        c = parse("1 + 1/4*(x^2 + y^2) + y")
+        assert pushed.positive == (c, parse("x^2 - (y + 1/2*(x^2 + y^2))^2"))
+        # two pushes compose to one: C > 0 but at one point, so the domain of
+        # the pushforward of the pushforward is the family's at 1/2 + 1/3
+        twice = transform_solution(pushed, Fraction(1, 3))
+        family = family_solution(-1, Fraction(5, 6))
+        assert len(twice.positive) == 3
+        x_lo, x_hi, y_lo, y_hi = region(5 / 6).bounding_box()
+        rng = random.Random(3)
+        for _ in range(500):
+            x, y = rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)
+            assert twice.domain(x, y) == family.domain(x, y), (x, y)
+
+    @staticmethod
+    def _assert_the_closure(inst, lam, n):
+        """``domain`` and the grid's in_domain column equal the closure at
+        every node of the CLI's default grid, and no node is masked off the
+        real domain."""
+        sol = _solution(inst.a, lam)
+        inside = _closure_domain(lam or 0)
+        field, rows = _grid_rows(inst, sol, _grid_for(lam, n))
+        assert field.n_masked_off_real == 0
+        for row in rows:
+            x, y = float(row[0]), float(row[1])
+            assert sol.domain(x, y) == inside(x, y) == (row[2] == "1"), (lam, n, row)
+        return sum(row[2] == "1" for row in rows)
+
+    @pytest.mark.parametrize("instance,lam,n", GOLDEN_GRIDS,
+                             ids=["gss-family-120", "gss-base-90", "a7_2-family-24"])
+    def test_golden_grids(self, instance, lam, n):
+        assert self._assert_the_closure(instance(), lam, n) > 0
+
+    def test_benchmark_lambdas(self):
+        for lam in BENCHMARK_LAMBDAS:
+            self._assert_the_closure(gss_preset(), lam, 24)
+
+    @pytest.mark.parametrize("lam", [Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(5, 6)])
+    def test_odd_default_grids(self, lam):
+        # an odd grid has nodes on the disks' tangents, where the
+        # condition is 0 or a few ulps from it
+        tangent = 0
+        for n in range(3, 40, 2):
+            self._assert_the_closure(gss_preset(), lam, n)
+            grid = _grid_for(lam, n)
+            for x in grid.xs():
+                for y in grid.ys():
+                    b = y + float(lam) * (x * x + y * y)
+                    tangent += abs((x - b) * (x + b)) < 1e-13
+        assert tangent > 0
+
+
 class TestLazyClosedForm:
     """The family and the base solution build ``family_expr(a, lam)`` on
     the first read of ``expr``; a residual grid compiles the kept family
@@ -614,7 +726,7 @@ class TestLazyClosedForm:
         pushed = transform_solution(base_solution(-1), 2)
         assert pushed.lam is None and pushed.expr == family_expr(-1, 2)
         with pytest.raises(TypeError):
-            orbits.ClosedFormSolution(None, lambda x, y: True, "bare", -1)
+            orbits.ClosedFormSolution(None, (), "bare", -1)
 
 
 class TestFlowGenerator:

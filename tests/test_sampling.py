@@ -29,7 +29,7 @@ from liesym import (
     orbits,
     sample_in_region,
 )
-from liesym.expr import RejectionSampler
+from liesym.expr import RejectionSampler, num
 
 from test_cli import run_cli
 
@@ -173,7 +173,7 @@ class TestExhaustedBudget:
         # a structural match is not sampled, so the family is moved to 2 lam,
         # where the difference is not 0, on a domain that holds nowhere
         def moved(a, lam):
-            return ClosedFormSolution(family_expr(a, 2 * lam), lambda x, y: False, "moved", a)
+            return ClosedFormSolution(family_expr(a, 2 * lam), (num(-1),), "moved", a)
 
         monkeypatch.setattr(cli, "family_solution", moved)
         code, out, err = run_cli(["transform", "--lambda", "1", "--samples", "5"])

@@ -40,9 +40,9 @@ def test_residual_grid_compiles_u_into_the_measure(monkeypatch):
     values = []
     real = orbits.to_row_kernel
 
-    def spy(e, arg_names, *vals, constants=None):
+    def spy(e, arg_names, *vals, **kwargs):
         values.append(vals)
-        return real(e, arg_names, *vals, constants=constants)
+        return real(e, arg_names, *vals, **kwargs)
 
     monkeypatch.setattr(orbits, "to_row_kernel", spy)
     grid = GridSpec(1.0, 2.0, -0.5, 0.5, 2, 2)
