@@ -84,7 +84,6 @@ from .orbits import (
     map_point_exprs,
     region,
     residual_grid,
-    sample_in_region,
     scaling_invariance_residual,
     symbolic_family_residual,
     transform_solution,

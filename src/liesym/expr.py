@@ -785,8 +785,9 @@ def eval_at(e: Expr, env: Mapping[str, float]) -> float:
 
 
 # _compile keeps the code of this many distinct source texts, the least
-# recently used dropped first.  A claims run of the benchmark compiles 64
-# to 72 shapes and a grid sweep about 20, each of a few kB.
+# recently used dropped first.  A 12-second claims run of the benchmark
+# compiles 70 to 74 shapes (70 at seeds 11 and 64, 74 at seed 4242) and a
+# grid sweep about 20, each of a few kB.
 COMPILED_SHAPES = 128
 
 
@@ -944,7 +945,8 @@ def _bind(prefix: str, bound: list[float], code: list[str]):
     # the builtins the code calls go by names that no argument can take
     namespace = {f"_{f.__name__}": f for f in (abs, max, len, enumerate, OverflowError, ValueError)}
     namespace.update(_pow=_real_pow, _mpow=math.pow, _isfinite=math.isfinite,
-                     _nonfinite=_nonfinite, _DomainError=DomainError)
+                     _nonfinite=_nonfinite, _DomainError=DomainError, _inf=math.inf,
+                     _hypot=math.hypot, _generator=seeded_generator, _exhausted=_exhausted)
     exec(_shape_code(source), namespace)  # noqa: S102
     return namespace["_make"](*bound)
 
@@ -1180,12 +1182,99 @@ def to_row_kernel(e: Expr, arg_names: tuple[str, str], *values: Expr,
 # randomized identity testing
 
 
+def seeded_generator(count: int, seed: int) -> random.Random:
+    """The generator of a sampled check of ``count`` draws, seeded with
+    ``seed``: every sampled verdict draws from one built here, and none
+    takes fewer than one sample."""
+    if count < 1:
+        raise ValueError("need at least one sample")
+    return random.Random(seed)
+
+
+def _exhausted(accepted: int, count: int) -> SamplingError:
+    """The error of redraw number ``10 * count``, after ``accepted`` draws."""
+    return SamplingError(f"exceeded retry budget ({10 * count}) after {accepted}/{count} samples")
+
+
+def to_draw_loop(roots: tuple[Expr, ...], arg_names: Iterable[str],
+                 boxes: tuple[tuple[float, float], ...], body,
+                 constants: Mapping[str, Fraction] | None = None) -> Callable:
+    """Compile a sampled check's whole draw loop: ``loop(count, seed)``
+    draws points from ``seeded_generator(count, seed)`` until ``count`` of
+    them have a value, and returns ``(max, total, worst, redrawn)``.  The
+    code is ``_compile``'s walk of ``roots``, inlined into the loop.
+
+    ``boxes`` holds ``(lo, span)`` per argument: coordinate i of a draw
+    is ``lo + span * random()``, in argument order, the formula of
+    ``rng.uniform``.  ``body(ref, let)`` returns ``(value, fallback)``,
+    texts made of slots and of the arguments the roots hold.  A draw's
+    value is ``value``; where a slot has no value (DomainError, an
+    overflow, 0 to a negative power) it is ``fallback``, and where
+    ``fallback`` is None, or the value is not below inf (an infinity or
+    a NaN), the draw is redrawn.  Redraw number ``10 * count`` raises
+    SamplingError.  Of the values, which must be >= 0, ``total`` is the
+    sum in draw order from 0.0, ``max`` the first strict maximum from
+    -1.0 and ``worst`` its point, a list in argument order.  A coordinate
+    that no root holds is drawn and mapped only into a new ``worst``."""
+    names, p, lines, (value, fallback), bound = _walk(roots, arg_names, body, constants)
+    held = frozenset().union(*(r.free_symbols() for r in roots))
+    first = len(bound)
+    bound += [v for box in boxes for v in box]
+    draws, point = [], []
+    for i, name in enumerate(names):
+        lo, span = f"{p}k{first + 2 * i}", f"{p}k{first + 2 * i + 1}"
+        if name in held:
+            draws.append(f"{name} = {lo} + {span} * {p}random()")
+            point.append(name)
+        else:
+            draws.append(f"{p}d{i} = {p}random()")
+            point.append(f"{lo} + {span} * {p}d{i}")
+    return _bind(p, bound, [
+        f"    def _loop({p}count, {p}seed):",
+        f"        {p}random = _generator({p}count, {p}seed).random",
+        f"        {p}n = {p}redrawn = 0",
+        f"        {p}total = 0.0",
+        f"        {p}max = -1.0",
+        f"        {p}worst = None",
+        f"        while {p}n < {p}count:",
+        *(f"            {line}" for line in draws),
+        "            try:",
+        *(f"                {slot} = {rhs}" for slot, rhs, _, _ in lines),
+        f"                {p}v = {value}",
+        f"            except {_ERRORS}:",
+        f"                {p}v = {'_inf' if fallback is None else fallback}",
+        f"            if {p}v < _inf:",
+        f"                {p}n += 1",
+        f"                {p}total += {p}v",
+        f"                if {p}v > {p}max:",
+        f"                    {p}max = {p}v",
+        f"                    {p}worst = [{', '.join(point)}]",
+        "                continue",
+        f"            {p}redrawn += 1",
+        f"            if {p}redrawn >= 10 * {p}count:",
+        f"                raise _exhausted({p}n, {p}count)",
+        f"        return {p}max, {p}total, {p}worst, {p}redrawn",
+        "    return _loop",
+    ])
+
+
+def to_measure_loop(e: Expr, arg_names: Iterable[str],
+                    boxes: tuple[tuple[float, float], ...]) -> Callable:
+    """``to_draw_loop`` of |the cancellation measure of ``e``| (see
+    ``to_cancellation``): a draw off the real domain, or where the
+    measure is not finite, is redrawn."""
+    return to_draw_loop((e,), arg_names, boxes,
+                        lambda ref, let: (f"_abs({_cancellation(e, ref, let)})", None))
+
+
 class RejectionSampler:
-    """Seeded rejection sampling behind every sampled verdict: iterating
+    """Seeded rejection sampling for a Python acceptance test: iterating
     yields ``sample(rng)`` for ``count`` accepted draws, in draw order, so
     a caller may stop early.  A draw where ``sample`` returns None or
     raises DomainError is redrawn; ``resampled`` counts the redraws of the
-    last iteration, and redraw number ``10 * count`` raises SamplingError."""
+    last iteration, and redraw number ``10 * count`` raises SamplingError,
+    as in ``to_draw_loop``, whose compiled loops every other sampled
+    check runs."""
 
     __slots__ = ("count", "seed", "sample", "resampled")
 
@@ -1198,7 +1287,7 @@ class RejectionSampler:
         self.resampled = 0
 
     def __iter__(self):
-        rng = random.Random(self.seed)
+        rng = seeded_generator(self.count, self.seed)
         sample = self.sample
         self.resampled = 0
         accepted = 0
@@ -1210,8 +1299,7 @@ class RejectionSampler:
             if value is None:
                 self.resampled += 1
                 if self.resampled >= 10 * self.count:
-                    raise SamplingError(f"exceeded retry budget ({10 * self.count}) "
-                                        f"after {accepted}/{self.count} samples")
+                    raise _exhausted(accepted, self.count)
                 continue
             accepted += 1
             yield value

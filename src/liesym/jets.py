@@ -14,7 +14,6 @@ from typing import NamedTuple
 from .errors import OrderOverflowError, ReductionError
 from .expr import (
     Expr,
-    RejectionSampler,
     add,
     as_expr,
     diff,
@@ -23,9 +22,10 @@ from .expr import (
     mul,
     num,
     pow_,
+    seeded_generator,
     substitute,
     sym,
-    to_cancellation,
+    to_measure_loop,
     to_text,
 )
 
@@ -272,33 +272,20 @@ class SampledRemainder(NamedTuple):
 def sample_remainder(remainder: Expr, n_samples: int = DEFAULT_SAMPLES,
                      seed: int = DEFAULT_SEED) -> SampledRemainder:
     """Sample a remainder in jet coordinates, such as the expanded result
-    of ``ConstraintSystem.restrict``.  Its ``to_cancellation`` measure,
-    over its terms if it is a Sum and else over it as one term, is
-    compiled once and |measure| is taken at ``n_samples`` seeded jet
-    points; a point off the real domain or where the measure is not
-    finite is redrawn.
+    of ``ConstraintSystem.restrict``.  The magnitude of its
+    ``to_cancellation`` measure, over its terms if it is a Sum and else
+    over it as one term, is compiled with its draw loop
+    (``to_measure_loop``) and taken at ``n_samples`` seeded points of the
+    jet box, each drawn as ``sample_jet_point`` draws one; a point off
+    the real domain or where the measure is not finite is redrawn.
 
     A structural ``0`` measures ``0.0`` at every point, so it is neither
     compiled nor sampled: its statistics are all ``0.0``, with no redraw,
     and its worst point is the first draw, the point where a sampled
     maximum of ``0.0`` is first reached."""
     if is_zero(remainder):
-        first = next(iter(RejectionSampler(n_samples, seed, sample_jet_point)))
+        first = sample_jet_point(seeded_generator(n_samples, seed))
         return SampledRemainder(remainder, 0.0, 0.0, first, n_samples, 0)
-    measure = to_cancellation(remainder, JET_NAMES)
-
-    def sample(rng):
-        point = sample_jet_point(rng)
-        return point, abs(measure(*point))
-
-    samples = RejectionSampler(n_samples, seed, sample)
-    worst = None
-    max_abs = -1.0
-    total = 0.0
-    for point, value in samples:
-        total += value
-        if value > max_abs:
-            max_abs = value
-            worst = point
-    return SampledRemainder(remainder, max_abs, total / n_samples, worst, n_samples,
-                            samples.resampled)
+    max_abs, total, worst, resampled = to_measure_loop(remainder, JET_NAMES,
+                                                       _JET_BOXES)(n_samples, seed)
+    return SampledRemainder(remainder, max_abs, total / n_samples, worst, n_samples, resampled)

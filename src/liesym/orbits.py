@@ -28,7 +28,6 @@ from .errors import SingularPointError, WorkerError
 from .expr import (
     Expr,
     Num,
-    RejectionSampler,
     add,
     as_expr,
     diff,
@@ -40,6 +39,7 @@ from .expr import (
     substitute,
     sym,
     to_callable,  # noqa: F401  (unused: perfbench/tracing.py patches orbits.to_callable)
+    to_draw_loop,
     to_predicate,
     to_row_kernel,
 )
@@ -115,20 +115,24 @@ class RegionGeometry(NamedTuple):
 
     def xor_mismatches(self, samples: int, seed: int) -> int:
         """How many of ``samples`` seeded points of ``xor_check_box`` the
-        algebraic membership test and the two disks disagree on.  Each
-        draw is x, then y, as ``lo + (hi - lo) * rng.random()``: the
-        formula of ``rng.uniform``, bit for bit."""
+        algebraic membership test and the two disks disagree on, counted
+        in one compiled loop (``to_draw_loop``).  Each draw is x, then y,
+        as ``lo + (hi - lo) * rng.random()``: the formula of
+        ``rng.uniform``, bit for bit.  The membership test is
+        ``membership``'s code, where a point with no value is not inside,
+        and the disks are ``xor_disks``'s ``math.hypot`` tests."""
         x_lo, x_hi, y_lo, y_hi = self.xor_check_box()
-        x_span, y_span = x_hi - x_lo, y_hi - y_lo
-        inside = _family_domain(self.lam)
-        xor_disks = _disk_xor(self.center1, self.center2, self.radius)
+        # Fraction(v) is v exactly, so each number is bound as the double it is
+        disks = [num(Fraction(v)) for v in (*self.center1, *self.center2, self.radius)]
 
-        def sample(rng):
-            x = x_lo + x_span * rng.random()
-            y = y_lo + y_span * rng.random()
-            return inside(x, y) != xor_disks(x, y)
+        def body(ref, let):
+            x1, y1, x2, y2, r = map(ref, disks)
+            xor = f"(_hypot(x - {x1}, y - {y1}) < {r}) != (_hypot(x - {x2}, y - {y2}) < {r})"
+            return f"({ref(_S_EXPR)} > 0.0) != ({xor})", f"({xor})"
 
-        return sum(RejectionSampler(samples, seed, sample))
+        loop = to_draw_loop((_S_EXPR,), ("x", "y"), ((x_lo, x_hi - x_lo), (y_lo, y_hi - y_lo)),
+                            body, {"lam": self.lam})
+        return int(loop(samples, seed)[1])  # the total of the 0/1 values
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(x_min, x_max, y_min, y_max) of the two disks, in GridSpec order."""
@@ -560,15 +564,3 @@ def scaling_invariance_residual(a) -> Expr:
     q = characteristic(vf)
     jet = base_solution(a).jet()
     return substitute(q, {"u": jet["u"], "ux": jet["ux"], "uy": jet["uy"]})
-
-
-def sample_in_region(lam: float, count: int, seed: int) -> list[tuple[float, float]]:
-    """Seeded rejection sampling of points inside the two-disk region."""
-    geo = region(lam)
-    x_lo, x_hi, y_lo, y_hi = geo.bounding_box()
-
-    def sample(rng):
-        point = rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)
-        return point if geo.membership(*point) else None
-
-    return list(RejectionSampler(count, seed, sample))

@@ -865,11 +865,17 @@ class TestGoldenBytes:
          "e348bc67afd96ca07a6384d923bd8dc410fce92ccf656c121da18f1b56faf7f7"),
         (["weak-cs", "--preset", "gss", "--consequences"], 0,
          "ec28ab84d55d06bea237d3c2e1505f6766c51e55f540b8c2fcf2844c5b7f91e9"),
+        # the claims workload's median op: Y refuted on GSS, at the default
+        # draw and at another count and seed
+        (["check-symmetry", "--preset", "gss", "--field", "Y"], 1,
+         "df4bf3dbb9942752c90174d2f3713c4f12203788c946defebae368426a097531"),
+        (["check-symmetry", "--preset", "gss", "--field", "Y", "--samples", "333", "--seed", "9"], 1,
+         "3ecd29b13a93efbdc0df8d29deafd02c35fb1ec7db3b5d39e72c8738f30f29fc"),
     ]
 
     @pytest.mark.parametrize("argv,code,report_sha", SAMPLING_CASES, ids=[
         "check-symmetry-gss", "check-symmetry-refuted", "transform", "region",
-        "weak-cs", "weak-cs-consequences"])
+        "weak-cs", "weak-cs-consequences", "check-symmetry-Y", "check-symmetry-Y-333-seed-9"])
     def test_sampling_report_bytes(self, argv, code, report_sha):
         got, out, _ = run_cli(argv)
         assert got == code
@@ -883,7 +889,7 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("argv,code,report_sha", SAMPLING_CASES, ids=[
         "check-symmetry-gss", "check-symmetry-refuted", "transform", "region",
-        "weak-cs", "weak-cs-consequences"])
+        "weak-cs", "weak-cs-consequences", "check-symmetry-Y", "check-symmetry-Y-333-seed-9"])
     def test_sampling_report_bytes_after_warm_up(self, argv, code, report_sha):
         for a in self.WARM_UP_A:
             c1, c2 = exceptional_exponents(Fraction(a), 2)

@@ -37,7 +37,6 @@ from liesym import (
     num,
     parse,
     pow_,
-    sample_in_region,
     simplify,
     substitute,
     sym,
@@ -46,6 +45,8 @@ from liesym import (
 )
 from liesym import expr, orbits
 from liesym.expr import clear_memo
+
+from test_orbits import sample_in_region
 
 X, Y, U, A, LAM = sym("x"), sym("y"), sym("u"), sym("a"), sym("lam")
 

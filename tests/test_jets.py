@@ -89,7 +89,7 @@ class TestSampleRemainder:
         def compile_refused(*args, **kwargs):
             raise AssertionError("a structural 0 was compiled")
 
-        monkeypatch.setattr(jets, "to_cancellation", compile_refused)
+        monkeypatch.setattr(jets, "to_measure_loop", compile_refused)
         got = sample_remainder(num(0), n_samples=n, seed=seed)
         assert got == expected
         assert (got.max_abs, got.mean_abs, got.resampled) == (0.0, 0.0, 0)

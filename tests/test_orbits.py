@@ -41,7 +41,6 @@ from liesym import (
     pow_,
     region,
     residual_grid,
-    sample_in_region,
     scaling_invariance_residual,
     scaling_vf,
     substitute,
@@ -52,6 +51,21 @@ from liesym import (
 )
 from liesym import orbits
 from liesym.expr import clear_memo, to_cancellation
+
+
+def sample_in_region(lam, count, seed):
+    """``count`` seeded points inside the two-disk region of ``lam``, drawn
+    x, then y, by ``rng.uniform`` from its bounding box, the points
+    outside it redrawn."""
+    geo = region(lam)
+    x_lo, x_hi, y_lo, y_hi = geo.bounding_box()
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        point = rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)
+        if geo.membership(*point):
+            points.append(point)
+    return points
 
 
 def _itoi(x, y, lam):
@@ -287,9 +301,11 @@ class TestRegion:
         assert geo.xor_mismatches(2000, seed) == expected > 0
 
     def test_sample_in_region_respects_membership(self):
+        # the test helper's points, which test_expr.py evaluates at, lie in
+        # the region by both of its descriptions
         geo = region(1.0)
         for x, y in sample_in_region(1.0, 100, seed=3):
-            assert geo.membership(x, y)
+            assert geo.membership(x, y) and geo.xor_disks(x, y)
 
 
 class TestResidualGrid:
