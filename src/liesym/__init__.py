@@ -28,6 +28,7 @@ from .expr import (
     Sym,
     add,
     as_expr,
+    bind_expanded,
     diff,
     equiv_numeric,
     eval_at,

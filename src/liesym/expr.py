@@ -707,6 +707,142 @@ def expand(e: Expr) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
+def bind_expanded(e: Expr, numbers: Mapping) -> Expr:
+    """``expand(substitute(e, numbers))``, the same tree, for numbers bound
+    to the symbols of an expanded sum that is bound again and again.
+
+    The terms of e are read once into a plan (``_bind_plan``): a term is
+    a ``Fraction`` coefficient, factors in the bound symbols alone, and
+    atoms, each a power of another symbol whose exponent is a number or an
+    expression in the bound symbols.  Binding multiplies the coefficients
+    exactly, evaluates the exponents, and builds the canonical sum of the
+    monomials directly.  An e the plan cannot read (a sum or a bound
+    symbol as a base, say), a binding the plan cannot evaluate to a number
+    (0 to a negative power, a fractional power of a number) and numbers
+    other than ints and Fractions take the general route.
+    """
+    result = None
+    if all(isinstance(v, (int, Fraction)) for v in numbers.values()):
+        # a float or an expression is bound as substitute binds it
+        values = {(k.name if isinstance(k, Sym) else k): Fraction(v) for k, v in numbers.items()}
+        plan = _bind_plan(e, tuple(values))
+        result = None if plan is None else _bind_terms(plan, values)
+    return expand(substitute(e, numbers)) if result is None else result
+
+
+# The plans of the derivations kept across commands (family.onshell_remainder
+# and the kept derivations of reduction), each bound to every instance;
+# clear_memo leaves them, as it leaves the derivations themselves.
+@functools.lru_cache(maxsize=8)
+def _bind_plan(e: Expr, names: tuple[str, ...]):
+    """e's terms read for binding ``names``, or None where a term is not
+    such a monomial: the expressions in the bound symbols, each evaluated
+    once per binding; the atoms, each (base, position of its exponent);
+    and per term its coefficient, the positions of its bound factors and
+    the positions of its atoms."""
+    params = frozenset(names)
+    exprs: dict[Expr, int] = {}
+    atoms: dict[tuple[Sym, int], int] = {}
+    terms = []
+    for t in e.terms if isinstance(e, Sum) else (e,):
+        coeff = Fraction(1)
+        factors: list[int] = []
+        bases: dict[Sym, int] = {}
+        for f in t.factors if isinstance(t, Product) else (t,):
+            if isinstance(f, Num):
+                coeff *= f.value
+            elif f.free_symbols() <= params:
+                factors.append(exprs.setdefault(f, len(exprs)))
+            else:
+                b, p = (f.base, f.exponent) if isinstance(f, Power) else (f, ONE)
+                if (not isinstance(b, Sym) or b.name in params or b in bases
+                        or not p.free_symbols() <= params):
+                    return None
+                atom = (b, exprs.setdefault(p, len(exprs)))
+                bases[b] = atoms.setdefault(atom, len(atoms))
+        terms.append((coeff, tuple(factors), tuple(bases.values())))
+    return tuple(exprs), tuple(atoms), tuple(terms)
+
+
+def _bind_terms(plan, values: dict[str, Fraction]) -> Expr | None:
+    """The canonical sum that ``expand`` builds of a plan's terms bound to
+    ``values``: like monomials collected, zero coefficients dropped,
+    factors and terms in sort_key order.  None where an expression of the
+    plan binds to no number."""
+    exprs, atoms, terms = plan
+    folds: dict[Expr, Fraction | None] = {}
+    vals = [_fold(p, values, folds) for p in exprs]
+    if any(v is None for v in vals):
+        return None
+    # each atom bound once: dropped at exponent 0, the bare symbol at 1;
+    # atoms that bind equal (u^c1 and u^c2 at c1 = c2) share one rank
+    bound_atoms = [None if not vals[i] else b if vals[i] == 1 else Power(b, Num(vals[i]))
+                   for b, i in atoms]
+    ranked = sorted({f for f in bound_atoms if f is not None}, key=lambda f: f.sort_key())
+    rank = {f: k for k, f in enumerate(ranked)}
+    ranks = [None if f is None else rank[f] for f in bound_atoms]
+
+    const = Fraction(0)
+    coeffs: dict[tuple[int, ...], Fraction] = {}
+    for coeff, factors, term_atoms in terms:
+        for i in factors:
+            coeff *= vals[i]
+        if not coeff:
+            continue
+        key = tuple(sorted(ranks[j] for j in term_atoms if ranks[j] is not None))
+        if not key:
+            const += coeff
+        elif key in coeffs:
+            coeffs[key] += coeff
+        else:
+            coeffs[key] = coeff
+    rebuilt: list[Expr] = []
+    for key, c in coeffs.items():
+        if not c:
+            continue
+        monomial = tuple(ranked[k] for k in key)
+        if c != 1:
+            rebuilt.append(Product((Num(c), *monomial)))
+        else:
+            rebuilt.append(monomial[0] if len(monomial) == 1 else Product(monomial))
+    if not rebuilt:
+        return Num(const)
+    if not const and len(rebuilt) == 1:
+        return rebuilt[0]
+    if const:
+        rebuilt.append(Num(const))
+    rebuilt.sort(key=lambda t: t.sort_key())
+    return Sum(tuple(rebuilt))
+
+
+def _fold(node: Expr, table: Mapping[str, Fraction],
+          folds: dict[Expr, Fraction | None]) -> Fraction | None:
+    """The exact value of an expression in the symbols of ``table``, or
+    None where Fraction arithmetic does not reach it (a power that
+    ``_int_power`` does not fold).  Where it gives a value, substituting
+    ``table`` gives the Num of that value.  ``folds`` keeps the value of
+    each subtree worked out."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Sym):
+        return table[node.name]
+    if node in folds:
+        return folds[node]
+    out = None
+    if isinstance(node, Power):
+        b, p = _fold(node.base, table, folds), _fold(node.exponent, table, folds)
+        if b is not None and p is not None:
+            out = _int_power(b, p)
+    else:
+        values = [_fold(t, table, folds)
+                  for t in (node.terms if isinstance(node, Sum) else node.factors)]
+        if not any(v is None for v in values):
+            out = (sum(values, Fraction(0)) if isinstance(node, Sum)
+                   else math.prod(values, start=Fraction(1)))
+    folds[node] = out
+    return out
+
+
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
@@ -854,26 +990,7 @@ def _walk(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
         return let(f"(_mpow({base}, {p}) if {base} > 0.0 else _pow({base}, {p}))", base, p)
 
     def constant(node: Expr) -> Fraction | None:
-        """The exact value of a subtree free of the arguments, or None where
-        Fraction arithmetic does not reach it."""
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Sym):
-            return table[node.name]
-        if node in folds:
-            return folds[node]
-        out = None
-        if isinstance(node, Power):
-            b, p = constant(node.base), constant(node.exponent)
-            if b is not None and p is not None:
-                out = _int_power(b, p)
-        else:
-            values = [constant(t) for t in (node.terms if isinstance(node, Sum) else node.factors)]
-            if not any(v is None for v in values):
-                out = (sum(values, Fraction(0)) if isinstance(node, Sum)
-                       else math.prod(values, start=Fraction(1)))
-        folds[node] = out
-        return out
+        return _fold(node, table, folds)
 
     # the check for missing symbols above has computed ``_free`` on every
     # node of the roots, so the walk reads it directly.  With no table it

@@ -22,8 +22,8 @@ from .expr import (
     Num,
     add,
     as_expr,
+    bind_expanded,
     eval_at,  # noqa: F401  (unused: perfbench/tracing.py patches family.eval_at)
-    expand,
     mul,
     num,
     pow_,
@@ -232,7 +232,9 @@ def check_onshell_symmetry(
 
     The field's symbolic ``onshell_remainder``, the prolonged field
     applied to the residual and restricted exactly to the residual
-    manifold, is bound to the instance's six numbers and expanded once.
+    manifold, is bound to the instance's six numbers by ``bind_expanded``,
+    which reads the kept remainder's terms once and builds each expanded
+    binding from that reading.
     Of the parameters only a may be a symbol of the field: one named r,
     c1, c2, gamma1 or gamma2 raises UnboundSymbolError before anything is
     bound, so that it never takes the instance's number.  Any other extra
@@ -252,7 +254,7 @@ def check_onshell_symmetry(
     if clash:
         raise UnboundSymbolError(f"field symbols {clash} name parameters other than a "
                                  f"and are not bound")
-    remainder = expand(inst.bind(onshell_remainder(vf)))
+    remainder = bind_expanded(onshell_remainder(vf), inst.numbers())
     sampled = sample_remainder(remainder, n_samples, seed)
     status = _STATUS[sampled.classify(tol)]
     return SymmetryVerdict(

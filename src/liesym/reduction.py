@@ -31,6 +31,7 @@ from .expr import (
     Sym,
     add,
     as_expr,
+    bind_expanded,
     diff,
     eval_at,  # noqa: F401  (unused: perfbench/tracing.py patches reduction.eval_at)
     expand,
@@ -117,10 +118,14 @@ def reduce_residual(delta: Expr) -> Expr:
 # The kept derivations below serve every weak-cs and reduce command, and
 # only the numbers of the instance differ between two of them.  Each is
 # built once over the symbols of family.PARAMETERS, takes no argument and so
-# keeps one entry, and is bound to an instance by substitution, as
-# family.onshell_remainder is for check-symmetry; nothing is derived at
-# import.  The reduction and the stage-2 remainder are sums of monomials
-# with no base common to every term, so binding them leaves them expanded.
+# keeps one entry, and is bound to an instance, as family.onshell_remainder
+# is for check-symmetry; nothing is derived at import.  The reduction and
+# the stage-2 remainder are sums of monomials with no base common to every
+# term, so substituting the numbers leaves them expanded, and
+# expr.bind_expanded binds them through its plan to the same tree
+# (tests/test_expr.py::TestBindExpanded checks both over drawn instances).
+# The auxiliary constraint is not expanded; stage 3 binds the numbers and
+# the invariant solution's jet into it in one substitution.
 # The invariant-solution stage is not kept: restricted over symbolic a, its
 # remainder is structurally different from the per-instance one (expand
 # leaves an integer power above 16 of a sum alone, so a kept remainder
@@ -151,11 +156,12 @@ def symbolic_invariance_remainder() -> Expr:
 
 def reduce_to_invariant(inst: PDEInstance) -> Expr:
     """Reduction of an r = 2 instance to the invariant variable: the kept
-    ``symbolic_reduction()`` with the instance's numbers bound.  Another r
-    raises ValueError: the reduction is not defined there."""
+    ``symbolic_reduction()`` with the instance's numbers bound by
+    ``bind_expanded``.  Another r raises ValueError: the reduction is not
+    defined there."""
     if inst.r != 2:
         raise ValueError(f"reduction requires r = 2, got r = {inst.r}")
-    return inst.bind(symbolic_reduction())
+    return bind_expanded(symbolic_reduction(), inst.numbers())
 
 
 def split_by_x2(red: Expr) -> tuple[Expr, Expr]:
@@ -308,11 +314,13 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = DEFAULT_SAMPLES,
     manifold, then adding the invariance condition, then the 2-jet of the
     invariant solution (x^2 - y^2)^(-a/4), where A vanishes when the
     system {residual, invariance, A} is compatible.  The first two
-    remainders are kept derivations bound to the instance (the first is
-    what ``check-symmetry --field Y`` samples, the second restricts it by
-    the invariance condition); the third substitutes the instance's jet
-    into the bound A and expands, which is the restriction to the jet's
-    constraints ``u - u(x, y)``, ..., each solved with coefficient 1.
+    remainders are kept derivations bound to the instance by
+    ``bind_expanded`` (the first is what ``check-symmetry --field Y``
+    samples, the second restricts it by the invariance condition); the
+    third substitutes the instance's numbers and jet into the kept
+    symbolic A in one substitution and expands, which is the restriction
+    to the jet's constraints ``u - u(x, y)``, ..., each solved with
+    coefficient 1.
     Each remainder is sampled for its verdict.  The anti-reduction route
     follows: reduce, split by powers of x^2, and verify the power profile
     against both separated ODEs.  An instance with r other than 2 raises
@@ -328,10 +336,10 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = DEFAULT_SAMPLES,
         tuple(add(sym(n), mul(num(-1), v)) for n, v in jet.items()), tuple(jet))
     stage_systems = (
         ("residual", ConstraintSystem((delta,), ("uyy",)),
-         expand(inst.bind(onshell_remainder(rotation_like_vf())))),
+         bind_expanded(onshell_remainder(rotation_like_vf()), inst.numbers())),
         ("residual+invariance", ConstraintSystem((delta, invariance_condition()), ("uyy", "uy")),
-         inst.bind(symbolic_invariance_remainder())),
-        ("invariant-solution", solution, expand(substitute(auxiliary_constraint(inst), jet))),
+         bind_expanded(symbolic_invariance_remainder(), inst.numbers())),
+        ("invariant-solution", solution, expand(inst.bind(symbolic_auxiliary(), **jet))),
     )
     stages = []
     for name, system, remainder in stage_systems:

@@ -871,11 +871,29 @@ class TestGoldenBytes:
          "df4bf3dbb9942752c90174d2f3713c4f12203788c946defebae368426a097531"),
         (["check-symmetry", "--preset", "gss", "--field", "Y", "--samples", "333", "--seed", "9"], 1,
          "3ecd29b13a93efbdc0df8d29deafd02c35fb1ec7db3b5d39e72c8738f30f29fc"),
+        # recorded before the kept derivations were bound through a plan of
+        # their terms (expr.bind_expanded): reduce at GSS and at the a = 7/2
+        # profile instance; Xprime refuted off the exponent pair (c1 + 1/10);
+        # X admitted at r = 0 and c1 = c2, where x^r drops out and the two
+        # source terms of the remainder merge
+        (["reduce", "--preset", "gss"], 0,
+         "e831dc59c04fedb7c7ef322e2377ffb0664a8c7ce5038f5ce24a8860eafe96a5"),
+        (["reduce", "--a=7/2", "--r=2", "--c1=23/7", "--c2=15/7", "--gamma1=105/8",
+          "--gamma2=-203/16"], 0,
+         "e561d47081311b76ce200ff12501cae15da5a311e12edec674fc6db6fbdd1243"),
+        (["check-symmetry", "--a=5/3", "--r=1", "--c1=47/10", "--c2=17/5", "--gamma1=7/2",
+          "--gamma2=-3", "--field=Xprime", "--seed=4242"], 1,
+         "acaab02cd6e0f9dfcfa9ea6a0184c6d4730d65e0f042ff2c45e7cd091945671b"),
+        (["check-symmetry", "--a=1", "--r=0", "--c1=5", "--c2=5", "--gamma1=1", "--gamma2=1",
+          "--field=X"], 0,
+         "53e092ff359e28531b00a2c865cf7eb28e4a37fa5e5166a6cfe1443d819560de"),
     ]
-
-    @pytest.mark.parametrize("argv,code,report_sha", SAMPLING_CASES, ids=[
+    SAMPLING_IDS = [
         "check-symmetry-gss", "check-symmetry-refuted", "transform", "region",
-        "weak-cs", "weak-cs-consequences", "check-symmetry-Y", "check-symmetry-Y-333-seed-9"])
+        "weak-cs", "weak-cs-consequences", "check-symmetry-Y", "check-symmetry-Y-333-seed-9",
+        "reduce-gss", "reduce-a7_2", "check-symmetry-Xprime-moved", "check-symmetry-X-r0"]
+
+    @pytest.mark.parametrize("argv,code,report_sha", SAMPLING_CASES, ids=SAMPLING_IDS)
     def test_sampling_report_bytes(self, argv, code, report_sha):
         got, out, _ = run_cli(argv)
         assert got == code
@@ -887,9 +905,7 @@ class TestGoldenBytes:
     # the remainder kept from those commands, and its second run again
     WARM_UP_A = ["-3", "-2", "-5/3", "-1/2", "1/2", "2/3", "1", "2", "3"]
 
-    @pytest.mark.parametrize("argv,code,report_sha", SAMPLING_CASES, ids=[
-        "check-symmetry-gss", "check-symmetry-refuted", "transform", "region",
-        "weak-cs", "weak-cs-consequences", "check-symmetry-Y", "check-symmetry-Y-333-seed-9"])
+    @pytest.mark.parametrize("argv,code,report_sha", SAMPLING_CASES, ids=SAMPLING_IDS)
     def test_sampling_report_bytes_after_warm_up(self, argv, code, report_sha):
         for a in self.WARM_UP_A:
             c1, c2 = exceptional_exponents(Fraction(a), 2)

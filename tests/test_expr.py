@@ -16,6 +16,7 @@ except ImportError:  # optional test dependency, like sympy in test_cross_check.
     st = None
 
 from liesym import (
+    NAMED_FIELDS,
     DomainError,
     GridSpec,
     Num,
@@ -25,26 +26,34 @@ from liesym import (
     SampleSpec,
     Sum,
     UnboundSymbolError,
+    VectorField,
     add,
+    bind_expanded,
+    build_instance,
     diff,
     equiv_numeric,
     eval_at,
+    exceptional_exponents,
     expand,
     family_solution,
     gss_preset,
     is_zero,
     mul,
     num,
+    onshell_remainder,
     parse,
     pow_,
     simplify,
     substitute,
     sym,
+    symbolic_invariance_remainder,
+    symbolic_reduction,
     to_callable,
     to_text,
 )
 from liesym import expr, orbits
 from liesym.expr import clear_memo
+from liesym.family import PARAMETERS
 
 from test_orbits import sample_in_region
 
@@ -1152,5 +1161,142 @@ class TestMemo:
                 assert warm == cold
                 assert [to_text(w) for w in warm] == [to_text(c) for c in cold]
             clear_memo()
+
+        check()
+
+
+# the claims workload's draw of a and r (perfbench/workloads.py)
+_CLAIMS_A = sorted({Fraction(p, q) for p in (*range(-8, 0), *range(1, 9)) for q in (1, 2, 3)})
+_CLAIMS_R = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
+
+
+def _kept_derivations():
+    """(name, derivation, whether substituting alone leaves it expanded)
+    for every derivation the CLI binds through ``bind_expanded``."""
+    kept = [(f"onshell_remainder({name})", onshell_remainder(field()), False)
+            for name, field in NAMED_FIELDS.items()]
+    return kept + [("symbolic_invariance_remainder", symbolic_invariance_remainder(), True),
+                   ("symbolic_reduction", symbolic_reduction(), True)]
+
+
+if st is not None:
+    _FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+    @st.composite
+    def _bind_instances(draw):
+        """Exact instances, weighted toward the degenerate values: r = 0,
+        c1 = c2, c1 in {0, 1}, a zero gamma, gamma2 = -gamma1, and c1 off
+        the exponent pair."""
+        a = draw(st.builds(lambda p, q: Fraction(p, q),
+                           st.integers(1, 8) | st.integers(-8, -1), st.integers(1, 3)))
+        r = draw(st.sampled_from(_CLAIMS_R) | _FRACTIONS)
+        c1, c2 = exceptional_exponents(a, r)
+        c1 = draw(st.sampled_from((c1, c2, Fraction(0), Fraction(1), c1 + Fraction(1, 10)))
+                  | _FRACTIONS)
+        c2 = draw(st.sampled_from((c2, c1, c2 - Fraction(1, 3))) | _FRACTIONS)
+        g1 = draw(st.just(Fraction(0)) | _FRACTIONS)
+        g2 = draw(st.sampled_from((Fraction(0), -g1)) | _FRACTIONS)
+        return build_instance(a, r, c1, c2, g1, g2)
+
+
+class TestBindExpanded:
+    """``bind_expanded(e, numbers)`` is ``expand(substitute(e, numbers))``:
+    the same tree and the same text, for every kept derivation."""
+
+    @staticmethod
+    def _check(inst):
+        numbers = inst.numbers()
+        for name, e, plain in _kept_derivations():
+            got = bind_expanded(e, numbers)
+            want = expand(substitute(e, numbers))
+            assert got == want, (name, inst)
+            assert to_text(got) == to_text(want), (name, inst)
+            if plain:
+                assert substitute(e, numbers) == want, (name, inst)
+                assert to_text(substitute(e, numbers)) == to_text(want), (name, inst)
+
+    def test_claims_draw_binds_through_the_plan(self):
+        # 36 a x 5 r x 5 exponent pairs x 3 pairs of gammas x 6 derivations:
+        # on the exponent pair, c1 + 1/10, c2 - 1/3, c1 = 1 and c1 = c2
+        rng = random.Random(11)
+        names = tuple(PARAMETERS)
+        plans = {name: expr._bind_plan(e, names) for name, e, _ in _kept_derivations()}
+        for a in _CLAIMS_A:
+            for r in _CLAIMS_R:
+                c1, c2 = exceptional_exponents(a, r)
+                g1, g2 = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+                          for _ in range(2))
+                for pair in ((c1, c2), (c1 + Fraction(1, 10), c2), (c1, c2 - Fraction(1, 3)),
+                             (Fraction(1), c2), (c1, c1)):
+                    for gammas in ((g1, g2), (0, g2), (g1, 0)):
+                        inst = build_instance(a, r, *pair, *gammas)
+                        self._check(inst)
+                        # none of them leaves the plan for the general route
+                        for plan in plans.values():
+                            assert expr._bind_terms(plan, inst.numbers()) is not None
+            clear_memo()
+
+    def test_each_kept_derivation_has_a_plan(self):
+        # so no CLI command binds through the general route
+        for name, e, _ in _kept_derivations():
+            assert expr._bind_plan(e, tuple(PARAMETERS)) is not None, name
+
+    def test_a_power_of_a_sum_takes_the_general_route(self):
+        # xi1 = (x^2 + y^2)^(1/2): the remainder holds powers of that sum
+        field = VectorField(pow_(add(pow_(X, 2), pow_(Y, 2)), Fraction(1, 2)), num(0), num(0))
+        remainder = onshell_remainder(field)
+        assert expr._bind_plan(remainder, tuple(PARAMETERS)) is None
+        for inst in (gss_preset(), build_instance(1, 0, 5, 5, 1, 1),
+                     build_instance(Fraction(5, 3), 1, Fraction(47, 10), Fraction(17, 5), 2, -3)):
+            got = bind_expanded(remainder, inst.numbers())
+            want = expand(inst.bind(remainder))
+            assert got == want
+            assert to_text(got) == to_text(want)
+
+    def test_a_binding_without_a_number_takes_the_general_route(self):
+        # the plan reads each e, but 0^-1 and a fractional power of a
+        # number (the constructors keep 9^(1/2) a power) bind to no number
+        inverse = add(mul(pow_(A, -1), X), pow_(Y, pow_(LAM, 2)), mul(A, LAM, X, Y))
+        root = add(pow_(Y, pow_(LAM, Fraction(1, 2))), mul(A, X))
+        for e, numbers, planned in ((inverse, {"a": 0, "lam": 4}, False),
+                                    (inverse, {"a": 2, "lam": -3}, True),
+                                    (root, {"a": 2, "lam": 9}, False),
+                                    (root, {"a": 2, "lam": 0}, False)):
+            plan = expr._bind_plan(e, tuple(numbers))
+            assert plan is not None
+            values = {k: Fraction(v) for k, v in numbers.items()}
+            assert (expr._bind_terms(plan, values) is not None) == planned
+            got = bind_expanded(e, numbers)
+            want = expand(substitute(e, numbers))
+            assert got == want
+            assert to_text(got) == to_text(want)
+
+    def test_numbers_bind_as_substitute_binds_them(self):
+        e = onshell_remainder(NAMED_FIELDS["X"]())
+        numbers = gss_preset().numbers()
+        for bindings in ({sym(k): num(v) for k, v in numbers.items()},
+                         {**numbers, "gamma1": 0.1},  # a float reads as its decimal
+                         {**numbers, "gamma2": add(LAM, 1)}):  # an expression
+            got = bind_expanded(e, bindings)
+            assert got == expand(substitute(e, bindings))
+            assert to_text(got) == to_text(expand(substitute(e, bindings)))
+
+    def test_a_kept_plan_builds_nothing_through_the_constructors(self):
+        e = onshell_remainder(NAMED_FIELDS["Y"]())
+        numbers = build_instance(Fraction(5, 3), 1, Fraction(23, 5), Fraction(17, 5), 2, -3).numbers()
+        first = bind_expanded(e, numbers)
+        plans = expr._bind_plan.cache_info().currsize
+        clear_memo()  # leaves the plans
+        assert expr._bind_plan.cache_info().currsize == plans
+        again = bind_expanded(e, numbers)
+        assert again == first
+        assert not any(info.currsize for info in _cache_infos().values())
+
+    @pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+    def test_random_instances_bind_as_expand_of_substitute(self):
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(_bind_instances())
+        def check(inst):
+            self._check(inst)
 
         check()

@@ -495,6 +495,23 @@ class TestRestrictionShortcuts:
             self._assert_stage_three_substitutes(
                 build_instance(a, 2, c1, c2, 0 if zero_gamma1 else g1, g2))
 
+    def test_stage_three_binds_numbers_and_jet_in_one_substitution(self):
+        # weak-cs stage 3 substitutes the numbers and the jet into the kept
+        # symbolic A at once; binding the numbers first and the jet after
+        # must build the same tree, here for every a at r = 2 with the
+        # profile gammas, gamma1 + 1, gamma1 = 0 and gamma1 = -gamma2
+        for a in A_VALUES:
+            c1, c2 = exceptional_exponents(a, 2)
+            _, g1, g2 = candidate_profile(a)
+            jet = base_solution(a).jet()
+            for gammas in ((g1, g2), (g1 + 1, g2), (0, g2), (-g2, g2)):
+                inst = build_instance(a, 2, c1, c2, *gammas)
+                two_steps = expand(substitute(auxiliary_constraint(inst), jet))
+                one_step = expand(inst.bind(symbolic_auxiliary(), **jet))
+                assert one_step == two_steps, inst.params_text()
+                assert to_text(one_step) == to_text(two_steps), inst.params_text()
+            clear_memo()
+
     def test_stage_two_chains_from_stage_one(self):
         # the oracle: the symbolic A restricted by the residual and the
         # invariance condition together, as stage 2 was derived before
