@@ -295,7 +295,7 @@ def _cmd_transform(args, out) -> tuple[dict, bool]:
         spec = SampleSpec(
             count=args.samples, rel_tol=1e-12, seed=args.seed,
             intervals={"x": (x_lo, x_hi), "y": (y_lo, y_hi)},
-            accept=lambda env: family.domain(env["x"], env["y"]),
+            positive=family.conditions(),
         )
         res = equiv_numeric(pushed.expr, family.expr, spec)
         equiv_report = {"equivalent": res.equivalent, "samples": res.samples}

@@ -1130,7 +1130,7 @@ def _compile(roots: tuple[Expr, ...], arg_names: Iterable[str], body,
 
 def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     """Compile to a positional-argument Python function (see ``_compile``).
-    No pipeline calls it: the sampled checks compile ``to_cancellation``
+    No pipeline calls it: the sampled checks compile ``to_measure_loop``
     and residual grids ``to_row_kernel``.
 
     Off the real domain (a fractional power of a negative base, 0 to a
@@ -1159,15 +1159,15 @@ def _cancellation(e: Expr, ref, let) -> str:
 def to_cancellation(e: Expr, arg_names: Iterable[str],
                     constants: Mapping[str, Fraction] | None = None) -> Callable:
     """Compile a residual's cancellation measure, which the sampled checks
-    evaluate (residual grids evaluate it through ``to_row_kernel``): the
-    signed sum of its terms from 0.0 in term order, over (1 + the largest
-    term magnitude), the scale of the roundoff in the sum.  The terms are
-    those of a Sum, and any other residual is its own term: a Product
-    measures as one term, so a caller that wants its roundoff scaled by
-    the terms of its sums expands it first, as ``ConstraintSystem.restrict``
-    and ``equiv_numeric`` do.  A non-finite result (an infinite or NaN
-    term, or a sum that overflows) raises DomainError: the point is off
-    the domain.
+    evaluate through ``to_measure_loop`` and residual grids through
+    ``to_row_kernel``: the signed sum of its terms from 0.0 in term order,
+    over (1 + the largest term magnitude), the scale of the roundoff in
+    the sum.  The terms are those of a Sum, and any other residual is its
+    own term: a Product measures as one term, so a caller that wants its
+    roundoff scaled by the terms of its sums expands it first, as
+    ``ConstraintSystem.restrict`` and ``equiv_numeric`` do.  A non-finite
+    result (an infinite or NaN term, or a sum that overflows) raises
+    DomainError: the point is off the domain.
 
     ``constants`` gives exact values to symbols that are not arguments;
     ``_compile`` folds what they make constant.  The terms are still those
@@ -1376,50 +1376,18 @@ def to_draw_loop(roots: tuple[Expr, ...], arg_names: Iterable[str],
 
 
 def to_measure_loop(e: Expr, arg_names: Iterable[str],
-                    boxes: tuple[tuple[float, float], ...]) -> Callable:
+                    boxes: tuple[tuple[float, float], ...],
+                    positive: tuple[Expr, ...] = ()) -> Callable:
     """``to_draw_loop`` of |the cancellation measure of ``e``| (see
-    ``to_cancellation``): a draw off the real domain, or where the
-    measure is not finite, is redrawn."""
-    return to_draw_loop((e,), arg_names, boxes,
-                        lambda ref, let: (f"_abs({_cancellation(e, ref, let)})", None))
+    ``to_cancellation``): a draw off the real domain, where the measure is
+    not finite or where an expression of ``positive`` has no value > 0.0
+    (as ``to_predicate``) takes the value ``_inf``, so it is redrawn."""
+    def body(ref, let):
+        measure = f"_abs({_cancellation(e, ref, let)})"
+        tests = " and ".join([f"{ref(c)} > 0.0" for c in positive])
+        return (f"({measure} if {tests} else _inf)" if tests else measure), None
 
-
-class RejectionSampler:
-    """Seeded rejection sampling for a Python acceptance test: iterating
-    yields ``sample(rng)`` for ``count`` accepted draws, in draw order, so
-    a caller may stop early.  A draw where ``sample`` returns None or
-    raises DomainError is redrawn; ``resampled`` counts the redraws of the
-    last iteration, and redraw number ``10 * count`` raises SamplingError,
-    as in ``to_draw_loop``, whose compiled loops every other sampled
-    check runs."""
-
-    __slots__ = ("count", "seed", "sample", "resampled")
-
-    def __init__(self, count: int, seed: int, sample: Callable[[random.Random], object]):
-        if count < 1:
-            raise ValueError("need at least one sample")
-        self.count = count
-        self.seed = seed
-        self.sample = sample
-        self.resampled = 0
-
-    def __iter__(self):
-        rng = seeded_generator(self.count, self.seed)
-        sample = self.sample
-        self.resampled = 0
-        accepted = 0
-        while accepted < self.count:
-            try:
-                value = sample(rng)
-            except DomainError:
-                value = None
-            if value is None:
-                self.resampled += 1
-                if self.resampled >= 10 * self.count:
-                    raise _exhausted(accepted, self.count)
-                continue
-            accepted += 1
-            yield value
+    return to_draw_loop((e, *positive), arg_names, boxes, body)
 
 
 _DEFAULT_INTERVAL = (0.5, 2.0)
@@ -1429,21 +1397,22 @@ class SampleSpec:
     """How to sample environments for randomized identity testing.
 
     Symbols default to the positive interval [0.5, 2]; individual
-    symbols can be widened through ``intervals``.  ``accept`` can
-    restrict sampling to a joint region (a rejected draw counts
+    symbols can be widened through ``intervals``.  ``positive`` can
+    restrict sampling to the joint region where each of its expressions
+    is > 0, as ``ClosedFormSolution.positive`` (a draw outside counts
     against the retry budget, like a domain error).
     """
 
-    __slots__ = ("count", "rel_tol", "seed", "intervals", "accept")
+    __slots__ = ("count", "rel_tol", "seed", "intervals", "positive")
 
     def __init__(self, count: int = 64, rel_tol: float = 1e-9, seed: int = 0,
                  intervals: Mapping[str, tuple[float, float]] | None = None,
-                 accept: Callable[[dict[str, float]], bool] | None = None):
+                 positive: tuple[Expr, ...] = ()):
         self.count = count
         self.rel_tol = rel_tol
         self.seed = seed
         self.intervals = {} if intervals is None else intervals
-        self.accept = accept
+        self.positive = positive
 
 
 class EquivResult(NamedTuple):
@@ -1459,30 +1428,31 @@ def equiv_numeric(e1: Expr, e2: Expr, spec: SampleSpec | None = None) -> EquivRe
     """Decide equality of two expressions on random samples.
 
     True iff the cancellation measure (``to_cancellation``) of the
-    expanded e1 - e2 is at most ``rel_tol`` in magnitude at every sampled
-    point; the first failing environment is returned as a witness.
-    Points outside ``accept`` or the real domain, and points where the
-    measure is not finite, are redrawn.  A difference that expands to a
-    structural 0 is neither compiled nor sampled.
+    expanded e1 - e2 is at most ``rel_tol`` in magnitude at each of
+    ``count`` sampled points, drawn in one compiled loop
+    (``to_measure_loop``) over the sorted symbols of e1, e2 and
+    ``positive``; where it is not, the witness is the point of the
+    largest magnitude.  Points outside ``positive`` or the real domain,
+    and points where the measure is not finite, are redrawn.  A
+    difference that expands to a structural 0 is neither compiled nor
+    sampled.
     """
     spec = spec or SampleSpec()
-    names = sorted(e1.free_symbols() | e2.free_symbols())
+    if spec.count < 1:  # ahead of a structural 0, which draws nothing
+        raise ValueError("need at least one sample")
     difference = expand(add(e1, mul(_MINUS_ONE, e2)))
-
-    def sample(rng):
-        env = {n: rng.uniform(*spec.intervals.get(n, _DEFAULT_INTERVAL)) for n in names}
-        if spec.accept is not None and not spec.accept(env):
-            return None
-        return env, measure(*[env[n] for n in names])
-
-    samples = RejectionSampler(spec.count, spec.seed, sample)  # refuses a count below 1
     if is_zero(difference):
         return EquivResult(True, spec.count)
-    measure = to_cancellation(difference, names)
-    for good, (env, value) in enumerate(samples, 1):
-        if abs(value) > spec.rel_tol:
-            return EquivResult(False, good, env)
-    return EquivResult(True, spec.count)
+    names = sorted(frozenset().union(e1.free_symbols(), e2.free_symbols(),
+                                     *(c.free_symbols() for c in spec.positive)))
+    # (lo, hi - lo): each coordinate is drawn by rng.uniform's formula
+    boxes = tuple((lo, hi - lo) for lo, hi in (spec.intervals.get(n, _DEFAULT_INTERVAL)
+                                               for n in names))
+    max_abs, _, worst, _ = to_measure_loop(difference, names, boxes,
+                                           spec.positive)(spec.count, spec.seed)
+    if max_abs <= spec.rel_tol:
+        return EquivResult(True, spec.count)
+    return EquivResult(False, spec.count, dict(zip(names, worst)))
 
 
 # ---------------------------------------------------------------------------

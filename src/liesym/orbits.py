@@ -205,6 +205,11 @@ class ClosedFormSolution:
         """``domain(x, y)``: whether each of ``positive`` has a value > 0 there."""
         return to_predicate(self.positive, ("x", "y"), {"lam": self.lam or 0})
 
+    def conditions(self) -> tuple[Expr, ...]:
+        """``positive`` with lam bound by ``substitute``: expressions in x
+        and y alone, each > 0 on the domain."""
+        return tuple(substitute(p, {"lam": self.lam or 0}) for p in self.positive)
+
     def __repr__(self):
         return f"ClosedFormSolution(label={self.label!r}, a={self.a!r}, lam={self.lam!r})"
 
@@ -270,7 +275,7 @@ def transform_solution(sol: ClosedFormSolution, lam) -> ClosedFormSolution:
     u = _pushed_expr(sol, lam)  # first: the pull-back below reuses its constructions
     xt, yt = map_point_exprs(lam)
     c = substitute(_C_EXPR, {"lam": as_expr(lam)})
-    bound = (substitute(p, {"lam": sol.lam or 0}) for p in sol.positive)  # folds before x~, y~
+    bound = sol.conditions()  # folds before x~, y~
     positive = (c, *(mul(pow_(c, num(2)), substitute(p, {"x": xt, "y": yt})) for p in bound))
     return ClosedFormSolution(u, positive, f"pushforward(lam={float(lam)}) of {sol.label}", sol.a)
 

@@ -52,21 +52,15 @@ def report(name, ok):
     assert ok
 
 
-def in_region_spec(lam, count, seed, rel_tol, extra_accept=None):
-    geo = region(lam)
-
-    def accept(env):
-        if not geo.membership(env["x"], env["y"]):
-            return False
-        return extra_accept is None or extra_accept(env["x"], env["y"])
-
+def in_region_spec(family, count, seed, rel_tol):
+    geo = region(float(family.lam))
     return SampleSpec(
         count=count, rel_tol=rel_tol, seed=seed,
         intervals={
             "x": (geo.center2[0] - geo.radius, geo.center1[0] + geo.radius),
             "y": (geo.center1[1] - geo.radius, geo.center1[1] + geo.radius),
         },
-        accept=accept,
+        positive=family.conditions(),
     )
 
 
@@ -134,7 +128,7 @@ def test_04_family_identity():
         for lam in (Fraction(3, 10), Fraction(1)):
             pushed = transform_solution(base_solution(a), lam)
             fam = family_solution(a, lam)
-            spec = in_region_spec(float(lam), count=64, seed=404, rel_tol=1e-12)
+            spec = in_region_spec(fam, count=64, seed=404, rel_tol=1e-12)
             if not equiv_numeric(pushed.expr, fam.expr, spec):
                 ok = False
     report("04 transported base solution equals the family expression", ok)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from liesym import (GridSpec, base_solution, candidate_profile, eval_at, exceptional_exponents,
-                    expr, gss_preset, mul, region, sym)
+                    expr, family_solution, gss_preset, mul, region, sym)
 from liesym import cli
 from liesym.cli import _print_report, build_parser, emit_csv, run
 from liesym.orbits import CSV_HEADER
@@ -155,10 +156,26 @@ class TestTransform:
         def refuse(*args, **kwargs):
             raise AssertionError("compiled a structural match")
 
-        monkeypatch.setattr(expr, "_compile", refuse)
+        monkeypatch.setattr(expr, "_walk", refuse)
         code, out, _ = run_cli(["transform", "--a=-1", "--lambda=1"])
         assert code == 0
         assert json.loads(out)["equiv"] == {"equivalent": True, "samples": 64}
+
+    @pytest.mark.parametrize("lam", ["1", "1/2", "1/3", "-1", "5/2", "7/3", "1/10"])
+    def test_sampled_draws_accept_where_the_family_domain_holds(self, lam):
+        # transform samples where the family's conditions, lam substituted,
+        # are > 0; the family's domain folds lam at compile time instead
+        lam = Fraction(lam)
+        family = family_solution(-1, lam)
+        conditions = expr.to_predicate(family.conditions(), ("x", "y"))
+        x_lo, x_hi, y_lo, y_hi = cli._family_box(lam)
+        rng = random.Random(7)
+        inside = 0
+        for _ in range(100_000):
+            x, y = rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)
+            assert conditions(x, y) == family.domain(x, y), (x, y)
+            inside += conditions(x, y)
+        assert 0 < inside < 100_000
 
 
 class TestResidualGrid:

@@ -216,7 +216,7 @@ class TestTransformSolution:
                         "x": (geo.center2[0] - geo.radius, geo.center1[0] + geo.radius),
                         "y": (geo.center1[1] - geo.radius, geo.center1[1] + geo.radius),
                     },
-                    accept=lambda env, g=geo: g.membership(env["x"], env["y"]),
+                    positive=fam.conditions(),
                 )
                 assert equiv_numeric(pushed.expr, fam.expr, spec)
 
@@ -232,8 +232,7 @@ class TestTransformSolution:
                 "x": (geo.center2[0] - geo.radius, geo.center1[0] + geo.radius),
                 "y": (geo.center1[1] - geo.radius, geo.center1[1] + geo.radius),
             },
-            accept=lambda env: geo.membership(env["x"], env["y"])
-            and twice.domain(env["x"], env["y"]),
+            positive=(*family_solution(-1, Fraction(1)).conditions(), *twice.conditions()),
         )
         assert equiv_numeric(once.expr, twice.expr, spec)
 

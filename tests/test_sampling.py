@@ -1,9 +1,8 @@
 """Seeded sampling behind every sampled verdict: the compiled draw loops
-against the loops they replaced, the rejection sampler's redraw budget,
-the refusal of empty sample counts, the error every
-exhausted budget raises, and a guard that every check draws from a
-generator built in one place; next to it, a guard that every public
-name of the package has a reader."""
+against the loops they replaced, the refusal of empty sample counts, the
+error every exhausted budget raises, and a guard that every check draws
+from a generator built in one place; next to it, a guard that every
+public name of the package has a reader."""
 
 import ast
 import math
@@ -40,68 +39,12 @@ from liesym import (
     orbits,
     sample_remainder,
 )
-from liesym.expr import RejectionSampler, add, mul, num, pow_, sym, to_cancellation
+from liesym.expr import add, expand, is_zero, mul, num, pow_, sym, to_cancellation, to_predicate
 from liesym.jets import JET_NAMES, sample_jet_point
 
 from test_cli import run_cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "liesym"
-
-
-class TestRejectionSampler:
-    def test_yields_accepted_values_in_draw_order(self):
-        def sample(rng):
-            v = rng.random()
-            return v if v > 0.5 else None
-
-        sampler = RejectionSampler(5, 3, sample)
-        rng = random.Random(3)
-        draws = [rng.random() for _ in range(100)]
-        expected = [v for v in draws if v > 0.5][:5]
-        assert list(sampler) == expected
-        assert sampler.resampled == draws.index(expected[-1]) + 1 - 5
-
-    def test_domain_error_redraws(self):
-        calls = []
-
-        def sample(rng):
-            calls.append(rng.random())
-            if len(calls) % 2:
-                raise DomainError("outside")
-            return calls[-1]
-
-        sampler = RejectionSampler(3, 0, sample)
-        assert list(sampler) == calls[1::2]
-        assert len(calls) == 6
-        assert sampler.resampled == 3
-
-    def test_caller_may_stop_early(self):
-        draws = []
-
-        def sample(rng):
-            draws.append(rng.random())
-            return draws[-1]
-
-        for _ in zip(range(4), RejectionSampler(1000, 1, sample)):
-            pass
-        assert len(draws) == 4
-
-    def test_budget_is_ten_times_count_in_redraws(self):
-        def rejecting_first(n):
-            seen = []
-
-            def sample(rng):
-                seen.append(rng.random())
-                return 1.0 if len(seen) > n else None
-            return sample
-
-        ok = RejectionSampler(2, 0, rejecting_first(19))
-        assert list(ok) == [1.0, 1.0]
-        assert ok.resampled == 19
-        exhausted = RejectionSampler(2, 0, rejecting_first(20))
-        with pytest.raises(SamplingError, match=r"retry budget \(20\)"):
-            list(exhausted)
-        assert exhausted.resampled == 20
 
 
 def _reference_remainder(remainder, n, seed):
@@ -141,6 +84,41 @@ def _reference_mismatches(geo, n, seed):
         y = rng.uniform(y_lo, y_hi)
         count += geo.membership(x, y) != geo.xor_disks(x, y)
     return count
+
+
+def _reference_equiv(e1, e2, spec):
+    """(equivalent, samples, witness) of ``equiv_numeric`` by a plain
+    loop: ``rng.uniform`` per sorted name, a draw accepted where
+    ``to_predicate(positive)`` holds and the compiled measure has a value,
+    the verdict read from the largest |measure| of ``count`` draws."""
+    difference = expand(add(e1, mul(num(-1), e2)))
+    if is_zero(difference):
+        return True, spec.count, None
+    names = sorted(frozenset().union(e1.free_symbols(), e2.free_symbols(),
+                                     *(c.free_symbols() for c in spec.positive)))
+    admit = to_predicate(spec.positive, names)
+    measure = to_cancellation(difference, names)
+    rng = random.Random(spec.seed)
+    accepted = redrawn = 0
+    max_abs, worst = -1.0, None
+    while accepted < spec.count:
+        point = [rng.uniform(*spec.intervals.get(n, (0.5, 2.0))) for n in names]
+        try:
+            value = abs(measure(*point)) if admit(*point) else None
+        except DomainError:
+            value = None
+        if value is None:
+            redrawn += 1
+            if redrawn >= 10 * spec.count:
+                raise SamplingError(f"exceeded retry budget ({10 * spec.count}) "
+                                    f"after {accepted}/{spec.count} samples")
+            continue
+        accepted += 1
+        if value > max_abs:
+            max_abs, worst = value, point
+    if max_abs <= spec.rel_tol:
+        return True, spec.count, None
+    return False, spec.count, dict(zip(names, worst))
 
 
 def _outcome(f, *args):
@@ -265,6 +243,38 @@ class TestCompiledLoop:
             geo = geo._replace(radius=widen * geo.radius)
             assert geo.xor_mismatches(n, seed) == _reference_mismatches(geo, n, seed)
 
+        _XYZ = [sym(n) for n in "xyz"]
+        _SIDES = st.lists(st.one_of(
+            st.builds(lambda c, factors: mul(num(c), *factors), _COEFFS,
+                      st.lists(st.builds(pow_, st.sampled_from(_XYZ), st.integers(-2, 3).map(num)),
+                               max_size=3)),
+            # c + k s to a fractional power: negative on none, part or all of a box
+            st.builds(lambda c, k, s, p: pow_(add(num(Fraction(c, 4)), mul(num(k), s)),
+                                              num(Fraction(p, 2))),
+                      st.integers(-12, 12), st.sampled_from([-1, 1, 2]), st.sampled_from(_XYZ),
+                      st.integers(-3, 3).filter(bool))),
+            min_size=1, max_size=3).map(lambda terms: add(*terms))
+        # c + k s > 0 holds on none, part or all of a box; -(x^2) - 1 > 0 nowhere
+        _CONDITIONS = st.lists(st.one_of(
+            st.builds(lambda c, k, s: add(num(Fraction(c, 4)), mul(num(k), s)),
+                      st.integers(-4, 12), st.sampled_from([-1, 1]), st.sampled_from(_XYZ)),
+            st.just(add(mul(num(-1), pow_(sym("x"), num(2))), num(-1)))),
+            max_size=2).map(tuple)
+        _INTERVALS = st.dictionaries(
+            st.sampled_from("xyz"),
+            st.builds(lambda lo, width: (lo, lo + width), st.floats(-2.0, 2.0),
+                      st.floats(0.0, 3.0)))
+
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(_SIDES, st.one_of(_SIDES, st.just(num(0))), _CONDITIONS, _INTERVALS,
+               st.sampled_from([1e-9, 0.5, 2.0]), st.integers(1, 300), st.integers(0, 2**32))
+        def test_equiv_loop_is_the_reference_loop(self, e1, e2, positive, intervals,
+                                                  rel_tol, n, seed):
+            spec = SampleSpec(count=n, rel_tol=rel_tol, seed=seed, intervals=intervals,
+                              positive=positive)
+            assert (_outcome(lambda: tuple(equiv_numeric(e1, e2, spec)))
+                    == _outcome(_reference_equiv, e1, e2, spec))
+
     def test_region_guard_ends(self):
         low, high = LAM_ENDS
         assert 1.4e-154 < low < 1.6e-154 and 4.6e153 < high < 4.8e153
@@ -284,15 +294,17 @@ def _restricted(n, target=None):
                            n_samples=n)
 
 
-def _equiv(n, accept=None):
-    return equiv_numeric(parse("x"), parse("x + 1"), SampleSpec(count=n, accept=accept))
+def _equiv(n, positive=()):
+    return equiv_numeric(parse("x"), parse("x + 1"), SampleSpec(count=n, positive=positive))
 
 
 ENTRY_POINTS = {
-    "sampler": lambda n: list(RejectionSampler(n, 0, lambda rng: 1.0)),
     "check_onshell_symmetry": _onshell,
     "restricted_eval": _restricted,
     "equiv_numeric": _equiv,
+    # the count is refused ahead of the shortcut that samples nothing
+    "equiv_numeric_structural_zero": lambda n: equiv_numeric(parse("x"), parse("x"),
+                                                             SampleSpec(count=n)),
     "region_xor_check": lambda n: orbits.region(1.0).xor_mismatches(n, seed=0),
 }
 
@@ -328,7 +340,7 @@ class TestExhaustedBudget:
 
     def test_equiv_numeric(self):
         with pytest.raises(SamplingError):
-            _equiv(5, accept=lambda env: False)
+            _equiv(5, positive=(num(-1),))
 
     @pytest.mark.parametrize("argv", [
         ["check-symmetry", "--preset", "gss", "--field", "Y", "--samples", "5"],
