@@ -34,6 +34,7 @@ from .expr import (
     eval_at,
     expand,
     is_zero,
+    monomial,
     mul,
     num,
     pow_,

@@ -342,7 +342,7 @@ def _canonical_product(*factors: Expr) -> Expr:
             flat.append(e)
 
     coeff, rebuilt = _merge_powers(flat)
-    while len({f.base if isinstance(f, Power) else f for f in rebuilt}) < len(rebuilt):
+    while len(dict(monomial(rebuilt)[1])) < len(rebuilt):
         # a sign-normalized or aligned sum became the base of another factor
         # ((1+2y) next to (-1-2y)); merge again until no base repeats
         extra, rebuilt = _merge_powers(rebuilt)
@@ -371,41 +371,27 @@ def _merge_powers(flat: list[Expr]) -> tuple[Fraction, list[Expr]]:
     base in first-met order, with bare sums sign-normalized and negated
     sum bases aligned (``_align_negated_sums``).
     """
-    coeff = Fraction(1)
-    bases: list[Expr] = []
-    exps: dict[Expr, list[Expr]] = {}
-    for f in flat:
-        if isinstance(f, Num):
-            coeff *= f.value
-            continue
-        if isinstance(f, Power):
-            b, e = f.base, f.exponent
-        else:
-            b, e = f, ONE
-        if b in exps:
-            exps[b].append(e)
-        else:
-            exps[b] = [e]
-            bases.append(b)
+    coeff, pairs = monomial(flat)
     if coeff == 0:
         return coeff, []
+    exps: dict[Expr, list[Expr]] = {}
+    for b, e in pairs:
+        exps.setdefault(b, []).append(e)
 
     rebuilt: list[Expr] = []
     sums: list[int] = []  # where the factors with a sum base are
-    for b in bases:
-        elist = exps[b]
+    for b, elist in exps.items():
         f = pow_(b, elist[0] if len(elist) == 1 else add(*elist))
         if isinstance(f, Num):
             coeff *= f.value
         elif isinstance(f, Product):
             # pow_ distributed over a product base; fold its pieces back in
-            for g in f.factors:
-                if isinstance(g, Num):
-                    coeff *= g.value
-                else:
-                    if isinstance(g, Sum) or isinstance(g, Power) and isinstance(g.base, Sum):
-                        sums.append(len(rebuilt))
-                    rebuilt.append(g)
+            c, pieces = monomial(f)
+            coeff *= c
+            for gb, ge in pieces:
+                if isinstance(gb, Sum):
+                    sums.append(len(rebuilt))
+                rebuilt.append(pow_(gb, ge))
         elif isinstance(f, Sum):
             # sign-normalize bare sum factors so that s and -s cannot both
             # appear as canonical factors (e.g. (y^2-x^2) vs (x^2-y^2))
@@ -430,21 +416,18 @@ def _align_negated_sums(factors: list[Expr], sums: list[int]) -> bool:
     return whether the signs (-1)^n taken out multiply to -1.  ``sums``
     are the positions of the factors with a sum base.  Of two integer
     powers, the base with the smaller sort key stays, as for a bare sum."""
-    def base(k: int) -> Expr:
-        return factors[k].base if isinstance(factors[k], Power) else factors[k]
-
+    pairs = monomial(factors)[1]  # no factor is a Num: one pair per factor
     odd = False
     unmatched: list[int] = []
     for i in sums:
-        bi = base(i)
-        same = [k for k in unmatched if len(base(k).terms) == len(bi.terms)]
+        bi, ni = pairs[i]
+        same = [k for k in unmatched if len(pairs[k][0].terms) == len(bi.terms)]
         negated = _negated(bi) if same else None
-        j = next((k for k in same if base(k) == negated), None)
+        j = next((k for k in same if pairs[k][0] == negated), None)
         if j is None:
             unmatched.append(i)
             continue
-        bj = base(j)
-        ni, nj = (f.exponent if isinstance(f, Power) else ONE for f in (factors[i], factors[j]))
+        bj, nj = pairs[j]
         int_i, int_j = (isinstance(n, Num) and n.value.denominator == 1 for n in (ni, nj))
         if int_j and not (int_i and bi.sort_key() > bj.sort_key()):
             flip, n, keep = j, nj, bi
@@ -453,6 +436,7 @@ def _align_negated_sums(factors: list[Expr], sums: list[int]) -> bool:
         else:
             continue
         factors[flip] = pow_(keep, n)
+        pairs[flip] = (keep, n)
         odd ^= n.value.numerator % 2 == 1
     return odd
 
@@ -463,7 +447,10 @@ def _negated(b: Sum) -> Sum:
 
 
 def _strip_coeff(term: Expr) -> tuple[Fraction, Expr]:
-    """Split a canonical non-Num term into (numeric coefficient, rest)."""
+    """Split a canonical non-Num term into (numeric coefficient, rest).
+    Kept beside ``monomial`` because ``_canonical_sum`` keys like terms by
+    the rest as one ``Expr``, which ``monomial``'s pairs would have to be
+    rebuilt into."""
     if isinstance(term, Product) and isinstance(term.factors[0], Num):
         c = term.factors[0].value
         rest = term.factors[1:]
@@ -471,18 +458,22 @@ def _strip_coeff(term: Expr) -> tuple[Fraction, Expr]:
     return Fraction(1), term
 
 
-def _power_pairs(term: Expr) -> tuple[Fraction, dict[Expr, Expr]]:
-    """Decompose a canonical term into coefficient and {base: exponent}."""
+def monomial(factors) -> tuple[Fraction, list[tuple[Expr, Expr]]]:
+    """Read a factor list, or one term as its factors, as a monomial: the
+    product of its numeric factors and, for every other factor in order,
+    its (base, exponent) pair; a factor that is not a Power is its own
+    base to the power 1.  The bases of a canonical term are distinct."""
+    if isinstance(factors, Expr):
+        factors = factors.factors if isinstance(factors, Product) else (factors,)
     coeff = Fraction(1)
-    pairs: dict[Expr, Expr] = {}
-    factors = term.factors if isinstance(term, Product) else (term,)
+    pairs: list[tuple[Expr, Expr]] = []
     for f in factors:
         if isinstance(f, Num):
             coeff *= f.value
         elif isinstance(f, Power):
-            pairs[f.base] = f.exponent
+            pairs.append((f.base, f.exponent))
         else:
-            pairs[f] = ONE
+            pairs.append((f, ONE))
     return coeff, pairs
 
 
@@ -493,7 +484,7 @@ def _factor_common(terms: tuple[Expr, ...]) -> Expr | None:
     differences are numeric; the smallest exponent is pulled out.  Returns
     the factored product, or None when nothing qualifies.
     """
-    decomps = [_power_pairs(t) for t in terms]
+    decomps = [(c, dict(pairs)) for c, pairs in map(monomial, terms)]
     first = decomps[0][1]
     extracted: list[tuple[Expr, Expr]] = []
     for base in first:
@@ -547,8 +538,7 @@ def _canonical_sum(factor: bool, *terms: Expr) -> Expr:
             flat.append(e)
 
     const = Fraction(0)
-    order: list[Expr] = []
-    coeffs: dict[Expr, Fraction] = {}
+    coeffs: dict[Expr, Fraction] = {}  # in first-met order
     for t in flat:
         if isinstance(t, Num):
             const += t.value
@@ -558,11 +548,9 @@ def _canonical_sum(factor: bool, *terms: Expr) -> Expr:
             coeffs[key] += c
         else:
             coeffs[key] = c
-            order.append(key)
 
     rebuilt: list[Expr] = []
-    for key in order:
-        c = coeffs[key]
+    for key, c in coeffs.items():
         if c == 0:
             continue
         rebuilt.append(key if c == 1 else mul(Num(c), key))
@@ -745,19 +733,16 @@ def _bind_plan(e: Expr, names: tuple[str, ...]):
     atoms: dict[tuple[Sym, int], int] = {}
     terms = []
     for t in e.terms if isinstance(e, Sum) else (e,):
-        coeff = Fraction(1)
+        coeff, pairs = monomial(t)
         factors: list[int] = []
         bases: dict[Sym, int] = {}
-        for f in t.factors if isinstance(t, Product) else (t,):
-            if isinstance(f, Num):
-                coeff *= f.value
-            elif f.free_symbols() <= params:
-                factors.append(exprs.setdefault(f, len(exprs)))
+        for b, p in pairs:
+            if b.free_symbols() | p.free_symbols() <= params:
+                factors.append(exprs.setdefault(pow_(b, p), len(exprs)))
+            elif (not isinstance(b, Sym) or b.name in params or b in bases
+                    or not p.free_symbols() <= params):
+                return None
             else:
-                b, p = (f.base, f.exponent) if isinstance(f, Power) else (f, ONE)
-                if (not isinstance(b, Sym) or b.name in params or b in bases
-                        or not p.free_symbols() <= params):
-                    return None
                 atom = (b, exprs.setdefault(p, len(exprs)))
                 bases[b] = atoms.setdefault(atom, len(atoms))
         terms.append((coeff, tuple(factors), tuple(bases.values())))

@@ -195,8 +195,7 @@ def apply_prolonged(pvf: ProlongedVF, target: Expr) -> Expr:
 
 
 class ConstraintSystem:
-    """Ordered constraints, each affine in its elimination symbol.  Systems
-    are equal, and hash alike, by both tuples."""
+    """Ordered constraints, each affine in its elimination symbol."""
 
     __slots__ = ("constraints", "eliminations")
 
@@ -205,13 +204,6 @@ class ConstraintSystem:
             raise ValueError("one elimination symbol per constraint")
         self.constraints = constraints
         self.eliminations = eliminations
-
-    def __eq__(self, other):
-        return (isinstance(other, ConstraintSystem) and self.constraints == other.constraints
-                and self.eliminations == other.eliminations)
-
-    def __hash__(self):
-        return hash((self.constraints, self.eliminations))
 
     def describe(self) -> list[dict[str, str]]:
         return [

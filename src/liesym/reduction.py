@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 from .errors import ReductionError
 from .expr import (
+    ZERO,
     Expr,
     Num,
     Power,
@@ -36,6 +37,7 @@ from .expr import (
     eval_at,  # noqa: F401  (unused: perfbench/tracing.py patches reduction.eval_at)
     expand,
     is_zero,
+    monomial,
     mul,
     num,
     pow_,
@@ -175,27 +177,20 @@ def split_by_x2(red: Expr) -> tuple[Expr, Expr]:
     part_a: list[Expr] = []
     part_b: list[Expr] = []
     for t in terms:
-        factors = t.factors if isinstance(t, Product) else (t,)
-        x_power = Fraction(0)
-        rest: list[Expr] = []
-        for f in factors:
-            if isinstance(f, Power) and f.base == X and isinstance(f.exponent, Num):
-                x_power = f.exponent.value
-            elif f == X:
-                x_power = Fraction(1)
-            else:
-                rest.append(f)
-        stripped = mul(*rest) if rest else num(1)
-        if "x" in stripped.free_symbols():
+        coeff, pairs = monomial(t)
+        exps = dict(pairs)
+        x_power = exps.pop(X, ZERO)
+        stripped = mul(num(coeff), *(pow_(b, e) for b, e in exps.items()))
+        if not isinstance(x_power, Num) or "x" in stripped.free_symbols():
             raise ReductionError(
                 f"x entangled beyond a plain power in term {to_text(t)}")
-        if x_power == 0:
+        if x_power == ZERO:
             part_a.append(t)
-        elif x_power == 2:
+        elif x_power == num(2):
             part_b.append(stripped)
         else:
             raise ReductionError(
-                f"term {to_text(t)} carries x^{x_power}; residual is not "
+                f"term {to_text(t)} carries x^{to_text(x_power)}; residual is not "
                 "linear in x^2")
     return add(*part_a), add(*part_b)
 

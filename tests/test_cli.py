@@ -507,6 +507,22 @@ class TestContract:
         code, _, _ = run_cli(["exponents", "--a", "-1", "--r", "2", "--bogus"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv,flag,value,read", [
+        (["exponents", "--r", "2"], "--a", "-1/3", lambda rep: rep["a_exact"] == "-1/3"),
+        (["region", "--lambda", "1", "--y", "0"], "--x", "-1e-3",
+         lambda rep: rep["point"]["x"] == -0.001),
+    ], ids=["fraction", "exponent-form"])
+    def test_a_negative_fraction_or_exponent_form_needs_the_equals_form(self, argv, flag,
+                                                                       value, read):
+        # argparse reads -1/3 and -1e-3 after a space as flags, not values;
+        # -0.5 and -2 look like negative numbers to it and parse either way
+        code, out, err = run_cli([*argv, flag, value])
+        assert code == 2 and out == ""
+        assert f"argument {flag}: expected one argument" in err
+        code, out, err = run_cli([*argv, f"{flag}={value}"])
+        assert code == 0, err
+        assert read(json_report(out))
+
     def test_unknown_subcommand_exits_two(self):
         code, _, _ = run_cli(["no-such-command"])
         assert code == 2

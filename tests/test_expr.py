@@ -38,6 +38,7 @@ from liesym import (
     family_solution,
     gss_preset,
     is_zero,
+    monomial,
     mul,
     num,
     onshell_remainder,
@@ -206,6 +207,14 @@ class TestCanonical:
         factors = [pow_(parse(b), -2) for b in ("-1 - x", "-1 - 2*x", "1 + x")]
         clear_memo()
         assert mul(*(factors[i] for i in order)) == parse("(-1 - 2*x)^(-2)*(-1 - x)^(-4)")
+
+    def test_a_sum_from_a_distributed_power_merges_with_its_negation(self):
+        # P = -2*x*(-1 - x) keeps its fractional powers whole; their product
+        # P^2 distributes, and its (-1 - x)^2 must merge with (1 + x)^(-1)
+        p = parse("2*x*(1 + x)")
+        half, three_halves = num(Fraction(1, 2)), num(Fraction(3, 2))
+        e = mul(pow_(p, half), pow_(p, three_halves), pow_(parse("1 + x"), -1))
+        assert e == parse("-4*x^2*(-1 - x)")
 
     @pytest.mark.skipif(st is None, reason="hypothesis is not installed")
     def test_no_two_bases_negate_each_other_at_an_integer_exponent(self):
@@ -901,6 +910,46 @@ def _reference_grid(e, u, table, positive, grid):
                     continue
             lines.append(f"{x:.17g},{y:.17g},0,,\n")
     return "".join(lines), orbits.ResidualField(sup if count else None, count, off_real)
+
+
+class TestMonomial:
+    """``monomial`` reads a term, or a factor list, as its numeric
+    coefficient and one (base, exponent) pair per other factor."""
+
+    def test_reads_a_term(self):
+        # in the term's own factor order, -3*y*u^(c1)*x^2*(1 + x)^(1/2)
+        coeff, pairs = monomial(parse("-3*x^2*y*(1 + x)^(1/2)*u^(c1)"))
+        assert coeff == -3
+        assert pairs == [(Y, num(1)), (U, sym("c1")), (X, num(2)),
+                         (add(X, num(1)), num(Fraction(1, 2)))]
+        assert monomial(num(Fraction(5, 2))) == (Fraction(5, 2), [])
+        assert monomial(X) == (1, [(X, num(1))])
+
+    def test_reads_a_factor_list_in_order(self):
+        # a factor list need not be canonical: Nums anywhere, bases repeated
+        factors = [pow_(X, num(2)), num(3), X, num(Fraction(-1, 2)), pow_(X, sym("k"))]
+        assert monomial(factors) == (Fraction(-3, 2), [(X, num(2)), (X, num(1)), (X, sym("k"))])
+
+    if st is not None:
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(st.one_of(_FOLD_TREES, _FOLD_PLAIN_TREES))
+        def test_every_canonical_term_is_rebuilt(self, e):
+            for t in e.terms if isinstance(e, Sum) else (e,):
+                coeff, pairs = monomial(t)
+                assert mul(num(coeff), *(pow_(b, p) for b, p in pairs)) == t, to_text(t)
+                assert len({b for b, _ in pairs}) == len(pairs), to_text(t)
+
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(st.lists(st.one_of(_FOLD_TREES, _FOLD_PLAIN_TREES,
+                                  st.builds(lambda n, d: num(Fraction(n, d)),
+                                            st.integers(-6, 6), st.integers(1, 4))),
+                        max_size=6))
+        def test_the_coefficient_of_a_flat_list_is_the_product_of_its_nums(self, drawn):
+            flat = [f for e in drawn for f in (e.factors if isinstance(e, Product) else (e,))]
+            coeff, pairs = monomial(flat)
+            assert coeff == math.prod(f.value for f in flat if isinstance(f, Num))
+            assert len(pairs) == sum(not isinstance(f, Num) for f in flat)
+            assert mul(num(coeff), *(pow_(b, p) for b, p in pairs)) == mul(*flat)
 
 
 def _kernel_grid(e, u, table, positive, grid):
