@@ -291,11 +291,15 @@ def _cmd_transform(args, out) -> tuple[dict, bool]:
 
     equiv_report = None
     if args.samples > 0 and lam != 0:
-        x_lo, x_hi, y_lo, y_hi = _family_box(lam)
+        # a structural match draws nothing, so it needs no box, nor the
+        # checks region() makes for drawing from one
+        intervals = None
+        if not structural:
+            x_lo, x_hi, y_lo, y_hi = _family_box(lam)
+            intervals = {"x": (x_lo, x_hi), "y": (y_lo, y_hi)}
         spec = SampleSpec(
             count=args.samples, rel_tol=1e-12, seed=args.seed,
-            intervals={"x": (x_lo, x_hi), "y": (y_lo, y_hi)},
-            positive=family.conditions(),
+            intervals=intervals, positive=family.conditions(),
         )
         res = equiv_numeric(pushed.expr, family.expr, spec)
         equiv_report = {"equivalent": res.equivalent, "samples": res.samples}
@@ -312,6 +316,10 @@ def _cmd_transform(args, out) -> tuple[dict, bool]:
     if at_point:
         c = conformal_factor(args.x, args.y, float(lam))
         mapped = map_point(args.x, args.y, float(lam)) if c != 0.0 else None
+        if not all(map(math.isfinite, (c, *(mapped or ())))):
+            raise argparse.ArgumentTypeError(
+                f"--x={args.x!r} --y={args.y!r}: the conformal factor or the mapped "
+                f"point overflows the double range")
         in_dom = pushed.domain(args.x, args.y)
         point = {
             "x": args.x, "y": args.y, "C": c,

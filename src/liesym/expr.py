@@ -356,12 +356,33 @@ def _canonical_product(*factors: Expr) -> Expr:
     if len(rebuilt) == 1 and isinstance(rebuilt[0], Sum) and coeff != 1:
         c = Num(coeff)
         return add(*[mul(c, t) for t in rebuilt[0].terms])
-    if len(rebuilt) == 1 and coeff == 1:
-        return rebuilt[0]
     rebuilt.sort(key=lambda e: e.sort_key())
-    if coeff != 1:
-        rebuilt.insert(0, Num(coeff))
-    return Product(tuple(rebuilt))
+    return _term(coeff, tuple(rebuilt))
+
+
+def _term(c: Fraction, factors: tuple[Expr, ...]) -> Expr:
+    """The canonical term c·factors, for c != 0 and factors in sort_key
+    order with distinct bases, none a Num, and a lone Sum only at c = 1:
+    the coefficient leads where it is not 1, and a lone factor is bare.
+    With ``_sum_of``, the one place a Product or Sum node is made."""
+    if c != 1:
+        return Product((Num(c), *factors))
+    return factors[0] if len(factors) == 1 else Product(factors)
+
+
+def _sum_of(terms: list[Expr], const: Fraction) -> Expr:
+    """The canonical sum of distinct non-Num terms and a constant: the
+    terms in sort_key order, the constant among them where it is not 0,
+    and a lone term or a lone constant bare.  Builds the node in ``terms``,
+    the constant appended and the list sorted in place."""
+    if not terms:
+        return Num(const)
+    if not const and len(terms) == 1:
+        return terms[0]
+    if const:
+        terms.append(Num(const))
+    terms.sort(key=lambda t: t.sort_key())
+    return Sum(tuple(terms))
 
 
 def _merge_powers(flat: list[Expr]) -> tuple[Fraction, list[Expr]]:
@@ -446,16 +467,15 @@ def _negated(b: Sum) -> Sum:
     return _add_terms([mul(_MINUS_ONE, t) for t in b.terms], factor=False)
 
 
-def _strip_coeff(term: Expr) -> tuple[Fraction, Expr]:
-    """Split a canonical non-Num term into (numeric coefficient, rest).
-    Kept beside ``monomial`` because ``_canonical_sum`` keys like terms by
-    the rest as one ``Expr``, which ``monomial``'s pairs would have to be
-    rebuilt into."""
-    if isinstance(term, Product) and isinstance(term.factors[0], Num):
-        c = term.factors[0].value
-        rest = term.factors[1:]
-        return c, (rest[0] if len(rest) == 1 else Product(rest))
-    return Fraction(1), term
+def _strip_coeff(term: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
+    """Split a canonical non-Num term into (numeric coefficient, factors),
+    the arguments ``_term`` rebuilds it from; ``_canonical_sum`` collects
+    like terms by the factors."""
+    if not isinstance(term, Product):
+        return Fraction(1), (term,)
+    if isinstance(term.factors[0], Num):
+        return term.factors[0].value, term.factors[1:]
+    return Fraction(1), term.factors
 
 
 def monomial(factors) -> tuple[Fraction, list[tuple[Expr, Expr]]]:
@@ -538,7 +558,7 @@ def _canonical_sum(factor: bool, *terms: Expr) -> Expr:
             flat.append(e)
 
     const = Fraction(0)
-    coeffs: dict[Expr, Fraction] = {}  # in first-met order
+    coeffs: dict[tuple[Expr, ...], Fraction] = {}  # in first-met order
     for t in flat:
         if isinstance(t, Num):
             const += t.value
@@ -549,23 +569,12 @@ def _canonical_sum(factor: bool, *terms: Expr) -> Expr:
         else:
             coeffs[key] = c
 
-    rebuilt: list[Expr] = []
-    for key, c in coeffs.items():
-        if c == 0:
-            continue
-        rebuilt.append(key if c == 1 else mul(Num(c), key))
-    if not rebuilt:
-        return Num(const)
-    if const == 0 and len(rebuilt) == 1:
-        return rebuilt[0]
+    rebuilt = [_term(c, key) for key, c in coeffs.items() if c]
     if factor and const == 0 and len(rebuilt) > 1:
         factored = _factor_common(tuple(rebuilt))
         if factored is not None:
             return factored
-    if const != 0:
-        rebuilt.append(Num(const))
-    rebuilt.sort(key=lambda e: e.sort_key())
-    return Sum(tuple(rebuilt))
+    return _sum_of(rebuilt, const)
 
 
 def simplify(e: Expr) -> Expr:
@@ -781,23 +790,8 @@ def _bind_terms(plan, values: dict[str, Fraction]) -> Expr | None:
             coeffs[key] += coeff
         else:
             coeffs[key] = coeff
-    rebuilt: list[Expr] = []
-    for key, c in coeffs.items():
-        if not c:
-            continue
-        monomial = tuple(ranked[k] for k in key)
-        if c != 1:
-            rebuilt.append(Product((Num(c), *monomial)))
-        else:
-            rebuilt.append(monomial[0] if len(monomial) == 1 else Product(monomial))
-    if not rebuilt:
-        return Num(const)
-    if not const and len(rebuilt) == 1:
-        return rebuilt[0]
-    if const:
-        rebuilt.append(Num(const))
-    rebuilt.sort(key=lambda t: t.sort_key())
-    return Sum(tuple(rebuilt))
+    return _sum_of([_term(c, tuple(ranked[k] for k in key)) for key, c in coeffs.items() if c],
+                   const)
 
 
 def _fold(node: Expr, table: Mapping[str, Fraction],
@@ -1478,7 +1472,7 @@ def _paren_exponent(e: Expr) -> str:
 
 def _product_text(factors: tuple[Expr, ...], coeff: Fraction) -> str:
     parts = []
-    if coeff != 1:
+    if coeff != 1 or not factors:
         parts.append(_format_fraction(coeff))
     for f in factors:
         parts.append(f"({to_text(f)})" if isinstance(f, Sum) else to_text(f))
@@ -1495,21 +1489,13 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Power):
         return f"{_paren_base(e.base)}^{_paren_exponent(e.exponent)}"
     if isinstance(e, Product):
-        coeff, rest = _strip_coeff(e)
-        factors = rest.factors if isinstance(rest, Product) else (rest,)
-        if coeff < 0:
-            inner = _product_text(factors, -coeff)
-            return f"-{inner}"
-        return _product_text(factors, coeff)
+        coeff, factors = _strip_coeff(e)
+        return f"-{_product_text(factors, -coeff)}" if coeff < 0 else _product_text(factors, coeff)
     if isinstance(e, Sum):
-        out = []
-        for i, t in enumerate(e.terms):
-            coeff = t.value if isinstance(t, Num) else _strip_coeff(t)[0]
-            if i == 0:
-                out.append(to_text(t))
-            elif coeff < 0:
-                out.append(f" - {to_text(mul(_MINUS_ONE, t))}")
-            else:
-                out.append(f" + {to_text(t)}")
+        out = [to_text(e.terms[0])]
+        for t in e.terms[1:]:
+            coeff, factors = (t.value, ()) if isinstance(t, Num) else _strip_coeff(t)
+            out.append(f" - {_product_text(factors, -coeff)}" if coeff < 0
+                       else f" + {_product_text(factors, coeff)}")
         return "".join(out)
     raise TypeError(f"not an expression: {e!r}")

@@ -295,6 +295,9 @@ class GridSpec:
                  nx: int, ny: int):
         if not (x_max > x_min and y_max > y_min):
             raise ValueError("grid extents must have positive span")
+        # past the double range, _linspace's step and nodes would be inf or nan
+        if not (math.isfinite(x_max - x_min) and math.isfinite(y_max - y_min)):
+            raise ValueError("grid extents must have a span within the double range")
         if nx < 1 or ny < 1:
             raise ValueError("grid needs at least one node per axis")
         if nx * ny > MAX_GRID_NODES:

@@ -161,6 +161,28 @@ class TestTransform:
         assert code == 0
         assert json.loads(out)["equiv"] == {"equivalent": True, "samples": 64}
 
+    @pytest.mark.parametrize("lam", ["1e-160", "-1e-160", "1e-154", "1e-200", "1e-320",
+                                     "5e+153", "1e+160", "1e+200"])
+    def test_a_structural_match_needs_no_region_guard(self, lam):
+        # region() refuses these lambda, where x^2 + y^2 leaves the double
+        # range inside its box; transform draws nothing from a structural
+        # match, so it builds no box and makes none of those checks
+        code, out, err = run_cli(["transform", "--a=-1", f"--lambda={lam}"])
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["structural_match"] is True
+        assert report["equiv"] == {"equivalent": True, "samples": 64}
+
+    @pytest.mark.parametrize("lam,x", [("1", "1e200"), ("1e-200", "1e200")])
+    def test_a_point_whose_map_overflows_is_a_usage_error(self, lam, x):
+        # C overflows to inf (lambda 1) or reads nan (lambda^2 underflows to
+        # 0 while x^2 overflows); the mapped point has no finite value either
+        code, out, err = run_cli(["transform", "--a=-1", f"--lambda={lam}",
+                                  f"--x={x}", "--y=0", "--samples", "0"])
+        assert (code, out) == (2, "")
+        assert err == ("error: --x=1e+200 --y=0.0: the conformal factor or the mapped "
+                       "point overflows the double range\n")
+
     @pytest.mark.parametrize("lam", ["1", "1/2", "1/3", "-1", "5/2", "7/3", "1/10"])
     def test_sampled_draws_accept_where_the_family_domain_holds(self, lam):
         # transform samples where the family's conditions, lam substituted,
@@ -296,6 +318,25 @@ class TestResidualGrid:
         with pytest.raises(ValueError):
             GridSpec(1.0, 2.0, -0.5, 0.5, 1001, 1000)
         assert GridSpec(1.0, 2.0, -0.5, 0.5, 1000, 1000).nx == 1000
+
+    @pytest.mark.parametrize("box", [
+        ["--x-min=-1e308", "--x-max=1e308", "--y-min=0", "--y-max=1"],
+        ["--x-min=0", "--x-max=1", "--y-min=-1e308", "--y-max=1e308"]], ids=["x", "y"])
+    def test_a_span_past_the_double_range_is_a_usage_error(self, box, tmp_path):
+        # x_max - x_min overflows: the nodes would read inf and nan
+        csv_path = tmp_path / "field.csv"
+        code, out, err = run_cli(["residual-grid", "--preset", "gss", *box,
+                                  "--nx", "3", "--ny", "2", "--output", str(csv_path)])
+        assert (code, out) == (2, "")
+        assert err == "error: grid extents must have a span within the double range\n"
+        assert not csv_path.exists()
+
+    def test_the_default_family_box_keeps_the_region_guard(self):
+        # unlike transform, the grid evaluates x^2 + y^2 at its nodes
+        code, out, err = run_cli(["residual-grid", "--preset", "gss", "--solution", "family",
+                                  "--lambda=1e-160", "--nx", "3", "--ny", "3"])
+        assert (code, out) == (2, "")
+        assert "needs lam of at least about 1.5e-154" in err
 
     @pytest.mark.parametrize("lam", ["-1", "-1/3", "0"])
     def test_family_default_grid_at_nonpositive_lambda(self, lam):
@@ -625,23 +666,25 @@ class TestContract:
                           "--nx", "20", "--ny", "20"],
     }
 
-    @pytest.mark.parametrize("lam,code", [("1e-154", 2), ("1e-200", 2), ("1e-320", 2),
-                                          ("3e-154", 0)])
-    @pytest.mark.parametrize("command", sorted(REGION_COMMANDS))
+    # transform draws nothing from its structural match, so it refuses no
+    # lam for the region (TestTransform); it still reads 3e-154 as the others
+    @pytest.mark.parametrize("command,lam,code", [
+        (command, lam, code) for command in sorted(REGION_COMMANDS)
+        for lam, code in [("1e-154", 2), ("1e-200", 2), ("1e-320", 2), ("3e-154", 0)]
+        if command != "transform" or code == 0])
     def test_lambda_too_small_for_the_region_exits_two(self, command, lam, code):
         # where x^2 + y^2 overflows inside the region's box, membership
-        # reads inf: region would count mismatches of a true identity,
-        # transform run out of redraws and the grid mask every node, each
-        # exiting 1 as if refuted
+        # reads inf: region would count mismatches of a true identity and
+        # the grid mask every node, each exiting 1 as if refuted
         self._assert_region_exit(command, lam, code)
 
     # each lam is written as its float's repr, which the error line prints
     @pytest.mark.parametrize("lam", ["5e+153", "1e+160", "1e+200"])
-    @pytest.mark.parametrize("command", sorted(REGION_COMMANDS))
+    @pytest.mark.parametrize("command", ["region", "residual-grid"])
     def test_lambda_too_large_for_the_region_exits_two(self, command, lam):
         # where the region's radius squared is subnormal, x^2 + y^2
         # underflows inside its box: region counted mismatches of a true
-        # identity and transform ran out of redraws, each exiting 1
+        # identity, exiting 1
         self._assert_region_exit(command, lam, 2)
 
     # not residual-grid: from lam of about 1e87 on, the terms of the GSS
@@ -757,9 +800,10 @@ class TestContract:
         (["reduce", "--preset", "gss"], 0),
         (["reduce", "--a", "-1", "--r", "2", "--c1", "-7", "--c2", "-3",
           "--gamma1", "1", "--gamma2", "1"], 1),
-        # builds the pushed and the family solution, then fails in the region
-        # check: a residual grid builds no expression before its usage error
-        (["transform", "--a=-1", "--lambda=1e-320", "--samples", "5"], 2),
+        # builds the pushed and the family solution, then refuses the point
+        # whose map overflows: a residual grid builds no expression before
+        # its usage error
+        (["transform", "--a=-1", "--lambda=1", "--x=1e200", "--y=0", "--samples", "0"], 2),
     ], ids=["exit-0", "exit-1", "exit-2"])
     def test_memo_empty_after_command(self, argv, code, monkeypatch):
         sizes = []

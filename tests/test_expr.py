@@ -51,6 +51,7 @@ from liesym import (
     symbolic_reduction,
     to_callable,
     to_text,
+    weak_cs_report,
 )
 from liesym import expr, orbits
 from liesym.expr import clear_memo
@@ -950,6 +951,53 @@ class TestMonomial:
             assert coeff == math.prod(f.value for f in flat if isinstance(f, Num))
             assert len(pairs) == sum(not isinstance(f, Num) for f in flat)
             assert mul(num(coeff), *(pow_(b, p) for b, p in pairs)) == mul(*flat)
+
+
+def _nodes(e):
+    """Every node of a tree, e first."""
+    yield e
+    kids = (e.terms if isinstance(e, Sum) else e.factors if isinstance(e, Product)
+            else (e.base, e.exponent) if isinstance(e, Power) else ())
+    for kid in kids:
+        yield from _nodes(kid)
+
+
+class TestTermBuilders:
+    """``_term`` and ``_sum_of`` build every Product and Sum node; the
+    printer reads terms through ``_strip_coeff`` and builds none."""
+
+    if st is not None:
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(st.one_of(_FOLD_TREES, _FOLD_PLAIN_TREES))
+        def test_every_canonical_node_is_rebuilt(self, e):
+            for node in _nodes(e):
+                if isinstance(node, Sum):
+                    terms = [t for t in node.terms if not isinstance(t, Num)]
+                    const = sum((t.value for t in node.terms if isinstance(t, Num)), Fraction(0))
+                    assert expr._sum_of(terms, const) == node, to_text(node)
+                elif not isinstance(node, Num):
+                    assert expr._term(*expr._strip_coeff(node)) == node, to_text(node)
+
+    def test_printing_canonicalizes_nothing(self, monkeypatch):
+        # the report's stages print their remainders and constraints, whose
+        # later negative terms print from their factors, not from their
+        # canonicalized negations
+        report = weak_cs_report(gss_preset(), n_samples=4)
+
+        def refuse(*args):
+            raise AssertionError("printing canonicalized an expression")
+
+        monkeypatch.setattr(expr, "_canonical_product", refuse)
+        monkeypatch.setattr(expr, "_canonical_sum", refuse)
+        stages = [s.to_dict() for s in report.stages]
+        monkeypatch.undo()
+        pairs = []
+        for stage, d in zip(report.stages, stages):
+            pairs.append((d["remainder"], stage.stats.remainder))
+            pairs += [(c["constraint"], e)
+                      for c, e in zip(d["constraints"], stage.system.constraints)]
+        assert any(" - " in text for text, _ in pairs)
+        assert all(parse(text) == e for text, e in pairs)
 
 
 def _kernel_grid(e, u, table, positive, grid):
