@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .errors import LiesymError
+from .errors import DomainError, LiesymError
 from .expr import (
     SampleSpec,
     clear_memo,
@@ -236,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "condition Q, D_x Q and D_y Q vanish on the last stage's jet")
     _common_flags(p)
 
+    parser.commands = sub.choices  # each command's own parser, read by run
     return parser
 
 
@@ -327,7 +328,12 @@ def _cmd_transform(args, out) -> tuple[dict, bool]:
             "in_domain": in_dom,
         }
         if in_dom:
-            point["u"] = eval_at(pushed.expr, {"x": args.x, "y": args.y})
+            try:
+                point["u"] = eval_at(pushed.expr, {"x": args.x, "y": args.y})
+            except DomainError:  # in the domain, only an overflow is left
+                raise argparse.ArgumentTypeError(
+                    f"--x={args.x!r} --y={args.y!r}: u overflows the double range "
+                    f"at this point") from None
         fields["point"] = point
     return fields, structural and (equiv_report is None or equiv_report["equivalent"])
 
@@ -460,6 +466,19 @@ _HANDLERS = {
 }
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace that ``build_parser().parse_args(argv)`` gives, in one
+    pass: a command line that starts with a command is read by that
+    command's own parser, which the top-level pass would hand all of it
+    to.  Anything else (no argument, ``-h``, ``--version``, an unknown
+    command) goes through the top-level parser."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def run(argv: list[str], out=None, err=None) -> int:
     """Entry point used by both the console script and the tests.
 
@@ -468,10 +487,9 @@ def run(argv: list[str], out=None, err=None) -> int:
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
         with contextlib.redirect_stderr(err):  # argparse writes usage errors there
-            args = parser.parse_args(argv)
+            args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -148,6 +148,10 @@ def gss_preset() -> PDEInstance:
 PRESETS = {"gss": gss_preset}
 
 
+# The named fields are built once per process and kept across clear_memo,
+# as the key of each one's kept remainder in onshell_remainder already is:
+# a check then looks its remainder up without rebuilding the field.
+@functools.cache
 def exceptional_vf() -> VectorField:
     """X = 2xy d/dx + (y^2 - x^2) d/dy - a y u d/du, with a symbolic."""
     return VectorField(
@@ -157,16 +161,19 @@ def exceptional_vf() -> VectorField:
     )
 
 
+@functools.cache
 def scaling_vf() -> VectorField:
     """X' = x d/dx + y d/dy - (a/2) u d/du, with a symbolic."""
     return VectorField(X, Y, mul(Num(Fraction(-1, 2)), _A, U))
 
 
+@functools.cache
 def rotation_like_vf() -> VectorField:
     """Y = y d/dx + x d/dy, the hyperbolic rotation annihilating x^2 - y^2."""
     return VectorField(Y, X, Num(Fraction(0)))
 
 
+@functools.cache
 def y_translation_vf() -> VectorField:
     return VectorField(Num(Fraction(0)), Num(Fraction(1)), Num(Fraction(0)))
 

@@ -1,5 +1,6 @@
 """CLI surface: reports, exit codes, determinism, CSV artifacts."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -20,6 +21,7 @@ from liesym import (GridSpec, base_solution, candidate_profile, eval_at, excepti
 from liesym import cli
 from liesym.cli import _print_report, build_parser, emit_csv, run
 from liesym.orbits import CSV_HEADER
+from test_readme import COMMANDS as README_COMMANDS
 
 
 def run_cli(argv):
@@ -32,6 +34,29 @@ def memo_size():
     """Entries held by the caches that clear_memo() empties."""
     return sum(body.cache_info().currsize for body in (
         expr._canonical_pow, expr._canonical_product, expr._canonical_sum, expr._derivative))
+
+
+def workload_argvs(workload):
+    """Every command line of the benchmark's op list for ``workload``
+    (perfbench/workloads.py at seed 11 and one second of work)."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)  # workloads imports its sibling oracle
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return [op["argv"] for op in workloads.generate(workload, 11, 1, "csv")]
+
+
+def parse_outcome(parse, argv, capsys):
+    """(namespace fields or exit code, stdout, stderr) of one parse."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            parsed = vars(parse(argv))
+    except SystemExit as exc:
+        parsed = int(exc.code or 0)
+    return parsed, capsys.readouterr().out, err.getvalue()
 
 
 def json_report(text):
@@ -182,6 +207,20 @@ class TestTransform:
         assert (code, out) == (2, "")
         assert err == ("error: --x=1e+200 --y=0.0: the conformal factor or the mapped "
                        "point overflows the double range\n")
+
+    def test_a_point_where_u_overflows_is_a_usage_error(self):
+        # C and the mapped point are finite and the point is in the domain,
+        # but u at a = -8 squares a base of about 4.4e199; at a = -5 it is
+        # about 3.6e249 and the command exits 0
+        point = ["--lambda=1e-100", "--x=1e100", "--y=-5e99", "--samples", "0"]
+        code, out, err = run_cli(["transform", "--a=-8", *point])
+        assert (code, out) == (2, "")
+        assert err == ("error: --x=1e+100 --y=-5e+99: u overflows the double range "
+                       "at this point\n")
+        code, out, err = run_cli(["transform", "--a=-5", *point])
+        assert code == 0, err
+        point = json.loads(out)["point"]
+        assert point["in_domain"] is True and point["u"] == pytest.approx(3.558136e249)
 
     @pytest.mark.parametrize("lam", ["1", "1/2", "1/3", "-1", "5/2", "7/3", "1/10"])
     def test_sampled_draws_accept_where_the_family_domain_holds(self, lam):
@@ -781,6 +820,65 @@ class TestContract:
 
     def test_parser_built_once(self):
         assert build_parser() is build_parser()
+
+    class Parsed(Exception):
+        """Raised by a handler in place of running the command: carries
+        the namespace ``run`` parsed."""
+
+    def parsed_by_run(self, argv, monkeypatch):
+        def capture(args, out):
+            raise self.Parsed(dict(vars(args)))
+
+        for command in cli._HANDLERS:
+            monkeypatch.setitem(cli._HANDLERS, command, capture)
+        with pytest.raises(self.Parsed) as caught:
+            run_cli(argv)
+        return caught.value.args[0]
+
+    @pytest.mark.parametrize("argv", [
+        *SUBCOMMANDS, *(argv for argv, _ in README_COMMANDS)], ids=" ".join)
+    def test_one_parse_pass_reads_the_two_pass_namespace(self, argv, monkeypatch):
+        # run reads a command line that starts with a command with that
+        # command's own parser, which the top-level pass hands it all to
+        assert self.parsed_by_run(argv, monkeypatch) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("workload", ["claims", "grid-sweep", "grid-large"])
+    def test_one_parse_pass_reads_the_benchmark_lines(self, workload, monkeypatch):
+        argvs = workload_argvs(workload)
+        assert len(argvs) > 4
+        for argv in argvs:
+            assert self.parsed_by_run(argv, monkeypatch) == vars(
+                build_parser().parse_args(argv)), argv
+
+    @pytest.mark.parametrize("argv,code", [
+        (["check-symmetry", "--preset", "gss", "--bogus"], 2),
+        (["transform", "--a=-1", "--samples", "0"], 2),
+        (["check-symmetry", "--preset", "gss", "--field", "Z"], 2),
+        (["check-symmetry", "--preset", "gss", "--samples", "0"], 2),
+        (["exponents", "--r", "2", "--a", "-1/3"], 2),
+        ([], 2),
+        (["no-such-command"], 2),
+        (["check-symmetry", "--help"], 0),
+        (["--version"], 0),
+    ], ids=["unknown-flag", "missing-lambda", "unknown-field", "zero-samples",
+            "fraction-after-a-space", "no-argument", "unknown-command", "command-help",
+            "version"])
+    def test_parse_exits_keep_their_code_and_text(self, argv, code, capsys):
+        # each path exits as the two-pass parse does, with the same text,
+        # but for an unknown flag, whose usage line is now the command's
+        two_pass = parse_outcome(build_parser().parse_args, argv, capsys)
+        one_pass = parse_outcome(cli._parse, argv, capsys)
+        assert run_cli(argv) == (code, "", one_pass[2])
+        assert capsys.readouterr().out == one_pass[1]
+        assert one_pass[0] == two_pass[0] == code
+        if "--bogus" not in argv:
+            assert one_pass[1:] == two_pass[1:]
+            return
+        top, command = build_parser(), build_parser().commands["check-symmetry"]
+        assert two_pass[2] == (f"{top.format_usage()}"
+                               f"liesym: error: unrecognized arguments: --bogus\n")
+        assert one_pass[2] == (f"{command.format_usage()}"
+                               f"liesym check-symmetry: error: unrecognized arguments: --bogus\n")
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["check-first", "transform-first"])
     def test_consecutive_commands_match_lone_runs(self, order):

@@ -334,11 +334,14 @@ class TestSymbolicRemainder:
 class TestRemainderCache:
     """The symbolic derivations are kept across commands: one remainder
     per field, one entry each for the derivations of weak-cs and reduce,
-    and one family residual and solution for every family and base grid."""
+    and one family residual and solution for every family and base grid;
+    so are the four named fields themselves."""
 
     KEPT = ("family.onshell_remainder", "reduction.symbolic_auxiliary",
             "reduction.symbolic_invariance_remainder", "reduction.symbolic_reduction",
-            "orbits.symbolic_family_residual", "orbits.symbolic_family_solution")
+            "orbits.symbolic_family_residual", "orbits.symbolic_family_solution",
+            "family.exceptional_vf", "family.scaling_vf", "family.rotation_like_vf",
+            "family.y_translation_vf")
 
     def test_empty_after_import(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -389,6 +392,27 @@ class TestRemainderCache:
         assert (info.currsize, info.misses, info.hits) == (1, 1, 29)
         info = orbits.symbolic_family_solution.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 30)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_FIELDS))
+    def test_named_field_built_once(self, name):
+        first = NAMED_FIELDS[name]()
+        clear_memo()  # as between two commands
+        assert NAMED_FIELDS[name]() is first
+
+    def test_commands_keep_one_remainder_per_named_field(self):
+        # check-symmetry of every field, weak-cs (X, and Y's remainder for
+        # stage 1) and reduce: the kept fields are the remainders' keys
+        onshell_remainder.cache_clear()
+        gss = ["--preset", "gss"]
+        commands = [*(["check-symmetry", *gss, "--field", name, "--samples", "5"]
+                      for name in sorted(NAMED_FIELDS)),
+                    ["weak-cs", *gss, "--samples", "5"], ["reduce", *gss],
+                    ["check-symmetry", "--a=-5/3", "--r=2", "--c1=-19/5", "--c2=-7/5",
+                     "--gamma1=1", "--gamma2=1", "--samples", "5"],
+                    ["weak-cs", *gss, "--samples", "5", "--seed", "7"]]
+        for argv in commands:
+            assert run(argv, out=io.StringIO(), err=io.StringIO()) in (0, 1), argv
+        assert onshell_remainder.cache_info().currsize <= 4
 
     def test_equal_field_gets_the_kept_result(self):
         first = onshell_remainder(exceptional_vf())
