@@ -28,7 +28,6 @@ from .expr import (
     clear_memo,
     equiv_numeric,
     eval_at,
-    is_zero,
     to_text,
 )
 from .family import (
@@ -52,10 +51,10 @@ from .orbits import (
     transform_solution,
 )
 from .reduction import (
-    candidate_profile,
-    reduce_to_invariant,
-    split_by_x2,
-    verify_ode,
+    anti_reduction,
+    reduce_to_invariant,  # noqa: F401  (unused: perfbench/tracing.py patches cli.reduce_to_invariant)
+    split_by_x2,  # noqa: F401  (unused: perfbench/tracing.py patches cli.split_by_x2)
+    verify_ode,  # noqa: F401  (unused: perfbench/tracing.py patches cli.verify_ode)
     weak_cs_report,
 )
 
@@ -305,12 +304,13 @@ def _cmd_transform(args, out) -> tuple[dict, bool]:
         res = equiv_numeric(pushed.expr, family.expr, spec)
         equiv_report = {"equivalent": res.equivalent, "samples": res.samples}
 
+    pushed_text = to_text(pushed.expr)
     fields = {
         "a": str(args.a),
         "lambda": str(lam),
         "seed": args.seed,
-        "transformed_expr": to_text(pushed.expr),
-        "family_expr": to_text(family.expr),
+        "transformed_expr": pushed_text,
+        "family_expr": pushed_text if structural else to_text(family.expr),
         "structural_match": structural,
         "equiv": equiv_report,
     }
@@ -420,26 +420,21 @@ def _cmd_region(args, out) -> tuple[dict, bool]:
 
 def _cmd_reduce(args, out) -> tuple[dict, bool]:
     inst, label = _instance_from_args(args)
-    reduced = reduce_to_invariant(inst)
-    ode_a, ode_b = split_by_x2(reduced)
-    profile, g1, g2 = candidate_profile(inst.a)
-    res_a = verify_ode(ode_a, profile)
-    res_b = verify_ode(ode_b, profile)
-    verified = is_zero(res_a) and is_zero(res_b)
+    route = anti_reduction(inst)
     return {
         "instance": label,
         "parameters": inst.params_text(),
-        "reduced": to_text(reduced),
-        "ode_a": to_text(ode_a),
-        "ode_b": to_text(ode_b),
-        "profile": to_text(profile),
-        "profile_gamma1": str(g1),
-        "profile_gamma2": str(g2),
-        "gammas_match_profile": (inst.gamma1 == g1 and inst.gamma2 == g2),
-        "residual_a": to_text(res_a),
-        "residual_b": to_text(res_b),
-        "profile_solves_both": verified,
-    }, verified
+        "reduced": to_text(route.reduced),
+        "ode_a": to_text(route.ode_a),
+        "ode_b": to_text(route.ode_b),
+        "profile": to_text(route.profile),
+        "profile_gamma1": str(route.gamma1),
+        "profile_gamma2": str(route.gamma2),
+        "gammas_match_profile": (inst.gamma1 == route.gamma1 and inst.gamma2 == route.gamma2),
+        "residual_a": to_text(route.residual_a),
+        "residual_b": to_text(route.residual_b),
+        "profile_solves_both": route.solved,
+    }, route.solved
 
 
 def _cmd_weak_cs(args, out) -> tuple[dict, bool]:

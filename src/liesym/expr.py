@@ -729,8 +729,10 @@ def bind_expanded(e: Expr, numbers: Mapping) -> Expr:
 
 # The plans of the derivations kept across commands (family.onshell_remainder
 # and the kept derivations of reduction), each bound to every instance;
-# clear_memo leaves them, as it leaves the derivations themselves.
-@functools.lru_cache(maxsize=8)
+# clear_memo leaves them, as it leaves the derivations themselves.  The CLI
+# binds ten of them: four remainders, stage 2's, the reduction, and its two
+# ODEs and their two residuals.
+@functools.lru_cache(maxsize=16)
 def _bind_plan(e: Expr, names: tuple[str, ...]):
     """e's terms read for binding ``names``, or None where a term is not
     such a monomial: the expressions in the bound symbols, each evaluated

@@ -263,21 +263,66 @@ def _pushed_expr(sol: ClosedFormSolution, lam) -> Expr:
                substitute(sol.expr, {"x": xt, "y": yt}))
 
 
+def _pushforward(sol: ClosedFormSolution, lam) -> tuple[Expr, tuple[Expr, ...]]:
+    """(C^(-a/2) * u(x~, y~), the pulled-back conditions): C and each of
+    the solution's conditions at (x~, y~), times C^2; lam may be numeric
+    or symbolic."""
+    u = _pushed_expr(sol, lam)  # first: the pull-back below reuses its constructions
+    xt, yt = map_point_exprs(lam)
+    c = substitute(_C_EXPR, {"lam": as_expr(lam)})
+    bound = sol.conditions()  # folds before x~, y~
+    return u, (c, *(mul(pow_(c, num(2)), substitute(p, {"x": xt, "y": yt})) for p in bound))
+
+
+@functools.cache
+def symbolic_pushforward() -> tuple[Expr, tuple[Expr, ...]]:
+    """The pushforward of the base solution over symbolic a_sol and lam,
+    kept: ``(u, positive)`` of ``transform_solution``, derived once, so a
+    transform binds its numbers instead of pushing the solution again.
+    Its u is structurally ``symbolic_family_solution()``, and its
+    conditions are ``(C, x^2 - (y + lam (x^2 + y^2))^2)``."""
+    return _pushforward(base_solution(_A_SOL), _LAM)
+
+
+class _KeptPushforward(ClosedFormSolution):
+    """The pushforward of a base solution with a numeric a: the kept
+    ``symbolic_pushforward()`` with the solution's a and the action's lam
+    bound by ``substitute``, its expr and its ``positive`` each on first
+    read.  Like every pushforward it has no lam."""
+
+    def __init__(self, a: Fraction, lam, label: str):
+        self.label = label
+        self.a = a
+        self.lam = None
+        self._numbers = {"a_sol": a, "lam": lam}
+
+    @functools.cached_property
+    def expr(self) -> Expr:
+        return substitute(symbolic_pushforward()[0], self._numbers)
+
+    @functools.cached_property
+    def positive(self) -> tuple[Expr, ...]:
+        return tuple(substitute(p, self._numbers) for p in symbolic_pushforward()[1])
+
+
 def transform_solution(sol: ClosedFormSolution, lam) -> ClosedFormSolution:
     """Push a solution along the finite group action.
 
     Returns C^(-a/2) * u(x~, y~) simplified; for the base power solution
     this collapses symbolically to the lam-family expression.  The new
     domain is C > 0 and the old conditions at (x~, y~), times C^2.
+    The base solution with a numeric a (or the family at lam = 0, the
+    same solution) is not pushed again: the kept ``symbolic_pushforward()``
+    is bound to its a and lam, the expression and the conditions each on
+    first read, so a transform that reads no condition binds none.  Every
+    other solution is pushed and pulled back here.
     """
     if isinstance(lam, Expr):
         raise TypeError("transform_solution needs a numeric lam for its domain")
-    u = _pushed_expr(sol, lam)  # first: the pull-back below reuses its constructions
-    xt, yt = map_point_exprs(lam)
-    c = substitute(_C_EXPR, {"lam": as_expr(lam)})
-    bound = sol.conditions()  # folds before x~, y~
-    positive = (c, *(mul(pow_(c, num(2)), substitute(p, {"x": xt, "y": yt})) for p in bound))
-    return ClosedFormSolution(u, positive, f"pushforward(lam={float(lam)}) of {sol.label}", sol.a)
+    label = f"pushforward(lam={float(lam)}) of {sol.label}"
+    if sol.lam == 0 and isinstance(sol.a, Fraction) and sol.positive == (_S_EXPR,):
+        return _KeptPushforward(sol.a, lam, label)
+    return ClosedFormSolution(*_pushforward(sol, lam), label, sol.a)
 
 
 # ---------------------------------------------------------------------------

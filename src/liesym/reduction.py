@@ -126,13 +126,21 @@ def reduce_residual(delta: Expr) -> Expr:
 # term, so substituting the numbers leaves them expanded, and
 # expr.bind_expanded binds them through its plan to the same tree
 # (tests/test_expr.py::TestBindExpanded checks both over drawn instances).
+# The separated ODEs and their residuals on the power profile are kept in
+# the same way, at r = 2 and over symbolic a (symbolic_odes and
+# symbolic_ode_residuals), so reduce and weak-cs bind the anti-reduction
+# route and neither split nor differentiate per command.
 # The auxiliary constraint is not expanded; stage 3 binds the numbers and
 # the invariant solution's jet into it in one substitution.
 # The invariant-solution stage is not kept: restricted over symbolic a, its
 # remainder is structurally different from the per-instance one (expand
 # leaves an integer power above 16 of a sum alone, so a kept remainder
 # bound at c1 = 1340 reads -2*x*y*(x^2 - y^2)^335, where substituting the
-# instance's own jet gives two terms).
+# instance's own jet gives two terms).  Nor can the numbers be bound into
+# A and expanded before the jet is substituted: off the exponent pair that
+# differs from the one substitution on about half of the drawn instances
+# (at a = 11/3, c1 = -29/2 it reads 2 terms where the one substitution
+# reads 3).
 @functools.cache
 def symbolic_reduction() -> Expr:
     """``reduce_residual`` of the symbolic family residual:
@@ -193,6 +201,56 @@ def split_by_x2(red: Expr) -> tuple[Expr, Expr]:
                 f"term {to_text(t)} carries x^{to_text(x_power)}; residual is not "
                 "linear in x^2")
     return add(*part_a), add(*part_b)
+
+
+@functools.cache
+def symbolic_odes() -> tuple[Expr, Expr]:
+    """``split_by_x2`` of ``symbolic_reduction()`` at r = 2:
+    ``(-4*s*vss - gamma2*v^(c2) + 2*a*vs, -gamma1*v^(c1) + 8*vss)``."""
+    return split_by_x2(expand(substitute(symbolic_reduction(), {"r": num(2)})))
+
+
+@functools.cache
+def symbolic_ode_residuals() -> tuple[Expr, Expr]:
+    """``verify_ode`` of each of ``symbolic_odes()`` against the profile
+    ``candidate_profile(a)`` with a symbolic: the residual of ode_a is
+    ``-a*s^(-1 - 1/4*a) - gamma2*s^(-1/4*a*c2) - 3/4*a^2*s^(-1 - 1/4*a)``."""
+    profile = candidate_profile(sym("a"))[0]
+    return tuple(verify_ode(ode, profile) for ode in symbolic_odes())
+
+
+class AntiReduction(NamedTuple):
+    """The anti-reduction route of an r = 2 instance: the reduced
+    residual, its two separated ODEs, the power profile with its source
+    strengths, and each ODE's residual on that profile."""
+
+    reduced: Expr
+    ode_a: Expr
+    ode_b: Expr
+    profile: Expr
+    gamma1: Fraction
+    gamma2: Fraction
+    residual_a: Expr
+    residual_b: Expr
+
+    @property
+    def solved(self) -> bool:
+        """Whether the profile solves both ODEs: both residuals are a
+        structural 0."""
+        return is_zero(self.residual_a) and is_zero(self.residual_b)
+
+
+def anti_reduction(inst: PDEInstance) -> AntiReduction:
+    """Reduce an r = 2 instance, split it by powers of x^2 and verify the
+    profile ``candidate_profile(inst.a)`` against both ODEs: the kept
+    ``symbolic_reduction()``, ``symbolic_odes()`` and
+    ``symbolic_ode_residuals()`` with the instance's numbers bound by
+    ``bind_expanded``.  Another r raises ValueError."""
+    reduced = reduce_to_invariant(inst)
+    numbers = inst.numbers()
+    ode_a, ode_b = (bind_expanded(ode, numbers) for ode in symbolic_odes())
+    residual_a, residual_b = (bind_expanded(res, numbers) for res in symbolic_ode_residuals())
+    return AntiReduction(reduced, ode_a, ode_b, *candidate_profile(inst.a), residual_a, residual_b)
 
 
 def candidate_profile(a) -> tuple[Expr, object, object]:
@@ -317,15 +375,15 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = DEFAULT_SAMPLES,
     to the jet's constraints ``u - u(x, y)``, ..., each solved with
     coefficient 1.
     Each remainder is sampled for its verdict.  The anti-reduction route
-    follows: reduce, split by powers of x^2, and verify the power profile
-    against both separated ODEs.  An instance with r other than 2 raises
+    follows (``anti_reduction``): reduce, split by powers of x^2, and
+    verify the power profile against both separated ODEs, each bound from
+    its kept derivation.  An instance with r other than 2 raises
     ValueError.
     """
     if inst.r != 2:
         raise ValueError(f"the reduction chain requires r = 2, got {inst.r}")
 
     delta = inst.delta
-    profile, _g1, _g2 = candidate_profile(inst.a)
     jet = base_solution(inst.a).jet()
     solution = ConstraintSystem(
         tuple(add(sym(n), mul(num(-1), v)) for n, v in jet.items()), tuple(jet))
@@ -344,11 +402,8 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = DEFAULT_SAMPLES,
     # context: the exceptional field on the same residual manifold
     x_check = check_onshell_symmetry(exceptional_vf(), inst, n_samples, seed=seed)
 
-    reduced = reduce_to_invariant(inst)
-    ode_a, ode_b = split_by_x2(reduced)
-    residual_a = verify_ode(ode_a, profile)
-    residual_b = verify_ode(ode_b, profile)
-    split_exact = expand(add(ode_a, mul(pow_(X, num(2)), ode_b))) == reduced
+    route = anti_reduction(inst)
+    split_exact = expand(add(route.ode_a, mul(pow_(X, num(2)), route.ode_b))) == route.reduced
     degenerate = inst.gamma1 == 0
 
     verdicts = []
@@ -356,20 +411,19 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = DEFAULT_SAMPLES,
         verdicts.append("not exact symmetry")
     if stages[1].verdict == "nonzero":
         verdicts.append("not proper conditional symmetry")
-    odes_solved = is_zero(residual_a) and is_zero(residual_b)
-    if stages[2].verdict == "zero" and odes_solved and split_exact:
+    if stages[2].verdict == "zero" and route.solved and split_exact:
         verdicts.append("weak conditional symmetry confirmed via separated ODEs")
     confirmed = len(verdicts) == 3
     return WeakCSReport(
         instance=inst,
         stages=tuple(stages),
         exceptional_onshell=x_check,
-        reduced=reduced,
-        ode_a=ode_a,
-        ode_b=ode_b,
-        profile=profile,
-        residual_a=residual_a,
-        residual_b=residual_b,
+        reduced=route.reduced,
+        ode_a=route.ode_a,
+        ode_b=route.ode_b,
+        profile=route.profile,
+        residual_a=route.residual_a,
+        residual_b=route.residual_b,
         split_exact=split_exact,
         degenerate_split=degenerate,
         verdicts=tuple(verdicts),

@@ -1091,6 +1091,43 @@ class TestGoldenBytes:
             assert got == code
             assert hashlib.sha256(strip_timestamp(out).encode()).hexdigest() == report_sha
 
+    # sha256 of the report minus its timestamp line, recorded before
+    # transform bound a pushforward kept over symbolic a and lambda and
+    # reduce bound the separated ODEs and their residuals kept at r = 2: a
+    # point in the domain at a negative lambda, the identity at lambda 0,
+    # a lambda past the region's limits, and an instance off the profile
+    KEPT_CASES = [
+        (["transform", "--a=5/3", "--lambda=-2/3", "--x=0.3", "--y=0.4"], 0,
+         "110e477be2ad306ec17c08e7425949727605912f8878c66710b90dd8d0e3a473"),
+        (["transform", "--a=2", "--lambda=0", "--x=0.5", "--y=0.1"], 0,
+         "507a7d70b1091afe90e584ca67660c33ecc826fb74bcee4a450884b12faf3a72"),
+        (["transform", "--a=-1", "--lambda=1e200"], 0,
+         "db402c387f4b5ff0142ea62fc1f38a6d12e143b82c38664a9035561ea04ddafa"),
+        (["reduce", "--a=11/3", "--r=2", "--c1=-29/2", "--c2=15/11", "--gamma1=2",
+          "--gamma2=-3"], 1,
+         "d543b62a5d78493d0c04633a9bf95ec60f8ec542ba9f82f21b7bc42b5696a865"),
+    ]
+    KEPT_IDS = ["transform-point-negative-lambda", "transform-lambda-0", "transform-1e200",
+                "reduce-off-profile"]
+
+    @pytest.mark.parametrize("argv,code,report_sha", KEPT_CASES, ids=KEPT_IDS)
+    def test_kept_derivation_report_bytes(self, argv, code, report_sha):
+        got, out, _ = run_cli(argv)
+        assert got == code
+        assert hashlib.sha256(strip_timestamp(out).encode()).hexdigest() == report_sha
+
+    @pytest.mark.parametrize("argv,code,report_sha", KEPT_CASES, ids=KEPT_IDS)
+    def test_kept_derivation_report_bytes_after_warm_up(self, argv, code, report_sha):
+        # the kept derivations built and bound by other numbers first
+        for warm in (["transform", "--a=3/2", "--lambda=2/3", "--x=0.1", "--y=-2"],
+                     ["transform", "--a=-7", "--lambda=-1e-9"], ["reduce", "--preset", "gss"],
+                     ["weak-cs", "--preset", "gss", "--samples", "20"]):
+            assert run_cli(warm)[0] == 0, warm
+        for _ in range(2):
+            got, out, _ = run_cli(argv)
+            assert got == code
+            assert hashlib.sha256(strip_timestamp(out).encode()).hexdigest() == report_sha
+
     # sha256 of the report minus its timestamp line where eval_at raised
     # DomainError on an overflowing product at some draws, recorded
     # before the sampled verdicts evaluated compiled expressions (whose

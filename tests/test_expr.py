@@ -48,6 +48,8 @@ from liesym import (
     substitute,
     sym,
     symbolic_invariance_remainder,
+    symbolic_ode_residuals,
+    symbolic_odes,
     symbolic_reduction,
     to_callable,
     to_text,
@@ -1273,7 +1275,10 @@ def _kept_derivations():
     kept = [(f"onshell_remainder({name})", onshell_remainder(field()), False)
             for name, field in NAMED_FIELDS.items()]
     return kept + [("symbolic_invariance_remainder", symbolic_invariance_remainder(), True),
-                   ("symbolic_reduction", symbolic_reduction(), True)]
+                   ("symbolic_reduction", symbolic_reduction(), True),
+                   *((f"symbolic_odes[{i}]", e, True) for i, e in enumerate(symbolic_odes())),
+                   *((f"symbolic_ode_residuals[{i}]", e, False)
+                     for i, e in enumerate(symbolic_ode_residuals()))]
 
 
 if st is not None:

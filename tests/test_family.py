@@ -41,11 +41,13 @@ from liesym import (
     symbolic_auxiliary,
     symbolic_family_residual,
     symbolic_invariance_remainder,
+    symbolic_ode_residuals,
+    symbolic_odes,
     symbolic_reduction,
     weak_cs_report,
     y_translation_vf,
 )
-from liesym import family, jets, orbits
+from liesym import cli, family, jets, orbits
 from liesym.cli import run
 from liesym.expr import clear_memo
 from liesym.jets import JET_NAMES, sample_jet_point
@@ -334,12 +336,15 @@ class TestSymbolicRemainder:
 class TestRemainderCache:
     """The symbolic derivations are kept across commands: one remainder
     per field, one entry each for the derivations of weak-cs and reduce,
-    and one family residual and solution for every family and base grid;
-    so are the four named fields themselves."""
+    one family residual and solution for every family and base grid, and
+    one pushforward for every transform; so are the four named fields
+    themselves."""
 
     KEPT = ("family.onshell_remainder", "reduction.symbolic_auxiliary",
             "reduction.symbolic_invariance_remainder", "reduction.symbolic_reduction",
+            "reduction.symbolic_odes", "reduction.symbolic_ode_residuals",
             "orbits.symbolic_family_residual", "orbits.symbolic_family_solution",
+            "orbits.symbolic_pushforward",
             "family.exceptional_vf", "family.scaling_vf", "family.rotation_like_vf",
             "family.y_translation_vf")
 
@@ -392,6 +397,62 @@ class TestRemainderCache:
         assert (info.currsize, info.misses, info.hits) == (1, 1, 29)
         info = orbits.symbolic_family_solution.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 30)
+
+    def test_one_entry_each_for_transform_reduce_and_weak_cs_whatever_a_and_lam(self):
+        kept = (orbits.symbolic_pushforward, symbolic_reduction, symbolic_odes,
+                symbolic_ode_residuals)
+        for fn in kept:
+            fn.cache_clear()
+        commands = []
+        for a in ("-3", "-5/3", "-1", "1/2", "2", "7/2"):
+            c1, c2 = exceptional_exponents(Fraction(a), 2)
+            _, g1, g2 = candidate_profile(Fraction(a))
+            flags = [f"--a={a}", "--r=2", f"--c1={c1}", f"--c2={c2}", f"--gamma1={g1}"]
+            commands += [["reduce", *flags, f"--gamma2={g2}"],
+                         ["reduce", *flags, f"--gamma2={g2 + 1}"],  # off the profile
+                         ["weak-cs", *flags, f"--gamma2={g2}", "--samples", "5"],
+                         *(["transform", f"--a={a}", f"--lambda={lam}", "--samples", "5"]
+                           for lam in ("1/3", "-2", "0", "1e-9"))]
+        for argv in commands:
+            assert run(argv, out=io.StringIO(), err=io.StringIO()) in (0, 1), argv
+        # each built on its first command and looked up by the rest: the
+        # pushforward by 24 transforms, the reduction, the ODEs and their
+        # residuals by 18 reduce and weak-cs commands, the reduction once
+        # more to split it and the ODEs once more to verify them
+        infos = [fn.cache_info() for fn in kept]
+        assert [(i.currsize, i.misses) for i in infos] == [(1, 1)] * 4
+        assert [i.hits for i in infos] == [23, 18, 18, 17]
+
+    def test_a_warm_transform_pushes_nothing(self, monkeypatch):
+        assert run(["transform", "--a=3/2", "--lambda=2/3"],
+                   out=io.StringIO(), err=io.StringIO()) == 0
+        calls = []
+
+        def spy(name):
+            real = getattr(orbits, name)
+            monkeypatch.setattr(orbits, name, lambda *args: calls.append(name) or real(*args))
+
+        spy("_pushed_expr")
+        spy("map_point_exprs")
+        for argv in (["--a=3/2", "--lambda=2/3"], ["--a=-5/3", "--lambda=-7", "--x=0.1", "--y=-2"],
+                     ["--a=2", "--lambda=0", "--x=0.5", "--y=0.1"], ["--a=-1", "--lambda=1e200"]):
+            assert run(["transform", *argv], out=io.StringIO(), err=io.StringIO()) == 0, argv
+        assert calls == []
+
+    def test_a_warm_transform_without_a_point_binds_no_condition(self, monkeypatch):
+        pushed = []
+
+        def recorded(sol, lam):
+            pushed.append(orbits.transform_solution(sol, lam))
+            return pushed[-1]
+
+        monkeypatch.setattr(cli, "transform_solution", recorded)
+        for argv in (["--a=3/2", "--lambda=2/3"], ["--a=3/2", "--lambda=2/3", "--samples=0"],
+                     ["--a=3/2", "--lambda=2/3", "--x=0.1", "--y=-2"]):
+            assert run(["transform", *argv], out=io.StringIO(), err=io.StringIO()) == 0, argv
+        # the conditions are bound on first read, which only a point makes
+        assert ["positive" in vars(p) for p in pushed] == [False, False, True]
+        assert all("expr" in vars(p) for p in pushed)
 
     @pytest.mark.parametrize("name", sorted(NAMED_FIELDS))
     def test_named_field_built_once(self, name):

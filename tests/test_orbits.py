@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 except ImportError:  # optional test dependency, as in test_expr.py
     st = None
@@ -47,6 +47,7 @@ from liesym import (
     sym,
     symbolic_family_residual,
     to_callable,
+    to_text,
     transform_solution,
 )
 from liesym import orbits
@@ -689,6 +690,71 @@ class TestDomainAsData:
                     b = y + float(lam) * (x * x + y * y)
                     tangent += abs((x - b) * (x + b)) < 1e-13
         assert tangent > 0
+
+
+class TestKeptPushforward:
+    """A transform of a base solution with a numeric a binds the
+    pushforward kept over symbolic a and lam (``symbolic_pushforward``);
+    bound, it is node for node what pushing the solution and pulling back
+    its conditions build (``orbits._pushforward``), which every other
+    solution still takes."""
+
+    # lam = 0, negative, tiny, huge and past the region's own limits
+    LAMBDAS = [Fraction(0), Fraction(2, 3), Fraction(-2, 3), Fraction(7, 3), Fraction(-5),
+               Fraction(10**9), Fraction(1, 10**9), Fraction(1e-320), Fraction(1e200),
+               Fraction(5e153)]
+
+    @staticmethod
+    def _assert_bound_is_pushed(a, lam):
+        base = base_solution(a)
+        pushed = transform_solution(base, lam)
+        assert isinstance(pushed, orbits._KeptPushforward)
+        u, positive = orbits._pushforward(base, lam)
+        assert pushed.expr == u
+        assert to_text(pushed.expr) == to_text(u)
+        assert pushed.positive == positive
+        assert [to_text(p) for p in pushed.positive] == [to_text(p) for p in positive]
+        assert pushed.lam is None and pushed.a == base.a
+        assert pushed.label == f"pushforward(lam={float(lam)}) of base"
+        clear_memo()
+
+    def test_kept_pushforward_is_the_kept_family_solution(self):
+        # the identity every structural match of transform is an instance of
+        u, positive = orbits.symbolic_pushforward()
+        assert u == orbits.symbolic_family_solution()
+        assert to_text(positive[0]) == "1 + 2*lam*y + lam^2*(x^2 + y^2)"
+        assert positive[1] == orbits._S_EXPR
+
+    def test_every_profile_a_and_lambda(self):
+        for a in (*TestKeptFamilyResidual.A_VALUES, Fraction(1340), Fraction(-1340)):
+            for lam in self.LAMBDAS:
+                self._assert_bound_is_pushed(a, lam)
+
+    def test_other_solutions_are_pushed(self):
+        for sol in (base_solution(sym("a")), family_solution(-1, Fraction(1, 2)),
+                    transform_solution(base_solution(-1), 1)):
+            pushed = transform_solution(sol, Fraction(1, 3))
+            assert type(pushed) is orbits.ClosedFormSolution, sol.label
+            u, positive = orbits._pushforward(sol, Fraction(1, 3))
+            assert (pushed.expr, pushed.positive) == (u, positive)
+
+    def test_the_family_at_lambda_zero_is_the_base(self):
+        pushed = transform_solution(family_solution(Fraction(5, 3), 0), 2)
+        assert isinstance(pushed, orbits._KeptPushforward)
+        assert pushed.expr == orbits._pushforward(base_solution(Fraction(5, 3)), 2)[0]
+        assert pushed.label == "pushforward(lam=2.0) of family(lam=0.0)"
+
+    if st is not None:
+        @settings(max_examples=80, deadline=None, database=None)
+        @given(st.fractions(min_value=-1340, max_value=1340, max_denominator=12).filter(bool),
+               st.fractions(min_value=-40, max_value=40, max_denominator=9)
+               | st.sampled_from(LAMBDAS))
+        @example(Fraction(1340), Fraction(1e-320))
+        @example(Fraction(-1340), Fraction(1e200))
+        @example(Fraction(5, 3), Fraction(-2, 3))
+        @example(Fraction(2), Fraction(0))
+        def test_random_bound_pushforward_is_pushed(self, a, lam):
+            self._assert_bound_is_pushed(a, lam)
 
 
 class TestLazyClosedForm:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 except ImportError:  # optional test dependency, as in test_expr.py
     st = None
@@ -15,6 +15,7 @@ from liesym import (
     ConstraintSystem,
     ReductionError,
     add,
+    anti_reduction,
     apply_prolonged,
     auxiliary_constraint,
     base_solution,
@@ -43,6 +44,8 @@ from liesym import (
     sym,
     symbolic_auxiliary,
     symbolic_invariance_remainder,
+    symbolic_ode_residuals,
+    symbolic_odes,
     symbolic_residual,
     to_text,
     verify_ode,
@@ -452,6 +455,102 @@ class TestKeptDerivations:
         assert to_text(bound) == "-3*x*y*(x^2 - y^2)^(-7/4) - 2*x*y*(x^2 - y^2)^335"
         assert to_text(per_instance) == ("-3*x*y*(x^2 - y^2)^(-7/4) - 2*y*x^3*(x^2 - y^2)^334"
                                          " + 2*x*y^3*(x^2 - y^2)^334")
+
+    def test_stage_three_binds_the_numbers_with_the_jet(self):
+        # A bound to the numbers and expanded first, the jet substituted
+        # after, collects the x^3*y and x*y^3 terms that the one
+        # substitution keeps apart
+        inst = build_instance(Fraction(11, 3), 2, Fraction(-29, 2), Fraction(23, 11),
+                              Fraction(253, 18), Fraction(-55, 4))
+        bound_first = expand(substitute(expand(inst.bind(symbolic_auxiliary())),
+                                        base_solution(inst.a).jet()))
+        per_instance = weak_cs_report(inst, n_samples=3).stages[2].stats.remainder
+        assert to_text(bound_first) == ("-253/9*x*y*(x^2 - y^2)^(319/24)"
+                                        " + 253/9*x*y*(x^2 - y^2)^(-35/12)")
+        assert to_text(per_instance) == ("-253/9*y*x^3*(x^2 - y^2)^(295/24)"
+                                         " + 253/9*x*y*(x^2 - y^2)^(-35/12)"
+                                         " + 253/9*x*y^3*(x^2 - y^2)^(295/24)")
+
+
+class TestKeptODEs:
+    """reduce and weak-cs bind the separated ODEs and their residuals on
+    the power profile, kept at r = 2 over symbolic parameters
+    (``symbolic_odes``, ``symbolic_ode_residuals``); bound, they are node
+    for node what splitting the bound reduction and verifying the
+    profile against each half build, on the profile and off it."""
+
+    @staticmethod
+    def _assert_odes_agree(inst):
+        reduced = reduce_to_invariant(inst)
+        ode_a, ode_b = split_by_x2(reduced)
+        profile, g1, g2 = candidate_profile(inst.a)
+        want = (reduced, ode_a, ode_b, profile, g1, g2,
+                verify_ode(ode_a, profile), verify_ode(ode_b, profile))
+        route = anti_reduction(inst)
+        assert tuple(route) == want, inst.params_text()
+        assert [to_text(e) for e in route[:4] + route[6:]] == [
+            to_text(e) for e in want[:4] + want[6:]], inst.params_text()
+        assert route.solved == (is_zero(want[6]) and is_zero(want[7]))
+        clear_memo()  # as between two commands
+
+    def test_kept_odes(self):
+        assert [to_text(e) for e in symbolic_odes()] == [
+            "-4*s*vss - gamma2*v^(c2) + 2*a*vs", "-gamma1*v^(c1) + 8*vss"]
+        assert to_text(symbolic_ode_residuals()[1]) == (
+            "-gamma1*s^(-1/4*a*c1) + 1/2*a^2*s^(-2 - 1/4*a) + 2*a*s^(-2 - 1/4*a)")
+
+    def test_every_a_on_and_off_the_profile(self):
+        for a in TestKeptDerivations.A_VALUES:
+            c1, c2 = exceptional_exponents(a, 2)
+            _, g1, g2 = candidate_profile(a)
+            for params in ((c1, c2, g1, g2), (c1 + Fraction(1, 10), c2, g1, g2),
+                           (c1, c2, g1 + 1, g2), (Fraction(1340), c2, g1, g2),
+                           (c1, c1, 0, g2), (Fraction(0), Fraction(1), g1, 0)):
+                self._assert_odes_agree(build_instance(a, 2, *params))
+
+    @pytest.mark.parametrize("params", [
+        (-1, 2, -7, -3, Fraction(-3, 2), Fraction(1, 4)),  # GSS
+        (-1, 2, 1340, 900, 1, 1),
+        (Fraction(11, 3), 2, Fraction(-29, 2), Fraction(15, 11), 2, -3),
+    ], ids=["gss", "c1-1340", "a-11_3-off-profile"])
+    def test_named_instances_and_weak_cs(self, params):
+        inst = build_instance(*params)
+        self._assert_odes_agree(inst)
+        rep, route = weak_cs_report(inst, n_samples=3), anti_reduction(inst)
+        assert (rep.reduced, rep.ode_a, rep.ode_b, rep.profile, rep.residual_a,
+                rep.residual_b) == (route.reduced, route.ode_a, route.ode_b, route.profile,
+                                    route.residual_a, route.residual_b)
+
+    def test_another_r_is_refused(self):
+        with pytest.raises(ValueError, match="requires r = 2"):
+            anti_reduction(build_instance(1, 0, 5, 5, 1, 1))
+
+    if st is not None:
+        rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+        @st.composite
+        def _r2_instances(draw, rationals=rationals):
+            """r = 2 instances on the profile, with one number moved off
+            it, or with every number drawn; c1 may be 1340."""
+            a = draw(rationals.filter(bool))
+            c1, c2 = exceptional_exponents(a, 2)
+            _, g1, g2 = candidate_profile(a)
+            params = [c1, c2, g1, g2]
+            moved = draw(st.sampled_from((None, 0, 1, 2, 3, "all")))
+            if moved == "all":
+                params = [draw(rationals) for _ in range(4)]
+            elif moved is not None:
+                params[moved] += draw(rationals.filter(bool))
+            if draw(st.booleans()):
+                params[0] = Fraction(1340)
+            return build_instance(a, 2, *params)
+
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(_r2_instances())
+        @example(build_instance(Fraction(11, 3), 2, Fraction(-29, 2), Fraction(15, 11), 2, -3))
+        @example(build_instance(-1, 2, 1340, 900, 1, 1))
+        def test_random_kept_odes_are_the_split_of_the_bound_reduction(self, inst):
+            self._assert_odes_agree(inst)
 
 
 A_VALUES = TestKeptDerivations.A_VALUES
