@@ -1414,13 +1414,15 @@ def equiv_numeric(e1: Expr, e2: Expr, spec: SampleSpec | None = None) -> EquivRe
     (``to_measure_loop``) over the sorted symbols of e1, e2 and
     ``positive``; where it is not, the witness is the point of the
     largest magnitude.  Points outside ``positive`` or the real domain,
-    and points where the measure is not finite, are redrawn.  A
-    difference that expands to a structural 0 is neither compiled nor
-    sampled.
+    and points where the measure is not finite, are redrawn.  Equal
+    trees are not subtracted, and a difference that expands to a
+    structural 0 is neither compiled nor sampled.
     """
     spec = spec or SampleSpec()
     if spec.count < 1:  # ahead of a structural 0, which draws nothing
         raise ValueError("need at least one sample")
+    if e1 == e2:
+        return EquivResult(True, spec.count)
     difference = expand(add(e1, mul(_MINUS_ONE, e2)))
     if is_zero(difference):
         return EquivResult(True, spec.count)

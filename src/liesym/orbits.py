@@ -179,11 +179,11 @@ class ClosedFormSolution:
     """Solution expression in (x, y) on the domain where every expression
     of ``positive``, in x, y and lam (bound to ``lam``), is > 0.
 
-    ``lam`` is set where ``expr`` is ``family_expr(a, lam)``: the family
-    and, at lam = 0, the base solution.  Such a solution may be made with
-    ``expr`` None: it is built on first read, as ``PDEInstance.delta`` is,
-    so a residual grid, which compiles the kept family solution, never
-    builds it."""
+    ``lam`` is set where ``expr`` is ``family_expr(a, lam)``: the family,
+    the base solution (lam = 0) and the base's pushforward.  Such a
+    solution may be made with ``expr`` None: it is built on first read, as
+    ``PDEInstance.delta`` is, so a residual grid, which compiles the kept
+    family solution, never builds it."""
 
     def __init__(self, expr: Expr | None, positive: tuple[Expr, ...], label: str,
                  a, lam: Fraction | None = None):
@@ -277,51 +277,28 @@ def _pushforward(sol: ClosedFormSolution, lam) -> tuple[Expr, tuple[Expr, ...]]:
 @functools.cache
 def symbolic_pushforward() -> tuple[Expr, tuple[Expr, ...]]:
     """The pushforward of the base solution over symbolic a_sol and lam,
-    kept: ``(u, positive)`` of ``transform_solution``, derived once, so a
-    transform binds its numbers instead of pushing the solution again.
-    Its u is structurally ``symbolic_family_solution()``, and its
-    conditions are ``(C, x^2 - (y + lam (x^2 + y^2))^2)``."""
+    kept: ``(u, positive)``, derived once.  Its u is structurally
+    ``symbolic_family_solution()``, and its conditions are
+    ``(C, x^2 - (y + lam (x^2 + y^2))^2)``."""
     return _pushforward(base_solution(_A_SOL), _LAM)
 
 
-class _KeptPushforward(ClosedFormSolution):
-    """The pushforward of a base solution with a numeric a: the kept
-    ``symbolic_pushforward()`` with the solution's a and the action's lam
-    bound by ``substitute``, its expr and its ``positive`` each on first
-    read.  Like every pushforward it has no lam."""
-
-    def __init__(self, a: Fraction, lam, label: str):
-        self.label = label
-        self.a = a
-        self.lam = None
-        self._numbers = {"a_sol": a, "lam": lam}
-
-    @functools.cached_property
-    def expr(self) -> Expr:
-        return substitute(symbolic_pushforward()[0], self._numbers)
-
-    @functools.cached_property
-    def positive(self) -> tuple[Expr, ...]:
-        return tuple(substitute(p, self._numbers) for p in symbolic_pushforward()[1])
-
-
 def transform_solution(sol: ClosedFormSolution, lam) -> ClosedFormSolution:
-    """Push a solution along the finite group action.
+    """Push a solution along the finite group action: C^(-a/2) * u(x~, y~)
+    on C > 0 and the old conditions at (x~, y~), times C^2.
 
-    Returns C^(-a/2) * u(x~, y~) simplified; for the base power solution
-    this collapses symbolically to the lam-family expression.  The new
-    domain is C > 0 and the old conditions at (x~, y~), times C^2.
-    The base solution with a numeric a (or the family at lam = 0, the
-    same solution) is not pushed again: the kept ``symbolic_pushforward()``
-    is bound to its a and lam, the expression and the conditions each on
-    first read, so a transform that reads no condition binds none.  Every
-    other solution is pushed and pulled back here.
+    Where the kept ``symbolic_pushforward()`` is the kept family solution,
+    the base solution with a numeric a (or the family at lam = 0) is not
+    pushed: its pushforward is the family member of a and lam on the kept
+    conditions.  Every other solution is pushed here and has no lam.
     """
     if isinstance(lam, Expr):
         raise TypeError("transform_solution needs a numeric lam for its domain")
     label = f"pushforward(lam={float(lam)}) of {sol.label}"
     if sol.lam == 0 and isinstance(sol.a, Fraction) and sol.positive == (_S_EXPR,):
-        return _KeptPushforward(sol.a, lam, label)
+        u, positive = symbolic_pushforward()
+        if u == symbolic_family_solution():
+            return ClosedFormSolution(None, positive, label, sol.a, num(lam).value)
     return ClosedFormSolution(*_pushforward(sol, lam), label, sol.a)
 
 
@@ -403,10 +380,10 @@ def symbolic_family_residual() -> Expr:
 
 def _kept_residual(sol: ClosedFormSolution) -> tuple[Expr, Expr, dict]:
     """(residual, u, the solution's own numbers): a Sum of the five terms
-    of the PDE on u's jet, in the symbols of PARAMETERS.  A family or base
-    solution gives the kept ``symbolic_family_residual()`` and
+    of the PDE on u's jet, in the symbols of PARAMETERS.  A solution with
+    a lam gives the kept ``symbolic_family_residual()`` and
     ``symbolic_family_solution()`` with its a and lam for ``a_sol`` and
-    ``lam``; a pushforward its own jet in ``symbolic_residual()``."""
+    ``lam``; any other its own jet in ``symbolic_residual()``."""
     if sol.lam is None:
         return substitute(symbolic_residual(), sol.jet()), sol.expr, {}
     return symbolic_family_residual(), symbolic_family_solution(), {"a_sol": sol.a, "lam": sol.lam}
@@ -422,7 +399,7 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
 
     The residual is exact, so any nonzero residual is a genuine failure of
     the solution, not discretization error.  The solution's kept residual,
-    its u and its ``positive`` (``_kept_residual``; a family or base grid
+    its u and its ``positive`` (``_kept_residual``; a grid with a lam
     substitutes and rebuilds nothing) are compiled as one ``to_row_kernel``
     in x and y, with the instance's six numbers and the solution's own as
     constants.  ``residual`` is the ``to_cancellation`` measure over the

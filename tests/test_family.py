@@ -47,7 +47,7 @@ from liesym import (
     weak_cs_report,
     y_translation_vf,
 )
-from liesym import cli, family, jets, orbits
+from liesym import cli, expr, family, jets, orbits
 from liesym.cli import run
 from liesym.expr import clear_memo
 from liesym.jets import JET_NAMES, sample_jet_point
@@ -441,18 +441,46 @@ class TestRemainderCache:
 
     def test_a_warm_transform_without_a_point_binds_no_condition(self, monkeypatch):
         pushed = []
+        bound = []
 
         def recorded(sol, lam):
             pushed.append(orbits.transform_solution(sol, lam))
             return pushed[-1]
 
+        real = orbits.ClosedFormSolution.conditions
         monkeypatch.setattr(cli, "transform_solution", recorded)
+        monkeypatch.setattr(orbits.ClosedFormSolution, "conditions",
+                            lambda sol: bound.append(sol) or real(sol))
         for argv in (["--a=3/2", "--lambda=2/3"], ["--a=3/2", "--lambda=2/3", "--samples=0"],
                      ["--a=3/2", "--lambda=2/3", "--x=0.1", "--y=-2"]):
             assert run(["transform", *argv], out=io.StringIO(), err=io.StringIO()) == 0, argv
-        # the conditions are bound on first read, which only a point makes
-        assert ["positive" in vars(p) for p in pushed] == [False, False, True]
+        # the pushforward's conditions are the kept pair itself, with or
+        # without a point: its domain compiles them with lam bound
+        assert all(p.positive is orbits.symbolic_pushforward()[1] for p in pushed)
+        assert not any(sol is p for sol in bound for p in pushed)
         assert all("expr" in vars(p) for p in pushed)
+
+    def test_a_warm_transform_expands_nothing(self, monkeypatch):
+        # the pushed and the family tree are one object, so the sampled
+        # equivalence check returns before it subtracts them
+        from test_cli import strip_timestamp
+
+        argvs = [["transform", "--a=3/2", "--lambda=2/3", "--samples=16"],
+                 ["transform", "--a=-5/3", "--lambda=-7", "--x=0.1", "--y=-2"],
+                 ["transform", "--a=-1", "--lambda=1e200"]]
+        cold = []
+        for argv in argvs:
+            out = io.StringIO()
+            assert run(argv, out=out, err=io.StringIO()) == 0, argv
+            cold.append(strip_timestamp(out.getvalue()))
+        calls = []
+        real = expr.expand
+        monkeypatch.setattr(expr, "expand", lambda e: calls.append(e) or real(e))
+        for argv, report in zip(argvs, cold):
+            out = io.StringIO()
+            assert run(argv, out=out, err=io.StringIO()) == 0, argv
+            assert strip_timestamp(out.getvalue()) == report
+        assert calls == []
 
     @pytest.mark.parametrize("name", sorted(NAMED_FIELDS))
     def test_named_field_built_once(self, name):

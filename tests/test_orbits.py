@@ -1,6 +1,7 @@
 """Finite group action, closed-form solutions, region geometry, grids."""
 
 import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -51,7 +52,7 @@ from liesym import (
     transform_solution,
 )
 from liesym import orbits
-from liesym.expr import clear_memo, to_cancellation
+from liesym.expr import clear_memo, to_cancellation, to_predicate
 
 
 def sample_in_region(lam, count, seed):
@@ -496,9 +497,22 @@ class TestKeptFamilyResidual:
             clear_memo()
 
     def test_pushforward_keeps_its_own_jet(self):
+        # the family at lam != 0 pushed, and the base's pushforward pushed again
+        for sol, lam in ((family_solution(-1, Fraction(1, 2)), Fraction(1, 3)),
+                         (transform_solution(base_solution(-1), 2), Fraction(-1, 2))):
+            pushed = transform_solution(sol, lam)
+            assert pushed.lam is None
+            residual, u, own = orbits._kept_residual(pushed)
+            assert (u, own) == (pushed.expr, {})
+            assert solution_residual(gss_preset(), pushed) == _per_instance_residual(
+                gss_preset(), pushed), lam
+
+    def test_the_bases_pushforward_binds_the_kept_residual(self):
         for lam in (Fraction(1, 2), 2, Fraction(1, 3)):
             pushed = transform_solution(base_solution(-1), lam)
-            assert pushed.lam is None
+            assert orbits._kept_residual(pushed) == (
+                symbolic_family_residual(), orbits.symbolic_family_solution(),
+                {"a_sol": -1, "lam": lam})
             assert solution_residual(gss_preset(), pushed) == _per_instance_residual(
                 gss_preset(), pushed), lam
 
@@ -510,11 +524,18 @@ class TestKeptFamilyResidual:
         (-1, Fraction(7, 2), 1, False),  # the solution's a apart from the instance's
         (Fraction(7, 2), -1, Fraction(1, 2), False),
     ])
-    def test_pushforward_grid(self, inst_a, a, lam, solves):
-        # a pushforward grid compiles its own jet in the symbolic residual
-        # with the numbers folded in: the five PDE terms, as the oracle
+    @pytest.mark.parametrize("pushed_from", ["base", "half-way-family"])
+    def test_pushforward_grid(self, inst_a, a, lam, solves, pushed_from):
+        # the base's pushforward grids the kept family residual on C > 0
+        # too; the family at lam/2 pushed by lam/2 (the family at lam, by
+        # the group law) compiles its own jet in the symbolic residual with
+        # the numbers folded in: the five PDE terms, as the oracle
         inst = gss_preset() if inst_a == -1 else _profile_instance(inst_a)
-        pushed = transform_solution(base_solution(a), lam)
+        if pushed_from == "base":
+            pushed = transform_solution(base_solution(a), lam)
+        else:
+            pushed = transform_solution(family_solution(a, Fraction(lam) / 2), Fraction(lam) / 2)
+            assert pushed.lam is None
         grid = _grid_for(lam, 24)
         sup, _ = _assert_grids_agree(inst, pushed, grid)
         assert (sup <= 1e-13) == solves
@@ -642,7 +663,7 @@ class TestDomainAsData:
     def test_a_pushforward_is_c_and_the_pulled_back_conditions(self):
         pushed = transform_solution(base_solution(-1), Fraction(1, 2))
         c = parse("1 + 1/4*(x^2 + y^2) + y")
-        assert pushed.positive == (c, parse("x^2 - (y + 1/2*(x^2 + y^2))^2"))
+        assert pushed.conditions() == (c, parse("x^2 - (y + 1/2*(x^2 + y^2))^2"))
         # two pushes compose to one: C > 0 but at one point, so the domain of
         # the pushforward of the pushforward is the family's at 1/2 + 1/3
         twice = transform_solution(pushed, Fraction(1, 3))
@@ -693,11 +714,12 @@ class TestDomainAsData:
 
 
 class TestKeptPushforward:
-    """A transform of a base solution with a numeric a binds the
-    pushforward kept over symbolic a and lam (``symbolic_pushforward``);
-    bound, it is node for node what pushing the solution and pulling back
-    its conditions build (``orbits._pushforward``), which every other
-    solution still takes."""
+    """A transform of a base solution with a numeric a is the family
+    member ``family_expr(a, lam)`` on the conditions of the pushforward
+    kept over symbolic a and lam (``symbolic_pushforward``), with lam
+    bound; its expr and its bound conditions are node for node what
+    pushing the solution and pulling back its conditions build
+    (``orbits._pushforward``), which every other solution still takes."""
 
     # lam = 0, negative, tiny, huge and past the region's own limits
     LAMBDAS = [Fraction(0), Fraction(2, 3), Fraction(-2, 3), Fraction(7, 3), Fraction(-5),
@@ -708,13 +730,14 @@ class TestKeptPushforward:
     def _assert_bound_is_pushed(a, lam):
         base = base_solution(a)
         pushed = transform_solution(base, lam)
-        assert isinstance(pushed, orbits._KeptPushforward)
+        assert type(pushed) is orbits.ClosedFormSolution
+        assert pushed.lam == lam and pushed.a == base.a
+        assert pushed.positive is orbits.symbolic_pushforward()[1]
         u, positive = orbits._pushforward(base, lam)
         assert pushed.expr == u
         assert to_text(pushed.expr) == to_text(u)
-        assert pushed.positive == positive
-        assert [to_text(p) for p in pushed.positive] == [to_text(p) for p in positive]
-        assert pushed.lam is None and pushed.a == base.a
+        assert pushed.conditions() == positive
+        assert [to_text(p) for p in pushed.conditions()] == [to_text(p) for p in positive]
         assert pushed.label == f"pushforward(lam={float(lam)}) of base"
         clear_memo()
 
@@ -735,14 +758,51 @@ class TestKeptPushforward:
                     transform_solution(base_solution(-1), 1)):
             pushed = transform_solution(sol, Fraction(1, 3))
             assert type(pushed) is orbits.ClosedFormSolution, sol.label
+            assert pushed.lam is None, sol.label
             u, positive = orbits._pushforward(sol, Fraction(1, 3))
             assert (pushed.expr, pushed.positive) == (u, positive)
 
     def test_the_family_at_lambda_zero_is_the_base(self):
         pushed = transform_solution(family_solution(Fraction(5, 3), 0), 2)
-        assert isinstance(pushed, orbits._KeptPushforward)
-        assert pushed.expr == orbits._pushforward(base_solution(Fraction(5, 3)), 2)[0]
+        assert pushed.lam == 2 and pushed.a == Fraction(5, 3)
+        u, positive = orbits._pushforward(base_solution(Fraction(5, 3)), 2)
+        assert pushed.expr == u
+        assert pushed.conditions() == positive
         assert pushed.label == "pushforward(lam=2.0) of family(lam=0.0)"
+
+    def test_it_is_the_family_member(self):
+        # the very tree the family builds, and the family's kept residual
+        for a, lam in ((Fraction(3, 2), Fraction(2, 3)), (-1, -5), (Fraction(-5, 3), 0)):
+            pushed, family = transform_solution(base_solution(a), lam), family_solution(a, lam)
+            assert pushed.expr is family.expr
+            assert orbits._kept_residual(pushed) == orbits._kept_residual(family)
+
+    def test_a_failed_identity_takes_the_pushed_route(self, monkeypatch):
+        # were the kept pushforward not the kept family solution, a
+        # transform would push the base solution as it pushes any other,
+        # and the CLI's per-op comparison would still decide the match
+        from test_cli import run_cli
+
+        monkeypatch.setattr(orbits, "symbolic_family_solution", lambda: orbits._S_EXPR)
+        base = base_solution(Fraction(3, 2))
+        pushed = transform_solution(base, Fraction(2, 3))
+        assert pushed.lam is None
+        assert (pushed.expr, pushed.positive) == orbits._pushforward(base, Fraction(2, 3))
+        argv = ["transform", "--a=3/2", "--lambda=2/3", "--x=0.1", "--y=-2"]
+        code, out, err = run_cli(argv)
+        report = json.loads(out)
+        assert code == 0, err
+        assert report["structural_match"] is True
+        assert report["transformed_expr"] == to_text(pushed.expr)
+
+        real = orbits._pushforward
+        monkeypatch.setattr(orbits, "_pushforward", lambda sol, lam: (
+            mul(num(2), real(sol, lam)[0]), real(sol, lam)[1]))
+        code, out, err = run_cli(argv)
+        report = json.loads(out)
+        assert code == 1, err
+        assert report["structural_match"] is False
+        assert report["equiv"]["equivalent"] is False
 
     if st is not None:
         @settings(max_examples=80, deadline=None, database=None)
@@ -755,6 +815,81 @@ class TestKeptPushforward:
         @example(Fraction(2), Fraction(0))
         def test_random_bound_pushforward_is_pushed(self, a, lam):
             self._assert_bound_is_pushed(a, lam)
+
+
+class TestTransformPointDomain:
+    """Transform's point test is the family's domain and C > 0, also
+    within a few ulps of the two circles, where a test of the conditions
+    with lam substituted reads other digits."""
+
+    LAMBDAS = [Fraction(1, 3), Fraction(2, 3), Fraction(1), Fraction(7, 3), Fraction(5),
+               Fraction(100), Fraction(1, 100)]
+    A = Fraction(3, 2)
+
+    @staticmethod
+    def _near_circles(lam, n, rng):
+        """n points, alternately on each circle, moved off it radially by a
+        relative offset of at most 1e-15."""
+        lam = float(lam)
+        half, radius = 1.0 / (2.0 * lam), 1.0 / (math.sqrt(2.0) * abs(lam))
+        for i in range(n):
+            t = rng.uniform(0.0, 2.0 * math.pi)
+            stretch = 1.0 + rng.uniform(-1e-15, 1e-15)
+            yield ((half if i % 2 else -half) + radius * math.cos(t) * stretch,
+                   -half + radius * math.sin(t) * stretch)
+
+    def _want(self, lam):
+        family = family_solution(self.A, lam)
+        return lambda x, y: family.domain(x, y) and conformal_factor(x, y, float(lam)) > 0
+
+    def test_near_the_circles(self):
+        rng = random.Random(5)
+        substituted_differs = 0
+        for lam in (*self.LAMBDAS, *(-lam for lam in self.LAMBDAS)):
+            pushed = transform_solution(base_solution(self.A), lam)
+            want = self._want(lam)
+            substituted = to_predicate(pushed.conditions(), ("x", "y"))
+            for x, y in self._near_circles(lam, 1500, rng):
+                assert pushed.domain(x, y) == want(x, y), (lam, x, y)
+                substituted_differs += substituted(x, y) != want(x, y)
+            clear_memo()
+        # the sweep reaches the points where the two tests part
+        assert substituted_differs > 0
+
+    def test_the_cli_near_the_circles(self):
+        # the report's in_domain, and its u exactly where it is true
+        from test_cli import run_cli
+
+        rng = random.Random(6)
+        off_the_tree = 0  # admitted points where the bound tree has no value
+        for lam in (Fraction(7, 3), Fraction(-5)):
+            want = self._want(lam)
+            tree = family_expr(self.A, lam)
+            for x, y in self._near_circles(lam, 40, rng):
+                code, out, err = run_cli(["transform", f"--a={self.A}", f"--lambda={lam}",
+                                          f"--x={x!r}", f"--y={y!r}", "--samples=0"])
+                assert code == 0, err
+                point = json.loads(out)["point"]
+                assert point["in_domain"] == want(x, y), (lam, x, y)
+                assert ("u" in point) == point["in_domain"]
+                if point["in_domain"]:
+                    try:
+                        assert point["u"] == eval_at(tree, {"x": x, "y": y})
+                    except DomainError:
+                        off_the_tree += 1
+                        assert point["u"] > 1e5
+        assert off_the_tree > 0
+
+    def test_a_point_the_substituted_test_admitted(self):
+        from test_cli import run_cli
+
+        x, y = 0.19835805917658106, -0.0016154131764279794
+        code, out, err = run_cli(["transform", "--a=3/2", "--lambda=-5", f"--x={x!r}",
+                                  f"--y={y!r}"])
+        assert code == 0, err
+        point = json.loads(out)["point"]
+        assert point["in_domain"] is False and "u" not in point
+        assert family_solution(Fraction(3, 2), -5).domain(x, y) is False
 
 
 class TestLazyClosedForm:
@@ -803,9 +938,20 @@ class TestLazyClosedForm:
         assert sols[0].jet()["u"] is first[0]
         assert len(calls) == 2  # later reads build nothing
 
+    def test_the_bases_pushforward_builds_it_on_first_read(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        pushed = transform_solution(base_solution(Fraction(7, 2)), Fraction(1, 3))
+        assert calls == []
+        assert pushed.expr is family_expr(Fraction(7, 2), Fraction(1, 3))
+        assert calls[0] == (Fraction(7, 2), Fraction(1, 3))
+
     def test_a_pushforward_needs_its_expr(self):
-        pushed = transform_solution(base_solution(-1), 2)
-        assert pushed.lam is None and pushed.expr == family_expr(-1, 2)
+        # the family at lam != 0 pushed, and a pushforward pushed again
+        for sol, lam in ((family_solution(-1, 1), 2),
+                         (transform_solution(base_solution(-1), 2), Fraction(1, 3))):
+            pushed = transform_solution(sol, lam)
+            assert pushed.lam is None and "expr" in vars(pushed)
+            assert pushed.expr == orbits._pushforward(sol, lam)[0]
         with pytest.raises(TypeError):
             orbits.ClosedFormSolution(None, (), "bare", -1)
 

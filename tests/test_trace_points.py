@@ -34,9 +34,9 @@ def test_method_point_exists(module, cls, name):
 
 def test_residual_grid_compiles_u_into_the_measure(monkeypatch):
     # each grid compiles its residual with u as the one value of a single
-    # to_row_kernel call made through the orbits namespace; a family or
-    # base grid's u is the kept symbolic family solution, a pushforward's
-    # its own expression
+    # to_row_kernel call made through the orbits namespace; the u of a
+    # family, base or base's pushforward grid is the kept symbolic family
+    # solution, that of any other pushforward its own expression
     values = []
     real = orbits.to_row_kernel
 
@@ -46,9 +46,11 @@ def test_residual_grid_compiles_u_into_the_measure(monkeypatch):
 
     monkeypatch.setattr(orbits, "to_row_kernel", spy)
     grid = GridSpec(1.0, 2.0, -0.5, 0.5, 2, 2)
-    pushed = transform_solution(base_solution(-1), Fraction(1, 2))
-    for sol, u in ((base_solution(-1), orbits.symbolic_family_solution()),
-                   (family_solution(-1, 1), orbits.symbolic_family_solution()),
+    kept = orbits.symbolic_family_solution()
+    pushed = transform_solution(family_solution(-1, 1), Fraction(1, 2))
+    assert pushed.lam is None
+    for sol, u in ((base_solution(-1), kept), (family_solution(-1, 1), kept),
+                   (transform_solution(base_solution(-1), Fraction(1, 2)), kept),
                    (pushed, pushed.expr)):
         values.clear()
         orbits.residual_grid(gss_preset(), sol, grid)
