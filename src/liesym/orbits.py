@@ -255,21 +255,14 @@ def family_solution(a, lam) -> ClosedFormSolution:
     return ClosedFormSolution(None, (_S_EXPR,), f"family(lam={float(lam)})", a, num(lam).value)
 
 
-def _pushed_expr(sol: ClosedFormSolution, lam) -> Expr:
-    """C^(-a/2) * u(x~, y~); lam may be numeric or symbolic."""
-    xt, yt = map_point_exprs(lam)
-    c = substitute(_C_EXPR, {"lam": as_expr(lam)})
-    return mul(pow_(c, mul(Num(Fraction(-1, 2)), as_expr(sol.a))),
-               substitute(sol.expr, {"x": xt, "y": yt}))
-
-
 def _pushforward(sol: ClosedFormSolution, lam) -> tuple[Expr, tuple[Expr, ...]]:
     """(C^(-a/2) * u(x~, y~), the pulled-back conditions): C and each of
-    the solution's conditions at (x~, y~), times C^2; lam may be numeric
-    or symbolic."""
-    u = _pushed_expr(sol, lam)  # first: the pull-back below reuses its constructions
+    the solution's conditions at (x~, y~), times C^2, from one x~, y~ and
+    C; lam may be numeric or symbolic."""
     xt, yt = map_point_exprs(lam)
     c = substitute(_C_EXPR, {"lam": as_expr(lam)})
+    u = mul(pow_(c, mul(Num(Fraction(-1, 2)), as_expr(sol.a))),
+            substitute(sol.expr, {"x": xt, "y": yt}))
     bound = sol.conditions()  # folds before x~, y~
     return u, (c, *(mul(pow_(c, num(2)), substitute(p, {"x": xt, "y": yt})) for p in bound))
 
@@ -574,12 +567,12 @@ def _child(rows: range, work, fh: BinaryIO) -> NoReturn:
 
 
 def generator_remainder(sol: ClosedFormSolution) -> Expr:
-    """d/dlam at lam = 0 of the pushed solution C^(-a/2) u(x~, y~), minus
-    the characteristic Q = -a y u - 2xy ux + (x^2 - y^2) uy of the
-    exceptional field on the solution's jet, expanded.  The finite action
-    differentiates to its generator exactly when this is zero; a
-    structural 0 proves it."""
-    rate = substitute(diff(_pushed_expr(sol, _LAM), "lam"), {"lam": num(0)})
+    """d/dlam at lam = 0 of the pushed solution C^(-a/2) u(x~, y~) (the u
+    of ``_pushforward`` over symbolic lam), minus the characteristic
+    Q = -a y u - 2xy ux + (x^2 - y^2) uy of the exceptional field on the
+    solution's jet, expanded.  The finite action differentiates to its
+    generator exactly when this is zero; a structural 0 proves it."""
+    rate = substitute(diff(_pushforward(sol, _LAM)[0], "lam"), {"lam": num(0)})
     jet = sol.jet()
     q = substitute(characteristic(exceptional_vf().bind(a=sol.a)),
                    {"u": jet["u"], "ux": jet["ux"], "uy": jet["uy"]})

@@ -323,17 +323,14 @@ class StageResult(NamedTuple):
 
 
 class WeakCSReport(NamedTuple):
+    """``weak_cs_report``'s result: ``route`` is the ``anti_reduction`` it
+    ran, and the degenerate split (gamma1 = 0) is read off ``instance``."""
+
     instance: PDEInstance
     stages: tuple[StageResult, ...]
     exceptional_onshell: SymmetryVerdict
-    reduced: Expr
-    ode_a: Expr
-    ode_b: Expr
-    profile: Expr
-    residual_a: Expr
-    residual_b: Expr
+    route: AntiReduction
     split_exact: bool
-    degenerate_split: bool
     verdicts: tuple[str, ...]
     confirmed: bool
 
@@ -344,14 +341,14 @@ class WeakCSReport(NamedTuple):
             "exceptional_field_onshell_max": self.exceptional_onshell.max_onshell_residual,
             "stages": [s.to_dict() for s in self.stages],
             "anti_reduction": {
-                "reduced": to_text(self.reduced),
-                "ode_a": to_text(self.ode_a),
-                "ode_b": to_text(self.ode_b),
-                "profile": to_text(self.profile),
-                "residual_a": to_text(self.residual_a),
-                "residual_b": to_text(self.residual_b),
+                "reduced": to_text(self.route.reduced),
+                "ode_a": to_text(self.route.ode_a),
+                "ode_b": to_text(self.route.ode_b),
+                "profile": to_text(self.route.profile),
+                "residual_a": to_text(self.route.residual_a),
+                "residual_b": to_text(self.route.residual_b),
                 "split_exact": self.split_exact,
-                "degenerate_split": self.degenerate_split,
+                "degenerate_split": self.instance.gamma1 == 0,
             },
             "verdicts": list(self.verdicts),
             "confirmed": self.confirmed,
@@ -375,10 +372,10 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = DEFAULT_SAMPLES,
     to the jet's constraints ``u - u(x, y)``, ..., each solved with
     coefficient 1.
     Each remainder is sampled for its verdict.  The anti-reduction route
-    follows (``anti_reduction``): reduce, split by powers of x^2, and
-    verify the power profile against both separated ODEs, each bound from
-    its kept derivation.  An instance with r other than 2 raises
-    ValueError.
+    follows (``anti_reduction``, kept as the report's ``route``): reduce,
+    split by powers of x^2, and verify the power profile against both
+    separated ODEs, each bound from its kept derivation.  An instance with
+    r other than 2 raises ValueError.
     """
     if inst.r != 2:
         raise ValueError(f"the reduction chain requires r = 2, got {inst.r}")
@@ -404,7 +401,6 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = DEFAULT_SAMPLES,
 
     route = anti_reduction(inst)
     split_exact = expand(add(route.ode_a, mul(pow_(X, num(2)), route.ode_b))) == route.reduced
-    degenerate = inst.gamma1 == 0
 
     verdicts = []
     if stages[0].verdict == "nonzero":
@@ -418,14 +414,8 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = DEFAULT_SAMPLES,
         instance=inst,
         stages=tuple(stages),
         exceptional_onshell=x_check,
-        reduced=route.reduced,
-        ode_a=route.ode_a,
-        ode_b=route.ode_b,
-        profile=route.profile,
-        residual_a=route.residual_a,
-        residual_b=route.residual_b,
+        route=route,
         split_exact=split_exact,
-        degenerate_split=degenerate,
         verdicts=tuple(verdicts),
         confirmed=confirmed,
     )

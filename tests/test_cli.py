@@ -1062,11 +1062,20 @@ class TestGoldenBytes:
         (["check-symmetry", "--a=1", "--r=0", "--c1=5", "--c2=5", "--gamma1=1", "--gamma2=1",
           "--field=X"], 0,
          "53e092ff359e28531b00a2c865cf7eb28e4a37fa5e5166a6cfe1443d819560de"),
+        # recorded before the weak-cs report held its anti-reduction as one
+        # field: off the profile, where all three stages read nonzero (exit
+        # 1), and the degenerate split at gamma1 = 0 (exit 0)
+        (["weak-cs", "--a=11/3", "--r=2", "--c1=-29/2", "--c2=15/11", "--gamma1=2",
+          "--gamma2=-3"], 1,
+         "1e570e0cbf3c4828ab36c74809aa91c6539fdbd643059f565b40cf895084527c"),
+        (["weak-cs", "--a=-4", "--r=2", "--c1=-1", "--c2=0", "--gamma1=0", "--gamma2=-8"], 0,
+         "a86ad1f4d9cc758aa2ac557e17f144189d3faab8464817b632b7dbc079262a5e"),
     ]
     SAMPLING_IDS = [
         "check-symmetry-gss", "check-symmetry-refuted", "transform", "region",
         "weak-cs", "weak-cs-consequences", "check-symmetry-Y", "check-symmetry-Y-333-seed-9",
-        "reduce-gss", "reduce-a7_2", "check-symmetry-Xprime-moved", "check-symmetry-X-r0"]
+        "reduce-gss", "reduce-a7_2", "check-symmetry-Xprime-moved", "check-symmetry-X-r0",
+        "weak-cs-a11_3-off-profile", "weak-cs-degenerate-split"]
 
     @pytest.mark.parametrize("argv,code,report_sha", SAMPLING_CASES, ids=SAMPLING_IDS)
     def test_sampling_report_bytes(self, argv, code, report_sha):

@@ -306,8 +306,8 @@ class TestWeakCSReport:
         )
         assert rep.confirmed
         assert rep.split_exact
-        assert not rep.degenerate_split
-        assert is_zero(rep.residual_a) and is_zero(rep.residual_b)
+        assert not rep.to_dict()["anti_reduction"]["degenerate_split"]
+        assert is_zero(rep.route.residual_a) and is_zero(rep.route.residual_b)
         # the exceptional field context line: admitted on the residual manifold
         assert rep.exceptional_onshell.max_onshell_residual <= 1e-9
 
@@ -329,8 +329,8 @@ class TestWeakCSReport:
     def test_degenerate_gamma1(self):
         inst = build_instance(-1, 2, -7, -3, 0, Fraction(1, 4))
         rep = weak_cs_report(inst, n_samples=60, seed=3)
-        assert rep.degenerate_split
-        assert rep.ode_b == parse("8*vss")
+        assert rep.to_dict()["anti_reduction"]["degenerate_split"]
+        assert rep.route.ode_b == parse("8*vss")
         assert not rep.confirmed  # s^(1/4) does not satisfy vss = 0
 
     def test_non_exceptional_context(self):
@@ -402,7 +402,7 @@ def _assert_routes_agree(inst):
     names = ("A", "residual", "residual+invariance", "invariant-solution", "reduced")
     for name, got, want in zip(names, kept, _per_instance_routes(inst)):
         assert got == want, (name, inst.params_text())
-    assert rep.reduced == kept[-1]
+    assert rep.route.reduced == kept[-1]
 
 
 class TestKeptDerivations:
@@ -516,10 +516,7 @@ class TestKeptODEs:
     def test_named_instances_and_weak_cs(self, params):
         inst = build_instance(*params)
         self._assert_odes_agree(inst)
-        rep, route = weak_cs_report(inst, n_samples=3), anti_reduction(inst)
-        assert (rep.reduced, rep.ode_a, rep.ode_b, rep.profile, rep.residual_a,
-                rep.residual_b) == (route.reduced, route.ode_a, route.ode_b, route.profile,
-                                    route.residual_a, route.residual_b)
+        assert weak_cs_report(inst, n_samples=3).route == anti_reduction(inst)
 
     def test_another_r_is_refused(self):
         with pytest.raises(ValueError, match="requires r = 2"):
