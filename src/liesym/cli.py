@@ -296,11 +296,14 @@ def _cmd_transform(args, out) -> tuple[dict, bool]:
         # a structural match draws nothing, so it needs no box, nor the
         # checks region() makes for drawing from one, nor the family's
         # conditions to draw within
-        spec = SampleSpec(count=args.samples, rel_tol=1e-12, seed=args.seed)
+        intervals = None
         if not structural:
             x_lo, x_hi, y_lo, y_hi = _family_box(lam)
-            spec.intervals = {"x": (x_lo, x_hi), "y": (y_lo, y_hi)}
-            spec.positive = family.conditions()
+            intervals = {"x": (x_lo, x_hi), "y": (y_lo, y_hi)}
+        spec = SampleSpec(
+            count=args.samples, rel_tol=1e-12, seed=args.seed,
+            intervals=intervals, positive=() if structural else family.conditions(),
+        )
         res = equiv_numeric(pushed.expr, family.expr, spec)
         equiv_report = {"equivalent": res.equivalent, "samples": res.samples}
 

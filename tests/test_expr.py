@@ -101,6 +101,13 @@ class TestParse:
             parse("(x + y")
 
 
+if st is not None:
+    # the linear forms c0 + c1*x + c2*y of TestCanonical, and the points
+    # they are evaluated at
+    _LINEAR_FORMS = st.tuples(*[st.integers(-3, 3)] * 3).filter(lambda c: c[1] or c[2])
+    _LINEAR_COORDS = st.floats(0.3, 1.7)
+
+
 class TestCanonical:
     def test_power_merge(self):
         assert parse("x*x^2") == pow_(X, 3)
@@ -154,20 +161,16 @@ class TestCanonical:
         assert left == right
         assert to_text(left) == "-y*(x + x^2)"
 
-    @pytest.mark.skipif(st is None, reason="hypothesis is not installed")
-    def test_products_of_linear_forms_repeat_no_base(self):
-        coeff = st.integers(-3, 3)
-        forms = st.tuples(coeff, coeff, coeff).filter(lambda c: c[1] or c[2])
+    if st is not None:
         # (which form, negated, exponent) per factor; two forms at most, so
         # a form and its negation meet often
-        factors = st.tuples(st.integers(0, 1), st.booleans(),
-                            st.sampled_from([-2, -1, 1, 2, 3]))
-        coords = st.floats(0.3, 1.7)
-
         @settings(max_examples=300, deadline=None, database=None)
-        @given(st.lists(forms, min_size=1, max_size=2),
-               st.lists(factors, min_size=2, max_size=4), coords, coords)
-        def check(form_list, factor_list, x, y):
+        @given(st.lists(_LINEAR_FORMS, min_size=1, max_size=2),
+               st.lists(st.tuples(st.integers(0, 1), st.booleans(),
+                                  st.sampled_from([-2, -1, 1, 2, 3])),
+                        min_size=2, max_size=4),
+               _LINEAR_COORDS, _LINEAR_COORDS)
+        def test_products_of_linear_forms_repeat_no_base(self, form_list, factor_list, x, y):
             values = []
             parts = []
             for which, negated, k in factor_list:
@@ -200,8 +203,6 @@ class TestCanonical:
                 for second in ("x", "y"):
                     check_derivative(d, second)
 
-        check()
-
     @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0)])
     def test_negated_sums_merge_past_a_sum_of_equal_hash(self, order):
         # -1 - 2*x has the terms of -1 - x with other coefficients; met in
@@ -219,21 +220,17 @@ class TestCanonical:
         e = mul(pow_(p, half), pow_(p, three_halves), pow_(parse("1 + x"), -1))
         assert e == parse("-4*x^2*(-1 - x)")
 
-    @pytest.mark.skipif(st is None, reason="hypothesis is not installed")
-    def test_no_two_bases_negate_each_other_at_an_integer_exponent(self):
+    if st is not None:
         # b^m (-b)^n with an integer exponent is (-1)^n b^(m+n) (or, at an
         # integer m, (-1)^m (-b)^(m+n)): a canonical product keeps one base
-        coeff = st.integers(-3, 3)
-        forms = st.tuples(coeff, coeff, coeff).filter(lambda c: c[1] or c[2])
-        exponents = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-1, 2),
-                                     Fraction(3, 2), Fraction(1, 3)])
-        factors = st.tuples(st.integers(0, 1), st.booleans(), exponents)
-        coords = st.floats(0.3, 1.7)
-
         @settings(max_examples=300, deadline=None, database=None)
-        @given(st.lists(forms, min_size=1, max_size=2),
-               st.lists(factors, min_size=2, max_size=4), coords, coords)
-        def check(form_list, factor_list, x, y):
+        @given(st.lists(_LINEAR_FORMS, min_size=1, max_size=2),
+               st.lists(st.tuples(st.integers(0, 1), st.booleans(), st.sampled_from(
+                   [-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+                    Fraction(1, 3)])), min_size=2, max_size=4),
+               _LINEAR_COORDS, _LINEAR_COORDS)
+        def test_no_two_bases_negate_each_other_at_an_integer_exponent(
+                self, form_list, factor_list, x, y):
             parts, values = [], []
             for which, negated, k in factor_list:
                 c0, c1, c2 = form_list[which % len(form_list)]
@@ -255,8 +252,6 @@ class TestCanonical:
             want = math.prod(v ** k for v, k in values)
             got = eval_at(e, {"x": x, "y": y})
             assert abs(got - want) <= 1e-9 * (1 + abs(want)), to_text(e)
-
-        check()
 
     def test_no_automatic_expansion(self):
         e = parse("lam^2*(x^2+y^2)")
@@ -1157,6 +1152,19 @@ def _values(e, points):
     return out
 
 
+if st is not None:
+    # the trees of TestMemo: over x, y, u and a, with any sign of leaf
+    _MEMO_TREES = st.recursive(
+        st.one_of(st.sampled_from([X, Y, U, A]),
+                  st.builds(lambda n, d: Num(Fraction(n, d)),
+                            st.integers(-6, 6), st.integers(1, 4))),
+        lambda kids: st.one_of(
+            st.builds(mul, kids, kids),
+            st.builds(add, kids, kids),
+            st.builds(pow_, kids, _FOLD_NUM_EXPONENTS)),
+        max_leaves=8)
+
+
 class TestMemo:
     @staticmethod
     def _gss_family():
@@ -1231,21 +1239,10 @@ class TestMemo:
         assert mul(Fraction(0.1), X) != mul(0.1, X)
         clear_memo()
 
-    @pytest.mark.skipif(st is None, reason="hypothesis is not installed")
-    def test_cold_and_warm_agree_on_generated_trees(self):
-        leaf = st.one_of(
-            st.sampled_from([X, Y, U, A]),
-            st.builds(lambda n, d: Num(Fraction(n, d)),
-                      st.integers(-6, 6), st.integers(1, 4)))
-        exponents = st.sampled_from([-2, -1, 2, 3, Fraction(1, 2), Fraction(-1, 2)]).map(num)
-        trees = st.recursive(leaf, lambda kids: st.one_of(
-            st.builds(mul, kids, kids),
-            st.builds(add, kids, kids),
-            st.builds(pow_, kids, exponents)), max_leaves=8)
-
+    if st is not None:
         @settings(max_examples=150, deadline=None, database=None)
-        @given(trees, trees, exponents)
-        def check(e1, e2, p):
+        @given(_MEMO_TREES, _MEMO_TREES, _FOLD_NUM_EXPONENTS)
+        def test_cold_and_warm_agree_on_generated_trees(self, e1, e2, p):
             ops = (lambda: mul(e1, e2), lambda: add(e1, e2), lambda: pow_(e1, p),
                    lambda: pow_(e1, e2), lambda: diff(e1, "x"),
                    lambda: diff(mul(e1, e2), "y"))
@@ -1260,8 +1257,6 @@ class TestMemo:
                 assert warm == cold
                 assert [to_text(w) for w in warm] == [to_text(c) for c in cold]
             clear_memo()
-
-        check()
 
 
 # the claims workload's draw of a and r (perfbench/workloads.py)
@@ -1394,11 +1389,8 @@ class TestBindExpanded:
         assert again == first
         assert not any(info.currsize for info in _cache_infos().values())
 
-    @pytest.mark.skipif(st is None, reason="hypothesis is not installed")
-    def test_random_instances_bind_as_expand_of_substitute(self):
+    if st is not None:
         @settings(max_examples=200, deadline=None, database=None)
         @given(_bind_instances())
-        def check(inst):
+        def test_random_instances_bind_as_expand_of_substitute(self, inst):
             self._check(inst)
-
-        check()
