@@ -1070,12 +1070,24 @@ class TestGoldenBytes:
          "1e570e0cbf3c4828ab36c74809aa91c6539fdbd643059f565b40cf895084527c"),
         (["weak-cs", "--a=-4", "--r=2", "--c1=-1", "--c2=0", "--gamma1=0", "--gamma2=-8"], 0,
          "a86ad1f4d9cc758aa2ac557e17f144189d3faab8464817b632b7dbc079262a5e"),
+        # recorded before a verdict held its sampled remainder and weak-cs
+        # stage 1 became the check of Y: c1 a millionth off GSS's -7, where
+        # X's remainder measures 2.39e-4, between the tolerance and the
+        # refutation threshold, so check-symmetry reads inconclusive (exit
+        # 1), and weak-cs reads nonzero, nonzero and inconclusive (exit 1)
+        (["check-symmetry", "--a=-1", "--r=2", "--c1=-7.000001", "--c2=-3", "--gamma1=-3/2",
+          "--gamma2=1/4", "--field=X"], 1,
+         "f15b4f768fe953b874006126a0bd38fdef4a06011fd83c810dabea09b21b680b"),
+        (["weak-cs", "--a=-1", "--r=2", "--c1=-7.000001", "--c2=-3", "--gamma1=-3/2",
+          "--gamma2=1/4"], 1,
+         "56716c4ddadee9d56aa2d6998df9808175ca493ce60f1e0e8da5467363e2f194"),
     ]
     SAMPLING_IDS = [
         "check-symmetry-gss", "check-symmetry-refuted", "transform", "region",
         "weak-cs", "weak-cs-consequences", "check-symmetry-Y", "check-symmetry-Y-333-seed-9",
         "reduce-gss", "reduce-a7_2", "check-symmetry-Xprime-moved", "check-symmetry-X-r0",
-        "weak-cs-a11_3-off-profile", "weak-cs-degenerate-split"]
+        "weak-cs-a11_3-off-profile", "weak-cs-degenerate-split",
+        "check-symmetry-X-inconclusive", "weak-cs-inconclusive"]
 
     @pytest.mark.parametrize("argv,code,report_sha", SAMPLING_CASES, ids=SAMPLING_IDS)
     def test_sampling_report_bytes(self, argv, code, report_sha):
