@@ -27,8 +27,7 @@ from .expr import (
     SampleSpec,
     clear_memo,
     equiv_numeric,
-    eval_at,
-    substitute,
+    eval_at,  # noqa: F401  (unused: perfbench/tracing.py patches cli.eval_at)
     to_text,
 )
 from .family import (
@@ -49,7 +48,6 @@ from .orbits import (
     map_point,
     region,
     residual_grid,
-    symbolic_family_solution,
     transform_solution,
 )
 from .reduction import (
@@ -332,26 +330,13 @@ def _cmd_transform(args, out) -> tuple[dict, bool]:
         }
         if in_dom:
             try:
-                point["u"] = _value_at(pushed, args.x, args.y)
+                point["u"] = pushed.value_at(args.x, args.y)
             except DomainError:  # in the domain, only an overflow is left
                 raise argparse.ArgumentTypeError(
                     f"--x={args.x!r} --y={args.y!r}: u overflows the double range "
                     f"at this point") from None
         fields["point"] = point
     return fields, structural and (equiv_report is None or equiv_report["equivalent"])
-
-
-def _value_at(sol, x: float, y: float) -> float:
-    """u at a point of ``sol.domain``: where, a few ulps from its edge, the
-    tree of u has no value, u of the kept family solution with lam bound
-    as ``domain`` binds it, a number."""
-    try:
-        return eval_at(sol.expr, {"x": x, "y": y})
-    except DomainError:
-        if sol.lam is None:
-            raise
-    return eval_at(substitute(symbolic_family_solution(), {"a_sol": sol.a}),
-                   {"x": x, "y": y, "lam": float(sol.lam)})
 
 
 def _default_grid(args) -> GridSpec:

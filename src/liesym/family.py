@@ -43,6 +43,7 @@ from .jets import (
     X,
     Y,
     ConstraintSystem,
+    SampledRemainder,
     VectorField,
     apply_prolonged,
     prolong2,
@@ -187,22 +188,27 @@ NAMED_FIELDS = {
 
 
 class SymmetryVerdict(NamedTuple):
-    admitted: bool
-    status: str  # "admitted" | "refuted" | "inconclusive"
-    max_onshell_residual: float
-    sample_count: int
-    worst_point: dict[str, float]  # the jet point but uyy, in JET_NAMES order
-    resampled: int
-    remainder: Expr  # the field applied to the residual, on the residual manifold
+    """``check_onshell_symmetry``'s reading of a field on an instance:
+    ``status`` is "admitted", "refuted" or "inconclusive", and ``stats``
+    is the ``SampledRemainder`` it was read from, whose remainder holds no
+    uyy, so ``to_dict`` reports the worst point without it."""
+
+    status: str
+    stats: SampledRemainder
+
+    @property
+    def admitted(self) -> bool:
+        return self.status == "admitted"
 
     def to_dict(self) -> dict:
         return {
             "admitted": self.admitted,
             "status": self.status,
-            "max_onshell_residual": self.max_onshell_residual,
-            "sample_count": self.sample_count,
-            "resampled": self.resampled,
-            "worst_point": self.worst_point,
+            "max_onshell_residual": self.stats.max_abs,
+            "sample_count": self.stats.samples,
+            "resampled": self.stats.resampled,
+            "worst_point": {n: v for n, v in zip(JET_NAMES, self.stats.worst_point)
+                            if n != "uyy"},
         }
 
 
@@ -247,12 +253,13 @@ def check_onshell_symmetry(
     bound, so that it never takes the instance's number.  Any other extra
     symbol stays unbound, and compiling the remainder raises
     UnboundSymbolError unless the remainder is a structural 0.
-    ``sample_remainder`` samples the remainder's cancellation measure; a
+    ``sample_remainder`` samples the remainder's cancellation measure, and
+    the verdict holds that ``SampledRemainder`` with its status: a
     remainder that reads zero (every sample at most ``tol``) admits the
     field, one that reads nonzero (a sample at or above REFUTE_THRESHOLD)
-    refutes it, and anything in between is inconclusive.  The remainder holds no uyy, so the worst point is
-    reported without it.  ``tol`` must lie in [0, REFUTE_THRESHOLD): a
-    larger one would admit a field that a sample refutes.
+    refutes it, and anything in between is inconclusive.  ``tol`` must lie
+    in [0, REFUTE_THRESHOLD): a larger one would admit a field that a
+    sample refutes.
     """
     if not 0 <= tol < REFUTE_THRESHOLD:
         raise ValueError(f"tol must be at least 0 and below {REFUTE_THRESHOLD:g}, got {tol!r}")
@@ -263,13 +270,4 @@ def check_onshell_symmetry(
                                  f"and are not bound")
     remainder = bind_expanded(onshell_remainder(vf), inst.numbers())
     sampled = sample_remainder(remainder, n_samples, seed)
-    status = _STATUS[sampled.classify(tol)]
-    return SymmetryVerdict(
-        admitted=status == "admitted",
-        status=status,
-        max_onshell_residual=sampled.max_abs,
-        sample_count=sampled.samples,
-        worst_point={n: v for n, v in zip(JET_NAMES, sampled.worst_point) if n != "uyy"},
-        resampled=sampled.resampled,
-        remainder=sampled.remainder,
-    )
+    return SymmetryVerdict(_STATUS[sampled.classify(tol)], sampled)

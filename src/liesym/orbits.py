@@ -24,14 +24,14 @@ from fractions import Fraction
 from operator import getitem
 from typing import BinaryIO, Callable, NamedTuple, NoReturn
 
-from .errors import SingularPointError, WorkerError
+from .errors import DomainError, SingularPointError, WorkerError
 from .expr import (
     Expr,
     Num,
     add,
     as_expr,
     diff,
-    eval_at,  # noqa: F401  (unused: perfbench/tracing.py patches orbits.eval_at)
+    eval_at,
     expand,
     mul,
     num,
@@ -216,6 +216,19 @@ class ClosedFormSolution:
     def jet(self) -> dict[str, Expr]:
         """u and its derivatives up to second order, symbolically."""
         return _jet(self.expr)
+
+    def value_at(self, x: float, y: float) -> float:
+        """u at a point of ``domain``.  A few ulps from the domain's edge
+        the tree of u may have no value where ``domain`` reads True; a
+        solution with a lam then reads u of the kept family solution with
+        its a and lam bound as ``domain`` binds lam, a number."""
+        try:
+            return eval_at(self.expr, {"x": x, "y": y})
+        except DomainError:
+            if self.lam is None:
+                raise
+        return eval_at(substitute(symbolic_family_solution(), {"a_sol": self.a}),
+                       {"x": x, "y": y, "lam": float(self.lam)})
 
 
 def _jet(u: Expr) -> dict[str, Expr]:

@@ -307,7 +307,10 @@ class StageResult(NamedTuple):
     name: str
     system: ConstraintSystem
     stats: SampledRemainder
-    verdict: str
+
+    @property
+    def verdict(self) -> str:
+        return self.stats.classify()
 
     def to_dict(self) -> dict:
         return {
@@ -338,7 +341,7 @@ class WeakCSReport(NamedTuple):
         return {
             "instance": self.instance.params_text(),
             "is_exceptional": self.instance.is_exceptional,
-            "exceptional_field_onshell_max": self.exceptional_onshell.max_onshell_residual,
+            "exceptional_field_onshell_max": self.exceptional_onshell.stats.max_abs,
             "stages": [s.to_dict() for s in self.stages],
             "anti_reduction": {
                 "reduced": to_text(self.route.reduced),
@@ -363,15 +366,15 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = DEFAULT_SAMPLES,
     residual, is restricted exactly to three nested manifolds: the residual
     manifold, then adding the invariance condition, then the 2-jet of the
     invariant solution (x^2 - y^2)^(-a/4), where A vanishes when the
-    system {residual, invariance, A} is compatible.  The first two
-    remainders are kept derivations bound to the instance by
-    ``bind_expanded`` (the first is what ``check-symmetry --field Y``
-    samples, the second restricts it by the invariance condition); the
-    third substitutes the instance's numbers and jet into the kept
-    symbolic A in one substitution and expands, which is the restriction
-    to the jet's constraints ``u - u(x, y)``, ..., each solved with
-    coefficient 1.
-    Each remainder is sampled for its verdict.  The anti-reduction route
+    system {residual, invariance, A} is compatible.  Stage 1 is the check
+    of Y, ``check_onshell_symmetry(rotation_like_vf(), ...)``, whose
+    sampled remainder the stage holds.  The second stage binds the kept
+    ``symbolic_invariance_remainder()`` by ``bind_expanded``; the third
+    substitutes the instance's numbers and jet into the kept symbolic A in
+    one substitution and expands, which is the restriction to the jet's
+    constraints ``u - u(x, y)``, ..., each solved with coefficient 1.
+    Both are sampled here, and each stage's verdict is its sampled
+    remainder's ``classify()``.  The anti-reduction route
     follows (``anti_reduction``, kept as the report's ``route``): reduce,
     split by powers of x^2, and verify the power profile against both
     separated ODEs, each bound from its kept derivation.  An instance with
@@ -384,17 +387,14 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = DEFAULT_SAMPLES,
     jet = base_solution(inst.a).jet()
     solution = ConstraintSystem(
         tuple(add(sym(n), mul(num(-1), v)) for n, v in jet.items()), tuple(jet))
-    stage_systems = (
-        ("residual", ConstraintSystem((delta,), ("uyy",)),
-         bind_expanded(onshell_remainder(rotation_like_vf()), inst.numbers())),
+    y_check = check_onshell_symmetry(rotation_like_vf(), inst, n_samples, seed=seed)
+    stages = [StageResult("residual", ConstraintSystem((delta,), ("uyy",)), y_check.stats)]
+    for name, system, remainder in (
         ("residual+invariance", ConstraintSystem((delta, invariance_condition()), ("uyy", "uy")),
          bind_expanded(symbolic_invariance_remainder(), inst.numbers())),
         ("invariant-solution", solution, expand(inst.bind(symbolic_auxiliary(), **jet))),
-    )
-    stages = []
-    for name, system, remainder in stage_systems:
-        stats = sample_remainder(remainder, n_samples, seed)
-        stages.append(StageResult(name, system, stats, stats.classify()))
+    ):
+        stages.append(StageResult(name, system, sample_remainder(remainder, n_samples, seed)))
 
     # context: the exceptional field on the same residual manifold
     x_check = check_onshell_symmetry(exceptional_vf(), inst, n_samples, seed=seed)

@@ -212,7 +212,7 @@ class TestAgainstSympy:
 
         inst = build_instance(Fraction(1, 3), 0, Fraction(131, 10), 13, Fraction(-2, 3), -8)
         vf = NAMED_FIELDS[field]()
-        mine = check_onshell_symmetry(vf, inst, n_samples=1).remainder
+        mine = check_onshell_symmetry(vf, inst, n_samples=1).stats.remainder
         target = apply_prolonged(prolong2(vf.bind(a=inst.a)), inst.delta)
         names = ("x", "y", "u", "ux", "uy", "uxx", "uxy", "uyy")
         syms = {n: sympy.Symbol(n, positive=n in ("x", "u")) for n in names}

@@ -159,8 +159,8 @@ class TestOnShell:
         verdict = check_onshell_symmetry(exceptional_vf(), gss_preset(),
                                          n_samples=200, seed=42)
         assert verdict.admitted
-        assert verdict.max_onshell_residual <= 1e-9
-        assert verdict.sample_count == 200
+        assert verdict.stats.max_abs <= 1e-9
+        assert verdict.stats.samples == 200
 
     def test_perturbed_exponent_refuted(self):
         bad = build_instance(-1, 2, "-6.9", -3, -1.5, 0.25)
@@ -168,7 +168,7 @@ class TestOnShell:
                                          n_samples=200, seed=42)
         assert not verdict.admitted
         assert verdict.status == "refuted"
-        assert verdict.max_onshell_residual >= 1e-3
+        assert verdict.stats.max_abs >= 1e-3
 
     def test_y_translation_always_admitted(self):
         for inst in (gss_preset(), build_instance(2, 1, 5, 3, 1, 2)):
@@ -187,7 +187,7 @@ class TestOnShell:
             inst = build_instance(str(a), str(r), c1, c2, 1, 1)
             ok = check_onshell_symmetry(exceptional_vf(), inst,
                                         n_samples=40, seed=5)
-            assert ok.admitted, f"a={a}, r={r}: {ok.max_onshell_residual}"
+            assert ok.admitted, f"a={a}, r={r}: {ok.stats.max_abs}"
             oks = check_onshell_symmetry(scaling_vf(), inst, n_samples=40, seed=5)
             assert oks.admitted
 
@@ -200,7 +200,7 @@ class TestOnShell:
             ):
                 verdict = check_onshell_symmetry(exceptional_vf(), bad,
                                                  n_samples=40, seed=5)
-                assert verdict.max_onshell_residual >= 1e-3
+                assert verdict.stats.max_abs >= 1e-3
                 assert not verdict.admitted
 
     def test_inconclusive_band(self, monkeypatch):
@@ -222,8 +222,8 @@ class TestOnShell:
     def test_deterministic_for_fixed_seed(self):
         v1 = check_onshell_symmetry(exceptional_vf(), gss_preset(), 50, seed=9)
         v2 = check_onshell_symmetry(exceptional_vf(), gss_preset(), 50, seed=9)
-        assert v1.max_onshell_residual == v2.max_onshell_residual
-        assert v1.worst_point == v2.worst_point
+        assert v1.stats.max_abs == v2.stats.max_abs
+        assert v1.to_dict()["worst_point"] == v2.to_dict()["worst_point"]
 
 
 class TestExactRemainders:
@@ -240,14 +240,14 @@ class TestExactRemainders:
             for r in self.R_VALUES:
                 inst = build_instance(a, r, *exceptional_exponents(a, r), Fraction(-3, 2), 7)
                 for name, vf in NAMED_FIELDS.items():
-                    remainder = check_onshell_symmetry(vf(), inst, n_samples=1).remainder
+                    remainder = check_onshell_symmetry(vf(), inst, n_samples=1).stats.remainder
                     assert is_zero(remainder) == (name != "Y"), (a, r, name)
 
     def test_admitted_field_reads_exactly_zero(self):
         verdict = check_onshell_symmetry(exceptional_vf(), gss_preset())
-        assert is_zero(verdict.remainder)
-        assert (verdict.max_onshell_residual, verdict.resampled) == (0.0, 0)
-        assert "uyy" not in verdict.worst_point
+        assert is_zero(verdict.stats.remainder)
+        assert (verdict.stats.max_abs, verdict.stats.resampled) == (0.0, 0)
+        assert "uyy" not in verdict.to_dict()["worst_point"]
 
     def test_refuted_instance_of_the_claims_draw(self):
         # a perturbed c1 at r = 0.  Measured as the unrestricted residual
@@ -255,8 +255,8 @@ class TestExactRemainders:
         # the terms that cancel on the manifold set that measure's scale
         inst = build_instance(Fraction(1, 3), 0, Fraction(131, 10), 13, Fraction(-2, 3), -8)
         verdict = check_onshell_symmetry(exceptional_vf(), inst, seed=313694)
-        assert verdict.remainder == parse("-1/45*y*u^(131/10)")
-        assert verdict.status == "refuted" and verdict.max_onshell_residual > 0.9
+        assert verdict.stats.remainder == parse("-1/45*y*u^(131/10)")
+        assert verdict.status == "refuted" and verdict.stats.max_abs > 0.9
 
 
 def _per_instance_remainder(vf, inst):
@@ -269,7 +269,7 @@ def _per_instance_remainder(vf, inst):
 
 def _assert_routes_agree(inst):
     for name, vf in NAMED_FIELDS.items():
-        kept = check_onshell_symmetry(vf(), inst, n_samples=1).remainder
+        kept = check_onshell_symmetry(vf(), inst, n_samples=1).stats.remainder
         assert kept == _per_instance_remainder(vf(), inst), (name, inst.params_text())
 
 

@@ -144,6 +144,43 @@ class TestMapPoint:
             assert abs(twice[1] - once[1]) <= 1e-12 * scale
 
 
+class TestGroupLawExact:
+    """The finite action is a one-parameter group, exactly: mapping by l2
+    and then by l1 is mapping by l1 + l2.  With x~ = x / C(l2) and
+    y~ = B(l2) / C(l2), where B(lam) = y + lam (x^2 + y^2), each identity
+    is one of the composition's, cleared of its denominators C(l2)^k."""
+
+    L1, L2 = sym("l1"), sym("l2")
+    X = sym("x")
+
+    @staticmethod
+    def c(lam):
+        return substitute(orbits._C_EXPR, {"lam": lam})
+
+    @staticmethod
+    def b(lam):
+        return substitute(orbits._B_EXPR, {"lam": lam})
+
+    def test_the_mapped_radius(self):
+        # x~^2 + y~^2 = rho^2 / C(l2)
+        l2 = self.L2
+        assert expand(self.X**2 + self.b(l2)**2 - orbits._RHO2 * self.c(l2)) == num(0)
+
+    def test_the_conformal_factor_composes(self):
+        # C(l1)(x~, y~) = C(l1 + l2) / C(l2), so x~ / C(l1)(x~, y~) = x / C(l1 + l2)
+        l1, l2 = self.L1, self.L2
+        c2, b2 = self.c(l2), self.b(l2)
+        lhs = c2**2 + l1**2 * (self.X**2 + b2**2) + 2 * l1 * b2 * c2
+        assert expand(lhs - c2 * self.c(l1 + l2)) == num(0)
+
+    def test_the_y_numerator_composes(self):
+        # B(l1)(x~, y~) = B(l1 + l2) / C(l2), so the mapped y is B / C at l1 + l2
+        l1, l2 = self.L1, self.L2
+        c2, b2 = self.c(l2), self.b(l2)
+        lhs = b2 * c2 + l1 * (self.X**2 + b2**2)
+        assert expand(lhs - self.b(l1 + l2) * c2) == num(0)
+
+
 class TestBaseSolution:
     def test_reference_value(self):
         sol = base_solution(-1)
