@@ -727,11 +727,9 @@ def bind_expanded(e: Expr, numbers: Mapping) -> Expr:
     return expand(substitute(e, numbers)) if result is None else result
 
 
-# The plans of the derivations kept across commands (family.onshell_remainder
-# and the kept derivations of reduction), each bound to every instance;
-# clear_memo leaves them, as it leaves the derivations themselves.  The CLI
-# binds ten of them: four remainders, stage 2's, the reduction, and its two
-# ODEs and their two residuals.
+# The plans of the expanded derivations in family.KEPT, each bound to every
+# instance; clear_memo leaves them, as it leaves the table.  The bound holds
+# every one of them (tests/test_family.py::TestRemainderCache).
 @functools.lru_cache(maxsize=16)
 def _bind_plan(e: Expr, names: tuple[str, ...]):
     """e's terms read for binding ``names``, or None where a term is not

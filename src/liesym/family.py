@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import UnboundSymbolError
 from .expr import (
@@ -24,6 +24,7 @@ from .expr import (
     as_expr,
     bind_expanded,
     eval_at,  # noqa: F401  (unused: perfbench/tracing.py patches family.eval_at)
+    is_zero,
     mul,
     num,
     pow_,
@@ -53,6 +54,32 @@ from .jets import (
 _A = sym("a")
 
 PARAMETERS = ("a", "r", "c1", "c2", "gamma1", "gamma2")
+
+# The kept derivations.  Every check-symmetry, weak-cs, reduce, transform
+# and residual-grid command repeats the same symbolic work, and two commands
+# differ only in the instance's numbers.  So each derivation is built once
+# over the symbols of PARAMETERS (and a_sol, lam for the solutions), and a
+# command binds its numbers into the result: an expanded sum through
+# expr.bind_expanded, the others by substitution or compilation.  The named
+# fields are kept with them, so a check looks its remainder up without
+# rebuilding its field.  A derivation takes no argument, or a field compared
+# and hashed by its components, and its result is immutable, so a hit
+# returns what the body would build.  clear_memo leaves the table, nothing is
+# derived at import, and the last 8 results of each are kept.  Weak-cs stage
+# 3 is not kept: over symbolic a its remainder holds an integer power above
+# 16 of a sum, which expand leaves alone, and off the exponent pair binding
+# the numbers into symbolic_auxiliary() before the jet differs from binding
+# both at once (at a = 11/3, c1 = -29/2: 2 terms against 3), so stage 3
+# substitutes the numbers and the jet in one substitution.
+KEPT: dict[str, Callable] = {}
+
+
+def kept(derive: Callable) -> Callable:
+    """Keep ``derive``'s results across commands, registered in KEPT under
+    ``"module.name"``: ``functools.lru_cache(maxsize=8)(derive)``."""
+    cached = functools.lru_cache(maxsize=8)(derive)
+    KEPT[f"{derive.__module__.rpartition('.')[2]}.{derive.__name__}"] = cached
+    return cached
 
 
 def family_residual(a, r, c1, c2, gamma1, gamma2) -> Expr:
@@ -149,10 +176,7 @@ def gss_preset() -> PDEInstance:
 PRESETS = {"gss": gss_preset}
 
 
-# The named fields are built once per process and kept across clear_memo,
-# as the key of each one's kept remainder in onshell_remainder already is:
-# a check then looks its remainder up without rebuilding the field.
-@functools.cache
+@kept
 def exceptional_vf() -> VectorField:
     """X = 2xy d/dx + (y^2 - x^2) d/dy - a y u d/du, with a symbolic."""
     return VectorField(
@@ -162,19 +186,19 @@ def exceptional_vf() -> VectorField:
     )
 
 
-@functools.cache
+@kept
 def scaling_vf() -> VectorField:
     """X' = x d/dx + y d/dy - (a/2) u d/du, with a symbolic."""
     return VectorField(X, Y, mul(Num(Fraction(-1, 2)), _A, U))
 
 
-@functools.cache
+@kept
 def rotation_like_vf() -> VectorField:
     """Y = y d/dx + x d/dy, the hyperbolic rotation annihilating x^2 - y^2."""
     return VectorField(Y, X, Num(Fraction(0)))
 
 
-@functools.cache
+@kept
 def y_translation_vf() -> VectorField:
     return VectorField(Num(Fraction(0)), Num(Fraction(1)), Num(Fraction(0)))
 
@@ -214,12 +238,11 @@ class SymmetryVerdict(NamedTuple):
 
 _STATUS = {"zero": "admitted", "nonzero": "refuted", "inconclusive": "inconclusive"}
 
+# check_onshell_symmetry's exact witness point
+_WITNESS = {"x": 1, "y": 1, "u": 1, "ux": 0, "uy": 0, "uxx": 0, "uxy": 1}
 
-# Every check of a named field restricts the same field again, and only the
-# numbers of the instance differ.  The field is compared and hashed by its
-# components and the remainder is immutable, so a hit returns what the body
-# would build; the CLI's four named fields take four entries whatever a is.
-@functools.lru_cache(maxsize=8)
+
+@kept
 def onshell_remainder(vf: VectorField) -> Expr:
     """The field's on-shell remainder over symbolic parameters: the
     prolonged field applied to delta and restricted to delta = 0, with
@@ -228,7 +251,7 @@ def onshell_remainder(vf: VectorField) -> Expr:
     ``y*gamma1*u^c1*x^r*(a*c1 - a - 2*r - 4) + y*gamma2*u^c2*(a*c2 - a - 4)``.
     ``ConstraintSystem.restrict`` solves delta for uyy and substitutes the
     solution.  A symbol of the field named like a parameter is that
-    parameter.  The last 8 results are kept."""
+    parameter.  Kept (``kept``): one entry per field."""
     delta = symbolic_residual()
     return ConstraintSystem((delta,), ("uyy",)).restrict(apply_prolonged(prolong2(vf), delta))
 
@@ -254,12 +277,16 @@ def check_onshell_symmetry(
     symbol stays unbound, and compiling the remainder raises
     UnboundSymbolError unless the remainder is a structural 0.
     ``sample_remainder`` samples the remainder's cancellation measure, and
-    the verdict holds that ``SampledRemainder`` with its status: a
-    remainder that reads zero (every sample at most ``tol``) admits the
-    field, one that reads nonzero (a sample at or above REFUTE_THRESHOLD)
-    refutes it, and anything in between is inconclusive.  ``tol`` must lie
-    in [0, REFUTE_THRESHOLD): a larger one would admit a field that a
-    sample refutes.
+    the verdict holds that ``SampledRemainder`` with its status, in three
+    ways.  A remainder that reads nonzero (a sample at or above
+    REFUTE_THRESHOLD) refutes the field, and a structural 0 admits it.
+    Any other remainder is substituted exactly at the point x = y = u = 1,
+    ux = uy = uxx = 0, uxy = 1: a nonzero number there refutes the field,
+    and anything else is inconclusive, so a remainder that is not a
+    structural 0 never admits it, however small its sampled measure.  The
+    statistics stay the sampled ones.  ``tol`` must lie in
+    [0, REFUTE_THRESHOLD): a larger one would read a refuting sample as
+    within tolerance.
     """
     if not 0 <= tol < REFUTE_THRESHOLD:
         raise ValueError(f"tol must be at least 0 and below {REFUTE_THRESHOLD:g}, got {tol!r}")
@@ -270,4 +297,8 @@ def check_onshell_symmetry(
                                  f"and are not bound")
     remainder = bind_expanded(onshell_remainder(vf), inst.numbers())
     sampled = sample_remainder(remainder, n_samples, seed)
-    return SymmetryVerdict(_STATUS[sampled.classify(tol)], sampled)
+    status = _STATUS[sampled.classify(tol)]
+    if status != "refuted" and not is_zero(remainder):
+        witness = substitute(remainder, _WITNESS)
+        status = "refuted" if isinstance(witness, Num) and witness.value else "inconclusive"
+    return SymmetryVerdict(status, sampled)

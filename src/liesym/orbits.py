@@ -43,7 +43,7 @@ from .expr import (
     to_predicate,
     to_row_kernel,
 )
-from .family import PDEInstance, exceptional_vf, nonzero_a, scaling_vf, symbolic_residual
+from .family import PDEInstance, exceptional_vf, kept, nonzero_a, scaling_vf, symbolic_residual
 from .jets import X, Y, characteristic
 
 _LAM = sym("lam")
@@ -280,7 +280,7 @@ def _pushforward(sol: ClosedFormSolution, lam) -> tuple[Expr, tuple[Expr, ...]]:
     return u, (c, *(mul(pow_(c, num(2)), substitute(p, {"x": xt, "y": yt})) for p in bound))
 
 
-@functools.cache
+@kept
 def symbolic_pushforward() -> tuple[Expr, tuple[Expr, ...]]:
     """The pushforward of the base solution over symbolic a_sol and lam,
     kept: ``(u, positive)``, derived once.  Its u is structurally
@@ -366,14 +366,14 @@ class ResidualField(NamedTuple):
     n_masked_off_real: int
 
 
-@functools.cache
+@kept
 def symbolic_family_solution() -> Expr:
     """``family_expr(a_sol, lam)``, kept: the u that residual grids compile
     with ``symbolic_family_residual()``."""
     return family_expr(_A_SOL, _LAM)
 
 
-@functools.cache
+@kept
 def symbolic_family_residual() -> Expr:
     """The family residual, in the symbols of PARAMETERS, on the jet of
     ``family_expr(a_sol, lam)`` with lam symbolic and the solution's own

@@ -17,7 +17,6 @@ symmetry, and reports the two routes together.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -50,6 +49,7 @@ from .family import (
     SymmetryVerdict,
     check_onshell_symmetry,
     exceptional_vf,
+    kept,
     nonzero_a,
     onshell_remainder,
     rotation_like_vf,
@@ -117,44 +117,22 @@ def reduce_residual(delta: Expr) -> Expr:
     return expand(e)
 
 
-# The kept derivations below serve every weak-cs and reduce command, and
-# only the numbers of the instance differ between two of them.  Each is
-# built once over the symbols of family.PARAMETERS, takes no argument and so
-# keeps one entry, and is bound to an instance, as family.onshell_remainder
-# is for check-symmetry; nothing is derived at import.  The reduction and
-# the stage-2 remainder are sums of monomials with no base common to every
-# term, so substituting the numbers leaves them expanded, and
-# expr.bind_expanded binds them through its plan to the same tree
-# (tests/test_expr.py::TestBindExpanded checks both over drawn instances).
-# The separated ODEs and their residuals on the power profile are kept in
-# the same way, at r = 2 and over symbolic a (symbolic_odes and
-# symbolic_ode_residuals), so reduce and weak-cs bind the anti-reduction
-# route and neither split nor differentiate per command.
-# The auxiliary constraint is not expanded; stage 3 binds the numbers and
-# the invariant solution's jet into it in one substitution.
-# The invariant-solution stage is not kept: restricted over symbolic a, its
-# remainder is structurally different from the per-instance one (expand
-# leaves an integer power above 16 of a sum alone, so a kept remainder
-# bound at c1 = 1340 reads -2*x*y*(x^2 - y^2)^335, where substituting the
-# instance's own jet gives two terms).  Nor can the numbers be bound into
-# A and expanded before the jet is substituted: off the exponent pair that
-# differs from the one substitution on about half of the drawn instances
-# (at a = 11/3, c1 = -29/2 it reads 2 terms where the one substitution
-# reads 3).
-@functools.cache
+@kept
 def symbolic_reduction() -> Expr:
     """``reduce_residual`` of the symbolic family residual:
     ``-4*s*vss - gamma1*v^(c1)*x^(r) - gamma2*v^(c2) + 2*a*vs + 8*vss*x^2``."""
     return reduce_residual(symbolic_residual())
 
 
-@functools.cache
+@kept
 def symbolic_auxiliary() -> Expr:
-    """The prolonged rotation applied to the symbolic family residual."""
+    """The auxiliary constraint A, added on top of the invariance
+    condition: the prolonged rotation applied to the symbolic family
+    residual, which ``inst.bind`` binds to an instance."""
     return apply_prolonged(prolong2(rotation_like_vf()), symbolic_residual())
 
 
-@functools.cache
+@kept
 def symbolic_invariance_remainder() -> Expr:
     """The stage-1 remainder ``onshell_remainder(Y)`` restricted by the
     invariance condition alone, solved for uy:
@@ -203,14 +181,14 @@ def split_by_x2(red: Expr) -> tuple[Expr, Expr]:
     return add(*part_a), add(*part_b)
 
 
-@functools.cache
+@kept
 def symbolic_odes() -> tuple[Expr, Expr]:
     """``split_by_x2`` of ``symbolic_reduction()`` at r = 2:
     ``(-4*s*vss - gamma2*v^(c2) + 2*a*vs, -gamma1*v^(c1) + 8*vss)``."""
     return split_by_x2(expand(substitute(symbolic_reduction(), {"r": num(2)})))
 
 
-@functools.cache
+@kept
 def symbolic_ode_residuals() -> tuple[Expr, Expr]:
     """``verify_ode`` of each of ``symbolic_odes()`` against the profile
     ``candidate_profile(a)`` with a symbolic: the residual of ode_a is
@@ -290,13 +268,6 @@ def restricted_eval(target: Expr, system: ConstraintSystem, n_samples: int = DEF
 def invariance_condition() -> Expr:
     """First-order invariance condition of the rotation field: y ux + x uy."""
     return add(mul(Y, UX), mul(X, UY))
-
-
-def auxiliary_constraint(inst: PDEInstance) -> Expr:
-    """The prolonged rotation applied to the residual (the constraint
-    added on top of the invariance condition): the kept
-    ``symbolic_auxiliary()`` with the instance's numbers bound."""
-    return inst.bind(symbolic_auxiliary())
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from liesym import (
     GridSpec,
     SampleSpec,
     apply_prolonged,
-    auxiliary_constraint,
     base_solution,
     build_instance,
     candidate_profile,
@@ -39,6 +38,7 @@ from liesym import (
     scaling_invariance_residual,
     split_by_x2,
     sym,
+    symbolic_auxiliary,
     transform_solution,
     verify_ode,
     check_onshell_symmetry,
@@ -189,7 +189,7 @@ def test_07_anti_reduction():
 
 def test_08_weak_conditional_symmetry_chain():
     gss = gss_preset()
-    target = auxiliary_constraint(gss)
+    target = gss.bind(symbolic_auxiliary())
     cond = invariance_condition()
     stage1 = restricted_eval(target, ConstraintSystem(
         (gss.delta,), ("uyy",)), n_samples=200, seed=42)

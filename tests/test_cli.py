@@ -20,6 +20,7 @@ from liesym import (GridSpec, base_solution, candidate_profile, eval_at, excepti
                     expr, family_solution, gss_preset, mul, region, sym)
 from liesym import cli
 from liesym.cli import _print_report, build_parser, emit_csv, run
+from liesym.family import PARAMETERS
 from liesym.orbits import CSV_HEADER
 from test_readme import COMMANDS as README_COMMANDS
 
@@ -139,6 +140,50 @@ class TestCheckSymmetry:
         code, out, _ = run_cli(
             ["check-symmetry", "--preset", "gss", "--field", "Y"])
         assert code == 1
+
+    # exceptional instances: GSS, and two more (a, r) with the pair's exponents
+    EXCEPTIONAL = [
+        (Fraction(-1), Fraction(2), Fraction(-7), Fraction(-3), Fraction(-3, 2), Fraction(1, 4)),
+        (Fraction(7, 2), Fraction(2), Fraction(23, 7), Fraction(15, 7), Fraction(105, 8),
+         Fraction(-203, 16)),
+        (Fraction(-5, 3), Fraction(1), Fraction(-13, 5), Fraction(-7, 5), Fraction(2), Fraction(-3)),
+    ]
+
+    @pytest.mark.parametrize("field", ["X", "Xprime"])
+    @pytest.mark.parametrize("param", ["c1", "c2", "r"])
+    def test_an_exponent_off_the_pair_is_refuted_however_close(self, field, param):
+        # off the pair by 10^-12 or less, the remainder's sampled measure
+        # lies below the tolerance: at its witness point it reads a nonzero
+        # number, such as -3/2*10^-12 for X at c1 = -7.000000000001
+        for params in self.EXCEPTIONAL:
+            assert exceptional_exponents(*params[:2]) == params[2:4]
+            for k in (1, 6, 9, 12, 15):
+                for offset in (Fraction(1, 10**k), Fraction(-1, 10**k)):
+                    values = dict(zip(PARAMETERS, params))
+                    values[param] += offset
+                    code, out, _ = run_cli(["check-symmetry", f"--field={field}",
+                                            *(f"--{n}={v}" for n, v in values.items())])
+                    assert (code, json.loads(out)["status"]) == (1, "refuted"), values
+
+    def test_named_fields_on_the_pair_keep_their_reading(self):
+        # the claims workload's exceptional instances: X, X' and dy leave a
+        # structural 0 and Y a remainder that sampling refutes, so none of
+        # them reaches the witness
+        from test_expr import _CLAIMS_A, _CLAIMS_R
+
+        rng = random.Random(11)
+        statuses = {"X": "admitted", "Xprime": "admitted", "Y": "refuted", "dy": "admitted"}
+        for a in _CLAIMS_A:
+            for r in _CLAIMS_R:
+                c1, c2 = exceptional_exponents(a, r)
+                g1, g2 = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+                          for _ in range(2))
+                flags = [f"--a={a}", f"--r={r}", f"--c1={c1}", f"--c2={c2}", f"--gamma1={g1}",
+                         f"--gamma2={g2}"]
+                for field, status in statuses.items():
+                    code, out, _ = run_cli(["check-symmetry", *flags, f"--field={field}"])
+                    assert json.loads(out)["status"] == status, (flags, field)
+                    assert code == (status != "admitted"), (flags, field)
 
     def test_missing_instance_flags(self):
         code, _, err = run_cli(["check-symmetry", "--field", "X"])
@@ -1073,11 +1118,14 @@ class TestGoldenBytes:
         # recorded before a verdict held its sampled remainder and weak-cs
         # stage 1 became the check of Y: c1 a millionth off GSS's -7, where
         # X's remainder measures 2.39e-4, between the tolerance and the
-        # refutation threshold, so check-symmetry reads inconclusive (exit
-        # 1), and weak-cs reads nonzero, nonzero and inconclusive (exit 1)
+        # refutation threshold, and weak-cs reads nonzero, nonzero and
+        # inconclusive (exit 1).  The check-symmetry digest was re-recorded
+        # when the check began to substitute such a remainder exactly at its
+        # witness point: it reads -3/2000000 there, so the status went from
+        # inconclusive to refuted, and every other byte is unchanged (exit 1)
         (["check-symmetry", "--a=-1", "--r=2", "--c1=-7.000001", "--c2=-3", "--gamma1=-3/2",
           "--gamma2=1/4", "--field=X"], 1,
-         "f15b4f768fe953b874006126a0bd38fdef4a06011fd83c810dabea09b21b680b"),
+         "8dc2be70dee9d59ea8a384bab6331278b866d3318fc1ac1837aee2df23b66832"),
         (["weak-cs", "--a=-1", "--r=2", "--c1=-7.000001", "--c2=-3", "--gamma1=-3/2",
           "--gamma2=1/4"], 1,
          "56716c4ddadee9d56aa2d6998df9808175ca493ce60f1e0e8da5467363e2f194"),
@@ -1087,7 +1135,7 @@ class TestGoldenBytes:
         "weak-cs", "weak-cs-consequences", "check-symmetry-Y", "check-symmetry-Y-333-seed-9",
         "reduce-gss", "reduce-a7_2", "check-symmetry-Xprime-moved", "check-symmetry-X-r0",
         "weak-cs-a11_3-off-profile", "weak-cs-degenerate-split",
-        "check-symmetry-X-inconclusive", "weak-cs-inconclusive"]
+        "check-symmetry-X-refuted-millionth", "weak-cs-inconclusive"]
 
     @pytest.mark.parametrize("argv,code,report_sha", SAMPLING_CASES, ids=SAMPLING_IDS)
     def test_sampling_report_bytes(self, argv, code, report_sha):

@@ -15,7 +15,6 @@ from liesym import (
     GridSpec,
     SampleSpec,
     SamplingError,
-    auxiliary_constraint,
     check_onshell_symmetry,
     equiv_numeric,
     eval_at,
@@ -28,6 +27,7 @@ from liesym import (
     region,
     restricted_eval,
     substitute,
+    symbolic_auxiliary,
     to_callable,
     weak_cs_report,
 )
@@ -55,7 +55,7 @@ class TestNoTreeWalkPerSample:
     def test_restricted_eval(self, no_tree_walks):
         gss = gss_preset()
         system = ConstraintSystem((gss.delta, invariance_condition()), ("uyy", "uy"))
-        res = restricted_eval(auxiliary_constraint(gss), system, n_samples=30)
+        res = restricted_eval(gss.bind(symbolic_auxiliary()), system, n_samples=30)
         assert res.samples == 30 and res.max_abs >= 1e-2
 
     def test_restricted_eval_solves_symbols_outside_jet_space(self, no_tree_walks):

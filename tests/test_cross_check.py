@@ -180,14 +180,14 @@ class TestAgainstSympy:
     def test_stage_remainders_are_sympys_elimination(self, a):
         # stage 1 solves the residual for uyy, stage 2 also the invariance
         # condition for uy; sympy solves the same equations on its own
-        from liesym import (ConstraintSystem, auxiliary_constraint, build_instance,
-                            invariance_condition)
+        from liesym import (ConstraintSystem, build_instance, invariance_condition,
+                            symbolic_auxiliary)
 
         a = Fraction(a)
         k = -a / 4  # the profile gammas in the form the grid tests use
         inst = build_instance(a, 2, 1 + 8 / a, 1 + 4 / a, 8 * k * (k - 1),
                               2 * a * k - 4 * k * (k - 1))
-        target = auxiliary_constraint(inst)
+        target = inst.bind(symbolic_auxiliary())
         cond = invariance_condition()
         names = ("x", "y", "u", "ux", "uy", "uxx", "uxy", "uyy")
         syms = {n: sympy.Symbol(n, positive=n in ("x", "u")) for n in names}

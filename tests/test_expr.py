@@ -1,5 +1,6 @@
 """Expression kernel: parsing, canonical forms, calculus, evaluation."""
 
+import functools
 import io
 import math
 import random
@@ -18,6 +19,7 @@ except ImportError:  # optional test dependency, like sympy in test_cross_check.
 from liesym import (
     NAMED_FIELDS,
     DomainError,
+    Expr,
     GridSpec,
     Num,
     ParseError,
@@ -47,17 +49,13 @@ from liesym import (
     simplify,
     substitute,
     sym,
-    symbolic_invariance_remainder,
-    symbolic_ode_residuals,
-    symbolic_odes,
-    symbolic_reduction,
     to_callable,
     to_text,
     weak_cs_report,
 )
 from liesym import expr, orbits
 from liesym.expr import clear_memo
-from liesym.family import PARAMETERS
+from liesym.family import KEPT, PARAMETERS
 
 from test_orbits import sample_in_region
 
@@ -1264,16 +1262,29 @@ _CLAIMS_A = sorted({Fraction(p, q) for p in (*range(-8, 0), *range(1, 9)) for q 
 _CLAIMS_R = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
 
 
-def _kept_derivations():
-    """(name, derivation, whether substituting alone leaves it expanded)
-    for every derivation the CLI binds through ``bind_expanded``."""
-    kept = [(f"onshell_remainder({name})", onshell_remainder(field()), False)
-            for name, field in NAMED_FIELDS.items()]
-    return kept + [("symbolic_invariance_remainder", symbolic_invariance_remainder(), True),
-                   ("symbolic_reduction", symbolic_reduction(), True),
-                   *((f"symbolic_odes[{i}]", e, True) for i, e in enumerate(symbolic_odes())),
-                   *((f"symbolic_ode_residuals[{i}]", e, False)
-                     for i, e in enumerate(symbolic_ode_residuals()))]
+# the kept derivations that are flat sums whose terms share no base:
+# substituting the numbers alone already leaves them expanded
+_EXPANDED_BY_SUBSTITUTION = ("reduction.symbolic_invariance_remainder",
+                             "reduction.symbolic_reduction", "reduction.symbolic_odes[0]",
+                             "reduction.symbolic_odes[1]")
+
+
+@functools.cache
+def _kept_derivations() -> tuple[tuple[str, Expr], ...]:
+    """(name, derivation) for every expanded sum of family.KEPT, the
+    derivations the CLI binds through ``bind_expanded``: a derivation of
+    a field is taken of each named field, and a tuple's items one by one."""
+    kept = []
+    for name, derive in KEPT.items():
+        if derive.__wrapped__.__code__.co_argcount:
+            results = {f"{name}({f})": derive(vf()) for f, vf in NAMED_FIELDS.items()}
+        else:
+            results = {name: derive()}
+        for label, result in results.items():
+            items = ({f"{label}[{i}]": e for i, e in enumerate(result)}
+                     if isinstance(result, tuple) else {label: result})
+            kept += [(k, e) for k, e in items.items() if isinstance(e, Expr) and e == expand(e)]
+    return tuple(kept)
 
 
 if st is not None:
@@ -1303,21 +1314,21 @@ class TestBindExpanded:
     @staticmethod
     def _check(inst):
         numbers = inst.numbers()
-        for name, e, plain in _kept_derivations():
+        for name, e in _kept_derivations():
             got = bind_expanded(e, numbers)
             want = expand(substitute(e, numbers))
             assert got == want, (name, inst)
             assert to_text(got) == to_text(want), (name, inst)
-            if plain:
+            if name in _EXPANDED_BY_SUBSTITUTION:
                 assert substitute(e, numbers) == want, (name, inst)
                 assert to_text(substitute(e, numbers)) == to_text(want), (name, inst)
 
     def test_claims_draw_binds_through_the_plan(self):
-        # 36 a x 5 r x 5 exponent pairs x 3 pairs of gammas x 6 derivations:
+        # 36 a x 5 r x 5 exponent pairs x 3 pairs of gammas x every kept derivation:
         # on the exponent pair, c1 + 1/10, c2 - 1/3, c1 = 1 and c1 = c2
         rng = random.Random(11)
         names = tuple(PARAMETERS)
-        plans = {name: expr._bind_plan(e, names) for name, e, _ in _kept_derivations()}
+        plans = {name: expr._bind_plan(e, names) for name, e in _kept_derivations()}
         for a in _CLAIMS_A:
             for r in _CLAIMS_R:
                 c1, c2 = exceptional_exponents(a, r)
@@ -1335,8 +1346,9 @@ class TestBindExpanded:
 
     def test_each_kept_derivation_has_a_plan(self):
         # so no CLI command binds through the general route
-        for name, e, _ in _kept_derivations():
+        for name, e in _kept_derivations():
             assert expr._bind_plan(e, tuple(PARAMETERS)) is not None, name
+        assert set(_EXPANDED_BY_SUBSTITUTION) <= dict(_kept_derivations()).keys()
 
     def test_a_power_of_a_sum_takes_the_general_route(self):
         # xi1 = (x^2 + y^2)^(1/2): the remainder holds powers of that sum

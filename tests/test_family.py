@@ -21,6 +21,7 @@ from liesym import (
     ConstraintSystem,
     UnboundSymbolError,
     VectorField,
+    add,
     apply_prolonged,
     build_instance,
     candidate_profile,
@@ -28,9 +29,11 @@ from liesym import (
     eval_at,
     exceptional_exponents,
     exceptional_vf,
+    expand,
     family_residual,
     gss_preset,
     is_zero,
+    mul,
     num,
     onshell_remainder,
     parse,
@@ -38,18 +41,12 @@ from liesym import (
     rotation_like_vf,
     scaling_vf,
     sym,
-    symbolic_auxiliary,
-    symbolic_family_residual,
-    symbolic_invariance_remainder,
-    symbolic_ode_residuals,
-    symbolic_odes,
-    symbolic_reduction,
-    weak_cs_report,
     y_translation_vf,
 )
-from liesym import cli, expr, family, jets, orbits
+from liesym import cli, expr, family, jets, orbits, reduction
 from liesym.cli import run
 from liesym.expr import clear_memo
+from liesym.family import KEPT
 from liesym.jets import JET_NAMES, sample_jet_point
 
 
@@ -204,12 +201,15 @@ class TestOnShell:
                 assert not verdict.admitted
 
     def test_inconclusive_band(self, monkeypatch):
-        # a refuted instance looks inconclusive when the refutation
-        # threshold is pushed above the observed residual
+        # a refuted field looks inconclusive when the refutation threshold
+        # is pushed above the observed residual, and the exact witness does
+        # not refute it: d/dx leaves -a*ux/x^2 at r = 0, which vanishes at
+        # ux = 0.  (X off the pair reads a nonzero number there, refuted.)
         monkeypatch.setattr(jets, "REFUTE_THRESHOLD", 1e6)
-        bad = build_instance(-1, 2, "-6.9", -3, -1.5, 0.25)
-        verdict = check_onshell_symmetry(exceptional_vf(), bad, n_samples=50,
-                                         seed=42, tol=1e-12)
+        bad = build_instance(-1, 0, "-6.9", -3, -1.5, 0.25)
+        verdict = check_onshell_symmetry(VectorField(num(1), num(0), num(0)), bad,
+                                         n_samples=50, seed=42, tol=1e-12)
+        assert verdict.stats.remainder == parse("ux*x^(-2)")
         assert verdict.status == "inconclusive"
         assert not verdict.admitted
 
@@ -242,6 +242,14 @@ class TestExactRemainders:
                 for name, vf in NAMED_FIELDS.items():
                     remainder = check_onshell_symmetry(vf(), inst, n_samples=1).stats.remainder
                     assert is_zero(remainder) == (name != "Y"), (a, r, name)
+
+    def test_x_and_its_scaling_come_together(self):
+        # over symbolic parameters the remainder of X is 2y times that of
+        # X', so X is admitted exactly where the scaling of weight -a/2 is
+        x_remainder = onshell_remainder(exceptional_vf())
+        scaled = mul(num(-2), sym("y"), onshell_remainder(scaling_vf()))
+        assert is_zero(expand(add(x_remainder, scaled)))
+        assert not is_zero(x_remainder)
 
     def test_admitted_field_reads_exactly_zero(self):
         verdict = check_onshell_symmetry(exceptional_vf(), gss_preset())
@@ -334,94 +342,69 @@ class TestSymbolicRemainder:
 
 
 class TestRemainderCache:
-    """The symbolic derivations are kept across commands: one remainder
-    per field, one entry each for the derivations of weak-cs and reduce,
-    one family residual and solution for every family and base grid, and
-    one pushforward for every transform; so are the four named fields
-    themselves."""
+    """The derivations kept across commands are those of ``family.KEPT``:
+    one remainder per field, one entry each for the derivations of weak-cs
+    and reduce, one family residual and solution for every grid, one
+    pushforward for every transform, and the four named fields."""
 
-    KEPT = ("family.onshell_remainder", "reduction.symbolic_auxiliary",
-            "reduction.symbolic_invariance_remainder", "reduction.symbolic_reduction",
-            "reduction.symbolic_odes", "reduction.symbolic_ode_residuals",
-            "orbits.symbolic_family_residual", "orbits.symbolic_family_solution",
-            "orbits.symbolic_pushforward",
-            "family.exceptional_vf", "family.scaling_vf", "family.rotation_like_vf",
-            "family.y_translation_vf")
+    def test_the_table_lists_every_cache_of_its_modules(self):
+        # no kept derivation carries a cache of its own, and every public
+        # cache of the modules that derive them is in the table
+        caches = {fn for module in (family, reduction, orbits) for name, fn in vars(module).items()
+                  if not name.startswith("_") and hasattr(fn, "cache_info")}
+        assert caches == set(KEPT.values())
+        assert set(NAMED_FIELDS.values()) <= caches
+        for name, fn in KEPT.items():
+            module, _, attr = name.partition(".")
+            assert getattr(sys.modules[f"liesym.{module}"], attr) is fn, name
+            assert not hasattr(fn.__wrapped__, "cache_info"), name
 
     def test_empty_after_import(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
-        code = ("import liesym.cli; from liesym import family, orbits, reduction; "
-                + "; ".join(f"print({name}.cache_info().currsize)" for name in self.KEPT))
+        code = ("import liesym.cli; from liesym.family import KEPT; "
+                "print({name: fn.cache_info().currsize for name, fn in KEPT.items()})")
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out == "0\n" * len(self.KEPT)
+        assert out == f"{dict.fromkeys(KEPT, 0)}\n"
 
-    def test_one_entry_each_for_weak_cs_whatever_a_is(self):
-        kept = (symbolic_auxiliary, symbolic_invariance_remainder, symbolic_reduction)
-        for fn in kept:
-            fn.cache_clear()
-        for a in TestExactRemainders.A_VALUES:
-            _, g1, g2 = candidate_profile(a)
-            weak_cs_report(build_instance(a, 2, *exceptional_exponents(a, 2), g1, g2),
-                           n_samples=1)
-            clear_memo()  # as between two commands
-        assert [fn.cache_info().currsize for fn in kept] == [1, 1, 1]
-        assert [fn.cache_info().misses for fn in kept] == [1, 1, 1]
-
-    def test_one_entry_per_field_whatever_a_is(self):
-        onshell_remainder.cache_clear()
-        for a in ("-3", "-2", "-5/3", "-1/2", "1/2", "2/3", "1", "2", "3"):
-            inst = build_instance(Fraction(a), 2, *exceptional_exponents(Fraction(a), 2), 1, 1)
-            for vf in NAMED_FIELDS.values():
-                check_onshell_symmetry(vf(), inst, n_samples=5)
-            clear_memo()  # as between two commands
-        info = onshell_remainder.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (4, 4, 32)
-
-    def test_one_family_residual_whatever_a_and_lam(self):
-        symbolic_family_residual.cache_clear()
-        orbits.symbolic_family_solution.cache_clear()
-        for a in ("-3", "-5/3", "-1", "1/2", "2", "7/2"):
-            c1, c2 = exceptional_exponents(Fraction(a), 2)
-            _, g1, g2 = candidate_profile(Fraction(a))
-            flags = [f"--a={a}", "--r=2", f"--c1={c1}", f"--c2={c2}",
-                     f"--gamma1={g1}", f"--gamma2={g2}", "--nx", "4", "--ny", "4"]
-            for solution in (["--solution", "base"],
-                             *(["--solution", "family", f"--lambda={lam}"]
-                               for lam in ("1/3", "1", "-2", "0"))):
-                code = run(["residual-grid", *flags, *solution],
-                           out=io.StringIO(), err=io.StringIO())
-                assert code == 0, (a, solution)
-        info = symbolic_family_residual.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 29)
-        info = orbits.symbolic_family_solution.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 30)
-
-    def test_one_entry_each_for_transform_reduce_and_weak_cs_whatever_a_and_lam(self):
-        kept = (orbits.symbolic_pushforward, symbolic_reduction, symbolic_odes,
-                symbolic_ode_residuals)
-        for fn in kept:
-            fn.cache_clear()
+    def test_each_derived_once_over_every_verdict_command(self):
+        # check-symmetry of every field (on the exponent pair and off it),
+        # reduce (on the profile and off it), weak-cs, transform and both
+        # grids at many a and lam, each a command of its own
         commands = []
-        for a in ("-3", "-5/3", "-1", "1/2", "2", "7/2"):
+        for a in ("-8", "-3", "-5/3", "-1", "-1/3", "1/2", "2/3", "2", "7/2", "8"):
             c1, c2 = exceptional_exponents(Fraction(a), 2)
             _, g1, g2 = candidate_profile(Fraction(a))
             flags = [f"--a={a}", "--r=2", f"--c1={c1}", f"--c2={c2}", f"--gamma1={g1}"]
-            commands += [["reduce", *flags, f"--gamma2={g2}"],
-                         ["reduce", *flags, f"--gamma2={g2 + 1}"],  # off the profile
-                         ["weak-cs", *flags, f"--gamma2={g2}", "--samples", "5"],
-                         *(["transform", f"--a={a}", f"--lambda={lam}", "--samples", "5"]
-                           for lam in ("1/3", "-2", "0", "1e-9"))]
+            lams = ("1/3", "1", "-2", "0", "1e-9")
+            commands += [
+                *(["check-symmetry", *flags, f"--gamma2={g2}", "--field", name, "--samples", "5"]
+                  for name in NAMED_FIELDS),
+                ["check-symmetry", f"--a={a}", "--r=2", f"--c1={c1 + 1}", f"--c2={c2}",
+                 f"--gamma1={g1}", f"--gamma2={g2}", "--samples", "5"],
+                ["reduce", *flags, f"--gamma2={g2}"],
+                ["reduce", *flags, f"--gamma2={g2 + 1}"],
+                ["weak-cs", *flags, f"--gamma2={g2}", "--samples", "5"],
+                *(["transform", f"--a={a}", f"--lambda={lam}", "--samples", "5"] for lam in lams),
+                ["residual-grid", *flags, f"--gamma2={g2}", "--solution", "base",
+                 "--nx", "4", "--ny", "4"],
+                *(["residual-grid", *flags, f"--gamma2={g2}", "--solution", "family",
+                   f"--lambda={lam}", "--nx", "4", "--ny", "4"] for lam in lams[:4])]
+        for fn in (*KEPT.values(), expr._bind_plan):
+            fn.cache_clear()
         for argv in commands:
             assert run(argv, out=io.StringIO(), err=io.StringIO()) in (0, 1), argv
-        # each built on its first command and looked up by the rest: the
-        # pushforward by 24 transforms, the reduction, the ODEs and their
-        # residuals by 18 reduce and weak-cs commands, the reduction once
-        # more to split it and the ODEs once more to verify them
-        infos = [fn.cache_info() for fn in kept]
-        assert [(i.currsize, i.misses) for i in infos] == [(1, 1)] * 4
-        assert [i.hits for i in infos] == [23, 18, 18, 17]
+        # every entry is used, and built on its first command only: a
+        # second miss on one key, or a plan evicted and read again, would
+        # count more misses than entries
+        for name, fn in KEPT.items():
+            info = fn.cache_info()
+            assert info.currsize and info.misses == info.currsize, (name, info)
+        info = expr._bind_plan.cache_info()
+        assert info.currsize and info.misses == info.currsize, info
+        # the remainders are keyed by the named fields alone
+        assert onshell_remainder.cache_info().currsize == len(NAMED_FIELDS)
 
     def test_a_warm_transform_pushes_nothing(self, monkeypatch):
         assert run(["transform", "--a=3/2", "--lambda=2/3"],
@@ -488,21 +471,6 @@ class TestRemainderCache:
         first = NAMED_FIELDS[name]()
         clear_memo()  # as between two commands
         assert NAMED_FIELDS[name]() is first
-
-    def test_commands_keep_one_remainder_per_named_field(self):
-        # check-symmetry of every field, weak-cs (X, and Y's remainder for
-        # stage 1) and reduce: the kept fields are the remainders' keys
-        onshell_remainder.cache_clear()
-        gss = ["--preset", "gss"]
-        commands = [*(["check-symmetry", *gss, "--field", name, "--samples", "5"]
-                      for name in sorted(NAMED_FIELDS)),
-                    ["weak-cs", *gss, "--samples", "5"], ["reduce", *gss],
-                    ["check-symmetry", "--a=-5/3", "--r=2", "--c1=-19/5", "--c2=-7/5",
-                     "--gamma1=1", "--gamma2=1", "--samples", "5"],
-                    ["weak-cs", *gss, "--samples", "5", "--seed", "7"]]
-        for argv in commands:
-            assert run(argv, out=io.StringIO(), err=io.StringIO()) in (0, 1), argv
-        assert onshell_remainder.cache_info().currsize <= 4
 
     def test_equal_field_gets_the_kept_result(self):
         first = onshell_remainder(exceptional_vf())

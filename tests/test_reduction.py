@@ -17,7 +17,6 @@ from liesym import (
     add,
     anti_reduction,
     apply_prolonged,
-    auxiliary_constraint,
     base_solution,
     build_instance,
     candidate_profile,
@@ -224,7 +223,7 @@ class TestRestrictedEval:
 
     def test_rotation_stage_pattern(self):
         gss = gss_preset()
-        target = auxiliary_constraint(gss)
+        target = gss.bind(symbolic_auxiliary())
         cond = invariance_condition()
         stage1 = restricted_eval(target, ConstraintSystem(
             (gss.delta,), ("uyy",)), n_samples=100, seed=4)
@@ -239,7 +238,7 @@ class TestRestrictedEval:
 
     def test_elimination_order_immaterial(self):
         gss = gss_preset()
-        target = auxiliary_constraint(gss)
+        target = gss.bind(symbolic_auxiliary())
         cond = invariance_condition()
         forward = restricted_eval(target, ConstraintSystem(
             (gss.delta, cond), ("uyy", "uy")), n_samples=100, seed=12)
@@ -260,7 +259,7 @@ class TestRestrictedEval:
 
     def test_stage_remainders_are_exact(self):
         gss = gss_preset()
-        target = auxiliary_constraint(gss)
+        target = gss.bind(symbolic_auxiliary())
         cond = invariance_condition()
         stage1 = ConstraintSystem((gss.delta,), ("uyy",)).restrict(target)
         stage2 = ConstraintSystem((gss.delta, cond), ("uyy", "uy")).restrict(target)
@@ -269,7 +268,7 @@ class TestRestrictedEval:
 
     def test_elimination_order_immaterial_exactly(self):
         gss = gss_preset()
-        target = auxiliary_constraint(gss)
+        target = gss.bind(symbolic_auxiliary())
         cond = invariance_condition()
         forward = ConstraintSystem((gss.delta, cond), ("uyy", "uy"))
         swapped = ConstraintSystem((cond, gss.delta), ("uy", "uyy"))
@@ -406,7 +405,7 @@ def _per_instance_routes(inst):
 
 def _assert_routes_agree(inst):
     rep = weak_cs_report(inst, n_samples=3, seed=5)
-    kept = (auxiliary_constraint(inst), *(s.stats.remainder for s in rep.stages),
+    kept = (inst.bind(symbolic_auxiliary()), *(s.stats.remainder for s in rep.stages),
             reduce_to_invariant(inst))
     names = ("A", "residual", "residual+invariance", "invariant-solution", "reduced")
     for name, got, want in zip(names, kept, _per_instance_routes(inst)):
@@ -581,7 +580,7 @@ class TestRestrictionShortcuts:
         expected = _solution_system(inst.a)
         assert (stage.system.constraints, stage.system.eliminations) == \
             (expected.constraints, expected.eliminations)
-        assert stage.stats.remainder == stage.system.restrict(auxiliary_constraint(inst)), \
+        assert stage.stats.remainder == stage.system.restrict(inst.bind(symbolic_auxiliary())), \
             inst.params_text()
 
     def test_stage_three_on_every_workload_a(self):
@@ -621,7 +620,7 @@ class TestRestrictionShortcuts:
             jet = base_solution(a).jet()
             for gammas in ((g1, g2), (g1 + 1, g2), (0, g2), (-g2, g2)):
                 inst = build_instance(a, 2, c1, c2, *gammas)
-                two_steps = expand(substitute(auxiliary_constraint(inst), jet))
+                two_steps = expand(substitute(inst.bind(symbolic_auxiliary()), jet))
                 one_step = expand(inst.bind(symbolic_auxiliary(), **jet))
                 assert one_step == two_steps, inst.params_text()
                 assert to_text(one_step) == to_text(two_steps), inst.params_text()
