@@ -117,8 +117,9 @@ def _finite(text: str) -> float:
 
 
 def _tolerance(text: str) -> float:
-    """Argparse type for ``--tol``: a tolerance at or above the refutation
-    threshold would read a refuting measure as within tolerance."""
+    """Argparse type for residual-grid's ``--tol``: a tolerance at or above
+    the refutation threshold would pass a grid whose residual a sampled
+    check reads as nonzero."""
     value = _finite(text)
     if not 0 <= value < REFUTE_THRESHOLD:
         raise argparse.ArgumentTypeError(
@@ -189,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     p.add_argument("--field", choices=sorted(NAMED_FIELDS), default="X")
     p.add_argument("--samples", type=_at_least(1), default=DEFAULT_SAMPLES)
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     _common_flags(p)
 
     p = sub.add_parser("transform", help="finite group action on the power solution")
@@ -260,9 +260,8 @@ def _cmd_exponents(args, out) -> tuple[dict, bool]:
 
 def _cmd_check_symmetry(args, out) -> tuple[dict, bool]:
     inst, label = _instance_from_args(args)
-    verdict = check_onshell_symmetry(
-        NAMED_FIELDS[args.field](), inst,
-        n_samples=args.samples, tol=args.tol, seed=args.seed)
+    verdict = check_onshell_symmetry(NAMED_FIELDS[args.field](), inst,
+                                     n_samples=args.samples, seed=args.seed)
     return {
         "instance": label,
         "parameters": inst.params_text(),
@@ -270,7 +269,6 @@ def _cmd_check_symmetry(args, out) -> tuple[dict, bool]:
         "field": args.field,
         "samples": args.samples,
         "seed": args.seed,
-        "tolerance": args.tol,
         **verdict.to_dict(),
     }, verdict.admitted
 

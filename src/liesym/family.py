@@ -24,7 +24,6 @@ from .expr import (
     as_expr,
     bind_expanded,
     eval_at,  # noqa: F401  (unused: perfbench/tracing.py patches family.eval_at)
-    is_zero,
     mul,
     num,
     pow_,
@@ -34,9 +33,7 @@ from .expr import (
 from .jets import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
-    DEFAULT_TOL,
     JET_NAMES,
-    REFUTE_THRESHOLD,
     U,
     UX,
     UXX,
@@ -213,12 +210,16 @@ NAMED_FIELDS = {
 
 class SymmetryVerdict(NamedTuple):
     """``check_onshell_symmetry``'s reading of a field on an instance:
-    ``status`` is "admitted", "refuted" or "inconclusive", and ``stats``
-    is the ``SampledRemainder`` it was read from, whose remainder holds no
-    uyy, so ``to_dict`` reports the worst point without it."""
+    ``stats`` is the ``SampledRemainder`` it is read from, whose remainder
+    holds no uyy, so ``to_dict`` reports the worst point without it, and
+    ``status`` is its ``classify()`` as "admitted", "refuted" or
+    "inconclusive"."""
 
-    status: str
     stats: SampledRemainder
+
+    @property
+    def status(self) -> str:
+        return _STATUS[self.stats.classify()]
 
     @property
     def admitted(self) -> bool:
@@ -237,9 +238,6 @@ class SymmetryVerdict(NamedTuple):
 
 
 _STATUS = {"zero": "admitted", "nonzero": "refuted", "inconclusive": "inconclusive"}
-
-# check_onshell_symmetry's exact witness point
-_WITNESS = {"x": 1, "y": 1, "u": 1, "ux": 0, "uy": 0, "uxx": 0, "uxy": 1}
 
 
 @kept
@@ -260,7 +258,6 @@ def check_onshell_symmetry(
     vf: VectorField,
     inst: PDEInstance,
     n_samples: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> SymmetryVerdict:
     """Decide whether a field is a symmetry on the solution manifold of an
@@ -277,28 +274,14 @@ def check_onshell_symmetry(
     symbol stays unbound, and compiling the remainder raises
     UnboundSymbolError unless the remainder is a structural 0.
     ``sample_remainder`` samples the remainder's cancellation measure, and
-    the verdict holds that ``SampledRemainder`` with its status, in three
-    ways.  A remainder that reads nonzero (a sample at or above
-    REFUTE_THRESHOLD) refutes the field, and a structural 0 admits it.
-    Any other remainder is substituted exactly at the point x = y = u = 1,
-    ux = uy = uxx = 0, uxy = 1: a nonzero number there refutes the field,
-    and anything else is inconclusive, so a remainder that is not a
-    structural 0 never admits it, however small its sampled measure.  The
-    statistics stay the sampled ones.  ``tol`` must lie in
-    [0, REFUTE_THRESHOLD): a larger one would read a refuting sample as
-    within tolerance.
+    the verdict's status is that ``SampledRemainder``'s ``classify()``: a
+    structural 0 admits the field, a "nonzero" reading refutes it, and an
+    "inconclusive" one leaves it inconclusive.
     """
-    if not 0 <= tol < REFUTE_THRESHOLD:
-        raise ValueError(f"tol must be at least 0 and below {REFUTE_THRESHOLD:g}, got {tol!r}")
     field_symbols = vf.xi1.free_symbols() | vf.xi2.free_symbols() | vf.phi.free_symbols()
     clash = sorted(field_symbols.intersection(PARAMETERS[1:]))
     if clash:
         raise UnboundSymbolError(f"field symbols {clash} name parameters other than a "
                                  f"and are not bound")
     remainder = bind_expanded(onshell_remainder(vf), inst.numbers())
-    sampled = sample_remainder(remainder, n_samples, seed)
-    status = _STATUS[sampled.classify(tol)]
-    if status != "refuted" and not is_zero(remainder):
-        witness = substitute(remainder, _WITNESS)
-        status = "refuted" if isinstance(witness, Num) and witness.value else "inconclusive"
-    return SymmetryVerdict(status, sampled)
+    return SymmetryVerdict(sample_remainder(remainder, n_samples, seed))

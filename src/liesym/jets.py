@@ -14,6 +14,7 @@ from typing import NamedTuple
 from .errors import OrderOverflowError, ReductionError
 from .expr import (
     Expr,
+    Num,
     add,
     as_expr,
     diff,
@@ -230,14 +231,17 @@ class ConstraintSystem:
         return expand(substitute(target, solved))
 
 
-# a sample whose measure reaches this reads nonzero; one between the
-# tolerance and this leaves the remainder inconclusive
+# a sample whose measure reaches this reads nonzero
 REFUTE_THRESHOLD = 1e-3
 
-# the defaults of every sampled verdict, in the library and the CLI
+# the sample count and seed of every sampled verdict, in the library and
+# the CLI, and residual-grid's tolerance on its sup residual
 DEFAULT_SAMPLES = 200
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-9
+
+# the exact point at which a remainder that sampling cannot refute is read
+_WITNESS = {"x": 1, "y": 1, "u": 1, "ux": 0, "uy": 0, "uxx": 0, "uxy": 1}
 
 
 class SampledRemainder(NamedTuple):
@@ -250,15 +254,19 @@ class SampledRemainder(NamedTuple):
     samples: int
     resampled: int
 
-    def classify(self, tol: float = DEFAULT_TOL) -> str:
-        """The remainder's reading: "zero" when every sample is at most
-        ``tol``, "nonzero" when one reaches REFUTE_THRESHOLD, else
-        "inconclusive"."""
-        if self.max_abs <= tol:
+    def classify(self) -> str:
+        """The remainder's reading: "zero" for a structural 0, "nonzero"
+        when a sample reaches REFUTE_THRESHOLD.  Any other remainder is
+        substituted exactly at x = y = u = 1, ux = uy = uxx = 0, uxy = 1:
+        a nonzero number there reads "nonzero", anything else
+        "inconclusive".  So a remainder that is not a structural 0 never
+        reads "zero", however small its sampled measure."""
+        if is_zero(self.remainder):
             return "zero"
         if self.max_abs >= REFUTE_THRESHOLD:
             return "nonzero"
-        return "inconclusive"
+        witness = substitute(self.remainder, _WITNESS)
+        return "nonzero" if isinstance(witness, Num) and witness.value else "inconclusive"
 
 
 def sample_remainder(remainder: Expr, n_samples: int = DEFAULT_SAMPLES,

@@ -345,7 +345,8 @@ def weak_cs_report(inst: PDEInstance, n_samples: int = DEFAULT_SAMPLES,
     one substitution and expands, which is the restriction to the jet's
     constraints ``u - u(x, y)``, ..., each solved with coefficient 1.
     Both are sampled here, and each stage's verdict is its sampled
-    remainder's ``classify()``.  The anti-reduction route
+    remainder's ``classify()``, which reads "zero" only on a structural 0,
+    so stage 1 reads what the check of Y reads.  The anti-reduction route
     follows (``anti_reduction``, kept as the report's ``route``): reduce,
     split by powers of x^2, and verify the power profile against both
     separated ODEs, each bound from its kept derivation.  An instance with

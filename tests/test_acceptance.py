@@ -66,9 +66,9 @@ def in_region_spec(family, count, seed, rel_tol):
 
 def test_01_exceptional_symmetry_admitted():
     gss = gss_preset()
-    good = check_onshell_symmetry(exceptional_vf(), gss, n_samples=200, tol=1e-9, seed=42)
+    good = check_onshell_symmetry(exceptional_vf(), gss, n_samples=200, seed=42)
     bad_inst = build_instance(-1, 2, "-6.9", -3, Fraction(-3, 2), Fraction(1, 4))
-    bad = check_onshell_symmetry(exceptional_vf(), bad_inst, n_samples=200, tol=1e-9, seed=42)
+    bad = check_onshell_symmetry(exceptional_vf(), bad_inst, n_samples=200, seed=42)
     ok = (
         good.admitted
         and good.stats.max_abs <= 1e-9

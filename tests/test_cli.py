@@ -153,8 +153,8 @@ class TestCheckSymmetry:
     @pytest.mark.parametrize("param", ["c1", "c2", "r"])
     def test_an_exponent_off_the_pair_is_refuted_however_close(self, field, param):
         # off the pair by 10^-12 or less, the remainder's sampled measure
-        # lies below the tolerance: at its witness point it reads a nonzero
-        # number, such as -3/2*10^-12 for X at c1 = -7.000000000001
+        # lies below 1e-9: at its witness point it reads a nonzero number,
+        # such as -3/2*10^-12 for X at c1 = -7.000000000001
         for params in self.EXCEPTIONAL:
             assert exceptional_exponents(*params[:2]) == params[2:4]
             for k in (1, 6, 9, 12, 15):
@@ -188,6 +188,12 @@ class TestCheckSymmetry:
     def test_missing_instance_flags(self):
         code, _, err = run_cli(["check-symmetry", "--field", "X"])
         assert code == 2
+
+    def test_tol_is_no_flag_of_check_symmetry(self):
+        # only a structural 0 is admitted, so no tolerance reaches a status
+        code, out, err = run_cli(["check-symmetry", "--preset", "gss", "--tol=1e-9"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --tol=1e-9" in err
 
     def test_a_coefficient_past_the_double_range_is_off_the_domain(self):
         # every flag is a double, but the remainder holds a coefficient of
@@ -498,6 +504,21 @@ class TestRegion:
         assert code == 2
 
 
+def off_profile_flags():
+    """The instance flags of the profile instances at a in {-1, 3, -5/3}
+    (r = 2, the exponent pair and the profile's gammas) with one of c1,
+    c2, gamma1 and gamma2 offset by +-10^-k, k in {1, 6, 9, 12, 15}: 120
+    instances, none of which the weak conditional symmetry holds on."""
+    for a in (Fraction(-1), Fraction(3), Fraction(-5, 3)):
+        profile = dict(zip(PARAMETERS, (a, Fraction(2), *exceptional_exponents(a, 2),
+                                        *candidate_profile(a)[1:])))
+        for param in ("c1", "c2", "gamma1", "gamma2"):
+            for k in (1, 6, 9, 12, 15):
+                for offset in (Fraction(1, 10**k), Fraction(-1, 10**k)):
+                    values = {**profile, param: profile[param] + offset}
+                    yield [f"--{n}={v}" for n, v in values.items()]
+
+
 class TestReduce:
     def test_gss_exit_zero(self):
         code, out, _ = run_cli(["reduce", "--preset", "gss"])
@@ -513,6 +534,12 @@ class TestReduce:
              "--gamma1", "1", "--gamma2", "1"])
         assert code == 1
         assert json.loads(out)["profile_solves_both"] is False
+
+    def test_off_the_profile_is_refuted_however_close(self):
+        # the separated ODEs' residuals are exact, at every offset
+        for flags in off_profile_flags():
+            code, out, _ = run_cli(["reduce", *flags])
+            assert (code, json.loads(out)["profile_solves_both"]) == (1, False), flags
 
 
 class TestWeakCS:
@@ -563,6 +590,17 @@ class TestWeakCS:
         assert (stage["max_abs"], stage["samples"], stage["resampled"]) == (
             y["max_onshell_residual"], y["sample_count"], y["resampled"])
         assert weak["exceptional_field_onshell_max"] == x["max_onshell_residual"]
+
+    def test_off_the_profile_no_stage_reads_zero_on_a_remainder(self):
+        # stage 3 read "zero" on 1/500000000000*x*y*(x^2 - y^2)^(-7/4) at
+        # gamma1 = -1.500000000001, whose sampled measure lies below 1e-9:
+        # only a structural 0 reads zero, at every offset
+        for flags in off_profile_flags():
+            code, out, _ = run_cli(["weak-cs", *flags])
+            report = json.loads(out)
+            assert (code, report["confirmed"]) == (1, False), flags
+            for stage in report["stages"]:
+                assert stage["verdict"] != "zero" or stage["remainder"] == "0", (flags, stage)
 
     def test_consequences_flag_changes_only_its_echo(self):
         argv = ["weak-cs", "--preset", "gss", "--samples", "60"]
@@ -656,7 +694,7 @@ class TestContract:
         ["residual-grid", "--preset", "gss", "--solution", "family", "--x-min", "1",
          "--x-max", "inf", "--y-min", "-0.5", "--y-max", "0.5", "--nx", "3", "--ny", "2"],
         ["transform", "--lambda", "1", "--x", "nan", "--y", "0", "--samples", "0"],
-        ["check-symmetry", "--preset", "gss", "--samples", "10", "--tol=-inf"],
+        ["residual-grid", "--preset", "gss", "--nx", "3", "--ny", "2", "--tol=-inf"],
     ], ids=["x-max-inf", "x-nan", "tol-inf"])
     def test_non_finite_flags_exit_two(self, argv):
         code, out, err = run_cli(argv)
@@ -665,23 +703,19 @@ class TestContract:
         assert "not a finite number" in err  # argparse's own message
 
     @pytest.mark.parametrize("tol", ["10", "1e-3", "-1e-12"])
-    @pytest.mark.parametrize("argv", [
-        ["check-symmetry", "--preset", "gss", "--field", "Y", "--samples", "10"],
-        ["residual-grid", "--a=-1", "--r=2", "--c1=-7", "--c2=-3", "--gamma1=7",
-         "--gamma2=-3", "--nx", "5", "--ny", "5"],
-    ], ids=["check-symmetry", "residual-grid"])
-    def test_tolerance_at_the_refutation_threshold_exits_two(self, argv, tol):
-        # --tol 10 read Y, which is no symmetry of GSS, as admitted (max
-        # 1.62), and passed the grid of a wrong instance (sup 1.04)
-        code, out, err = run_cli([*argv, f"--tol={tol}"])
+    def test_tolerance_at_the_refutation_threshold_exits_two(self, tol):
+        # --tol 10 passed the grid of a wrong instance (sup 1.04)
+        code, out, err = run_cli(["residual-grid", "--a=-1", "--r=2", "--c1=-7", "--c2=-3",
+                                  "--gamma1=7", "--gamma2=-3", "--nx", "5", "--ny", "5",
+                                  f"--tol={tol}"])
         assert code == 2 and out == ""
         assert "must be at least 0 and below 0.001" in err
 
     def test_tolerance_just_below_the_refutation_threshold(self):
-        assert run_cli(["check-symmetry", "--preset", "gss", "--samples", "10",
-                        "--tol=9.99e-4"])[0] == 0
-        assert run_cli(["check-symmetry", "--preset", "gss", "--field", "Y", "--samples", "10",
-                        "--tol=0"])[0] == 1
+        # GSS's base grid reads a sup of 8.3e-17: within 9.99e-4, not within 0
+        argv = ["residual-grid", "--preset", "gss", "--nx", "5", "--ny", "5"]
+        assert run_cli([*argv, "--tol=9.99e-4"])[0] == 0
+        assert run_cli([*argv, "--tol=0"])[0] == 1
 
     @pytest.mark.parametrize("argv,message", [
         (["residual-grid", "--preset", "gss", "--x-min", "1.5"],
@@ -843,7 +877,7 @@ class TestContract:
         assert "not an integer" in err
 
     @pytest.mark.parametrize("argv", [
-        ["check-symmetry", "--preset", "gss", "--tol", "10"],
+        ["residual-grid", "--preset", "gss", "--tol", "10"],
         ["check-symmetry", "--preset", "gss", "--no-such-flag"],
         ["no-such-command"],
     ], ids=["bad-tol", "unknown-flag", "unknown-command"])
@@ -1070,13 +1104,16 @@ class TestGoldenBytes:
     # the invariant solution, and --consequences adds nothing but its echo.
     # The two check-symmetry digests were re-recorded when the check began
     # to sample the exact on-shell remainder: an admitted field reads 0.0,
-    # a refuted one its remainder's measure, and worst_point has no uyy
+    # a refuted one its remainder's measure, and worst_point has no uyy.
+    # Every check-symmetry digest here and in OVERFLOW_CASES was
+    # re-recorded when check-symmetry dropped --tol, which reached no
+    # status: each report lost its "tolerance" line and no other byte
     SAMPLING_CASES = [
         (["check-symmetry", "--preset", "gss", "--field", "X"], 0,
-         "b5c958593599c0196d9d46a730778d4d793db9aa2a6590c5d2f614c646890340"),
+         "ff8f79a019f55126ef19f6d88d30c43377b0549d4896a194e2b40b83e57489e6"),
         (["check-symmetry", "--a", "-1", "--r", "2", "--c1", "-6.9", "--c2", "-3",
           "--gamma1", "-1.5", "--gamma2", "0.25"], 1,
-         "40f215cdc1d5cdae5e742dca58d70cd3c8f8245fcae4b8cce76a474e29560b02"),
+         "aa42d3f1dc5f4073ac28acfacdb950237b60f8c0fd872ea1d4ae00d1c4c2fa37"),
         (["transform", "--a", "-1", "--lambda", "1", "--x", "0.5", "--y", "-0.5"], 0,
          "5784efbe5ddb57b4169db1852131dfa5a5b381bfda33022cfe1c819ed348d29c"),
         (["region", "--lambda", "1", "--samples", "10000"], 0,
@@ -1088,9 +1125,9 @@ class TestGoldenBytes:
         # the claims workload's median op: Y refuted on GSS, at the default
         # draw and at another count and seed
         (["check-symmetry", "--preset", "gss", "--field", "Y"], 1,
-         "df4bf3dbb9942752c90174d2f3713c4f12203788c946defebae368426a097531"),
+         "d611e7cd45bbc16f6a46b5266486233a00df57912456cca86d9e21adfd5f0c50"),
         (["check-symmetry", "--preset", "gss", "--field", "Y", "--samples", "333", "--seed", "9"], 1,
-         "3ecd29b13a93efbdc0df8d29deafd02c35fb1ec7db3b5d39e72c8738f30f29fc"),
+         "57bc4b236ac5d71c50a1c7f11a9526ad5a179e76f7ee486d994939ff18b2021b"),
         # recorded before the kept derivations were bound through a plan of
         # their terms (expr.bind_expanded): reduce at GSS and at the a = 7/2
         # profile instance; Xprime refuted off the exponent pair (c1 + 1/10);
@@ -1103,10 +1140,10 @@ class TestGoldenBytes:
          "e561d47081311b76ce200ff12501cae15da5a311e12edec674fc6db6fbdd1243"),
         (["check-symmetry", "--a=5/3", "--r=1", "--c1=47/10", "--c2=17/5", "--gamma1=7/2",
           "--gamma2=-3", "--field=Xprime", "--seed=4242"], 1,
-         "acaab02cd6e0f9dfcfa9ea6a0184c6d4730d65e0f042ff2c45e7cd091945671b"),
+         "ef1f604d2baa7a20c6922da197562557b22a59d1082d93c82104e41b7646d470"),
         (["check-symmetry", "--a=1", "--r=0", "--c1=5", "--c2=5", "--gamma1=1", "--gamma2=1",
           "--field=X"], 0,
-         "53e092ff359e28531b00a2c865cf7eb28e4a37fa5e5166a6cfe1443d819560de"),
+         "5e8b672fcba0a38ba0f9881a5ace95db8892aee008ef4af21113206fb4354487"),
         # recorded before the weak-cs report held its anti-reduction as one
         # field: off the profile, where all three stages read nonzero (exit
         # 1), and the degenerate split at gamma1 = 0 (exit 0)
@@ -1117,15 +1154,15 @@ class TestGoldenBytes:
          "a86ad1f4d9cc758aa2ac557e17f144189d3faab8464817b632b7dbc079262a5e"),
         # recorded before a verdict held its sampled remainder and weak-cs
         # stage 1 became the check of Y: c1 a millionth off GSS's -7, where
-        # X's remainder measures 2.39e-4, between the tolerance and the
-        # refutation threshold, and weak-cs reads nonzero, nonzero and
+        # X's remainder measures 2.39e-4, between 1e-9 and the refutation
+        # threshold, and weak-cs reads nonzero, nonzero and
         # inconclusive (exit 1).  The check-symmetry digest was re-recorded
         # when the check began to substitute such a remainder exactly at its
         # witness point: it reads -3/2000000 there, so the status went from
         # inconclusive to refuted, and every other byte is unchanged (exit 1)
         (["check-symmetry", "--a=-1", "--r=2", "--c1=-7.000001", "--c2=-3", "--gamma1=-3/2",
           "--gamma2=1/4", "--field=X"], 1,
-         "8dc2be70dee9d59ea8a384bab6331278b866d3318fc1ac1837aee2df23b66832"),
+         "5574db5e6a0a658300a77c724d3f5d36a7804d00028a6ed88d0d774dc9233463"),
         (["weak-cs", "--a=-1", "--r=2", "--c1=-7.000001", "--c2=-3", "--gamma1=-3/2",
           "--gamma2=1/4"], 1,
          "56716c4ddadee9d56aa2d6998df9808175ca493ce60f1e0e8da5467363e2f194"),
@@ -1213,13 +1250,13 @@ class TestGoldenBytes:
     # (argv, exit code, whether any point is redrawn, report digest)
     OVERFLOW_CASES = [
         (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "X"], 1, True,
-         "9930fdb325368c0a826469538f3695f9214db2ddaafed3f0456f124baf8db729"),
+         "b2b39d823eead88912ef1f6301d0e269ea35837b3c07e6c2061ce2aad440aafa"),
         (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "Xprime"], 1, True,
-         "4989b085d550539c1512468958dbaa2f93cb89c8f8859ebbee426a136fea9330"),
+         "238a2b7f42a2cf6d82d62b38ca78fbacdc8c7c0dd52f87296f9ed1ff4c9c53b0"),
         (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "Y"], 1, True,
-         "4262a346ac9b454602e654cbb91fe2d1cbb469abb4cac5176d02664cd41f2cb0"),
+         "2dd81281b375130bd5cae1fe374fddcd50f0695426d56e94bf2ff2a4af802c16"),
         (["check-symmetry", *OVERFLOW_INSTANCE, "--samples", "40", "--field", "dy"], 0, False,
-         "70f8dfc9940fa9a2646e1f3179e0a79d8875c9200509a7444127a393c2bc10ee"),
+         "9ca7fd9a8deb18a7be465db5d4ec5ad5f55c32f6cd86a8ce0d334af27278c352"),
         (["weak-cs", "--a=-1", "--r=2", "--c1=1340", "--c2=900", "--gamma1=1", "--gamma2=1",
           "--samples", "40"], 1, True,
          "4bdc2c628edba0225ae24468420ab882cb56e4a2bfddf48124c22ecb8b3c5abb"),

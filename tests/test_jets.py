@@ -97,18 +97,25 @@ class TestSampleRemainder:
         with pytest.raises(ValueError):
             sample_remainder(num(0), n_samples=0)
 
-    @pytest.mark.parametrize("max_abs,tol,reading", [
-        (0.0, 1e-9, "zero"),
-        (1e-9, 1e-9, "zero"),
-        (2e-9, 1e-9, "inconclusive"),
-        (2e-9, 1e-8, "zero"),
-        (REFUTE_THRESHOLD * 0.999, 1e-9, "inconclusive"),
-        (REFUTE_THRESHOLD, 1e-9, "nonzero"),
-        (318.0, 1e-9, "nonzero"),
+    @pytest.mark.parametrize("remainder,max_abs,reading", [
+        ("0", 0.0, "zero"),
+        # a sample at the threshold refutes, even where W reads 0
+        ("ux", REFUTE_THRESHOLD, "nonzero"),
+        ("x", 318.0, "nonzero"),
+        # below it, the exact value at W decides: 1 there, and the
+        # remainder of X at c1 = -7.000000000001, which reads -3/2*10^-12
+        ("x", 0.0, "nonzero"),
+        ("-3/2000000000000*y*u^(-7000000000001/1000000000000)*x^2", 2.4e-10, "nonzero"),
+        # 0 at W, or no number there (0 to a negative power): a remainder
+        # that is not a structural 0 never reads zero
+        ("ux", 0.0, "inconclusive"),
+        ("ux", REFUTE_THRESHOLD * 0.999, "inconclusive"),
+        ("uxy - 1", 1e-12, "inconclusive"),
+        ("1/500000000000*x*y*(x^2 - y^2)^(-7/4)", 3e-12, "inconclusive"),
     ])
-    def test_classify_bounds_are_inclusive(self, max_abs, tol, reading):
-        sampled = SampledRemainder(parse("x"), max_abs, max_abs, [1.0] * 8, 1, 0)
-        assert sampled.classify(tol) == reading
+    def test_classify_reads_zero_only_on_a_structural_zero(self, remainder, max_abs, reading):
+        sampled = SampledRemainder(parse(remainder), max_abs, max_abs, [1.0] * 8, 1, 0)
+        assert sampled.classify() == reading
 
 
 class TestTotalDerivative:

@@ -1,5 +1,7 @@
 """Invariant-variable reduction, ODE split, restricted evaluation."""
 
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ except ImportError:  # optional test dependency, as in test_expr.py
     st = None
 
 from liesym import (
+    NAMED_FIELDS,
     ConstraintSystem,
     ReductionError,
     add,
@@ -51,7 +54,11 @@ from liesym import (
     verify_ode,
     weak_cs_report,
 )
+from liesym.cli import run
 from liesym.expr import clear_memo, substitute
+
+# check-symmetry's status for each reading of a sampled remainder
+STATUS_OF = {"zero": "admitted", "nonzero": "refuted", "inconclusive": "inconclusive"}
 
 
 def _symbolic_exceptional_residual():
@@ -320,6 +327,7 @@ class TestWeakCSReport:
         rep = weak_cs_report(inst, n_samples=40, seed=9)
         y_check = check_onshell_symmetry(rotation_like_vf(), inst, n_samples=40, seed=9)
         assert rep.stages[0].stats == y_check.stats
+        assert STATUS_OF[rep.stages[0].verdict] == y_check.status == "refuted"
         assert rep.exceptional_onshell == check_onshell_symmetry(
             exceptional_vf(), inst, n_samples=40, seed=9)
 
@@ -679,3 +687,45 @@ class TestRestrictionShortcuts:
         @given(st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool))
         def test_numeric_profile_on_random_a(self, a):
             self._assert_profile_binds(a)
+
+
+class TestSoundness:
+    """A sampled reading never contradicts the exact remainder: a check
+    admits a field exactly when its bound remainder is a structural 0, a
+    weak-cs stage reads zero exactly then, and stage 1 reads what
+    check-symmetry --field Y reads."""
+
+    if st is not None:
+        @st.composite
+        def _perturbed_instances(draw):
+            # c1 off the exponent pair by k/10 or 10^-k (or on it), and the
+            # gammas off the profile by any rational (or on it)
+            a = draw(st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool))
+            r = draw(st.sampled_from((0, 1, 2, 3)))
+            c1, c2 = exceptional_exponents(a, r)
+            k = draw(st.integers(1, 15))
+            offset = draw(st.sampled_from((0, Fraction(k, 10), Fraction(1, 10**k))))
+            gammas = (g + draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+                      for g in candidate_profile(a)[1:])
+            return build_instance(a, r, c1 + draw(st.sampled_from((-1, 1))) * offset, c2,
+                                  *gammas)
+
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(_perturbed_instances())
+        @example(build_instance(-1, 2, -7, -3, Fraction(-3, 2) - Fraction(1, 10**12),
+                                Fraction(1, 4)))
+        @example(build_instance(-1, 2, Fraction(-7) - Fraction(1, 10**12), -3, Fraction(-3, 2),
+                                Fraction(1, 4)))
+        def test_no_reading_contradicts_the_exact_remainder(self, inst):
+            for field in NAMED_FIELDS.values():
+                verdict = check_onshell_symmetry(field(), inst, n_samples=20, seed=3)
+                assert verdict.admitted == is_zero(verdict.stats.remainder), inst
+            if inst.r != 2:
+                return
+            rep = weak_cs_report(inst, n_samples=20, seed=3)
+            for stage in rep.stages:
+                assert (stage.verdict == "zero") == is_zero(stage.stats.remainder), inst
+            out = io.StringIO()
+            run(["check-symmetry", "--field=Y", "--samples=20", "--seed=3",
+                 *(f"--{n}={v}" for n, v in inst.numbers().items())], out, io.StringIO())
+            assert STATUS_OF[rep.stages[0].verdict] == json.loads(out.getvalue())["status"]
