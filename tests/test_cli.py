@@ -189,11 +189,14 @@ class TestCheckSymmetry:
         code, _, err = run_cli(["check-symmetry", "--field", "X"])
         assert code == 2
 
-    def test_tol_is_no_flag_of_check_symmetry(self):
-        # only a structural 0 is admitted, so no tolerance reaches a status
-        code, out, err = run_cli(["check-symmetry", "--preset", "gss", "--tol=1e-9"])
+    @pytest.mark.parametrize("tol", ["1e-9", "10", "1e-3", "-1e-12"])
+    def test_tol_is_no_flag_of_check_symmetry(self, tol):
+        # only a structural 0 is admitted, so no tolerance reaches a status:
+        # a value once admitted (1e-9) and the values once refused at the
+        # refutation threshold are all refused as an unknown flag
+        code, out, err = run_cli(["check-symmetry", "--preset", "gss", f"--tol={tol}"])
         assert (code, out) == (2, "")
-        assert "unrecognized arguments: --tol=1e-9" in err
+        assert f"unrecognized arguments: --tol={tol}" in err
 
     def test_a_coefficient_past_the_double_range_is_off_the_domain(self):
         # every flag is a double, but the remainder holds a coefficient of
