@@ -184,13 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exponents", help="exceptional exponent pair for (a, r)")
     p.add_argument("--a", type=_decimal, required=True)
     p.add_argument("--r", type=_decimal, required=True)
-    _common_flags(p)
+    p.add_argument("--output", default=None)
 
     p = sub.add_parser("check-symmetry", help="on-shell symmetry verdict")
     _add_instance_flags(p)
     p.add_argument("--field", choices=sorted(NAMED_FIELDS), default="X")
     p.add_argument("--samples", type=_at_least(1), default=DEFAULT_SAMPLES)
-    _common_flags(p)
+    _sampling_flags(p)
 
     p = sub.add_parser("transform", help="finite group action on the power solution")
     p.add_argument("--a", type=_decimal, default=Fraction(-1))
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_finite, default=None)
     p.add_argument("--y", type=_finite, default=None)
     p.add_argument("--samples", type=_at_least(0), default=64)
-    _common_flags(p)
+    _sampling_flags(p)
 
     p = sub.add_parser("residual-grid", help="residual of a closed-form solution on a grid")
     _add_instance_flags(p)
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=_at_least(1), default=50)
     p.add_argument("--ny", type=_at_least(1), default=50)
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    _common_flags(p)
+    p.add_argument("--output", default=None)
 
     p = sub.add_parser("region", help="two-disk validity region geometry")
     p.add_argument("--lambda", dest="lam", type=_decimal, required=True)
@@ -221,11 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_at_least(0), default=0,
                    help="check the algebraic membership against the disk "
                         "description on this many random points")
-    _common_flags(p)
+    _sampling_flags(p)
 
     p = sub.add_parser("reduce", help="invariant-variable reduction and ODE split")
     _add_instance_flags(p)
-    _common_flags(p)
+    p.add_argument("--output", default=None)
 
     p = sub.add_parser("weak-cs", help="weak conditional symmetry chain")
     _add_instance_flags(p)
@@ -233,13 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--consequences", action="store_true",
                    help="echoed as include_consequences; adds nothing: the invariance "
                         "condition Q, D_x Q and D_y Q vanish on the last stage's jet")
-    _common_flags(p)
+    _sampling_flags(p)
 
     parser.commands = sub.choices  # each command's own parser, read by run
     return parser
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _sampling_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of a command that draws points: ``--seed`` and ``--output``."""
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--output", default=None)
 
@@ -284,7 +285,8 @@ def _cmd_transform(args, out) -> tuple[dict, bool]:
     at_point = _given_together(args, "x", "y")
     lam = args.lam
     pushed = transform_solution(base_solution(args.a), lam)
-    family = family_solution(args.a, lam)
+    # a pushforward with a lam is the family member of a and lam
+    family = pushed if pushed.lam is not None else family_solution(args.a, lam)
     structural = pushed.expr == family.expr
 
     equiv_report = None

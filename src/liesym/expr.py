@@ -902,7 +902,7 @@ def eval_at(e: Expr, env: Mapping[str, float]) -> float:
 # _compile keeps the code of this many distinct source texts, the least
 # recently used dropped first.  A 12-second claims run of the benchmark
 # compiles 70 to 74 shapes (70 at seeds 11 and 64, 74 at seed 4242) and a
-# grid sweep about 20, each of a few kB.
+# 12-second grid sweep 23 (seeds 11 and 64), each of a few kB.
 COMPILED_SHAPES = 128
 
 
@@ -1041,7 +1041,7 @@ def _bind(prefix: str, bound: list[float], code: list[str]):
     # the builtins the code calls go by names that no argument can take
     namespace = {f"_{f.__name__}": f for f in (abs, max, len, enumerate, OverflowError, ValueError)}
     namespace.update(_pow=_real_pow, _mpow=math.pow, _isfinite=math.isfinite,
-                     _nonfinite=_nonfinite, _DomainError=DomainError, _inf=math.inf,
+                     _DomainError=DomainError, _inf=math.inf,
                      _hypot=math.hypot, _generator=seeded_generator, _exhausted=_exhausted)
     exec(_shape_code(source), namespace)  # noqa: S102
     return namespace["_make"](*bound)
@@ -1123,41 +1123,24 @@ def to_callable(e: Expr, arg_names: Iterable[str]) -> Callable[..., float]:
     return _compile((e,), arg_names, lambda ref, let: f"1.0 * {ref(e)}")
 
 
-def _nonfinite():
-    raise DomainError("non-finite cancellation sum")
-
-
 def _cancellation(e: Expr, ref, let) -> str:
-    """The slot of the cancellation measure of ``e`` (see ``to_cancellation``)."""
+    """The slot of the cancellation measure of ``e``, a residual: the
+    signed sum of its terms from 0.0 in term order, over (1 + the largest
+    term magnitude), the scale of the roundoff in the sum.  The terms are
+    those of a Sum, and any other residual is its own term: a Product
+    measures as one term, so a caller that wants its roundoff scaled by
+    the terms of its sums expands it first, as
+    ``ConstraintSystem.restrict`` and ``equiv_numeric`` do.  Under a table
+    of constants the terms are still those of ``e`` as it stands, so a
+    residual kept over symbolic parameters is measured over the terms of
+    its symbolic form, whatever the numbers would make of it under
+    ``substitute``.  A non-finite measure (an infinite or NaN term, or a
+    sum that overflows) is for the caller to refuse: ``to_row_kernel``
+    masks its node and ``to_measure_loop`` redraws its point."""
     terms = [ref(t) for t in (e.terms if isinstance(e, Sum) else (e,))]
     total = let(" + ".join(["0.0", *terms]), *terms)
     scale = let(f"_max(0.0, {', '.join(f'_abs({t})' for t in terms)})", *terms)
     return let(f"{total} / (1.0 + {scale})", total, scale)
-
-
-def to_cancellation(e: Expr, arg_names: Iterable[str],
-                    constants: Mapping[str, Fraction] | None = None) -> Callable:
-    """Compile a residual's cancellation measure, which the sampled checks
-    evaluate through ``to_measure_loop`` and residual grids through
-    ``to_row_kernel``: the signed sum of its terms from 0.0 in term order,
-    over (1 + the largest term magnitude), the scale of the roundoff in
-    the sum.  The terms are those of a Sum, and any other residual is its
-    own term: a Product measures as one term, so a caller that wants its
-    roundoff scaled by the terms of its sums expands it first, as
-    ``ConstraintSystem.restrict`` and ``equiv_numeric`` do.  A non-finite
-    result (an infinite or NaN term, or a sum that overflows) raises
-    DomainError: the point is off the domain.
-
-    ``constants`` gives exact values to symbols that are not arguments;
-    ``_compile`` folds what they make constant.  The terms are still those
-    of ``e`` as it stands, so a residual kept over symbolic parameters is
-    measured over the terms of its symbolic form, whatever the numbers
-    would make of it under ``substitute``."""
-    def body(ref, let):
-        measure = _cancellation(e, ref, let)
-        return f"{measure} if _isfinite({measure}) else _nonfinite()"
-
-    return _compile((e,), arg_names, body, constants)
 
 
 _ERRORS = "(_DomainError, _OverflowError, _ValueError)"  # what a slot without a value raises
@@ -1184,8 +1167,8 @@ def to_predicate(positive: tuple[Expr, ...], arg_names: Iterable[str],
 def to_row_kernel(e: Expr, arg_names: tuple[str, str], *values: Expr,
                   positive: tuple[Expr, ...] = (),
                   constants: Mapping[str, Fraction] | None = None) -> Callable:
-    """Compile the cancellation measure of ``e`` (as ``to_cancellation``)
-    and ``values`` for the nodes of a grid over the two arguments (x, y).
+    """Compile the cancellation measure of ``e`` (``_cancellation``) and
+    ``values`` for the nodes of a grid over the two arguments (x, y).
     The result is ``kernel(xs)``, which returns ``row(y)``; ``row(y)``
     works the nodes (x, y) for x in ``xs`` and returns ``(numbers, keep,
     off_real)``.  A node is admitted where every expression of ``positive``
@@ -1357,8 +1340,8 @@ def to_draw_loop(roots: tuple[Expr, ...], arg_names: Iterable[str],
 def to_measure_loop(e: Expr, arg_names: Iterable[str],
                     boxes: tuple[tuple[float, float], ...],
                     positive: tuple[Expr, ...] = ()) -> Callable:
-    """``to_draw_loop`` of |the cancellation measure of ``e``| (see
-    ``to_cancellation``): a draw off the real domain, where the measure is
+    """``to_draw_loop`` of |the cancellation measure of ``e``|
+    (``_cancellation``): a draw off the real domain, where the measure is
     not finite or where an expression of ``positive`` has no value > 0.0
     (as ``to_predicate``) takes the value ``_inf``, so it is redrawn."""
     def body(ref, let):
@@ -1406,15 +1389,14 @@ class EquivResult(NamedTuple):
 def equiv_numeric(e1: Expr, e2: Expr, spec: SampleSpec | None = None) -> EquivResult:
     """Decide equality of two expressions on random samples.
 
-    True iff the cancellation measure (``to_cancellation``) of the
-    expanded e1 - e2 is at most ``rel_tol`` in magnitude at each of
-    ``count`` sampled points, drawn in one compiled loop
-    (``to_measure_loop``) over the sorted symbols of e1, e2 and
-    ``positive``; where it is not, the witness is the point of the
-    largest magnitude.  Points outside ``positive`` or the real domain,
-    and points where the measure is not finite, are redrawn.  Equal
-    trees are not subtracted, and a difference that expands to a
-    structural 0 is neither compiled nor sampled.
+    True iff the cancellation measure of the expanded e1 - e2 is at
+    most ``rel_tol`` in magnitude at each of ``count`` sampled points,
+    drawn in one compiled loop (``to_measure_loop``) over the sorted
+    symbols of e1, e2 and ``positive``; where it is not, the witness is
+    the point of the largest magnitude.  Points outside ``positive`` or
+    the real domain, and points where the measure is not finite, are
+    redrawn.  Equal trees are not subtracted, and a difference that
+    expands to a structural 0 is neither compiled nor sampled.
     """
     spec = spec or SampleSpec()
     if spec.count < 1:  # ahead of a structural 0, which draws nothing

@@ -9,6 +9,7 @@ expression to a constraint manifold.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import OrderOverflowError, ReductionError
@@ -240,8 +241,12 @@ DEFAULT_SAMPLES = 200
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-9
 
-# the exact point at which a remainder that sampling cannot refute is read
-_WITNESS = {"x": 1, "y": 1, "u": 1, "ux": 0, "uy": 0, "uxx": 0, "uxy": 1}
+# the exact points at which a remainder that sampling cannot refute is read:
+# W on x^2 = y^2, and W' inside the wedge x > |y|, in the jet box, on
+# x^2 - y^2 = 1, where every power of x^2 - y^2 folds
+_WITNESSES = ({"x": 1, "y": 1, "u": 1, "ux": 0, "uy": 0, "uxx": 0, "uxy": 1},
+              {"x": Fraction(5, 4), "y": Fraction(3, 4), "u": 1, "ux": 0, "uy": 0, "uxx": 0,
+               "uxy": 1})
 
 
 class SampledRemainder(NamedTuple):
@@ -257,24 +262,26 @@ class SampledRemainder(NamedTuple):
     def classify(self) -> str:
         """The remainder's reading: "zero" for a structural 0, "nonzero"
         when a sample reaches REFUTE_THRESHOLD.  Any other remainder is
-        substituted exactly at x = y = u = 1, ux = uy = uxx = 0, uxy = 1:
-        a nonzero number there reads "nonzero", anything else
-        "inconclusive".  So a remainder that is not a structural 0 never
-        reads "zero", however small its sampled measure."""
+        substituted exactly at the two witness points, both with u = 1,
+        ux = uy = uxx = 0 and uxy = 1: W at x = y = 1, and W' at x = 5/4,
+        y = 3/4, where x^2 - y^2 = 1.  A nonzero number at either reads
+        "nonzero", anything else "inconclusive".  So a remainder that is
+        not a structural 0 never reads "zero", however small its sampled
+        measure."""
         if is_zero(self.remainder):
             return "zero"
         if self.max_abs >= REFUTE_THRESHOLD:
             return "nonzero"
-        witness = substitute(self.remainder, _WITNESS)
-        return "nonzero" if isinstance(witness, Num) and witness.value else "inconclusive"
+        values = (substitute(self.remainder, point) for point in _WITNESSES)
+        return "nonzero" if any(isinstance(v, Num) and v.value for v in values) else "inconclusive"
 
 
 def sample_remainder(remainder: Expr, n_samples: int = DEFAULT_SAMPLES,
                      seed: int = DEFAULT_SEED) -> SampledRemainder:
     """Sample a remainder in jet coordinates, such as the expanded result
     of ``ConstraintSystem.restrict``.  The magnitude of its
-    ``to_cancellation`` measure, over its terms if it is a Sum and else
-    over it as one term, is compiled with its draw loop
+    cancellation measure, over its terms if it is a Sum and else over it
+    as one term, is compiled with its draw loop
     (``to_measure_loop``) and taken at ``n_samples`` seeded points of the
     jet box, each drawn as ``sample_jet_point`` draws one; a point off
     the real domain or where the measure is not finite is redrawn.

@@ -81,17 +81,6 @@ def map_point_exprs(lam) -> tuple[Expr, Expr]:
     )
 
 
-def _disk_xor(center1: tuple[float, float], center2: tuple[float, float],
-              radius: float) -> Callable[[float, float], bool]:
-    """The two-disk description of a region: inside exactly one of the
-    open disks of ``radius`` around ``center1`` and ``center2``."""
-    (x1, y1), (x2, y2) = center1, center2
-
-    def inside(x: float, y: float) -> bool:
-        return (math.hypot(x - x1, y - y1) < radius) != (math.hypot(x - x2, y - y2) < radius)
-    return inside
-
-
 @functools.lru_cache(maxsize=1)
 def _family_domain(lam: float) -> Callable[[float, float], bool]:
     """The family's domain test, compiled once for the points of a region."""
@@ -111,7 +100,10 @@ class RegionGeometry(NamedTuple):
         return _family_domain(self.lam)(x, y)
 
     def xor_disks(self, x: float, y: float) -> bool:
-        return _disk_xor(self.center1, self.center2, self.radius)(x, y)
+        """The two-disk description of the region: inside exactly one of
+        the open disks."""
+        (x1, y1), (x2, y2), r = self.center1, self.center2, self.radius
+        return (math.hypot(x - x1, y - y1) < r) != (math.hypot(x - x2, y - y2) < r)
 
     def xor_mismatches(self, samples: int, seed: int) -> int:
         """How many of ``samples`` seeded points of ``xor_check_box`` the
@@ -408,7 +400,7 @@ def residual_grid(inst: PDEInstance, sol: ClosedFormSolution, grid: GridSpec,
     its u and its ``positive`` (``_kept_residual``; a grid with a lam
     substitutes and rebuilds nothing) are compiled as one ``to_row_kernel``
     in x and y, with the instance's six numbers and the solution's own as
-    constants.  ``residual`` is the ``to_cancellation`` measure over the
+    constants.  ``residual`` is the cancellation measure over the
     five terms of the PDE, which cancel on a true solution but grow without
     bound toward the region boundary.  A node the kernel does not keep is
     masked: ``in_domain`` is 0 and u and residual are empty; the field

@@ -597,13 +597,18 @@ class TestWeakCS:
     def test_off_the_profile_no_stage_reads_zero_on_a_remainder(self):
         # stage 3 read "zero" on 1/500000000000*x*y*(x^2 - y^2)^(-7/4) at
         # gamma1 = -1.500000000001, whose sampled measure lies below 1e-9:
-        # only a structural 0 reads zero, at every offset
+        # only a structural 0 reads zero, at every offset.  Stage 3 reads
+        # nonzero at every gamma1 offset: where its sampled measure lies
+        # below the threshold, it is a nonzero number at W'
         for flags in off_profile_flags():
             code, out, _ = run_cli(["weak-cs", *flags])
             report = json.loads(out)
             assert (code, report["confirmed"]) == (1, False), flags
             for stage in report["stages"]:
                 assert stage["verdict"] != "zero" or stage["remainder"] == "0", (flags, stage)
+            values = dict(flag[2:].split("=", 1) for flag in flags)
+            if Fraction(values["gamma1"]) != candidate_profile(Fraction(values["a"]))[1]:
+                assert report["stages"][2]["verdict"] == "nonzero", flags
 
     def test_consequences_flag_changes_only_its_echo(self):
         argv = ["weak-cs", "--preset", "gss", "--samples", "60"]
@@ -633,6 +638,18 @@ class TestContract:
         assert code1 == code2
         assert strip_timestamp(out1) == strip_timestamp(out2)
         assert out1.count('"timestamp"') == 1
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda a: a[0])
+    def test_seed_is_a_flag_of_the_commands_that_draw_points(self, argv):
+        # exponents, residual-grid and reduce draw nothing: --seed is an
+        # unknown flag there, as it is in no report of theirs
+        code, out, err = run_cli([*argv, "--seed", "1"])
+        if argv[0] in ("check-symmetry", "transform", "region", "weak-cs"):
+            assert code == 0, err
+            assert json_report(out).get("seed", 1) == 1  # region prints no seed
+        else:
+            assert (code, out) == (2, "")
+            assert "unrecognized arguments: --seed 1" in err
 
     def test_import_loads_no_module_a_command_does_not_use(self):
         # every command starts a fresh process: the records are plain

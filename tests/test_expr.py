@@ -26,6 +26,7 @@ from liesym import (
     Power,
     Product,
     SampleSpec,
+    SamplingError,
     Sum,
     UnboundSymbolError,
     VectorField,
@@ -57,6 +58,7 @@ from liesym import expr, orbits
 from liesym.expr import clear_memo
 from liesym.family import KEPT, PARAMETERS
 
+from test_compiled_verdicts import measure_at, reference_measure
 from test_orbits import sample_in_region
 
 X, Y, U, A, LAM = sym("x"), sym("y"), sym("u"), sym("a"), sym("lam")
@@ -684,10 +686,11 @@ class TestFoldedConstants:
         # 10^200 * 10^200 folds to no float: it is bound as inf, and an
         # infinite value is off the domain for every consumer
         e = add(X, mul(self.K, sym("j")))
-        fn = _compiled(e, ("x",), {"k": 10 ** 200, "j": 10 ** 200})
+        table = {"k": 10 ** 200, "j": 10 ** 200}
+        fn = _compiled(e, ("x",), table)
         assert math.isinf(fn(1.0))
-        with pytest.raises(DomainError):
-            expr.to_cancellation(e, ("x",), constants={"k": 10 ** 200, "j": 10 ** 200})(1.0)
+        # the grid's measure masks the node
+        assert expr.to_row_kernel(e, ("x", "y"), constants=table)([1.0])(0.0) == ([], [0], 1)
 
     def test_a_constant_past_the_double_range_is_off_the_domain_on_both_paths(self):
         # k^(j^2 k^2) at k = 4, j = 6 is 2^1152: substituted, it is a Num the
@@ -695,10 +698,8 @@ class TestFoldedConstants:
         e = pow_(self.K, mul(pow_(sym("j"), num(2)), pow_(self.K, num(2))))
         table = {"k": Fraction(4), "j": Fraction(6)}
         assert to_callable(substitute(e, table), ("x",))(1.0) == math.inf
-        measure = expr.to_cancellation(e, ("x",), constants=table)
-        for x in (0.5, 1.0, 2.0):
-            with pytest.raises(DomainError):
-                measure(x)
+        row = expr.to_row_kernel(e, ("x", "y"), constants=table)([0.5, 1.0, 2.0])
+        assert row(0.0) == ([], [0, 0, 0], 3)
 
     def test_eval_at_agrees_with_the_compile_past_the_double_range(self):
         # x^(2^1152): the exponent is past the double range, the value is
@@ -872,7 +873,7 @@ class TestFoldedConstants:
             table = {"k": k, "j": k}
             row = expr.to_row_kernel(e, ("x", "y"), twin, e, constants=table)([x])
             alone = [_compiled(twin, ("x", "y"), table), _compiled(e, ("x", "y"), table),
-                     expr.to_cancellation(e, ("x", "y"), constants=table)]
+                     _reference_measure(e, table)]
             outcomes = [_outcome(fn, x, y) for fn in alone]
             numbers, keep, off_real = row(y)
             if DomainError in outcomes:
@@ -882,11 +883,18 @@ class TestFoldedConstants:
             clear_memo()
 
 
+def _reference_measure(e, table):
+    """The reference measure of ``e`` in x and y, each term compiled alone
+    with ``table`` folded in."""
+    return reference_measure(e, ("x", "y"), lambda t, names: _compiled(t, names, table))
+
+
 def _reference_grid(e, u, table, positive, grid):
     """The CSV text and the field of a grid, node by node: the measure of
-    ``e`` and ``u``, each compiled alone, at every node where each
-    expression of ``positive``, compiled alone, has a value > 0."""
-    measure = expr.to_cancellation(e, ("x", "y"), constants=table)
+    ``e`` (each term compiled alone) and ``u``, compiled alone, at every
+    node where each expression of ``positive``, compiled alone, has a
+    value > 0."""
+    measure = _reference_measure(e, table)
     u_fn = _compiled(u, ("x", "y"), table)
     conditions = [_compiled(c, ("x", "y"), table) for c in positive]
     lines = [",".join(orbits.CSV_HEADER) + "\n"]
@@ -1030,7 +1038,7 @@ class TestRowKernel:
         e = add(pow_(X, num(Fraction(1, 2))), pow_(add(Y, num(-1)), num(-1)), mul(X, Y))
         below_seven = add(num(7), mul(num(-1), X), mul(num(-1), Y))  # x + y < 7
         row = expr.to_row_kernel(e, ("x", "y"), X, positive=(below_seven,))([-1.0, 1.0, 4.0])
-        measure = expr.to_cancellation(e, ("x", "y"))
+        measure = reference_measure(e, ("x", "y"))
         assert row(2.0) == ([1.0, measure(1.0, 2.0), 4.0, measure(4.0, 2.0)], [0, 1, 1], 1)
         assert row(1.0) == ([], [0, 0, 0], 3)
         assert row(3.0) == ([1.0, measure(1.0, 3.0)], [0, 1, 0], 1)
@@ -1040,7 +1048,7 @@ class TestRowKernel:
         # in a slot of x alone it masks the column, and (x + y)^(-1) in a
         # slot of both arguments masks the node where x + y is 0
         e = add(pow_(X, num(-1)), pow_(add(X, Y), num(-1)))
-        measure = expr.to_cancellation(e, ("x", "y"))
+        measure = reference_measure(e, ("x", "y"))
         row = expr.to_row_kernel(e, ("x", "y"), X)([-1.0, 0.0, 1.0])
         assert row(2.0) == ([-1.0, measure(-1.0, 2.0), 1.0, measure(1.0, 2.0)], [1, 0, 1], 1)
         assert row(1.0) == ([1.0, measure(1.0, 1.0)], [0, 0, 1], 2)
@@ -1086,11 +1094,12 @@ class TestArgumentsNamedLikeBuiltins:
 
     @pytest.mark.parametrize("names", NAMES, ids=["-".join(n) for n in NAMES])
     def test_cancellation(self, names):
+        # the draw loop of the measure, at a box of one point
         x, y = map(sym, names)
-        assert expr.to_cancellation(parse(f"{names[0]} + 1"), names[:1])(2.0) == 1.0
-        assert expr.to_cancellation(add(x, y), names)(2.0, -3.0) == -0.25
-        with pytest.raises(DomainError, match="overflow"):
-            expr.to_cancellation(pow_(x, num(2)), names)(1e200, 0.0)
+        assert measure_at(parse(f"{names[0]} + 1"), names[:1], (2.0,)) == 1.0
+        assert measure_at(add(x, y), names, (2.0, -3.0)) == 0.25
+        with pytest.raises(SamplingError, match="retry budget"):
+            measure_at(pow_(x, num(2)), names, (1e200, 0.0))
 
     @pytest.mark.parametrize("names", NAMES, ids=["-".join(n) for n in NAMES])
     def test_row_kernel(self, names):

@@ -32,7 +32,7 @@ from liesym import (
     y_translation_vf,
 )
 from liesym import jets
-from liesym.expr import ZERO, clear_memo, to_cancellation
+from liesym.expr import ZERO, clear_memo
 from liesym.jets import (
     JET_NAMES,
     JET_RANGES,
@@ -41,6 +41,8 @@ from liesym.jets import (
     sample_jet_point,
     sample_remainder,
 )
+
+from test_compiled_verdicts import reference_measure
 
 
 class TestSampleJetPoint:
@@ -73,7 +75,7 @@ class TestSampleRemainder:
         # the full loop over the compiled measure of 0, as every remainder
         # was sampled before a structural 0 skipped the compile and draws
         # (the measure of 0 has a value at every point, so none is redrawn)
-        measure = to_cancellation(ZERO, JET_NAMES)
+        measure = reference_measure(ZERO, JET_NAMES)
         rng = random.Random(seed)
         worst, max_abs, total = None, -1.0, 0.0
         for _ in range(n):
@@ -102,16 +104,22 @@ class TestSampleRemainder:
         # a sample at the threshold refutes, even where W reads 0
         ("ux", REFUTE_THRESHOLD, "nonzero"),
         ("x", 318.0, "nonzero"),
-        # below it, the exact value at W decides: 1 there, and the
+        # below it, the exact values at W and W' decide: 1 at W, and the
         # remainder of X at c1 = -7.000000000001, which reads -3/2*10^-12
         ("x", 0.0, "nonzero"),
         ("-3/2000000000000*y*u^(-7000000000001/1000000000000)*x^2", 2.4e-10, "nonzero"),
-        # 0 at W, or no number there (0 to a negative power): a remainder
-        # that is not a structural 0 never reads zero
+        # weak-cs stage 3 at gamma1 = -1.500000000001: no number at W,
+        # which lies on x^2 = y^2, and 3/1600000000000 at W'
+        ("1/500000000000*x*y*(x^2 - y^2)^(-7/4)", 3e-12, "nonzero"),
+        # 0 at W and W', or no number there (0 to a negative power): a
+        # remainder that is not a structural 0 never reads zero
         ("ux", 0.0, "inconclusive"),
         ("ux", REFUTE_THRESHOLD * 0.999, "inconclusive"),
         ("uxy - 1", 1e-12, "inconclusive"),
-        ("1/500000000000*x*y*(x^2 - y^2)^(-7/4)", 3e-12, "inconclusive"),
+        # weak-cs stage 3 at c1 = -7.000000000001: no number at W, and 0
+        # at W', where every power of x^2 - y^2 is 1
+        ("-3*x*y*(x^2 - y^2)^(-7/4) + 3*x*y*(x^2 - y^2)^(-7000000000001/4000000000000)",
+         1e-12, "inconclusive"),
     ])
     def test_classify_reads_zero_only_on_a_structural_zero(self, remainder, max_abs, reading):
         sampled = SampledRemainder(parse(remainder), max_abs, max_abs, [1.0] * 8, 1, 0)

@@ -52,7 +52,9 @@ from liesym import (
     transform_solution,
 )
 from liesym import orbits
-from liesym.expr import clear_memo, to_cancellation, to_predicate
+from liesym.expr import clear_memo, to_predicate
+
+from test_compiled_verdicts import reference_measure
 
 
 def sample_in_region(lam, count, seed):
@@ -599,7 +601,7 @@ class TestKeptFamilyResidual:
             for lam in (0, Fraction(1, 2), 1, 3):
                 sol = family_solution(a, lam)
                 field, rows = _grid_rows(inst, sol, _grid_for(lam, 24))
-                measure = to_cancellation(solution_residual(inst, sol), ("x", "y"))
+                measure = reference_measure(solution_residual(inst, sol), ("x", "y"))
                 u = to_callable(sol.expr, ("x", "y"))
                 for row in rows:
                     x, y = float(row[0]), float(row[1])
@@ -813,6 +815,28 @@ class TestKeptPushforward:
             pushed, family = transform_solution(base_solution(a), lam), family_solution(a, lam)
             assert pushed.expr is family.expr
             assert orbits._kept_residual(pushed) == orbits._kept_residual(family)
+
+    def test_transform_builds_the_family_only_on_a_failed_identity(self, monkeypatch):
+        # a pushforward with a lam is the family member, so the CLI builds
+        # the family apart, and compares the two, only where the kept
+        # pushforward is not the kept family solution
+        from liesym import cli
+        from test_cli import run_cli
+
+        calls = []
+        real = cli.family_solution
+        monkeypatch.setattr(cli, "family_solution",
+                            lambda a, lam: calls.append((a, lam)) or real(a, lam))
+        for argv in (["transform", "--a=3/2", "--lambda=2/3", "--x=0.1", "--y=-2"],
+                     ["transform", "--a=-1", "--lambda=-1", "--samples=30"],
+                     ["transform", "--a=2", "--lambda=0"]):
+            code, out, err = run_cli(argv)
+            assert code == 0, err
+            assert json.loads(out)["structural_match"] is True
+        assert calls == []
+        monkeypatch.setattr(orbits, "symbolic_family_solution", lambda: orbits._S_EXPR)
+        assert run_cli(["transform", "--a=3/2", "--lambda=2/3"])[0] == 0
+        assert calls == [(Fraction(3, 2), Fraction(2, 3))]
 
     def test_a_failed_identity_takes_the_pushed_route(self, monkeypatch):
         # were the kept pushforward not the kept family solution, a

@@ -39,20 +39,21 @@ from liesym import (
     orbits,
     sample_remainder,
 )
-from liesym.expr import add, expand, is_zero, mul, num, pow_, sym, to_cancellation, to_predicate
+from liesym.expr import add, expand, is_zero, mul, num, pow_, sym, to_predicate
 from liesym.jets import JET_NAMES, sample_jet_point
 
 from test_cli import run_cli
+from test_compiled_verdicts import reference_measure
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "liesym"
 
 
 def _reference_remainder(remainder, n, seed):
     """(max_abs, mean_abs, worst_point, resampled) of a remainder by the
-    loop the sampled checks ran before it was compiled: the compiled
+    loop the sampled checks ran before it was compiled: the reference
     measure called at each ``sample_jet_point``, a DomainError redrawn,
     redraw number 10 n raising SamplingError."""
-    measure = to_cancellation(remainder, JET_NAMES)
+    measure = reference_measure(remainder, JET_NAMES)
     rng = random.Random(seed)
     accepted = redrawn = 0
     total, max_abs, worst = 0.0, -1.0, None
@@ -89,7 +90,7 @@ def _reference_mismatches(geo, n, seed):
 def _reference_equiv(e1, e2, spec):
     """(equivalent, samples, witness) of ``equiv_numeric`` by a plain
     loop: ``rng.uniform`` per sorted name, a draw accepted where
-    ``to_predicate(positive)`` holds and the compiled measure has a value,
+    ``to_predicate(positive)`` holds and the reference measure has a value,
     the verdict read from the largest |measure| of ``count`` draws."""
     difference = expand(add(e1, mul(num(-1), e2)))
     if is_zero(difference):
@@ -97,7 +98,7 @@ def _reference_equiv(e1, e2, spec):
     names = sorted(frozenset().union(e1.free_symbols(), e2.free_symbols(),
                                      *(c.free_symbols() for c in spec.positive)))
     admit = to_predicate(spec.positive, names)
-    measure = to_cancellation(difference, names)
+    measure = reference_measure(difference, names)
     rng = random.Random(spec.seed)
     accepted = redrawn = 0
     max_abs, worst = -1.0, None
@@ -354,10 +355,13 @@ class TestExhaustedBudget:
 
     def test_cli_transform_exits_one(self, monkeypatch):
         # a structural match is not sampled, so the family is moved to 2 lam,
-        # where the difference is not 0, on a domain that holds nowhere
+        # where the difference is not 0, on a domain that holds nowhere; the
+        # family is built apart only where the kept pushforward is not the
+        # kept family solution, so that identity is made to fail
         def moved(a, lam):
             return ClosedFormSolution(family_expr(a, 2 * lam), (num(-1),), "moved", a)
 
+        monkeypatch.setattr(orbits, "symbolic_family_solution", lambda: orbits._S_EXPR)
         monkeypatch.setattr(cli, "family_solution", moved)
         code, out, err = run_cli(["transform", "--lambda", "1", "--samples", "5"])
         assert (code, out) == (1, "")
